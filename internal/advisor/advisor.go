@@ -139,8 +139,8 @@ func (ad *Advisor) AddQuery(q *query.Query, weight float64) error {
 // already exist — the serving layer's path, where one immutable cache set
 // is built (or loaded from a snapshot) at startup and every /recommend
 // request prices it through a fresh Advisor. The cache is shared, not
-// copied: Cost and the leaf memo are safe for concurrent use, and the
-// greedy search's own state lives in the per-run cost engine.
+// copied: pricing only reads it, and the greedy search's own state lives
+// in the per-run cost engine.
 func (ad *Advisor) AddPrepared(q *query.Query, a *optimizer.Analysis, cache *inum.Cache, weight float64) error {
 	if weight <= 0 {
 		weight = 1
@@ -251,9 +251,8 @@ func (ad *Advisor) GenerationErrors() []error { return ad.genErrs }
 
 // Candidates returns the registered candidate indexes in registration
 // order. A long-lived server generates the workload's candidate set once
-// and feeds it to every per-request advisor through AddCandidate, so the
-// shared caches' leaf memo sees one stable descriptor per candidate
-// instead of fresh ones per request.
+// and feeds it to every per-request advisor through AddCandidate instead
+// of regenerating it per request.
 func (ad *Advisor) Candidates() []*catalog.Index {
 	return append([]*catalog.Index(nil), ad.candidates...)
 }

@@ -39,10 +39,9 @@ func BuildPrecise(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error
 // BuildSlim fills a slim cache: the same two optimizer calls, but every
 // exported plan is reduced to its INUM decomposition on the spot and the
 // planner's retained path trees become garbage as soon as each call
-// returns. Cost/BaseLeafCosts results are bit-identical to Build's; the
-// cache just cannot render EXPLAIN trees or feed the executor. This is
-// the construction the persistent snapshot store and the serving layer
-// use.
+// returns. Cost results are bit-identical to Build's; the cache just
+// cannot render EXPLAIN trees or feed the executor. This is the
+// construction the persistent snapshot store and the serving layer use.
 func BuildSlim(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error) {
 	return build(a, ws, false, true)
 }

@@ -5,28 +5,26 @@
 //
 // The INUM/CoPhy-style decomposition the engine exploits is that a cached
 // plan's cost is Internal + Σ coef × accessCost(leaf, C), and accessCost is
-// a min over the configuration's indexes per relation. Adding one candidate
-// index to an already-priced configuration therefore only changes leaves on
-// the candidate's table, and the new per-leaf cost is
-// min(currentBest[rel], leafCost(candidate)) — no other index in the
-// configuration needs to be looked at again. A workload-level inverted
-// index (table → queries) skips entirely the queries that never reference
-// the candidate's table.
+// a min over the configuration's indexes per leaf identity — the query's
+// leaf-slot table (optimizer.PriceLeafSlots). The engine keeps one table
+// per query, priced under the applied set. Adding one candidate index only
+// changes the blocks of relations on the candidate's table, and a slot's
+// new value is min(current, cost through the candidate) — no other index
+// in the configuration needs to be looked at again. A workload-level
+// inverted index (table → queries) skips entirely the queries that never
+// reference the candidate's table.
 //
-// The engine consumes only each cached plan's slim decomposition —
-// Internal, Leaves, and the BaseLeafCosts snapshot — never the plan's
-// path tree, so it runs unchanged over slim and snapshot-loaded caches
-// (internal/plancache) as well as tree-backed ones; the serving layer's
-// /recommend endpoint relies on exactly that.
+// The engine consumes only each cache's slim decomposition — the packed
+// leaf arenas behind Cache.BestPlan — never a plan's path tree, so it runs
+// unchanged over slim and snapshot-loaded caches (internal/plancache) as
+// well as tree-backed ones; the serving layer's /recommend endpoint relies
+// on exactly that.
 //
 // The engine's results are bit-identical to pricing each configuration from
-// scratch through inum.Cache.Cost: per-leaf minimisation visits indexes in
+// scratch through inum.Cache.Cost: per-slot minimisation visits indexes in
 // the same order (applied set in pick order, candidate last) with the same
-// strict < rule, per-plan summation accumulates coef × leaf in relation
-// order starting from the internal cost, plan choice scans plans in cache
-// order with strict improvement, and workload totals sum weight × query
-// cost in registration order. Floating-point min and identical accumulation
-// orders make every intermediate equal down to the last bit.
+// strict < rule, the plan fold is Cache.BestPlan itself, and workload totals
+// sum weight × query cost in registration order.
 package costmatrix
 
 import (
@@ -36,6 +34,7 @@ import (
 
 	"github.com/pinumdb/pinum/internal/catalog"
 	"github.com/pinumdb/pinum/internal/inum"
+	"github.com/pinumdb/pinum/internal/optimizer"
 )
 
 // Query is one workload entry: a built plan cache and its frequency weight
@@ -66,16 +65,6 @@ type Stats struct {
 	Applies int64
 }
 
-// planState is the live state of one cached plan under the applied set.
-type planState struct {
-	cp *inum.CachedPlan
-	// leafBest[rel] is the best access cost for relation rel over the
-	// applied indexes (+Inf while no applied index satisfies an ordered or
-	// lookup requirement). It is maintained with exactly the minimisation
-	// LeafAccessCost runs, one applied index at a time, in pick order.
-	leafBest []float64
-}
-
 // queryState is the live state of one workload query.
 type queryState struct {
 	cache  *inum.Cache
@@ -83,7 +72,10 @@ type queryState struct {
 	// relsOnTable maps a table name to the query's relation slots on that
 	// table, ascending — several slots for self-joins.
 	relsOnTable map[string][]int
-	plans       []planState
+	// slots is the query's leaf-slot table under the applied set,
+	// maintained with exactly the minimisation PriceLeafSlots runs, one
+	// applied index at a time, in pick order.
+	slots []float64
 	// best is the winning plan cost under the applied set (what
 	// Cache.Cost would return for the equivalent configuration).
 	best float64
@@ -134,10 +126,7 @@ func New(queries []Query) (*Engine, error) {
 		for t := range qs.relsOnTable {
 			e.byTable[t] = append(e.byTable[t], qi)
 		}
-		qs.plans = make([]planState, len(c.Plans))
-		for i, cp := range c.Plans {
-			qs.plans[i] = planState{cp: cp, leafBest: c.BaseLeafCosts(cp)}
-		}
+		qs.slots = c.A.PriceLeafSlots(nil, nil)
 		qs.best = qs.costWith(nil)
 		if math.IsInf(qs.best, 1) {
 			return nil, fmt.Errorf("costmatrix: no applicable cached plan for query %s under the empty configuration", c.Q.Name)
@@ -149,45 +138,22 @@ func New(queries []Query) (*Engine, error) {
 }
 
 // costWith returns the query's best cached-plan cost under the applied set
-// plus an optional extra candidate (nil = applied set only). The
-// arithmetic replicates Cache.Cost exactly: per leaf, the candidate folds
-// into the stored minimum with the same strict < an index appended last to
-// the configuration would see; the plan total accumulates coef × leaf in
-// relation order from the internal cost; the plan choice scans plans in
-// cache order with strict improvement.
+// plus an optional extra candidate (nil = applied set only): the candidate
+// folds into a stack copy of the table, in the blocks of its table's
+// relations, exactly as an index appended last to the configuration would,
+// and the plans are folded by Cache.BestPlan. +Inf means no applicable plan.
 //
 //pinum:hotpath
 func (qs *queryState) costWith(extra *catalog.Index) float64 {
-	var rels []int
+	slots := qs.slots
 	if extra != nil {
-		rels = qs.relsOnTable[extra.Table]
-	}
-	best := math.Inf(1)
-	for pi := range qs.plans {
-		ps := &qs.plans[pi]
-		cost := ps.cp.Internal
-		ok := true
-		ri := 0
-		for rel := range ps.leafBest {
-			req := ps.cp.Leaf(rel)
-			l := ps.leafBest[rel]
-			if ri < len(rels) && rels[ri] == rel {
-				ri++
-				if c, o := qs.cache.IndexLeafCost(rel, req, extra); o && c < l {
-					l = c
-				}
-			}
-			if math.IsInf(l, 1) {
-				ok = false
-				break
-			}
-			//pinum:costarith-ok bit-identical mirror of inum.Cache.Cost's fold, pinned by TestBaselineMatchesCacheCost and TestEvaluateAndApplyMatchCacheCost
-			cost += req.Coef * l
-		}
-		if ok && cost < best {
-			best = cost
+		var buf [optimizer.LeafSlotsInline]float64
+		slots = append(buf[:0], slots...)
+		for _, rel := range qs.relsOnTable[extra.Table] {
+			qs.cache.A.FoldLeafSlots(slots, rel, extra)
 		}
 	}
+	best, _ := qs.cache.BestPlan(slots)
 	return best
 }
 
@@ -243,7 +209,7 @@ func (e *Engine) EvaluateCandidate(ix *catalog.Index) float64 {
 			j++
 			c = qs.costWith(ix)
 			evals++
-			plans += int64(len(qs.plans))
+			plans += int64(len(qs.cache.Plans))
 		} else {
 			skips++
 		}
@@ -257,24 +223,17 @@ func (e *Engine) EvaluateCandidate(ix *catalog.Index) float64 {
 	return total
 }
 
-// Apply commits a pick: per affected query, each plan's leafBest entries on
-// the pick's table fold the pick in (the same min EvaluateCandidate
-// computed), the query's winning cost is refreshed, and the workload total
+// Apply commits a pick: per affected query, the pick folds into the table's
+// blocks on its table in place (the same min EvaluateCandidate computed on
+// its copy), the query's winning cost is refreshed, and the workload total
 // is re-summed. Unaffected queries are untouched. Not safe to run
 // concurrently with evaluations.
 func (e *Engine) Apply(pick *catalog.Index) {
 	e.applies.Add(1)
 	for _, qi := range e.byTable[pick.Table] {
 		qs := e.queries[qi]
-		rels := qs.relsOnTable[pick.Table]
-		for pi := range qs.plans {
-			ps := &qs.plans[pi]
-			for _, rel := range rels {
-				req := ps.cp.Leaf(rel)
-				if c, ok := qs.cache.IndexLeafCost(rel, req, pick); ok && c < ps.leafBest[rel] {
-					ps.leafBest[rel] = c
-				}
-			}
+		for _, rel := range qs.relsOnTable[pick.Table] {
+			qs.cache.A.FoldLeafSlots(qs.slots, rel, pick)
 		}
 		qs.best = qs.costWith(nil)
 	}

@@ -307,6 +307,25 @@ func TestConcurrentEvaluateMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestEvaluateCandidateAllocFree pins the engine's hot path over the whole
+// star workload: a candidate evaluation copies each affected query's slot
+// table to the stack, folds the candidate in and runs Cache.BestPlan —
+// nothing reaches the heap, before or after picks are applied.
+func TestEvaluateCandidateAllocFree(t *testing.T) {
+	s, caches, weights := setup(t, 10)
+	e := newEngine(t, caches, weights)
+	pool := candidatePool(t, s)
+	for step := 0; step < 3; step++ {
+		for i := step; i < len(pool); i += 11 {
+			cand := pool[i]
+			if allocs := testing.AllocsPerRun(10, func() { e.EvaluateCandidate(cand) }); allocs != 0 {
+				t.Errorf("after %d picks: EvaluateCandidate(%s) allocates %v times per call, want 0", step, cand.Name, allocs)
+			}
+		}
+		e.Apply(pool[step*13])
+	}
+}
+
 // TestNewRejectsNilCache checks the constructor validates its input.
 func TestNewRejectsNilCache(t *testing.T) {
 	if _, err := New([]Query{{Cache: nil}}); err == nil {

@@ -10,6 +10,12 @@
 //	min over cached plans p applicable under C of
 //	    internal(p) + Σ_leaves coef × accessCost(leaf, C)
 //
+// accessCost depends only on (relation, leaf identity, C), and a relation
+// with k interesting orders has 1 + 2k identities, so Cost prices C once
+// into the query's leaf-slot table (optimizer.PriceLeafSlots, a few dozen
+// floats on the caller's stack) and every plan reads it as an array. A
+// cache holds no memo and no lock: once built it is never written.
+//
 // Package core builds the same cache with just one optimizer call per
 // nested-loop mode (the paper's contribution); this package provides the
 // cache structure, the cost model, and the conventional one-call-per-
@@ -20,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 	"unsafe"
 
@@ -49,8 +54,8 @@ type CachedPlan struct {
 	// for them and for entries decoded from snapshots.
 	Sig string
 	// Path is the originating path tree, kept for EXPLAIN and execution.
-	// Slim cache entries store nil: Cost and BaseLeafCosts never read it,
-	// and dropping it releases the DP planner's retained trees — the
+	// Slim cache entries store nil: Cost never reads it, and dropping it
+	// releases the DP planner's retained trees — the
 	// dominant share of cache memory on wide ExportAll queries.
 	Path *optimizer.Path
 
@@ -154,9 +159,9 @@ func (m MemStats) String() string {
 		float64(m.TotalBytes())/1024, float64(m.EntryBytes)/1024, float64(m.PathBytes)/1024)
 }
 
-// Cache is an INUM plan cache for one query. Cost is safe for concurrent
-// use (the advisor's parallel greedy search prices many configurations at
-// once); construction (AddPath) is not.
+// Cache is an INUM plan cache for one query. Cost and BestPlan only read
+// it, so any number of goroutines may price configurations at once;
+// construction (AddPath, AddSlim, Seal) is single-threaded.
 type Cache struct {
 	Q     *query.Query
 	A     *optimizer.Analysis
@@ -176,47 +181,18 @@ type Cache struct {
 	leafCoef []float64
 
 	sigs map[string]bool
-
-	// Leaf access costs depend only on (relation, requirement, index), not
-	// on the rest of the configuration, so they are memoized across Cost
-	// calls: a greedy round evaluating |candidates| configurations that
-	// share the chosen prefix recomputes nothing for the prefix.
-	mu       sync.RWMutex
-	leafMemo map[leafKey]leafVal
-	seqMemo  map[int]float64
-}
-
-// leafKey identifies one memoized leaf access cost.
-type leafKey struct {
-	rel  int
-	mode optimizer.AccessMode
-	col  string
-	ix   *catalog.Index
-}
-
-// leafVal is a memoized Analysis.IndexLeafCost result, applicability
-// verdict included, so the applicability rules live only in the optimizer.
-type leafVal struct {
-	cost float64
-	ok   bool
 }
 
 // NewCache returns an empty cache over the analysed query.
 func NewCache(a *optimizer.Analysis) *Cache {
-	return &Cache{
-		Q:        a.Q,
-		A:        a,
-		sigs:     make(map[string]bool),
-		leafMemo: make(map[leafKey]leafVal),
-		seqMemo:  make(map[int]float64),
-	}
+	return &Cache{Q: a.Q, A: a, sigs: make(map[string]bool)}
 }
 
 // NewSlimCache returns an empty slim cache over the analysed query: every
 // AddPath retains only the plan's INUM decomposition (combo, internal
 // cost, per-relation leaf requirements) and drops the path tree and the
-// signature string. Cost and BaseLeafCosts results are bit-identical to a
-// tree-backed cache built from the same paths — they never read either.
+// signature string. Cost results are bit-identical to a tree-backed cache
+// built from the same paths — it never reads either.
 func NewSlimCache(a *optimizer.Analysis) *Cache {
 	c := NewCache(a)
 	c.slim = true
@@ -297,8 +273,8 @@ func (c *Cache) AddSlim(internal float64, packed []uint16, coefs []float64) (*Ca
 
 // Seal marks construction finished: the signature dedup map is dropped so
 // its strings can be collected. Builders call it once every AddPath is
-// done; a sealed cache still serves Cost, BaseLeafCosts and the leaf memo
-// normally, but further AddPath calls would no longer deduplicate.
+// done. A sealed cache is immutable — Cost writes nothing to it — though
+// further AddPath calls would be admitted without deduplication.
 func (c *Cache) Seal() {
 	c.sigs = nil
 }
@@ -324,102 +300,39 @@ func (c *Cache) MemStats() MemStats {
 // Cost estimates the query's optimal cost under the configuration using
 // only cached information — the operation that replaces an optimizer call.
 // It returns the winning plan. An error is returned only when no cached
-// plan is applicable (an empty cache). Costs are identical to evaluating
-// Analysis.AccessCost directly; leaf costs are served from the memo.
+// plan is applicable (an empty cache). The configuration (nil = empty) is
+// priced once into the leaf-slot table; costs are bit-identical to folding
+// Analysis.AccessCost per plan leaf.
 //
 //pinum:hotpath
 func (c *Cache) Cost(cfg *query.Config) (float64, *CachedPlan, error) {
-	best := math.Inf(1)
-	var bestPlan *CachedPlan
-	n := len(c.Q.Rels)
-	for _, cp := range c.Plans {
-		cost := cp.Internal
-		ok := true
-		for rel := 0; rel < n; rel++ {
-			req := cp.Leaf(rel)
-			a, applicable := c.accessCost(rel, req, cfg)
-			if !applicable {
-				ok = false
-				break
-			}
-			//pinum:costarith-ok the INUM fold itself (internal + Σ coef·access); costmatrix mirrors it bit-identically, pinned by costmatrix.TestEvaluateAndApplyMatchCacheCost
-			cost += req.Coef * a
-		}
-		if ok && cost < best {
-			best = cost
-			bestPlan = cp
-		}
-	}
-	if bestPlan == nil {
+	var buf [optimizer.LeafSlotsInline]float64
+	best, i := c.BestPlan(c.A.PriceLeafSlots(buf[:0], cfg))
+	if i < 0 {
 		return 0, nil, fmt.Errorf("inum: no applicable cached plan for configuration %s", cfg)
 	}
-	return best, bestPlan, nil
+	return best, c.Plans[i], nil
 }
 
-// accessCost evaluates a leaf requirement through the optimizer's own
-// minimisation loop, with the cache as the (memoized) leaf coster.
-func (c *Cache) accessCost(rel int, req optimizer.LeafReq, cfg *query.Config) (float64, bool) {
-	return optimizer.LeafAccessCost(c, rel, req, cfg)
-}
-
-// IndexLeafCost implements optimizer.LeafCoster: Analysis.IndexLeafCost
-// memoized per (rel, mode, col, index). Inapplicable pairs are rejected up
-// front through the optimizer's own LeafApplicable rule — the same one
-// Analysis.IndexLeafCost applies — which keeps them out of the memo and
-// off the locked path without duplicating applicability logic here.
-func (c *Cache) IndexLeafCost(rel int, req optimizer.LeafReq, ix *catalog.Index) (float64, bool) {
-	if !optimizer.LeafApplicable(c.A.Rels[rel].Table.Name, req, ix) {
-		return 0, false
-	}
-	k := leafKey{rel: rel, mode: req.Mode, col: req.Col, ix: ix}
-	c.mu.RLock()
-	v, hit := c.leafMemo[k]
-	c.mu.RUnlock()
-	if hit {
-		return v.cost, v.ok
-	}
-	cost, ok := c.A.IndexLeafCost(rel, req, ix)
-	c.mu.Lock()
-	c.leafMemo[k] = leafVal{cost: cost, ok: ok}
-	c.mu.Unlock()
-	return cost, ok
-}
-
-// SeqScanCost implements optimizer.LeafCoster: Analysis.SeqScanCost
-// memoized per relation.
-func (c *Cache) SeqScanCost(rel int) float64 {
-	c.mu.RLock()
-	cost, hit := c.seqMemo[rel]
-	c.mu.RUnlock()
-	if hit {
-		return cost
-	}
-	cost = c.A.SeqScanCost(rel)
-	c.mu.Lock()
-	c.seqMemo[rel] = cost
-	c.mu.Unlock()
-	return cost
-}
-
-// BaseLeafCosts snapshots one cached plan's per-relation access costs under
-// the empty configuration: the (memoized) sequential-scan cost for
-// AccessAny leaves and +Inf for ordered/lookup leaves no index satisfies
-// yet. Incremental evaluators (internal/costmatrix) seed their per-plan
-// state from this snapshot and lower entries with IndexLeafCost as indexes
-// are chosen; because snapshot and refinement go through the same memoized
-// LeafCoster minimisation Cost itself uses, the resulting plan totals are
-// bit-identical to pricing the equivalent configuration from scratch.
-func (c *Cache) BaseLeafCosts(cp *CachedPlan) []float64 {
-	n := cp.NumRels()
-	out := make([]float64, n)
-	for rel := 0; rel < n; rel++ {
-		cost, ok := optimizer.BaseLeafCost(c, rel, cp.Leaf(rel))
-		if !ok {
-			cost = math.Inf(1)
+// BestPlan runs the INUM fold over a priced leaf-slot table: per plan,
+// internal + Σ coef × slot in relation order (optimizer.FoldLeafRow),
+// first strictly better plan in cache order wins. It returns the winning
+// cost and plan ordinal, or (+Inf, -1) when no plan is applicable. This is
+// the one plan loop: Cost and costmatrix differ only in how they obtain
+// the table.
+//
+//pinum:allocfree reads the arenas and the caller's table only; pinned by TestCostAllocFree and costmatrix.TestEvaluateCandidateAllocFree
+func (c *Cache) BestPlan(slots []float64) (float64, int) {
+	best, bestIdx := math.Inf(1), -1
+	n := len(c.Q.Rels)
+	for i, cp := range c.Plans {
+		lo := i * n
+		cost, ok := c.A.FoldLeafRow(cp.Internal, c.leafPk[lo:lo+n], c.leafCoef[lo:lo+n], slots)
+		if ok && cost < best {
+			best, bestIdx = cost, i
 		}
-		out[rel] = cost
 	}
-	return out
+	return best, bestIdx
 }
 
 // UniqueCombos returns the number of distinct order combinations among the

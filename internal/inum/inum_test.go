@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -54,6 +55,11 @@ func TestCostOnEmptyCacheFails(t *testing.T) {
 	c := NewCache(a)
 	if _, _, err := c.Cost(&query.Config{}); err == nil {
 		t.Error("empty cache produced a cost")
+	}
+	// A nil configuration is the empty one, in the error text too.
+	_, _, err := c.Cost(nil)
+	if err == nil || !strings.HasSuffix(err.Error(), "for configuration {}") {
+		t.Errorf("Cost(nil) on an empty cache: %v, want the no-applicable-plan error naming {}", err)
 	}
 }
 
@@ -281,19 +287,22 @@ func TestSelfJoinBuildAndCost(t *testing.T) {
 	}
 }
 
-// TestCostConcurrentMatchesSerial exercises the memoized Cost path from
-// many goroutines and checks bit-identical results against a serial pass
-// over the same configurations (run under -race this also proves the memo
-// is race-clean).
+// TestCostConcurrentMatchesSerial prices one sealed cache from 8
+// goroutines, each with its own configurations, and checks bit-identical
+// results against a serial pass. A sealed cache is immutable and Cost
+// works on its caller's stack, so under -race this proves there is no
+// shared write left on the pricing path.
 func TestCostConcurrentMatchesSerial(t *testing.T) {
 	s, a := setup(t, 3)
 	c, err := Build(a, whatif.NewSession(s.Catalog))
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Seal()
+	const workers, perWorker = 8, 8
 	ws := whatif.NewSession(s.Catalog)
 	rng := rand.New(rand.NewSource(11))
-	cfgs := make([]*query.Config, 32)
+	cfgs := make([]*query.Config, workers*perWorker)
 	want := make([]float64, len(cfgs))
 	for i := range cfgs {
 		cfg, err := workload.RandomAtomicConfig(rng, a, ws, 0.6)
@@ -307,28 +316,62 @@ func TestCostConcurrentMatchesSerial(t *testing.T) {
 		}
 	}
 	var wg sync.WaitGroup
-	errc := make(chan error, 8)
-	for g := 0; g < 8; g++ {
+	errc := make(chan error, workers)
+	for g := 0; g < workers; g++ {
 		wg.Add(1)
-		go func() {
+		go func(lo int) {
 			defer wg.Done()
-			for i, cfg := range cfgs {
-				got, _, err := c.Cost(cfg)
-				if err != nil {
-					errc <- err
-					return
-				}
-				if math.Float64bits(got) != math.Float64bits(want[i]) {
-					errc <- fmt.Errorf("config %d: concurrent cost %v != serial %v", i, got, want[i])
-					return
+			for round := 0; round < 4; round++ {
+				for i := lo; i < lo+perWorker; i++ {
+					got, _, err := c.Cost(cfgs[i])
+					if err != nil {
+						errc <- err
+						return
+					}
+					if math.Float64bits(got) != math.Float64bits(want[i]) {
+						errc <- fmt.Errorf("config %d: concurrent cost %v != serial %v", i, got, want[i])
+						return
+					}
 				}
 			}
-		}()
+		}(g * perWorker)
 	}
 	wg.Wait()
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+}
+
+// TestCostAllocFree is the pin behind BestPlan's //pinum:allocfree and the
+// stack-resident slot table: on every query of the star workload, pricing
+// a configuration — nil, empty or indexed — allocates nothing.
+func TestCostAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for qi := 0; qi < 10; qi++ {
+		s, a := setup(t, qi)
+		if n := a.NumLeafSlots(); n > optimizer.LeafSlotsInline {
+			t.Fatalf("query %d: %d leaf slots overflow the %d-slot stack buffer", qi, n, optimizer.LeafSlotsInline)
+		}
+		c, err := Build(a, whatif.NewSession(s.Catalog))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Seal()
+		indexed, err := workload.RandomAtomicConfig(rng, a, whatif.NewSession(s.Catalog), 0.8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range []*query.Config{nil, {}, indexed} {
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, _, err := c.Cost(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("query %d: Cost(%s) allocates %v times per call, want 0", qi, cfg, allocs)
+			}
+		}
 	}
 }
 
@@ -355,40 +398,39 @@ func TestCollectAccessCostsNaiveCallsPerIndex(t *testing.T) {
 	}
 }
 
-// TestBaseLeafCostsMatchEmptyConfig checks the incremental-engine snapshot
-// seam: per plan, BaseLeafCosts must report exactly what LeafAccessCost
-// yields under the empty configuration — the memoized sequential-scan cost
-// for AccessAny leaves, +Inf for leaves no index satisfies yet.
-func TestBaseLeafCostsMatchEmptyConfig(t *testing.T) {
+// TestEmptySlotTableMatchesAccessCost checks the incremental-engine seed:
+// per plan leaf, the empty-configuration slot table must hold exactly what
+// Analysis.AccessCost yields under the empty configuration — the
+// sequential-scan cost for AccessAny leaves, +Inf for leaves no index
+// satisfies yet.
+func TestEmptySlotTableMatchesAccessCost(t *testing.T) {
 	s, a := setup(t, 4)
 	c, err := Build(a, whatif.NewSession(s.Catalog))
 	if err != nil {
 		t.Fatal(err)
 	}
 	empty := &query.Config{}
+	slots := a.PriceLeafSlots(nil, nil)
 	sawInf := false
 	for _, cp := range c.Plans {
-		base := c.BaseLeafCosts(cp)
-		if len(base) != cp.NumRels() {
-			t.Fatalf("plan %s: %d base costs for %d leaves", cp.Sig, len(base), cp.NumRels())
-		}
-		for rel := 0; rel < cp.NumRels(); rel++ {
-			req := cp.Leaf(rel)
-			want, ok := optimizer.LeafAccessCost(c, rel, req, empty)
+		pks, _ := cp.PackedLeaves()
+		for rel, pk := range pks {
+			got := slots[a.LeafSlot(rel, pk)]
+			want, ok := a.AccessCost(rel, cp.Leaf(rel), empty)
 			if !ok {
-				if !math.IsInf(base[rel], 1) {
-					t.Errorf("plan %s rel %d: unsatisfiable leaf snapshotted as %v", cp.Sig, rel, base[rel])
+				if !math.IsInf(got, 1) {
+					t.Errorf("plan %s rel %d: unsatisfiable leaf priced as %v", cp.Sig, rel, got)
 				}
 				sawInf = true
 				continue
 			}
-			if math.Float64bits(base[rel]) != math.Float64bits(want) {
-				t.Errorf("plan %s rel %d: snapshot %v != LeafAccessCost %v", cp.Sig, rel, base[rel], want)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("plan %s rel %d: slot %v != AccessCost %v", cp.Sig, rel, got, want)
 			}
 		}
 	}
 	if !sawInf {
-		t.Error("no ordered/lookup leaf exercised the +Inf snapshot path")
+		t.Error("no ordered/lookup leaf exercised the +Inf slot")
 	}
 }
 

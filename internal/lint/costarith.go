@@ -8,9 +8,9 @@ import (
 
 // costConsumerPkgs are the packages that evaluate or aggregate plan
 // costs but must not own cost formulas: every floating-point operation
-// on a cost must route through the optimizer package (Coster,
-// LeafCoster, LeafAccessCost, BaseLeafCost), because that is the code
-// the fast/reference equivalence suite pins. A second copy of even one
+// on a cost must route through the optimizer package (Coster, AccessCost,
+// the leaf-slot table and FoldLeafRow), because that is the code the
+// fast/reference equivalence suite pins. A second copy of even one
 // addition elsewhere can drift — compiler-legal re-association is enough
 // to break bit-identity — and no equivalence test covers it.
 //
@@ -29,10 +29,10 @@ var costConsumerPkgs = []string{
 // CostArith flags floating-point arithmetic over cost-typed operands in
 // cost-consumer packages. "Cost-typed" is a naming contract: an operand
 // whose identifier or field name mentions cost, coef, internal or
-// weight. The two intentional mirrors of the INUM evaluation
-// (inum.Cache.Cost and costmatrix's fold), whose bit-identity IS
-// equivalence-tested, carry //pinum:costarith-ok directives pointing at
-// each other.
+// weight. The INUM fold itself is optimizer.FoldLeafRow, shared by
+// inum.Cache.Cost and costmatrix; what remains outside the optimizer is
+// the workload objective Σ weight × cost, whose equivalence-tested copies
+// carry //pinum:costarith-ok directives naming the test that pins them.
 var CostArith = &Analyzer{
 	Name:     "costarith",
 	Suppress: DirCostArithOK,

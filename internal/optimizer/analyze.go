@@ -49,8 +49,8 @@ type Analysis struct {
 	// Interesting-order interning, built once per analysis: the fast
 	// planner identifies leaf requirements and pathkeys through these
 	// 1-based per-relation ids; ordBase offsets them into a dense global
-	// id space shared by all relations; ordTotal is the highest global
-	// id. packed reports whether the query additionally fits the
+	// id space shared by all relations (one sentinel entry past the last
+	// relation holds the total); ordTotal is the highest global id. packed reports whether the query additionally fits the
 	// fixed-size planKey invariants (≤16 relations, ≤63 interesting
 	// orders per relation, grouping/ordering ≤8 columns) — inside them
 	// ids pack into planKey bytes, outside them the fast planner spills
@@ -148,7 +148,7 @@ func NewAnalysis(q *query.Query, st *stats.Store, params CostParams) (*Analysis,
 	// on global ids in both lanes; packed only decides whether plan keys
 	// fit the fixed-size planKey or spill to the string-key lane.
 	a.ordIDs = make([]map[string]uint16, len(a.Rels))
-	a.ordBase = make([]uint16, len(a.Rels))
+	a.ordBase = make([]uint16, len(a.Rels)+1)
 	packed := len(a.Rels) <= 16 && len(q.GroupBy) <= 8 && len(q.OrderBy) <= 8
 	total := 0
 	for i := range a.Rels {
@@ -164,6 +164,7 @@ func NewAnalysis(q *query.Query, st *stats.Store, params CostParams) (*Analysis,
 		a.ordBase[i] = uint16(total)
 		total += len(m)
 	}
+	a.ordBase[len(a.Rels)] = uint16(total)
 	a.ordTotal = total
 	a.packed = packed
 	// The 16-bit global id space bounds both lanes (clause-order packs and
@@ -356,8 +357,9 @@ func (a *Analysis) LookupCost(rel int, ix *catalog.Index, col string) float64 {
 // LeafApplicable reports whether an index can possibly satisfy a leaf
 // requirement on the given table: it must live on that table and, for
 // ordered and lookup accesses, cover the required column. This is the one
-// authoritative applicability rule — the memoized cache evaluator uses it
-// as its fast-path filter — so any future relaxation belongs here.
+// authoritative applicability rule of the per-leaf reference path;
+// FoldLeafSlots applies the same two tests (table, Covers) block-wise, and
+// the every-shape property test holds the two equal.
 func LeafApplicable(table string, req LeafReq, ix *catalog.Index) bool {
 	if ix.Table != table {
 		return false
@@ -374,9 +376,7 @@ func LeafApplicable(table string, req LeafReq, ix *catalog.Index) bool {
 
 // IndexLeafCost costs satisfying one cached-plan leaf requirement through a
 // single index, or reports that the index cannot satisfy it (LeafApplicable).
-// It is the per-index unit AccessCost minimises over; callers that evaluate
-// many configurations can memoize it, since the result depends only on
-// (rel, req, ix).
+// It is the per-index unit AccessCost minimises over.
 func (a *Analysis) IndexLeafCost(rel int, req LeafReq, ix *catalog.Index) (float64, bool) {
 	if !LeafApplicable(a.Rels[rel].Table.Name, req, ix) {
 		return 0, false
@@ -391,41 +391,23 @@ func (a *Analysis) IndexLeafCost(rel int, req LeafReq, ix *catalog.Index) (float
 	}
 }
 
-// LeafCoster supplies the two primitive leaf costs LeafAccessCost
-// minimises over. Analysis implements it directly; inum.Cache implements
-// it with a memo in front, which is how the cached cost model is
-// guaranteed to price plans exactly as the optimizer does.
-type LeafCoster interface {
-	IndexLeafCost(rel int, req LeafReq, ix *catalog.Index) (float64, bool)
-	SeqScanCost(rel int) float64
-}
-
-// BaseLeafCost evaluates a leaf requirement under the empty configuration:
-// the configuration-independent floor LeafAccessCost starts its
-// minimisation from. AccessAny leaves can always fall back to a sequential
-// scan; ordered and lookup leaves need an index, so their base is +Inf with
-// ok == false. Incremental evaluators (internal/costmatrix) seed their
-// per-relation state from this value and fold candidate indexes in through
-// IndexLeafCost one at a time, which keeps their arithmetic bit-identical
-// to LeafAccessCost's own loop.
-func BaseLeafCost(lc LeafCoster, rel int, req LeafReq) (float64, bool) {
+// AccessCost evaluates the access cost of one cached-plan leaf requirement
+// under an arbitrary index configuration, considering exactly the access
+// paths the optimizer itself would consider: the minimisation starts from
+// the sequential scan (AccessAny) or +Inf (ordered and lookup leaves need an
+// index) and folds the configuration's indexes in, in configuration order,
+// with strict <. It returns false when the configuration cannot satisfy the
+// requirement. This is the live per-leaf reference (/explain, tests); the
+// cached cost model prices through the leaf-slot table below, which runs
+// the same minimisation for every identity of a relation at once.
+func (a *Analysis) AccessCost(rel int, req LeafReq, cfg *query.Config) (float64, bool) {
+	best := math.Inf(1)
 	if req.Mode == AccessAny {
-		return lc.SeqScanCost(rel), true
+		best = a.SeqScanCost(rel)
 	}
-	return math.Inf(1), false
-}
-
-// LeafAccessCost evaluates the access cost of one cached-plan leaf
-// requirement under an arbitrary index configuration, considering exactly
-// the access paths the optimizer itself would consider. It returns false
-// when the configuration cannot satisfy the requirement (no covering index
-// for an ordered or lookup access). This is the single minimisation loop
-// both the live Analysis and the memoized cache evaluator go through.
-func LeafAccessCost(lc LeafCoster, rel int, req LeafReq, cfg *query.Config) (float64, bool) {
-	best, _ := BaseLeafCost(lc, rel, req)
 	if cfg != nil {
 		for _, ix := range cfg.Indexes {
-			if c, ok := lc.IndexLeafCost(rel, req, ix); ok && c < best {
+			if c, ok := a.IndexLeafCost(rel, req, ix); ok && c < best {
 				best = c
 			}
 		}
@@ -436,10 +418,110 @@ func LeafAccessCost(lc LeafCoster, rel int, req LeafReq, cfg *query.Config) (flo
 	return best, true
 }
 
-// AccessCost evaluates a leaf requirement under a configuration against
-// the live (unmemoized) cost model.
-func (a *Analysis) AccessCost(rel int, req LeafReq, cfg *query.Config) (float64, bool) {
-	return LeafAccessCost(a, rel, req, cfg)
+// The leaf-slot table: a query's whole configuration-dependent state. The
+// access cost of a leaf depends only on (relation, packed leaf identity,
+// configuration), and a relation with k interesting orders has just 1 + 2k
+// identities (PackLeaf), so one float64 per identity prices every cached
+// plan of the query. Relation rel owns the block starting at
+// rel + 2×ordBase[rel]: slot 0 is AccessAny, slots 1..k AccessOrdered by
+// interned order id, slots k+1..2k AccessLookup by order id; +Inf marks an
+// identity the configuration cannot satisfy.
+
+// LeafSlotsInline is the table length callers keep a stack buffer for:
+// twice the widest query of the paper's star workload (7 relations, 33
+// slots). PriceLeafSlots falls back to the heap past it.
+const LeafSlotsInline = 64
+
+// NumLeafSlots is the length of the query's leaf-slot table.
+func (a *Analysis) NumLeafSlots() int { return len(a.Rels) + 2*a.ordTotal }
+
+// LeafSlot returns the table index of packed leaf identity pk on relation
+// rel (PackLeaf's form: mode in the top bits, order id below).
+func (a *Analysis) LeafSlot(rel int, pk uint16) int {
+	ob := int(a.ordBase[rel])
+	s := rel + 2*ob + int(pk&packedLeafIDMask)
+	if PackedNLJ(pk) {
+		s += int(a.ordBase[rel+1]) - ob
+	}
+	return s
+}
+
+// leafSlotBlock returns relation rel's block of the table.
+func (a *Analysis) leafSlotBlock(slots []float64, rel int) []float64 {
+	return slots[rel+2*int(a.ordBase[rel]) : rel+1+2*int(a.ordBase[rel+1])]
+}
+
+// PriceLeafSlots prices the whole table under cfg (nil = empty) into dst,
+// reallocating only when dst's capacity is too small, and returns it. Per
+// slot the result is bit-identical to AccessCost on that identity: the
+// same base, the same applicable indexes in configuration order, the same
+// strict <.
+func (a *Analysis) PriceLeafSlots(dst []float64, cfg *query.Config) []float64 {
+	if n := a.NumLeafSlots(); cap(dst) < n {
+		dst = make([]float64, n)
+	} else {
+		dst = dst[:n]
+	}
+	for rel := range a.Rels {
+		block := a.leafSlotBlock(dst, rel)
+		block[0] = a.SeqScanCost(rel)
+		for i := 1; i < len(block); i++ {
+			block[i] = math.Inf(1)
+		}
+		if cfg != nil {
+			for _, ix := range cfg.Indexes {
+				a.FoldLeafSlots(dst, rel, ix)
+			}
+		}
+	}
+	return dst
+}
+
+// FoldLeafSlots folds one more index into relation rel's block, as if it
+// were appended to the configuration the table was priced under. The scan
+// cost is evaluated once per (relation, index on its table) and the lookup
+// cost once per covered order.
+func (a *Analysis) FoldLeafSlots(slots []float64, rel int, ix *catalog.Index) {
+	ri := &a.Rels[rel]
+	if ix.Table != ri.Table.Name {
+		return
+	}
+	block := a.leafSlotBlock(slots, rel)
+	scan := a.IndexScanCost(rel, ix).Cost
+	if scan < block[0] {
+		block[0] = scan
+	}
+	k := len(ri.Interesting)
+	for i, col := range ri.Interesting {
+		if !ix.Covers(col) {
+			continue
+		}
+		if scan < block[1+i] {
+			block[1+i] = scan
+		}
+		if c := a.LookupCost(rel, ix, col); c < block[1+k+i] {
+			block[1+k+i] = c
+		}
+	}
+}
+
+// FoldLeafRow prices one cached plan against a priced table: internal +
+// Σ coef × slot, accumulated in relation order, over the plan's packed
+// requirement row (one identity and one coefficient per relation). It
+// stops at the first identity the table cannot satisfy and reports false.
+//
+//pinum:hotpath
+func (a *Analysis) FoldLeafRow(internal float64, pks []uint16, coefs []float64, slots []float64) (float64, bool) {
+	cost := internal
+	coefs = coefs[:len(pks)]
+	for rel, pk := range pks {
+		access := slots[a.LeafSlot(rel, pk)]
+		if math.IsInf(access, 1) {
+			return 0, false
+		}
+		cost += coefs[rel] * access
+	}
+	return cost, true
 }
 
 // OrderedCols returns the relation's interesting orders coverable by the

@@ -245,37 +245,55 @@ func TestAccessCostAgreesWithScanPaths(t *testing.T) {
 	}
 }
 
-// TestBaseLeafCost checks the seam incremental evaluators seed from: the
-// empty-configuration floor is the sequential-scan cost for AccessAny
-// leaves and +Inf (not applicable) for ordered/lookup leaves, and
-// LeafAccessCost under the empty configuration agrees with it exactly.
-func TestBaseLeafCost(t *testing.T) {
+// TestEmptyLeafSlotTable checks the seam incremental evaluators seed from:
+// under the empty configuration (nil or no indexes) a relation's AccessAny
+// slot is the sequential-scan cost and every ordered/lookup slot is +Inf,
+// and the per-leaf reference AccessCost agrees slot for slot.
+func TestEmptyLeafSlotTable(t *testing.T) {
 	q, _ := debugStarQuery(t)
 	a, err := NewAnalysis(q, nil, DefaultCostParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	empty := &query.Config{}
+	slots := a.PriceLeafSlots(nil, nil)
+	if len(slots) != a.NumLeafSlots() {
+		t.Fatalf("table has %d slots, NumLeafSlots = %d", len(slots), a.NumLeafSlots())
+	}
+	for i, c := range a.PriceLeafSlots(nil, empty) {
+		if math.Float64bits(c) != math.Float64bits(slots[i]) {
+			t.Errorf("slot %d: nil configuration %v != empty configuration %v", i, slots[i], c)
+		}
+	}
+	seen := 0
 	for rel := range a.Rels {
-		got, ok := BaseLeafCost(a, rel, LeafReq{Mode: AccessAny, Coef: 1})
-		if !ok {
-			t.Fatalf("rel %d: AccessAny base not applicable", rel)
-		}
+		got := slots[a.LeafSlot(rel, 0)]
 		if math.Float64bits(got) != math.Float64bits(a.SeqScanCost(rel)) {
-			t.Errorf("rel %d: base %v != seq scan %v", rel, got, a.SeqScanCost(rel))
+			t.Errorf("rel %d: AccessAny slot %v != seq scan %v", rel, got, a.SeqScanCost(rel))
 		}
-		full, ok := LeafAccessCost(a, rel, LeafReq{Mode: AccessAny, Coef: 1}, empty)
+		full, ok := a.AccessCost(rel, LeafReq{Mode: AccessAny, Coef: 1}, empty)
 		if !ok || math.Float64bits(full) != math.Float64bits(got) {
-			t.Errorf("rel %d: LeafAccessCost(empty) = (%v, %v), want (%v, true)", rel, full, ok, got)
+			t.Errorf("rel %d: AccessCost(empty) = (%v, %v), want (%v, true)", rel, full, ok, got)
 		}
-		for _, mode := range []AccessMode{AccessOrdered, AccessLookup} {
-			req := LeafReq{Mode: mode, Col: "id", Coef: 1}
-			if c, ok := BaseLeafCost(a, rel, req); ok || !math.IsInf(c, 1) {
-				t.Errorf("rel %d mode %v: base = (%v, %v), want (+Inf, false)", rel, mode, c, ok)
-			}
-			if _, ok := LeafAccessCost(a, rel, req, empty); ok {
-				t.Errorf("rel %d mode %v: satisfied by the empty configuration", rel, mode)
+		seen++
+		for _, col := range a.Rels[rel].Interesting {
+			for _, mode := range []AccessMode{AccessOrdered, AccessLookup} {
+				req := LeafReq{Mode: mode, Col: col, Coef: 1}
+				pk, err := a.PackLeaf(rel, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c := slots[a.LeafSlot(rel, pk)]; !math.IsInf(c, 1) {
+					t.Errorf("rel %d %v(%s): empty-configuration slot = %v, want +Inf", rel, mode, col, c)
+				}
+				if _, ok := a.AccessCost(rel, req, empty); ok {
+					t.Errorf("rel %d %v(%s): satisfied by the empty configuration", rel, mode, col)
+				}
+				seen++
 			}
 		}
+	}
+	if seen != len(slots) {
+		t.Errorf("identities visited %d slots of %d: the layout has gaps or overlaps", seen, len(slots))
 	}
 }

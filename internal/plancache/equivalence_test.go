@@ -82,12 +82,22 @@ func planIndex(c *inum.Cache, cp *inum.CachedPlan) int {
 }
 
 // assertCacheEquivalent prices both caches under the configurations and
-// requires exact cost bits, identical winning-plan positions, and
-// bit-equal BaseLeafCosts snapshots per plan.
+// requires exact cost bits, identical winning-plan positions, and a
+// bit-equal empty-configuration slot table read through the same slot by
+// every plan leaf.
 func assertCacheEquivalent(t *testing.T, label string, tree, other *inum.Cache, cfgs []*query.Config) {
 	t.Helper()
 	if len(tree.Plans) != len(other.Plans) {
 		t.Fatalf("%s: %d tree plans vs %d", label, len(tree.Plans), len(other.Plans))
+	}
+	ts, os := tree.A.PriceLeafSlots(nil, nil), other.A.PriceLeafSlots(nil, nil)
+	if len(ts) != len(os) {
+		t.Fatalf("%s: empty slot tables of %d vs %d slots", label, len(ts), len(os))
+	}
+	for i := range ts {
+		if math.Float64bits(ts[i]) != math.Float64bits(os[i]) {
+			t.Fatalf("%s: empty slot %d bits differ: %v vs %v", label, i, ts[i], os[i])
+		}
 	}
 	for i := range tree.Plans {
 		tp, op := tree.Plans[i], other.Plans[i]
@@ -103,10 +113,12 @@ func assertCacheEquivalent(t *testing.T, label string, tree, other *inum.Cache, 
 				t.Fatalf("%s plan %d leaf %d: %+v vs %+v", label, i, rel, tp.Leaf(rel), op.Leaf(rel))
 			}
 		}
-		tb, ob := tree.BaseLeafCosts(tp), other.BaseLeafCosts(op)
-		for rel := range tb {
-			if math.Float64bits(tb[rel]) != math.Float64bits(ob[rel]) {
-				t.Fatalf("%s plan %d: BaseLeafCosts[%d] bits differ: %v vs %v", label, i, rel, tb[rel], ob[rel])
+		tpk, _ := tp.PackedLeaves()
+		opk, _ := op.PackedLeaves()
+		for rel := range tpk {
+			if tree.A.LeafSlot(rel, tpk[rel]) != other.A.LeafSlot(rel, opk[rel]) {
+				t.Fatalf("%s plan %d leaf %d: slot %d vs %d", label, i, rel,
+					tree.A.LeafSlot(rel, tpk[rel]), other.A.LeafSlot(rel, opk[rel]))
 			}
 		}
 	}
@@ -131,7 +143,8 @@ func assertCacheEquivalent(t *testing.T, label string, tree, other *inum.Cache, 
 
 // TestSlimTreeCostEquivalence pins the tentpole guarantee on the star
 // workload plus self-joins: a slim build and a snapshot-roundtripped load
-// answer Cost and BaseLeafCosts bit-identically to the tree-backed cache.
+// answer Cost (and the empty slot table) bit-identically to the tree-backed
+// cache.
 func TestSlimTreeCostEquivalence(t *testing.T) {
 	s, err := workload.StarSchema(1.0)
 	if err != nil {

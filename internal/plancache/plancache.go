@@ -10,10 +10,9 @@
 // — and nothing the planner retained along the way: no path trees, no
 // signatures, no column strings (order ids resolve through the query's
 // deterministic interning at load). Loading a snapshot therefore
-// reconstructs a slim cache whose Cost and BaseLeafCosts results are
-// bit-identical to the cache that was saved (float64 payloads round-trip
-// as raw IEEE-754 bits, and entry order is preserved), at a fraction of
-// the memory.
+// reconstructs a slim cache whose Cost results are bit-identical to the
+// cache that was saved (float64 payloads round-trip as raw IEEE-754 bits,
+// and entry order is preserved), at a fraction of the memory.
 //
 // Snapshots are fingerprinted against the catalog, statistics and cost
 // parameters they were built under. The stored internal costs and leaf
@@ -120,7 +119,7 @@ func FromCache(c *inum.Cache) QueryPlans {
 // stored plans. The analysis must describe the same query the snapshot
 // was built from (same relation count; the caller matches names); entry
 // order, internal-cost bits and leaf requirements are restored exactly,
-// so Cost and BaseLeafCosts answers match the original cache bit for bit.
+// so Cost answers match the original cache bit for bit.
 func ToCache(a *optimizer.Analysis, qp QueryPlans) (*inum.Cache, error) {
 	if len(a.Q.Rels) != qp.NRels {
 		return nil, fmt.Errorf("plancache: query %s has %d relations, snapshot stored %d",

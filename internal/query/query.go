@@ -399,9 +399,10 @@ func (cfg *Config) Covers(q *Query, oc OrderCombo) bool {
 	return true
 }
 
-// String renders the configuration compactly.
+// String renders the configuration compactly; a nil configuration is the
+// empty one, as everywhere a configuration is priced.
 func (cfg *Config) String() string {
-	if len(cfg.Indexes) == 0 {
+	if cfg == nil || len(cfg.Indexes) == 0 {
 		return "{}"
 	}
 	parts := make([]string, len(cfg.Indexes))

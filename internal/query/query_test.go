@@ -162,6 +162,9 @@ func TestConfigAtomicAndCovers(t *testing.T) {
 	if atomic.IndexFor("f") != ixF || atomic.IndexFor("d2") != nil {
 		t.Error("IndexFor wrong")
 	}
+	if got := (*Config)(nil).String(); got != "{}" {
+		t.Errorf("nil config String = %q, want {}", got)
+	}
 	if (&Config{}).String() != "{}" {
 		t.Error("empty config String")
 	}

@@ -103,15 +103,19 @@ type snapshotSet struct {
 	reused  int
 	rebuilt int
 
-	// ixMu guards the set's what-if index interner. The interner is
-	// per-set so a descriptor resolved on this set stays pointer-stable
-	// against its caches' leaf memos for the set's whole lifetime.
-	ixMu sync.Mutex
-	ws   *whatif.Session
+	// ixMu guards the set's what-if index interner, which gives a repeated
+	// spec one descriptor (and one name, which /explain prints) for the
+	// set's lifetime and holds at most maxInterned of them. Nothing below
+	// resolveConfig depends on descriptor identity: the caches price every
+	// request from scratch into a request-local slot table.
+	ixMu        sync.Mutex
+	ws          *whatif.Session
+	maxInterned int
 }
 
 // newSnapshotSet assembles the immutable request-side state over built
-// caches: weights, base costs, the candidate set and a fresh interner.
+// caches: weights, base costs, the candidate set and a fresh, empty
+// interner.
 func newSnapshotSet(env *Environment, caches []*inum.Cache, source string) (*snapshotSet, error) {
 	if err := env.validate(); err != nil {
 		return nil, err
@@ -130,6 +134,7 @@ func newSnapshotSet(env *Environment, caches []*inum.Cache, source string) (*sna
 		queryIdx:    make(map[string]int, len(env.Queries)),
 		source:      source,
 		ws:          whatif.NewSession(env.Catalog),
+		maxInterned: maxInternedIndexes,
 	}
 	for i, q := range env.Queries {
 		set.queryIdx[q.Name] = i
@@ -145,8 +150,7 @@ func newSnapshotSet(env *Environment, caches []*inum.Cache, source string) (*sna
 	}
 
 	// Generate the candidate set once through a throwaway advisor so
-	// /recommend requests share descriptors (and the caches' leaf memo
-	// stays bounded by the candidate count, not the request count).
+	// every /recommend request on this set searches the same descriptors.
 	gen := advisor.New(env.Catalog, env.Stats, 0)
 	for i, q := range env.Queries {
 		if err := gen.AddPrepared(q, env.Analyses[i], caches[i], set.weights[i]); err != nil {
@@ -173,33 +177,34 @@ func normalizeWeights(weights []float64, n int) []float64 {
 	return out
 }
 
-// maxInternedIndexes caps each set's interner (and therefore the leaf
-// memos keyed by its descriptors): a client enumerating the factorially
-// many valid column permutations must hit a wall, not the OOM killer.
+// maxInternedIndexes caps each set's interner — the only per-tenant state
+// that grows with the number of distinct indexes asked about: a client
+// enumerating the factorially many valid column permutations must not be
+// able to grow it without bound.
 const maxInternedIndexes = 1 << 17
 
-// resolveConfig interns the requested index specs into a configuration.
-// The set's session deduplicates by (table, columns), so the descriptor a
-// repeated spec resolves to is pointer-stable across requests on this set
-// and the caches' leaf memo serves it without recomputation. At the
-// interner cap, previously-seen specs still resolve; new ones are
-// refused.
+// resolveConfig resolves the requested index specs into a configuration.
+// The set's session deduplicates by (table, columns), so a repeated spec
+// resolves to the same named descriptor on every request. At the interner
+// cap, previously-seen specs still resolve and a new one becomes a
+// request-local descriptor — same validation, same pricing, garbage when
+// the request ends — so a full interner costs nothing but the dedup.
 func (set *snapshotSet) resolveConfig(specs []IndexSpec) (*query.Config, error) {
 	cfg := &query.Config{}
 	set.ixMu.Lock()
 	defer set.ixMu.Unlock()
+	local := 0
 	for _, spec := range specs {
 		ix := set.ws.Lookup(spec.Table, spec.Columns...)
 		if ix == nil {
-			if set.ws.Count() >= maxInternedIndexes {
-				return nil, &httpError{
-					code: http.StatusServiceUnavailable,
-					err: fmt.Errorf("what-if index interner is full (%d distinct indexes); reload the snapshot to clear it",
-						maxInternedIndexes),
-				}
-			}
 			var err error
-			if ix, err = set.ws.CreateIndex(spec.Table, spec.Columns...); err != nil {
+			if set.ws.Count() < set.maxInterned {
+				ix, err = set.ws.CreateIndex(spec.Table, spec.Columns...)
+			} else {
+				local++
+				ix, err = set.ws.Transient(local, spec.Table, spec.Columns...)
+			}
+			if err != nil {
 				return nil, badRequest("%v", err)
 			}
 		}

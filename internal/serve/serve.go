@@ -10,17 +10,18 @@
 // for its whole lifetime; a concurrent reload builds a complete new set in
 // the background and publishes it with a single pointer store, so
 // in-flight requests keep their consistent world and new requests see the
-// new one (never a mix). inum.Cache.Cost and the leaf-cost memo behind it
-// are safe for concurrent use, so /whatif requests evaluate the shared
-// caches directly, fanning per-query evaluations over a core.FanCtx
+// new one (never a mix). A sealed inum.Cache is immutable and Cost prices
+// a configuration into a leaf-slot table on its caller's stack, so
+// /whatif requests evaluate the shared caches directly, with no lock
+// below the handler, fanning per-query evaluations over a core.FanCtx
 // worker pool bounded by the request's deadline. Everything a request
 // does mutate is request-local: /recommend builds a fresh Advisor and
 // incremental cost engine per request, /explain runs a fresh optimizer
 // call. The one mutable structure inside a set is the what-if index
 // interner — a mutex-guarded session that resolves each requested
-// (table, columns) spec to a stable descriptor, capped so a client
-// enumerating index permutations hits a 503 wall instead of the OOM
-// killer.
+// (table, columns) spec to a stably named descriptor, capped so a client
+// enumerating index permutations cannot grow it without bound; past the
+// cap a never-seen spec is priced through a request-local descriptor.
 //
 // Multi-tenancy: one process fronts N workloads (Config.Tenants), each an
 // independent tenant — its own snapshot set, reload/retry state machine

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -349,6 +350,65 @@ func TestHealthAndStatz(t *testing.T) {
 	}
 	if statz.Endpoints["/healthz"].Requests < 1 {
 		t.Errorf("statz reports no /healthz requests")
+	}
+}
+
+// TestFullInternerStillAnswers pins the at-cap contract: once the interner
+// holds its maximum, a never-seen spec is priced through a request-local
+// descriptor — the same bytes an uncapped server answers, the same 400 for
+// a bad spec — instead of wedging the tenant until its next reload, and the
+// interner stops growing.
+func TestFullInternerStillAnswers(t *testing.T) {
+	capped, open := newFixture(t), newFixture(t)
+	capped.srv.defaultTenant().current().maxInterned = 2
+	raw := func(f *fixture, path string, body any) (int, []byte) {
+		t.Helper()
+		data, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(f.ts.URL+path, "application/json", bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, out
+	}
+	specs := []IndexSpec{
+		{Table: "fact", Columns: []string{"a1"}},
+		{Table: "fact", Columns: []string{"a2", "a1"}},
+		{Table: "dim1_1", Columns: []string{"a1"}},
+		{Table: "dim1_1", Columns: []string{"id", "a2"}},
+		{Table: "fact", Columns: []string{"m1", "a1", "a2"}},
+	}
+	for round := 0; round < 2; round++ { // the second round repeats known and local specs alike
+		for i, spec := range specs {
+			req := WhatIfRequest{Indexes: []IndexSpec{spec, specs[(i+1)%len(specs)]}}
+			code, got := raw(capped, "/whatif", req)
+			wantCode, want := raw(open, "/whatif", req)
+			if code != http.StatusOK || wantCode != http.StatusOK {
+				t.Fatalf("spec %d: status %d at the cap, %d uncapped: %s", i, code, wantCode, got)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("spec %d: capped server answers\n%s\nuncapped\n%s", i, got, want)
+			}
+		}
+	}
+	if code, body := raw(capped, "/whatif", WhatIfRequest{Indexes: []IndexSpec{{Table: "fact", Columns: []string{"nope"}}}}); code != http.StatusBadRequest {
+		t.Errorf("bad spec at the cap: status %d, want 400: %s", code, body)
+	}
+	if code, body := raw(capped, "/explain", ExplainRequest{SQL: capped.queries[3].SQL, Indexes: specs}); code != http.StatusOK {
+		t.Errorf("/explain at the cap: status %d: %s", code, body)
+	}
+	if got := capped.srv.defaultTenant().current().internedCount(); got != 2 {
+		t.Errorf("capped interner holds %d indexes, want 2", got)
+	}
+	if got := open.srv.defaultTenant().current().internedCount(); got != len(specs) {
+		t.Errorf("uncapped interner holds %d indexes, want %d", got, len(specs))
 	}
 }
 

@@ -16,8 +16,7 @@ package serve
 // resident tenant is evicted to restore the cap. Eviction is one atomic
 // nil store: in-flight requests keep the immutable set they already
 // loaded, so nothing ever blocks on the hot path; the set (and its
-// interner and leaf memos) becomes garbage once the last request drops
-// it.
+// caches and interner) becomes garbage once the last request drops it.
 //
 // Isolation: each tenant has its own max-in-flight admission semaphore,
 // so one tenant's /recommend storm 429s against its own cap while every

@@ -39,6 +39,38 @@ func NewSession(cat *catalog.Catalog) *Session {
 // returns its descriptor. Declaring the same key twice returns the existing
 // descriptor, mirroring how what-if interfaces deduplicate candidates.
 func (s *Session) CreateIndex(table string, columns ...string) (*catalog.Index, error) {
+	t, err := s.checkSpec(table, columns)
+	if err != nil {
+		return nil, err
+	}
+	key := indexKey(table, columns)
+	if ix, ok := s.byKey[key]; ok {
+		return ix, nil
+	}
+	s.counter++
+	name := fmt.Sprintf("hypo_%s_%d", table, s.counter)
+	ix := storage.HypotheticalIndex(name, t, columns)
+	s.hypo[name] = ix
+	s.byKey[key] = ix
+	s.seq[name] = s.counter
+	return ix, nil
+}
+
+// Transient describes table(columns...) under CreateIndex's validation
+// without declaring it: the session neither retains nor deduplicates the
+// descriptor, and is not written to. It is named as the n-th index
+// (n ≥ 1) past those declared so far. Servers whose interner is full
+// price never-seen specs through it.
+func (s *Session) Transient(n int, table string, columns ...string) (*catalog.Index, error) {
+	t, err := s.checkSpec(table, columns)
+	if err != nil {
+		return nil, err
+	}
+	return storage.HypotheticalIndex(fmt.Sprintf("hypo_%s_%d", table, s.counter+n), t, columns), nil
+}
+
+// checkSpec validates an index spec against the base catalog.
+func (s *Session) checkSpec(table string, columns []string) (*catalog.Table, error) {
 	t := s.base.Table(table)
 	if t == nil {
 		return nil, fmt.Errorf("whatif: unknown table %q", table)
@@ -56,17 +88,7 @@ func (s *Session) CreateIndex(table string, columns ...string) (*catalog.Index, 
 		}
 		seen[col] = true
 	}
-	key := indexKey(table, columns)
-	if ix, ok := s.byKey[key]; ok {
-		return ix, nil
-	}
-	s.counter++
-	name := fmt.Sprintf("hypo_%s_%d", table, s.counter)
-	ix := storage.HypotheticalIndex(name, t, columns)
-	s.hypo[name] = ix
-	s.byKey[key] = ix
-	s.seq[name] = s.counter
-	return ix, nil
+	return t, nil
 }
 
 // indexKey builds the canonical table(col1,col2,...) dedup key CreateIndex

@@ -244,8 +244,7 @@ func (db *Database) SaveCaches(path string, caches []*PlanCache) error {
 // must carry this database's current fingerprint (a snapshot built
 // against a drifted schema, statistics or cost parameters is rejected)
 // and must cover every query by name with matching SQL text. Loaded
-// caches answer Cost and BaseLeafCosts bit-identically to the caches
-// that were saved.
+// caches answer Cost bit-identically to the caches that were saved.
 func (db *Database) LoadCaches(path string, queries []*Query) ([]*PlanCache, error) {
 	snap, err := plancache.Load(path, db.CacheFingerprint())
 	if err != nil {
