@@ -22,6 +22,7 @@ shuffle:
 
 fuzz:
 	$(GO) test ./internal/optimizer -run=NONE -fuzz=FuzzOptimizeEquivalence -fuzztime=10s
+	$(GO) test ./internal/serve -run=NONE -fuzz=FuzzWhatIfEncode -fuzztime=10s
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...

@@ -17,7 +17,6 @@ package advisor
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -213,11 +212,7 @@ func (ad *Advisor) GenerateCandidates() int {
 	for _, qs := range ad.queries {
 		for i := range qs.A.Rels {
 			ri := &qs.A.Rels[i]
-			cols := make([]string, 0, len(ri.Needed))
-			for c := range ri.Needed {
-				cols = append(cols, c)
-			}
-			sort.Strings(cols)
+			cols := ri.Needed
 			for _, c := range cols {
 				add(ri.Table.Name, c)
 			}

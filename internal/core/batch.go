@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/pinumdb/pinum/internal/catalog"
@@ -16,20 +17,29 @@ import (
 // what-if session (core.Build, core.BuildPrecise, and inum.Build all fit).
 type BuildFunc func(*optimizer.Analysis, *whatif.Session) (*inum.Cache, error)
 
-// Fan runs job(i) for every i in [0, n) across a bounded worker pool.
-// Each worker calls newWorker once and applies the returned closure to the
-// indexes it pulls, so worker-local state (a what-if session, a scratch
-// buffer) is built exactly once per worker. Jobs write their results into
+// Fan runs job(i) for every i in [0, n) on up to workers goroutines, the
+// calling one included: the caller is worker 0 and min(workers, n) − 1
+// helpers are spawned beside it, all claiming indexes from one atomic
+// counter, so n == 1 or workers == 1 runs entirely on the caller and
+// spawns nothing. Each participating goroutine calls newWorker once and
+// applies the returned closure to the indexes it claims, so worker-local
+// state (a what-if session, a scratch buffer) is built once per
+// participant; a helper that wakes after the indexes ran out builds
+// nothing and is not waited for. Jobs write their results into
 // caller-owned slices at their own index, which keeps output deterministic
-// regardless of scheduling. workers <= 0 means GOMAXPROCS; workers == 1
-// degenerates to one worker goroutine processing jobs in input order.
+// regardless of scheduling. workers <= 0 means GOMAXPROCS.
+//
+// A panic in a job surfaces on the caller whichever goroutine ran it: no
+// further index is claimed, jobs already claimed finish, and the first
+// helper's panic value is re-raised from Fan — so a recover around the
+// call contains the whole fan-out.
 func Fan(n, workers int, newWorker func() func(i int)) {
 	FanCtx(context.Background(), n, workers, newWorker)
 }
 
-// FanCtx is Fan with cancellation: once ctx is done no further jobs are
-// dispatched, in-flight jobs finish, and ctx.Err() is returned (nil when
-// every job was dispatched first). A serving layer threads each request's
+// FanCtx is Fan with cancellation: once ctx is done no further index is
+// claimed, in-flight jobs finish, and ctx.Err() is returned (nil when
+// every index was claimed first). A serving layer threads each request's
 // context through here so a disconnected client or an expired deadline
 // stops burning workers on per-query evaluations nobody will read.
 // Callers must treat their result slices as incomplete whenever the
@@ -40,11 +50,10 @@ func FanCtx(ctx context.Context, n, workers int, newWorker func() func(i int)) e
 }
 
 // FanCtxObserved is FanCtx with per-job timing: when observe is non-nil,
-// every completed job reports (index, start, duration) from its worker
-// goroutine — the hook the serving layer uses to attach per-query spans
+// every completed job reports (index, start, duration) from the goroutine
+// that ran it — the hook the serving layer uses to attach per-query spans
 // to a request trace. observe must be safe for concurrent calls; a nil
-// observe takes the exact FanCtx dispatch path with no timestamp reads,
-// so untraced requests pay nothing.
+// observe reads no timestamps, so untraced requests pay nothing.
 func FanCtxObserved(ctx context.Context, n, workers int, newWorker func() func(i int), observe func(i int, start time.Time, d time.Duration)) error {
 	if n == 0 {
 		return ctx.Err()
@@ -55,48 +64,111 @@ func FanCtxObserved(ctx context.Context, n, workers int, newWorker func() func(i
 	if workers > n {
 		workers = n
 	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			job := newWorker()
-			if observe == nil {
-				for i := range jobs {
-					job(i)
-				}
-				return
-			}
-			for i := range jobs {
-				start := time.Now()
-				job(i)
-				observe(i, start, time.Since(start))
-			}
-		}()
+	if workers == 1 {
+		f := fanOut{ctx: ctx, n: n, observe: observe} // stays on the stack: nothing shares it
+		f.drain(newWorker())
+		return f.err()
 	}
-	var err error
-dispatch:
-	for i := 0; i < n; i++ {
-		// Check cancellation first: a plain two-case select picks
-		// uniformly among ready cases, which would keep dispatching
-		// roughly half the remaining jobs after the context died.
-		select {
-		case <-ctx.Done():
-			err = ctx.Err()
-			break dispatch
-		default:
-		}
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			err = ctx.Err()
-			break dispatch
-		}
+	f := &fanOut{ctx: ctx, n: n, newWorker: newWorker, observe: observe}
+	for w := 1; w < workers; w++ {
+		go f.help()
 	}
-	close(jobs)
-	wg.Wait()
-	return err
+	f.lead()
+	return f.err()
+}
+
+// fanOut is one fan-out's state, shared by the caller and its helpers.
+type fanOut struct {
+	ctx       context.Context
+	n         int
+	newWorker func() func(i int)
+	observe   func(i int, start time.Time, d time.Duration)
+
+	next atomic.Int64
+
+	// mu orders a helper's joined.Add before the caller's joined.Wait:
+	// a helper joins only while closed is false, the caller sets closed
+	// before it waits. It also guards panicked.
+	mu       sync.Mutex
+	closed   bool
+	joined   sync.WaitGroup
+	panicked any // first helper panic value
+}
+
+// drain claims indexes until they run out or ctx is done, and runs job on
+// each.
+func (f *fanOut) drain(job func(i int)) {
+	for f.ctx.Err() == nil {
+		i := int(f.next.Add(1) - 1)
+		if i >= f.n {
+			return
+		}
+		if f.observe == nil {
+			job(i)
+			continue
+		}
+		start := time.Now()
+		job(i)
+		f.observe(i, start, time.Since(start))
+	}
+}
+
+// err is the verdict once every participant has stopped: the counter stops
+// short of n only when cancellation stopped the claims.
+func (f *fanOut) err() error {
+	if f.next.Load() < int64(f.n) {
+		return f.ctx.Err()
+	}
+	return nil
+}
+
+// stop makes every later claim come up empty.
+func (f *fanOut) stop() { f.next.Store(int64(f.n)) }
+
+// lead is the caller's share: worker 0, then the wait for the helpers that
+// joined. A panic in one of the caller's own jobs keeps unwinding after
+// the wait; a helper's is re-raised here.
+func (f *fanOut) lead() {
+	finished := false
+	defer func() {
+		if !finished {
+			f.stop()
+		}
+		f.mu.Lock()
+		f.closed = true
+		f.mu.Unlock()
+		f.joined.Wait()
+		if finished && f.panicked != nil {
+			panic(f.panicked)
+		}
+	}()
+	f.drain(f.newWorker())
+	finished = true
+}
+
+// help is one helper goroutine. It joins only if there is still an index
+// to claim and the caller has not started waiting, so a helper scheduled
+// after the work is gone costs the caller nothing.
+func (f *fanOut) help() {
+	f.mu.Lock()
+	if f.closed || f.next.Load() >= int64(f.n) {
+		f.mu.Unlock()
+		return
+	}
+	f.joined.Add(1)
+	f.mu.Unlock()
+	defer f.joined.Done()
+	defer func() {
+		if p := recover(); p != nil {
+			f.stop()
+			f.mu.Lock()
+			if f.panicked == nil {
+				f.panicked = p
+			}
+			f.mu.Unlock()
+		}
+	}()
+	f.drain(f.newWorker())
 }
 
 // BuildAllWith fills one plan cache per analysis across a bounded worker

@@ -26,7 +26,7 @@ func TestDebugIndexScanVsSeqScan(t *testing.T) {
 	for i := range a.Rels {
 		ri := &a.Rels[i]
 		cols := []string{}
-		for c := range ri.Needed {
+		for _, c := range ri.Needed {
 			cols = append(cols, c)
 		}
 		sort.Strings(cols)

@@ -45,7 +45,7 @@ func TestJoinMethodsAgree(t *testing.T) {
 			cfg := &query.Config{}
 			for i := range a.Rels {
 				cols := []string{}
-				for c := range a.Rels[i].Needed {
+				for _, c := range a.Rels[i].Needed {
 					cols = append(cols, c)
 				}
 				sort.Strings(cols)

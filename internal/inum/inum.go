@@ -429,8 +429,7 @@ func AllOrdersConfig(a *optimizer.Analysis, ws *whatif.Session) (*query.Config, 
 func coveringColumns(a *optimizer.Analysis, rels []int, lead string) []string {
 	need := make(map[string]bool)
 	for _, r := range rels {
-		//pinum:nondeterministic-ok set union into need; the result is sorted below before use
-		for col := range a.Rels[r].Needed {
+		for _, col := range a.Rels[r].Needed {
 			need[col] = true
 		}
 	}

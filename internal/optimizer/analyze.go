@@ -8,12 +8,18 @@ import (
 	"github.com/pinumdb/pinum/internal/catalog"
 	"github.com/pinumdb/pinum/internal/query"
 	"github.com/pinumdb/pinum/internal/stats"
-	"github.com/pinumdb/pinum/internal/storage"
 )
 
 // RelInfo is the per-relation planning state derived once per query:
-// applied filters, their combined selectivity, the set of columns the query
-// touches, and the relation's interesting orders.
+// applied filters, their combined selectivity, the columns the query
+// touches, the relation's interesting orders, and every pricing fact that
+// depends on the table and the statistics alone.
+//
+// Immutability is required, not merely observed: NewAnalysis reads
+// Table.RowCount, Table.Pages, the column widths and the statistics once
+// and the pricing calls below never look at them again, so a table or a
+// statistics store must not change under a live analysis. Loaders and
+// reloads build a fresh catalog, store and analysis per environment.
 type RelInfo struct {
 	Rel     int
 	Table   *catalog.Table
@@ -22,13 +28,23 @@ type RelInfo struct {
 	Sel float64
 	// Rows is Table.RowCount × Sel.
 	Rows float64
-	// Needed holds every column of this relation the query references.
-	Needed map[string]bool
+	// Needed lists every column of this relation the query references,
+	// sorted.
+	Needed []string
 	// FilterSel maps a column to the combined selectivity of the filters
 	// on that column (used for index range scans on that column).
 	FilterSel map[string]float64
 	// Interesting lists this relation's interesting orders, sorted.
 	Interesting []string
+
+	// The configuration-independent pricing facts, fixed at NewAnalysis:
+	// the sequential-scan cost, the heap's page count and tuples per page
+	// (what an index scan's heap visits are charged on), and LookupRows of
+	// each interesting order, aligned with Interesting.
+	seqScan     float64
+	heapPages   int64
+	heapPerPage int64
+	lookupRows  []float64
 }
 
 // Analysis bundles everything cost evaluation needs about a query. It is
@@ -115,7 +131,7 @@ func NewAnalysis(q *query.Query, st *stats.Store, params CostParams) (*Analysis,
 		ri := RelInfo{
 			Rel:         i,
 			Table:       r.Table,
-			Needed:      needed[i],
+			Needed:      sortedColumns(needed[i]),
 			FilterSel:   make(map[string]float64),
 			Interesting: ios[i],
 			Sel:         1,
@@ -136,6 +152,12 @@ func NewAnalysis(q *query.Query, st *stats.Store, params CostParams) (*Analysis,
 		ri.Rows = float64(r.Table.RowCount) * ri.Sel
 		if ri.Rows < 1 {
 			ri.Rows = 1
+		}
+		ri.heapPages, ri.heapPerPage = heapShape(r.Table)
+		ri.seqScan = a.Coster.SeqScanCost(ri.heapPages, r.Table.RowCount, len(ri.Filters))
+		ri.lookupRows = make([]float64, len(ri.Interesting))
+		for k, col := range ri.Interesting {
+			ri.lookupRows[k] = a.lookupRows(r.Table, col)
 		}
 		a.Rels = append(a.Rels, ri)
 	}
@@ -287,49 +309,57 @@ type indexScanFacts struct {
 	LeadCol string
 }
 
+// indexOnly reports whether ix holds every column the query needs from the
+// relation, so a scan through it never visits the heap.
+func (ri *RelInfo) indexOnly(ix *catalog.Index) bool {
+	if len(ix.Columns) < len(ri.Needed) {
+		return false // Needed holds distinct columns
+	}
+	for _, col := range ri.Needed {
+		if !ix.HasColumn(col) {
+			return false
+		}
+	}
+	return true
+}
+
 // IndexScanCost costs a scan of relation rel through index ix: the index
 // applies any filters on its leading column as the range condition, fetches
 // the heap unless the index covers all needed columns, and applies the
 // remaining filters as quals.
 func (a *Analysis) IndexScanCost(rel int, ix *catalog.Index) indexScanFacts {
 	ri := &a.Rels[rel]
-	t := ri.Table
+	indexOnly := ri.indexOnly(ix)
+	return indexScanFacts{Cost: a.indexScanCost(ri, ix, indexOnly), IndexOnly: indexOnly, LeadCol: ix.LeadColumn()}
+}
+
+func (a *Analysis) indexScanCost(ri *RelInfo, ix *catalog.Index, indexOnly bool) float64 {
 	scanSel := 1.0
-	leadFiltered := false
+	nQuals := len(ri.Filters)
 	if s, ok := ri.FilterSel[ix.LeadColumn()]; ok {
 		scanSel = s
-		leadFiltered = true
-	}
-	indexOnly := true
-	//pinum:nondeterministic-ok order-insensitive conjunction: indexOnly is the same whichever needed column misses first
-	for col := range ri.Needed {
-		if !ix.HasColumn(col) {
-			indexOnly = false
-			break
-		}
-	}
-	nQuals := len(ri.Filters)
-	if leadFiltered {
 		nQuals-- // the lead-column filter is the index condition
 		if nQuals < 0 {
 			nQuals = 0
 		}
 	}
-	cost := a.Coster.IndexScanCost(t, ix, scanSel, indexOnly, nQuals)
-	return indexScanFacts{Cost: cost, IndexOnly: indexOnly, LeadCol: ix.LeadColumn()}
+	return a.Coster.IndexScanCostOn(ri.Table.RowCount, ri.heapPages, ri.heapPerPage, ix, scanSel, indexOnly, nQuals)
 }
 
 // SeqScanCost costs a full scan of relation rel.
-func (a *Analysis) SeqScanCost(rel int) float64 {
-	ri := &a.Rels[rel]
-	return a.Coster.SeqScanCost(storage.TablePages(ri.Table), ri.Table.RowCount, len(ri.Filters))
-}
+func (a *Analysis) SeqScanCost(rel int) float64 { return a.Rels[rel].seqScan }
 
 // LookupRows is the expected number of heap matches per equality probe on
 // col (before the relation's other filters are applied).
 func (a *Analysis) LookupRows(rel int, col string) float64 {
-	ri := &a.Rels[rel]
-	m := float64(ri.Table.RowCount) / a.NDV(ri.Table, col)
+	if id := a.ordIDs[rel][col]; id > 0 {
+		return a.Rels[rel].lookupRows[id-1]
+	}
+	return a.lookupRows(a.Rels[rel].Table, col)
+}
+
+func (a *Analysis) lookupRows(t *catalog.Table, col string) float64 {
+	m := float64(t.RowCount) / a.NDV(t, col)
 	if m < 1 {
 		m = 1
 	}
@@ -340,15 +370,10 @@ func (a *Analysis) LookupRows(rel int, col string) float64 {
 // on column col, remaining filters applied as quals.
 func (a *Analysis) LookupCost(rel int, ix *catalog.Index, col string) float64 {
 	ri := &a.Rels[rel]
-	match := a.LookupRows(rel, col)
-	indexOnly := true
-	//pinum:nondeterministic-ok order-insensitive conjunction: indexOnly is the same whichever needed column misses first
-	for c := range ri.Needed {
-		if !ix.HasColumn(c) {
-			indexOnly = false
-			break
-		}
-	}
+	return a.lookupCost(ri, ix, a.LookupRows(rel, col), ri.indexOnly(ix))
+}
+
+func (a *Analysis) lookupCost(ri *RelInfo, ix *catalog.Index, match float64, indexOnly bool) float64 {
 	cost := a.Coster.LookupCost(ri.Table, ix, match, indexOnly)
 	cost += match * float64(len(ri.Filters)) * a.Coster.P.CPUOperatorCost
 	return cost
@@ -487,7 +512,8 @@ func (a *Analysis) FoldLeafSlots(slots []float64, rel int, ix *catalog.Index) {
 		return
 	}
 	block := a.leafSlotBlock(slots, rel)
-	scan := a.IndexScanCost(rel, ix).Cost
+	indexOnly := ri.indexOnly(ix)
+	scan := a.indexScanCost(ri, ix, indexOnly)
 	if scan < block[0] {
 		block[0] = scan
 	}
@@ -499,7 +525,7 @@ func (a *Analysis) FoldLeafSlots(slots []float64, rel int, ix *catalog.Index) {
 		if scan < block[1+i] {
 			block[1+i] = scan
 		}
-		if c := a.LookupCost(rel, ix, col); c < block[1+k+i] {
+		if c := a.lookupCost(ri, ix, ri.lookupRows[i], indexOnly); c < block[1+k+i] {
 			block[1+k+i] = c
 		}
 	}
@@ -542,6 +568,16 @@ func (a *Analysis) OrderedCols(rel int, cfg *query.Config) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// sortedColumns lists a column set in sorted order.
+func sortedColumns(set map[string]bool) []string {
+	cols := make([]string, 0, len(set))
+	for c := range set {
+		cols = append(cols, c)
+	}
+	sort.Strings(cols)
+	return cols
 }
 
 func clamp01(x float64) float64 {

@@ -75,17 +75,36 @@ func heapPagesFetched(sel float64, rows, pages, tuplesPerPage int64) float64 {
 	return float64(pages) * p
 }
 
+// heapShape is what an index scan's heap visits are charged on: the table's
+// heap pages and the tuples per page.
+func heapShape(t *catalog.Table) (pages, perPage int64) {
+	pages = storage.TablePages(t)
+	perPage = 1
+	if pages > 0 {
+		perPage = (t.RowCount + pages - 1) / pages
+	}
+	return pages, perPage
+}
+
 // IndexScanCost is the cost of an index scan fetching fraction sel of the
 // table through index ix, then visiting the heap for each match.
 // indexOnly skips the heap visits (the index covers every needed column).
 func (c *Coster) IndexScanCost(t *catalog.Table, ix *catalog.Index, sel float64, indexOnly bool, nFilters int) float64 {
+	pages, perPage := heapShape(t)
+	return c.IndexScanCostOn(t.RowCount, pages, perPage, ix, sel, indexOnly, nFilters)
+}
+
+// IndexScanCostOn is IndexScanCost over a heap given by its row count, page
+// count and tuples per page rather than derived from the table — the entry
+// point of an Analysis, which fixes the three once per relation.
+func (c *Coster) IndexScanCostOn(rowCount, pages, perPage int64, ix *catalog.Index, sel float64, indexOnly bool, nFilters int) float64 {
 	if sel < 0 {
 		sel = 0
 	}
 	if sel > 1 {
 		sel = 1
 	}
-	rows := float64(t.RowCount)
+	rows := float64(rowCount)
 	matched := rows * sel
 
 	// Descend the B-tree once, then read the qualifying fraction of the
@@ -99,12 +118,7 @@ func (c *Coster) IndexScanCost(t *catalog.Table, ix *catalog.Index, sel float64,
 
 	cost := descent + leaf + cpu
 	if !indexOnly {
-		pages := storage.TablePages(t)
-		perPage := int64(1)
-		if pages > 0 {
-			perPage = (t.RowCount + pages - 1) / pages
-		}
-		heap := heapPagesFetched(sel, t.RowCount, pages, perPage)
+		heap := heapPagesFetched(sel, rowCount, pages, perPage)
 		cost += heap * c.P.RandomPageCost
 		cost += matched * c.P.CPUTupleCost
 	}

@@ -84,7 +84,7 @@ func debugAllOrdersConfig(t testing.TB, a *Analysis) *query.Config {
 			}
 			seen[key] = true
 			cols := []string{col}
-			for c := range ri.Needed {
+			for _, c := range ri.Needed {
 				if c != col {
 					cols = append(cols, c)
 				}

@@ -370,7 +370,7 @@ func (f *catalogFixture) randomConfigs(rng *rand.Rand, a *Analysis, n int) []*qu
 			col := ri.Interesting[rng.Intn(len(ri.Interesting))]
 			cols := []string{col}
 			if rng.Intn(2) == 0 { // widen toward covering
-				for other := range ri.Needed {
+				for _, other := range ri.Needed {
 					if other != col {
 						cols = append(cols, other)
 					}

@@ -1,0 +1,126 @@
+package serve
+
+import (
+	"encoding/json"
+	"math"
+	"strconv"
+	"sync"
+)
+
+// replyBuf is the buffer a 200 reply is rendered into before anything is
+// written to the client, so a reply that cannot be rendered is still an
+// error response, and the body goes out with one Write.
+type replyBuf struct{ b []byte }
+
+func (rb *replyBuf) Write(p []byte) (int, error) {
+	rb.b = append(rb.b, p...)
+	return len(p), nil
+}
+
+// maxPooledReply bounds the buffers the pool keeps: one outsized reply must
+// not pin its buffer for the life of the process.
+const maxPooledReply = 1 << 20
+
+var replyPool = sync.Pool{New: func() any { return new(replyBuf) }}
+
+func getReplyBuf() *replyBuf { return replyPool.Get().(*replyBuf) }
+
+func putReplyBuf(rb *replyBuf) {
+	if cap(rb.b) > maxPooledReply {
+		return
+	}
+	rb.b = rb.b[:0]
+	replyPool.Put(rb)
+}
+
+// render appends resp's reply body — EncodeJSON's bytes exactly — to the
+// buffer. An untraced /whatif reply takes the append encoder; everything
+// else, and anything the append encoder declines, goes through
+// encoding/json.
+func (rb *replyBuf) render(resp any) error {
+	if wr, ok := resp.(*WhatIfResponse); ok && wr.Trace == nil {
+		if b, ok := appendWhatIf(rb.b, wr); ok {
+			rb.b = b
+			return nil
+		}
+	}
+	enc := json.NewEncoder(rb)
+	enc.SetIndent("", "  ")
+	return enc.Encode(resp)
+}
+
+// appendWhatIf appends an untraced WhatIfResponse as the indented
+// encoding/json encoder renders it, byte for byte (FuzzWhatIfEncode). It
+// reports false, with nothing usable appended, for a value encoding/json
+// refuses (a non-finite float), which the caller then lets encoding/json
+// refuse.
+//
+//pinum:allocfree one reply into the caller's pooled buffer; pinned by TestAppendWhatIfAllocFree
+func appendWhatIf(b []byte, r *WhatIfResponse) ([]byte, bool) {
+	ok := true
+	b = appendField(b, "{\n  \"total\": ", r.Total, &ok)
+	b = appendField(b, ",\n  \"base_total\": ", r.BaseTotal, &ok)
+	b = appendField(b, ",\n  \"speedup\": ", r.Speedup, &ok)
+	b = append(b, ",\n  \"queries\": "...)
+	switch {
+	case r.Queries == nil:
+		b = append(b, "null"...)
+	case len(r.Queries) == 0:
+		b = append(b, "[]"...)
+	default:
+		for i := range r.Queries {
+			q := &r.Queries[i]
+			if i == 0 {
+				b = append(b, "[\n    {\n      \"name\": "...)
+			} else {
+				b = append(b, ",\n    {\n      \"name\": "...)
+			}
+			b = appendString(b, q.Name)
+			b = appendField(b, ",\n      \"base\": ", q.Base, &ok)
+			b = appendField(b, ",\n      \"cost\": ", q.Cost, &ok)
+			b = append(b, "\n    }"...)
+		}
+		b = append(b, "\n  ]"...)
+	}
+	return append(b, "\n}\n"...), ok
+}
+
+// appendField appends the separator-and-key text and then f by
+// encoding/json's rule for a float64: shortest round-trip digits, 'f' form
+// unless abs < 1e-6 or abs >= 1e21, and then 'e' form with a two-digit
+// exponent's leading zero dropped. NaN and ±Inf, which JSON cannot carry,
+// clear *ok.
+func appendField(b []byte, key string, f float64, ok *bool) []byte {
+	b = append(b, key...)
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		*ok = false
+		return b
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && (b[n-3] == '-' || b[n-3] == '+') && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// appendString appends s as a JSON string. Printable ASCII that needs no
+// escaping under encoding/json's default HTML-safe rules is copied
+// between quotes; any other byte hands the whole string to encoding/json.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -582,6 +583,46 @@ func TestRequestDeadline(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "request abandoned") {
 		t.Fatalf("timeout error body %s, want the abandoned-request message", body)
+	}
+}
+
+// TestReloadWorkerPanicContained pins containment across the fan-out: the
+// rebuild's BuildSlim calls run on core.Fan's goroutines, and a panic
+// there — nil analyses past the first, so the helpers hit one while the
+// caller is still optimizing — must reach buildSetContained's recover
+// like any other: a counted, failed reload with the old set serving.
+func TestReloadWorkerPanicContained(t *testing.T) {
+	var broken atomic.Bool
+	var rf *reloadFixture
+	rf = newReloadFixture(t, func(cfg *Config) {
+		cfg.Loader = func() (*Environment, error) {
+			env, err := rf.loadEnv()
+			if err == nil && broken.Load() {
+				for i := 1; i < len(env.Analyses); i++ {
+					env.Analyses[i] = nil
+				}
+			}
+			return env, err
+		}
+	})
+	rf.load(t)
+	_, baseline := rf.do(t, http.MethodPost, "/whatif", whatIfProbe)
+
+	broken.Store(true)
+	_, err := rf.srv.ReloadNow(true)
+	if err == nil || !strings.Contains(err.Error(), "panic during snapshot rebuild") {
+		t.Fatalf("reload with a panicking rebuild worker returned %v, want contained panic error", err)
+	}
+	if got := rf.srv.panics.Value(); got != 1 {
+		t.Fatalf("panic counter = %d, want 1", got)
+	}
+	code, body := rf.do(t, http.MethodPost, "/whatif", whatIfProbe)
+	if code != http.StatusOK || !bytes.Equal(body, baseline) {
+		t.Fatalf("old set not serving after the contained worker panic: %d", code)
+	}
+	broken.Store(false)
+	if out, err := rf.srv.ReloadNow(true); err != nil || out.Result != "swapped" {
+		t.Fatalf("reload after heal: %+v, %v", out, err)
 	}
 }
 

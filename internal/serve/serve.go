@@ -13,8 +13,10 @@
 // new one (never a mix). A sealed inum.Cache is immutable and Cost prices
 // a configuration into a leaf-slot table on its caller's stack, so
 // /whatif requests evaluate the shared caches directly, with no lock
-// below the handler, fanning per-query evaluations over a core.FanCtx
-// worker pool bounded by the request's deadline. Everything a request
+// below the handler, fanning per-query evaluations with core.FanCtx: the
+// handler's goroutine prices queries itself, beside at most Workers − 1
+// helpers claiming from the same counter, and no query is claimed once
+// the request's deadline passed. Everything a request
 // does mutate is request-local: /recommend builds a fresh Advisor and
 // incremental cost engine per request, /explain runs a fresh optimizer
 // call. The one mutable structure inside a set is the what-if index
@@ -32,7 +34,11 @@
 // default tenant with the pre-tenant behavior, byte for byte.
 //
 // Robustness: handlers run behind panic recovery (a handler panic is a
-// counted 500, not a dead process), per-tenant admission control (past a
+// counted 500, not a dead process — core.Fan re-raises a fan-out helper's
+// panic on the goroutine that called it, so pricing and rebuild workers
+// are inside the same recovers), replies are rendered before their status
+// is written (an un-renderable one is a counted 500 with an error body,
+// never an empty 200), per-tenant admission control (past a
 // tenant's MaxInFlight concurrent compute requests new ones get 429
 // instead of queueing unboundedly — and without touching other tenants),
 // bounded request bodies (413 past -max-body-bytes), and per-request
@@ -483,6 +489,17 @@ func (s *Server) instrument(name, method string, compute bool, fn func(*http.Req
 			}
 			resp, err = s.contain(name, fn, r)
 		}
+		// Render before the status goes out: a reply that cannot be
+		// rendered is a counted 500 with an error body, never an empty or
+		// truncated 200.
+		var body *replyBuf
+		if err == nil {
+			body = getReplyBuf()
+			defer putReplyBuf(body)
+			if rerr := body.render(resp); rerr != nil {
+				err = fmt.Errorf("rendering %s reply: %w", name, rerr)
+			}
+		}
 		w.Header().Set("Content-Type", "application/json")
 		status := http.StatusOK
 		if err != nil {
@@ -497,9 +514,7 @@ func (s *Server) instrument(name, method string, compute bool, fn func(*http.Req
 			w.WriteHeader(status)
 			json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 		} else {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			enc.Encode(resp)
+			_, _ = w.Write(body.b) // a failed write is a client that left
 		}
 		s.record(name, m, time.Since(start), status, tr)
 	}
@@ -742,6 +757,11 @@ func (s *Server) whatIfOn(ctx context.Context, set *snapshotSet, req *WhatIfRequ
 			resp.BaseTotal += weights[i] * set.base[i]
 		}
 	}
+	// Each weight is finite (resolveWeights) and each cost is; their sum
+	// need not be, and JSON cannot carry the result.
+	if math.IsInf(resp.Total, 0) || math.IsInf(resp.BaseTotal, 0) {
+		return nil, badRequest("weighted workload total overflows float64 (total %g, base_total %g): lower the weights", resp.Total, resp.BaseTotal)
+	}
 	if resp.BaseTotal > 0 {
 		resp.Speedup = math.Max(0, 1-resp.Total/resp.BaseTotal)
 	}
@@ -782,16 +802,20 @@ func (s *Server) ensureTrace(r *http.Request, optIn bool, entry time.Time) (*htt
 
 // traceView finishes a traced request: it measures one rendering pass
 // as the encode span (instrument's real encode happens after the
-// handler returns) and snapshots the span set. Returns nil — leaving
+// handler returns) and snapshots the span set. The pass runs before the
+// trace block is attached, through instrument's own renderer, so the span
+// is what an untraced reply of this shape costs. Returns nil — leaving
 // the response byte-identical to an untraced one — when tracing is off.
 func (s *Server) traceView(tr *obs.Trace, resp any) *obs.TraceView {
 	if tr == nil {
 		return nil
 	}
+	body := getReplyBuf()
 	e0 := time.Now()
-	if _, err := EncodeJSON(resp); err == nil {
+	if err := body.render(resp); err == nil {
 		tr.Add("encode", e0, time.Since(e0))
 	}
+	putReplyBuf(body)
 	return tr.View()
 }
 

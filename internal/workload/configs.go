@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math/rand"
-	"sort"
 	"strings"
 
 	"github.com/pinumdb/pinum/internal/optimizer"
@@ -25,7 +24,7 @@ func RandomAtomicConfig(rng *rand.Rand, a *optimizer.Analysis, ws *whatif.Sessio
 		if rng.Float64() >= indexProb {
 			continue
 		}
-		cols := referencedColumns(ri)
+		cols := append([]string(nil), ri.Needed...) // shuffled below
 		if len(cols) == 0 {
 			continue
 		}
@@ -42,17 +41,6 @@ func RandomAtomicConfig(rng *rand.Rand, a *optimizer.Analysis, ws *whatif.Sessio
 		seen[ri.Table.Name] = true
 	}
 	return cfg, nil
-}
-
-// referencedColumns lists the query-referenced columns of a relation in
-// deterministic order.
-func referencedColumns(ri *optimizer.RelInfo) []string {
-	out := make([]string, 0, len(ri.Needed))
-	for c := range ri.Needed {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // CandidateIndexes produces the advisor's syntactic candidate set for a
@@ -82,7 +70,7 @@ func CandidateIndexes(a *optimizer.Analysis, ws *whatif.Session) ([]*query.Confi
 			continue
 		}
 		seenTable[ri.Table.Name] = true
-		cols := referencedColumns(ri)
+		cols := ri.Needed
 		for _, c := range cols {
 			if err := add(ri.Table.Name, c); err != nil {
 				return nil, nil, err
