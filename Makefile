@@ -1,12 +1,12 @@
 # Local mirrors of the CI steps (.github/workflows/ci.yml).
 #
-#   make check   — everything CI runs that works offline
+#   make check   — everything CI runs that works offline, in CI's order
 #   make lint    — the pinum-lint invariant suite alone
 #   make static  — staticcheck + govulncheck (fetched at run time: network)
 
 GO ?= go
 
-.PHONY: build test race shuffle fuzz bench lint static fmt vet check
+.PHONY: build test race goldens shuffle fuzz bench lint static fmt vet check
 
 build:
 	$(GO) build ./...
@@ -14,8 +14,17 @@ build:
 test:
 	$(GO) test ./...
 
+# Includes cmd/pinum-serve's process tests (the daemon on 127.0.0.1:0,
+# driven with HTTP, SIGHUP and SIGTERM).
 race:
 	$(GO) test -race ./...
+
+# Whole-system correctness: every reply byte-compared with its golden;
+# only the exit status gates (timings are compared in paired local runs).
+goldens:
+	$(GO) run ./benchmark -workload whatif-wide -seconds 5 -trace 0
+	$(GO) run ./benchmark -workload design-batch -seconds 5 -trace 0
+	$(GO) run ./benchmark -workload whatif-point -seconds 5 -trace 0
 
 shuffle:
 	$(GO) test -shuffle=on ./...
@@ -46,4 +55,4 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-check: fmt vet build lint test race shuffle
+check: fmt vet build lint race goldens shuffle fuzz bench

@@ -4,109 +4,94 @@
 //	pinum-bench            # run everything
 //	pinum-bench -e e3      # run one experiment (e1..e6)
 //	pinum-bench -quick     # reduced trial counts for a fast pass
-//	pinum-bench -json PR3  # run the perf suite, write BENCH_PR3.json
-//	pinum-bench -compare BENCH_PR3.json BENCH_ci.json
-//	                       # fail on >20% ns/op regression per benchmark
+//
+// Engineering performance is refereed elsewhere: `go run ./benchmark`.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"github.com/pinumdb/pinum/internal/experiments"
 )
 
-func main() {
-	exp := flag.String("e", "all", "experiment to run: e1, e2, e3, e4, e5, e6, or all")
-	quick := flag.Bool("quick", false, "reduced trial counts")
-	seed := flag.Int64("seed", 42, "workload generation seed")
-	scale := flag.Float64("exec-scale", 0.0005, "materialisation scale for the execution experiment (1.0 = the paper's 10 GB)")
-	workers := flag.Int("workers", 0, "worker pool size for the advisor's cache construction and greedy search in e4 (0 = all CPUs, 1 = serial; results are identical either way). e3 always times builds serially, in isolation, to stay faithful to the paper's methodology")
-	jsonLabel := flag.String("json", "", "run the machine-readable perf suite instead of the experiments and write BENCH_<label>.json (per-benchmark ns/op, allocs/op)")
-	compare := flag.Bool("compare", false, "compare two BENCH_<label>.json files (baseline, fresh) and fail on ns/op regression beyond -threshold")
-	threshold := flag.Float64("threshold", 20, "ns/op regression threshold for -compare, in percent")
-	flag.Parse()
+// experimentIDs are the values -e accepts besides "all", in run order.
+var experimentIDs = []string{"e1", "e2", "e3", "e4", "e5", "e6"}
 
-	if *compare {
-		args := flag.Args()
-		if len(args) != 2 {
-			fatal(fmt.Errorf("-compare needs exactly two arguments: <baseline.json> <fresh.json>"))
-		}
-		if err := runCompare(args[0], args[1], *threshold); err != nil {
-			fatal(err)
-		}
-		return
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// selectExperiments resolves the -e value to the experiments to run.
+func selectExperiments(want string) ([]string, error) {
+	want = strings.ToLower(want)
+	if want == "all" {
+		return experimentIDs, nil
 	}
-
-	if *jsonLabel != "" {
-		path, err := runJSONBench(*jsonLabel, *seed)
-		if err != nil {
-			fatal(err)
+	for _, id := range experimentIDs {
+		if id == want {
+			return []string{id}, nil
 		}
-		fmt.Println("wrote", path)
-		return
+	}
+	return nil, fmt.Errorf("unknown experiment %q (want %s, or all)", want, strings.Join(experimentIDs, ", "))
+}
+
+// run is main without the process exit: 0 on success, 1 when an
+// experiment fails, 2 on a usage error (nothing has run).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pinum-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("e", "all", "experiment to run: e1, e2, e3, e4, e5, e6, or all")
+	quick := fs.Bool("quick", false, "reduced trial counts")
+	seed := fs.Int64("seed", 42, "workload generation seed")
+	scale := fs.Float64("exec-scale", 0.0005, "materialisation scale for the execution experiment (1.0 = the paper's 10 GB)")
+	workers := fs.Int("workers", 0, "worker pool size for the advisor's cache construction and greedy search in e4 (0 = all CPUs, 1 = serial; results are identical either way). e3 always times builds serially, in isolation, to stay faithful to the paper's methodology")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	ids, err := selectExperiments(*exp)
+	if err != nil {
+		fmt.Fprintln(stderr, "pinum-bench:", err)
+		return 2
 	}
 
 	env, err := experiments.NewEnv(*seed)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(stderr, "pinum-bench:", err)
+		return 1
 	}
 	env.Workers = *workers
-	want := strings.ToLower(*exp)
-	run := func(id string) bool { return want == "all" || want == id }
-
 	trialsE1, cfgsE2 := 50, 1000
 	if *quick {
 		trialsE1, cfgsE2 = 20, 100
 	}
 
-	if run("e1") {
-		r, err := experiments.RunE1(env, trialsE1)
-		if err != nil {
-			fatal(err)
+	for _, id := range ids {
+		var r fmt.Stringer
+		switch id {
+		case "e1":
+			r, err = experiments.RunE1(env, trialsE1)
+		case "e2":
+			r, err = experiments.RunE2(env, cfgsE2, nil)
+		case "e3":
+			r, err = experiments.RunE3(env, nil)
+		case "e4":
+			r, err = experiments.RunE4(env, *scale, 5)
+		case "e5":
+			r, err = experiments.RunE5(env)
+		case "e6":
+			r, err = experiments.RunE6(env)
 		}
-		fmt.Println(r)
-	}
-	if run("e2") {
-		r, err := experiments.RunE2(env, cfgsE2, nil)
 		if err != nil {
-			fatal(err)
+			fmt.Fprintln(stderr, "pinum-bench:", err)
+			return 1
 		}
-		fmt.Println(r)
+		fmt.Fprintln(stdout, r)
 	}
-	if run("e3") {
-		r, err := experiments.RunE3(env, nil)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
-	}
-	if run("e4") {
-		r, err := experiments.RunE4(env, *scale, 5)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
-	}
-	if run("e5") {
-		r, err := experiments.RunE5(env)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
-	}
-	if run("e6") {
-		r, err := experiments.RunE6(env)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "pinum-bench:", err)
-	os.Exit(1)
+	return 0
 }

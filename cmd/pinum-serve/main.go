@@ -62,17 +62,12 @@
 // per-tenant admission control (-max-in-flight → 429, one tenant's storm
 // never throttling another), and SIGTERM or SIGINT drains in-flight
 // requests for up to -drain-timeout before exit. The PINUM_FAULTPOINTS
-// environment variable (name=mode[:count] pairs, comma-separated) arms
+// environment variable (name=mode[:count] pairs, semicolon-separated) arms
 // fault-injection points for robustness drills.
 //
-// CI's serve smoke uses the verify modes: after curling a served
-// response to a file, -verify-whatif/-verify-recommend recompute the
-// answer in-process from freshly built tree-backed caches (a plain
-// advisor.Run for /recommend) and fail unless the served JSON matches
-// byte for byte.
-//
-//	pinum-serve -verify-whatif req.json:resp.json
-//	pinum-serve -verify-recommend req.json:resp.json
+// -addr and -pprof-addr may name port 0; the log lines "serving … on
+// <addr>" and "pprof listening on <addr>" carry the address actually
+// bound.
 package main
 
 import (
@@ -84,6 +79,7 @@ import (
 	"fmt"
 	"log"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -92,13 +88,10 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/pinumdb/pinum/internal/advisor"
-	"github.com/pinumdb/pinum/internal/core"
 	"github.com/pinumdb/pinum/internal/faultpoint"
 	"github.com/pinumdb/pinum/internal/optimizer"
 	"github.com/pinumdb/pinum/internal/plancache"
 	"github.com/pinumdb/pinum/internal/serve"
-	"github.com/pinumdb/pinum/internal/storage"
 	"github.com/pinumdb/pinum/internal/workload"
 )
 
@@ -126,13 +119,20 @@ func main() {
 	strictHealth := flag.Bool("strict-health", false, "make /readyz return 503 while the server is degraded")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second,
 		"grace period for in-flight requests on SIGTERM/SIGINT")
-	verifyWhatIf := flag.String("verify-whatif", "", "req.json:resp.json — recompute /whatif in-process and compare")
-	verifyRecommend := flag.String("verify-recommend", "", "req.json:resp.json — recompute /recommend via a plain in-process Advisor.Run and compare")
 	logFormat := flag.String("log-format", "text", "structured log format for request/event records: text or json")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (separate listener; empty = disabled)")
 	slowRequest := flag.Duration("slow-request", serve.DefaultSlowRequest,
 		"requests slower than this are recorded in /eventz (negative = disabled)")
 	flag.Parse()
+
+	// -save-exit exists to leave snapshots behind: with nowhere to put
+	// them it would build, discard and report success.
+	if *saveExit && *tenantsPath == "" && *snapshot == "" {
+		usage("-save-exit needs -snapshot (nowhere to save the snapshot)")
+	}
+	if *saveExit && *tenantsPath != "" && *snapshotDir == "" {
+		usage("-save-exit with -tenants needs -snapshot-dir (nowhere to save the snapshots)")
+	}
 
 	var handler slog.Handler
 	switch *logFormat {
@@ -160,28 +160,22 @@ func main() {
 		pm.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		pm.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		pm.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		go func() {
-			log.Printf("pprof listening on %s", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, pm); err != nil {
-				log.Printf("pprof listener failed: %v", err)
-			}
-		}()
+		// A sidecar that cannot bind is logged, not fatal: profiling must
+		// never take the data plane down.
+		if ln, err := net.Listen("tcp", *pprofAddr); err != nil {
+			log.Printf("pprof listener failed: %v", err)
+		} else {
+			log.Printf("pprof listening on %s", ln.Addr())
+			go func() {
+				if err := http.Serve(ln, pm); err != nil {
+					log.Printf("pprof listener failed: %v", err)
+				}
+			}()
+		}
 	}
 
 	loader := func() (*serve.Environment, error) {
 		return loadEnvironment(*scale, *seed, *statsOverrides)
-	}
-
-	if *verifyWhatIf != "" || *verifyRecommend != "" {
-		env, err := loader()
-		if err != nil {
-			fatal(err)
-		}
-		if err := verify(env, *workers, *verifyWhatIf, *verifyRecommend); err != nil {
-			fatal(err)
-		}
-		fmt.Println("verify: served responses match the in-process results")
-		return
 	}
 
 	var tenantCfgs []serve.TenantConfig
@@ -206,10 +200,7 @@ func main() {
 			}
 			how := "loaded from " + tc.SnapshotPath
 			if buildReason != "" {
-				how = "built: " + buildReason
-				if tc.SnapshotPath != "" {
-					how += ", saved to " + tc.SnapshotPath
-				}
+				how = "built: " + buildReason + ", saved to " + tc.SnapshotPath
 			}
 			log.Printf("tenant %s: snapshot ready in %v: %d queries (%s)",
 				tc.Name, time.Since(buildStart).Round(time.Millisecond), len(env.Queries), how)
@@ -235,10 +226,7 @@ func main() {
 		}
 		how := "loaded from " + *snapshot
 		if buildReason != "" {
-			how = "built with 2 optimizer calls/query: " + buildReason
-			if *snapshot != "" {
-				how += ", saved to " + *snapshot
-			}
+			how = "built with 2 optimizer calls/query: " + buildReason + ", saved to " + *snapshot
 		}
 		log.Printf("caches ready in %v: %d queries, %d entries, ~%.1f KB (%s)",
 			time.Since(buildStart).Round(time.Millisecond), len(env.Queries), entries, float64(bytesTotal)/1024, how)
@@ -251,7 +239,6 @@ func main() {
 		MaxBodyBytes:   *maxBodyBytes,
 		RequestTimeout: *requestTimeout,
 		StrictHealth:   *strictHealth,
-		Logf:           log.Printf,
 		Logger:         logger,
 		SlowRequest:    *slowRequest,
 	}
@@ -286,7 +273,6 @@ func main() {
 		writeTimeout = 2 * *requestTimeout
 	}
 	hs := &http.Server{
-		Addr:              *addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
@@ -317,8 +303,14 @@ func main() {
 		}
 	}()
 
-	log.Printf("serving /whatif /recommend /explain /reload /healthz /readyz /statz /metrics /eventz on %s", *addr)
-	if err := hs.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+	// Listen before logging so the line names the bound address: with
+	// -addr host:0 it is the only way to learn the port.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatal(err)
+	}
+	log.Printf("serving /whatif /recommend /explain /reload /healthz /readyz /statz /metrics /eventz on %s", ln.Addr())
+	if err := hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}
 	<-drained
@@ -424,81 +416,6 @@ func loadEnvironment(scale float64, seed int64, overridesPath string) (*serve.En
 	}, nil
 }
 
-// verify recomputes served responses from scratch — freshly built
-// tree-backed caches for /whatif, a plain advisor.Run for /recommend —
-// and byte-compares the JSON against the served bodies. It exercises the
-// full snapshot+slim+serve pipeline against the unsliced in-process path.
-func verify(env *serve.Environment, workers int, whatIfSpec, recommendSpec string) error {
-	caches, err := core.BuildAll(env.Analyses, env.Catalog, workers, false)
-	if err != nil {
-		return err
-	}
-
-	if whatIfSpec != "" {
-		reqPath, respPath, err := splitSpec(whatIfSpec)
-		if err != nil {
-			return err
-		}
-		var req serve.WhatIfRequest
-		if err := readJSON(reqPath, &req); err != nil {
-			return err
-		}
-		// An independent Server over the tree-backed caches prices the
-		// request through the same arithmetic the daemon used on its
-		// slim, snapshot-loaded caches; bit-identity means byte-equal
-		// JSON.
-		srv, err := serve.New(serve.Config{
-			Catalog: env.Catalog, Stats: env.Stats,
-			Queries: env.Queries, Analyses: env.Analyses, Caches: caches, Workers: workers,
-		})
-		if err != nil {
-			return err
-		}
-		want, err := srv.WhatIf(&req)
-		if err != nil {
-			return err
-		}
-		if err := compareJSON("whatif", respPath, want); err != nil {
-			return err
-		}
-	}
-
-	if recommendSpec != "" {
-		reqPath, respPath, err := splitSpec(recommendSpec)
-		if err != nil {
-			return err
-		}
-		var req serve.RecommendRequest
-		if err := readJSON(reqPath, &req); err != nil {
-			return err
-		}
-		ad := advisor.New(env.Catalog, env.Stats, storage.BytesForGB(req.BudgetGB))
-		ad.Parallelism = workers
-		ad.MaxIndexes = req.MaxIndexes
-		for i, q := range env.Queries {
-			if err := ad.AddPrepared(q, env.Analyses[i], caches[i], 1); err != nil {
-				return err
-			}
-		}
-		res, err := ad.Run()
-		if err != nil {
-			return err
-		}
-		if err := compareJSON("recommend", respPath, serve.RecommendResponseFrom(res, env.Queries)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func splitSpec(spec string) (string, string, error) {
-	i := strings.LastIndex(spec, ":")
-	if i <= 0 || i == len(spec)-1 {
-		return "", "", fmt.Errorf("bad verify spec %q, want req.json:resp.json", spec)
-	}
-	return spec[:i], spec[i+1:], nil
-}
-
 func readJSON(path string, v any) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -509,25 +426,6 @@ func readJSON(path string, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	return nil
-}
-
-// compareJSON renders want exactly as the HTTP handlers do and diffs it
-// against the served body on disk.
-func compareJSON(what, servedPath string, want any) error {
-	served, err := os.ReadFile(servedPath)
-	if err != nil {
-		return err
-	}
-	expect, err := serve.EncodeJSON(want)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(bytes.TrimSpace(served), bytes.TrimSpace(expect)) {
-		return fmt.Errorf("%s: served response %s differs from the in-process result:\n--- served ---\n%s\n--- in-process ---\n%s",
-			what, servedPath, bytes.TrimSpace(served), bytes.TrimSpace(expect))
-	}
-	fmt.Printf("verify %s: %s matches the in-process result (%d bytes)\n", what, servedPath, len(expect))
 	return nil
 }
 
@@ -543,4 +441,11 @@ func (w slogWriter) Write(p []byte) (int, error) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "pinum-serve:", err)
 	os.Exit(1)
+}
+
+// usage reports a flag combination that cannot work and exits 2, before
+// anything has been built.
+func usage(msg string) {
+	fmt.Fprintln(os.Stderr, "pinum-serve:", msg)
+	os.Exit(2)
 }

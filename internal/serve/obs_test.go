@@ -2,14 +2,21 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/pinumdb/pinum/internal/faultpoint"
 	"github.com/pinumdb/pinum/internal/obs"
 )
 
@@ -351,5 +358,150 @@ func BenchmarkRequestRecord(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		srv.record("/bench", m, 750*time.Microsecond, http.StatusOK, nil)
+	}
+}
+
+// captureHandler is a slog.Handler that keeps every "event" record's
+// type attribute, in emission order.
+type captureHandler struct {
+	mu    sync.Mutex
+	types []string
+}
+
+func (h *captureHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h *captureHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *captureHandler) WithGroup(string) slog.Handler            { return h }
+func (h *captureHandler) Handle(_ context.Context, r slog.Record) error {
+	if r.Message != "event" {
+		return nil
+	}
+	r.Attrs(func(a slog.Attr) bool {
+		if a.Key == "type" {
+			h.mu.Lock()
+			h.types = append(h.types, a.Value.String())
+			h.mu.Unlock()
+			return false
+		}
+		return true
+	})
+	return nil
+}
+
+// eventTypes fetches /eventz and returns the ring's event types, oldest
+// first.
+func eventTypes(t *testing.T, baseURL string) []string {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/eventz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ez struct {
+		Events []obs.Event `json:"events"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&ez); err != nil {
+		t.Fatal(err)
+	}
+	types := make([]string, len(ez.Events))
+	for i, e := range ez.Events {
+		types[i] = e.Type
+	}
+	return types
+}
+
+// TestOneLogRecordPerOutcome pins the single log path: every cold load,
+// eviction and reload outcome reaches the structured logger exactly once,
+// in the order /eventz holds them.
+func TestOneLogRecordPerOutcome(t *testing.T) {
+	h := &captureHandler{}
+	f := newMTFixture(t, mtSeeds, mtOrder, 1, func(cfg *Config) {
+		cfg.Logger = slog.New(h)
+		// No background retry: the failed reload below must stay the
+		// last outcome.
+		cfg.RetryMin, cfg.RetryMax = time.Hour, time.Hour
+	})
+	t.Cleanup(faultpoint.Reset)
+	probe := []byte(`{"indexes":[{"table":"fact","columns":["a1","m1"]}]}`)
+
+	for _, name := range []string{"acme", "globex"} {
+		if code, body := f.do(t, http.MethodPost, "/whatif", name, probe); code != http.StatusOK {
+			t.Fatalf("%s: %d %s", name, code, body)
+		}
+	}
+	if out, err := f.srv.ReloadTenant("globex", false); err != nil || out.Result != "skipped" {
+		t.Fatalf("unchanged reload: %+v, %v", out, err)
+	}
+	if out, err := f.srv.ReloadTenant("globex", true); err != nil || out.Result != "swapped" {
+		t.Fatalf("forced reload: %+v, %v", out, err)
+	}
+	if err := faultpoint.Set("serve.rebuild", "error"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.srv.ReloadTenant("globex", true); err == nil {
+		t.Fatal("reload with serve.rebuild armed succeeded")
+	}
+	if err := faultpoint.Set("serve.tenant.load", "error"); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := f.do(t, http.MethodPost, "/whatif", "initech", probe); code != http.StatusServiceUnavailable {
+		t.Fatalf("initech with serve.tenant.load armed: %d %s", code, body)
+	}
+
+	want := []string{
+		"cold-load",             // acme
+		"eviction", "cold-load", // acme out, globex in
+		"reload-skipped",
+		"reload",
+		"degraded", "reload-failed",
+		"cold-load-failed", // initech
+	}
+	h.mu.Lock()
+	logged := append([]string(nil), h.types...)
+	h.mu.Unlock()
+	if !reflect.DeepEqual(logged, want) {
+		t.Errorf("logged event records\n got %v\nwant %v", logged, want)
+	}
+	if ring := eventTypes(t, f.ts.URL); !reflect.DeepEqual(ring, want) {
+		t.Errorf("/eventz\n got %v\nwant %v", ring, want)
+	}
+}
+
+// TestSnapshotSaveFailureIsAnEvent pins the save-failure contract: a
+// snapshot that cannot be written is an operational event — in /eventz
+// and pinum_events_total — while the freshly built set serves normally
+// and the tenant is not degraded.
+func TestSnapshotSaveFailureIsAnEvent(t *testing.T) {
+	snapPath := filepath.Join(t.TempDir(), "star.pcache")
+	rf := newReloadFixture(t, func(cfg *Config) { cfg.SnapshotPath = snapPath })
+	t.Cleanup(faultpoint.Reset)
+	if err := faultpoint.Set("plancache.save.write", "error"); err != nil {
+		t.Fatal(err)
+	}
+	if out := rf.load(t); out.Result != "swapped" {
+		t.Fatalf("initial load with the save failing: %+v", out)
+	}
+	if _, err := os.Stat(snapPath); !os.IsNotExist(err) {
+		t.Fatalf("snapshot file after a failed save: %v, want not-exist", err)
+	}
+	if got, want := eventTypes(t, rf.ts.URL), []string{"snapshot-save-failed", "reload"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("/eventz types %v, want %v", got, want)
+	}
+	if body := scrape(t, rf.ts.URL); !strings.Contains(body, `pinum_events_total{type="snapshot-save-failed"} 1`) {
+		t.Error("pinum_events_total does not count the failed save")
+	}
+	if code, body := rf.do(t, http.MethodPost, "/whatif", whatIfProbe); code != http.StatusOK {
+		t.Fatalf("/whatif after a failed save: %d %s", code, body)
+	}
+	_, health := rf.do(t, http.MethodGet, "/healthz", nil)
+	if !bytes.Contains(health, []byte(`"status": "ok"`)) {
+		t.Fatalf("/healthz after a failed save: %s, want status ok", health)
+	}
+
+	faultpoint.Clear("plancache.save.write")
+	if _, err := rf.srv.ReloadNow(true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(snapPath); err != nil {
+		t.Fatalf("snapshot file after the healed save: %v", err)
 	}
 }

@@ -306,7 +306,6 @@ func (t *tenant) reloadNow(force bool) (ReloadOutcome, error) {
 		t.lastReloadErr.Store(err.Error())
 		t.scheduleRetry()
 		s.recordEvent("reload-failed", t.name, opID, err.Error())
-		s.logf("tenant %s: reload failed (previous snapshot keeps serving): %v", t.name, err)
 		return ReloadOutcome{Tenant: t.name, Result: "failed"}, err
 	}
 	t.degraded.Store(false)
@@ -317,7 +316,6 @@ func (t *tenant) reloadNow(force bool) (ReloadOutcome, error) {
 		cur := t.current()
 		s.recordEvent("reload-skipped", t.name, opID,
 			fmt.Sprintf("fingerprint %016x unchanged", cur.fingerprint))
-		s.logf("tenant %s: reload skipped: fingerprint %016x unchanged", t.name, cur.fingerprint)
 		return ReloadOutcome{
 			Tenant:         t.name,
 			Result:         "skipped",
@@ -327,12 +325,10 @@ func (t *tenant) reloadNow(force bool) (ReloadOutcome, error) {
 	}
 	t.publish(set)
 	t.reloadsOK.Inc()
-	t.saveSnapshot(set)
+	t.saveSnapshot(set, opID)
 	s.recordEvent("reload", t.name, opID,
 		fmt.Sprintf("fingerprint=%016x source=%s reused=%d rebuilt=%d",
 			set.fingerprint, set.source, set.reused, set.rebuilt))
-	s.logf("tenant %s: reload swapped: fingerprint=%016x source=%s reused=%d rebuilt=%d",
-		t.name, set.fingerprint, set.source, set.reused, set.rebuilt)
 	return ReloadOutcome{
 		Tenant:         t.name,
 		Result:         "swapped",
@@ -346,14 +342,15 @@ func (t *tenant) reloadNow(force bool) (ReloadOutcome, error) {
 // saveSnapshot persists a freshly rebuilt set's caches to the tenant's
 // snapshot file so the next cold start (or post-eviction load) skips the
 // optimizer. Best-effort: a failed save degrades the next load, not this
-// server.
-func (t *tenant) saveSnapshot(set *snapshotSet) {
+// server — it is recorded as a snapshot-save-failed event under the
+// reload's operation ID (empty for a cold load).
+func (t *tenant) saveSnapshot(set *snapshotSet, opID string) {
 	if t.snapshotPath == "" || set.source == sourceDisk {
 		return
 	}
 	if serr := plancache.Save(t.snapshotPath, plancache.NewSnapshot(set.fingerprint, set.caches)); serr != nil {
 		t.lastSaveErr.Store(serr.Error())
-		t.srv.logf("tenant %s: snapshot save failed (serving unaffected): %v", t.name, serr)
+		t.srv.recordEvent("snapshot-save-failed", t.name, opID, serr.Error())
 	} else {
 		t.lastSaveErr.Store("")
 	}

@@ -172,12 +172,9 @@ type Config struct {
 	// (0 = DefaultRetryMin/Max).
 	RetryMin time.Duration
 	RetryMax time.Duration
-	// Logf, when set, receives one line per reload/load/evict outcome.
-	Logf func(format string, args ...any)
 	// Logger, when set, receives one structured record per request and
 	// operational event, each carrying a trace ID (-log-format in
-	// pinum-serve). Independent of Logf so existing plain-text consumers
-	// keep their lines.
+	// pinum-serve).
 	Logger *slog.Logger
 	// SlowRequest is the slow-request threshold: requests slower than
 	// this are recorded in the operational event log
@@ -427,12 +424,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Close() {
 	for _, name := range s.tenantNames {
 		s.tenants[name].stopRetry()
-	}
-}
-
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
 	}
 }
 

@@ -351,10 +351,9 @@ func (s *Server) acquireSet(t *tenant) (*snapshotSet, error) {
 		return nil, s.coldLoadFailed(t, err)
 	}
 	t.publish(set)
-	t.saveSnapshot(set)
+	t.saveSnapshot(set, "")
 	s.recordEvent("cold-load", t.name, "",
 		fmt.Sprintf("fingerprint=%016x source=%s", set.fingerprint, set.source))
-	s.logf("tenant %s: cold load: fingerprint=%016x source=%s", t.name, set.fingerprint, set.source)
 	return set, nil
 }
 
@@ -362,7 +361,6 @@ func (s *Server) coldLoadFailed(t *tenant, err error) error {
 	t.reloadsFailed.Inc()
 	t.lastReloadErr.Store(err.Error())
 	s.recordEvent("cold-load-failed", t.name, "", err.Error())
-	s.logf("tenant %s: cold load failed: %v", t.name, err)
 	return &httpError{
 		code: http.StatusServiceUnavailable,
 		err:  fmt.Errorf("tenant %q: snapshot load failed: %v", t.name, err),
@@ -429,7 +427,6 @@ func (s *Server) evictLocked(t *tenant) {
 	t.degraded.Store(false)
 	t.evictions.Inc()
 	s.recordEvent("eviction", t.name, "", fmt.Sprintf("LRU, resident cap %d", s.residentCap))
-	s.logf("tenant %s: evicted (LRU, resident cap %d)", t.name, s.residentCap)
 }
 
 // computeOn is the compute-endpoint spine: route to a tenant, count the
