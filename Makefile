@@ -25,6 +25,7 @@ goldens:
 	$(GO) run ./benchmark -workload whatif-wide -seconds 5 -trace 0
 	$(GO) run ./benchmark -workload design-batch -seconds 5 -trace 0
 	$(GO) run ./benchmark -workload whatif-point -seconds 5 -trace 0
+	$(GO) run ./benchmark -workload tenant-churn -seconds 5 -trace 0
 
 shuffle:
 	$(GO) test -shuffle=on ./...
@@ -32,6 +33,7 @@ shuffle:
 fuzz:
 	$(GO) test ./internal/optimizer -run=NONE -fuzz=FuzzOptimizeEquivalence -fuzztime=10s
 	$(GO) test ./internal/serve -run=NONE -fuzz=FuzzWhatIfEncode -fuzztime=10s
+	$(GO) test ./internal/plancache -run=NONE -fuzz=FuzzSnapshotDecode -fuzztime=10s -fuzzminimizetime=1s
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...

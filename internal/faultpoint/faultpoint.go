@@ -1,8 +1,8 @@
 // Package faultpoint implements named fault-injection points: zero-cost
 // hooks compiled into error-handling paths (snapshot decode, crash-safe
-// save, background rebuild, tenant cold-load and eviction) so tests and
-// operational drills can prove the degradation behavior around them
-// instead of trusting it.
+// save, background rebuild, tenant cold-load and eviction, first-use
+// candidate generation) so tests and operational drills can prove the
+// degradation behavior around them instead of trusting it.
 //
 // A point is a dormant call site — faultpoint.Hit("plancache.decode") —
 // that returns nil until a fault is armed for its name. Faults are armed

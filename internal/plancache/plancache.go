@@ -30,8 +30,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
-	"hash/fnv"
 	"io"
 	"math"
 	"os"
@@ -140,42 +138,54 @@ func ToCache(a *optimizer.Analysis, qp QueryPlans) (*inum.Cache, error) {
 	return c, nil
 }
 
-// fpHasher streams fingerprint fields into an FNV-1a hash with a reused
-// length buffer, so Fingerprint and TableFingerprints hash the exact same
-// field sequence per table.
-type fpHasher struct {
-	h   hash.Hash64
-	buf []byte
-}
+// fpWalk is the one walk over an environment that yields both kinds of
+// fingerprint: every field goes into two FNV-1a states at once, env (the
+// global stream, never reset) and tab (reset at each table). The two
+// multiply chains are independent, so feeding both costs about what
+// feeding one does; the byte sequences are exactly those the format has
+// always hashed, so values are stable across releases and stores on disk
+// stay valid.
+type fpWalk struct{ env, tab uint64 }
 
-func newFPHasher() *fpHasher {
-	return &fpHasher{h: fnv.New64a(), buf: make([]byte, 8)}
+func (f *fpWalk) u64(v uint64) {
+	env, tab := f.env, f.tab
+	for i := 0; i < 64; i += 8 {
+		b := uint64(byte(v >> i))
+		env = (env ^ b) * fnvPrime
+		tab = (tab ^ b) * fnvPrime
+	}
+	f.env, f.tab = env, tab
 }
-
-func (f *fpHasher) u64(v uint64) {
-	binary.LittleEndian.PutUint64(f.buf, v)
-	f.h.Write(f.buf)
-}
-func (f *fpHasher) i64(v int64)   { f.u64(uint64(v)) }
-func (f *fpHasher) f64(v float64) { f.u64(math.Float64bits(v)) }
-func (f *fpHasher) str(s string) {
+func (f *fpWalk) i64(v int64)   { f.u64(uint64(v)) }
+func (f *fpWalk) f64(v float64) { f.u64(math.Float64bits(v)) }
+func (f *fpWalk) str(s string) {
 	f.u64(uint64(len(s)))
-	io.WriteString(f.h, s)
+	env, tab := f.env, f.tab
+	for i := 0; i < len(s); i++ {
+		b := uint64(s[i])
+		env = (env ^ b) * fnvPrime
+		tab = (tab ^ b) * fnvPrime
+	}
+	f.env, f.tab = env, tab
 }
 
-// params hashes the cost-model parameters every stored cost depends on.
-func (f *fpHasher) params(params optimizer.CostParams) {
+// fpPrefix is the state every stream of one kind starts from: its version
+// tag, then the cost-model parameters every stored cost depends on.
+func fpPrefix(tag string, params optimizer.CostParams) uint64 {
+	f := fpWalk{env: fnvOffset}
+	f.str(tag)
 	f.f64(params.SeqPageCost)
 	f.f64(params.RandomPageCost)
 	f.f64(params.CPUTupleCost)
 	f.f64(params.CPUIndexTupleCost)
 	f.f64(params.CPUOperatorCost)
+	return f.env
 }
 
 // table hashes one catalog table: row counts, pages, columns with
 // widths/NDVs/domains, the statistics attached to each column, and the
 // foreign keys.
-func (f *fpHasher) table(t *catalog.Table, st *stats.Store) {
+func (f *fpWalk) table(t *catalog.Table, st *stats.Store) {
 	f.str(t.Name)
 	f.i64(t.RowCount)
 	f.i64(t.Pages)
@@ -218,6 +228,33 @@ func (f *fpHasher) table(t *catalog.Table, st *stats.Store) {
 	}
 }
 
+// walk runs the one pass over catalog and statistics. It returns the
+// environment fingerprint and, when perTable is set, each table's own.
+func walk(cat *catalog.Catalog, st *stats.Store, params optimizer.CostParams, perTable bool) (uint64, map[string]uint64) {
+	all := cat.Tables()
+	var tables map[string]uint64
+	if perTable {
+		tables = make(map[string]uint64, len(all))
+	}
+	tabStart := fpPrefix("pinum-plancache-tablefp-v1", params)
+	f := fpWalk{env: fpPrefix("pinum-plancache-fp-v1", params)}
+	for _, t := range all {
+		f.tab = tabStart
+		f.table(t, st)
+		if perTable {
+			tables[t.Name] = f.tab
+		}
+	}
+	return f.env, tables
+}
+
+// Fingerprints walks the environment once and returns both fingerprints a
+// load needs: the one Fingerprint returns and the map TableFingerprints
+// returns. Callers that want both should call this, not those two.
+func Fingerprints(cat *catalog.Catalog, st *stats.Store, params optimizer.CostParams) (env uint64, tables map[string]uint64) {
+	return walk(cat, st, params, true)
+}
+
 // Fingerprint hashes everything the stored costs depend on: every catalog
 // table (row counts, pages, columns with widths/NDVs/domains, foreign
 // keys) in registration order, the statistics attached to each of its
@@ -226,13 +263,8 @@ func (f *fpHasher) table(t *catalog.Table, st *stats.Store) {
 // exact under the other; any schema, statistics or parameter drift
 // changes the fingerprint and gets the snapshot rejected at load.
 func Fingerprint(cat *catalog.Catalog, st *stats.Store, params optimizer.CostParams) uint64 {
-	f := newFPHasher()
-	f.str("pinum-plancache-fp-v1")
-	f.params(params)
-	for _, t := range cat.Tables() {
-		f.table(t, st)
-	}
-	return f.h.Sum64()
+	env, _ := walk(cat, st, params, false)
+	return env
 }
 
 // TableFingerprints hashes each catalog table independently (same field
@@ -242,16 +274,8 @@ func Fingerprint(cat *catalog.Catalog, st *stats.Store, params optimizer.CostPar
 // just the queries whose referenced tables moved and reuse the rest of
 // the snapshot verbatim.
 func TableFingerprints(cat *catalog.Catalog, st *stats.Store, params optimizer.CostParams) map[string]uint64 {
-	tables := cat.Tables()
-	out := make(map[string]uint64, len(tables))
-	for _, t := range tables {
-		f := newFPHasher()
-		f.str("pinum-plancache-tablefp-v1")
-		f.params(params)
-		f.table(t, st)
-		out[t.Name] = f.h.Sum64()
-	}
-	return out
+	_, tables := Fingerprints(cat, st, params)
+	return tables
 }
 
 // ------------------------------------------------------------- codec ----

@@ -42,7 +42,7 @@ func starSnapshot(t *testing.T, seed int64) (*workload.Star, *Snapshot) {
 	return s, snap
 }
 
-func encodeToBytes(t *testing.T, snap *Snapshot) []byte {
+func encodeToBytes(t testing.TB, snap *Snapshot) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := Encode(&buf, snap); err != nil {

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -503,5 +504,79 @@ func TestSnapshotSaveFailureIsAnEvent(t *testing.T) {
 	}
 	if _, err := os.Stat(snapPath); err != nil {
 		t.Fatalf("snapshot file after the healed save: %v", err)
+	}
+}
+
+// TestLoadPhasesTimedFromInside pins pinum_load_phase_seconds and the
+// phase tail of the cold-load and reload events: every phase that ran is
+// in its histogram, the event carries the same six numbers, and they sum
+// to no more than the load took from outside.
+func TestLoadPhasesTimedFromInside(t *testing.T) {
+	f := newMTFixture(t, mtSeeds, mtOrder, 0, nil)
+	phasesOf := func(typ string) (ran [numLoadPhases]bool, sum time.Duration) {
+		t.Helper()
+		var ev *obs.Event
+		for _, e := range f.srv.events.Events() {
+			if e.Type == typ {
+				e := e
+				ev = &e
+			}
+		}
+		if ev == nil {
+			t.Fatalf("no %s event", typ)
+		}
+		fields := strings.Fields(ev.Detail)
+		if len(fields) < int(numLoadPhases) {
+			t.Fatalf("%s event has no phase tail: %q", typ, ev.Detail)
+		}
+		for p, field := range fields[len(fields)-int(numLoadPhases):] {
+			val, ok := strings.CutPrefix(field, loadPhaseNames[p]+"_ms=")
+			ms, err := strconv.ParseFloat(val, 64)
+			if !ok || err != nil || ms < 0 {
+				t.Fatalf("%s event: phase %d is %q, want %s_ms=<milliseconds> (%q)", typ, p, field, loadPhaseNames[p], ev.Detail)
+			}
+			ran[p] = ms > 0
+			sum += time.Duration(ms * float64(time.Millisecond))
+		}
+		return ran, sum
+	}
+	// The phase tail rounds each of six phases to a microsecond.
+	const rounding = 6 * time.Microsecond
+
+	// No snapshot on disk yet: the load looks for one, plans and saves.
+	start := time.Now()
+	if code, body := f.do(t, http.MethodPost, "/whatif", "acme", []byte(`{"indexes":[]}`)); code != http.StatusOK {
+		t.Fatalf("cold load: %d %s", code, body)
+	}
+	wall := time.Since(start)
+	ran, sum := phasesOf("cold-load")
+	if ran != [numLoadPhases]bool{true, true, true, true, true, true} {
+		t.Errorf("first cold load ran phases %v, want all six", ran)
+	}
+	if sum > wall+rounding {
+		t.Errorf("cold-load phases sum to %v, the request took %v", sum, wall)
+	}
+
+	// A forced reload skips the snapshot and plans everything again.
+	start = time.Now()
+	if _, err := f.srv.ReloadTenant("acme", true); err != nil {
+		t.Fatal(err)
+	}
+	wall = time.Since(start)
+	ran, sum = phasesOf("reload")
+	if ran != [numLoadPhases]bool{phaseLoader: true, phaseFingerprint: true, phaseOptimize: true, phaseAssemble: true, phaseSave: true} {
+		t.Errorf("forced reload ran phases %v, want all but snapshot", ran)
+	}
+	if sum > wall+rounding {
+		t.Errorf("reload phases sum to %v, the reload took %v", sum, wall)
+	}
+
+	for p, want := range [numLoadPhases]int64{phaseLoader: 2, phaseFingerprint: 2, phaseSnapshot: 1, phaseOptimize: 2, phaseAssemble: 2, phaseSave: 2} {
+		if got := f.srv.loadPhases[p].Count(); got != want {
+			t.Errorf("pinum_load_phase_seconds{phase=%q} observed %d times, want %d", loadPhaseNames[p], got, want)
+		}
+	}
+	if text := scrape(t, f.ts.URL); !strings.Contains(text, `pinum_load_phase_seconds_count{phase="assemble"} 2`) {
+		t.Error("/metrics does not expose pinum_load_phase_seconds by phase")
 	}
 }

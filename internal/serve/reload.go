@@ -14,7 +14,9 @@ import (
 	"math"
 	"net/http"
 	"os"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/pinumdb/pinum/internal/advisor"
@@ -67,9 +69,10 @@ const (
 // world: the environment, the plan caches, the precomputed base costs,
 // the advisor candidate set, and the what-if index interner. Sets are
 // shared through each tenant's cur pointer and must only be handled by
-// pointer (the embedded mutex makes go vet reject copies); after
+// pointer (the embedded mutexes make go vet reject copies); after
 // construction nothing in a set changes except the interner behind its
-// own mutex, so the atomic pointer flip in tenant.swap is the entire
+// own mutex and the candidate set, which is built on first use and
+// published once, so the atomic pointer flip in tenant.swap is the entire
 // synchronization story of a reload — and of an eviction, which stores
 // nil and lets in-flight requests finish on the set they hold.
 type snapshotSet struct {
@@ -82,14 +85,16 @@ type snapshotSet struct {
 	base      []float64
 	baseTotal float64
 
-	// candidates is the advisor candidate set, generated once per set so
-	// every /recommend request prices the same stable descriptors.
-	// genErrors records candidates that failed to generate — they are
-	// absent from every /recommend answer, so /healthz counts them and
-	// /statz lists them rather than leaving degraded recommendations
-	// indistinguishable from correct ones.
-	candidates []*catalog.Index
-	genErrors  []string
+	// cand is the advisor candidate set, generated once per set — on the
+	// first /recommend, /healthz or /statz that asks (see candidates), so
+	// a tenant only ever asked /whatif never pays for it. Deferring it is
+	// safe because it is a pure function of the set's environment, and
+	// tables and statistics do not change under a live analysis
+	// (optimizer.NewAnalysis's contract): generated now or later, the
+	// descriptors are the same. candMu serializes generation only; readers
+	// of a generated set take no lock.
+	candMu sync.Mutex
+	cand   atomic.Pointer[candidateSet]
 
 	// fingerprint identifies the (catalog, statistics, cost-parameter)
 	// environment; tableFPs is its per-table refinement, used by the
@@ -113,24 +118,31 @@ type snapshotSet struct {
 	maxInterned int
 }
 
+// candidateSet is what one generation pass leaves: the descriptors every
+// /recommend on the set searches, and the candidates that failed to
+// generate — they are absent from every /recommend answer, so /healthz
+// counts them and /statz lists them rather than leaving degraded
+// recommendations indistinguishable from correct ones.
+type candidateSet struct {
+	indexes   []*catalog.Index
+	genErrors []string
+}
+
 // newSnapshotSet assembles the immutable request-side state over built
-// caches: weights, base costs, the candidate set and a fresh, empty
-// interner.
-func newSnapshotSet(env *Environment, caches []*inum.Cache, source string) (*snapshotSet, error) {
-	if err := env.validate(); err != nil {
-		return nil, err
-	}
+// caches: weights, base costs and a fresh, empty interner. env is one the
+// caller validated, and fp and tableFPs are its plancache.Fingerprints,
+// which the caller walked once for the whole load.
+func newSnapshotSet(env *Environment, caches []*inum.Cache, source string, fp uint64, tableFPs map[string]uint64) (*snapshotSet, error) {
 	if len(caches) != len(env.Queries) {
 		return nil, fmt.Errorf("serve: %d queries need matching caches (%d)", len(env.Queries), len(caches))
 	}
-	params := optimizer.DefaultCostParams()
 	set := &snapshotSet{
 		env:         env,
 		caches:      caches,
 		weights:     normalizeWeights(env.Weights, len(env.Queries)),
 		base:        make([]float64, len(caches)),
-		fingerprint: plancache.Fingerprint(env.Catalog, env.Stats, params),
-		tableFPs:    plancache.TableFingerprints(env.Catalog, env.Stats, params),
+		fingerprint: fp,
+		tableFPs:    tableFPs,
 		queryIdx:    make(map[string]int, len(env.Queries)),
 		source:      source,
 		ws:          whatif.NewSession(env.Catalog),
@@ -148,21 +160,41 @@ func newSnapshotSet(env *Environment, caches []*inum.Cache, source string) (*sna
 		//pinum:costarith-ok workload objective Σ wᵢ·cᵢ mirroring advisor.workloadCost; pinned by TestWhatIfMatchesInProcess
 		set.baseTotal += set.weights[i] * cost
 	}
+	return set, nil
+}
 
-	// Generate the candidate set once through a throwaway advisor so
-	// every /recommend request on this set searches the same descriptors.
-	gen := advisor.New(env.Catalog, env.Stats, 0)
-	for i, q := range env.Queries {
-		if err := gen.AddPrepared(q, env.Analyses[i], caches[i], set.weights[i]); err != nil {
+// candidates returns the set's candidate set, generating it through a
+// throwaway advisor on first use so every /recommend request on this set
+// searches the same descriptors. Only a completed generation is ever
+// published: a failure or a panic in here (the serve.candidates
+// faultpoint injects both) leaves the set ungenerated and the next caller
+// tries again — which a sync.Once, done even when its function panics,
+// would turn into an empty candidate set that /recommend answers from.
+func (set *snapshotSet) candidates() (*candidateSet, error) {
+	if cs := set.cand.Load(); cs != nil {
+		return cs, nil
+	}
+	set.candMu.Lock()
+	defer set.candMu.Unlock()
+	if cs := set.cand.Load(); cs != nil {
+		return cs, nil
+	}
+	if err := faultpoint.Hit("serve.candidates"); err != nil {
+		return nil, fmt.Errorf("generating candidates: %w", err)
+	}
+	gen := advisor.New(set.env.Catalog, set.env.Stats, 0)
+	for i, q := range set.env.Queries {
+		if err := gen.AddPrepared(q, set.env.Analyses[i], set.caches[i], set.weights[i]); err != nil {
 			return nil, err
 		}
 	}
 	gen.GenerateCandidates()
-	set.candidates = gen.Candidates()
+	cs := &candidateSet{indexes: gen.Candidates()}
 	for _, err := range gen.GenerationErrors() {
-		set.genErrors = append(set.genErrors, err.Error())
+		cs.genErrors = append(cs.genErrors, err.Error())
 	}
-	return set, nil
+	set.cand.Store(cs)
+	return cs, nil
 }
 
 func normalizeWeights(weights []float64, n int) []float64 {
@@ -250,6 +282,49 @@ func (set *snapshotSet) internedCount() int {
 	return set.ws.Count()
 }
 
+// ----------------------------------------------------- load phases -----
+
+// loadPhase names what a load — cold load or reload — spends its time on,
+// in the order the phases run. It is a fixed enum so the histograms are
+// resolved once at New and the family's cardinality is bounded: there is
+// deliberately no tenant label.
+type loadPhase int
+
+const (
+	phaseLoader      loadPhase = iota // the tenant's Loader
+	phaseFingerprint                  // plancache.Fingerprints
+	phaseSnapshot                     // plancache.Load + BuildCaches
+	phaseOptimize                     // cache reuse and re-planning
+	phaseAssemble                     // newSnapshotSet
+	phaseSave                         // plancache.Save
+	numLoadPhases
+)
+
+var loadPhaseNames = [numLoadPhases]string{"loader", "fingerprint", "snapshot", "optimize", "assemble", "save"}
+
+// loadTimes is one load's wall time per phase (zero: the phase did not
+// run); it renders as the tail of the load's cold-load or reload event.
+type loadTimes [numLoadPhases]time.Duration
+
+func (lt *loadTimes) String() string {
+	var b strings.Builder
+	for p, d := range lt {
+		if p > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s_ms=%.3f", loadPhaseNames[p], float64(d)/float64(time.Millisecond))
+	}
+	return b.String()
+}
+
+// observePhase closes one phase that began at start: into the load's own
+// times and into pinum_load_phase_seconds{phase}.
+func (s *Server) observePhase(lt *loadTimes, p loadPhase, start time.Time) {
+	d := time.Since(start)
+	lt[p] += d
+	s.loadPhases[p].Observe(d.Seconds())
+}
+
 // --------------------------------------------------------- reloads -----
 
 // ReloadOutcome is one reload's summary, returned by ReloadNow and by
@@ -297,7 +372,8 @@ func (t *tenant) reloadNow(force bool) (ReloadOutcome, error) {
 	opID := s.nextTraceID()
 	t.reloadMu.Lock()
 	defer t.reloadMu.Unlock()
-	set, skipped, err := t.buildSetContained(force)
+	var lt loadTimes
+	set, skipped, err := t.buildSetContained(force, &lt)
 	if err != nil {
 		t.reloadsFailed.Inc()
 		if !t.degraded.Swap(true) {
@@ -325,10 +401,10 @@ func (t *tenant) reloadNow(force bool) (ReloadOutcome, error) {
 	}
 	t.publish(set)
 	t.reloadsOK.Inc()
-	t.saveSnapshot(set, opID)
+	t.saveSnapshot(set, opID, &lt)
 	s.recordEvent("reload", t.name, opID,
-		fmt.Sprintf("fingerprint=%016x source=%s reused=%d rebuilt=%d",
-			set.fingerprint, set.source, set.reused, set.rebuilt))
+		fmt.Sprintf("fingerprint=%016x source=%s reused=%d rebuilt=%d %s",
+			set.fingerprint, set.source, set.reused, set.rebuilt, &lt))
 	return ReloadOutcome{
 		Tenant:         t.name,
 		Result:         "swapped",
@@ -344,10 +420,11 @@ func (t *tenant) reloadNow(force bool) (ReloadOutcome, error) {
 // optimizer. Best-effort: a failed save degrades the next load, not this
 // server — it is recorded as a snapshot-save-failed event under the
 // reload's operation ID (empty for a cold load).
-func (t *tenant) saveSnapshot(set *snapshotSet, opID string) {
+func (t *tenant) saveSnapshot(set *snapshotSet, opID string, lt *loadTimes) {
 	if t.snapshotPath == "" || set.source == sourceDisk {
 		return
 	}
+	defer t.srv.observePhase(lt, phaseSave, time.Now())
 	if serr := plancache.Save(t.snapshotPath, plancache.NewSnapshot(set.fingerprint, set.caches)); serr != nil {
 		t.lastSaveErr.Store(serr.Error())
 		t.srv.recordEvent("snapshot-save-failed", t.name, opID, serr.Error())
@@ -393,7 +470,7 @@ func (t *tenant) triggerReload(force bool) bool {
 // buildSetContained runs buildSet with panic containment: a panicking
 // loader or rebuild becomes a counted, retried reload failure — the
 // serving process and its current snapshots are never at risk.
-func (t *tenant) buildSetContained(force bool) (set *snapshotSet, skipped bool, err error) {
+func (t *tenant) buildSetContained(force bool, lt *loadTimes) (set *snapshotSet, skipped bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			t.srv.panics.Inc()
@@ -401,15 +478,17 @@ func (t *tenant) buildSetContained(force bool) (set *snapshotSet, skipped bool, 
 			set, skipped, err = nil, false, fmt.Errorf("panic during snapshot rebuild: %v", p)
 		}
 	}()
-	return t.buildSet(force)
+	return t.buildSet(force, lt)
 }
 
 // buildSet derives a fresh environment and builds its snapshot set,
 // cheapest viable path first: skip when nothing changed, load the
 // tenant's disk snapshot when it matches the new fingerprint, reuse the
 // previous set's caches for queries whose tables' statistics didn't
-// move, and re-optimize only the remainder.
-func (t *tenant) buildSet(force bool) (*snapshotSet, bool, error) {
+// move, and re-optimize only the remainder. The environment is walked
+// once — plancache.Fingerprints — whichever path is taken, and each phase
+// that runs is timed into lt and pinum_load_phase_seconds.
+func (t *tenant) buildSet(force bool, lt *loadTimes) (*snapshotSet, bool, error) {
 	s := t.srv
 	if err := faultpoint.Hit("serve.rebuild"); err != nil {
 		return nil, false, fmt.Errorf("rebuild: %w", err)
@@ -422,16 +501,20 @@ func (t *tenant) buildSet(force bool) (*snapshotSet, bool, error) {
 		Weights:  s.cfg.Weights,
 	}
 	if t.loader != nil {
+		start := time.Now()
 		var err error
-		if env, err = t.loader(); err != nil {
+		env, err = t.loader()
+		s.observePhase(lt, phaseLoader, start)
+		if err != nil {
 			return nil, false, fmt.Errorf("loading environment: %w", err)
 		}
 	}
 	if err := env.validate(); err != nil {
 		return nil, false, err
 	}
-	params := optimizer.DefaultCostParams()
-	fp := plancache.Fingerprint(env.Catalog, env.Stats, params)
+	start := time.Now()
+	fp, tfps := plancache.Fingerprints(env.Catalog, env.Stats, optimizer.DefaultCostParams())
+	s.observePhase(lt, phaseFingerprint, start)
 	prev := t.current()
 
 	if !force && prev != nil && fp == prev.fingerprint &&
@@ -444,24 +527,52 @@ func (t *tenant) buildSet(force bool) (*snapshotSet, bool, error) {
 		// A matching disk snapshot short-circuits all optimization. A
 		// missing, stale or corrupt one is not a reload failure — the
 		// rebuild below is the fallback, exactly like cold start.
-		if snap, err := plancache.Load(t.snapshotPath, fp); err == nil {
-			if caches, err := plancache.BuildCaches(snap, env.Queries, env.Analyses); err == nil {
-				set, err := newSnapshotSet(env, caches, sourceDisk)
-				if err != nil {
-					return nil, false, err
-				}
-				return set, false, nil
-			}
+		if caches, err := t.loadCaches(env, fp, lt); err == nil {
+			set, err := t.assemble(env, caches, sourceDisk, fp, tfps, lt)
+			return set, false, err
 		}
 	}
 
-	n := len(env.Queries)
-	tfps := plancache.TableFingerprints(env.Catalog, env.Stats, params)
-	caches := make([]*inum.Cache, n)
+	if force {
+		prev = nil // reuse nothing
+	}
+	caches, reused, err := t.optimize(env, prev, tfps, lt)
+	if err != nil {
+		return nil, false, err
+	}
+	source := sourceRebuilt
+	if reused > 0 {
+		source = sourceIncremental
+	}
+	set, err := t.assemble(env, caches, source, fp, tfps, lt)
+	if err != nil {
+		return nil, false, err
+	}
+	set.reused, set.rebuilt = reused, len(caches)-reused
+	return set, false, nil
+}
+
+// loadCaches is the snapshot phase: the tenant's snapshot file, decoded,
+// fingerprint-checked against fp and rebuilt into caches.
+func (t *tenant) loadCaches(env *Environment, fp uint64, lt *loadTimes) ([]*inum.Cache, error) {
+	defer t.srv.observePhase(lt, phaseSnapshot, time.Now())
+	snap, err := plancache.Load(t.snapshotPath, fp)
+	if err != nil {
+		return nil, err
+	}
+	return plancache.BuildCaches(snap, env.Queries, env.Analyses)
+}
+
+// optimize is the optimize phase: caches for every query of env, reusing
+// prev's (nil: reuse nothing) for queries whose tables' fingerprints did
+// not move and planning the rest. It reports how many were reused.
+func (t *tenant) optimize(env *Environment, prev *snapshotSet, tfps map[string]uint64, lt *loadTimes) ([]*inum.Cache, int, error) {
+	defer t.srv.observePhase(lt, phaseOptimize, time.Now())
+	caches := make([]*inum.Cache, len(env.Queries))
 	reused := 0
 	var rebuild []int
 	for i, q := range env.Queries {
-		if !force && prev != nil && reusable(prev, q, tfps) {
+		if prev != nil && reusable(prev, q, tfps) {
 			// Reconstructing a slim cache from the previous set's entries
 			// is deterministic bit-for-bit, so a reused query's costs are
 			// byte-identical before and after the swap.
@@ -476,7 +587,7 @@ func (t *tenant) buildSet(force bool) (*snapshotSet, bool, error) {
 	}
 	if len(rebuild) > 0 {
 		errs := make([]error, len(rebuild))
-		core.Fan(len(rebuild), s.cfg.Workers, func() func(int) {
+		core.Fan(len(rebuild), t.srv.cfg.Workers, func() func(int) {
 			ws := whatif.NewSession(env.Catalog)
 			return func(k int) {
 				caches[rebuild[k]], errs[k] = core.BuildSlim(env.Analyses[rebuild[k]], ws)
@@ -484,20 +595,18 @@ func (t *tenant) buildSet(force bool) (*snapshotSet, bool, error) {
 		})
 		for k, err := range errs {
 			if err != nil {
-				return nil, false, fmt.Errorf("rebuilding %s: %w", env.Queries[rebuild[k]].Name, err)
+				return nil, 0, fmt.Errorf("rebuilding %s: %w", env.Queries[rebuild[k]].Name, err)
 			}
 		}
 	}
-	source := sourceRebuilt
-	if reused > 0 {
-		source = sourceIncremental
-	}
-	set, err := newSnapshotSet(env, caches, source)
-	if err != nil {
-		return nil, false, err
-	}
-	set.reused, set.rebuilt = reused, len(rebuild)
-	return set, false, nil
+	return caches, reused, nil
+}
+
+// assemble is the last phase of every load that builds a set:
+// newSnapshotSet over the caches and the fingerprints walked above.
+func (t *tenant) assemble(env *Environment, caches []*inum.Cache, source string, fp uint64, tfps map[string]uint64, lt *loadTimes) (*snapshotSet, error) {
+	defer t.srv.observePhase(lt, phaseAssemble, time.Now())
+	return newSnapshotSet(env, caches, source, fp, tfps)
 }
 
 // reusable reports whether the previous set's cache for q can serve

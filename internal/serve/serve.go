@@ -4,9 +4,10 @@
 // hot-swappable plan-cache snapshots, one per tenant.
 //
 // Concurrency model: everything a request reads — plan caches, analyses,
-// queries, catalog, base costs, the advisor candidate set and the what-if
-// index interner — is bundled into one immutable snapshotSet behind an
-// atomic pointer. A request loads the pointer once and works on that set
+// queries, catalog, base costs, the advisor candidate set (generated by
+// the first request that reads it, then fixed) and the what-if index
+// interner — is bundled into one immutable snapshotSet behind an atomic
+// pointer. A request loads the pointer once and works on that set
 // for its whole lifetime; a concurrent reload builds a complete new set in
 // the background and publishes it with a single pointer store, so
 // in-flight requests keep their consistent world and new requests see the
@@ -224,6 +225,8 @@ type Server struct {
 	panics    *obs.Counter
 	oversized *obs.Counter
 	unmatched *obs.Counter
+	// loadPhases times every tenant's loads from inside (see loadPhase).
+	loadPhases [numLoadPhases]*obs.Histogram
 
 	// traceBase/traceSeq mint process-unique trace IDs without math/rand:
 	// the start time in base-36 plus a monotonic sequence.
@@ -321,7 +324,11 @@ func New(cfg Config) (*Server, error) {
 				Analyses: cfg.Analyses,
 				Weights:  cfg.Weights,
 			}
-			set, err := newSnapshotSet(env, cfg.Caches, sourceStartup)
+			if err := env.validate(); err != nil {
+				return nil, err
+			}
+			fp, tfps := plancache.Fingerprints(env.Catalog, env.Stats, optimizer.DefaultCostParams())
+			set, err := newSnapshotSet(env, cfg.Caches, sourceStartup, fp, tfps)
 			if err != nil {
 				return nil, err
 			}
@@ -352,6 +359,10 @@ func (s *Server) registerProcessMetrics() {
 		"Request bodies refused with 413 for exceeding the body-size cap.")
 	s.unmatched = s.reg.Counter("pinum_http_unmatched_total",
 		"Requests for unregistered paths answered 404.")
+	for p, name := range loadPhaseNames {
+		s.loadPhases[p] = s.reg.Histogram("pinum_load_phase_seconds",
+			"Wall time of one phase of a cold load or reload, by phase.", obs.L("phase", name))
+	}
 	s.reg.GaugeFunc("pinum_uptime_seconds",
 		"Seconds since the server was constructed.",
 		func() float64 { return time.Since(s.start).Seconds() })
@@ -879,7 +890,11 @@ func (s *Server) recommendOn(ctx context.Context, set *snapshotSet, req *Recomme
 			return nil, err
 		}
 	}
-	for _, ix := range set.candidates {
+	cs, err := set.candidates()
+	if err != nil {
+		return nil, err
+	}
+	for _, ix := range cs.indexes {
 		ad.AddCandidate(ix)
 	}
 	rt := time.Now()
@@ -1106,8 +1121,14 @@ func (s *Server) tenantHealth(t *tenant) map[string]any {
 		out["queries"] = len(set.env.Queries)
 		out["entries"] = entries
 		out["slim"] = slim
-		out["candidates"] = len(set.candidates)
-		out["candidate_gen_errors"] = len(set.genErrors)
+		// First use generates the candidate set here, off any request
+		// path; a probe that cannot says so instead of reporting zero.
+		if cs, err := set.candidates(); err != nil {
+			out["candidates_error"] = err.Error()
+		} else {
+			out["candidates"] = len(cs.indexes)
+			out["candidate_gen_errors"] = len(cs.genErrors)
+		}
 		out["fingerprint"] = fmt.Sprintf("%016x", set.fingerprint)
 		out["snapshot_source"] = set.source
 	}
@@ -1260,8 +1281,10 @@ func (s *Server) handleStatz(r *http.Request) (any, error) {
 			out["snapshot_source"] = set.source
 			out["queries_reused"] = set.reused
 			out["queries_rebuilt"] = set.rebuilt
-			if len(set.genErrors) > 0 {
-				out["candidate_gen_errors"] = set.genErrors
+			if cs, err := set.candidates(); err != nil {
+				out["candidates_error"] = err.Error()
+			} else if len(cs.genErrors) > 0 {
+				out["candidate_gen_errors"] = cs.genErrors
 			}
 		}
 	}

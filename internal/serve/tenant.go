@@ -345,15 +345,19 @@ func (s *Server) acquireSet(t *tenant) (*snapshotSet, error) {
 	if err := faultpoint.Hit("serve.tenant.load"); err != nil {
 		return nil, s.coldLoadFailed(t, err)
 	}
-	t.coldLoads.Inc()
-	set, _, err := t.buildSetContained(false)
+	var lt loadTimes
+	set, _, err := t.buildSetContained(false, &lt)
 	if err != nil {
 		return nil, s.coldLoadFailed(t, err)
 	}
+	// Counted only once it publishes, so cold loads − evictions is the
+	// number of resident tenants whatever failed on the way; a failed load
+	// is in pinum_tenant_reloads_total{result="failed"}.
+	t.coldLoads.Inc()
 	t.publish(set)
-	t.saveSnapshot(set, "")
+	t.saveSnapshot(set, "", &lt)
 	s.recordEvent("cold-load", t.name, "",
-		fmt.Sprintf("fingerprint=%016x source=%s", set.fingerprint, set.source))
+		fmt.Sprintf("fingerprint=%016x source=%s %s", set.fingerprint, set.source, &lt))
 	return set, nil
 }
 

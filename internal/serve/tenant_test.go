@@ -589,3 +589,46 @@ func TestMultiTenantHealthAndStatz(t *testing.T) {
 		t.Fatalf("initech section %+v, want cold", st)
 	}
 }
+
+// TestFailedColdLoadIsNotAColdLoad pins the conservation identity the
+// benchmark checks at round end: cold loads − evictions is the number of
+// resident tenants, whatever failed on the way. A load that does not
+// publish is a failed reload, not a cold load.
+func TestFailedColdLoadIsNotAColdLoad(t *testing.T) {
+	f := newMTFixture(t, mtSeeds, mtOrder, 0, nil)
+	t.Cleanup(faultpoint.Reset)
+	probe := []byte(`{"indexes":[]}`)
+	conserved := func(when string) {
+		t.Helper()
+		for _, name := range mtOrder {
+			st := f.tenantStatz(t, name)
+			resident := int64(0)
+			if st.Resident {
+				resident = 1
+			}
+			if st.ColdLoads-st.Evictions != resident {
+				t.Errorf("%s: %s has cold_loads=%d evictions=%d resident=%v", when, name, st.ColdLoads, st.Evictions, st.Resident)
+			}
+		}
+	}
+
+	if err := faultpoint.Set("serve.rebuild", "error"); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := f.do(t, http.MethodPost, "/whatif", "acme", probe); code != http.StatusServiceUnavailable {
+		t.Fatalf("cold load under serve.rebuild=error: %d %s, want 503", code, body)
+	}
+	if st := f.tenantStatz(t, "acme"); st.ColdLoads != 0 || st.Reloads.Failed != 1 {
+		t.Fatalf("after a failed cold load: cold_loads=%d failed=%d, want 0 and 1", st.ColdLoads, st.Reloads.Failed)
+	}
+	conserved("after the failed load")
+
+	faultpoint.Clear("serve.rebuild")
+	if code, body := f.do(t, http.MethodPost, "/whatif", "acme", probe); code != http.StatusOK {
+		t.Fatalf("cold load after the fault cleared: %d %s", code, body)
+	}
+	if st := f.tenantStatz(t, "acme"); st.ColdLoads != 1 || st.Reloads.Failed != 1 {
+		t.Fatalf("after the load that published: cold_loads=%d failed=%d, want 1 and 1", st.ColdLoads, st.Reloads.Failed)
+	}
+	conserved("after the published load")
+}
