@@ -10,40 +10,154 @@
 // replaces with precomputation and integer identities. Results are
 // bit-identical to OptimizeReference: the equivalence suite
 // (equivalence_test.go) pins that for every Options combination.
+//
+// An ExportAll call considers hundreds of candidates for each one it keeps,
+// so a join candidate pays only for the cheapest test that can kill it, in
+// this order: (1) screen — its metric, plus a key that is 32 bytes (planKey;
+// PreciseNLJ's coefficient lanes ride in a side array) written into a
+// planner-owned scratch and found in an open-addressed table by a hash
+// summed from its children's carried hashes — drops a dedup loss, nine
+// arrivals in ten on dense shapes, before a joinCand exists; (2)
+// frontierAdd screens for dominance on packed keys alone; (3) the slot's
+// last winner is materialised once, when its relation drains.
 package optimizer
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"github.com/pinumdb/pinum/internal/catalog"
 	"github.com/pinumdb/pinum/internal/query"
 )
 
 // planKey is the packed (leaf combo, output order) identity of a path — the
-// fast equivalent of the reference path's string pathKey. Leaf requirements
-// pack one byte per relation (access mode in the top two bits, the interned
-// interesting-order column id in the low six), stored as two uint64 words so
-// a join's combo is the OR of its children's. Nested-loop probe counts pack
-// as interned 32-bit coefficient ids, two lanes per word; the output order
-// packs the interned global column ids, 16 bits each. NewAnalysis guarantees
-// the capacity invariants (≤16 relations, ≤63 interesting orders per
-// relation, orders ≤8 columns) before enabling the fast path.
+// fast equivalent of the reference path's string pathKey, 32 bytes. Leaf
+// requirements pack one byte per relation (access mode in the top two bits,
+// the interned interesting-order column id in the low six), stored as two
+// uint64 words so a join's combo is the OR of its children's; the output
+// order packs the interned global column ids, 16 bits each. NewAnalysis
+// guarantees the capacity invariants (≤16 relations, ≤63 interesting orders
+// per relation, orders ≤8 columns) before enabling the packed lane.
 type planKey struct {
 	leaves [2]uint64
-	coefs  [8]uint64
 	order  [2]uint64
 }
 
-// leafByte writes the packed requirement byte for rel into k.
-func (k *planKey) setLeafByte(rel int, b uint8) {
-	k.leaves[rel>>3] |= uint64(b) << uint((rel&7)*8)
+// coefLanes extends a planKey under PreciseNLJ, the only mode whose plan
+// identity includes nested-loop probe counts: interned 32-bit coefficient
+// ids, two relations per word. The lanes live in slices parallel to the
+// slot keys and the key arena that are appended to, hashed and compared
+// only when PreciseNLJ is set, so the construction modes never carry them.
+type coefLanes [8]uint64
+
+func (c *coefLanes) lane(rel int) uint32 {
+	return uint32(c[rel>>1] >> uint((rel&1)*32))
 }
 
-// setCoefLane writes the interned coefficient id for rel into k.
-func (k *planKey) setCoefLane(rel int, id uint32) {
-	k.coefs[rel>>1] |= uint64(id) << uint((rel&1)*32)
+// Key hashing. A key's hash is keyHash over a part that is linear in its
+// leaf words and coefficient lanes (word × odd multiplier, summed). The
+// leaf bytes and lanes of disjoint relation sets never overlap, so OR is +
+// and the linear part of a join is the sum of its children's: every arena
+// key carries its own (hashedKey.h) and a candidate's costs two additions
+// and one finalising mix, not a walk over the key.
+var hashL = [2]uint64{0x9e3779b97f4a7c15, 0xc2b2ae3d27d4eb4f}
+
+func leafHash(l *[2]uint64) uint64 { return l[0]*hashL[0] + l[1]*hashL[1] }
+
+func coefMul(w int) uint64 { return 0x27d4eb2f165667c5 * uint64(2*w+1) }
+
+func coefHash(c *coefLanes) (h uint64) {
+	for w, v := range c {
+		h += v * coefMul(w)
+	}
+	return h
+}
+
+// keyHash adds the output order and finalises (murmur3's 64-bit mix: the
+// table indexes by the low bits).
+func keyHash(lh, o0, o1 uint64) uint64 {
+	h := lh + o0*0x165667b19e3779f9 + o1*0xd6e8feb86659fd93
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
+}
+
+// hashedKey is a planKey beside a hash of it. In the key arena — what a
+// retained path keeps for the joins built on top of it (Path.pkRef) — h is
+// the linear part; in a keyTable it is the finalised hash.
+type hashedKey struct {
+	planKey
+	h uint64
+}
+
+// keyTable is the dedup index of the join relation under construction: slot
+// keys in first-arrival order, found through one open-addressed table of
+// slot+1 entries (linear probing, load ≤ ½, never empty) on the finalised
+// hash. The hash sits beside its key, so a probe compares one word of the
+// same cache line first and growth reinserts without rehashing.
+type keyTable struct {
+	precise bool // PreciseNLJ: coefs is maintained and compared
+	index   []int32
+	keys    []hashedKey
+	coefs   []coefLanes
+}
+
+// find returns the slot holding the key (k, c) whose hash is h, or -1.
+//
+//pinum:hotpath
+func (t *keyTable) find(k *planKey, c *coefLanes, h uint64) int32 {
+	mask := uint64(len(t.index) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := t.index[i] - 1
+		if s < 0 || t.keys[s].h == h && t.keys[s].planKey == *k && (!t.precise || t.coefs[s] == *c) {
+			return s
+		}
+	}
+}
+
+// insert appends a key find did not locate and returns its slot, doubling
+// the table by reinsertion when the load would pass ½.
+//
+//pinum:hotpath
+func (t *keyTable) insert(k *planKey, c *coefLanes, h uint64) int32 {
+	t.keys = append(t.keys, hashedKey{*k, h})
+	if t.precise {
+		t.coefs = append(t.coefs, *c)
+	}
+	from := len(t.keys) - 1
+	if 2*len(t.keys) > len(t.index) {
+		t.index, from = make([]int32, 2*len(t.index)), 0
+	}
+	mask := uint64(len(t.index) - 1)
+	for s := from; s < len(t.keys); s++ {
+		i := t.keys[s].h & mask
+		for t.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.index[i] = int32(s) + 1
+	}
+	return int32(len(t.keys) - 1)
+}
+
+// reset empties the table for the next join relation, keeping its buffers.
+func (t *keyTable) reset() {
+	t.keys, t.coefs = t.keys[:0], t.coefs[:0]
+	clear(t.index)
+}
+
+// candScratch is the planner-owned scratch every arrival's key is assembled
+// in (candOf/candLeaf/candPath the leaves, probe the order) and found
+// through: keys are never built or returned by value.
+type candScratch struct {
+	key   planKey
+	coefs coefLanes // PreciseNLJ only
+	lh    uint64    // linear part of the hash
+	h     uint64    // keyHash
+	slot  int32     // the key's slot in planner.slots, -1 when new
 }
 
 // clauseInfo is one join clause prepared for O(1) split tests: the two
@@ -83,7 +197,7 @@ type planCtx struct {
 	clauses        []clauseInfo
 	bufFwd, bufRev []clauseRef
 
-	// coefs interns nested-loop probe counts for planKey (PreciseNLJ);
+	// coefs interns nested-loop probe counts for coefLanes (PreciseNLJ);
 	// coefVals is the reverse table (id-1 → value) the subsumption test
 	// reads probe counts back through.
 	coefs    map[float64]uint32
@@ -198,8 +312,8 @@ func (ctx *planCtx) lookup(a *Analysis, rel int, col string) *lookupMemo {
 }
 
 // coefID interns a nested-loop probe coefficient (1-based, so a zero lane
-// in planKey.coefs means "no coefficient recorded", mirroring how the
-// string key only appends the coefficient for precise lookup leaves).
+// means "no coefficient recorded", mirroring how the string key only
+// appends the coefficient for precise lookup leaves).
 func (ctx *planCtx) coefID(coef float64) uint32 {
 	if ctx.coefs == nil {
 		ctx.coefs = make(map[float64]uint32)
@@ -211,11 +325,6 @@ func (ctx *planCtx) coefID(coef float64) uint32 {
 	ctx.coefs[coef] = id
 	ctx.coefVals = append(ctx.coefVals, coef)
 	return id
-}
-
-// coefLane reads the interned coefficient id for rel out of k.
-func (k *planKey) coefLane(rel int) uint32 {
-	return uint32(k.coefs[rel>>1] >> uint((rel&1)*32))
 }
 
 // packOrder packs an output order as its interned global column ids, 16
@@ -260,7 +369,7 @@ func (ctx *planCtx) orderIDPacked(packed [2]uint64, order []query.ColRef) int32 
 // usefulLead on a miss. The cache is keyed by the column's global interned
 // id and resets when the join relation under construction changes (the DP
 // completes one relation at a time). Both usefulOrder's fast branch and
-// usefulOrderFast share this memo, so the invalidation protocol lives in
+// usefulFast share this memo, so the invalidation protocol lives in
 // exactly one place.
 //
 //pinum:hotpath
@@ -268,9 +377,7 @@ func (p *planner) usefulMemo(set RelSet, lead query.ColRef, g uint16) bool {
 	ctx := p.ctx
 	if ctx.usefulSet != set {
 		ctx.usefulSet = set
-		for i := range ctx.useful {
-			ctx.useful[i] = 0
-		}
+		clear(ctx.useful)
 	}
 	switch ctx.useful[g] {
 	case 1:
@@ -286,111 +393,124 @@ func (p *planner) usefulMemo(set RelSet, lead query.ColRef, g uint16) bool {
 	return false
 }
 
-// usefulOrderFast is usefulOrder with the verdict memoized per (join
-// relation, leading column id); the id comes straight from the packed
-// order, so the memo costs two array reads per probe. It returns the
-// (possibly trimmed) order in both forms.
+// usefulFast is usefulOrder's verdict memoized per (join relation, leading
+// column id). lead is the low word of the order's pack, whose low 16 bits
+// are the leading column's global id, so the memo costs two array reads per
+// probe; an order that is not useful trims to nil and a zero pack.
 //
 //pinum:hotpath
-func (p *planner) usefulOrderFast(set RelSet, order []query.ColRef, pack [2]uint64) ([]query.ColRef, [2]uint64) {
-	if len(order) == 0 {
-		return nil, [2]uint64{}
-	}
-	// The low 16 bits of the pack are the leading column's global id.
-	if p.usefulMemo(set, order[0], uint16(pack[0])) {
-		return order, pack
-	}
-	return nil, [2]uint64{}
+func (p *planner) usefulFast(set RelSet, order []query.ColRef, lead uint64) bool {
+	return len(order) > 0 && p.usefulMemo(set, order[0], uint16(lead))
 }
 
-// packLeaf folds one relation's leaf requirement into the key, interning
-// the column through the analysis maps. Join candidates avoid this path
-// entirely (their children's packed leaves OR together); it runs only for
-// base-relation scans and the grouping planner's complete plans.
+// candLeaf ORs one relation's leaf requirement (mode, the column's interned
+// per-relation id, the probe count) into the scratch key.
 //
 //pinum:hotpath
-func (p *planner) packLeaf(k *planKey, rel int, req LeafReq) {
-	if req.Mode == AccessAny {
-		return
+func (p *planner) candLeaf(rel int, mode AccessMode, id uint16, coef float64) {
+	cd, b := &p.cand, uint64(id) // packed lane only, so the id fits 6 bits
+	if !p.opt.PaperPrune {
+		// Under PaperPrune the byte is the bare column id: the string
+		// key's 'c' mode collapse.
+		b |= uint64(mode) << 6
 	}
-	// Packed lane only, so the id fits 6 bits (Analysis.packed).
-	id := uint8(p.a.ordIDs[rel][req.Col])
-	if p.opt.PaperPrune {
-		// The string key's 'c' mode collapse: the byte is the bare column id.
-		k.setLeafByte(rel, id)
-	} else {
-		k.setLeafByte(rel, uint8(req.Mode)<<6|id)
-	}
-	if req.Mode == AccessLookup && p.opt.PreciseNLJ {
-		k.setCoefLane(rel, p.ctx.coefID(req.Coef))
+	b <<= uint(rel&7) * 8
+	cd.key.leaves[rel>>3] |= b
+	cd.lh += b * hashL[rel>>3]
+	if mode == AccessLookup && p.opt.PreciseNLJ {
+		v := uint64(p.ctx.coefID(coef)) << uint((rel&1)*32)
+		cd.coefs[rel>>1] |= v
+		cd.lh += v * coefMul(rel>>1)
 	}
 }
 
-// pathKeyOf packs the key of an already-materialised path (base-relation
-// scans and the grouping planner's complete plans).
-//
-//pinum:hotpath
-func (p *planner) pathKeyOf(np *Path) planKey {
-	var k planKey
-	for v := uint64(np.Rels); v != 0; {
-		rel := bits.TrailingZeros64(v)
-		v &^= 1 << uint(rel)
-		p.packLeaf(&k, rel, np.Leaves[rel])
-	}
-	k.order = p.ctx.packOrder(np.Order)
-	return k
-}
-
-// keyOf returns the packed key of a path retained by a finished join
-// relation (fast ExportAll mode only; finishRelFast assigns pkRef when it
+// keyOf returns the arena key of a path retained by a finished join
+// relation (packed ExportAll lane only; finishRelFast assigns pkRef when it
 // moves a kept path's key into the arena).
-func (p *planner) keyOf(pt *Path) *planKey {
+func (p *planner) keyOf(pt *Path) *hashedKey {
 	return &p.keyArena[pt.pkRef-1]
 }
 
-// candKeyOf packs the key of a join candidate without materialising it: the
-// children's packed leaf combos OR together (their relation sets are
-// disjoint), the nested-loop probe adds its own byte, and the output order
-// pack and the children's arena keys were threaded through joinPaths.
+// candOf starts the scratch key of the candidates joining op and ip without
+// materialising anything: the children's packed leaf combos OR together
+// (their relation sets are disjoint) and their carried hashes add. ip is
+// nil for an indexed nested loop, whose probe leaf candLeaf adds.
 //
 //pinum:hotpath
-func (p *planner) candKeyOf(c *joinCand) planKey {
-	var k planKey
-	k.leaves = c.outerKey.leaves
-	if c.innerKey != nil {
-		k.leaves[0] |= c.innerKey.leaves[0]
-		k.leaves[1] |= c.innerKey.leaves[1]
-	}
+func (p *planner) candOf(op, ip *Path) {
+	cd, ok := &p.cand, p.keyOf(op)
+	cd.key.leaves, cd.lh = ok.leaves, ok.h
 	if p.opt.PreciseNLJ {
-		k.coefs = c.outerKey.coefs
-		if c.innerKey != nil {
-			for w := range k.coefs {
-				k.coefs[w] |= c.innerKey.coefs[w]
-			}
+		cd.coefs = p.arenaCoefs[op.pkRef-1]
+	}
+	if ip == nil {
+		return
+	}
+	ik := p.keyOf(ip)
+	cd.key.leaves[0] |= ik.leaves[0]
+	cd.key.leaves[1] |= ik.leaves[1]
+	cd.lh += ik.h
+	if p.opt.PreciseNLJ {
+		for w, v := range &p.arenaCoefs[ip.pkRef-1] {
+			cd.coefs[w] |= v
 		}
 	}
-	if c.op == OpNestLoop {
-		b := uint8(AccessLookup)<<6 | uint8(c.nljColID)
-		if p.opt.PaperPrune {
-			b = uint8(c.nljColID)
-		}
-		k.setLeafByte(c.nljRel, b)
-		if p.opt.PreciseNLJ {
-			k.setCoefLane(c.nljRel, p.ctx.coefID(c.nljCoef))
-		}
-	}
-	k.order = c.orderPack
-	return k
 }
 
-// frontierAdd runs one packed-key arrival through the insertion-time
-// dominance frontier (frontier.go documents the protocol and why it is
-// exact). It returns the arrival's slot and whether the caller should
-// materialise and store the path (p.keyed[slot] = np); a false return
-// means the arrival lost its dedup slot or was dominated on arrival, so
-// no Path is ever allocated for it. All screening here reads packed keys
-// and the slot metric/order arrays only — never p.keyed — which is what
-// lets dead slots exist without a materialised path.
+// candPath assembles and probes the key of an already-materialised path
+// (base-relation scans and the grouping planner's complete plans), interning
+// its columns through the analysis maps; join candidates never do.
+//
+//pinum:hotpath
+func (p *planner) candPath(np *Path) {
+	p.cand.key.leaves, p.cand.lh, p.cand.coefs = [2]uint64{}, 0, coefLanes{}
+	for v := uint64(np.Rels); v != 0; v &= v - 1 {
+		rel := bits.TrailingZeros64(v)
+		if req := &np.Leaves[rel]; req.Mode != AccessAny {
+			p.candLeaf(rel, req.Mode, p.a.ordIDs[rel][req.Col], req.Coef)
+		}
+	}
+	o := p.ctx.packOrder(np.Order)
+	p.probe(o[0], o[1])
+}
+
+// probe completes the scratch key with its output order and looks it up.
+//
+//pinum:hotpath
+func (p *planner) probe(o0, o1 uint64) {
+	cd := &p.cand
+	cd.key.order[0], cd.key.order[1] = o0, o1
+	cd.h = keyHash(cd.lh, o0, o1)
+	cd.slot = p.slots.find(&cd.key, &cd.coefs, cd.h)
+}
+
+// screen is the first and cheapest test a join candidate takes, before
+// anything is built for it: with the pair's leaves in the scratch key, it
+// adds the candidate's order, probes, and reports a dedup loss — a known
+// key whose slot already holds a metric no worse — counted exactly as
+// frontierAdd would. Everything else goes on to addJoin, which finds the
+// probe's result in the scratch.
+//
+//pinum:hotpath
+func (p *planner) screen(o0, o1 uint64, cost, internal float64) bool {
+	p.probe(o0, o1)
+	if s := p.cand.slot; s < 0 || p.slotMetric[s] > p.metric(cost, internal) {
+		return false
+	}
+	p.res.Stats.PathsConsidered++
+	p.res.Stats.PathsPruned++
+	return true
+}
+
+// frontierAdd runs the arrival whose key candPath or screen left in the
+// scratch through the insertion-time dominance frontier (frontier.go
+// documents the protocol and why it is exact). It returns the arrival's
+// slot and whether it now holds the slot: the caller then stores the
+// candidate there (p.cands[slot]) and marks it live; a false return means
+// the arrival lost its dedup slot or was dominated on arrival. All
+// screening here reads packed keys and the slot metric/order arrays only —
+// never p.cands — and no Path exists for a join candidate before its
+// relation drains (finishRelFast).
 //
 // Under PaperPrune+PreciseNLJ the key keeps NLJ coefficient lanes that the
 // column-collapsed subsumption ignores, so two distinct keys can dominate
@@ -414,15 +534,25 @@ type bucketEnt struct {
 }
 
 //pinum:hotpath
-func (p *planner) frontierAdd(key *planKey, m float64, order []query.ColRef) (int32, bool) {
+func (p *planner) frontierAdd(m float64, order []query.ColRef) (int32, bool) {
 	zombie := p.opt.PaperPrune && p.opt.PreciseNLJ
-	if s, ok := p.fastKey[*key]; ok {
+	cd := &p.cand
+	s := cd.slot
+	if s < 0 {
+		// New key: a dead slot with no witness, screened below.
+		s = p.slots.insert(&cd.key, &cd.coefs, cd.h)
+		p.cands = append(p.cands, joinCand{})
+		p.live = append(p.live, false)
+		p.slotOrd = append(p.slotOrd, p.ctx.orderIDPacked(cd.key.order, order))
+		p.slotMetric = append(p.slotMetric, m)
+		p.slotWitness = append(p.slotWitness, -1)
+	} else {
 		if p.slotMetric[s] <= m {
 			p.res.Stats.PathsPruned++
 			return 0, false
 		}
 		p.res.Stats.PathsPruned++ // the displaced incumbent
-		if p.keyed[s] != nil {
+		if p.live[s] {
 			// Live improvement: the dominator set only shrinks as the
 			// metric drops, so no re-screen — reposition in the bucket
 			// (searched at the old metric) and evict what s now dominates.
@@ -433,79 +563,51 @@ func (p *planner) frontierAdd(key *planKey, m float64, order []query.ColRef) (in
 			return s, true
 		}
 		if zombie {
-			// The dead slot is a zombie parked in its bucket; reposition
-			// it, re-screen at the new metric — the recorded witness makes
-			// that O(1) while it still applies — and run the eviction scan
-			// whether it revives or not (dead population members still
-			// dominate under the batch rule).
+			// The dead slot is a zombie parked in its bucket: reposition it.
 			p.bucketRemove(s)
-			p.slotMetric[s] = m
-			dominated := true
-			if w := p.slotWitness[s]; w < 0 || p.slotMetric[w] > m {
-				d := p.frontierDominated(p.slotOrd[s], m, &p.keys[s])
-				p.slotWitness[s] = d
-				dominated = d >= 0
-			}
-			p.bucketInsert(s)
-			p.frontierEvict(s, zombie)
-			if dominated {
-				p.res.Stats.FrontierDrops++
-				return 0, false
-			}
-			p.res.Stats.FrontierInserts++
-			return s, true
 		}
 		p.slotMetric[s] = m
-		if w := p.slotWitness[s]; w >= 0 && p.keyed[w] != nil && p.slotMetric[w] <= m {
-			p.res.Stats.FrontierDrops++
-			return 0, false
-		}
-		if d := p.frontierDominated(p.slotOrd[s], m, &p.keys[s]); d >= 0 {
-			p.slotWitness[s] = d
-			p.res.Stats.FrontierDrops++
-			return 0, false
-		}
-		// Revival: the slot re-enters the frontier under its original
-		// sequence number, preserving the first-insertion tie order.
-		p.res.Stats.FrontierInserts++
-		p.bucketInsert(s)
-		p.frontierEvict(s, zombie)
-		return s, true
 	}
-	s := int32(len(p.keys))
-	p.fastKey[*key] = s
-	p.keys = append(p.keys, *key)
-	p.keyed = append(p.keyed, nil)
-	ord := p.ctx.orderIDPacked(key.order, order)
-	p.slotOrd = append(p.slotOrd, ord)
-	p.slotMetric = append(p.slotMetric, m)
-	p.slotWitness = append(p.slotWitness, -1)
+	// s is dead at metric m: screen it. The recorded witness makes that
+	// O(1) while it still applies.
 	if zombie {
-		d := p.frontierDominated(ord, m, &p.keys[s])
-		p.slotWitness[s] = d
+		// Dead population members still dominate under the batch rule, so
+		// the eviction scan runs whether s enters the frontier or not.
+		dominated := true
+		if w := p.slotWitness[s]; w < 0 || p.slotMetric[w] > m {
+			d := p.frontierDominated(s)
+			p.slotWitness[s] = d
+			dominated = d >= 0
+		}
 		p.bucketInsert(s)
 		p.frontierEvict(s, zombie)
-		if d >= 0 {
+		if dominated {
 			p.res.Stats.FrontierDrops++
 			return 0, false
 		}
 		p.res.Stats.FrontierInserts++
 		return s, true
 	}
-	if d := p.frontierDominated(ord, m, &p.keys[s]); d >= 0 {
+	if w := p.slotWitness[s]; w >= 0 && p.live[w] && p.slotMetric[w] <= m {
+		p.res.Stats.FrontierDrops++
+		return 0, false
+	}
+	if d := p.frontierDominated(s); d >= 0 {
 		p.slotWitness[s] = d
 		p.res.Stats.FrontierDrops++
 		return 0, false
 	}
+	// A revived slot re-enters the frontier under its original sequence
+	// number, preserving the first-insertion tie order.
 	p.res.Stats.FrontierInserts++
 	p.bucketInsert(s)
 	p.frontierEvict(s, zombie)
 	return s, true
 }
 
-// frontierDominated screens an arrival against the frontier: a bucket
-// member with metric ≤ m whose order satisfies ord and whose packed key
-// subsumes the arrival's. Buckets hold the live slots (plus, in zombie
+// frontierDominated screens slot s, at its recorded metric, against the
+// frontier: a bucket member with metric ≤ s's whose order satisfies s's and
+// whose packed key subsumes s's. Buckets hold the live slots (plus, in zombie
 // mode, the dead ones — dominators either way, so no liveness check is
 // needed) in (metric, slot) order, so each scan stops at the first larger
 // metric, exactly like the batch pass over its fully sorted slice.
@@ -513,9 +615,9 @@ func (p *planner) frontierAdd(key *planKey, m float64, order []query.ColRef) (in
 // witness — or -1.
 //
 //pinum:hotpath
-func (p *planner) frontierDominated(ord int32, m float64, key *planKey) int32 {
-	sat := p.ctx.sat
-	l0, l1 := key.leaves[0], key.leaves[1]
+func (p *planner) frontierDominated(s int32) int32 {
+	sat, ord, m := p.ctx.sat, p.slotOrd[s], p.slotMetric[s]
+	l0, l1 := p.slots.keys[s].leaves[0], p.slots.keys[s].leaves[1]
 	for b := range p.buckets {
 		if !sat[b][ord] {
 			continue
@@ -526,7 +628,7 @@ func (p *planner) frontierDominated(ord int32, m float64, key *planKey) int32 {
 			if e.metric > m {
 				break
 			}
-			if e.l0&^l0 == 0 && e.l1&^l1 == 0 && p.subsumesPacked(&p.keys[e.slot], key) {
+			if e.l0&^l0 == 0 && e.l1&^l1 == 0 && p.subsumesPacked(e.slot, s) {
 				return e.slot
 			}
 		}
@@ -544,8 +646,7 @@ func (p *planner) frontierDominated(ord int32, m float64, key *planKey) int32 {
 //pinum:hotpath
 func (p *planner) frontierEvict(s int32, zombie bool) {
 	m := p.slotMetric[s]
-	sk := &p.keys[s]
-	sl0, sl1 := sk.leaves[0], sk.leaves[1]
+	sl0, sl1 := p.slots.keys[s].leaves[0], p.slots.keys[s].leaves[1]
 	sat := p.ctx.sat[p.slotOrd[s]]
 	for b := range p.buckets {
 		if !sat[b] {
@@ -568,9 +669,8 @@ func (p *planner) frontierEvict(s int32, zombie bool) {
 			for i := lo; i < len(bucket); i++ {
 				e := &bucket[i]
 				t := e.slot
-				if t != s && p.keyed[t] != nil && sl0&^e.l0 == 0 && sl1&^e.l1 == 0 &&
-					p.subsumesPacked(sk, &p.keys[t]) {
-					p.keyed[t] = nil
+				if t != s && p.live[t] && sl0&^e.l0 == 0 && sl1&^e.l1 == 0 && p.subsumesPacked(s, t) {
+					p.live[t] = false
 					p.slotWitness[t] = s
 					p.res.Stats.FrontierEvictions++
 				}
@@ -581,8 +681,8 @@ func (p *planner) frontierEvict(s int32, zombie bool) {
 		for i := lo; i < len(bucket); i++ {
 			e := bucket[i]
 			t := e.slot
-			if t != s && sl0&^e.l0 == 0 && sl1&^e.l1 == 0 && p.subsumesPacked(sk, &p.keys[t]) {
-				p.keyed[t] = nil
+			if t != s && sl0&^e.l0 == 0 && sl1&^e.l1 == 0 && p.subsumesPacked(s, t) {
+				p.live[t] = false
 				p.slotWitness[t] = s
 				p.res.Stats.FrontierEvictions++
 				continue
@@ -606,7 +706,7 @@ func (p *planner) bucketInsert(s int32) {
 	}
 	ord := p.slotOrd[s]
 	b := p.buckets[ord]
-	k := &p.keys[s]
+	k := &p.slots.keys[s]
 	e := bucketEnt{metric: p.slotMetric[s], l0: k.leaves[0], l1: k.leaves[1], slot: s}
 	lo, hi := 0, len(b)
 	for lo < hi {
@@ -643,25 +743,31 @@ func (p *planner) bucketRemove(s int32) {
 
 // addJoinFast screens a join candidate before any allocation: in ExportAll
 // mode through the insertion-time dominance frontier, in normal mode
-// against the retained path list. Only survivors are materialised.
+// against the retained path list. Only survivors are materialised — in the
+// packed lane not before their relation drains.
 //
 //pinum:hotpath
 func (p *planner) addJoinFast(jr *joinRel, c *joinCand) {
 	p.res.Stats.PathsConsidered++
 	if p.opt.ExportAll {
+		m := p.metric(c.cost, c.internal)
 		if !p.ctx.packed {
-			// Wide lane: the candidate's plan identity does not fit
-			// planKey, so materialise and run the string-keyed frontier.
-			p.wideAdd(c.materialize(p, jr.set))
+			// Wide lane: the plan identity does not fit planKey, so the
+			// string-keyed frontier decides — but dedup first, on key bytes
+			// built from the candidate, so a loser is never materialised.
+			f := p.wide()
+			p.leafBuf = c.leaves(p.leafBuf)
+			p.keyBuf = appendPathKey(p.keyBuf[:0], jr.set, p.leafBuf, c.order, p.opt.PreciseNLJ, p.opt.PaperPrune)
+			if s, ok := f.byKey[string(p.keyBuf)]; ok && f.slots[s].metric <= m {
+				p.res.Stats.PathsPruned++
+				return
+			}
+			f.add(p.keyBuf, c.materialize(p, jr))
 			return
 		}
-		m := c.internal
-		if p.opt.PaperPrune {
-			m = c.cost
-		}
-		key := p.candKeyOf(c)
-		if slot, ok := p.frontierAdd(&key, m, c.order); ok {
-			p.keyed[slot] = c.materialize(p, jr.set)
+		// joinPaths' screen left the candidate's key and slot in the scratch.
+		if slot, ok := p.frontierAdd(m, c.order); ok {
+			p.cands[slot], p.live[slot] = *c, true
 		}
 		return
 	}
@@ -672,7 +778,7 @@ func (p *planner) addJoinFast(jr *joinRel, c *joinCand) {
 			return
 		}
 	}
-	np := c.materialize(p, jr.set)
+	np := c.materialize(p, jr)
 	keep := jr.paths[:0]
 	for _, old := range jr.paths {
 		if OrderSatisfies(np.Order, old.Order) && np.Cost <= old.Cost*(1+fuzz) {
@@ -874,46 +980,51 @@ func (p *planner) planFastDense(rels []*joinRel, planned int) (*joinRel, error) 
 // pruning already happened at insertion time, so all that remains is to
 // count the dead slots (exactly the keys the old batch pass pruned after
 // materialising them), order the live ones by (metric, first-arrival) —
-// byte-identical to the reference pass's kept sequence — and park their
-// keys in the arena. The slot/bucket buffers are reused across relations.
+// byte-identical to the reference pass's kept sequence — materialise each
+// from the candidate that won its slot, and park their keys in the arena.
+// The slot/bucket buffers are reused across relations.
 //
 //pinum:hotpath
 func (p *planner) finishRelFast(jr *joinRel) {
-	paths, keys := p.keyed, p.keys
-	if len(paths) == 0 {
-		jr.paths = nil
+	jr.paths = nil
+	if len(p.live) == 0 {
 		return
 	}
 	idx := p.idxBuf[:0]
-	for s := range paths {
-		if paths[s] == nil {
+	for s, live := range p.live {
+		if !live {
 			p.res.Stats.PathsPruned++
 			continue
 		}
 		idx = append(idx, int32(s))
 	}
 	sortSlotsByMetric(idx, p.slotMetric)
-	kept := make([]*Path, 0, len(idx))
+	jr.paths = make([]*Path, 0, len(idx))
+	p.keyArena = slices.Grow(p.keyArena, len(idx))
 	for _, s := range idx {
 		// Survivors park their key in the per-call arena; the joins built
 		// on top of this relation read it back through pkRef. Pruned
-		// paths' keys die with the scratch buffer.
-		paths[s].pkRef = int32(len(p.keyArena) + 1)
-		p.keyArena = append(p.keyArena, keys[s])
-		kept = append(kept, paths[s])
+		// slots' keys die with the scratch buffer.
+		pt := p.cands[s].materialize(p, jr)
+		ak := hashedKey{p.slots.keys[s].planKey, leafHash(&p.slots.keys[s].leaves)}
+		if p.opt.PreciseNLJ {
+			ak.h += coefHash(&p.slots.coefs[s])
+			p.arenaCoefs = append(p.arenaCoefs, p.slots.coefs[s])
+		}
+		p.keyArena = append(p.keyArena, ak)
+		pt.pkRef = int32(len(p.keyArena))
+		jr.paths = append(jr.paths, pt)
 	}
-	jr.paths = kept
 	p.idxBuf = idx
 
-	p.keyed = paths[:0]
-	p.keys = keys[:0]
+	p.slots.reset()
+	p.cands, p.live = p.cands[:0], p.live[:0]
 	p.slotMetric = p.slotMetric[:0]
 	p.slotOrd = p.slotOrd[:0]
 	p.slotWitness = p.slotWitness[:0]
 	for b := range p.buckets {
 		p.buckets[b] = p.buckets[b][:0]
 	}
-	clear(p.fastKey)
 }
 
 const (
@@ -933,8 +1044,8 @@ func lookupBits(v uint64) uint64 {
 	return v & swarHi &^ ((v << 1) & swarHi)
 }
 
-// subsumesPacked is comboSubsumes/comboSubsumesByColumn over packed leaf
-// words. Any dominator's requirement bytes are a subset of the candidate's
+// subsumesPacked is comboSubsumes/comboSubsumesByColumn over the packed
+// leaf words of slots a and b. Any dominator's requirement bytes are a subset of the candidate's
 // (Φ slots are zero, equal slots share bits), so a two-word bitwise subset
 // test rejects most pairs before the byte-level pass. A differing
 // requirement byte is then acceptable only when the would-be dominator's
@@ -944,7 +1055,8 @@ func lookupBits(v uint64) uint64 {
 // slots are compared through the interned coefficient lanes.
 //
 //pinum:hotpath
-func (p *planner) subsumesPacked(ka, kb *planKey) bool {
+func (p *planner) subsumesPacked(a, b int32) bool {
+	ka, kb := &p.slots.keys[a], &p.slots.keys[b]
 	if ka.leaves[0]&^kb.leaves[0] != 0 || ka.leaves[1]&^kb.leaves[1] != 0 {
 		return false
 	}
@@ -971,13 +1083,13 @@ func (p *planner) subsumesPacked(ka, kb *planKey) bool {
 		}
 	}
 	if p.opt.PreciseNLJ {
-		vals := p.ctx.coefVals
+		vals, ca, cb := p.ctx.coefVals, &p.slots.coefs[a], &p.slots.coefs[b]
 		for w := 0; w < 2; w++ {
 			for lm := lookupBits(kb.leaves[w]); lm != 0; lm &= lm - 1 {
 				rel := w*8 + bits.TrailingZeros64(lm)>>3
 				// Matching lookup slots have lanes on both sides (every
 				// precise lookup leaf records one).
-				if vals[ka.coefLane(rel)-1] > vals[kb.coefLane(rel)-1] {
+				if vals[ca.lane(rel)-1] > vals[cb.lane(rel)-1] {
 					return false
 				}
 			}

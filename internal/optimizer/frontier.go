@@ -116,7 +116,8 @@ type pathFrontier struct {
 	sat     [][]bool
 	buckets [][]int32
 
-	idxBuf []int32
+	idxBuf    []int32
+	metricBuf []float64
 }
 
 func newPathFrontier(opt Options, stats *PlannerStats, sim bool) *pathFrontier {
@@ -184,14 +185,22 @@ func ordersEqual(a, b []query.ColRef) bool {
 // add runs one arrival through the frontier protocol — the same branch
 // structure, counter emissions, and zombie-mode population semantics as
 // the packed lane's frontierAdd (see its comment for why PaperPrune+
-// PreciseNLJ needs dead slots kept as dominators).
+// PreciseNLJ needs dead slots kept as dominators). key is the caller's
+// reused buffer: only a new key is copied into a string.
 //
 //pinum:hotpath
-func (f *pathFrontier) add(key string, np *Path) {
+func (f *pathFrontier) add(key []byte, np *Path) {
 	zombie := f.opt.PaperPrune && f.opt.PreciseNLJ
 	m := f.metricOf(np)
-	if s, ok := f.byKey[key]; ok {
-		sl := &f.slots[s]
+	s, known := f.byKey[string(key)]
+	if !known {
+		// New key: a dead slot with no witness, screened below.
+		s = int32(len(f.slots))
+		f.byKey[string(key)] = s
+		f.slots = append(f.slots, frontierSlot{path: np, metric: m, ord: f.ordID(np.Order), witness: -1})
+	}
+	sl := &f.slots[s]
+	if known {
 		if sl.metric <= m {
 			if !f.sim {
 				f.stats.PathsPruned++
@@ -205,75 +214,46 @@ func (f *pathFrontier) add(key string, np *Path) {
 			// Live improvement: the dominator set only shrinks as the
 			// metric drops, so no re-screen — reposition and evict.
 			f.bucketRemove(s)
-			sl.metric = m
-			sl.path = np
+			sl.metric, sl.path = m, np
 			f.bucketInsert(s)
 			f.evict(s, zombie)
 			return
 		}
 		if zombie {
 			f.bucketRemove(s)
-			sl.metric = m
-			sl.path = np
-			dominated := true
-			if w := sl.witness; w < 0 || f.slots[w].metric > m {
-				d := f.dominated(sl.ord, m, np)
-				sl.witness = d
-				dominated = d >= 0
-			}
-			f.bucketInsert(s)
-			f.evict(s, zombie)
-			if dominated {
-				f.stats.FrontierDrops++
-				return
-			}
-			sl.live = true
-			f.stats.FrontierInserts++
-			return
 		}
-		sl.metric = m
-		sl.path = np
-		if w := sl.witness; w >= 0 && f.slots[w].live && f.slots[w].metric <= m {
-			f.stats.FrontierDrops++
-			return
-		}
-		if d := f.dominated(sl.ord, m, np); d >= 0 {
+		sl.metric, sl.path = m, np
+	}
+	if zombie {
+		dominated := true
+		if w := sl.witness; w < 0 || f.slots[w].metric > m {
+			d := f.dominated(sl.ord, m, np)
 			sl.witness = d
+			dominated = d >= 0
+		}
+		f.bucketInsert(s)
+		f.evict(s, zombie)
+		if dominated {
 			f.stats.FrontierDrops++
 			return
 		}
-		// Revival: the slot re-enters the frontier under its original
-		// sequence number, preserving first-arrival tie order.
-		sl.witness = -1
 		sl.live = true
 		f.stats.FrontierInserts++
-		f.bucketInsert(s)
-		f.evict(s, zombie)
 		return
 	}
-	s := int32(len(f.slots))
-	f.byKey[key] = s
-	ord := f.ordID(np.Order)
-	f.slots = append(f.slots, frontierSlot{path: np, metric: m, ord: ord, witness: -1})
-	if zombie {
-		d := f.dominated(ord, m, np)
-		f.slots[s].witness = d
-		f.bucketInsert(s)
-		f.evict(s, zombie)
-		if d >= 0 {
-			f.stats.FrontierDrops++
-			return
-		}
-		f.slots[s].live = true
-		f.stats.FrontierInserts++
-		return
-	}
-	if d := f.dominated(ord, m, np); d >= 0 {
-		f.slots[s].witness = d
+	if w := sl.witness; w >= 0 && f.slots[w].live && f.slots[w].metric <= m {
 		f.stats.FrontierDrops++
 		return
 	}
-	f.slots[s].live = true
+	if d := f.dominated(sl.ord, m, np); d >= 0 {
+		sl.witness = d
+		f.stats.FrontierDrops++
+		return
+	}
+	// A revived slot re-enters the frontier under its original sequence
+	// number, preserving first-arrival tie order.
+	sl.witness = -1
+	sl.live = true
 	f.stats.FrontierInserts++
 	f.bucketInsert(s)
 	f.evict(s, zombie)
@@ -410,10 +390,9 @@ func (f *pathFrontier) bucketRemove(s int32) {
 func (f *pathFrontier) finish() []*Path {
 	var kept []*Path
 	if !f.sim {
-		idx := f.idxBuf[:0]
-		metric := make([]float64, len(f.slots))
+		idx, metric := f.idxBuf[:0], f.metricBuf[:0]
 		for s := range f.slots {
-			metric[s] = f.slots[s].metric
+			metric = append(metric, f.slots[s].metric)
 			if !f.slots[s].live {
 				f.stats.PathsPruned++
 				continue
@@ -425,7 +404,7 @@ func (f *pathFrontier) finish() []*Path {
 		for _, s := range idx {
 			kept = append(kept, f.slots[s].path)
 		}
-		f.idxBuf = idx
+		f.idxBuf, f.metricBuf = idx, metric
 	}
 	f.slots = f.slots[:0]
 	clear(f.byKey)

@@ -36,6 +36,19 @@ func FuzzOptimizeEquivalence(f *testing.F) {
 	f.Add(uint8(workload.ShapeWideGroup), uint8(1), uint8(0), int64(92), uint8(3))
 	f.Add(uint8(workload.ShapeWideGroup), uint8(1), uint8(0), int64(92), uint8(27))
 
+	// The densest instances the clause guard below admits — a 9-clause
+	// random-6 at density 0.4 and cycle-6 — under the two construction
+	// option sets and PreciseNLJ: the smaller entries above never create
+	// enough slots per relation to grow the packed lane's key table.
+	// (random-6 under PreciseNLJ is left out: the reference planner's
+	// all-pairs pass takes over a minute on it.)
+	for _, optB := range []uint8{3, 19} {
+		f.Add(uint8(workload.ShapeRandom), uint8(4), uint8(102), int64(45), optB)
+	}
+	for _, optB := range []uint8{3, 11, 19} {
+		f.Add(uint8(workload.ShapeCycle), uint8(4), uint8(0), int64(42), optB)
+	}
+
 	f.Fuzz(func(t *testing.T, shapeB, relsB, densB uint8, seed int64, optB uint8) {
 		spec := workload.ShapeSpec{
 			Shape:   workload.Shapes[int(shapeB)%len(workload.Shapes)],

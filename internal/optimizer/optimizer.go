@@ -178,7 +178,7 @@ func optimize(a *Analysis, cfg *query.Config, opt Options, fast bool) (*Result, 
 	if fast {
 		p.ctx = newPlanCtx(a, cfg)
 		if opt.ExportAll && a.packed {
-			p.fastKey = make(map[planKey]int32, 64)
+			p.slots = keyTable{precise: opt.PreciseNLJ, index: make([]int32, 64)}
 		}
 	}
 	top, err := p.plan()
@@ -215,40 +215,50 @@ type planner struct {
 	// reference planner.
 	ctx *planCtx
 
-	// Fast-path ExportAll construction state for the join relation
+	// Packed-lane ExportAll construction state for the join relation
 	// currently being filled. The DP completes one relation before
-	// starting the next, so a single keyed store (and its map) serves
-	// the whole call; finishRelFast drains and resets it per relation,
-	// moving the kept paths' keys into keyArena (addressed by Path.pkRef)
-	// where the joins built on top of a finished relation read them.
-	fastKey  map[planKey]int32
-	keyed    []*Path
-	keys     []planKey
-	keyArena []planKey
+	// starting the next, so a single key table serves the whole call;
+	// finishRelFast drains and resets it per relation, moving the kept
+	// paths' keys into keyArena (addressed by Path.pkRef; arenaCoefs is its
+	// PreciseNLJ side array) where the joins built on top of a finished
+	// relation read them.
+	slots      keyTable
+	cand       candScratch
+	keyArena   []hashedKey
+	arenaCoefs []coefLanes
 
-	// Per-slot frontier state, parallel to keyed/keys: the pruning metric
-	// and the dense output-order id. A slot with keyed[s] == nil is dead
-	// (dominated); its metric stays recorded so later arrivals of the same
-	// key still dedup, and a revival keeps the slot's original sequence
-	// number (the first-insertion tie-break). slotWitness remembers the
+	// Per-slot frontier state, parallel to slots.keys: the candidate that
+	// holds the slot, the live bit, the pruning metric and the dense
+	// output-order id. A slot that is not live is dead (dominated); its
+	// metric stays recorded so later arrivals of the same key still dedup,
+	// and a revival keeps the slot's original sequence number (the
+	// first-insertion tie-break). slotWitness remembers the
 	// slot that dominated a dead slot: domination between fixed keys is
 	// static, so while the witness keeps metric ≤ the dead slot's (and, in
 	// live-only mode, stays live) an improving dead slot stays dead without
 	// re-running the frontier screen. buckets holds the live slots of each
 	// output order in (metric, slot) order; idxBuf is the collection
 	// scratch in finishRelFast.
+	cands       []joinCand
+	live        []bool
 	slotMetric  []float64
 	slotOrd     []int32
 	slotWitness []int32
 	buckets     [][]bucketEnt
 	idxBuf      []int32
 
+	// innerSort is joinPaths' scratch of per-inner-path sort costs.
+	innerSort []float64
+
 	// wideFrontier is the fast planner's ExportAll bookkeeping outside the
 	// packed-key invariants (ctx.packed false): the same insertion-time
-	// frontier protocol over variable-width string keys, materialising
-	// candidates eagerly (wide plan identities cannot pack into planKey).
-	// Created lazily on the first arrival.
+	// frontier protocol over variable-width string keys (wide plan
+	// identities cannot pack into planKey). Created lazily by wide().
+	// keyBuf is where a key's bytes are built (the reference planner's
+	// addPath uses it too), leafBuf where a candidate's leaves are merged.
 	wideFrontier *pathFrontier
+	keyBuf       []byte
+	leafBuf      []LeafReq
 
 	// refSim mirrors the frontier protocol for the reference planner's
 	// stats (see optimize); nil on the fast path and outside ExportAll.
@@ -376,25 +386,24 @@ func (p *planner) scanPaths(rel int) *joinRel {
 // deduplicates exactly equal (leaf combo, output order) keys by internal
 // cost; the paper's subsumption pruning (§V-D) runs once per finished join
 // relation in finishRel.
-// pathMetric is the ExportAll pruning metric (see finishRel): the
-// provably-safe internal cost by default, the paper's literal total cost
-// under PaperPrune.
-func (p *planner) pathMetric(pt *Path) float64 {
+// metric is the ExportAll pruning metric (see finishRel): the provably-safe
+// internal cost by default, the paper's literal total cost under PaperPrune.
+func (p *planner) metric(cost, internal float64) float64 {
 	if p.opt.PaperPrune {
-		return pt.Cost
+		return cost
 	}
-	return pt.Internal
+	return internal
 }
 
-// wideAdd routes a materialised path through the wide lane's string-keyed
-// frontier: the fast planner's ExportAll bookkeeping for plan identities
-// that exceed planKey's packing capacity. The key is the reference
-// planner's pathKey, so dedup, pruning, and tie order match it exactly.
-func (p *planner) wideAdd(np *Path) {
+// wide returns the wide lane's string-keyed frontier: the fast planner's
+// ExportAll bookkeeping for plan identities that exceed planKey's packing
+// capacity. Its keys are the reference planner's path keys, so dedup,
+// pruning, and tie order match it exactly.
+func (p *planner) wide() *pathFrontier {
 	if p.wideFrontier == nil {
 		p.wideFrontier = newPathFrontier(p.opt, &p.res.Stats, false)
 	}
-	p.wideFrontier.add(pathKey(np, p.opt.PreciseNLJ, p.opt.PaperPrune), np)
+	return p.wideFrontier
 }
 
 func (p *planner) addPath(jr *joinRel, np *Path) {
@@ -402,19 +411,21 @@ func (p *planner) addPath(jr *joinRel, np *Path) {
 	if p.opt.ExportAll {
 		if p.ctx != nil {
 			if !p.ctx.packed {
-				p.wideAdd(np)
+				p.keyBuf = appendPathKey(p.keyBuf[:0], np.Rels, np.Leaves, np.Order, p.opt.PreciseNLJ, p.opt.PaperPrune)
+				p.wide().add(p.keyBuf, np)
 				return
 			}
-			k := p.pathKeyOf(np)
-			if slot, ok := p.frontierAdd(&k, p.pathMetric(np), np.Order); ok {
-				p.keyed[slot] = np
+			p.candPath(np)
+			if slot, ok := p.frontierAdd(p.metric(np.Cost, np.Internal), np.Order); ok {
+				p.cands[slot], p.live[slot] = joinCand{pre: np}, true
 			}
 			return
 		}
 		if jr.byKey == nil {
 			jr.byKey = make(map[string]*Path)
 		}
-		key := pathKey(np, p.opt.PreciseNLJ, p.opt.PaperPrune)
+		p.keyBuf = appendPathKey(p.keyBuf[:0], np.Rels, np.Leaves, np.Order, p.opt.PreciseNLJ, p.opt.PaperPrune)
+		key := string(p.keyBuf)
 		// The reference batch pass cannot see which arrivals the frontier
 		// would have screened, so a counting mirror replays the frontier
 		// protocol on the same arrival stream; the Frontier* stats come
@@ -424,7 +435,7 @@ func (p *planner) addPath(jr *joinRel, np *Path) {
 		if p.refSim == nil {
 			p.refSim = newPathFrontier(p.opt, &p.res.Stats, true)
 		}
-		p.refSim.add(key, np)
+		p.refSim.add(p.keyBuf, np)
 		if old, ok := jr.byKey[key]; ok {
 			if p.opt.PaperPrune {
 				if old.Cost <= np.Cost {
@@ -466,11 +477,11 @@ func (p *planner) addPath(jr *joinRel, np *Path) {
 // joinCand is a join path candidate before materialisation: every number
 // the pruning screens need, but no Path, no merged leaf slice, no sort
 // enforcer and no nested-loop inner node. The fast path materialises a
-// candidate only once it survives the key/cost screen; the reference path
-// materialises immediately, preserving the original allocation profile.
+// candidate only once it survives the key/cost screen (the packed lane
+// keeps each slot's winner by value and materialises at drain); the
+// reference path materialises immediately.
 type joinCand struct {
 	op       Op
-	rows     float64
 	cost     float64
 	order    []query.ColRef
 	outer    *Path
@@ -479,41 +490,42 @@ type joinCand struct {
 	internal float64
 	leafCost float64
 
-	// orderPack is the packed form of order (fast ExportAll mode only).
-	orderPack [2]uint64
-
-	// outerKey/innerKey are the children's packed keys (fast ExportAll
-	// mode only), hoisted out of the candidate loop by joinPaths so
-	// candKeyOf ORs them without an arena lookup per candidate.
-	// innerKey is nil exactly when inner is nil (OpNestLoop).
-	outerKey, innerKey *planKey
+	// pre is set instead of everything above for a slot won by an
+	// already-built path (a base-relation scan or a complete plan).
+	pre *Path
 
 	// Merge-join sort enforcers: non-nil when the corresponding side
-	// needs an explicit sort on these keys.
+	// needs an explicit sort on these keys, at joinPaths' hoisted cost.
 	sortOuterKey, sortInnerKey []query.ColRef
+	outerSort, innerSort       float64
 
 	// OpNestLoop parameterized inner, built at materialise time.
 	nljRel   int
 	nljIndex *catalog.Index
 	nljCol   string
-	nljColID uint16 // interned column id (fast mode only)
 	nljCoef  float64
 	nljRows  float64
 	nljCost  float64
 }
 
-// materialize builds the full Path for a surviving candidate, reproducing
-// exactly the tree the original planner built eagerly.
-func (c *joinCand) materialize(p *planner, set RelSet) *Path {
+// materialize builds the full Path for a surviving candidate of jr,
+// reproducing exactly the tree the original planner built eagerly.
+//
+//pinum:hotpath
+func (c *joinCand) materialize(p *planner, jr *joinRel) *Path {
+	if c.pre != nil {
+		return c.pre
+	}
 	op := c.outer
 	if c.sortOuterKey != nil {
-		op = p.sortPath(op, c.sortOuterKey)
+		op = sortPath(op, c.sortOuterKey, c.outerSort)
 	}
 	ip := c.inner
 	if c.sortInnerKey != nil {
-		ip = p.sortPath(ip, c.sortInnerKey)
+		ip = sortPath(ip, c.sortInnerKey, c.innerSort)
 	}
 	if c.op == OpNestLoop {
+		//pinum:alloc-ok survivors only: the probe node and its leaf slice are part of the retained plan
 		ip = &Path{
 			Op:      OpIndexScan,
 			Rels:    Single(c.nljRel),
@@ -525,10 +537,11 @@ func (c *joinCand) materialize(p *planner, set RelSet) *Path {
 			Leaves:  p.leavesFor(c.nljRel, LeafReq{Mode: AccessLookup, Col: c.nljCol, Coef: c.nljCoef}),
 		}
 	}
+	//pinum:alloc-ok survivors only: this is the retained plan node and its merged leaf slice
 	return &Path{
 		Op:         c.op,
-		Rels:       set,
-		Rows:       c.rows,
+		Rels:       jr.set,
+		Rows:       jr.rows,
 		Cost:       c.cost,
 		Order:      c.order,
 		Outer:      op,
@@ -536,18 +549,39 @@ func (c *joinCand) materialize(p *planner, set RelSet) *Path {
 		JoinClause: p.a.Q.Joins[c.clause],
 		Internal:   c.internal,
 		LeafCost:   c.leafCost,
-		Leaves:     mergeLeaves(op, ip),
+		Leaves:     c.leaves(make([]LeafReq, 0, len(op.Leaves))),
 	}
+}
+
+// leaves writes the candidate's merged leaf requirements over dst[:0]: the
+// outer's entries, overlaid with the inner's for the inner's members or with
+// the nested-loop probe's. materialize keeps them; the wide lane keys on them.
+//
+//pinum:hotpath
+func (c *joinCand) leaves(dst []LeafReq) []LeafReq {
+	dst = append(dst[:0], c.outer.Leaves...)
+	if c.op == OpNestLoop {
+		dst[c.nljRel] = LeafReq{Mode: AccessLookup, Col: c.nljCol, Coef: c.nljCoef}
+		return dst
+	}
+	for rel := range dst {
+		if c.inner.Rels.Has(rel) {
+			dst[rel] = c.inner.Leaves[rel]
+		}
+	}
+	return dst
 }
 
 // addJoin routes a join candidate to the deferred fast screen or to the
 // eager reference insertion.
+//
+//pinum:hotpath
 func (p *planner) addJoin(jr *joinRel, c *joinCand) {
 	if p.ctx != nil {
 		p.addJoinFast(jr, c)
 		return
 	}
-	p.addPath(jr, c.materialize(p, jr.set))
+	p.addPath(jr, c.materialize(p, jr))
 }
 
 // leavesFor builds a requirement slice with a single non-default entry.
@@ -557,17 +591,20 @@ func (p *planner) leavesFor(rel int, req LeafReq) []LeafReq {
 	return out
 }
 
-// pathKey builds the (leaf combo, output order) identity used for exact
-// deduplication in the reference path's ExportAll mode. It avoids fmt for
-// speed: this runs once per generated path. The fast path packs the same
-// identity into a fixed-size comparable struct instead (fastplan.go).
-func pathKey(p *Path, preciseNLJ, byColumn bool) string {
-	b := make([]byte, 0, 48)
-	for rel := 0; rel < len(p.Leaves); rel++ {
-		if !p.Rels.Has(rel) {
+// appendPathKey appends the (leaf combo, output order) identity used for
+// exact deduplication by the reference path's ExportAll mode and by the
+// fast planner's wide lane — of a path, or of a join candidate from its
+// merged leaves. It avoids fmt for speed: this runs once per generated
+// path. The packed lane packs the same identity into a fixed-size
+// comparable struct instead (fastplan.go).
+//
+//pinum:hotpath
+func appendPathKey(b []byte, rels RelSet, leaves []LeafReq, order []query.ColRef, preciseNLJ, byColumn bool) []byte {
+	for rel := 0; rel < len(leaves); rel++ {
+		if !rels.Has(rel) {
 			continue
 		}
-		req := p.Leaves[rel]
+		req := leaves[rel]
 		if req.Mode == AccessAny {
 			continue
 		}
@@ -583,12 +620,12 @@ func pathKey(p *Path, preciseNLJ, byColumn bool) string {
 		b = append(b, ';')
 	}
 	b = append(b, '|')
-	for _, c := range p.Order {
+	for _, c := range order {
 		b = append(b, byte('0'+c.Rel), '.')
 		b = append(b, c.Column...)
 		b = append(b, ';')
 	}
-	return string(b)
+	return b
 }
 
 // finishRel applies subsumption pruning to a completed join relation in
@@ -774,7 +811,10 @@ func (p *planner) planReference() (*joinRel, error) {
 // fast path computes both orientations of a split in one bitset pass, the
 // reference path rescans the query's clause list per direction. All cost
 // arithmetic lives here, shared by both planners, which is what guarantees
-// bit-identical results.
+// bit-identical results. The packed ExportAll lane screens each candidate
+// (fastplan.go) before a joinCand is assembled for it.
+//
+//pinum:hotpath
 func (p *planner) joinPaths(jr *joinRel, outer, inner *joinRel, clauses []clauseRef) {
 	if len(clauses) == 0 {
 		return
@@ -782,23 +822,22 @@ func (p *planner) joinPaths(jr *joinRel, outer, inner *joinRel, clauses []clause
 	outRows := jr.rows
 	c := &p.a.Coster
 
+	// What depends on the inner path alone — its enforcing sort's cost,
+	// whether it is the cheapest — is computed once, not per outer × clause.
+	innerSort := p.innerSort[:0]
 	var cheapestInner *Path
 	for _, ip := range inner.paths {
+		innerSort = append(innerSort, c.SortCost(ip.Rows))
 		if cheapestInner == nil || ip.Cost < cheapestInner.Cost {
 			cheapestInner = ip
 		}
 	}
+	p.innerSort = innerSort
 
-	// Packed fast ExportAll mode threads packed output orders and the
-	// children's arena keys alongside the slices so candidate keys never
-	// re-intern columns (and candKeyOf never indexes the arena per
-	// candidate). The wide lane materialises eagerly and takes the plain
-	// branches below.
+	// The packed ExportAll lane threads packed output orders alongside the
+	// slices so candidate keys never re-intern columns; the wide lane
+	// screens on the assembled candidate and takes the plain branches.
 	exportFast := p.ctx != nil && p.opt.ExportAll && p.ctx.packed
-	var cheapInnerKey *planKey
-	if exportFast && cheapestInner != nil {
-		cheapInnerKey = p.keyOf(cheapestInner)
-	}
 
 	// Indexed nested loops need a single-base-relation inner; the relation
 	// index is loop-invariant.
@@ -809,98 +848,95 @@ func (p *planner) joinPaths(jr *joinRel, outer, inner *joinRel, clauses []clause
 	}
 
 	for _, op := range outer.paths {
-		var opKey *planKey
-		if exportFast {
-			opKey = p.keyOf(op)
-		}
-		// The trimmed op.Order (and its pack) feed every nested-loop
-		// candidate below.
+		outerSort := c.SortCost(op.Rows)
+		// op.Order's pack (op0, op1), and the trimmed op.Order with its pack
+		// (nl0, nl1), which feed every nested-loop candidate below. Packs
+		// travel as words: an array by value goes through memory.
 		var opOrd []query.ColRef
-		var opPack [2]uint64
+		var op0, op1, nl0, nl1 uint64
+		if exportFast {
+			k := p.keyOf(op)
+			op0, op1 = k.order[0], k.order[1]
+		}
 		if p.opt.EnableNestLoop {
-			if exportFast {
-				opOrd, opPack = p.usefulOrderFast(jr.set, op.Order, opKey.order)
-			} else {
+			if !exportFast {
 				opOrd = p.usefulOrder(jr.set, op.Order)
+			} else if p.usefulFast(jr.set, op.Order, op0) {
+				opOrd, nl0, nl1 = op.Order, op0, op1
 			}
 		}
 
-		for _, ip := range inner.paths {
-			var ipKey *planKey
+		for ii, ip := range inner.paths {
 			if exportFast {
-				ipKey = p.keyOf(ip)
+				p.candOf(op, ip)
 			}
 			// Hash join: order-insensitive, destroys ordering.
 			hc := c.HashJoinCost(op.Rows, ip.Rows, outRows)
-			p.addJoin(jr, &joinCand{
-				op:       OpHashJoin,
-				rows:     outRows,
-				cost:     op.Cost + ip.Cost + hc,
-				order:    nil,
-				outer:    op,
-				inner:    ip,
-				clause:   clauses[0].idx,
-				internal: op.Internal + ip.Internal + hc,
-				leafCost: op.LeafCost + ip.LeafCost,
-				outerKey: opKey,
-				innerKey: ipKey,
-			})
+			cost, internal := op.Cost+ip.Cost+hc, op.Internal+ip.Internal+hc
+			if !exportFast || !p.screen(0, 0, cost, internal) {
+				p.addJoin(jr, &joinCand{
+					op:       OpHashJoin,
+					cost:     cost,
+					outer:    op,
+					inner:    ip,
+					clause:   clauses[0].idx,
+					internal: internal,
+					leafCost: op.LeafCost + ip.LeafCost,
+				})
+			}
 
 			// Merge join per clause: inputs must be sorted on the clause
 			// columns; explicit sorts are internal enforcers.
 			for ci := range clauses {
 				cl := &clauses[ci]
-				osCost, osInternal, osOrder := op.Cost, op.Internal, op.Order
-				var osPack [2]uint64
-				if exportFast {
-					osPack = opKey.order
-				}
+				osCost, osInternal, osOrder, os0, os1 := op.Cost, op.Internal, op.Order, op0, op1
 				var sortOuter []query.ColRef
 				if !(len(op.Order) > 0 && op.Order[0] == cl.outer) {
 					sortOuter = cl.outerKey
 					if sortOuter == nil {
+						//pinum:alloc-ok reference planner only: the fast path prebuilds the clause keys once per call
 						sortOuter = []query.ColRef{cl.outer}
 					}
-					sc := c.SortCost(op.Rows)
-					osCost += sc
-					osInternal += sc
+					osCost += outerSort
+					osInternal += outerSort
 					osOrder = sortOuter
-					osPack = cl.outerPack
+					os0, os1 = cl.outerPack[0], cl.outerPack[1]
 				}
 				isCost, isInternal := ip.Cost, ip.Internal
 				var sortInner []query.ColRef
 				if !(len(ip.Order) > 0 && ip.Order[0] == cl.inner) {
 					sortInner = cl.innerKey
 					if sortInner == nil {
+						//pinum:alloc-ok reference planner only: the fast path prebuilds the clause keys once per call
 						sortInner = []query.ColRef{cl.inner}
 					}
-					sc := c.SortCost(ip.Rows)
-					isCost += sc
-					isInternal += sc
+					isCost += innerSort[ii]
+					isInternal += innerSort[ii]
 				}
-				var mOrd []query.ColRef
-				var mPack [2]uint64
-				if exportFast {
-					mOrd, mPack = p.usefulOrderFast(jr.set, osOrder, osPack)
-				} else {
+				mOrd := osOrder
+				if !exportFast {
 					mOrd = p.usefulOrder(jr.set, osOrder)
+				} else if !p.usefulFast(jr.set, osOrder, os0) {
+					mOrd, os0, os1 = nil, 0, 0
 				}
 				mc := c.MergeJoinCost(op.Rows, ip.Rows, outRows)
+				cost, internal := osCost+isCost+mc, osInternal+isInternal+mc
+				if exportFast && p.screen(os0, os1, cost, internal) {
+					continue
+				}
 				p.addJoin(jr, &joinCand{
 					op:           OpMergeJoin,
-					rows:         outRows,
-					cost:         osCost + isCost + mc,
+					cost:         cost,
 					order:        mOrd,
-					orderPack:    mPack,
 					outer:        op,
 					inner:        ip,
 					clause:       cl.idx,
-					internal:     osInternal + isInternal + mc,
+					internal:     internal,
 					leafCost:     op.LeafCost + ip.LeafCost,
 					sortOuterKey: sortOuter,
 					sortInnerKey: sortInner,
-					outerKey:     opKey,
-					innerKey:     ipKey,
+					outerSort:    outerSort,
+					innerSort:    innerSort[ii],
 				})
 			}
 		}
@@ -940,24 +976,28 @@ func (p *planner) joinPaths(jr *joinRel, outer, inner *joinRel, clauses []clause
 				}
 				coef := op.Rows
 				nc := c.NestLoopCost(op.Rows, outRows)
+				cost, internal := op.Cost+coef*best+nc, op.Internal+nc
+				if exportFast {
+					p.candOf(op, nil)
+					p.candLeaf(nljRel, AccessLookup, colID, coef)
+					if p.screen(nl0, nl1, cost, internal) {
+						continue
+					}
+				}
 				p.addJoin(jr, &joinCand{
-					op:        OpNestLoop,
-					rows:      outRows,
-					cost:      op.Cost + coef*best + nc,
-					order:     opOrd,
-					orderPack: opPack,
-					outer:     op,
-					clause:    cl.idx,
-					internal:  op.Internal + nc,
-					leafCost:  op.LeafCost + coef*best,
-					nljRel:    nljRel,
-					nljIndex:  via,
-					nljCol:    cl.inner.Column,
-					nljColID:  colID,
-					nljCoef:   coef,
-					nljRows:   lrows,
-					nljCost:   best,
-					outerKey:  opKey,
+					op:       OpNestLoop,
+					cost:     cost,
+					order:    opOrd,
+					outer:    op,
+					clause:   cl.idx,
+					internal: internal,
+					leafCost: op.LeafCost + coef*best,
+					nljRel:   nljRel,
+					nljIndex: via,
+					nljCol:   cl.inner.Column,
+					nljCoef:  coef,
+					nljRows:  lrows,
+					nljCost:  best,
 				})
 			}
 		}
@@ -965,24 +1005,26 @@ func (p *planner) joinPaths(jr *joinRel, outer, inner *joinRel, clauses []clause
 		// Materialised nested loop: rescan a materialised inner per outer
 		// row. Only the cheapest inner is considered (the rescan cost
 		// depends only on the inner's cardinality).
-		if cheapestInner != nil {
-			ip := cheapestInner
+		if ip := cheapestInner; ip != nil {
 			rescan := (math.Max(op.Rows, 1) - 1) * c.MaterialRescanCost(ip.Rows)
 			pairs := op.Rows * ip.Rows * c.P.CPUOperatorCost * float64(len(clauses))
 			nc := c.NestLoopCost(op.Rows, outRows) + rescan + pairs
+			cost, internal := op.Cost+ip.Cost+nc, op.Internal+ip.Internal+nc
+			if exportFast {
+				p.candOf(op, ip)
+				if p.screen(nl0, nl1, cost, internal) {
+					continue
+				}
+			}
 			p.addJoin(jr, &joinCand{
-				op:        OpNestLoopMat,
-				rows:      outRows,
-				cost:      op.Cost + ip.Cost + nc,
-				order:     opOrd,
-				orderPack: opPack,
-				outer:     op,
-				inner:     ip,
-				clause:    clauses[0].idx,
-				internal:  op.Internal + ip.Internal + nc,
-				leafCost:  op.LeafCost + ip.LeafCost,
-				outerKey:  opKey,
-				innerKey:  cheapInnerKey,
+				op:       OpNestLoopMat,
+				cost:     cost,
+				order:    opOrd,
+				outer:    op,
+				inner:    ip,
+				clause:   clauses[0].idx,
+				internal: internal,
+				leafCost: op.LeafCost + ip.LeafCost,
 			})
 		}
 	}
@@ -1033,8 +1075,8 @@ func (p *planner) usefulLead(set RelSet, lead query.ColRef) bool {
 	return false
 }
 
-func (p *planner) sortPath(child *Path, keys []query.ColRef) *Path {
-	sc := p.a.Coster.SortCost(child.Rows)
+// sortPath enforces keys on child; sc is Coster.SortCost(child.Rows).
+func sortPath(child *Path, keys []query.ColRef, sc float64) *Path {
 	return &Path{
 		Op:       OpSort,
 		Rels:     child.Rels,
@@ -1076,17 +1118,21 @@ func (p *planner) finalize(paths []*Path) []*Path {
 
 	finish := func(path *Path) {
 		if len(q.OrderBy) > 0 && !OrderSatisfies(path.Order, q.OrderBy) {
-			path = p.sortPath(path, q.OrderBy)
+			path = sortPath(path, q.OrderBy, c.SortCost(path.Rows))
 		}
 		p.addPath(out, path)
 	}
 
+	// The group count depends on the row count, which top paths share.
+	groups, groupRows := 0.0, -1.0
 	for _, path := range paths {
 		if len(q.GroupBy) == 0 {
 			finish(path)
 			continue
 		}
-		groups := p.a.GroupCount(q.GroupBy, path.Rows)
+		if path.Rows != groupRows {
+			groups, groupRows = p.a.GroupCount(q.GroupBy, path.Rows), path.Rows
+		}
 
 		// Hash aggregation: no input-order requirement, output unordered.
 		hc := c.HashAggCost(path.Rows, groups, len(q.GroupBy))
@@ -1105,7 +1151,7 @@ func (p *planner) finalize(paths []*Path) []*Path {
 		// Sorted aggregation: requires group-column order, preserves it.
 		in := path
 		if !orderCoversGroup(in.Order, q.GroupBy) {
-			in = p.sortPath(in, q.GroupBy)
+			in = sortPath(in, q.GroupBy, c.SortCost(in.Rows))
 		}
 		gc := c.SortedAggCost(in.Rows, groups, len(q.GroupBy))
 		finish(&Path{

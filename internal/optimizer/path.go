@@ -3,6 +3,7 @@ package optimizer
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
 	"strings"
 	"unsafe"
 
@@ -171,7 +172,7 @@ type Path struct {
 	// instead of re-interning columns (see fastplan.go). Zero means no
 	// key was assigned. The keys live in the arena, not on the path, so
 	// retained plans — which outlive the call inside plan caches by the
-	// thousand — don't each carry the 96-byte key struct.
+	// thousand — don't each carry the key struct.
 	pkRef int32
 }
 
@@ -350,6 +351,7 @@ func OrderSatisfies(have, want []query.ColRef) bool {
 // paper's §IV redundancy analysis counts unique signatures.
 func (p *Path) Signature() string {
 	var b strings.Builder
+	b.Grow(256)
 	p.writeSig(&b)
 	return b.String()
 }
@@ -362,21 +364,23 @@ func (p *Path) writeSig(b *strings.Builder) {
 		// access requirement, and interchangeable physical accesses are
 		// the same plan.
 		req := p.Leaves[p.BaseRel]
-		switch req.Mode {
-		case AccessOrdered:
-			fmt.Fprintf(b, "ord(%d:%s)", p.BaseRel, req.Col)
-		case AccessLookup:
-			fmt.Fprintf(b, "lookup(%d:%s)", p.BaseRel, req.Col)
-		default:
-			fmt.Fprintf(b, "any(%d)", p.BaseRel)
+		b.WriteString([...]string{"any(", "ord(", "lookup("}[req.Mode])
+		b.WriteString(strconv.Itoa(p.BaseRel))
+		if req.Mode != AccessAny {
+			b.WriteByte(':')
+			b.WriteString(req.Col)
 		}
+		b.WriteByte(')')
 	case OpSort:
 		b.WriteString("sort[")
 		for i, k := range p.SortKeys {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			b.WriteString(k.String())
+			b.WriteByte('r') // k.String(), without fmt
+			b.WriteString(strconv.Itoa(k.Rel))
+			b.WriteByte('.')
+			b.WriteString(k.Column)
 		}
 		b.WriteString("](")
 		p.Child.writeSig(b)
@@ -413,19 +417,6 @@ func newLeaves(n int) []LeafReq {
 	out := make([]LeafReq, n)
 	for i := range out {
 		out[i].Coef = 1
-	}
-	return out
-}
-
-// mergeLeaves merges the requirements of two disjoint-relation paths into a
-// fresh slice: outer's entries plus inner's entries for inner's members.
-func mergeLeaves(outer, inner *Path) []LeafReq {
-	out := make([]LeafReq, len(outer.Leaves))
-	copy(out, outer.Leaves)
-	for rel := range out {
-		if inner.Rels.Has(rel) {
-			out[rel] = inner.Leaves[rel]
-		}
 	}
 	return out
 }
