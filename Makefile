@@ -30,8 +30,10 @@ goldens:
 shuffle:
 	$(GO) test -shuffle=on ./...
 
+# FuzzOptimizeEquivalence's budget is its seed-corpus replay (8–9 s) + 10 s,
+# the same figure as ci.yml.
 fuzz:
-	$(GO) test ./internal/optimizer -run=NONE -fuzz=FuzzOptimizeEquivalence -fuzztime=20s
+	$(GO) test ./internal/optimizer -run=NONE -fuzz=FuzzOptimizeEquivalence -fuzztime=19s
 	$(GO) test ./internal/serve -run=NONE -fuzz=FuzzWhatIfEncode -fuzztime=10s
 	$(GO) test ./internal/plancache -run=NONE -fuzz=FuzzSnapshotDecode -fuzztime=10s -fuzzminimizetime=1s
 

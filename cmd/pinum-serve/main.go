@@ -41,7 +41,6 @@
 //	POST /reload     hot reload (?wait=1 synchronous, ?force=1 full rebuild, ?tenant= one tenant)
 //	GET  /healthz    liveness + snapshot shape (always 200; status ok|degraded|starting; ?tenant= detail)
 //	GET  /readyz     readiness (503 until the first snapshot; -strict-health adds degraded)
-//	GET  /statz      per-endpoint latency/throughput + per-tenant reload/residency/admission counters
 //	GET  /metrics    Prometheus text exposition (latency histograms, per-tenant counters, runtime gauges)
 //	GET  /eventz     operational event ring (reloads, evictions, cold loads, panics, slow requests)
 //
@@ -309,7 +308,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	log.Printf("serving /whatif /recommend /explain /reload /healthz /readyz /statz /metrics /eventz on %s", ln.Addr())
+	log.Printf("serving /whatif /recommend /explain /reload /healthz /readyz /metrics /eventz on %s", ln.Addr())
 	if err := hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}

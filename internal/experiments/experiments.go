@@ -697,9 +697,7 @@ type E6Row struct {
 	// Exported is the exported plan count (identical for both planners).
 	Exported int
 	// FrontierInserts / FrontierDrops / FrontierEvictions are the fast
-	// planner's retained-path frontier counters for the call (the reference
-	// planner's simulated frontier reports the same values, pinned by the
-	// equivalence suite).
+	// planner's retained-path frontier counters for the call.
 	FrontierInserts   int
 	FrontierDrops     int
 	FrontierEvictions int

@@ -84,13 +84,12 @@ var BucketBounds = func() [HistogramBuckets]float64 {
 }()
 
 // Histogram is a fixed-bucket latency histogram (see BucketBounds) with
-// a running sum, count and max. Observe is lock-free and allocation-free;
-// sum and max are maintained with CAS loops over float bits.
+// a running sum and count. Observe is lock-free and allocation-free; the
+// sum is maintained with a CAS loop over float bits.
 type Histogram struct {
 	counts [HistogramBuckets + 1]atomic.Int64 // last slot is +Inf overflow
 	count  atomic.Int64
 	sum    atomic.Uint64 // float64 bits
-	max    atomic.Uint64 // float64 bits
 }
 
 // Observe records one value (seconds, for latency histograms).
@@ -109,15 +108,6 @@ func (h *Histogram) Observe(v float64) {
 			break
 		}
 	}
-	for {
-		old := h.max.Load()
-		if v <= math.Float64frombits(old) {
-			break
-		}
-		if h.max.CompareAndSwap(old, math.Float64bits(v)) {
-			break
-		}
-	}
 }
 
 // Count reads the total number of observations.
@@ -125,9 +115,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum reads the running sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
-// Max reads the largest observed value (0 before any observation).
-func (h *Histogram) Max() float64 { return math.Float64frombits(h.max.Load()) }
 
 // BucketCount reads bucket i's (non-cumulative) count; i equal to
 // HistogramBuckets reads the +Inf overflow bucket.

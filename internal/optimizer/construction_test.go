@@ -7,6 +7,7 @@ package optimizer_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -183,6 +184,66 @@ func TestKeyLanesAgree(t *testing.T) {
 						t.Fatal(err)
 					}
 					assertSameResult(t, fmt.Sprintf("%s-%d/opt=%+v", spec.Shape, spec.Rels, opt), got, want)
+				}
+			}
+		})
+	}
+}
+
+// dominates states the §V-D batch rule between two plans of one relation
+// set under opt: a's metric (total cost under PaperPrune, internal cost
+// otherwise) is no larger, its order satisfies b's and its leaf combo
+// subsumes b's.
+func dominates(opt optimizer.Options, a, b *optimizer.Path) bool {
+	if opt.PaperPrune {
+		return a.Cost <= b.Cost && optimizer.OrderSatisfies(a.Order, b.Order) &&
+			optimizer.ComboSubsumesByColumn(a.Leaves, b.Leaves, b.Rels)
+	}
+	return a.Internal <= b.Internal && optimizer.OrderSatisfies(a.Order, b.Order) &&
+		optimizer.ComboSubsumes(a.Leaves, b.Leaves, b.Rels, opt.PreciseNLJ)
+}
+
+// TestExportIsAntichain needs no second planner, so it reaches the
+// 17-relation chain: under both construction modes, through the lane the
+// query selects and — where the packed lane is the choice — through the
+// wide lane too, no exported plan is dominated by another, and pruning the
+// exported sequence again in arrival order (dominated arrivals dropped,
+// dominated incumbents evicted) returns it unchanged.
+func TestExportIsAntichain(t *testing.T) {
+	specs := append([]workload.ShapeSpec{{Shape: workload.ShapeWideChain, Rels: 17, Seed: 42}}, designSpecs...)
+	for _, spec := range specs {
+		spec := spec
+		t.Run(fmt.Sprintf("%s-%d", spec.Shape, spec.Rels), func(t *testing.T) {
+			t.Parallel()
+			a, cfg := shapeBuildConfig(t, spec)
+			lanes := []*optimizer.Analysis{a}
+			if len(a.Rels) <= 16 && spec.Shape != workload.ShapeWideOrders && spec.Shape != workload.ShapeWideGroup {
+				wide, _ := shapeBuildConfig(t, spec)
+				optimizer.ForceWideLane(wide)
+				lanes = append(lanes, wide)
+			}
+			for li, lane := range lanes {
+				for _, opt := range buildOptions(false) {
+					res, err := optimizer.Optimize(lane, cfg, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var kept []*optimizer.Path
+					for i, p := range res.Exported {
+						for j, q := range res.Exported {
+							if i != j && dominates(opt, q, p) {
+								t.Fatalf("lane %d opt=%+v: exported plan %d (%s) is dominated by plan %d (%s)",
+									li, opt, i, p.Signature(), j, q.Signature())
+							}
+						}
+						kept = slices.DeleteFunc(kept, func(q *optimizer.Path) bool { return dominates(opt, p, q) })
+						if !slices.ContainsFunc(kept, func(q *optimizer.Path) bool { return dominates(opt, q, p) }) {
+							kept = append(kept, p)
+						}
+					}
+					if !slices.Equal(kept, res.Exported) {
+						t.Fatalf("lane %d opt=%+v: re-pruning %d exported plans keeps %d", li, opt, len(res.Exported), len(kept))
+					}
 				}
 			}
 		})

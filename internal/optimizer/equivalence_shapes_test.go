@@ -98,9 +98,7 @@ func assertPlannersAgree(t *testing.T, label string, a *optimizer.Analysis, cfg 
 	}
 	fs, rs := fast.Stats, ref.Stats
 	if fs.PathsConsidered != rs.PathsConsidered || fs.PathsRetained != rs.PathsRetained ||
-		fs.JoinRels != rs.JoinRels || fs.MasksSkipped != rs.MasksSkipped ||
-		fs.FrontierInserts != rs.FrontierInserts || fs.FrontierDrops != rs.FrontierDrops ||
-		fs.FrontierEvictions != rs.FrontierEvictions {
+		fs.PathsPruned != rs.PathsPruned || fs.JoinRels != rs.JoinRels || fs.MasksSkipped != rs.MasksSkipped {
 		t.Fatalf("%s: planner counters differ:\n  fast: %+v\n  ref:  %+v", label, fs, rs)
 	}
 	if fs.EnumStates > rs.EnumStates {

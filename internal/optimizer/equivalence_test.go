@@ -124,15 +124,11 @@ func assertEquivalent(t *testing.T, label string, a *Analysis, cfg *query.Config
 		t.Fatalf("%s: masks skipped differ: fast %d reference %d",
 			label, fast.Stats.MasksSkipped, ref.Stats.MasksSkipped)
 	}
-	// The fast planner maintains the dominance frontier for real; the
-	// reference planner replays the protocol through its counting mirror.
-	// Identical arrival streams must produce identical frontier work.
-	if fast.Stats.FrontierInserts != ref.Stats.FrontierInserts ||
-		fast.Stats.FrontierDrops != ref.Stats.FrontierDrops ||
-		fast.Stats.FrontierEvictions != ref.Stats.FrontierEvictions {
-		t.Fatalf("%s: frontier counters differ: fast %d/%d/%d reference %d/%d/%d (inserts/drops/evictions)",
-			label, fast.Stats.FrontierInserts, fast.Stats.FrontierDrops, fast.Stats.FrontierEvictions,
-			ref.Stats.FrontierInserts, ref.Stats.FrontierDrops, ref.Stats.FrontierEvictions)
+	// Dedup losses, displaced incumbents and dominated keys: the frontier
+	// prunes at insertion exactly what the batch pass prunes at the end.
+	if fast.Stats.PathsPruned != ref.Stats.PathsPruned {
+		t.Fatalf("%s: paths pruned differ: fast %d reference %d",
+			label, fast.Stats.PathsPruned, ref.Stats.PathsPruned)
 	}
 	// The DPccp enumeration must never visit more DP states than the dense
 	// sweep (it visits exactly the viable ones).

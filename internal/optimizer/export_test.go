@@ -6,3 +6,10 @@ package optimizer
 // external test package needs the hook because package workload, which
 // generates its inputs, imports this one.
 func ForceWideLane(a *Analysis) { a.packed = false }
+
+// The two §V-D combo rules, for TestExportIsAntichain's statement of the
+// batch pruning rule.
+var (
+	ComboSubsumes         = comboSubsumes
+	ComboSubsumesByColumn = comboSubsumesByColumn
+)

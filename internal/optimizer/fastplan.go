@@ -1,5 +1,6 @@
-// Fast planner internals: the per-call plan context, the dense DP table,
-// packed comparable plan keys, and bucketed subsumption pruning.
+// Fast planner internals: the per-call plan context, the DP loops over the
+// join-relation table, and the two plan-key lanes the dominance frontier
+// (frontier.go) finds its slots through.
 //
 // The fast path exists because PINUM's whole promise is "two optimizer
 // calls per query": after the batch builders (PR 1) and the incremental
@@ -19,7 +20,11 @@
 // summed from its children's carried hashes — drops a dedup loss, nine
 // arrivals in ten on dense shapes, before a joinCand exists; (2)
 // frontierAdd screens for dominance on packed keys alone; (3) the slot's
-// last winner is materialised once, when its relation drains.
+// last winner is materialised once, when its relation drains. Plan
+// identities that do not fit planKey (Analysis.packed false) take the wide
+// lane: the key is the reference planner's appendPathKey bytes, built from
+// the candidate and found through a map, and steps (2) and (3) are the same
+// code reading the slot's stored leaves instead of key words.
 package optimizer
 
 import (
@@ -151,13 +156,16 @@ func (t *keyTable) reset() {
 
 // candScratch is the planner-owned scratch every arrival's key is assembled
 // in (candOf/candLeaf/candPath the leaves, probe the order) and found
-// through: keys are never built or returned by value.
+// through: keys are never built or returned by value. The wide lane builds
+// its key bytes in planner.keyBuf and uses slot and leaves only; key stays
+// zero there, which is what makes the frontier's prefilter words neutral.
 type candScratch struct {
-	key   planKey
-	coefs coefLanes // PreciseNLJ only
-	lh    uint64    // linear part of the hash
-	h     uint64    // keyHash
-	slot  int32     // the key's slot in planner.slots, -1 when new
+	key    planKey
+	coefs  coefLanes // PreciseNLJ only
+	lh     uint64    // linear part of the hash
+	h      uint64    // keyHash
+	slot   int32     // the arrival's frontier slot, -1 when its key is new
+	leaves []LeafReq // wide lane: the arrival's leaves, copied by a new slot
 }
 
 // clauseInfo is one join clause prepared for O(1) split tests: the two
@@ -185,8 +193,8 @@ type lookupMemo struct {
 type planCtx struct {
 	a *Analysis
 	// packed selects the ExportAll key lane: fixed-size planKeys inside
-	// the packing invariants (Analysis.packed), the variable-width
-	// string-key frontier outside them.
+	// the packing invariants (Analysis.packed), variable-width key bytes
+	// outside them.
 	packed bool
 	// perRel holds the configuration's indexes per relation, filtered
 	// once (configIndexes re-filtered the whole configuration per probe
@@ -203,8 +211,9 @@ type planCtx struct {
 	coefs    map[float64]uint32
 	coefVals []float64
 
-	// Output-order registry: packed form, original slice, and the
-	// pairwise prefix-satisfaction matrix finishRelFast buckets with.
+	// Output-order registry: packed form (packed lane only), original
+	// slice, and the pairwise prefix-satisfaction matrix the frontier
+	// buckets with.
 	orderPacks [][2]uint64
 	orderRefs  [][]query.ColRef
 	sat        [][]bool
@@ -338,18 +347,28 @@ func (ctx *planCtx) packOrder(order []query.ColRef) [2]uint64 {
 	return o
 }
 
-// orderIDPacked registers an output order (given in both packed and slice
-// form) in the context registry and returns its dense id, extending the
-// pairwise satisfaction matrix for new entries. The packed form is
-// injective (ids are per-(rel, column) unique), so equal packs mean equal
-// orders and no column is ever re-interned here.
-func (ctx *planCtx) orderIDPacked(packed [2]uint64, order []query.ColRef) int32 {
-	for i := range ctx.orderPacks {
-		if ctx.orderPacks[i] == packed {
-			return int32(i)
+// orderID registers an output order in the context registry and returns its
+// dense id, extending the pairwise satisfaction matrix for new entries. The
+// packed lane matches on the packed form, which is injective inside its
+// invariants (ids are per-(rel, column) unique, orders ≤8 columns), so equal
+// packs mean equal orders and no column is ever re-interned here; the wide
+// lane, whose orders may be longer, compares the slices.
+func (ctx *planCtx) orderID(packed [2]uint64, order []query.ColRef) int32 {
+	if ctx.packed {
+		for i := range ctx.orderPacks {
+			if ctx.orderPacks[i] == packed {
+				return int32(i)
+			}
+		}
+		ctx.orderPacks = append(ctx.orderPacks, packed)
+	} else {
+		for i := range ctx.orderRefs {
+			if slices.Equal(ctx.orderRefs[i], order) {
+				return int32(i)
+			}
 		}
 	}
-	n := len(ctx.orderPacks)
+	n := len(ctx.orderRefs)
 	for i := 0; i < n; i++ {
 		ctx.sat[i] = append(ctx.sat[i], OrderSatisfies(ctx.orderRefs[i], order))
 	}
@@ -358,7 +377,6 @@ func (ctx *planCtx) orderIDPacked(packed [2]uint64, order []query.ColRef) int32 
 		row[j] = OrderSatisfies(order, ctx.orderRefs[j])
 	}
 	row[n] = true // every order satisfies itself
-	ctx.orderPacks = append(ctx.orderPacks, packed)
 	ctx.orderRefs = append(ctx.orderRefs, order)
 	ctx.sat = append(ctx.sat, row)
 	return int32(n)
@@ -426,7 +444,7 @@ func (p *planner) candLeaf(rel int, mode AccessMode, id uint16, coef float64) {
 
 // keyOf returns the arena key of a path retained by a finished join
 // relation (packed ExportAll lane only; finishRelFast assigns pkRef when it
-// moves a kept path's key into the arena).
+// parks a kept path's key in the arena).
 func (p *planner) keyOf(pt *Path) *hashedKey {
 	return &p.keyArena[pt.pkRef-1]
 }
@@ -484,6 +502,19 @@ func (p *planner) probe(o0, o1 uint64) {
 	cd.slot = p.slots.find(&cd.key, &cd.coefs, cd.h)
 }
 
+// wideProbe is the wide lane's slot lookup: the arrival's key is its
+// appendPathKey bytes — the reference planner's dedup identity — built in
+// keyBuf from the path's or the candidate's leaves.
+//
+//pinum:hotpath
+func (p *planner) wideProbe(rels RelSet, leaves []LeafReq, order []query.ColRef) {
+	p.keyBuf = appendPathKey(p.keyBuf[:0], rels, leaves, order, p.opt.PreciseNLJ, p.opt.PaperPrune)
+	p.wideSet, p.cand.leaves, p.cand.slot = rels, leaves, -1
+	if s, ok := p.wideKeys[string(p.keyBuf)]; ok {
+		p.cand.slot = s
+	}
+}
+
 // screen is the first and cheapest test a join candidate takes, before
 // anything is built for it: with the pair's leaves in the scratch key, it
 // adds the candidate's order, probes, and reports a dedup loss — a known
@@ -502,271 +533,22 @@ func (p *planner) screen(o0, o1 uint64, cost, internal float64) bool {
 	return true
 }
 
-// frontierAdd runs the arrival whose key candPath or screen left in the
-// scratch through the insertion-time dominance frontier (frontier.go
-// documents the protocol and why it is exact). It returns the arrival's
-// slot and whether it now holds the slot: the caller then stores the
-// candidate there (p.cands[slot]) and marks it live; a false return means
-// the arrival lost its dedup slot or was dominated on arrival. All
-// screening here reads packed keys and the slot metric/order arrays only —
-// never p.cands — and no Path exists for a join candidate before its
-// relation drains (finishRelFast).
-//
-// Under PaperPrune+PreciseNLJ the key keeps NLJ coefficient lanes that the
-// column-collapsed subsumption ignores, so two distinct keys can dominate
-// each other and the batch rule — compare against the whole population,
-// dead members included — kills both sides of an equal-metric mutual pair.
-// Live-only screening would keep whichever arrived first, so in that mode
-// (zombie below) dead slots stay parked in their buckets as dominators and
-// every arrival, dominated or not, runs the eviction scan. Every other
-// mode's key granularity matches its subsumption granularity, making
-// domination antisymmetric, and there live-only screening is provably
-// exact (see frontier.go) and keeps the scans shorter.
-//
-// bucketEnt is one frontier-bucket member: the slot id plus copies of the
-// scan-hot fields (metric for the early break, the two leaf words for the
-// subset reject), so dominator scans walk sequential memory and only touch
-// the full packed key after the quick reject passes.
-type bucketEnt struct {
-	metric float64
-	l0, l1 uint64
-	slot   int32
-}
-
-//pinum:hotpath
-func (p *planner) frontierAdd(m float64, order []query.ColRef) (int32, bool) {
-	zombie := p.opt.PaperPrune && p.opt.PreciseNLJ
-	cd := &p.cand
-	s := cd.slot
-	if s < 0 {
-		// New key: a dead slot with no witness, screened below.
-		s = p.slots.insert(&cd.key, &cd.coefs, cd.h)
-		p.cands = append(p.cands, joinCand{})
-		p.live = append(p.live, false)
-		p.slotOrd = append(p.slotOrd, p.ctx.orderIDPacked(cd.key.order, order))
-		p.slotMetric = append(p.slotMetric, m)
-		p.slotWitness = append(p.slotWitness, -1)
-	} else {
-		if p.slotMetric[s] <= m {
-			p.res.Stats.PathsPruned++
-			return 0, false
-		}
-		p.res.Stats.PathsPruned++ // the displaced incumbent
-		if p.live[s] {
-			// Live improvement: the dominator set only shrinks as the
-			// metric drops, so no re-screen — reposition in the bucket
-			// (searched at the old metric) and evict what s now dominates.
-			p.bucketRemove(s)
-			p.slotMetric[s] = m
-			p.bucketInsert(s)
-			p.frontierEvict(s, zombie)
-			return s, true
-		}
-		if zombie {
-			// The dead slot is a zombie parked in its bucket: reposition it.
-			p.bucketRemove(s)
-		}
-		p.slotMetric[s] = m
-	}
-	// s is dead at metric m: screen it. The recorded witness makes that
-	// O(1) while it still applies.
-	if zombie {
-		// Dead population members still dominate under the batch rule, so
-		// the eviction scan runs whether s enters the frontier or not.
-		dominated := true
-		if w := p.slotWitness[s]; w < 0 || p.slotMetric[w] > m {
-			d := p.frontierDominated(s)
-			p.slotWitness[s] = d
-			dominated = d >= 0
-		}
-		p.bucketInsert(s)
-		p.frontierEvict(s, zombie)
-		if dominated {
-			p.res.Stats.FrontierDrops++
-			return 0, false
-		}
-		p.res.Stats.FrontierInserts++
-		return s, true
-	}
-	if w := p.slotWitness[s]; w >= 0 && p.live[w] && p.slotMetric[w] <= m {
-		p.res.Stats.FrontierDrops++
-		return 0, false
-	}
-	if d := p.frontierDominated(s); d >= 0 {
-		p.slotWitness[s] = d
-		p.res.Stats.FrontierDrops++
-		return 0, false
-	}
-	// A revived slot re-enters the frontier under its original sequence
-	// number, preserving the first-insertion tie order.
-	p.res.Stats.FrontierInserts++
-	p.bucketInsert(s)
-	p.frontierEvict(s, zombie)
-	return s, true
-}
-
-// frontierDominated screens slot s, at its recorded metric, against the
-// frontier: a bucket member with metric ≤ s's whose order satisfies s's and
-// whose packed key subsumes s's. Buckets hold the live slots (plus, in zombie
-// mode, the dead ones — dominators either way, so no liveness check is
-// needed) in (metric, slot) order, so each scan stops at the first larger
-// metric, exactly like the batch pass over its fully sorted slice.
-// Returns the dominating slot — the caller records it as the dead slot's
-// witness — or -1.
-//
-//pinum:hotpath
-func (p *planner) frontierDominated(s int32) int32 {
-	sat, ord, m := p.ctx.sat, p.slotOrd[s], p.slotMetric[s]
-	l0, l1 := p.slots.keys[s].leaves[0], p.slots.keys[s].leaves[1]
-	for b := range p.buckets {
-		if !sat[b][ord] {
-			continue
-		}
-		bucket := p.buckets[b]
-		for i := range bucket {
-			e := &bucket[i]
-			if e.metric > m {
-				break
-			}
-			if e.l0&^l0 == 0 && e.l1&^l1 == 0 && p.subsumesPacked(e.slot, s) {
-				return e.slot
-			}
-		}
-	}
-	return -1
-}
-
-// frontierEvict kills every live slot the just-inserted (or improved)
-// slot s now dominates: metric ≥ s's — the batch pass dominates across
-// equal metrics regardless of arrival order — in a bucket whose order s
-// satisfies, with a subsumed key. Outside zombie mode the killed slots
-// also leave their buckets (transitivity re-covers anything they
-// dominated); in zombie mode they stay parked as future dominators.
-//
-//pinum:hotpath
-func (p *planner) frontierEvict(s int32, zombie bool) {
-	m := p.slotMetric[s]
-	sl0, sl1 := p.slots.keys[s].leaves[0], p.slots.keys[s].leaves[1]
-	sat := p.ctx.sat[p.slotOrd[s]]
-	for b := range p.buckets {
-		if !sat[b] {
-			continue
-		}
-		bucket := p.buckets[b]
-		lo, hi := 0, len(bucket)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if bucket[mid].metric < m {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo == len(bucket) {
-			continue
-		}
-		if zombie {
-			for i := lo; i < len(bucket); i++ {
-				e := &bucket[i]
-				t := e.slot
-				if t != s && p.live[t] && sl0&^e.l0 == 0 && sl1&^e.l1 == 0 && p.subsumesPacked(s, t) {
-					p.live[t] = false
-					p.slotWitness[t] = s
-					p.res.Stats.FrontierEvictions++
-				}
-			}
-			continue
-		}
-		w := lo
-		for i := lo; i < len(bucket); i++ {
-			e := bucket[i]
-			t := e.slot
-			if t != s && sl0&^e.l0 == 0 && sl1&^e.l1 == 0 && p.subsumesPacked(s, t) {
-				p.live[t] = false
-				p.slotWitness[t] = s
-				p.res.Stats.FrontierEvictions++
-				continue
-			}
-			bucket[w] = e
-			w++
-		}
-		p.buckets[b] = bucket[:w]
-	}
-}
-
-// bucketInsert places s into its order bucket at its (metric, slot)
-// position; bucketRemove takes it back out by binary search on the same
-// total order. Slot ids are first-arrival order, so the in-bucket tie
-// order is the reference planner's stable-sort tie order.
-//
-//pinum:hotpath
-func (p *planner) bucketInsert(s int32) {
-	for len(p.buckets) < len(p.ctx.orderPacks) {
-		p.buckets = append(p.buckets, nil)
-	}
-	ord := p.slotOrd[s]
-	b := p.buckets[ord]
-	k := &p.slots.keys[s]
-	e := bucketEnt{metric: p.slotMetric[s], l0: k.leaves[0], l1: k.leaves[1], slot: s}
-	lo, hi := 0, len(b)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if b[mid].metric < e.metric || (b[mid].metric == e.metric && b[mid].slot < s) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	b = append(b, bucketEnt{})
-	copy(b[lo+1:], b[lo:])
-	b[lo] = e
-	p.buckets[ord] = b
-}
-
-//pinum:hotpath
-func (p *planner) bucketRemove(s int32) {
-	ord := p.slotOrd[s]
-	b := p.buckets[ord]
-	m := p.slotMetric[s]
-	lo, hi := 0, len(b)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if b[mid].metric < m || (b[mid].metric == m && b[mid].slot < s) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	copy(b[lo:], b[lo+1:])
-	p.buckets[ord] = b[:len(b)-1]
-}
-
 // addJoinFast screens a join candidate before any allocation: in ExportAll
 // mode through the insertion-time dominance frontier, in normal mode
-// against the retained path list. Only survivors are materialised — in the
-// packed lane not before their relation drains.
+// against the retained path list. Only survivors are materialised — in
+// ExportAll mode not before their relation drains.
 //
 //pinum:hotpath
 func (p *planner) addJoinFast(jr *joinRel, c *joinCand) {
 	p.res.Stats.PathsConsidered++
 	if p.opt.ExportAll {
-		m := p.metric(c.cost, c.internal)
+		// In the packed lane joinPaths' screen left the candidate's key and
+		// slot in the scratch; the wide lane keys on the merged leaves.
 		if !p.ctx.packed {
-			// Wide lane: the plan identity does not fit planKey, so the
-			// string-keyed frontier decides — but dedup first, on key bytes
-			// built from the candidate, so a loser is never materialised.
-			f := p.wide()
 			p.leafBuf = c.leaves(p.leafBuf)
-			p.keyBuf = appendPathKey(p.keyBuf[:0], jr.set, p.leafBuf, c.order, p.opt.PreciseNLJ, p.opt.PaperPrune)
-			if s, ok := f.byKey[string(p.keyBuf)]; ok && f.slots[s].metric <= m {
-				p.res.Stats.PathsPruned++
-				return
-			}
-			f.add(p.keyBuf, c.materialize(p, jr))
-			return
+			p.wideProbe(jr.set, p.leafBuf, c.order)
 		}
-		// joinPaths' screen left the candidate's key and slot in the scratch.
-		if slot, ok := p.frontierAdd(m, c.order); ok {
+		if slot, ok := p.frontierAdd(p.metric(c.cost, c.internal), c.order); ok {
 			p.cands[slot], p.live[slot] = *c, true
 		}
 		return
@@ -974,57 +756,6 @@ func (p *planner) planFastDense(rels []*joinRel, planned int) (*joinRel, error) 
 		return nil, fmt.Errorf("optimizer: join graph of query %s is disconnected", p.a.Q.Name)
 	}
 	return top, nil
-}
-
-// finishRelFast drains the frontier for one completed join relation. The
-// pruning already happened at insertion time, so all that remains is to
-// count the dead slots (exactly the keys the old batch pass pruned after
-// materialising them), order the live ones by (metric, first-arrival) —
-// byte-identical to the reference pass's kept sequence — materialise each
-// from the candidate that won its slot, and park their keys in the arena.
-// The slot/bucket buffers are reused across relations.
-//
-//pinum:hotpath
-func (p *planner) finishRelFast(jr *joinRel) {
-	jr.paths = nil
-	if len(p.live) == 0 {
-		return
-	}
-	idx := p.idxBuf[:0]
-	for s, live := range p.live {
-		if !live {
-			p.res.Stats.PathsPruned++
-			continue
-		}
-		idx = append(idx, int32(s))
-	}
-	sortSlotsByMetric(idx, p.slotMetric)
-	jr.paths = make([]*Path, 0, len(idx))
-	p.keyArena = slices.Grow(p.keyArena, len(idx))
-	for _, s := range idx {
-		// Survivors park their key in the per-call arena; the joins built
-		// on top of this relation read it back through pkRef. Pruned
-		// slots' keys die with the scratch buffer.
-		pt := p.cands[s].materialize(p, jr)
-		ak := hashedKey{p.slots.keys[s].planKey, leafHash(&p.slots.keys[s].leaves)}
-		if p.opt.PreciseNLJ {
-			ak.h += coefHash(&p.slots.coefs[s])
-			p.arenaCoefs = append(p.arenaCoefs, p.slots.coefs[s])
-		}
-		p.keyArena = append(p.keyArena, ak)
-		pt.pkRef = int32(len(p.keyArena))
-		jr.paths = append(jr.paths, pt)
-	}
-	p.idxBuf = idx
-
-	p.slots.reset()
-	p.cands, p.live = p.cands[:0], p.live[:0]
-	p.slotMetric = p.slotMetric[:0]
-	p.slotOrd = p.slotOrd[:0]
-	p.slotWitness = p.slotWitness[:0]
-	for b := range p.buckets {
-		p.buckets[b] = p.buckets[b][:0]
-	}
 }
 
 const (

@@ -1,20 +1,20 @@
 // Insertion-time dominance frontier: the §V-D subsumption rule applied as
 // candidates arrive instead of in a per-relation batch pass.
 //
-// Both planners used to collect every deduplicated (leaf combo, output
-// order) key and prune once per finished join relation — a sort plus a
-// bucketed all-pairs scan, after materialising a Path for every key. The
-// frontier keeps the live (undominated) set ordered as paths arrive, so a
-// candidate dominated on arrival is dropped before materialisation, which
-// on dense shapes is most of them. frontier_test.go proves the incremental
-// and batch prunes agree on real DP populations; the argument is that
-// dominance (metric ≤, order satisfaction, combo subsumption — each
-// transitive, mutual domination between distinct keys impossible) is a
-// strict partial order, so every dominated element has a *live maximal*
-// dominator and screening arrivals against live members only is exact.
+// The reference planner collects every deduplicated (leaf combo, output
+// order) key and prunes once per finished join relation — a sort plus an
+// all-pairs scan, after materialising a Path for every key. The frontier
+// keeps the live (undominated) set ordered as paths arrive, so a candidate
+// dominated on arrival is dropped before materialisation, which on dense
+// shapes is most of them. frontier_test.go proves the incremental and batch
+// prunes agree on real DP populations; the argument is that dominance
+// (metric ≤, order satisfaction, combo subsumption — each transitive, mutual
+// domination between distinct keys impossible) is a strict partial order, so
+// every dominated element has a *live maximal* dominator and screening
+// arrivals against live members only is exact.
 //
-// The protocol, shared verbatim by the packed fast lane (fastplan.go), the
-// wide fast lane, and the reference planner's counting mirror:
+// The protocol, implemented once in this file (frontierAdd and the scans
+// and bucket moves under it, finishRelFast) over the planner's slot arrays:
 //
 //   - arrival with a known key and metric ≥ the slot's: dedup loss, drop;
 //   - improvement of a live slot: reposition in its order bucket, then
@@ -23,22 +23,363 @@
 //     the frontier if undominated (keeping the slot's original sequence
 //     number, which is the reference planner's first-insertion tie-break);
 //   - new key: screen against live entries with metric ≤ the arrival's;
-//     dominated arrivals park as dead slots (metric recorded for dedup,
-//     no path), undominated ones enter the frontier and run the eviction
-//     scan.
+//     dominated arrivals park as dead slots (metric recorded for dedup),
+//     undominated ones enter the frontier and run the eviction scan.
 //
 // Dead slots at collection time are exactly the keys the batch pass would
 // have pruned, so PathsPruned accounting stays identical.
+//
+// Both key lanes run it. A lane supplies two leaf operations and nothing
+// else: finding or creating the arrival's slot (probe and newSlot's
+// keyTable insert on a 32-byte planKey; wideProbe and newSlot's map insert
+// on appendPathKey bytes) and deciding whether one slot's leaf combo
+// subsumes another's (subsumes: subsumesPacked on key words, comboSubsumes
+// or comboSubsumesByColumn on the wide lane's stored leaves).
 package optimizer
 
-import "github.com/pinumdb/pinum/internal/query"
+import (
+	"slices"
+
+	"github.com/pinumdb/pinum/internal/query"
+)
+
+// bucketEnt is one frontier-bucket member: the slot id plus copies of the
+// scan-hot fields (metric for the early break, the two packed leaf words for
+// the subset reject), so dominator scans walk sequential memory and only
+// reach the lane's subsumption test after the quick reject passes. A wide
+// slot's words are zero: the reject passes in both directions and subsumes
+// decides.
+type bucketEnt struct {
+	metric float64
+	l0, l1 uint64
+	slot   int32
+}
+
+// newSlot creates the slot of the arrival in the scratch, whose lookup found
+// none: the packed lane's key goes into the key table, the wide lane's key
+// bytes into its map and its leaves — what subsumes reads — into the leaf
+// arena, before any screen runs and whether or not the slot ever goes live.
+//
+//pinum:hotpath
+func (p *planner) newSlot() int32 {
+	cd := &p.cand
+	if p.ctx.packed {
+		return p.slots.insert(&cd.key, &cd.coefs, cd.h)
+	}
+	s := int32(len(p.live))
+	//pinum:alloc-ok the wide lane's key is its bytes: one string per slot, none per arrival
+	p.wideKeys[string(p.keyBuf)] = s
+	p.wideLeaves = append(p.wideLeaves, cd.leaves...)
+	return s
+}
+
+// subsumes reports whether slot a's leaf combo subsumes slot b's under the
+// mode's §V-D rule. Everything the rule reads of a slot is fixed by its key,
+// so the wide lane's leaves are stored once, by the slot's first arrival.
+//
+//pinum:hotpath
+func (p *planner) subsumes(a, b int32) bool {
+	if p.ctx.packed {
+		return p.subsumesPacked(a, b)
+	}
+	n := len(p.a.Rels)
+	la, lb := p.wideLeaves[int(a)*n:int(a)*n+n], p.wideLeaves[int(b)*n:int(b)*n+n]
+	if p.opt.PaperPrune {
+		return comboSubsumesByColumn(la, lb, p.wideSet)
+	}
+	return comboSubsumes(la, lb, p.wideSet, p.opt.PreciseNLJ)
+}
+
+// frontierAdd runs the arrival whose key and slot lookup the lane left in
+// the scratch (candPath, screen or wideProbe) through the protocol above. It
+// returns the arrival's slot and whether it now holds the slot: the caller
+// then stores the candidate there (p.cands[slot]) and marks it live; a false
+// return means the arrival lost its dedup slot or was dominated on arrival.
+// Screening reads the slot metric/order arrays, the bucket entries and the
+// lane's subsumes only — never p.cands — and no Path exists for a join
+// candidate before its relation drains (finishRelFast). Every scan and
+// bucket move below is made for the arrival's own slot, so the prefilter
+// words they need are the scratch key's leaf words: the packed combo, or
+// zero in the wide lane.
+//
+// Under PaperPrune+PreciseNLJ the key keeps NLJ coefficients that the
+// column-collapsed subsumption ignores, so two distinct keys can dominate
+// each other and the batch rule — compare against the whole population,
+// dead members included — kills both sides of an equal-metric mutual pair.
+// Live-only screening would keep whichever arrived first, so in that mode
+// (zombie below) dead slots stay parked in their buckets as dominators and
+// every arrival, dominated or not, runs the eviction scan. Every other
+// mode's key granularity matches its subsumption granularity, making
+// domination antisymmetric, and there live-only screening is provably
+// exact (see the file comment) and keeps the scans shorter.
+//
+//pinum:hotpath
+func (p *planner) frontierAdd(m float64, order []query.ColRef) (int32, bool) {
+	zombie := p.opt.PaperPrune && p.opt.PreciseNLJ
+	s := p.cand.slot
+	if s < 0 {
+		// New key: a dead slot with no witness, screened below.
+		s = p.newSlot()
+		p.cands = append(p.cands, joinCand{})
+		p.live = append(p.live, false)
+		p.slotOrd = append(p.slotOrd, p.ctx.orderID(p.cand.key.order, order))
+		p.slotMetric = append(p.slotMetric, m)
+		p.slotWitness = append(p.slotWitness, -1)
+	} else {
+		if p.slotMetric[s] <= m {
+			p.res.Stats.PathsPruned++
+			return 0, false
+		}
+		p.res.Stats.PathsPruned++ // the displaced incumbent
+		if p.live[s] {
+			// Live improvement: the dominator set only shrinks as the
+			// metric drops, so no re-screen — reposition in the bucket
+			// (searched at the old metric) and evict what s now dominates.
+			p.bucketRemove(s)
+			p.slotMetric[s] = m
+			p.bucketInsert(s)
+			p.frontierEvict(s, zombie)
+			return s, true
+		}
+		if zombie {
+			// The dead slot is a zombie parked in its bucket: reposition it.
+			p.bucketRemove(s)
+		}
+		p.slotMetric[s] = m
+	}
+	// s is dead at metric m: screen it. The recorded witness makes that
+	// O(1) while it still applies.
+	if zombie {
+		// Dead population members still dominate under the batch rule, so
+		// the eviction scan runs whether s enters the frontier or not.
+		dominated := true
+		if w := p.slotWitness[s]; w < 0 || p.slotMetric[w] > m {
+			d := p.frontierDominated(s)
+			p.slotWitness[s] = d
+			dominated = d >= 0
+		}
+		p.bucketInsert(s)
+		p.frontierEvict(s, zombie)
+		if dominated {
+			p.res.Stats.FrontierDrops++
+			return 0, false
+		}
+		p.res.Stats.FrontierInserts++
+		return s, true
+	}
+	if w := p.slotWitness[s]; w >= 0 && p.live[w] && p.slotMetric[w] <= m {
+		p.res.Stats.FrontierDrops++
+		return 0, false
+	}
+	if d := p.frontierDominated(s); d >= 0 {
+		p.slotWitness[s] = d
+		p.res.Stats.FrontierDrops++
+		return 0, false
+	}
+	// A revived slot re-enters the frontier under its original sequence
+	// number, preserving the first-insertion tie order.
+	p.res.Stats.FrontierInserts++
+	p.bucketInsert(s)
+	p.frontierEvict(s, zombie)
+	return s, true
+}
+
+// frontierDominated screens the arrival's slot s, at its recorded metric,
+// against the frontier: a bucket member with metric ≤ s's whose order
+// satisfies s's and whose combo subsumes s's. Buckets hold the live slots
+// (plus, in zombie mode, the dead ones — dominators either way, so no
+// liveness check is needed) in (metric, slot) order, so each scan stops at
+// the first larger metric, exactly like the batch pass over its fully sorted
+// slice. Returns the dominating slot — the caller records it as the dead
+// slot's witness — or -1.
+//
+//pinum:hotpath
+func (p *planner) frontierDominated(s int32) int32 {
+	sat, ord, m := p.ctx.sat, p.slotOrd[s], p.slotMetric[s]
+	l0, l1 := p.cand.key.leaves[0], p.cand.key.leaves[1]
+	for b := range p.buckets {
+		if !sat[b][ord] {
+			continue
+		}
+		bucket := p.buckets[b]
+		for i := range bucket {
+			e := &bucket[i]
+			if e.metric > m {
+				break
+			}
+			if e.l0&^l0 == 0 && e.l1&^l1 == 0 && p.subsumes(e.slot, s) {
+				return e.slot
+			}
+		}
+	}
+	return -1
+}
+
+// frontierEvict kills every live slot the just-inserted (or improved)
+// arrival's slot s now dominates: metric ≥ s's — the batch pass dominates
+// across equal metrics regardless of arrival order — in a bucket whose order
+// s satisfies, with a subsumed combo. Outside zombie mode the killed slots
+// also leave their buckets (transitivity re-covers anything they
+// dominated); in zombie mode they stay parked as future dominators.
+//
+//pinum:hotpath
+func (p *planner) frontierEvict(s int32, zombie bool) {
+	m := p.slotMetric[s]
+	sl0, sl1 := p.cand.key.leaves[0], p.cand.key.leaves[1]
+	sat := p.ctx.sat[p.slotOrd[s]]
+	for b := range p.buckets {
+		if !sat[b] {
+			continue
+		}
+		bucket := p.buckets[b]
+		lo, hi := 0, len(bucket)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if bucket[mid].metric < m {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo == len(bucket) {
+			continue
+		}
+		if zombie {
+			for i := lo; i < len(bucket); i++ {
+				e := &bucket[i]
+				t := e.slot
+				if t != s && p.live[t] && sl0&^e.l0 == 0 && sl1&^e.l1 == 0 && p.subsumes(s, t) {
+					p.live[t] = false
+					p.slotWitness[t] = s
+					p.res.Stats.FrontierEvictions++
+				}
+			}
+			continue
+		}
+		w := lo
+		for i := lo; i < len(bucket); i++ {
+			e := bucket[i]
+			t := e.slot
+			if t != s && sl0&^e.l0 == 0 && sl1&^e.l1 == 0 && p.subsumes(s, t) {
+				p.live[t] = false
+				p.slotWitness[t] = s
+				p.res.Stats.FrontierEvictions++
+				continue
+			}
+			bucket[w] = e
+			w++
+		}
+		p.buckets[b] = bucket[:w]
+	}
+}
+
+// bucketInsert places the arrival's slot s into its order bucket at its
+// (metric, slot) position; bucketRemove takes it back out by binary search
+// on the same total order. Slot ids are first-arrival order, so the
+// in-bucket tie order is the reference planner's stable-sort tie order.
+//
+//pinum:hotpath
+func (p *planner) bucketInsert(s int32) {
+	for len(p.buckets) < len(p.ctx.orderRefs) {
+		p.buckets = append(p.buckets, nil)
+	}
+	ord := p.slotOrd[s]
+	b := p.buckets[ord]
+	e := bucketEnt{metric: p.slotMetric[s], l0: p.cand.key.leaves[0], l1: p.cand.key.leaves[1], slot: s}
+	lo, hi := 0, len(b)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if b[mid].metric < e.metric || (b[mid].metric == e.metric && b[mid].slot < s) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	b = append(b, bucketEnt{})
+	copy(b[lo+1:], b[lo:])
+	b[lo] = e
+	p.buckets[ord] = b
+}
+
+//pinum:hotpath
+func (p *planner) bucketRemove(s int32) {
+	ord := p.slotOrd[s]
+	b := p.buckets[ord]
+	m := p.slotMetric[s]
+	lo, hi := 0, len(b)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if b[mid].metric < m || (b[mid].metric == m && b[mid].slot < s) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	copy(b[lo:], b[lo+1:])
+	p.buckets[ord] = b[:len(b)-1]
+}
+
+// finishRelFast drains the frontier for one completed join relation. The
+// pruning already happened at insertion time, so all that remains is to
+// count the dead slots (exactly the keys the batch pass prunes after
+// materialising them), order the live ones by (metric, first-arrival) —
+// byte-identical to the reference pass's kept sequence — and materialise
+// each from the candidate that won its slot. The packed lane also parks the
+// survivors' keys in the arena, where the joins built on top of this
+// relation read them back through pkRef; pruned slots' keys die with the
+// scratch buffers, which are reused across relations.
+//
+//pinum:hotpath
+func (p *planner) finishRelFast(jr *joinRel) {
+	jr.paths = nil
+	if len(p.live) == 0 {
+		return
+	}
+	idx := p.idxBuf[:0]
+	for s, live := range p.live {
+		if !live {
+			p.res.Stats.PathsPruned++
+			continue
+		}
+		idx = append(idx, int32(s))
+	}
+	sortSlotsByMetric(idx, p.slotMetric)
+	jr.paths = make([]*Path, 0, len(idx))
+	if p.ctx.packed {
+		p.keyArena = slices.Grow(p.keyArena, len(idx))
+	}
+	for _, s := range idx {
+		pt := p.cands[s].materialize(p, jr)
+		if p.ctx.packed {
+			ak := hashedKey{p.slots.keys[s].planKey, leafHash(&p.slots.keys[s].leaves)}
+			if p.opt.PreciseNLJ {
+				ak.h += coefHash(&p.slots.coefs[s])
+				p.arenaCoefs = append(p.arenaCoefs, p.slots.coefs[s])
+			}
+			p.keyArena = append(p.keyArena, ak)
+			pt.pkRef = int32(len(p.keyArena))
+		}
+		jr.paths = append(jr.paths, pt)
+	}
+	p.idxBuf = idx
+
+	p.slots.reset()
+	clear(p.wideKeys)
+	p.wideLeaves = p.wideLeaves[:0]
+	p.cands, p.live = p.cands[:0], p.live[:0]
+	p.slotMetric = p.slotMetric[:0]
+	p.slotOrd = p.slotOrd[:0]
+	p.slotWitness = p.slotWitness[:0]
+	for b := range p.buckets {
+		p.buckets[b] = p.buckets[b][:0]
+	}
+}
 
 // sortSlotsByMetric orders slot ids by (metric, id) ascending with an
-// in-place heapsort: no closure, no allocation (the ROADMAP item 4
-// replacement for finishRelFast's sort.SliceStable call). The id tie-break
-// makes the order total, so heapsort's instability is unobservable, and
-// slot ids are first-arrival order, so ties break exactly like the
-// reference planner's stable sort over its insertion-ordered key list.
+// in-place heapsort: no closure, no allocation. The id tie-break makes the
+// order total, so heapsort's instability is unobservable, and slot ids are
+// first-arrival order, so ties break exactly like the reference planner's
+// stable sort over its insertion-ordered key list.
 //
 //pinum:hotpath
 func sortSlotsByMetric(idx []int32, metric []float64) {
@@ -74,342 +415,4 @@ func siftSlot(idx []int32, metric []float64, root, n int) {
 func slotLess(metric []float64, a, b int32) bool {
 	ma, mb := metric[a], metric[b]
 	return ma < mb || (ma == mb && a < b)
-}
-
-// frontierSlot is one (leaf combo, output order) key's state in a
-// path-keyed frontier. Unlike the packed lane — which identifies dead
-// slots by their missing materialisation — the path lane keeps the slot's
-// best path even while dead, because zombie-mode screens compare through
-// the path's leaf slices; live is the collection flag.
-type frontierSlot struct {
-	path   *Path
-	metric float64
-	ord    int32
-	// witness is the slot whose domination killed this one (-1 when none):
-	// domination between fixed keys is static, so while the witness keeps
-	// metric ≤ this slot's (and, in live-only mode, stays live) an
-	// improving dead slot stays dead without re-running the screen.
-	witness int32
-	live    bool
-}
-
-// pathFrontier is the frontier over string-keyed materialised paths. It
-// serves two roles: the wide fast lane's real pruning structure (plan keys
-// too big for planKey), and — with sim set — the reference planner's
-// counting mirror, which replays the protocol purely to produce the same
-// FrontierInserts/Drops/Evictions counters while the batch pass still
-// computes the reference results. The order registry and buckets persist
-// across join relations; slots and the key map reset per finishRel.
-type pathFrontier struct {
-	opt   Options
-	stats *PlannerStats
-	// sim leaves PathsPruned to the reference planner's own dedup and
-	// batch passes; the wide lane counts it here.
-	sim bool
-
-	slots []frontierSlot
-	byKey map[string]int32
-
-	// Output-order registry with the pairwise prefix-satisfaction matrix,
-	// the string-keyed analogue of planCtx's packed registry.
-	ords    [][]query.ColRef
-	sat     [][]bool
-	buckets [][]int32
-
-	idxBuf    []int32
-	metricBuf []float64
-}
-
-func newPathFrontier(opt Options, stats *PlannerStats, sim bool) *pathFrontier {
-	return &pathFrontier{opt: opt, stats: stats, sim: sim, byKey: make(map[string]int32, 64)}
-}
-
-// metricOf is the pruning metric shared with the batch passes: the
-// provably-safe internal cost by default, the paper's literal total cost
-// under PaperPrune.
-func (f *pathFrontier) metricOf(np *Path) float64 {
-	if f.opt.PaperPrune {
-		return np.Cost
-	}
-	return np.Internal
-}
-
-// subsumes applies the §V-D combo rule between a live slot's path and a
-// candidate, matching finishRel's batch subsumption exactly.
-//
-//pinum:hotpath
-func (f *pathFrontier) subsumes(a, b *Path) bool {
-	if f.opt.PaperPrune {
-		return comboSubsumesByColumn(a.Leaves, b.Leaves, b.Rels)
-	}
-	return comboSubsumes(a.Leaves, b.Leaves, b.Rels, f.opt.PreciseNLJ)
-}
-
-// ordID registers an output order and returns its dense id, extending the
-// satisfaction matrix for new entries (the slice-keyed twin of
-// planCtx.orderIDPacked; distinct order count is small, so the linear
-// probe is cheap).
-func (f *pathFrontier) ordID(order []query.ColRef) int32 {
-	for i := range f.ords {
-		if ordersEqual(f.ords[i], order) {
-			return int32(i)
-		}
-	}
-	n := len(f.ords)
-	for i := 0; i < n; i++ {
-		f.sat[i] = append(f.sat[i], OrderSatisfies(f.ords[i], order))
-	}
-	row := make([]bool, n+1)
-	for j := 0; j < n; j++ {
-		row[j] = OrderSatisfies(order, f.ords[j])
-	}
-	row[n] = true
-	f.ords = append(f.ords, order)
-	f.sat = append(f.sat, row)
-	f.buckets = append(f.buckets, nil)
-	return int32(n)
-}
-
-func ordersEqual(a, b []query.ColRef) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// add runs one arrival through the frontier protocol — the same branch
-// structure, counter emissions, and zombie-mode population semantics as
-// the packed lane's frontierAdd (see its comment for why PaperPrune+
-// PreciseNLJ needs dead slots kept as dominators). key is the caller's
-// reused buffer: only a new key is copied into a string.
-//
-//pinum:hotpath
-func (f *pathFrontier) add(key []byte, np *Path) {
-	zombie := f.opt.PaperPrune && f.opt.PreciseNLJ
-	m := f.metricOf(np)
-	s, known := f.byKey[string(key)]
-	if !known {
-		// New key: a dead slot with no witness, screened below.
-		s = int32(len(f.slots))
-		f.byKey[string(key)] = s
-		f.slots = append(f.slots, frontierSlot{path: np, metric: m, ord: f.ordID(np.Order), witness: -1})
-	}
-	sl := &f.slots[s]
-	if known {
-		if sl.metric <= m {
-			if !f.sim {
-				f.stats.PathsPruned++
-			}
-			return
-		}
-		if !f.sim {
-			f.stats.PathsPruned++ // the displaced incumbent
-		}
-		if sl.live {
-			// Live improvement: the dominator set only shrinks as the
-			// metric drops, so no re-screen — reposition and evict.
-			f.bucketRemove(s)
-			sl.metric, sl.path = m, np
-			f.bucketInsert(s)
-			f.evict(s, zombie)
-			return
-		}
-		if zombie {
-			f.bucketRemove(s)
-		}
-		sl.metric, sl.path = m, np
-	}
-	if zombie {
-		dominated := true
-		if w := sl.witness; w < 0 || f.slots[w].metric > m {
-			d := f.dominated(sl.ord, m, np)
-			sl.witness = d
-			dominated = d >= 0
-		}
-		f.bucketInsert(s)
-		f.evict(s, zombie)
-		if dominated {
-			f.stats.FrontierDrops++
-			return
-		}
-		sl.live = true
-		f.stats.FrontierInserts++
-		return
-	}
-	if w := sl.witness; w >= 0 && f.slots[w].live && f.slots[w].metric <= m {
-		f.stats.FrontierDrops++
-		return
-	}
-	if d := f.dominated(sl.ord, m, np); d >= 0 {
-		sl.witness = d
-		f.stats.FrontierDrops++
-		return
-	}
-	// A revived slot re-enters the frontier under its original sequence
-	// number, preserving first-arrival tie order.
-	sl.witness = -1
-	sl.live = true
-	f.stats.FrontierInserts++
-	f.bucketInsert(s)
-	f.evict(s, zombie)
-}
-
-// dominated screens a candidate against the frontier: any bucket member
-// (live, or a zombie-mode dead dominator) with metric ≤ the candidate's
-// whose order satisfies the candidate's and whose combo subsumes it.
-// Buckets are (metric, slot)-sorted, so each scan stops at the first
-// larger metric, like the batch pass over its sorted slice. Returns the
-// dominating slot (recorded as the dead slot's witness) or -1.
-//
-//pinum:hotpath
-func (f *pathFrontier) dominated(ord int32, m float64, np *Path) int32 {
-	for b := range f.buckets {
-		if !f.sat[b][ord] {
-			continue
-		}
-		for _, t := range f.buckets[b] {
-			if f.slots[t].metric > m {
-				break
-			}
-			if f.subsumes(f.slots[t].path, np) {
-				return t
-			}
-		}
-	}
-	return -1
-}
-
-// evict kills every live slot the (just inserted or improved) slot s now
-// dominates: metric ≥ s's — the batch pass dominates across equal metrics
-// regardless of arrival order — in a bucket whose order s satisfies, with
-// a subsumed combo. Outside zombie mode the killed slots leave their
-// buckets; in zombie mode they stay parked as future dominators.
-//
-//pinum:hotpath
-func (f *pathFrontier) evict(s int32, zombie bool) {
-	m := f.slots[s].metric
-	sp := f.slots[s].path
-	sat := f.sat[f.slots[s].ord]
-	for b := range f.buckets {
-		if !sat[b] {
-			continue
-		}
-		bucket := f.buckets[b]
-		lo, hi := 0, len(bucket)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if f.slots[bucket[mid]].metric < m {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo == len(bucket) {
-			continue
-		}
-		if zombie {
-			for _, t := range bucket[lo:] {
-				if t != s && f.slots[t].live && f.subsumes(sp, f.slots[t].path) {
-					f.slots[t].live = false
-					f.slots[t].witness = s
-					f.stats.FrontierEvictions++
-				}
-			}
-			continue
-		}
-		w := lo
-		for i := lo; i < len(bucket); i++ {
-			t := bucket[i]
-			if t != s && f.subsumes(sp, f.slots[t].path) {
-				f.slots[t].live = false
-				f.slots[t].witness = s
-				f.stats.FrontierEvictions++
-				continue
-			}
-			bucket[w] = t
-			w++
-		}
-		f.buckets[b] = bucket[:w]
-	}
-}
-
-// bucketInsert places s into its order bucket at the (metric, slot)
-// position; bucketRemove takes it back out by binary search on the same
-// ordering.
-//
-//pinum:hotpath
-func (f *pathFrontier) bucketInsert(s int32) {
-	ord := f.slots[s].ord
-	b := f.buckets[ord]
-	m := f.slots[s].metric
-	lo, hi := 0, len(b)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		t := b[mid]
-		if f.slots[t].metric < m || (f.slots[t].metric == m && t < s) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	b = append(b, 0)
-	copy(b[lo+1:], b[lo:])
-	b[lo] = s
-	f.buckets[ord] = b
-}
-
-//pinum:hotpath
-func (f *pathFrontier) bucketRemove(s int32) {
-	ord := f.slots[s].ord
-	b := f.buckets[ord]
-	m := f.slots[s].metric
-	lo, hi := 0, len(b)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		t := b[mid]
-		if f.slots[t].metric < m || (f.slots[t].metric == m && t < s) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	copy(b[lo:], b[lo+1:])
-	f.buckets[ord] = b[:len(b)-1]
-}
-
-// finish drains the frontier for one completed join relation: live slots
-// come out in (metric, first-arrival) order — byte-identical to the batch
-// pass's kept sequence — and dead slots are the keys batch pruning would
-// have removed. In sim mode only the reset happens; the reference batch
-// pass owns both the results and the PathsPruned counts.
-func (f *pathFrontier) finish() []*Path {
-	var kept []*Path
-	if !f.sim {
-		idx, metric := f.idxBuf[:0], f.metricBuf[:0]
-		for s := range f.slots {
-			metric = append(metric, f.slots[s].metric)
-			if !f.slots[s].live {
-				f.stats.PathsPruned++
-				continue
-			}
-			idx = append(idx, int32(s))
-		}
-		sortSlotsByMetric(idx, metric)
-		kept = make([]*Path, 0, len(idx))
-		for _, s := range idx {
-			kept = append(kept, f.slots[s].path)
-		}
-		f.idxBuf, f.metricBuf = idx, metric
-	}
-	f.slots = f.slots[:0]
-	clear(f.byKey)
-	for b := range f.buckets {
-		f.buckets[b] = f.buckets[b][:0]
-	}
-	return kept
 }

@@ -15,11 +15,12 @@
 //
 // Two planner implementations share all cost arithmetic. Optimize runs the
 // fast path (fastplan.go): clause bitsets consulted once per split, a dense
-// mask-indexed DP table, interned fixed-size plan keys, bucketed subsumption
-// pruning, and Path materialisation deferred until a candidate survives the
-// cheap screens. OptimizeReference retains the original loop — map-keyed DP
-// table, per-direction clause rescans, string plan keys, all-pairs pruning —
-// as the equivalence oracle: both produce bit-identical results.
+// mask-indexed DP table, interned fixed-size plan keys, subsumption pruning
+// at insertion time (frontier.go), and Path materialisation deferred until a
+// candidate survives the cheap screens. OptimizeReference retains the
+// original loop — map-keyed DP table, per-direction clause rescans, string
+// plan keys, a sort-and-all-pairs pruning pass per finished relation — as
+// the equivalence oracle: both produce bit-identical results.
 package optimizer
 
 import (
@@ -104,11 +105,11 @@ type PlannerStats struct {
 	// entered the live frontier (first arrivals and revivals of previously
 	// dominated keys), arrivals screened out as dominated before
 	// materialisation, and live keys evicted by a later-arriving dominator.
-	// The fast planner maintains the frontier for real; the reference
-	// planner replays the same protocol through a counting mirror while its
-	// batch pass computes the results, so the equivalence suites can pin
-	// the counters equal. Drops are the fast path's headline saving: each
-	// is a Path (and its merged leaf slice) never allocated.
+	// Only the fast planner has a frontier; the reference planner prunes in
+	// a batch pass and reports zero for all three
+	// (TestPlannerCountersGolden holds the fast planner's values to a
+	// record). Drops are the fast path's headline saving: each is a Path
+	// (and its merged leaf slice) never allocated.
 	FrontierInserts   int
 	FrontierDrops     int
 	FrontierEvictions int
@@ -146,7 +147,10 @@ type Result struct {
 // This function is "one optimizer call" in the paper's accounting. It uses
 // the fast planner whenever the analysis supports it (Analysis.FastPlannable)
 // and falls back to the reference loop otherwise; results are bit-identical
-// either way.
+// either way, and so are the work counters the two planners both keep. A
+// fallback call reports the reference loop's ClauseLookups and EnumStates
+// (it rescans and sweeps where the fast planner looks up and enumerates)
+// and zero FrontierInserts/Drops/Evictions.
 func Optimize(a *Analysis, cfg *query.Config, opt Options) (*Result, error) {
 	return optimize(a, cfg, opt, a.fastPlan)
 }
@@ -177,8 +181,12 @@ func optimize(a *Analysis, cfg *query.Config, opt Options, fast bool) (*Result, 
 	p := &planner{a: a, cfg: cfg, opt: opt, res: &Result{}}
 	if fast {
 		p.ctx = newPlanCtx(a, cfg)
-		if opt.ExportAll && a.packed {
-			p.slots = keyTable{precise: opt.PreciseNLJ, index: make([]int32, 64)}
+		if opt.ExportAll {
+			if a.packed {
+				p.slots = keyTable{precise: opt.PreciseNLJ, index: make([]int32, 64)}
+			} else {
+				p.wideKeys = make(map[string]int32, 64)
+			}
 		}
 	}
 	top, err := p.plan()
@@ -215,21 +223,33 @@ type planner struct {
 	// reference planner.
 	ctx *planCtx
 
-	// Packed-lane ExportAll construction state for the join relation
-	// currently being filled. The DP completes one relation before
-	// starting the next, so a single key table serves the whole call;
-	// finishRelFast drains and resets it per relation, moving the kept
-	// paths' keys into keyArena (addressed by Path.pkRef; arenaCoefs is its
-	// PreciseNLJ side array) where the joins built on top of a finished
-	// relation read them.
+	// ExportAll key-lane state of the fast planner for the join relation
+	// currently being filled: where an arrival's frontier slot is found.
+	// The DP completes one relation before starting the next, so one index
+	// serves the whole call; finishRelFast drains and resets it per
+	// relation. cand is the scratch both lanes leave the arrival's lookup
+	// in. The packed lane (ctx.packed) finds 32-byte keys through slots and
+	// moves the kept paths' keys into keyArena (addressed by Path.pkRef;
+	// arenaCoefs is its PreciseNLJ side array) where the joins built on top
+	// of a finished relation read them. The wide lane finds appendPathKey
+	// bytes through wideKeys and keeps each slot's leaf requirements —
+	// len(a.Rels) per slot, over the relation set wideSet — in wideLeaves
+	// for the subsumption test; leafBuf is where a join candidate's leaves
+	// are merged. keyBuf holds the key bytes (the reference planner's
+	// addPath builds its keys there too).
 	slots      keyTable
 	cand       candScratch
 	keyArena   []hashedKey
 	arenaCoefs []coefLanes
+	wideKeys   map[string]int32
+	wideLeaves []LeafReq
+	wideSet    RelSet
+	keyBuf     []byte
+	leafBuf    []LeafReq
 
-	// Per-slot frontier state, parallel to slots.keys: the candidate that
-	// holds the slot, the live bit, the pruning metric and the dense
-	// output-order id. A slot that is not live is dead (dominated); its
+	// Per-slot frontier state, shared by both lanes and indexed by slot id
+	// (first-arrival order): the candidate that holds the slot, the live
+	// bit, the pruning metric and the dense output-order id. A slot that is not live is dead (dominated); its
 	// metric stays recorded so later arrivals of the same key still dedup,
 	// and a revival keeps the slot's original sequence number (the
 	// first-insertion tie-break). slotWitness remembers the
@@ -249,20 +269,6 @@ type planner struct {
 
 	// innerSort is joinPaths' scratch of per-inner-path sort costs.
 	innerSort []float64
-
-	// wideFrontier is the fast planner's ExportAll bookkeeping outside the
-	// packed-key invariants (ctx.packed false): the same insertion-time
-	// frontier protocol over variable-width string keys (wide plan
-	// identities cannot pack into planKey). Created lazily by wide().
-	// keyBuf is where a key's bytes are built (the reference planner's
-	// addPath uses it too), leafBuf where a candidate's leaves are merged.
-	wideFrontier *pathFrontier
-	keyBuf       []byte
-	leafBuf      []LeafReq
-
-	// refSim mirrors the frontier protocol for the reference planner's
-	// stats (see optimize); nil on the fast path and outside ExportAll.
-	refSim *pathFrontier
 }
 
 type joinRel struct {
@@ -382,10 +388,11 @@ func (p *planner) scanPaths(rel int) *joinRel {
 // addPath inserts an already-materialised path into jr unless dominated. In
 // normal mode dominance is cheaper-or-equal total cost with a satisfying
 // output order, applied immediately against the retained list. In ExportAll
-// mode the DP generates orders of magnitude more paths, so insertion only
-// deduplicates exactly equal (leaf combo, output order) keys by internal
-// cost; the paper's subsumption pruning (§V-D) runs once per finished join
-// relation in finishRel.
+// mode the DP generates orders of magnitude more paths: the fast planner runs
+// the arrival through its dominance frontier (frontier.go), the reference
+// planner only deduplicates exactly equal (leaf combo, output order) keys by
+// metric here and applies the paper's subsumption pruning (§V-D) once per
+// finished join relation in finishRel.
 // metric is the ExportAll pruning metric (see finishRel): the provably-safe
 // internal cost by default, the paper's literal total cost under PaperPrune.
 func (p *planner) metric(cost, internal float64) float64 {
@@ -395,27 +402,15 @@ func (p *planner) metric(cost, internal float64) float64 {
 	return internal
 }
 
-// wide returns the wide lane's string-keyed frontier: the fast planner's
-// ExportAll bookkeeping for plan identities that exceed planKey's packing
-// capacity. Its keys are the reference planner's path keys, so dedup,
-// pruning, and tie order match it exactly.
-func (p *planner) wide() *pathFrontier {
-	if p.wideFrontier == nil {
-		p.wideFrontier = newPathFrontier(p.opt, &p.res.Stats, false)
-	}
-	return p.wideFrontier
-}
-
 func (p *planner) addPath(jr *joinRel, np *Path) {
 	p.res.Stats.PathsConsidered++
 	if p.opt.ExportAll {
 		if p.ctx != nil {
-			if !p.ctx.packed {
-				p.keyBuf = appendPathKey(p.keyBuf[:0], np.Rels, np.Leaves, np.Order, p.opt.PreciseNLJ, p.opt.PaperPrune)
-				p.wide().add(p.keyBuf, np)
-				return
+			if p.ctx.packed {
+				p.candPath(np)
+			} else {
+				p.wideProbe(np.Rels, np.Leaves, np.Order)
 			}
-			p.candPath(np)
 			if slot, ok := p.frontierAdd(p.metric(np.Cost, np.Internal), np.Order); ok {
 				p.cands[slot], p.live[slot] = joinCand{pre: np}, true
 			}
@@ -426,16 +421,6 @@ func (p *planner) addPath(jr *joinRel, np *Path) {
 		}
 		p.keyBuf = appendPathKey(p.keyBuf[:0], np.Rels, np.Leaves, np.Order, p.opt.PreciseNLJ, p.opt.PaperPrune)
 		key := string(p.keyBuf)
-		// The reference batch pass cannot see which arrivals the frontier
-		// would have screened, so a counting mirror replays the frontier
-		// protocol on the same arrival stream; the Frontier* stats come
-		// out identical to the fast planner's (the equivalence suites
-		// assert it). Created lazily so directly-constructed planners in
-		// tests count too.
-		if p.refSim == nil {
-			p.refSim = newPathFrontier(p.opt, &p.res.Stats, true)
-		}
-		p.refSim.add(p.keyBuf, np)
 		if old, ok := jr.byKey[key]; ok {
 			if p.opt.PaperPrune {
 				if old.Cost <= np.Cost {
@@ -637,13 +622,6 @@ func (p *planner) finishRel(jr *joinRel) {
 		return
 	}
 	if p.ctx != nil {
-		if !p.ctx.packed {
-			jr.paths = nil
-			if p.wideFrontier != nil {
-				jr.paths = p.wideFrontier.finish()
-			}
-			return
-		}
 		p.finishRelFast(jr)
 		return
 	}
@@ -699,9 +677,6 @@ func (p *planner) finishRel(jr *joinRel) {
 	jr.paths = kept
 	jr.byKey = nil
 	jr.keyOrder = nil
-	if p.refSim != nil {
-		p.refSim.finish()
-	}
 }
 
 // clauseRef is a join clause oriented for a specific (outer, inner) pair.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,8 +15,8 @@ import (
 	"github.com/pinumdb/pinum/internal/storage"
 )
 
-// These tests pin the first-use candidate set: what /recommend, /healthz
-// and /statz answer does not depend on who asked first, generation runs
+// These tests pin the first-use candidate set: what /recommend and
+// /healthz answer does not depend on who asked first, generation runs
 // once per set and not at all for a set only asked /whatif, and a failed
 // generation is retried, never answered from.
 
@@ -132,27 +133,30 @@ func TestConcurrentFirstRecommendGeneratesOnce(t *testing.T) {
 	}
 }
 
-// statzStable strips what moves between any two /statz calls — uptime and
-// the request counters — and keeps everything a snapshot set reports.
-func statzStable(t *testing.T, body []byte) []byte {
+// setSeries keeps, of a /metrics body, what a snapshot set reports and no
+// request moves: the snapshot-shape and planner gauges, the interner, and
+// the residency, reload and process failure counters.
+func setSeries(t *testing.T, body string) string {
 	t.Helper()
-	var m map[string]any
-	if err := json.Unmarshal(body, &m); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"uptime_seconds", "endpoints", "tenants"} {
-		if _, ok := m[k]; !ok {
-			t.Fatalf("/statz has no %q", k)
+	var kept []string
+	for _, line := range strings.Split(body, "\n") {
+		for _, prefix := range []string{"pinum_snapshot_", "pinum_planner_", "pinum_tenant_interned_indexes",
+			"pinum_tenant_resident", "pinum_tenant_degraded", "pinum_tenant_reloads_total", "pinum_tenant_cold_loads_total",
+			"pinum_tenant_evictions_total", "pinum_tenant_rejected_total", "pinum_panics_total",
+			"pinum_ingress_oversized_total", "pinum_http_unmatched_total"} {
+			if strings.HasPrefix(line, prefix) {
+				kept = append(kept, line)
+			}
 		}
-		delete(m, k)
 	}
-	out, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
+	if len(kept) < 12 {
+		t.Fatalf("/metrics has %d of the set's series:\n%s", len(kept), strings.Join(kept, "\n"))
 	}
-	return out
+	return strings.Join(kept, "\n")
 }
 
+// TestHealthAndStatzSameBeforeAndAfterRecommend: the "statz" half is now the
+// set's /metrics series.
 func TestHealthAndStatzSameBeforeAndAfterRecommend(t *testing.T) {
 	countHits(t)
 	f := newFixture(t)
@@ -160,7 +164,7 @@ func TestHealthAndStatzSameBeforeAndAfterRecommend(t *testing.T) {
 	if got := faultpoint.Count("serve.candidates"); got != 1 {
 		t.Fatalf("first /healthz generated %d times, want 1", got)
 	}
-	statzBefore := statzStable(t, f.get(t, "/statz"))
+	seriesBefore := setSeries(t, scrape(t, f.ts.URL))
 	var health struct {
 		Candidates *int `json:"candidates"`
 		GenErrors  *int `json:"candidate_gen_errors"`
@@ -178,8 +182,8 @@ func TestHealthAndStatzSameBeforeAndAfterRecommend(t *testing.T) {
 	if healthAfter := f.get(t, "/healthz"); !bytes.Equal(healthBefore, healthAfter) {
 		t.Errorf("/healthz changed across the first /recommend:\n%s\nafter:\n%s", healthBefore, healthAfter)
 	}
-	if statzAfter := statzStable(t, f.get(t, "/statz")); !bytes.Equal(statzBefore, statzAfter) {
-		t.Errorf("/statz changed across the first /recommend:\n%s\nafter:\n%s", statzBefore, statzAfter)
+	if seriesAfter := setSeries(t, scrape(t, f.ts.URL)); seriesBefore != seriesAfter {
+		t.Errorf("the set's /metrics series changed across the first /recommend:\n%s\nafter:\n%s", seriesBefore, seriesAfter)
 	}
 	if got := faultpoint.Count("serve.candidates"); got != 1 {
 		t.Errorf("generated %d times in all, want 1", got)
@@ -207,9 +211,11 @@ func TestWhatIfOnlyTenantNeverGenerates(t *testing.T) {
 			t.Fatalf("%s /whatif: %d %s", name, code, body)
 		}
 	}
-	if st := f.tenantStatz(t, "acme"); st.ColdLoads != 2 || st.Evictions != 1 || st.SnapshotSource != sourceDisk {
+	// The set's source is read in place: /healthz?tenant= would generate.
+	st, source := f.tenantCounters(t, "acme"), f.srv.tenants["acme"].current().source
+	if st.ColdLoads != 2 || st.Evictions != 1 || source != sourceDisk {
 		t.Fatalf("acme: cold_loads=%d evictions=%d source=%q, want 2 loads around 1 eviction, the last from disk",
-			st.ColdLoads, st.Evictions, st.SnapshotSource)
+			st.ColdLoads, st.Evictions, source)
 	}
 	if got := faultpoint.Count("serve.candidates"); got != 0 {
 		t.Errorf("three /whatif-only cold loads generated candidates %d times, want 0", got)

@@ -65,20 +65,9 @@ func TestMaxBodyBytes(t *testing.T) {
 		t.Fatalf("small body after 413s: %d %s", code, body)
 	}
 
-	// The counter is visible in /statz.
-	resp, err := http.Get(ts.URL + "/statz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var statz struct {
-		Oversized int64 `json:"oversized"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&statz); err != nil {
-		t.Fatal(err)
-	}
-	if statz.Oversized != 3 {
-		t.Fatalf("/statz oversized = %d, want 3", statz.Oversized)
+	// The counter is visible in /metrics.
+	if got := metricValue(t, scrape(t, ts.URL), "pinum_ingress_oversized_total"); got != 3 {
+		t.Fatalf("/metrics pinum_ingress_oversized_total = %v, want 3", got)
 	}
 }
 

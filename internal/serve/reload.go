@@ -57,7 +57,7 @@ func (e *Environment) validate() error {
 	return nil
 }
 
-// Snapshot-set provenance, reported in /healthz and /statz.
+// Snapshot-set provenance, reported in /healthz.
 const (
 	sourceStartup     = "startup"
 	sourceDisk        = "disk-snapshot"
@@ -86,7 +86,7 @@ type snapshotSet struct {
 	baseTotal float64
 
 	// cand is the advisor candidate set, generated once per set — on the
-	// first /recommend, /healthz or /statz that asks (see candidates), so
+	// first /recommend or /healthz that asks (see candidates), so
 	// a tenant only ever asked /whatif never pays for it. Deferring it is
 	// safe because it is a pure function of the set's environment, and
 	// tables and statistics do not change under a live analysis
@@ -119,13 +119,13 @@ type snapshotSet struct {
 }
 
 // candidateSet is what one generation pass leaves: the descriptors every
-// /recommend on the set searches, and the candidates that failed to
+// /recommend on the set searches, and how many candidates failed to
 // generate — they are absent from every /recommend answer, so /healthz
-// counts them and /statz lists them rather than leaving degraded
-// recommendations indistinguishable from correct ones.
+// counts them rather than leaving degraded recommendations
+// indistinguishable from correct ones.
 type candidateSet struct {
 	indexes   []*catalog.Index
-	genErrors []string
+	genErrors int
 }
 
 // newSnapshotSet assembles the immutable request-side state over built
@@ -189,10 +189,7 @@ func (set *snapshotSet) candidates() (*candidateSet, error) {
 		}
 	}
 	gen.GenerateCandidates()
-	cs := &candidateSet{indexes: gen.Candidates()}
-	for _, err := range gen.GenerationErrors() {
-		cs.genErrors = append(cs.genErrors, err.Error())
-	}
+	cs := &candidateSet{indexes: gen.Candidates(), genErrors: len(gen.GenerationErrors())}
 	set.cand.Store(cs)
 	return cs, nil
 }
@@ -426,10 +423,7 @@ func (t *tenant) saveSnapshot(set *snapshotSet, opID string, lt *loadTimes) {
 	}
 	defer t.srv.observePhase(lt, phaseSave, time.Now())
 	if serr := plancache.Save(t.snapshotPath, plancache.NewSnapshot(set.fingerprint, set.caches)); serr != nil {
-		t.lastSaveErr.Store(serr.Error())
 		t.srv.recordEvent("snapshot-save-failed", t.name, opID, serr.Error())
-	} else {
-		t.lastSaveErr.Store("")
 	}
 }
 
@@ -673,7 +667,6 @@ func (t *tenant) scheduleRetry() {
 	if d <= 0 || d > t.srv.cfg.RetryMax {
 		d = t.srv.cfg.RetryMax
 	}
-	t.nextRetryAt = time.Now().Add(d)
 	if t.retryTimer != nil {
 		t.retryTimer.Stop()
 	}
@@ -683,7 +676,6 @@ func (t *tenant) scheduleRetry() {
 func (t *tenant) retryFire() {
 	t.retryMu.Lock()
 	t.retryTimer = nil
-	t.nextRetryAt = time.Time{}
 	closed := t.closed
 	t.retryMu.Unlock()
 	if closed {
@@ -696,7 +688,6 @@ func (t *tenant) clearRetry() {
 	t.retryMu.Lock()
 	defer t.retryMu.Unlock()
 	t.retryAttempt = 0
-	t.nextRetryAt = time.Time{}
 	if t.retryTimer != nil {
 		t.retryTimer.Stop()
 		t.retryTimer = nil
@@ -712,7 +703,6 @@ func (t *tenant) stopRetry() {
 		t.retryTimer.Stop()
 		t.retryTimer = nil
 	}
-	t.nextRetryAt = time.Time{}
 }
 
 // handleReload serves POST /reload: ?tenant= (or the X-Pinum-Tenant

@@ -335,7 +335,7 @@ func TestReloadPicksUpStatsDrift(t *testing.T) {
 
 // TestReloadFailureKeepsServing pins degraded mode: a failing rebuild
 // leaves the old set answering byte-identically, surfaces the error in
-// /healthz and /statz, and the first healthy reload clears it.
+// /healthz, and the first healthy reload clears it.
 func TestReloadFailureKeepsServing(t *testing.T) {
 	rf := newReloadFixture(t, nil)
 	rf.load(t)

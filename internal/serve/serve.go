@@ -45,7 +45,7 @@
 // bounded request bodies (413 past -max-body-bytes), and per-request
 // deadlines. Reloads that fail — loader error, rebuild panic, corrupt
 // snapshot — leave the old set serving and retry with capped exponential
-// backoff, surfaced as "degraded" in /healthz, /readyz and /statz.
+// backoff, surfaced as "degraded" in /healthz and /readyz.
 package serve
 
 import (
@@ -214,9 +214,7 @@ type Server struct {
 
 	// Observability: the metrics registry behind /metrics, the
 	// operational event ring behind /eventz, per-endpoint handle cache,
-	// and pre-resolved process-wide counters. /statz derives every
-	// number it reports from the same registry handles, so the two
-	// exposition surfaces can never disagree.
+	// and pre-resolved process-wide counters.
 	reg       *obs.Registry
 	events    *obs.EventLog
 	logger    *slog.Logger
@@ -342,7 +340,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/reload", s.instrument("/reload", http.MethodPost, false, s.handleReload))
 	s.mux.HandleFunc("/healthz", s.instrument("/healthz", http.MethodGet, false, s.handleHealth))
 	s.mux.HandleFunc("/readyz", s.instrument("/readyz", http.MethodGet, false, s.handleReady))
-	s.mux.HandleFunc("/statz", s.instrument("/statz", http.MethodGet, false, s.handleStatz))
 	s.mux.HandleFunc("/eventz", s.instrument("/eventz", http.MethodGet, false, s.handleEventz))
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/", s.handleUnmatched)
@@ -626,10 +623,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleUnmatched is the mux catch-all: probes for paths this server
-// never registered are counted (pinum_http_unmatched_total, the /statz
-// "unmatched" key) instead of vanishing into a silent 404. No per-path
-// series is created — request paths are attacker-controlled and would
-// blow up metric cardinality.
+// never registered are counted (pinum_http_unmatched_total) instead of
+// vanishing into a silent 404. No per-path series is created — request
+// paths are attacker-controlled and would blow up metric cardinality.
 func (s *Server) handleUnmatched(w http.ResponseWriter, r *http.Request) {
 	s.unmatched.Inc()
 	if s.logger != nil {
@@ -1127,7 +1123,7 @@ func (s *Server) tenantHealth(t *tenant) map[string]any {
 			out["candidates_error"] = err.Error()
 		} else {
 			out["candidates"] = len(cs.indexes)
-			out["candidate_gen_errors"] = len(cs.genErrors)
+			out["candidate_gen_errors"] = cs.genErrors
 		}
 		out["fingerprint"] = fmt.Sprintf("%016x", set.fingerprint)
 		out["snapshot_source"] = set.source
@@ -1189,106 +1185,6 @@ func (s *Server) serverStatus() string {
 		}
 	}
 	return "ok"
-}
-
-// EndpointStats is one endpoint's counters as /statz reports them.
-type EndpointStats struct {
-	Requests int64   `json:"requests"`
-	Errors   int64   `json:"errors"`
-	AvgMs    float64 `json:"avg_ms"`
-	MaxMs    float64 `json:"max_ms"`
-}
-
-// ReloadStats is one tenant's reload state machine as /statz reports it.
-type ReloadStats struct {
-	Completed     int64  `json:"completed"`
-	Skipped       int64  `json:"skipped"`
-	Failed        int64  `json:"failed"`
-	Degraded      bool   `json:"degraded"`
-	LastError     string `json:"last_error,omitempty"`
-	LastSaveError string `json:"last_save_error,omitempty"`
-	RetryAttempt  int    `json:"retry_attempt,omitempty"`
-	NextRetryInMs int64  `json:"next_retry_in_ms,omitempty"`
-}
-
-// handleStatz reports process counters, per-endpoint latency stats and a
-// per-tenant section each — every number re-derived from the same
-// registry handles /metrics scrapes, so the two surfaces cannot drift.
-// Single-tenant servers additionally keep every pre-tenant top-level
-// field (reloads, fingerprint, …) so existing scrapers read them
-// unchanged; ?tenant= narrows to one tenant.
-func (s *Server) handleStatz(r *http.Request) (any, error) {
-	if name := r.URL.Query().Get("tenant"); name != "" {
-		t, err := s.tenantByName(name)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]any{"tenant": t.name, "stats": t.stats()}, nil
-	}
-	s.epMu.Lock()
-	handles := make(map[string]*endpointObs, len(s.ep))
-	names := make([]string, 0, len(s.ep))
-	for name, m := range s.ep {
-		names = append(names, name)
-		handles[name] = m
-	}
-	s.epMu.Unlock()
-	sort.Strings(names)
-	eps := make(map[string]EndpointStats, len(names))
-	for _, name := range names {
-		m := handles[name]
-		st := EndpointStats{
-			Requests: m.requests.Value(),
-			Errors:   m.errors.Value(),
-			MaxMs:    m.latency.Max() * 1e3,
-		}
-		if n := m.latency.Count(); n > 0 {
-			st.AvgMs = m.latency.Sum() / float64(n) * 1e3
-		}
-		eps[name] = st
-	}
-	var rejected int64
-	tstats := make(map[string]TenantStats, len(s.tenants))
-	for _, name := range s.tenantNames {
-		t := s.tenants[name]
-		rejected += t.rejected.Value()
-		tstats[name] = t.stats()
-	}
-	out := map[string]any{
-		"uptime_seconds": time.Since(s.start).Seconds(),
-		"endpoints":      eps,
-		"panics":         s.panics.Value(),
-		"rejected":       rejected,
-		"oversized":      s.oversized.Value(),
-		"unmatched":      s.unmatched.Value(),
-		"tenants":        tstats,
-	}
-	if s.multi {
-		out["tenants_resident"] = s.residentCount()
-		if s.residentCap > 0 {
-			out["resident_cap"] = s.residentCap
-		}
-	} else {
-		t := s.defaultTenant()
-		out["reloads"] = t.reloadStats()
-		out["interned_indexes"] = 0
-		if t.inflight != nil {
-			out["in_flight"] = len(t.inflight)
-		}
-		if set := t.current(); set != nil {
-			out["interned_indexes"] = set.internedCount()
-			out["fingerprint"] = fmt.Sprintf("%016x", set.fingerprint)
-			out["snapshot_source"] = set.source
-			out["queries_reused"] = set.reused
-			out["queries_rebuilt"] = set.rebuilt
-			if cs, err := set.candidates(); err != nil {
-				out["candidates_error"] = err.Error()
-			} else if len(cs.genErrors) > 0 {
-				out["candidate_gen_errors"] = cs.genErrors
-			}
-		}
-	}
-	return out, nil
 }
 
 func loadString(v *atomic.Value) string {

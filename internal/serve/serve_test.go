@@ -309,8 +309,9 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
-// TestHealthAndStatz checks the liveness payload and that the counters
-// actually count.
+// TestHealthAndStatz checks the liveness payload and that the per-endpoint
+// request counters on /metrics actually count. (The name dates from the
+// /statz endpoint, whose counters these were.)
 func TestHealthAndStatz(t *testing.T) {
 	f := newFixture(t)
 	resp, err := http.Get(f.ts.URL + "/healthz")
@@ -333,23 +334,12 @@ func TestHealthAndStatz(t *testing.T) {
 
 	f.post(t, "/whatif", WhatIfRequest{}, nil)
 	f.post(t, "/whatif", WhatIfRequest{}, nil)
-	resp, err = http.Get(f.ts.URL + "/statz")
-	if err != nil {
-		t.Fatal(err)
+	body := scrape(t, f.ts.URL)
+	if got := metricValue(t, body, `pinum_http_requests_total{endpoint="/whatif"}`); got < 2 {
+		t.Errorf("/metrics reports %v /whatif requests, want >= 2", got)
 	}
-	var statz struct {
-		Uptime    float64                  `json:"uptime_seconds"`
-		Endpoints map[string]EndpointStats `json:"endpoints"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&statz); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if statz.Endpoints["/whatif"].Requests < 2 {
-		t.Errorf("statz reports %d /whatif requests, want >= 2", statz.Endpoints["/whatif"].Requests)
-	}
-	if statz.Endpoints["/healthz"].Requests < 1 {
-		t.Errorf("statz reports no /healthz requests")
+	if got := metricValue(t, body, `pinum_http_requests_total{endpoint="/healthz"}`); got < 1 {
+		t.Errorf("/metrics reports no /healthz requests")
 	}
 }
 
@@ -409,6 +399,10 @@ func TestFullInternerStillAnswers(t *testing.T) {
 	}
 	if got := open.srv.defaultTenant().current().internedCount(); got != len(specs) {
 		t.Errorf("uncapped interner holds %d indexes, want %d", got, len(specs))
+	}
+	// What an operator watches against the cap.
+	if got := metricValue(t, scrape(t, capped.ts.URL), `pinum_tenant_interned_indexes{tenant="default"}`); got != 2 {
+		t.Errorf("/metrics pinum_tenant_interned_indexes = %v, want 2", got)
 	}
 }
 

@@ -64,7 +64,7 @@ type TenantConfig struct {
 // tenant is one workload's complete serving state: the hot-swapped
 // snapshot set, the reload/retry machinery that replaces it, the
 // admission semaphore that bounds it, and the counters that surface it
-// in /statz. Everything PR 8 hung off Server now hangs off the tenant,
+// in /metrics. Everything PR 8 hung off Server now hangs off the tenant,
 // instantiated once per entry.
 type tenant struct {
 	name         string
@@ -89,7 +89,6 @@ type tenant struct {
 	retryMu      sync.Mutex
 	retryTimer   *time.Timer
 	retryAttempt int
-	nextRetryAt  time.Time
 	closed       bool
 
 	// inflight is this tenant's admission semaphore (nil = unlimited).
@@ -100,8 +99,7 @@ type tenant struct {
 	lastUsed atomic.Int64
 
 	// Registry handles for the tenant's counters, resolved once in
-	// newTenant so request recording stays lock-free. /statz and /metrics
-	// read the same handles.
+	// newTenant so request recording stays lock-free.
 	reloadsOK      *obs.Counter
 	reloadsSkipped *obs.Counter
 	reloadsFailed  *obs.Counter
@@ -112,7 +110,6 @@ type tenant struct {
 	errors         *obs.Counter
 	degraded       atomic.Bool
 	lastReloadErr  atomic.Value // string
-	lastSaveErr    atomic.Value // string
 
 	// Snapshot-shape gauges, refreshed on every publish.
 	snapQueries    *obs.Gauge
@@ -166,6 +163,14 @@ func (s *Server) registerTenantMetrics(t *tenant) {
 				return 0
 			}
 			return float64(len(t.inflight))
+		}, tl)
+	s.reg.GaugeFunc("pinum_tenant_interned_indexes",
+		fmt.Sprintf("What-if indexes interned by the live set; past %d a new one is priced request-locally.", maxInternedIndexes),
+		func() float64 {
+			if set := t.current(); set != nil {
+				return float64(set.internedCount())
+			}
+			return 0
 		}, tl)
 	t.snapQueries = s.reg.Gauge("pinum_snapshot_queries",
 		"Queries served by the tenant's live snapshot set.", tl)
@@ -463,74 +468,4 @@ func (s *Server) computeOn(r *http.Request, bodyTenant string, fn func(*tenant, 
 		t.errors.Inc()
 	}
 	return resp, err
-}
-
-// TenantStats is one tenant's /statz section.
-type TenantStats struct {
-	Status          string      `json:"status"`
-	Resident        bool        `json:"resident"`
-	Fingerprint     string      `json:"fingerprint,omitempty"`
-	SnapshotSource  string      `json:"snapshot_source,omitempty"`
-	Queries         int         `json:"queries,omitempty"`
-	QueriesReused   int         `json:"queries_reused,omitempty"`
-	QueriesRebuilt  int         `json:"queries_rebuilt,omitempty"`
-	InternedIndexes int         `json:"interned_indexes,omitempty"`
-	Requests        int64       `json:"requests"`
-	Errors          int64       `json:"errors"`
-	Rejected        int64       `json:"rejected"`
-	InFlight        int         `json:"in_flight"`
-	MaxInFlight     int         `json:"max_in_flight,omitempty"`
-	ColdLoads       int64       `json:"cold_loads"`
-	Evictions       int64       `json:"evictions"`
-	Reloads         ReloadStats `json:"reloads"`
-}
-
-// stats snapshots the tenant's counters for /statz.
-func (t *tenant) stats() TenantStats {
-	ts := TenantStats{
-		Status:    t.statusWord(),
-		Requests:  t.requests.Value(),
-		Errors:    t.errors.Value(),
-		Rejected:  t.rejected.Value(),
-		ColdLoads: t.coldLoads.Value(),
-		Evictions: t.evictions.Value(),
-		Reloads:   t.reloadStats(),
-	}
-	if t.inflight != nil {
-		ts.InFlight = len(t.inflight)
-		ts.MaxInFlight = cap(t.inflight)
-	}
-	if set := t.current(); set != nil {
-		ts.Resident = true
-		ts.Fingerprint = fmt.Sprintf("%016x", set.fingerprint)
-		ts.SnapshotSource = set.source
-		ts.Queries = len(set.env.Queries)
-		ts.QueriesReused = set.reused
-		ts.QueriesRebuilt = set.rebuilt
-		ts.InternedIndexes = set.internedCount()
-	}
-	return ts
-}
-
-// reloadStats snapshots the tenant's reload state machine.
-func (t *tenant) reloadStats() ReloadStats {
-	rs := ReloadStats{
-		Completed:     t.reloadsOK.Value(),
-		Skipped:       t.reloadsSkipped.Value(),
-		Failed:        t.reloadsFailed.Value(),
-		Degraded:      t.degraded.Load(),
-		LastError:     loadString(&t.lastReloadErr),
-		LastSaveError: loadString(&t.lastSaveErr),
-	}
-	t.retryMu.Lock()
-	rs.RetryAttempt = t.retryAttempt
-	if !t.nextRetryAt.IsZero() {
-		if ms := time.Until(t.nextRetryAt).Milliseconds(); ms > 0 {
-			rs.NextRetryInMs = ms
-		} else {
-			rs.NextRetryInMs = 1 // due; not yet run
-		}
-	}
-	t.retryMu.Unlock()
-	return rs
 }

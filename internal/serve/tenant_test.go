@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -148,21 +150,65 @@ func (f *mtFixture) do(t *testing.T, method, path, tenant string, body []byte) (
 	return resp.StatusCode, b
 }
 
-// tenantStatz fetches one tenant's /statz section.
-func (f *mtFixture) tenantStatz(t *testing.T, tenant string) TenantStats {
+// metricValue returns the value of one series — its name and label set as
+// rendered — in a /metrics body.
+func metricValue(t *testing.T, body, series string) float64 {
 	t.Helper()
-	code, body := f.do(t, http.MethodGet, "/statz?tenant="+tenant, "", nil)
+	for _, line := range strings.Split(body, "\n") {
+		if rest, ok := strings.CutPrefix(line, series+" "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				t.Fatalf("/metrics series %s: %v", series, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("/metrics has no series %s", series)
+	return 0
+}
+
+// tenantCounters is one tenant's residency, admission and reload series.
+type tenantCounters struct {
+	Resident                                                bool
+	Requests, Rejected, ColdLoads, Evictions, ReloadsFailed int64
+}
+
+// tenantCounters scrapes /metrics for one tenant's series.
+func (f *mtFixture) tenantCounters(t *testing.T, tenant string) tenantCounters {
+	t.Helper()
+	body := scrape(t, f.ts.URL)
+	of := func(name string) int64 {
+		return int64(metricValue(t, body, fmt.Sprintf(`%s{tenant=%q}`, name, tenant)))
+	}
+	return tenantCounters{
+		Resident:      of("pinum_tenant_resident") == 1,
+		Requests:      of("pinum_tenant_requests_total"),
+		Rejected:      of("pinum_tenant_rejected_total"),
+		ColdLoads:     of("pinum_tenant_cold_loads_total"),
+		Evictions:     of("pinum_tenant_evictions_total"),
+		ReloadsFailed: int64(metricValue(t, body, fmt.Sprintf(`pinum_tenant_reloads_total{result="failed",tenant=%q}`, tenant))),
+	}
+}
+
+// tenantHealth is the part of /healthz?tenant= the tests read: the status
+// word and, while a set is live, its fingerprint and where it came from.
+type tenantHealth struct {
+	Status         string `json:"status"`
+	Fingerprint    string `json:"fingerprint"`
+	SnapshotSource string `json:"snapshot_source"`
+}
+
+func (f *mtFixture) tenantHealth(t *testing.T, tenant string) tenantHealth {
+	t.Helper()
+	code, body := f.do(t, http.MethodGet, "/healthz?tenant="+tenant, "", nil)
 	if code != http.StatusOK {
-		t.Fatalf("/statz?tenant=%s: %d %s", tenant, code, body)
+		t.Fatalf("/healthz?tenant=%s: %d %s", tenant, code, body)
 	}
-	var out struct {
-		Tenant string      `json:"tenant"`
-		Stats  TenantStats `json:"stats"`
-	}
+	var out tenantHealth
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
-	return out.Stats
+	return out
 }
 
 // dedicatedServer boots a single-tenant loader-mode server for one seed —
@@ -261,7 +307,7 @@ func TestTenantLRUEviction(t *testing.T) {
 	if got := f.srv.residentCount(); got != 2 {
 		t.Fatalf("resident after eviction = %d, want 2", got)
 	}
-	if st := f.tenantStatz(t, "acme"); st.Resident || st.Evictions != 1 {
+	if st := f.tenantCounters(t, "acme"); st.Resident || st.Evictions != 1 {
 		t.Fatalf("acme after initech load: resident=%v evictions=%d, want evicted once", st.Resident, st.Evictions)
 	}
 
@@ -270,15 +316,15 @@ func TestTenantLRUEviction(t *testing.T) {
 	if code, body := f.do(t, http.MethodPost, "/whatif", "acme", probe); code != http.StatusOK {
 		t.Fatalf("acme reload: %d %s", code, body)
 	}
-	st := f.tenantStatz(t, "acme")
-	if !st.Resident || st.ColdLoads != 2 || st.SnapshotSource != sourceDisk {
+	st, source := f.tenantCounters(t, "acme"), f.tenantHealth(t, "acme").SnapshotSource
+	if !st.Resident || st.ColdLoads != 2 || source != sourceDisk {
 		t.Fatalf("acme after re-request: resident=%v coldLoads=%d source=%q, want a disk-snapshot cold load",
-			st.Resident, st.ColdLoads, st.SnapshotSource)
+			st.Resident, st.ColdLoads, source)
 	}
-	if st := f.tenantStatz(t, "globex"); st.Resident || st.Evictions != 1 {
+	if st := f.tenantCounters(t, "globex"); st.Resident || st.Evictions != 1 {
 		t.Fatalf("globex after acme re-request: resident=%v evictions=%d, want evicted", st.Resident, st.Evictions)
 	}
-	if st := f.tenantStatz(t, "initech"); !st.Resident {
+	if st := f.tenantCounters(t, "initech"); !st.Resident {
 		t.Fatal("initech (recently used) was evicted, want resident")
 	}
 }
@@ -378,7 +424,7 @@ func TestMultiTenantByteIdentity(t *testing.T) {
 	// The storm must actually have exercised the residency machinery.
 	var evictions, coldLoads int64
 	for name := range mtSeeds {
-		st := f.tenantStatz(t, name)
+		st := f.tenantCounters(t, name)
 		evictions += st.Evictions
 		coldLoads += st.ColdLoads
 	}
@@ -413,8 +459,8 @@ func TestTenantColdLoadFailureIsolated(t *testing.T) {
 	if code != http.StatusServiceUnavailable || !bytes.Contains(body, []byte("snapshot load failed")) {
 		t.Fatalf("cold load under fault: %d %s, want 503", code, body)
 	}
-	if st := f.tenantStatz(t, "initech"); st.Resident || st.Reloads.Failed == 0 {
-		t.Fatalf("initech after failed load: resident=%v failed=%d", st.Resident, st.Reloads.Failed)
+	if st := f.tenantCounters(t, "initech"); st.Resident || st.ReloadsFailed == 0 {
+		t.Fatalf("initech after failed load: resident=%v failed=%d", st.Resident, st.ReloadsFailed)
 	}
 
 	// Resident tenants are untouched — same bytes, no degradation.
@@ -422,7 +468,7 @@ func TestTenantColdLoadFailureIsolated(t *testing.T) {
 	if code != http.StatusOK || !bytes.Equal(body, wantAcme) {
 		t.Fatalf("acme while initech failing: %d, answer changed", code)
 	}
-	if st := f.tenantStatz(t, "acme"); st.Status != "ok" {
+	if st := f.tenantHealth(t, "acme"); st.Status != "ok" {
 		t.Fatalf("acme status %q while initech failing, want ok", st.Status)
 	}
 
@@ -463,10 +509,10 @@ func TestTenantAdmissionIndependent(t *testing.T) {
 	if code, _ := f.do(t, http.MethodPost, "/whatif", "acme", probe); code != http.StatusOK {
 		t.Fatalf("acme after release: %d, want 200", code)
 	}
-	if st := f.tenantStatz(t, "acme"); st.Rejected != 1 {
+	if st := f.tenantCounters(t, "acme"); st.Rejected != 1 {
 		t.Fatalf("acme rejected = %d, want 1", st.Rejected)
 	}
-	if st := f.tenantStatz(t, "globex"); st.Rejected != 0 {
+	if st := f.tenantCounters(t, "globex"); st.Rejected != 0 {
 		t.Fatalf("globex rejected = %d, want 0", st.Rejected)
 	}
 }
@@ -483,7 +529,7 @@ func TestTenantReloadDrift(t *testing.T) {
 			t.Fatalf("%s warm-up: %d %s", name, code, body)
 		}
 	}
-	fpBefore := f.tenantStatz(t, "acme").Fingerprint
+	fpBefore := f.tenantHealth(t, "acme").Fingerprint
 	_, wantGlobex := f.do(t, http.MethodPost, "/whatif", "globex", probe)
 
 	f.setRows("acme", "dim2_7", 4_242_424)
@@ -501,7 +547,7 @@ func TestTenantReloadDrift(t *testing.T) {
 	if out.Fingerprint == fpBefore {
 		t.Fatal("acme's fingerprint did not move with its statistics")
 	}
-	if got := f.tenantStatz(t, "globex").Fingerprint; got != f.tenantStatz(t, "globex").Fingerprint || got == out.Fingerprint {
+	if got := f.tenantHealth(t, "globex").Fingerprint; got != f.tenantHealth(t, "globex").Fingerprint || got == out.Fingerprint {
 		t.Fatalf("globex fingerprint %s moved with acme's reload", got)
 	}
 	code, body = f.do(t, http.MethodPost, "/whatif", "globex", probe)
@@ -524,7 +570,8 @@ func TestTenantReloadDrift(t *testing.T) {
 
 // TestMultiTenantHealthAndStatz pins the multi-tenant observability
 // shape: the registry overview on /healthz, per-tenant detail behind
-// ?tenant=, and per-tenant /statz sections.
+// ?tenant=, and — where /statz had per-tenant sections — one set of
+// /metrics series per tenant.
 func TestMultiTenantHealthAndStatz(t *testing.T) {
 	f := newMTFixture(t, mtSeeds, mtOrder, 2, nil)
 	probe := []byte(`{"indexes":[]}`)
@@ -568,25 +615,14 @@ func TestMultiTenantHealthAndStatz(t *testing.T) {
 		t.Fatalf("/healthz?tenant=hooli: %d, want 404", code)
 	}
 
-	code, body = f.do(t, http.MethodGet, "/statz", "", nil)
-	if code != http.StatusOK {
-		t.Fatalf("/statz: %d", code)
+	if got := strings.Count(scrape(t, f.ts.URL), "\npinum_tenant_resident{"); got != 3 {
+		t.Fatalf("/metrics has %d pinum_tenant_resident series, want one per tenant", got)
 	}
-	var statz struct {
-		Tenants  map[string]TenantStats `json:"tenants"`
-		Rejected int64                  `json:"rejected"`
+	if st := f.tenantCounters(t, "acme"); !st.Resident || st.Requests == 0 {
+		t.Fatalf("acme series %+v, want resident with requests", st)
 	}
-	if err := json.Unmarshal(body, &statz); err != nil {
-		t.Fatal(err)
-	}
-	if len(statz.Tenants) != 3 {
-		t.Fatalf("/statz tenants = %d sections, want 3", len(statz.Tenants))
-	}
-	if st := statz.Tenants["acme"]; !st.Resident || st.Requests == 0 {
-		t.Fatalf("acme section %+v, want resident with requests", st)
-	}
-	if st := statz.Tenants["initech"]; st.Resident || st.Status != "cold" {
-		t.Fatalf("initech section %+v, want cold", st)
+	if st, status := f.tenantCounters(t, "initech"), f.tenantHealth(t, "initech").Status; st.Resident || status != "cold" {
+		t.Fatalf("initech series %+v status %q, want cold", st, status)
 	}
 }
 
@@ -601,7 +637,7 @@ func TestFailedColdLoadIsNotAColdLoad(t *testing.T) {
 	conserved := func(when string) {
 		t.Helper()
 		for _, name := range mtOrder {
-			st := f.tenantStatz(t, name)
+			st := f.tenantCounters(t, name)
 			resident := int64(0)
 			if st.Resident {
 				resident = 1
@@ -618,8 +654,8 @@ func TestFailedColdLoadIsNotAColdLoad(t *testing.T) {
 	if code, body := f.do(t, http.MethodPost, "/whatif", "acme", probe); code != http.StatusServiceUnavailable {
 		t.Fatalf("cold load under serve.rebuild=error: %d %s, want 503", code, body)
 	}
-	if st := f.tenantStatz(t, "acme"); st.ColdLoads != 0 || st.Reloads.Failed != 1 {
-		t.Fatalf("after a failed cold load: cold_loads=%d failed=%d, want 0 and 1", st.ColdLoads, st.Reloads.Failed)
+	if st := f.tenantCounters(t, "acme"); st.ColdLoads != 0 || st.ReloadsFailed != 1 {
+		t.Fatalf("after a failed cold load: cold_loads=%d failed=%d, want 0 and 1", st.ColdLoads, st.ReloadsFailed)
 	}
 	conserved("after the failed load")
 
@@ -627,8 +663,8 @@ func TestFailedColdLoadIsNotAColdLoad(t *testing.T) {
 	if code, body := f.do(t, http.MethodPost, "/whatif", "acme", probe); code != http.StatusOK {
 		t.Fatalf("cold load after the fault cleared: %d %s", code, body)
 	}
-	if st := f.tenantStatz(t, "acme"); st.ColdLoads != 1 || st.Reloads.Failed != 1 {
-		t.Fatalf("after the load that published: cold_loads=%d failed=%d, want 1 and 1", st.ColdLoads, st.Reloads.Failed)
+	if st := f.tenantCounters(t, "acme"); st.ColdLoads != 1 || st.ReloadsFailed != 1 {
+		t.Fatalf("after the load that published: cold_loads=%d failed=%d, want 1 and 1", st.ColdLoads, st.ReloadsFailed)
 	}
 	conserved("after the published load")
 }
