@@ -108,7 +108,17 @@ type Table struct {
 	ForeignKeys []ForeignKey
 
 	colIndex map[string]int
+	// names is the name space the table was last registered in: AddTable
+	// stamps it with the catalog's token, which Clone copies. See
+	// Index.OnTable for what it licenses.
+	names *nameSpace
 }
+
+// nameSpace is the identity of one catalog's table names. A catalog and
+// its clones share one (they share the table map), and AddTable rejects
+// duplicate names, so two different tables stamped with the same token
+// are differently named. The byte keeps tokens from sharing an address.
+type nameSpace struct{ _ byte }
 
 // Column returns the named column, or nil.
 func (t *Table) Column(name string) *Column {
@@ -153,6 +163,11 @@ func (t *Table) RowWidth() int {
 //
 // Following the paper's definition 4 (§II), an index covers an interesting
 // order iff the order's column is the index's *first* column.
+//
+// Table and Columns are fixed once the descriptor is constructed: Bind
+// resolves them to the table descriptor and column ordinals the cost model
+// prices by, and interned descriptors are shared by every request
+// goroutine, so nothing re-reads the names afterwards.
 type Index struct {
 	Name    string
 	Table   string
@@ -175,7 +190,81 @@ type Index struct {
 	// Height is the B-tree height (root-to-leaf edges); used for index
 	// descent cost.
 	Height int
+
+	// The bound form, written once by Bind before the descriptor is shared:
+	// the table, the lead column's ordinal in it, and the key columns as a
+	// bitset over the table's column ordinals. tab is nil for an unbound
+	// descriptor (a literal, or an index Bind declined).
+	tab  *Table
+	lead int
+	cols uint64
 }
+
+// maxBoundColumns is the widest table an index binds to: the key bitset is
+// one word. Indexes on wider tables stay unbound and price by name.
+const maxBoundColumns = 64
+
+// Bind resolves the index's table name and key columns against t, the
+// descriptor the index was built for. The constructors in package storage
+// call it before returning; it must not run once the index is shared. An
+// index naming another table, a column t does not have, or a table of more
+// than 64 columns is left unbound, which is always correct: unbound
+// descriptors are matched and priced by name.
+func (ix *Index) Bind(t *Table) {
+	if ix.Table != t.Name || len(ix.Columns) == 0 || len(t.Columns) > maxBoundColumns {
+		return
+	}
+	var cols uint64
+	for _, c := range ix.Columns {
+		ord := t.ColumnOrdinal(c)
+		if ord < 0 {
+			return
+		}
+		cols |= 1 << uint(ord)
+	}
+	ix.tab, ix.lead, ix.cols = t, t.ColumnOrdinal(ix.Columns[0]), cols
+}
+
+// TableMatch is how an index relates to a table descriptor (Index.OnTable).
+type TableMatch int8
+
+const (
+	// OffTable: the index is on another table.
+	OffTable TableMatch = iota
+	// OnTableBound: the index is bound to this very descriptor, so
+	// LeadOrdinal and ColumnMask speak its column ordinals.
+	OnTableBound
+	// OnTableByName: the index names the table but is not bound to this
+	// descriptor; columns must be resolved by name.
+	OnTableByName
+)
+
+// OnTable matches the index against table t, and is the one place the
+// table-identity rule lives. Equal descriptors are the same table, always.
+// Unequal descriptors mean different names only when both were registered
+// in one catalog name space (AddTable rejects duplicates; Clone shares the
+// tables): then the pair is dismissed on two pointer compares. An unbound
+// index, a table no catalog registered, or descriptors of two catalogs —
+// which may well carry the same name — fall back to comparing names.
+func (ix *Index) OnTable(t *Table) TableMatch {
+	switch {
+	case ix.tab == t:
+		return OnTableBound
+	case ix.tab != nil && ix.tab.names != nil && ix.tab.names == t.names:
+		return OffTable
+	case ix.Table == t.Name:
+		return OnTableByName
+	}
+	return OffTable
+}
+
+// LeadOrdinal is the lead column's ordinal in the bound table. Meaningful
+// only after OnTable returned OnTableBound.
+func (ix *Index) LeadOrdinal() int { return ix.lead }
+
+// ColumnMask is the key columns as a bitset over the bound table's column
+// ordinals. Meaningful only after OnTable returned OnTableBound.
+func (ix *Index) ColumnMask() uint64 { return ix.cols }
 
 // TotalPages is the full on-disk footprint used for space budgeting.
 func (ix *Index) TotalPages() int64 { return ix.LeafPages + ix.InternalPages }
@@ -211,6 +300,7 @@ func (ix *Index) Key() string {
 type Catalog struct {
 	tables     map[string]*Table
 	tableOrder []string
+	names      *nameSpace
 	indexes    map[string]*Index
 	byTable    map[string][]*Index
 }
@@ -219,6 +309,7 @@ type Catalog struct {
 func New() *Catalog {
 	return &Catalog{
 		tables:  make(map[string]*Table),
+		names:   new(nameSpace),
 		indexes: make(map[string]*Index),
 		byTable: make(map[string][]*Index),
 	}
@@ -247,6 +338,7 @@ func (c *Catalog) AddTable(t *Table) error {
 		seen[col.Name] = true
 	}
 	t.buildIndex()
+	t.names = c.names
 	c.tables[t.Name] = t
 	c.tableOrder = append(c.tableOrder, t.Name)
 	return nil
@@ -340,6 +432,7 @@ func (c *Catalog) Clone() *Catalog {
 	out := New()
 	out.tables = c.tables
 	out.tableOrder = c.tableOrder
+	out.names = c.names
 	for n, ix := range c.indexes {
 		out.indexes[n] = ix
 	}

@@ -169,3 +169,77 @@ func TestTypeStringsAndWidths(t *testing.T) {
 		t.Error("TotalPages wrong")
 	}
 }
+
+// TestIndexOnTable pins the table-identity rule: a bound index trusts
+// pointers only inside one catalog name space, and everything it cannot
+// place is matched by name.
+func TestIndexOnTable(t *testing.T) {
+	other := func(name string) *Table {
+		tb := sampleTable()
+		tb.Name = name
+		return tb
+	}
+	c := New()
+	tt, tu := other("t"), other("u")
+	for _, tb := range []*Table{tt, tu} {
+		if err := c.AddTable(tb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c2 := New()
+	t2 := other("t")
+	if err := c2.AddTable(t2); err != nil {
+		t.Fatal(err)
+	}
+	loose := other("t") // never registered anywhere
+
+	bound := &Index{Name: "b", Table: "t", Columns: []string{"a", "id"}}
+	bound.Bind(tt)
+	if bound.LeadOrdinal() != 1 || bound.ColumnMask() != 0b011 {
+		t.Fatalf("bound form: lead %d mask %b, want 1 and 011", bound.LeadOrdinal(), bound.ColumnMask())
+	}
+	literal := &Index{Name: "l", Table: "t", Columns: []string{"a", "id"}}
+	onLoose := &Index{Name: "o", Table: "t", Columns: []string{"a"}}
+	onLoose.Bind(loose)
+
+	for _, tc := range []struct {
+		what string
+		ix   *Index
+		tb   *Table
+		want TableMatch
+	}{
+		{"bound, its own table", bound, tt, OnTableBound},
+		{"bound, the clone's shared table", bound, c.Clone().Table("t"), OnTableBound},
+		{"bound, another table of its catalog", bound, tu, OffTable},
+		{"bound, a same-named table of another catalog", bound, t2, OnTableByName},
+		{"bound, a same-named table of no catalog", bound, loose, OnTableByName},
+		{"bound to a table of no catalog, a catalog's same-named table", onLoose, tt, OnTableByName},
+		{"bound to a table of no catalog, that table", onLoose, loose, OnTableBound},
+		{"literal, the named table", literal, tt, OnTableByName},
+		{"literal, another table", literal, tu, OffTable},
+	} {
+		if got := tc.ix.OnTable(tc.tb); got != tc.want {
+			t.Errorf("%s: OnTable = %d, want %d", tc.what, got, tc.want)
+		}
+	}
+
+	// Bind declines what it cannot resolve; the descriptor stays by-name.
+	unknown := &Index{Name: "x", Table: "t", Columns: []string{"a", "zz"}}
+	unknown.Bind(tt)
+	wrong := &Index{Name: "w", Table: "u", Columns: []string{"a"}}
+	wrong.Bind(tt)
+	wide := &Table{Name: "wide"}
+	for i := 0; i <= maxBoundColumns; i++ {
+		wide.Columns = append(wide.Columns, &Column{Name: "c" + string(rune('A'+i))})
+	}
+	onWide := &Index{Name: "ww", Table: "wide", Columns: []string{"cA"}}
+	onWide.Bind(wide)
+	for _, tc := range []struct {
+		ix *Index
+		tb *Table
+	}{{unknown, tt}, {wrong, tu}, {onWide, wide}} {
+		if got := tc.ix.OnTable(tc.tb); got != OnTableByName {
+			t.Errorf("index %s after a declined Bind: OnTable = %d, want by-name", tc.ix.Name, got)
+		}
+	}
+}

@@ -14,8 +14,8 @@
 // inverted index (table → queries) skips entirely the queries that never
 // reference the candidate's table.
 //
-// The engine consumes only each cache's slim decomposition — the packed
-// leaf arenas behind Cache.BestPlan — never a plan's path tree, so it runs
+// The engine consumes only each cache's slim decomposition — the leaf
+// arenas behind Cache.BestPlan — never a plan's path tree, so it runs
 // unchanged over slim and snapshot-loaded caches (internal/plancache) as
 // well as tree-backed ones; the serving layer's /recommend endpoint relies
 // on exactly that.

@@ -13,8 +13,10 @@
 // accessCost depends only on (relation, leaf identity, C), and a relation
 // with k interesting orders has 1 + 2k identities, so Cost prices C once
 // into the query's leaf-slot table (optimizer.PriceLeafSlots, a few dozen
-// floats on the caller's stack) and every plan reads it as an array. A
-// cache holds no memo and no lock: once built it is never written.
+// floats on the caller's stack) and every plan reads it as an array: the
+// cache's leaf arena holds, per plan and relation, the index of the leaf's
+// slot in that table. A cache holds no memo and no lock: once built it is
+// never written.
 //
 // Package core builds the same cache with just one optimizer call per
 // nested-loop mode (the paper's contribution); this package provides the
@@ -36,11 +38,11 @@ import (
 )
 
 // CachedPlan is one entry of the plan cache: an internal plan plus its leaf
-// access requirements. The requirements live in the owning cache's packed
-// leaf arenas (two bytes of interned identity plus the float64 coefficient
-// per relation — see optimizer.PackLeaf) rather than as a []LeafReq per
-// entry; the entry itself holds only the arena ordinal. Leaf reconstructs
-// a LeafReq on demand without allocating.
+// access requirements. The requirements live in the owning cache's leaf
+// arenas (the two-byte index of the leaf's slot in the query's leaf-slot
+// table plus the float64 coefficient per relation) rather than as a
+// []LeafReq per entry; the entry itself holds only the arena ordinal. Leaf
+// reconstructs a LeafReq on demand without allocating.
 type CachedPlan struct {
 	// Internal is the access-method-independent cost (joins, sorts,
 	// aggregation).
@@ -69,7 +71,7 @@ type CachedPlan struct {
 // NumRels is the number of leaf requirements (one per query relation).
 func (cp *CachedPlan) NumRels() int { return len(cp.c.A.Q.Rels) }
 
-// Leaf reconstructs the plan's requirement on one relation from the packed
+// Leaf reconstructs the plan's requirement on one relation from the
 // arenas. It allocates nothing: the column string is the analysis's
 // interned instance.
 //
@@ -77,7 +79,7 @@ func (cp *CachedPlan) NumRels() int { return len(cp.c.A.Q.Rels) }
 func (cp *CachedPlan) Leaf(rel int) optimizer.LeafReq {
 	c := cp.c
 	i := int(cp.idx)*len(c.A.Q.Rels) + rel
-	return c.A.UnpackLeaf(rel, c.leafPk[i], c.leafCoef[i])
+	return c.A.UnpackLeaf(rel, c.A.LeafOfSlot(rel, int(c.leafSlot[i])), c.leafCoef[i])
 }
 
 // Combo derives the interesting order combination the plan requires (one
@@ -93,13 +95,19 @@ func (cp *CachedPlan) Combo() query.OrderCombo {
 	return combo
 }
 
-// PackedLeaves returns views of the entry's packed requirement row: the
-// interned identities and the coefficients, one per relation. Shared with
-// the snapshot codec; callers must not mutate them.
+// PackedLeaves returns the entry's requirement row in the form the
+// snapshot codec stores: the packed interned identities (optimizer.PackLeaf,
+// converted from the arena's slot indexes into a fresh slice) and a view of
+// the coefficients, one per relation. Callers must not mutate the view.
 func (cp *CachedPlan) PackedLeaves() ([]uint16, []float64) {
-	n := len(cp.c.A.Q.Rels)
+	c := cp.c
+	n := len(c.A.Q.Rels)
 	lo := int(cp.idx) * n
-	return cp.c.leafPk[lo : lo+n : lo+n], cp.c.leafCoef[lo : lo+n : lo+n]
+	packed := make([]uint16, n)
+	for rel := range packed {
+		packed[rel] = c.A.LeafOfSlot(rel, int(c.leafSlot[lo+rel]))
+	}
+	return packed, c.leafCoef[lo : lo+n : lo+n]
 }
 
 // String renders the plan entry compactly.
@@ -172,12 +180,15 @@ type Cache struct {
 	// time, retaining only the INUM decomposition Cost consumes.
 	slim bool
 
-	// Packed leaf arenas: entry idx's requirement on relation rel lives at
-	// index idx×len(Q.Rels)+rel — two bytes of interned (mode, order id)
-	// identity and the float64 coefficient. Storing rows here instead of a
-	// []LeafReq per entry is what makes slim entries slim (~3x fewer entry
-	// bytes); MemStats measures it.
-	leafPk   []uint16
+	// Leaf arenas: entry idx's requirement on relation rel lives at index
+	// idx×len(Q.Rels)+rel — the leaf's slot in A's leaf-slot table
+	// (A.LeafSlot of its packed identity, computed once at insertion; it
+	// fits two bytes because NewAnalysis admits no query past
+	// optimizer.MaxLeafSlots, and A.LeafOfSlot recovers the identity) and
+	// the float64 coefficient. Storing rows here instead of a []LeafReq per
+	// entry is what makes slim entries slim (~3x fewer entry bytes);
+	// MemStats measures it.
+	leafSlot []uint16
 	leafCoef []float64
 
 	sigs map[string]bool
@@ -225,7 +236,7 @@ func (c *Cache) AddPath(p *optimizer.Path) bool {
 			// a programming error, not a recoverable input.
 			panic(err)
 		}
-		c.leafPk = append(c.leafPk, pk)
+		c.leafSlot = append(c.leafSlot, uint16(c.A.LeafSlot(rel, pk)))
 		c.leafCoef = append(c.leafCoef, req.Coef)
 	}
 	if !c.slim {
@@ -264,7 +275,9 @@ func (c *Cache) AddSlim(internal float64, packed []uint16, coefs []float64) (*Ca
 		}
 	}
 	cp := c.appendEntry(internal, nlj)
-	c.leafPk = append(c.leafPk, packed...)
+	for rel, pk := range packed {
+		c.leafSlot = append(c.leafSlot, uint16(c.A.LeafSlot(rel, pk)))
+	}
 	c.leafCoef = append(c.leafCoef, coefs...)
 	c.Stats.PlansSeen++
 	c.Stats.PlansCached++
@@ -284,7 +297,7 @@ func (c *Cache) Seal() {
 // entries pin (shared DP subtrees counted once).
 func (c *Cache) MemStats() MemStats {
 	m := MemStats{Entries: len(c.Plans)}
-	m.EntryBytes += int64(cap(c.leafPk)) * 2
+	m.EntryBytes += int64(cap(c.leafSlot)) * 2
 	m.EntryBytes += int64(cap(c.leafCoef)) * 8
 	seen := make(map[*optimizer.Path]bool)
 	for _, cp := range c.Plans {
@@ -327,7 +340,7 @@ func (c *Cache) BestPlan(slots []float64) (float64, int) {
 	n := len(c.Q.Rels)
 	for i, cp := range c.Plans {
 		lo := i * n
-		cost, ok := c.A.FoldLeafRow(cp.Internal, c.leafPk[lo:lo+n], c.leafCoef[lo:lo+n], slots)
+		cost, ok := optimizer.FoldLeafRow(cp.Internal, c.leafSlot[lo:lo+n], c.leafCoef[lo:lo+n], slots)
 		if ok && cost < best {
 			best, bestIdx = cost, i
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -394,6 +395,47 @@ func TestCollectAccessCostsNaiveCallsPerIndex(t *testing.T) {
 			if ia.ScanCost <= 0 {
 				t.Errorf("index %s: non-positive scan cost", name)
 			}
+		}
+	}
+}
+
+// TestSlotArenaRoundTrip looks inside the arena: every stored leaf is the
+// slot LeafSlot gives its packed identity, and the boundary form
+// (PackedLeaves) fed to AddSlim on a fresh cache rebuilds both arenas
+// exactly — star queries, and the self-join whose relations share a table.
+// (That Leaf is what the path was summarised to is checked, for every cache
+// the plancache equivalence suites build, by their assertLeavesRoundTrip.)
+func TestSlotArenaRoundTrip(t *testing.T) {
+	build := func(s *workload.Star, a *optimizer.Analysis) *Cache {
+		c, err := Build(a, whatif.NewSession(s.Catalog))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	caches := []*Cache{build(selfJoin(t))}
+	for qi := 0; qi < 10; qi++ {
+		caches = append(caches, build(setup(t, qi)))
+	}
+	for _, c := range caches {
+		fresh := NewSlimCache(c.A)
+		n := len(c.Q.Rels)
+		for i, cp := range c.Plans {
+			pks, coefs := cp.PackedLeaves()
+			for rel, pk := range pks {
+				if got := int(c.leafSlot[i*n+rel]); got != c.A.LeafSlot(rel, pk) {
+					t.Fatalf("%s plan %d rel %d: arena holds slot %d, LeafSlot(%#04x) = %d", c.Q.Name, i, rel, got, pk, c.A.LeafSlot(rel, pk))
+				}
+			}
+			if _, err := fresh.AddSlim(cp.Internal, pks, coefs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !slices.Equal(fresh.leafSlot, c.leafSlot) {
+			t.Errorf("%s: slot arena %v rebuilt as %v", c.Q.Name, c.leafSlot, fresh.leafSlot)
+		}
+		if !slices.EqualFunc(fresh.leafCoef, c.leafCoef, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+			t.Errorf("%s: coefficient arena %v rebuilt as %v", c.Q.Name, c.leafCoef, fresh.leafCoef)
 		}
 	}
 }

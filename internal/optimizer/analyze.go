@@ -31,20 +31,44 @@ type RelInfo struct {
 	// Needed lists every column of this relation the query references,
 	// sorted.
 	Needed []string
-	// FilterSel maps a column to the combined selectivity of the filters
-	// on that column (used for index range scans on that column).
-	FilterSel map[string]float64
 	// Interesting lists this relation's interesting orders, sorted.
 	Interesting []string
 
+	// The names above resolved to Table's column ordinals, once, so pricing
+	// a bound index (catalog.Index.Bind) compares no string: Needed as a
+	// bitset (meaningful up to 64 columns — no index binds to a wider
+	// table); each filtered column with the combined selectivity of the
+	// filters on it, which is what an index range scan leading on that
+	// column applies (a relation filters 0–3 columns: a short list,
+	// scanned); and each interesting order, aligned with Interesting, with
+	// its LookupRows.
+	neededMask uint64
+	filtered   []colValue
+	orders     []colValue
+
 	// The configuration-independent pricing facts, fixed at NewAnalysis:
-	// the sequential-scan cost, the heap's page count and tuples per page
-	// (what an index scan's heap visits are charged on), and LookupRows of
-	// each interesting order, aligned with Interesting.
+	// the sequential-scan cost and the heap's page count and tuples per
+	// page (what an index scan's heap visits are charged on).
 	seqScan     float64
 	heapPages   int64
 	heapPerPage int64
-	lookupRows  []float64
+}
+
+// colValue is one column of a relation's table, by ordinal, with the one
+// number pricing reads off it.
+type colValue struct {
+	ord int
+	val float64
+}
+
+// indexOfOrdinal returns the position of column ord in the short list, or -1.
+func indexOfOrdinal(list []colValue, ord int) int {
+	for i := range list {
+		if list[i].ord == ord {
+			return i
+		}
+	}
+	return -1
 }
 
 // Analysis bundles everything cost evaluation needs about a query. It is
@@ -71,9 +95,8 @@ type Analysis struct {
 	// orders per relation, grouping/ordering ≤8 columns) — inside them
 	// ids pack into planKey bytes, outside them the fast planner spills
 	// plan identities to the variable-width string-key lane
-	// (frontier.go). fastPlan is false only past the planner's hard
-	// capacity (relations beyond RelSet's 64 bits, or a global order id
-	// space overflowing 16 bits), where Optimize errors out.
+	// (frontier.go). fastPlan is false only past RelSet's 64 relations;
+	// the order id space cannot overflow, NewAnalysis refuses such a query.
 	ordIDs   []map[string]uint16
 	ordBase  []uint16
 	ordTotal int
@@ -108,13 +131,22 @@ func (a *Analysis) orderGID(c query.ColRef) uint16 {
 // this analysis. Queries inside the packed-key invariants (≤16 relations,
 // ≤63 interesting orders per relation, grouping/ordering ≤8 columns) run
 // the packed fixed-size key lane; wider queries run the same fast planner
-// through the variable-width string-key lane. It is false only past the
-// planner's hard capacity (over 64 relations, or a global interned-order
-// space overflowing 16 bits), where Optimize returns an error.
+// through the variable-width string-key lane. It is false only past 64
+// relations, where Optimize returns an error. The other hard capacity —
+// MaxLeafSlots, about 32 K interesting orders per query — is enforced
+// earlier: NewAnalysis returns no analysis past it.
 func (a *Analysis) FastPlannable() bool { return a.fastPlan }
 
+// MaxLeafSlots is the longest leaf-slot table an analysis may have
+// (NumLeafSlots: relations + 2 × interesting orders, so roughly 32 K
+// interesting orders per query): plan caches store a leaf as its 16-bit
+// slot index. A relation is further limited to the 16 383 orders a packed
+// leaf identity (PackLeaf, the snapshot wire form) can name.
+const MaxLeafSlots = math.MaxUint16
+
 // NewAnalysis derives the planning state for q. The statistics store may be
-// nil, in which case column metadata defaults drive selectivity.
+// nil, in which case column metadata defaults drive selectivity. It fails
+// on an invalid query and on one past MaxLeafSlots.
 func NewAnalysis(q *query.Query, st *stats.Store, params CostParams) (*Analysis, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -127,14 +159,30 @@ func NewAnalysis(q *query.Query, st *stats.Store, params CostParams) (*Analysis,
 	}
 	needed := q.ColumnsNeeded()
 	ios := q.InterestingOrders()
+	slots := len(q.Rels)
+	for i, cols := range ios {
+		if len(cols) > packedLeafIDMask {
+			return nil, fmt.Errorf("optimizer: query %s has %d interesting orders on relation %d; a packed leaf names at most %d",
+				q.Name, len(cols), i, packedLeafIDMask)
+		}
+		slots += 2 * len(cols)
+	}
+	if slots > MaxLeafSlots {
+		return nil, fmt.Errorf("optimizer: query %s needs %d leaf slots (relations + 2 × interesting orders); a plan cache addresses at most %d",
+			q.Name, slots, MaxLeafSlots)
+	}
 	for i, r := range q.Rels {
 		ri := RelInfo{
 			Rel:         i,
 			Table:       r.Table,
 			Needed:      sortedColumns(needed[i]),
-			FilterSel:   make(map[string]float64),
 			Interesting: ios[i],
 			Sel:         1,
+		}
+		for _, col := range ri.Needed {
+			// Past bit 63 the shift yields 0: the mask of a table wider than
+			// 64 columns is never read (see the field's comment).
+			ri.neededMask |= 1 << uint(r.Table.ColumnOrdinal(col))
 		}
 		for _, f := range q.Filters {
 			if f.Col.Rel != i {
@@ -143,10 +191,11 @@ func NewAnalysis(q *query.Query, st *stats.Store, params CostParams) (*Analysis,
 			ri.Filters = append(ri.Filters, f)
 			s := a.filterSelectivity(r.Table, f)
 			ri.Sel *= s
-			if prev, ok := ri.FilterSel[f.Col.Column]; ok {
-				ri.FilterSel[f.Col.Column] = prev * s
+			ord := r.Table.ColumnOrdinal(f.Col.Column)
+			if k := indexOfOrdinal(ri.filtered, ord); k >= 0 {
+				ri.filtered[k].val *= s
 			} else {
-				ri.FilterSel[f.Col.Column] = s
+				ri.filtered = append(ri.filtered, colValue{ord, s})
 			}
 		}
 		ri.Rows = float64(r.Table.RowCount) * ri.Sel
@@ -155,9 +204,9 @@ func NewAnalysis(q *query.Query, st *stats.Store, params CostParams) (*Analysis,
 		}
 		ri.heapPages, ri.heapPerPage = heapShape(r.Table)
 		ri.seqScan = a.Coster.SeqScanCost(ri.heapPages, r.Table.RowCount, len(ri.Filters))
-		ri.lookupRows = make([]float64, len(ri.Interesting))
+		ri.orders = make([]colValue, len(ri.Interesting))
 		for k, col := range ri.Interesting {
-			ri.lookupRows[k] = a.lookupRows(r.Table, col)
+			ri.orders[k] = colValue{r.Table.ColumnOrdinal(col), a.lookupRows(r.Table, col)}
 		}
 		a.Rels = append(a.Rels, ri)
 	}
@@ -189,9 +238,9 @@ func NewAnalysis(q *query.Query, st *stats.Store, params CostParams) (*Analysis,
 	a.ordBase[len(a.Rels)] = uint16(total)
 	a.ordTotal = total
 	a.packed = packed
-	// The 16-bit global id space bounds both lanes (clause-order packs and
-	// the memo tables index by gid); RelSet bounds the relation count.
-	a.fastPlan = len(a.Rels) <= 64 && total < math.MaxUint16
+	// RelSet bounds the relation count. The 16-bit global id space (clause-
+	// order packs and the memo tables index by gid) is inside MaxLeafSlots.
+	a.fastPlan = len(a.Rels) <= 64
 	return a, nil
 }
 
@@ -330,14 +379,18 @@ func (ri *RelInfo) indexOnly(ix *catalog.Index) bool {
 func (a *Analysis) IndexScanCost(rel int, ix *catalog.Index) indexScanFacts {
 	ri := &a.Rels[rel]
 	indexOnly := ri.indexOnly(ix)
-	return indexScanFacts{Cost: a.indexScanCost(ri, ix, indexOnly), IndexOnly: indexOnly, LeadCol: ix.LeadColumn()}
+	lead := ri.Table.ColumnOrdinal(ix.LeadColumn())
+	return indexScanFacts{Cost: a.indexScanCost(ri, ix, lead, indexOnly), IndexOnly: indexOnly, LeadCol: ix.LeadColumn()}
 }
 
-func (a *Analysis) indexScanCost(ri *RelInfo, ix *catalog.Index, indexOnly bool) float64 {
+// indexScanCost is the one scan-cost expression: lead is the ordinal of the
+// index's lead column in ri.Table (-1 when the table has no such column),
+// however the caller resolved it.
+func (a *Analysis) indexScanCost(ri *RelInfo, ix *catalog.Index, lead int, indexOnly bool) float64 {
 	scanSel := 1.0
 	nQuals := len(ri.Filters)
-	if s, ok := ri.FilterSel[ix.LeadColumn()]; ok {
-		scanSel = s
+	if k := indexOfOrdinal(ri.filtered, lead); k >= 0 {
+		scanSel = ri.filtered[k].val
 		nQuals-- // the lead-column filter is the index condition
 		if nQuals < 0 {
 			nQuals = 0
@@ -353,7 +406,7 @@ func (a *Analysis) SeqScanCost(rel int) float64 { return a.Rels[rel].seqScan }
 // col (before the relation's other filters are applied).
 func (a *Analysis) LookupRows(rel int, col string) float64 {
 	if id := a.ordIDs[rel][col]; id > 0 {
-		return a.Rels[rel].lookupRows[id-1]
+		return a.Rels[rel].orders[id-1].val
 	}
 	return a.lookupRows(a.Rels[rel].Table, col)
 }
@@ -383,8 +436,8 @@ func (a *Analysis) lookupCost(ri *RelInfo, ix *catalog.Index, match float64, ind
 // requirement on the given table: it must live on that table and, for
 // ordered and lookup accesses, cover the required column. This is the one
 // authoritative applicability rule of the per-leaf reference path;
-// FoldLeafSlots applies the same two tests (table, Covers) block-wise, and
-// the every-shape property test holds the two equal.
+// foldLeafBlock applies the same two tests (table, lead column) block-wise,
+// and the every-shape property tests hold the two equal.
 func LeafApplicable(table string, req LeafReq, ix *catalog.Index) bool {
 	if ix.Table != table {
 		return false
@@ -444,13 +497,24 @@ func (a *Analysis) AccessCost(rel int, req LeafReq, cfg *query.Config) (float64,
 }
 
 // The leaf-slot table: a query's whole configuration-dependent state. The
-// access cost of a leaf depends only on (relation, packed leaf identity,
+// access cost of a leaf depends only on (relation, leaf identity,
 // configuration), and a relation with k interesting orders has just 1 + 2k
 // identities (PackLeaf), so one float64 per identity prices every cached
 // plan of the query. Relation rel owns the block starting at
 // rel + 2×ordBase[rel]: slot 0 is AccessAny, slots 1..k AccessOrdered by
 // interned order id, slots k+1..2k AccessLookup by order id; +Inf marks an
-// identity the configuration cannot satisfy.
+// identity the configuration cannot satisfy. A plan cache stores each leaf
+// as its index into this table (LeafSlot), which NewAnalysis keeps within
+// 16 bits (MaxLeafSlots).
+//
+// Pricing the table compares no name when it does not have to. The query's
+// side was resolved to column ordinals by NewAnalysis, an index's side by
+// its constructor (catalog.Index.Bind), and catalog.Index.OnTable says
+// which pairs may rely on that: an index bound to the relation's own table
+// descriptor is priced on ordinals and a bitset; one the rule cannot place
+// (a literal descriptor, a same-named table of another catalog) is priced
+// through the name-keyed reference functions above, on the same
+// expressions.
 
 // LeafSlotsInline is the table length callers keep a stack buffer for:
 // twice the widest query of the paper's star workload (7 relations, 33
@@ -471,6 +535,22 @@ func (a *Analysis) LeafSlot(rel int, pk uint16) int {
 	return s
 }
 
+// LeafOfSlot is LeafSlot's inverse: the packed identity that table index
+// slot, inside relation rel's block, stands for.
+func (a *Analysis) LeafOfSlot(rel, slot int) uint16 {
+	ob := int(a.ordBase[rel])
+	off := slot - rel - 2*ob
+	k := int(a.ordBase[rel+1]) - ob
+	switch {
+	case off == 0:
+		return uint16(AccessAny) << packedLeafModeShift
+	case off <= k:
+		return uint16(AccessOrdered)<<packedLeafModeShift | uint16(off)
+	default:
+		return uint16(AccessLookup)<<packedLeafModeShift | uint16(off-k)
+	}
+}
+
 // leafSlotBlock returns relation rel's block of the table.
 func (a *Analysis) leafSlotBlock(slots []float64, rel int) []float64 {
 	return slots[rel+2*int(a.ordBase[rel]) : rel+1+2*int(a.ordBase[rel+1])]
@@ -480,7 +560,11 @@ func (a *Analysis) leafSlotBlock(slots []float64, rel int) []float64 {
 // reallocating only when dst's capacity is too small, and returns it. Per
 // slot the result is bit-identical to AccessCost on that identity: the
 // same base, the same applicable indexes in configuration order, the same
-// strict <.
+// strict <. Most (relation, index) pairs are on different tables; the loop
+// dismisses those itself (OnTable inlines to pointer compares) and calls
+// the fold only for a match.
+//
+//pinum:hotpath
 func (a *Analysis) PriceLeafSlots(dst []float64, cfg *query.Config) []float64 {
 	if n := a.NumLeafSlots(); cap(dst) < n {
 		dst = make([]float64, n)
@@ -488,14 +572,17 @@ func (a *Analysis) PriceLeafSlots(dst []float64, cfg *query.Config) []float64 {
 		dst = dst[:n]
 	}
 	for rel := range a.Rels {
+		ri := &a.Rels[rel]
 		block := a.leafSlotBlock(dst, rel)
-		block[0] = a.SeqScanCost(rel)
+		block[0] = ri.seqScan
 		for i := 1; i < len(block); i++ {
 			block[i] = math.Inf(1)
 		}
 		if cfg != nil {
 			for _, ix := range cfg.Indexes {
-				a.FoldLeafSlots(dst, rel, ix)
+				if m := ix.OnTable(ri.Table); m != catalog.OffTable {
+					a.foldLeafBlock(block, ri, ix, m)
+				}
 			}
 		}
 	}
@@ -503,45 +590,60 @@ func (a *Analysis) PriceLeafSlots(dst []float64, cfg *query.Config) []float64 {
 }
 
 // FoldLeafSlots folds one more index into relation rel's block, as if it
-// were appended to the configuration the table was priced under. The scan
-// cost is evaluated once per (relation, index on its table) and the lookup
-// cost once per covered order.
+// were appended to the configuration the table was priced under.
+//
+//pinum:hotpath
 func (a *Analysis) FoldLeafSlots(slots []float64, rel int, ix *catalog.Index) {
 	ri := &a.Rels[rel]
-	if ix.Table != ri.Table.Name {
-		return
+	if m := ix.OnTable(ri.Table); m != catalog.OffTable {
+		a.foldLeafBlock(a.leafSlotBlock(slots, rel), ri, ix, m)
 	}
-	block := a.leafSlotBlock(slots, rel)
-	indexOnly := ri.indexOnly(ix)
-	scan := a.indexScanCost(ri, ix, indexOnly)
+}
+
+// foldLeafBlock folds an index on ri's table (m says how it matched) into
+// the relation's block. The scan cost is evaluated once and the lookup cost
+// once, for the one interesting order the index covers, if any. The two
+// matches differ only in how the lead column's ordinal and index-onlyness
+// are found — read off the bound form, or resolved by name as the per-leaf
+// reference does; the cost expressions and their operands are the same.
+//
+//pinum:hotpath
+func (a *Analysis) foldLeafBlock(block []float64, ri *RelInfo, ix *catalog.Index, m catalog.TableMatch) {
+	var lead int
+	var indexOnly bool
+	if m == catalog.OnTableBound {
+		lead, indexOnly = ix.LeadOrdinal(), ri.neededMask&^ix.ColumnMask() == 0
+	} else {
+		lead, indexOnly = ri.Table.ColumnOrdinal(ix.LeadColumn()), ri.indexOnly(ix)
+	}
+	scan := a.indexScanCost(ri, ix, lead, indexOnly)
 	if scan < block[0] {
 		block[0] = scan
 	}
-	k := len(ri.Interesting)
-	for i, col := range ri.Interesting {
-		if !ix.Covers(col) {
-			continue
-		}
-		if scan < block[1+i] {
-			block[1+i] = scan
-		}
-		if c := a.lookupCost(ri, ix, ri.lookupRows[i], indexOnly); c < block[1+k+i] {
-			block[1+k+i] = c
-		}
+	i := indexOfOrdinal(ri.orders, lead)
+	if i < 0 {
+		return
+	}
+	if scan < block[1+i] {
+		block[1+i] = scan
+	}
+	k := len(ri.orders)
+	if c := a.lookupCost(ri, ix, ri.orders[i].val, indexOnly); c < block[1+k+i] {
+		block[1+k+i] = c
 	}
 }
 
 // FoldLeafRow prices one cached plan against a priced table: internal +
-// Σ coef × slot, accumulated in relation order, over the plan's packed
-// requirement row (one identity and one coefficient per relation). It
-// stops at the first identity the table cannot satisfy and reports false.
+// Σ coef × slot, accumulated in relation order, over the plan's requirement
+// row (one slot index and one coefficient per relation). It stops at the
+// first identity the table cannot satisfy and reports false.
 //
 //pinum:hotpath
-func (a *Analysis) FoldLeafRow(internal float64, pks []uint16, coefs []float64, slots []float64) (float64, bool) {
+func FoldLeafRow(internal float64, leaves []uint16, coefs []float64, slots []float64) (float64, bool) {
 	cost := internal
-	coefs = coefs[:len(pks)]
-	for rel, pk := range pks {
-		access := slots[a.LeafSlot(rel, pk)]
+	coefs = coefs[:len(leaves)]
+	for rel, s := range leaves {
+		access := slots[s]
 		if math.IsInf(access, 1) {
 			return 0, false
 		}

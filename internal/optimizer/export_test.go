@@ -13,3 +13,13 @@ var (
 	ComboSubsumes         = comboSubsumes
 	ComboSubsumesByColumn = comboSubsumesByColumn
 )
+
+// ColumnSel returns the combined selectivity of the relation's filters on
+// the named column, and whether it has any — the ordinal-keyed list
+// NewAnalysis fixes, read by name for TestHoistedFactsMatchDerivations.
+func (ri *RelInfo) ColumnSel(col string) (float64, bool) {
+	if k := indexOfOrdinal(ri.filtered, ri.Table.ColumnOrdinal(col)); k >= 0 {
+		return ri.filtered[k].val, true
+	}
+	return 1, false
+}

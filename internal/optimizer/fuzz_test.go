@@ -72,12 +72,21 @@ func FuzzOptimizeEquivalence(f *testing.F) {
 		if len(q.Joins) > 9 && len(q.Rels) > 2 {
 			t.Skip()
 		}
+		opt := optionsFromBits(optB)
+		// Exactly nine clauses is admitted except under ExportAll+PreciseNLJ:
+		// there the reference's all-pairs pass was measured (PR 22, this
+		// host) at 16 s on a 9-clause random-5 and 64–74 s on random-6, and
+		// go's fuzz engine reports any input past 10 s as a hang — a smoke
+		// failure on an input that is merely slow. The seeds above keep the
+		// dense six-relation shapes under the two construction modes.
+		if len(q.Joins) >= 9 && len(q.Rels) > 2 && opt.ExportAll && opt.PreciseNLJ {
+			t.Skip()
+		}
 		a, err := optimizer.NewAnalysis(q, nil, optimizer.DefaultCostParams())
 		if err != nil || !a.FastPlannable() {
 			t.Skip()
 		}
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
-		opt := optionsFromBits(optB)
 		for ci, cfg := range workload.ShapeConfigs(rng, cat, q, 1) {
 			// The label carries the full spec so a CI fuzz failure is
 			// reproducible without the runner's ephemeral corpus file.

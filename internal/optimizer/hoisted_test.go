@@ -94,7 +94,7 @@ func checkHoistedFacts(t *testing.T, label string, q *query.Query, st *stats.Sto
 				}
 			}
 			scanSel, nQuals := 1.0, nFilters
-			if s, ok := ri.FilterSel[ix.LeadColumn()]; ok {
+			if s, ok := ri.ColumnSel(ix.LeadColumn()); ok {
 				scanSel = s
 				nQuals--
 			}

@@ -90,6 +90,8 @@ func assertCacheEquivalent(t *testing.T, label string, tree, other *inum.Cache, 
 	if len(tree.Plans) != len(other.Plans) {
 		t.Fatalf("%s: %d tree plans vs %d", label, len(tree.Plans), len(other.Plans))
 	}
+	assertLeavesRoundTrip(t, label+" (tree)", tree)
+	assertLeavesRoundTrip(t, label, other)
 	ts, os := tree.A.PriceLeafSlots(nil, nil), other.A.PriceLeafSlots(nil, nil)
 	if len(ts) != len(os) {
 		t.Fatalf("%s: empty slot tables of %d vs %d slots", label, len(ts), len(os))
@@ -137,6 +139,40 @@ func assertCacheEquivalent(t *testing.T, label string, tree, other *inum.Cache, 
 		if planIndex(tree, tp) != planIndex(other, op) {
 			t.Fatalf("%s cfg %d: winning plan %d vs %d", label, ci,
 				planIndex(tree, tp), planIndex(other, op))
+		}
+	}
+}
+
+// assertLeavesRoundTrip takes a cache's leaves across the boundary the
+// snapshot codec uses and back: PackedLeaves → AddSlim into a fresh cache
+// over the same analysis must reproduce every leaf (the arena stores slot
+// indexes, the boundary speaks packed identities), and a tree-backed entry's
+// Leaf must be the requirement its path was summarised to.
+func assertLeavesRoundTrip(t *testing.T, label string, c *inum.Cache) {
+	t.Helper()
+	fresh := inum.NewSlimCache(c.A)
+	for i, cp := range c.Plans {
+		pk, coefs := cp.PackedLeaves()
+		fp, err := fresh.AddSlim(cp.Internal, pk, coefs)
+		if err != nil {
+			t.Fatalf("%s plan %d: re-adding its own packed leaves: %v", label, i, err)
+		}
+		if fp.NLJ != cp.NLJ {
+			t.Fatalf("%s plan %d: NLJ %v re-derived as %v", label, i, cp.NLJ, fp.NLJ)
+		}
+		fpk, _ := fp.PackedLeaves()
+		var want []optimizer.LeafReq
+		if cp.Path != nil {
+			want = optimizer.Summarize(cp.Path, cp.NumRels()).Leaves
+		}
+		for rel := range pk {
+			if fpk[rel] != pk[rel] || fp.Leaf(rel) != cp.Leaf(rel) {
+				t.Fatalf("%s plan %d leaf %d: %#04x %+v came back as %#04x %+v",
+					label, i, rel, pk[rel], cp.Leaf(rel), fpk[rel], fp.Leaf(rel))
+			}
+			if want != nil && cp.Leaf(rel) != want[rel] {
+				t.Fatalf("%s plan %d leaf %d: Leaf %+v, the path summarises to %+v", label, i, rel, cp.Leaf(rel), want[rel])
+			}
 		}
 	}
 }

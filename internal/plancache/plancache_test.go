@@ -3,6 +3,7 @@ package plancache
 import (
 	"bytes"
 	"errors"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -344,5 +345,21 @@ func TestLoadRejectsStaleFingerprint(t *testing.T) {
 	// ...and the mismatched load must fail.
 	if _, err := Load(path, fpGrown); err == nil {
 		t.Fatal("Load accepted a snapshot with a stale fingerprint")
+	}
+}
+
+// TestStarSnapshotBytesFrozen pins the wire form across the arena's change
+// of representation (packed identities → slot indexes, PR 23): the star
+// workload's snapshot is byte-equal to what the commit before that change
+// wrote — these two literals were printed there by this very test body.
+func TestStarSnapshotBytesFrozen(t *testing.T) {
+	_, snap := starSnapshot(t, 42)
+	data := encodeToBytes(t, snap)
+	h := fnv.New64a()
+	h.Write(data)
+	const wantLen, wantSum = 21471, uint64(0x30a7a18c97a38398)
+	if len(data) != wantLen || h.Sum64() != wantSum {
+		t.Fatalf("star snapshot encodes to %d bytes, FNV-1a %#x; the frozen form is %d bytes, %#x",
+			len(data), h.Sum64(), wantLen, wantSum)
 	}
 }

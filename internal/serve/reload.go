@@ -54,6 +54,17 @@ func (e *Environment) validate() error {
 	if len(e.Analyses) != len(e.Queries) {
 		return fmt.Errorf("serve: %d queries need matching analyses (%d)", len(e.Queries), len(e.Analyses))
 	}
+	// The workload must read the catalog it is served with: the fingerprint
+	// walks Catalog's tables, and indexes are bound to them, so a query over
+	// a same-named table of some other catalog would be fingerprinted on
+	// tables it never prices and priced by name on every request.
+	for _, q := range e.Queries {
+		for _, r := range q.Rels {
+			if e.Catalog.Table(r.Table.Name) != r.Table {
+				return fmt.Errorf("serve: query %s reads a table that is not the environment catalog's %q", q.Name, r.Table.Name)
+			}
+		}
+	}
 	return nil
 }
 

@@ -386,6 +386,49 @@ func TestReloadFailureKeepsServing(t *testing.T) {
 	}
 }
 
+// TestReloadRejectsForeignCatalog: a loader that binds its queries against
+// one catalog and returns another fails the load like any loader error —
+// the previous set keeps serving, byte for byte, and the next good load
+// heals the tenant.
+func TestReloadRejectsForeignCatalog(t *testing.T) {
+	var foreign atomic.Bool
+	var rf *reloadFixture
+	rf = newReloadFixture(t, func(cfg *Config) {
+		cfg.Loader = func() (*Environment, error) {
+			env, err := rf.loadEnv()
+			if err != nil || !foreign.Load() {
+				return env, err
+			}
+			other, err := workload.StarSchema(1.0)
+			if err != nil {
+				return nil, err
+			}
+			env.Catalog = other.Catalog // same names, other descriptors
+			return env, nil
+		}
+	})
+	rf.load(t)
+	_, baseline := rf.do(t, http.MethodPost, "/whatif", whatIfProbe)
+
+	foreign.Store(true)
+	if _, err := rf.srv.ReloadNow(true); err == nil || !strings.Contains(err.Error(), "not the environment catalog's") {
+		t.Fatalf("reload over a foreign catalog returned %v, want the validation error", err)
+	}
+	code, body := rf.do(t, http.MethodPost, "/whatif", whatIfProbe)
+	if code != http.StatusOK || !bytes.Equal(body, baseline) {
+		t.Fatalf("rejected load changed the served answers: %d %s", code, body)
+	}
+	if _, ez := rf.do(t, http.MethodGet, "/eventz", nil); !bytes.Contains(ez, []byte(`"reload-failed"`)) ||
+		!bytes.Contains(ez, []byte("not the environment catalog's")) {
+		t.Fatalf("no reload-failed event names the rejected environment: %s", ez)
+	}
+
+	foreign.Store(false)
+	if out, err := rf.srv.ReloadNow(true); err != nil || out.Result != "swapped" {
+		t.Fatalf("reload after heal: %+v, %v", out, err)
+	}
+}
+
 // TestFailedReloadRetriesAutomatically drills the backoff loop: the
 // fault heals after two hits and the retry timer must converge back to a
 // healthy server without any further trigger.

@@ -140,11 +140,13 @@ func BTreeHeight(leafPages, fanout int64) int {
 }
 
 // HypotheticalIndex builds a what-if index descriptor for the given key,
-// sized with the paper's leaf-only estimate.
+// sized with the paper's leaf-only estimate. Like BuiltIndex it returns the
+// descriptor bound to t (catalog.Index.Bind), which is where an index's
+// names are resolved for pricing — once, before anything shares it.
 func HypotheticalIndex(name string, t *catalog.Table, columns []string) *catalog.Index {
 	leaf := LeafPages(t, columns)
 	fan := BTreeFanout(t, columns)
-	return &catalog.Index{
+	ix := &catalog.Index{
 		Name:         name,
 		Table:        t.Name,
 		Columns:      append([]string(nil), columns...),
@@ -152,6 +154,8 @@ func HypotheticalIndex(name string, t *catalog.Table, columns []string) *catalog
 		LeafPages:    leaf,
 		Height:       BTreeHeight(leaf, fan),
 	}
+	ix.Bind(t)
+	return ix
 }
 
 // BuiltIndex builds a descriptor for a *materialised* index: the same leaf
@@ -160,7 +164,7 @@ func HypotheticalIndex(name string, t *catalog.Table, columns []string) *catalog
 func BuiltIndex(name string, t *catalog.Table, columns []string) *catalog.Index {
 	leaf := LeafPages(t, columns)
 	fan := BTreeFanout(t, columns)
-	return &catalog.Index{
+	ix := &catalog.Index{
 		Name:          name,
 		Table:         t.Name,
 		Columns:       append([]string(nil), columns...),
@@ -168,6 +172,8 @@ func BuiltIndex(name string, t *catalog.Table, columns []string) *catalog.Index 
 		InternalPages: InternalPages(leaf, fan),
 		Height:        BTreeHeight(leaf, fan),
 	}
+	ix.Bind(t)
+	return ix
 }
 
 // IndexBytes returns the total footprint of an index in bytes (leaf plus
