@@ -15,6 +15,8 @@ import (
 
 // BuildFunc constructs one plan cache for an analysed query using the given
 // what-if session (core.Build, core.BuildPrecise, and inum.Build all fit).
+// A BuildFunc may keep state between its calls, as Builder's do, so one
+// value serves one goroutine at a time.
 type BuildFunc func(*optimizer.Analysis, *whatif.Session) (*inum.Cache, error)
 
 // Fan runs job(i) for every i in [0, n) on up to workers goroutines, the
@@ -172,18 +174,19 @@ func (f *fanOut) help() {
 }
 
 // BuildAllWith fills one plan cache per analysis across a bounded worker
-// pool, using fn as the constructor. Each worker owns a private what-if
-// session (sessions are not safe for concurrent use), and results are
-// merged back in input order, so the returned slice is deterministic
-// regardless of scheduling: caches[i] is the cache for analyses[i].
+// pool. Each worker owns a private what-if session and the BuildFunc its
+// own newBuilder call returned (neither is safe for concurrent use; both
+// are garbage once the batch returns), and results are merged back in input
+// order, so the returned slice is deterministic regardless of scheduling:
+// caches[i] is the cache for analyses[i].
 //
 // workers <= 0 means GOMAXPROCS; workers == 1 degenerates to the serial
 // construction. The first error, in input order, aborts the batch.
-func BuildAllWith(analyses []*optimizer.Analysis, cat *catalog.Catalog, workers int, fn BuildFunc) ([]*inum.Cache, error) {
+func BuildAllWith(analyses []*optimizer.Analysis, cat *catalog.Catalog, workers int, newBuilder func() BuildFunc) ([]*inum.Cache, error) {
 	caches := make([]*inum.Cache, len(analyses))
 	errs := make([]error, len(analyses))
 	Fan(len(analyses), workers, func() func(int) {
-		ws := whatif.NewSession(cat)
+		ws, fn := whatif.NewSession(cat), newBuilder()
 		return func(i int) {
 			caches[i], errs[i] = fn(analyses[i], ws)
 		}
@@ -199,16 +202,12 @@ func BuildAllWith(analyses []*optimizer.Analysis, cat *catalog.Catalog, workers 
 // BuildAll fills one PINUM plan cache per analysis across a bounded worker
 // pool (see BuildAllWith for the pool semantics).
 func BuildAll(analyses []*optimizer.Analysis, cat *catalog.Catalog, workers int, precise bool) ([]*inum.Cache, error) {
-	fn := Build
-	if precise {
-		fn = BuildPrecise
-	}
-	return BuildAllWith(analyses, cat, workers, fn)
+	return BuildAllWith(analyses, cat, workers, func() BuildFunc { return Builder(precise, false) })
 }
 
 // BuildAllSlim fills one slim PINUM plan cache per analysis across a
 // bounded worker pool — the batch construction the snapshot store and the
 // serving layer start from.
 func BuildAllSlim(analyses []*optimizer.Analysis, cat *catalog.Catalog, workers int) ([]*inum.Cache, error) {
-	return BuildAllWith(analyses, cat, workers, BuildSlim)
+	return BuildAllWith(analyses, cat, workers, func() BuildFunc { return Builder(false, true) })
 }

@@ -10,6 +10,10 @@
 // and all of them are exported to the cache. A second call with nested
 // loops disabled supplies the NLJ-free plans INUM tracks separately, hence
 // exactly two calls per query.
+//
+// A build allocates little beyond the cache it returns: both calls, and
+// every query a batch worker builds, plan on one optimizer.Workspace
+// (Builder), which dies with the one-shot build or the batch.
 package core
 
 import (
@@ -25,7 +29,7 @@ import (
 // with and one without nested-loop joins), implementing §V-D with the
 // paper's default, coarse treatment of nested-loop plans.
 func Build(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error) {
-	return build(a, ws, false, false)
+	return Builder(false, false)(a, ws)
 }
 
 // BuildPrecise fills the cache with the §V-D refinement enabled: nested-
@@ -33,7 +37,7 @@ func Build(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error) {
 // plan cache and slower cost lookup" for exact nested-loop costing. The
 // ablation benchmarks compare the two.
 func BuildPrecise(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error) {
-	return build(a, ws, true, false)
+	return Builder(true, false)(a, ws)
 }
 
 // BuildSlim fills a slim cache: the same two optimizer calls, but every
@@ -43,18 +47,23 @@ func BuildPrecise(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error
 // cannot render EXPLAIN trees or feed the executor. This is the
 // construction the persistent snapshot store and the serving layer use.
 func BuildSlim(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error) {
-	return build(a, ws, false, true)
+	return Builder(false, true)(a, ws)
 }
 
-// Builder returns the BuildFunc for the given mode flags, the seam batch
-// construction (BuildAllWith) and the public API select flavours through.
+// Builder returns a BuildFunc for the given mode flags that plans every
+// query it is handed on one optimizer.Workspace of its own: call it once
+// per worker, as BuildAllWith does, and the worker's later queries reuse
+// the buffers its first ones grew. A slim Builder's workspace recycles the
+// planner's path trees too — a slim cache keeps nothing of an exported
+// plan; a tree Builder's stay on the heap, where its caches hold them.
 func Builder(precise, slim bool) BuildFunc {
+	wk := optimizer.NewWorkspace(slim)
 	return func(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error) {
-		return build(a, ws, precise, slim)
+		return build(a, ws, wk, precise, slim)
 	}
 }
 
-func build(a *optimizer.Analysis, ws *whatif.Session, precise, slim bool) (*inum.Cache, error) {
+func build(a *optimizer.Analysis, ws *whatif.Session, wk *optimizer.Workspace, precise, slim bool) (*inum.Cache, error) {
 	start := time.Now()
 	var c *inum.Cache
 	if slim {
@@ -74,7 +83,7 @@ func build(a *optimizer.Analysis, ws *whatif.Session, precise, slim bool) (*inum
 	// the paper's literal total-cost pruning keeps the NLJ plan set small
 	// at the price of the small errors §VI-C reports.
 	for _, nlj := range []bool{false, true} {
-		res, err := optimizer.Optimize(a, cfg, optimizer.Options{
+		res, err := wk.Optimize(a, cfg, optimizer.Options{
 			EnableNestLoop: nlj,
 			ExportAll:      true,
 			PreciseNLJ:     precise,

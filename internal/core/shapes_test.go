@@ -1,9 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 
+	"github.com/pinumdb/pinum/internal/inum"
 	"github.com/pinumdb/pinum/internal/optimizer"
+	"github.com/pinumdb/pinum/internal/plancache"
+	"github.com/pinumdb/pinum/internal/query"
 	"github.com/pinumdb/pinum/internal/whatif"
 	"github.com/pinumdb/pinum/internal/workload"
 )
@@ -56,30 +61,138 @@ func BenchmarkBuildSlimShapes(b *testing.B) {
 	}
 }
 
-// TestBuildSlimAllocationBudget holds the two builds whose allocation count
-// the planner's candidate screens decide: random6, where nine join
-// candidates in ten are dedup losses and only a slot's last winner is ever
-// materialised (packed key lane), and wide-orders, where the wide lane
-// dedups on the candidate's key bytes before it materialises. A ceiling
-// crossed means some per-candidate allocation is back.
+// allocsPer runs f once to warm up, then runs times more, and returns the
+// objects and bytes one run allocated on average (testing.AllocsPerRun's
+// method, with the bytes beside the count).
+func allocsPer(runs int, f func()) (objects, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestBuildSlimAllocationBudget holds what a slim build allocates. One-shot
+// builds (a fresh workspace each, as BuildSlim makes): random6, where nine
+// join candidates in ten are dedup losses, only a slot's last winner is
+// ever materialised and the plan nodes come from the workspace's slabs
+// (packed key lane), and wide-orders, where the wide lane dedups on the
+// candidate's key bytes before it materialises. A one-shot build cannot go
+// below its larger call's plan nodes and slot array, about 4 MB of random6's
+// bytes; the steady state is the star case: the 200 queries of the
+// benchmark's whatif-wide tenant on one worker, whose workspace is warm
+// after the first few. A ceiling crossed means some per-candidate or
+// per-path allocation is back.
 func TestBuildSlimAllocationBudget(t *testing.T) {
 	budgets := map[string]struct {
-		ceiling float64 // allocations per build
-		was     float64 // measured when the ceiling was set
-		before  float64 // with a Path per surviving arrival / per wide candidate
+		objects, bytes float64 // ceilings per build
+		was            [2]float64
+		before         [2]float64 // with a heap Path and leaf slice per retained path, buffers grown per call
 	}{
-		"random6":     {32000, 28296, 55373},
-		"wide-orders": {8000, 5918, 179934},
+		"random6":     {7000, 8 << 20, [2]float64{4975, 6.46e6}, [2]float64{28296, 10.28e6}},
+		"wide-orders": {5000, 2 << 20, [2]float64{3563, 1.51e6}, [2]float64{5918, 1.69e6}},
 	}
 	for _, s := range designShapes {
 		b, ok := budgets[s.label]
 		if !ok {
 			continue
 		}
-		got := testing.AllocsPerRun(3, buildSlimShape(t, s.spec))
-		t.Logf("%s: %.0f allocations per build (ceiling %.0f, %.0f when set, %.0f before)", s.label, got, b.ceiling, b.was, b.before)
-		if got > b.ceiling {
-			t.Errorf("%s: %.0f allocations per build, ceiling %.0f (%.0f when set)", s.label, got, b.ceiling, b.was)
+		objects, bytes := allocsPer(3, buildSlimShape(t, s.spec))
+		t.Logf("%s: %.0f objects, %.0f bytes per build (ceilings %.0f, %.0f; %.0f when set; %.0f before)", s.label, objects, bytes, b.objects, b.bytes, b.was, b.before)
+		if objects > b.objects || bytes > b.bytes {
+			t.Errorf("%s: %.0f objects, %.0f bytes per build; ceilings %.0f, %.0f", s.label, objects, bytes, b.objects, b.bytes)
+		}
+	}
+
+	s, analyses := starSetAnalyses(t)
+	sets := [][]*optimizer.Analysis{analyses(), analyses(), analyses()} // fresh per build, as a reload's are
+	n := float64(len(sets[0]))
+	objects, bytes := allocsPer(len(sets)-1, func() {
+		if _, err := BuildAllSlim(sets[0], s.Catalog, 1); err != nil {
+			t.Fatal(err)
+		}
+		sets = sets[1:]
+	})
+	t.Logf("star set, one worker: %.0f objects, %.0f bytes per query (ceilings 450, 64 KB; 291 and 42 KB when set; 1 577 and 457 KB before)", objects/n, bytes/n)
+	if objects/n > 450 || bytes/n > 64<<10 {
+		t.Errorf("star set: %.0f objects, %.0f bytes per query on a warm worker; ceilings 450 and 64 KB", objects/n, bytes/n)
+	}
+}
+
+// starSetAnalyses returns a constructor of fresh analyses for the 200 star
+// queries of the benchmark's whatif-wide tenant (20 query sets, seeds
+// 1000–1019, over one catalog; benchmark/env.go).
+func starSetAnalyses(tb testing.TB) (*workload.Star, func() []*optimizer.Analysis) {
+	tb.Helper()
+	s := mustStar(tb)
+	var queries []*query.Query
+	for seed := int64(1000); seed < 1020; seed++ {
+		set, err := s.Queries(seed)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		queries = append(queries, set...)
+	}
+	return s, func() []*optimizer.Analysis {
+		out := make([]*optimizer.Analysis, len(queries))
+		for i, q := range queries {
+			out[i] = analyze(tb, s, q)
+		}
+		return out
+	}
+}
+
+// BenchmarkBuildAllSlimStar is the build whatif-wide's build_p50_ms times:
+// the 200-query star set through BuildAllSlim, analyses fresh per build as a
+// reload's are. -benchmem reads bytes and objects per 200-query build.
+func BenchmarkBuildAllSlimStar(b *testing.B) {
+	s, analyses := starSetAnalyses(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		as := analyses()
+		b.StartTimer()
+		if _, err := BuildAllSlim(as, s.Catalog, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestBuildAllSlimWorkersAgree builds the first 60 star-set queries with
+// one, two and eight workers — each worker's queries through its own
+// workspace, in whatever order it claimed them — and one by one through
+// BuildSlim: the four cache sets must encode to the same snapshot bytes.
+// Under -race this is also the check that no two workers share a workspace.
+func TestBuildAllSlimWorkersAgree(t *testing.T) {
+	s, analyses := starSetAnalyses(t)
+	encode := func(caches []*inum.Cache) []byte {
+		var buf bytes.Buffer
+		if err := plancache.Encode(&buf, plancache.NewSnapshot(1, caches)); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	as := analyses()[:60]
+	oneShot := make([]*inum.Cache, len(as))
+	for i, a := range as {
+		var err error
+		if oneShot[i], err = BuildSlim(a, whatif.NewSession(s.Catalog)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := encode(oneShot)
+	for _, workers := range []int{1, 2, 8} {
+		caches, err := BuildAllSlim(analyses()[:60], s.Catalog, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := encode(caches); !bytes.Equal(got, want) {
+			t.Errorf("%d workers: %d snapshot bytes differ from the %d of one-shot builds", workers, len(got), len(want))
 		}
 	}
 }

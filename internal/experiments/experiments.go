@@ -338,14 +338,14 @@ func RunE3(env *Env, queries []*query.Query) (*E3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ins, err := core.BuildAllWith(analyses, env.Star.Catalog, 1, inum.Build)
+	ins, err := core.BuildAllWith(analyses, env.Star.Catalog, 1, func() core.BuildFunc { return inum.Build })
 	if err != nil {
 		return nil, err
 	}
 	// Slim builds of the same queries, for the memory column only (their
 	// timings are not reported; the paper's Fig. 4/5 methodology applies
 	// to the two cache flavours above).
-	slims, err := core.BuildAllWith(analyses, env.Star.Catalog, 1, core.BuildSlim)
+	slims, err := core.BuildAllSlim(analyses, env.Star.Catalog, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ package optimizer_test
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -135,6 +136,12 @@ func assertSameResult(t *testing.T, label string, got, want *optimizer.Result) {
 			t.Fatalf("%s: plan %d costs (%v, %v, %v), want (%v, %v, %v)", label, i,
 				g.Cost, g.Internal, g.LeafCost, w.Cost, w.Internal, w.LeafCost)
 		}
+		if !reflect.DeepEqual(g.Leaves, w.Leaves) || !reflect.DeepEqual(g.Order, w.Order) {
+			t.Fatalf("%s: plan %d requires %v in order %v, want %v in order %v", label, i, g.Leaves, g.Order, w.Leaves, w.Order)
+		}
+	}
+	if !reflect.DeepEqual(got.AccessCosts, want.AccessCosts) {
+		t.Fatalf("%s: access costs differ:\n  got:  %+v\n  want: %+v", label, got.AccessCosts, want.AccessCosts)
 	}
 	if got.Best.Signature() != want.Best.Signature() || math.Float64bits(got.Best.Cost) != math.Float64bits(want.Best.Cost) {
 		t.Fatalf("%s: best plan differs", label)

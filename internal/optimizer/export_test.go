@@ -1,5 +1,7 @@
 package optimizer
 
+import "github.com/pinumdb/pinum/internal/query"
+
 // ForceWideLane routes the analysis's ExportAll calls through the wide
 // (string-keyed) lane although its keys fit the packed one, for the
 // cross-check that holds the two lanes equal (TestKeyLanesAgree). The
@@ -22,4 +24,31 @@ func (ri *RelInfo) ColumnSel(col string) (float64, bool) {
 		return ri.filtered[k].val, true
 	}
 	return 1, false
+}
+
+// EachJoinRelPath plans (a, cfg, opt) with the fast planner and hands visit
+// every path each join relation of the DP table retained, beside the
+// relation's row count — the population joinPaths prices pairs over
+// (TestJoinRelPathsShareRows).
+func EachJoinRelPath(a *Analysis, cfg *query.Config, opt Options, visit func(set RelSet, relRows float64, pt *Path)) error {
+	p := new(planner)
+	p.reset(a, cfg, opt, true)
+	defer p.release()
+	if _, err := p.plan(); err != nil {
+		return err
+	}
+	each := func(jr *joinRel) {
+		if jr != nil {
+			for _, pt := range jr.paths {
+				visit(jr.set, jr.rows, pt)
+			}
+		}
+	}
+	for _, jr := range p.rels.dense {
+		each(jr)
+	}
+	for _, jr := range p.rels.sparse {
+		each(jr)
+	}
+	return nil
 }

@@ -198,8 +198,9 @@ type planCtx struct {
 	packed bool
 	// perRel holds the configuration's indexes per relation, filtered
 	// once (configIndexes re-filtered the whole configuration per probe
-	// on the reference path).
+	// on the reference path) into ixBuf.
 	perRel [][]*catalog.Index
+	ixBuf  []*catalog.Index
 	// clauses holds the prepared join clauses; crossClauses scans it once
 	// per split, filling both orientation buffers in one pass.
 	clauses        []clauseInfo
@@ -227,39 +228,43 @@ type planCtx struct {
 	useful    []int8 // 0 unknown, 1 useful, 2 not useful
 }
 
-func newPlanCtx(a *Analysis, cfg *query.Config) *planCtx {
-	n := len(a.Rels)
-	ctx := &planCtx{a: a, packed: a.packed}
-	ctx.perRel = make([][]*catalog.Index, n)
+// reset prepares ctx for one call on the buffers the last one grew. Only the
+// clause sort keys are fresh: retained paths keep them as Order and SortKeys.
+func (ctx *planCtx) reset(a *Analysis, cfg *query.Config) {
+	clear(ctx.coefs)
+	*ctx = planCtx{
+		a: a, packed: a.packed,
+		perRel: fit(ctx.perRel, len(a.Rels)), ixBuf: ctx.ixBuf[:0],
+		clauses: ctx.clauses[:0], bufFwd: ctx.bufFwd[:0], bufRev: ctx.bufRev[:0],
+		coefs: ctx.coefs, coefVals: ctx.coefVals[:0],
+		orderPacks: ctx.orderPacks[:0], orderRefs: ctx.orderRefs[:0], sat: ctx.sat[:0],
+		lookups: fit(ctx.lookups, a.ordTotal+1), useful: fit(ctx.useful, a.ordTotal+1),
+	}
 	if cfg != nil {
 		for i := range a.Rels {
-			t := a.Rels[i].Table.Name
-			var out []*catalog.Index
+			t, from := a.Rels[i].Table.Name, len(ctx.ixBuf)
 			for _, ix := range cfg.Indexes {
 				if ix.Table == t {
-					out = append(out, ix)
+					ctx.ixBuf = append(ctx.ixBuf, ix)
 				}
 			}
-			ctx.perRel[i] = out
+			ctx.perRel[i] = ctx.ixBuf[from:len(ctx.ixBuf):len(ctx.ixBuf)]
 		}
 	}
-	ctx.clauses = make([]clauseInfo, len(a.Q.Joins))
+	keys := make([]query.ColRef, 0, 2*len(a.Q.Joins))
 	for i, j := range a.Q.Joins {
-		lk := []query.ColRef{j.Left}
-		rk := []query.ColRef{j.Right}
+		keys = append(keys, j.Left, j.Right)
+		lk, rk := keys[2*i:2*i+1:2*i+1], keys[2*i+1:2*i+2:2*i+2]
 		lp, rp := ctx.packOrder(lk), ctx.packOrder(rk)
-		ctx.clauses[i] = clauseInfo{
+		ctx.clauses = append(ctx.clauses, clauseInfo{
 			pair:    Single(j.Left.Rel) | Single(j.Right.Rel),
 			leftBit: Single(j.Left.Rel),
 			fwd: clauseRef{idx: i, outer: j.Left, inner: j.Right,
 				outerKey: lk, innerKey: rk, outerPack: lp, innerPack: rp},
 			rev: clauseRef{idx: i, outer: j.Right, inner: j.Left,
 				outerKey: rk, innerKey: lk, outerPack: rp, innerPack: lp},
-		}
+		})
 	}
-	ctx.lookups = make([]lookupMemo, a.ordTotal+1)
-	ctx.useful = make([]int8, a.ordTotal+1)
-	return ctx
 }
 
 // crossClauses enumerates the join clauses crossing the disjoint sets
@@ -372,13 +377,13 @@ func (ctx *planCtx) orderID(packed [2]uint64, order []query.ColRef) int32 {
 	for i := 0; i < n; i++ {
 		ctx.sat[i] = append(ctx.sat[i], OrderSatisfies(ctx.orderRefs[i], order))
 	}
-	row := make([]bool, n+1)
+	ctx.sat = addRow(ctx.sat)
+	row := ctx.sat[n]
 	for j := 0; j < n; j++ {
-		row[j] = OrderSatisfies(order, ctx.orderRefs[j])
+		row = append(row, OrderSatisfies(order, ctx.orderRefs[j]))
 	}
-	row[n] = true // every order satisfies itself
+	ctx.sat[n] = append(row, true) // every order satisfies itself
 	ctx.orderRefs = append(ctx.orderRefs, order)
-	ctx.sat = append(ctx.sat, row)
 	return int32(n)
 }
 
@@ -586,20 +591,22 @@ func (p *planner) addJoinFast(jr *joinRel, c *joinCand) {
 // only planned masks, so the wide form never materialises the exponential
 // mask space.
 type relTable struct {
-	dense  []*joinRel
+	dense  []*joinRel // 1<<n entries up to 16 relations, empty beyond
 	sparse map[RelSet]*joinRel
 }
 
-func newRelTable(n int) *relTable {
-	if n <= 16 {
-		return &relTable{dense: make([]*joinRel, 1<<uint(n))}
+// reset sizes the table, which release left empty, for n relations.
+func (t *relTable) reset(n int) {
+	if t.dense = t.dense[:0]; n <= 16 {
+		t.dense = fit(t.dense, 1<<uint(n))
+	} else if t.sparse == nil {
+		t.sparse = make(map[RelSet]*joinRel, 4*n)
 	}
-	return &relTable{sparse: make(map[RelSet]*joinRel, 4*n)}
 }
 
 //pinum:hotpath
 func (t *relTable) get(s RelSet) *joinRel {
-	if t.dense != nil {
+	if len(t.dense) != 0 {
 		return t.dense[s]
 	}
 	return t.sparse[s]
@@ -607,7 +614,7 @@ func (t *relTable) get(s RelSet) *joinRel {
 
 //pinum:hotpath
 func (t *relTable) put(s RelSet, jr *joinRel) {
-	if t.dense != nil {
+	if len(t.dense) != 0 {
 		t.dense[s] = jr
 		return
 	}
@@ -617,7 +624,8 @@ func (t *relTable) put(s RelSet, jr *joinRel) {
 //pinum:hotpath
 func (p *planner) planFast() (*joinRel, error) {
 	n := len(p.a.Rels)
-	rels := newRelTable(n)
+	rels := &p.rels
+	rels.reset(n)
 	planned := 0
 	for i := 0; i < n; i++ {
 		jr := p.scanPaths(i)
@@ -649,7 +657,7 @@ func (p *planner) planFast() (*joinRel, error) {
 		return nil, fmt.Errorf("optimizer: join graph of query %s is disconnected", p.a.Q.Name)
 	}
 	if !a.ccpFits {
-		if rels.dense == nil {
+		if n > 16 {
 			// Past 16 relations the in-place sweep's 3^n splits are out of
 			// reach; only the connectivity-aware enumeration is feasible,
 			// and its pair list just overflowed.

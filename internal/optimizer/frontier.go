@@ -281,7 +281,7 @@ func (p *planner) frontierEvict(s int32, zombie bool) {
 //pinum:hotpath
 func (p *planner) bucketInsert(s int32) {
 	for len(p.buckets) < len(p.ctx.orderRefs) {
-		p.buckets = append(p.buckets, nil)
+		p.buckets = addRow(p.buckets)
 	}
 	ord := p.slotOrd[s]
 	b := p.buckets[ord]

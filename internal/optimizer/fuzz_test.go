@@ -86,6 +86,17 @@ func FuzzOptimizeEquivalence(f *testing.F) {
 		if err != nil || !a.FastPlannable() {
 			t.Skip()
 		}
+		// A recycling workspace that has just planned the same spec under
+		// another seed — a different query, arriving first — must then plan
+		// this input exactly as a fresh call does.
+		other := spec
+		other.Seed++
+		wk := optimizer.NewWorkspace(true)
+		if ocat, oq, err := workload.ShapeQuery(other); err == nil && len(oq.Joins) <= len(q.Joins) { // inside the guards above
+			if oa, err := optimizer.NewAnalysis(oq, nil, optimizer.DefaultCostParams()); err == nil {
+				_, _ = wk.Optimize(oa, workload.ShapeAllOrdersConfig(ocat, oq), opt) // only what it leaves behind matters
+			}
+		}
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 		for ci, cfg := range workload.ShapeConfigs(rng, cat, q, 1) {
 			// The label carries the full spec so a CI fuzz failure is
@@ -93,6 +104,9 @@ func FuzzOptimizeEquivalence(f *testing.F) {
 			label := fmt.Sprintf("fuzz/%s/density=%g/seed=%d/cfg=%d/opt=%+v",
 				q.Name, spec.Density, spec.Seed, ci, opt)
 			assertPlannersAgree(t, label, a, cfg, opt)
+			want, werr := optimizer.Optimize(a, cfg, opt)
+			got, gerr := wk.Optimize(a, cfg, opt)
+			assertSameCall(t, label+"/workspace", got, gerr, want, werr)
 		}
 	})
 }

@@ -152,7 +152,7 @@ type Result struct {
 // (it rescans and sweeps where the fast planner looks up and enumerates)
 // and zero FrontierInserts/Drops/Evictions.
 func Optimize(a *Analysis, cfg *query.Config, opt Options) (*Result, error) {
-	return optimize(a, cfg, opt, a.fastPlan)
+	return new(planner).optimize(a, cfg, opt, a.fastPlan)
 }
 
 // OptimizeReference plans with the original (pre-fast-path) planner loop:
@@ -161,10 +161,10 @@ func Optimize(a *Analysis, cfg *query.Config, opt Options) (*Result, error) {
 // for the fast path, the way Advisor.RunReference anchors the incremental
 // cost engine: identical results, different work.
 func OptimizeReference(a *Analysis, cfg *query.Config, opt Options) (*Result, error) {
-	return optimize(a, cfg, opt, false)
+	return new(planner).optimize(a, cfg, opt, false)
 }
 
-func optimize(a *Analysis, cfg *query.Config, opt Options, fast bool) (*Result, error) {
+func (p *planner) optimize(a *Analysis, cfg *query.Config, opt Options, fast bool) (*Result, error) {
 	n := len(a.Rels)
 	if n == 0 {
 		return nil, fmt.Errorf("optimizer: query %s has no relations", a.Q.Name)
@@ -178,17 +178,8 @@ func optimize(a *Analysis, cfg *query.Config, opt Options, fast bool) (*Result, 
 		// is feasible.
 		return nil, fmt.Errorf("optimizer: query %s joins %d relations; the reference planner supports at most 16", a.Q.Name, n)
 	}
-	p := &planner{a: a, cfg: cfg, opt: opt, res: &Result{}}
-	if fast {
-		p.ctx = newPlanCtx(a, cfg)
-		if opt.ExportAll {
-			if a.packed {
-				p.slots = keyTable{precise: opt.PreciseNLJ, index: make([]int32, 64)}
-			} else {
-				p.wideKeys = make(map[string]int32, 64)
-			}
-		}
-	}
+	p.reset(a, cfg, opt, fast)
+	defer p.release()
 	top, err := p.plan()
 	if err != nil {
 		return nil, err
@@ -213,15 +204,24 @@ func optimize(a *Analysis, cfg *query.Config, opt Options, fast bool) (*Result, 
 	return p.res, nil
 }
 
+// planner is one call's state and, behind a Workspace, the buffers the next
+// call on it reuses (workspace.go): reset names every field that survives.
 type planner struct {
 	a   *Analysis
 	cfg *query.Config
 	opt Options
 	res *Result
 
-	// ctx is the per-call fast-path state (fastplan.go); nil selects the
-	// reference planner.
-	ctx *planCtx
+	// ctx is the per-call fast-path state (fastplan.go), stored in fastCtx;
+	// nil selects the reference planner. rels is the fast planner's DP table.
+	ctx     *planCtx
+	fastCtx planCtx
+	rels    relTable
+
+	// recycle makes newPath and newLeaves draw on the slabs (workspace.go).
+	recycle bool
+	paths   slab[Path]
+	leaves  slab[LeafReq]
 
 	// ExportAll key-lane state of the fast planner for the join relation
 	// currently being filled: where an arrival's frontier slot is found.
@@ -266,9 +266,6 @@ type planner struct {
 	slotWitness []int32
 	buckets     [][]bucketEnt
 	idxBuf      []int32
-
-	// innerSort is joinPaths' scratch of per-inner-path sort costs.
-	innerSort []float64
 }
 
 type joinRel struct {
@@ -333,7 +330,7 @@ func (p *planner) scanPaths(rel int) *joinRel {
 	// deliver an order, the Any slot advertises no pathkeys: the cached
 	// model re-prices this slot under other configurations, where the
 	// cheapest access may be unordered.
-	p.addPath(jr, &Path{
+	p.addPath(jr, p.newPath(Path{
 		Op:       bestOp,
 		Rels:     jr.set,
 		Rows:     ri.Rows,
@@ -344,7 +341,7 @@ func (p *planner) scanPaths(rel int) *joinRel {
 		Internal: 0,
 		LeafCost: bestCost,
 		Leaves:   p.leavesFor(rel, LeafReq{Mode: AccessAny, Coef: 1}),
-	})
+	}))
 
 	// Ordered access per interesting order covered by the configuration.
 	for _, col := range ri.Interesting {
@@ -369,7 +366,7 @@ func (p *planner) scanPaths(rel int) *joinRel {
 		if indexOnly {
 			op = OpIndexOnlyScan
 		}
-		p.addPath(jr, &Path{
+		p.addPath(jr, p.newPath(Path{
 			Op:       op,
 			Rels:     jr.set,
 			Rows:     ri.Rows,
@@ -380,7 +377,7 @@ func (p *planner) scanPaths(rel int) *joinRel {
 			Internal: 0,
 			LeafCost: best,
 			Leaves:   p.leavesFor(rel, LeafReq{Mode: AccessOrdered, Col: col, Coef: 1}),
-		})
+		}))
 	}
 	return jr
 }
@@ -480,9 +477,8 @@ type joinCand struct {
 	pre *Path
 
 	// Merge-join sort enforcers: non-nil when the corresponding side
-	// needs an explicit sort on these keys, at joinPaths' hoisted cost.
+	// needs an explicit sort on these keys.
 	sortOuterKey, sortInnerKey []query.ColRef
-	outerSort, innerSort       float64
 
 	// OpNestLoop parameterized inner, built at materialise time.
 	nljRel   int
@@ -503,15 +499,14 @@ func (c *joinCand) materialize(p *planner, jr *joinRel) *Path {
 	}
 	op := c.outer
 	if c.sortOuterKey != nil {
-		op = sortPath(op, c.sortOuterKey, c.outerSort)
+		op = p.sortPath(op, c.sortOuterKey)
 	}
 	ip := c.inner
 	if c.sortInnerKey != nil {
-		ip = sortPath(ip, c.sortInnerKey, c.innerSort)
+		ip = p.sortPath(ip, c.sortInnerKey)
 	}
 	if c.op == OpNestLoop {
-		//pinum:alloc-ok survivors only: the probe node and its leaf slice are part of the retained plan
-		ip = &Path{
+		ip = p.newPath(Path{
 			Op:      OpIndexScan,
 			Rels:    Single(c.nljRel),
 			Rows:    c.nljRows,
@@ -520,10 +515,9 @@ func (c *joinCand) materialize(p *planner, jr *joinRel) *Path {
 			Index:   c.nljIndex,
 			Order:   nil,
 			Leaves:  p.leavesFor(c.nljRel, LeafReq{Mode: AccessLookup, Col: c.nljCol, Coef: c.nljCoef}),
-		}
+		})
 	}
-	//pinum:alloc-ok survivors only: this is the retained plan node and its merged leaf slice
-	return &Path{
+	return p.newPath(Path{
 		Op:         c.op,
 		Rels:       jr.set,
 		Rows:       jr.rows,
@@ -534,8 +528,8 @@ func (c *joinCand) materialize(p *planner, jr *joinRel) *Path {
 		JoinClause: p.a.Q.Joins[c.clause],
 		Internal:   c.internal,
 		LeafCost:   c.leafCost,
-		Leaves:     c.leaves(make([]LeafReq, 0, len(op.Leaves))),
-	}
+		Leaves:     c.leaves(p.newLeaves()),
+	})
 }
 
 // leaves writes the candidate's merged leaf requirements over dst[:0]: the
@@ -571,7 +565,7 @@ func (p *planner) addJoin(jr *joinRel, c *joinCand) {
 
 // leavesFor builds a requirement slice with a single non-default entry.
 func (p *planner) leavesFor(rel int, req LeafReq) []LeafReq {
-	out := newLeaves(len(p.a.Rels))
+	out := p.newLeaves()
 	out[rel] = req
 	return out
 }
@@ -794,20 +788,24 @@ func (p *planner) joinPaths(jr *joinRel, outer, inner *joinRel, clauses []clause
 	if len(clauses) == 0 {
 		return
 	}
-	outRows := jr.rows
 	c := &p.a.Coster
 
-	// What depends on the inner path alone — its enforcing sort's cost,
-	// whether it is the cheapest — is computed once, not per outer × clause.
-	innerSort := p.innerSort[:0]
+	// Every path of a join relation carries the relation's row count
+	// (TestJoinRelPathsShareRows), so the operator and enforcing-sort costs
+	// are constants of the pair: priced once, not per outer × inner × clause.
+	oRows, iRows, outRows := outer.rows, inner.rows, jr.rows
+	hc := c.HashJoinCost(oRows, iRows, outRows)
+	mc := c.MergeJoinCost(oRows, iRows, outRows)
+	nc := c.NestLoopCost(oRows, outRows)
+	outerSort, innerSort := c.SortCost(oRows), c.SortCost(iRows)
 	var cheapestInner *Path
 	for _, ip := range inner.paths {
-		innerSort = append(innerSort, c.SortCost(ip.Rows))
 		if cheapestInner == nil || ip.Cost < cheapestInner.Cost {
 			cheapestInner = ip
 		}
 	}
-	p.innerSort = innerSort
+	ncMat := nc + (math.Max(oRows, 1)-1)*c.MaterialRescanCost(iRows) +
+		oRows*iRows*c.P.CPUOperatorCost*float64(len(clauses))
 
 	// The packed ExportAll lane threads packed output orders alongside the
 	// slices so candidate keys never re-intern columns; the wide lane
@@ -823,7 +821,6 @@ func (p *planner) joinPaths(jr *joinRel, outer, inner *joinRel, clauses []clause
 	}
 
 	for _, op := range outer.paths {
-		outerSort := c.SortCost(op.Rows)
 		// op.Order's pack (op0, op1), and the trimmed op.Order with its pack
 		// (nl0, nl1), which feed every nested-loop candidate below. Packs
 		// travel as words: an array by value goes through memory.
@@ -841,12 +838,11 @@ func (p *planner) joinPaths(jr *joinRel, outer, inner *joinRel, clauses []clause
 			}
 		}
 
-		for ii, ip := range inner.paths {
+		for _, ip := range inner.paths {
 			if exportFast {
 				p.candOf(op, ip)
 			}
 			// Hash join: order-insensitive, destroys ordering.
-			hc := c.HashJoinCost(op.Rows, ip.Rows, outRows)
 			cost, internal := op.Cost+ip.Cost+hc, op.Internal+ip.Internal+hc
 			if !exportFast || !p.screen(0, 0, cost, internal) {
 				p.addJoin(jr, &joinCand{
@@ -885,8 +881,8 @@ func (p *planner) joinPaths(jr *joinRel, outer, inner *joinRel, clauses []clause
 						//pinum:alloc-ok reference planner only: the fast path prebuilds the clause keys once per call
 						sortInner = []query.ColRef{cl.inner}
 					}
-					isCost += innerSort[ii]
-					isInternal += innerSort[ii]
+					isCost += innerSort
+					isInternal += innerSort
 				}
 				mOrd := osOrder
 				if !exportFast {
@@ -894,7 +890,6 @@ func (p *planner) joinPaths(jr *joinRel, outer, inner *joinRel, clauses []clause
 				} else if !p.usefulFast(jr.set, osOrder, os0) {
 					mOrd, os0, os1 = nil, 0, 0
 				}
-				mc := c.MergeJoinCost(op.Rows, ip.Rows, outRows)
 				cost, internal := osCost+isCost+mc, osInternal+isInternal+mc
 				if exportFast && p.screen(os0, os1, cost, internal) {
 					continue
@@ -910,8 +905,6 @@ func (p *planner) joinPaths(jr *joinRel, outer, inner *joinRel, clauses []clause
 					leafCost:     op.LeafCost + ip.LeafCost,
 					sortOuterKey: sortOuter,
 					sortInnerKey: sortInner,
-					outerSort:    outerSort,
-					innerSort:    innerSort[ii],
 				})
 			}
 		}
@@ -949,8 +942,7 @@ func (p *planner) joinPaths(jr *joinRel, outer, inner *joinRel, clauses []clause
 				if via == nil {
 					continue
 				}
-				coef := op.Rows
-				nc := c.NestLoopCost(op.Rows, outRows)
+				coef := oRows
 				cost, internal := op.Cost+coef*best+nc, op.Internal+nc
 				if exportFast {
 					p.candOf(op, nil)
@@ -981,10 +973,7 @@ func (p *planner) joinPaths(jr *joinRel, outer, inner *joinRel, clauses []clause
 		// row. Only the cheapest inner is considered (the rescan cost
 		// depends only on the inner's cardinality).
 		if ip := cheapestInner; ip != nil {
-			rescan := (math.Max(op.Rows, 1) - 1) * c.MaterialRescanCost(ip.Rows)
-			pairs := op.Rows * ip.Rows * c.P.CPUOperatorCost * float64(len(clauses))
-			nc := c.NestLoopCost(op.Rows, outRows) + rescan + pairs
-			cost, internal := op.Cost+ip.Cost+nc, op.Internal+ip.Internal+nc
+			cost, internal := op.Cost+ip.Cost+ncMat, op.Internal+ip.Internal+ncMat
 			if exportFast {
 				p.candOf(op, ip)
 				if p.screen(nl0, nl1, cost, internal) {
@@ -1050,9 +1039,10 @@ func (p *planner) usefulLead(set RelSet, lead query.ColRef) bool {
 	return false
 }
 
-// sortPath enforces keys on child; sc is Coster.SortCost(child.Rows).
-func sortPath(child *Path, keys []query.ColRef, sc float64) *Path {
-	return &Path{
+// sortPath enforces keys on child.
+func (p *planner) sortPath(child *Path, keys []query.ColRef) *Path {
+	sc := p.a.Coster.SortCost(child.Rows)
+	return p.newPath(Path{
 		Op:       OpSort,
 		Rels:     child.Rels,
 		Rows:     child.Rows,
@@ -1063,7 +1053,7 @@ func sortPath(child *Path, keys []query.ColRef, sc float64) *Path {
 		Internal: child.Internal + sc,
 		LeafCost: child.LeafCost,
 		Leaves:   child.Leaves,
-	}
+	})
 }
 
 // orderCoversGroup reports whether the path order's prefix is exactly the
@@ -1093,7 +1083,7 @@ func (p *planner) finalize(paths []*Path) []*Path {
 
 	finish := func(path *Path) {
 		if len(q.OrderBy) > 0 && !OrderSatisfies(path.Order, q.OrderBy) {
-			path = sortPath(path, q.OrderBy, c.SortCost(path.Rows))
+			path = p.sortPath(path, q.OrderBy)
 		}
 		p.addPath(out, path)
 	}
@@ -1111,7 +1101,7 @@ func (p *planner) finalize(paths []*Path) []*Path {
 
 		// Hash aggregation: no input-order requirement, output unordered.
 		hc := c.HashAggCost(path.Rows, groups, len(q.GroupBy))
-		finish(&Path{
+		finish(p.newPath(Path{
 			Op:       OpHashAgg,
 			Rels:     path.Rels,
 			Rows:     groups,
@@ -1121,15 +1111,15 @@ func (p *planner) finalize(paths []*Path) []*Path {
 			Internal: path.Internal + hc,
 			LeafCost: path.LeafCost,
 			Leaves:   path.Leaves,
-		})
+		}))
 
 		// Sorted aggregation: requires group-column order, preserves it.
 		in := path
 		if !orderCoversGroup(in.Order, q.GroupBy) {
-			in = sortPath(in, q.GroupBy, c.SortCost(in.Rows))
+			in = p.sortPath(in, q.GroupBy)
 		}
 		gc := c.SortedAggCost(in.Rows, groups, len(q.GroupBy))
-		finish(&Path{
+		finish(p.newPath(Path{
 			Op:       OpSortedAgg,
 			Rels:     in.Rels,
 			Rows:     groups,
@@ -1139,7 +1129,7 @@ func (p *planner) finalize(paths []*Path) []*Path {
 			Internal: in.Internal + gc,
 			LeafCost: in.LeafCost,
 			Leaves:   in.Leaves,
-		})
+		}))
 	}
 	p.finishRel(out)
 	p.res.Stats.PathsRetained = len(out.paths)

@@ -593,9 +593,9 @@ func (t *tenant) optimize(env *Environment, prev *snapshotSet, tfps map[string]u
 	if len(rebuild) > 0 {
 		errs := make([]error, len(rebuild))
 		core.Fan(len(rebuild), t.srv.cfg.Workers, func() func(int) {
-			ws := whatif.NewSession(env.Catalog)
+			ws, build := whatif.NewSession(env.Catalog), core.Builder(false, true)
 			return func(k int) {
-				caches[rebuild[k]], errs[k] = core.BuildSlim(env.Analyses[rebuild[k]], ws)
+				caches[rebuild[k]], errs[k] = build(env.Analyses[rebuild[k]], ws)
 			}
 		})
 		for k, err := range errs {

@@ -210,7 +210,7 @@ func (db *Database) BuildPlanCaches(queries []*Query, opts ...BuildOption) ([]*P
 		}
 		analyses[i] = a
 	}
-	return core.BuildAllWith(analyses, db.cat, o.workers, core.Builder(o.precise, o.slim))
+	return core.BuildAllWith(analyses, db.cat, o.workers, func() core.BuildFunc { return core.Builder(o.precise, o.slim) })
 }
 
 // BuildPlanCacheSlim fills a slim plan cache: two optimizer calls, path
