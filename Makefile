@@ -30,8 +30,8 @@ goldens:
 shuffle:
 	$(GO) test -shuffle=on ./...
 
-# FuzzOptimizeEquivalence's budget is its seed-corpus replay (8–9 s) + 10 s,
-# the same figure as ci.yml.
+# FuzzOptimizeEquivalence's budget is its seed-corpus replay (7–9 s, 60 % of
+# it the test-side reference planner) + 10 s, the same figure as ci.yml.
 fuzz:
 	$(GO) test ./internal/optimizer -run=NONE -fuzz=FuzzOptimizeEquivalence -fuzztime=19s
 	$(GO) test ./internal/serve -run=NONE -fuzz=FuzzWhatIfEncode -fuzztime=10s

@@ -11,7 +11,7 @@
 // the shared per-(query, plan, relation) cost matrix instead of re-pricing
 // the whole workload, and a table→queries index skips queries the
 // candidate cannot affect. Results are bit-identical to the full
-// re-pricing search, which RunReference retains as the oracle.
+// re-pricing search, which the tests keep as the oracle.
 package advisor
 
 import (
@@ -64,8 +64,7 @@ type Result struct {
 	// Engine reports the incremental cost engine's work: how many
 	// per-query delta evaluations the greedy rounds performed
 	// (Engine.QueryEvals) and how many the table→queries index skipped
-	// outright (Engine.QuerySkips). All-zero after RunReference, which
-	// re-prices every query for every candidate.
+	// outright (Engine.QuerySkips).
 	Engine costmatrix.Stats
 	// GenerationErrors records candidate-generation failures
 	// (GenerateCandidates index creations that were rejected); the
@@ -274,144 +273,14 @@ func (ad *Advisor) addCandidate(ix *catalog.Index) bool {
 	return true
 }
 
-// workloadCost estimates the weighted workload cost under a configuration
-// set (the chosen indexes). Each query independently picks its best atomic
-// sub-configuration: for every relation, the cost model already minimises
-// over the configuration's indexes on that table, so passing the full set
-// is equivalent to the best atomic choice per cached plan. It allocates
-// nothing beyond the Config wrapper — RunReference runs it once per
-// candidate per greedy round.
-func (ad *Advisor) workloadCost(chosen []*catalog.Index) (float64, error) {
-	cfg := &query.Config{Indexes: chosen}
-	total := 0.0
-	for _, qs := range ad.queries {
-		c, _, err := qs.Cache.Cost(cfg)
-		if err != nil {
-			return 0, err
-		}
-		//pinum:costarith-ok the workload objective Σ wᵢ·cᵢ on the reference path; the engine mirror is pinned by TestRunMatchesReferenceStarWorkload
-		total += qs.Weight * c
-	}
-	return total, nil
-}
-
-// workloadCostPer is workloadCost plus the per-query cost breakdown
-// (aligned with ad.queries), for the bookend calls that fill
-// Result.PerQuery on the reference path.
-func (ad *Advisor) workloadCostPer(chosen []*catalog.Index) (float64, []float64, error) {
-	cfg := &query.Config{Indexes: chosen}
-	total := 0.0
-	per := make([]float64, len(ad.queries))
-	for i, qs := range ad.queries {
-		c, _, err := qs.Cache.Cost(cfg)
-		if err != nil {
-			return 0, nil, err
-		}
-		//pinum:costarith-ok same objective as workloadCost with the per-query breakdown kept; pinned by TestRunMatchesReferenceStarWorkload
-		total += qs.Weight * c
-		per[i] = c
-	}
-	return total, per, nil
-}
-
-// pricer abstracts how a greedy run prices configurations, so the
-// engine-backed search (Run) and the full-repricing reference
-// (RunReference) share one selection loop and differ only in arithmetic
-// cost — never in results.
-type pricer interface {
-	// baseline returns the workload cost and per-query costs (aligned with
-	// ad.queries) under no indexes.
-	baseline() (float64, []float64, error)
-	// evaluateRound prices chosen+remaining[i] for every i in eligible,
-	// fanning the evaluations over the advisor's worker pool, and returns
-	// one workload cost per eligible entry.
-	evaluateRound(chosen, remaining []*catalog.Index, eligible []int) ([]float64, error)
-	// commit applies the round's pick to any incremental state.
-	commit(pick *catalog.Index)
-	// final returns the workload cost and per-query costs under chosen.
-	final(chosen []*catalog.Index) (float64, []float64, error)
-	// stats reports the engine work performed (all-zero for the reference).
-	stats() costmatrix.Stats
-}
-
-// referencePricer prices every configuration from scratch through
-// Cache.Cost — the pre-engine greedy search, kept as the oracle the
-// equivalence tests and benchmarks compare the incremental engine against.
-type referencePricer struct{ ad *Advisor }
-
-func (p *referencePricer) baseline() (float64, []float64, error) {
-	return p.ad.workloadCostPer(nil)
-}
-
-func (p *referencePricer) final(chosen []*catalog.Index) (float64, []float64, error) {
-	return p.ad.workloadCostPer(chosen)
-}
-
-func (p *referencePricer) commit(*catalog.Index) {}
-
-func (p *referencePricer) stats() costmatrix.Stats { return costmatrix.Stats{} }
-
-// evaluateRound re-prices the whole workload per candidate. Each worker
-// owns one configuration slice (a copy of the chosen prefix plus a final
-// slot it rewrites per candidate), so goroutines never share a backing
-// array — which relies on Cache.Cost not retaining the slice it is passed.
-func (p *referencePricer) evaluateRound(chosen, remaining []*catalog.Index, eligible []int) ([]float64, error) {
-	costs := make([]float64, len(eligible))
-	errs := make([]error, len(eligible))
-	core.Fan(len(eligible), p.ad.Parallelism, func() func(int) {
-		// Each worker reuses one config slice; only its last slot varies.
-		cfg := make([]*catalog.Index, len(chosen)+1)
-		copy(cfg, chosen)
-		return func(j int) {
-			cfg[len(chosen)] = remaining[eligible[j]]
-			costs[j], errs[j] = p.ad.workloadCost(cfg)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return costs, nil
-}
-
-// enginePricer prices rounds through the incremental cost engine: each
-// candidate evaluation touches only the plans on the candidate's table,
-// and committed picks update the matrix in place.
-type enginePricer struct {
-	ad  *Advisor
-	eng *costmatrix.Engine
-}
-
-func (p *enginePricer) baseline() (float64, []float64, error) {
-	return p.eng.TotalCost(), p.eng.QueryCosts(), nil
-}
-
-func (p *enginePricer) final([]*catalog.Index) (float64, []float64, error) {
-	return p.eng.TotalCost(), p.eng.QueryCosts(), nil
-}
-
-func (p *enginePricer) commit(pick *catalog.Index) { p.eng.Apply(pick) }
-
-func (p *enginePricer) stats() costmatrix.Stats { return p.eng.Stats() }
-
-func (p *enginePricer) evaluateRound(_, remaining []*catalog.Index, eligible []int) ([]float64, error) {
-	costs := make([]float64, len(eligible))
-	core.Fan(len(eligible), p.ad.Parallelism, func() func(int) {
-		return func(j int) {
-			costs[j] = p.eng.EvaluateCandidate(remaining[eligible[j]])
-		}
-	})
-	return costs, nil
-}
-
 // Run executes the greedy selection loop on the incremental cost engine:
 // in each round, evaluate every remaining candidate alongside the
 // already-chosen set as a delta over the shared cost matrix, keep the one
 // with the highest benefit, and stop when the budget is exhausted or no
 // candidate helps. Candidate evaluations within a round run across the
 // advisor's worker pool (Parallelism); the result is bit-identical to the
-// serial search and to RunReference.
+// serial search and to re-pricing the whole workload through Cache.Cost per
+// candidate (the test oracle).
 func (ad *Advisor) Run() (*Result, error) {
 	start := time.Now()
 	if len(ad.queries) == 0 {
@@ -425,43 +294,26 @@ func (ad *Advisor) Run() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ad.runGreedy(&enginePricer{ad: ad, eng: eng}, start)
+	return ad.runGreedy(eng, start), nil
 }
 
-// RunReference executes the same greedy selection by re-pricing every
-// query × candidate from scratch through Cache.Cost each round — the
-// pre-engine search. It is retained as the oracle: equivalence tests
-// assert Run's chosen set, per-round picks, and costs are bit-identical to
-// it, and benchmarks quantify the engine's speedup against it.
-func (ad *Advisor) RunReference() (*Result, error) {
-	start := time.Now()
-	if len(ad.queries) == 0 {
-		return nil, fmt.Errorf("advisor: no queries registered")
-	}
-	return ad.runGreedy(&referencePricer{ad: ad}, start)
-}
-
-// runGreedy is the selection loop both pricers share: budget filtering,
-// the per-round fan-out, and the deterministic reduce.
-func (ad *Advisor) runGreedy(p pricer, start time.Time) (*Result, error) {
+// runGreedy is the selection loop: budget filtering, the per-round fan-out
+// over the engine, and the deterministic reduce.
+func (ad *Advisor) runGreedy(eng *costmatrix.Engine, start time.Time) *Result {
 	if len(ad.candidates) == 0 {
 		ad.GenerateCandidates()
 	}
 	res := &Result{PerQuery: make(map[string][2]float64), CandidateCount: len(ad.candidates)}
 
-	baseTotal, basePer, err := p.baseline()
-	if err != nil {
-		return nil, err
-	}
-	res.BaseCost = baseTotal
-	for i, qs := range ad.queries {
-		res.PerQuery[qs.Query.Name] = [2]float64{basePer[i], basePer[i]}
+	res.BaseCost = eng.TotalCost()
+	for i, c := range eng.QueryCosts() {
+		res.PerQuery[ad.queries[i].Query.Name] = [2]float64{c, c}
 	}
 
 	remaining := append([]*catalog.Index(nil), ad.candidates...)
 	var chosen []*catalog.Index
 	var usedBytes int64
-	current := baseTotal
+	current := res.BaseCost
 
 	for {
 		if ad.MaxIndexes > 0 && len(chosen) >= ad.MaxIndexes {
@@ -474,10 +326,12 @@ func (ad *Advisor) runGreedy(p pricer, start time.Time) (*Result, error) {
 				eligible = append(eligible, i)
 			}
 		}
-		costs, err := p.evaluateRound(chosen, remaining, eligible)
-		if err != nil {
-			return nil, err
-		}
+		costs := make([]float64, len(eligible))
+		core.Fan(len(eligible), ad.Parallelism, func() func(int) {
+			return func(j int) {
+				costs[j] = eng.EvaluateCandidate(remaining[eligible[j]])
+			}
+		})
 		// Deterministic reduce: scan in candidate order with the same
 		// strict-improvement rule the serial loop used, so ties break to
 		// the lowest candidate index and the pick is bit-identical at any
@@ -499,27 +353,23 @@ func (ad *Advisor) runGreedy(p pricer, start time.Time) (*Result, error) {
 		usedBytes += storage.IndexBytes(pick)
 		current = bestCost
 		remaining = append(remaining[:bestIdx:bestIdx], remaining[bestIdx+1:]...)
-		p.commit(pick)
+		eng.Apply(pick)
 		res.Rounds++
 	}
 
-	finalTotal, finalPer, err := p.final(chosen)
-	if err != nil {
-		return nil, err
-	}
 	res.Chosen = chosen
 	res.TotalBytes = usedBytes
-	res.FinalCost = finalTotal
+	res.FinalCost = eng.TotalCost()
 	res.OptimizerCalls = ad.calls
-	for i, qs := range ad.queries {
-		e := res.PerQuery[qs.Query.Name]
-		e[1] = finalPer[i]
-		res.PerQuery[qs.Query.Name] = e
+	for i, c := range eng.QueryCosts() {
+		e := res.PerQuery[ad.queries[i].Query.Name]
+		e[1] = c
+		res.PerQuery[ad.queries[i].Query.Name] = e
 	}
-	res.Engine = p.stats()
+	res.Engine = eng.Stats()
 	res.GenerationErrors = append([]error(nil), ad.genErrs...)
 	res.Duration = time.Since(start)
-	return res, nil
+	return res
 }
 
 // Speedup returns the estimated workload speedup fraction (the paper

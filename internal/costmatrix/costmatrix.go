@@ -163,7 +163,7 @@ func (qs *queryState) costWith(extra *catalog.Index) float64 {
 func (e *Engine) recomputeTotal() {
 	total := 0.0
 	for _, qs := range e.queries {
-		//pinum:costarith-ok same in-order weighted sum as EvaluateCandidate and advisor.workloadCost; pinned by advisor.TestRunMatchesReferenceStarWorkload
+		//pinum:costarith-ok same in-order weighted sum as EvaluateCandidate and the advisor's full-repricing test oracle; pinned by advisor.TestRunMatchesReferenceStarWorkload
 		total += qs.weight * qs.best
 	}
 	e.total = total
@@ -213,7 +213,7 @@ func (e *Engine) EvaluateCandidate(ix *catalog.Index) float64 {
 		} else {
 			skips++
 		}
-		//pinum:costarith-ok the workload objective Σ wᵢ·cᵢ, mirroring advisor.workloadCost in query order; pinned by advisor.TestRunMatchesReferenceStarWorkload
+		//pinum:costarith-ok the workload objective Σ wᵢ·cᵢ in query order, as the advisor's full-repricing test oracle sums it; pinned by advisor.TestRunMatchesReferenceStarWorkload
 		total += qs.weight * c
 	}
 	e.candidateEvals.Add(1)

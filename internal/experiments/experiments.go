@@ -256,9 +256,9 @@ type E3Row struct {
 	// Planner-work counters aggregated across each build's optimizer
 	// calls: how many candidate paths the pruning screens discarded and
 	// how many join-clause set computations the DP split enumeration
-	// performed. These make the fast planner's work reduction (clause
-	// bitsets consulted once per split, packed-key dedup, bucketed
-	// subsumption) observable alongside the wall-clock columns.
+	// performed. These make the planner's work (clause bitsets consulted
+	// once per split, packed-key dedup, bucketed subsumption) observable
+	// alongside the wall-clock columns.
 	InumPlanner  optimizer.PlannerStats
 	PinumPlanner optimizer.PlannerStats
 
@@ -681,28 +681,28 @@ func (r *E5Result) String() string {
 // ---------------------------------------------------------------- E6 ----
 
 // E6Row reports the join-enumeration work for one shape/size: the DP
-// states the connectivity-aware fast planner visits (csg-cmp pairs)
-// against the dense submask sweep the reference planner walks, with the
-// wall-clock of one ExportAll cache-construction call each.
+// states the connectivity-aware planner visits (csg-cmp pairs) against the
+// splits a dense submask sweep walks, with the wall-clock of one ExportAll
+// cache-construction call.
 type E6Row struct {
 	Shape string
 	Rels  int
 	Joins int
-	// FastStates / DenseStates are the EnumStates counters of the two
-	// planners; MasksSkipped counts the disconnected relation subsets the
-	// dense sweep visits in vain (both planners report the same value).
+	// FastStates is the planner's EnumStates counter, DenseStates the
+	// dense sweep's split count (optimizer.DenseSplits); MasksSkipped
+	// counts the disconnected relation subsets the dense sweep visits in
+	// vain.
 	FastStates   int
 	DenseStates  int
 	MasksSkipped int
-	// Exported is the exported plan count (identical for both planners).
+	// Exported is the exported plan count.
 	Exported int
-	// FrontierInserts / FrontierDrops / FrontierEvictions are the fast
-	// planner's retained-path frontier counters for the call.
+	// FrontierInserts / FrontierDrops / FrontierEvictions are the planner's
+	// retained-path frontier counters for the call.
 	FrontierInserts   int
 	FrontierDrops     int
 	FrontierEvictions int
 	FastTime          time.Duration
-	RefTime           time.Duration
 	// TreeMem and SlimMem compare the retained memory of a plan cache
 	// filled from this call's exported set with and without path trees
 	// (the slim-cache refactor's per-shape saving).
@@ -716,14 +716,6 @@ func (r *E6Row) StateSaving() float64 {
 		return 0
 	}
 	return float64(r.DenseStates) / float64(r.FastStates)
-}
-
-// Speedup is the wall-clock ratio of the two calls.
-func (r *E6Row) Speedup() float64 {
-	if r.FastTime <= 0 {
-		return 0
-	}
-	return float64(r.RefTime) / float64(r.FastTime)
 }
 
 // MemSaving is the tree-vs-slim cache memory reduction factor.
@@ -785,17 +777,13 @@ func RunE6(env *Env) (*E6Result, error) {
 		}
 		cfg := workload.ShapeAllOrdersConfig(cat, q)
 
-		// Best of three runs each, as the execution experiment does:
+		// Best of three runs, as the execution experiment does:
 		// single samples at sub-millisecond scales are allocator and
 		// scheduler noise, and the very first call would additionally be
 		// charged process warmup.
-		fast, fastTime, err := timedOptimize(optimizer.Optimize, a, cfg, opt)
+		fast, fastTime, err := timedOptimize(a, cfg, opt)
 		if err != nil {
-			return nil, fmt.Errorf("E6 %s fast: %w", q.Name, err)
-		}
-		ref, refTime, err := timedOptimize(optimizer.OptimizeReference, a, cfg, opt)
-		if err != nil {
-			return nil, fmt.Errorf("E6 %s reference: %w", q.Name, err)
+			return nil, fmt.Errorf("E6 %s: %w", q.Name, err)
 		}
 
 		// Fill one tree-backed and one slim cache from the same exported
@@ -811,14 +799,13 @@ func RunE6(env *Env) (*E6Result, error) {
 			Rels:              len(q.Rels),
 			Joins:             len(q.Joins),
 			FastStates:        fast.Stats.EnumStates,
-			DenseStates:       ref.Stats.EnumStates,
+			DenseStates:       optimizer.DenseSplits(len(q.Rels)),
 			MasksSkipped:      fast.Stats.MasksSkipped,
 			Exported:          len(fast.Exported),
 			FrontierInserts:   fast.Stats.FrontierInserts,
 			FrontierDrops:     fast.Stats.FrontierDrops,
 			FrontierEvictions: fast.Stats.FrontierEvictions,
 			FastTime:          fastTime,
-			RefTime:           refTime,
 			TreeMem:           tree.MemStats(),
 			SlimMem:           slim.MemStats(),
 		})
@@ -826,15 +813,14 @@ func RunE6(env *Env) (*E6Result, error) {
 	return res, nil
 }
 
-// timedOptimize runs one optimizer entry point three times and returns the
-// last result with the best wall-clock duration.
-func timedOptimize(call func(*optimizer.Analysis, *query.Config, optimizer.Options) (*optimizer.Result, error),
-	a *optimizer.Analysis, cfg *query.Config, opt optimizer.Options) (*optimizer.Result, time.Duration, error) {
+// timedOptimize runs one optimizer call three times and returns the last
+// result with the best wall-clock duration.
+func timedOptimize(a *optimizer.Analysis, cfg *query.Config, opt optimizer.Options) (*optimizer.Result, time.Duration, error) {
 	var res *optimizer.Result
 	best := time.Duration(0)
 	for rep := 0; rep < 3; rep++ {
 		start := time.Now()
-		r, err := call(a, cfg, opt)
+		r, err := optimizer.Optimize(a, cfg, opt)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -850,14 +836,13 @@ func timedOptimize(call func(*optimizer.Analysis, *query.Config, optimizer.Optio
 func (r *E6Result) String() string {
 	var b strings.Builder
 	b.WriteString("E6 connectivity-aware join enumeration (DPccp) vs dense sweep\n")
-	b.WriteString("  shape      rels joins  DP states fast/dense   saving  masks skipped  plans      fast call       ref call  speedup   cache tree/slim KB\n")
+	b.WriteString("  shape      rels joins  DP states fast/dense   saving  masks skipped  plans      fast call   cache tree/slim KB\n")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %-9s  %4d %5d  %9d / %-9d %5.1fx  %13d  %5d  %13v  %13v  %6.1fx  %7.1f / %-7.1f %4.1fx\n",
+		fmt.Fprintf(&b, "  %-9s  %4d %5d  %9d / %-9d %5.1fx  %13d  %5d  %13v  %7.1f / %-7.1f %4.1fx\n",
 			row.Shape, row.Rels, row.Joins,
 			row.FastStates, row.DenseStates, row.StateSaving(),
 			row.MasksSkipped, row.Exported,
-			row.FastTime.Round(time.Microsecond), row.RefTime.Round(time.Microsecond),
-			row.Speedup(),
+			row.FastTime.Round(time.Microsecond),
 			float64(row.TreeMem.TotalBytes())/1024, float64(row.SlimMem.TotalBytes())/1024,
 			row.MemSaving())
 		fmt.Fprintf(&b, "             frontier %d inserts / %d dominated on arrival / %d evicted;"+

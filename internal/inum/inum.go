@@ -130,8 +130,8 @@ type BuildStats struct {
 	// Duration is the wall-clock construction time.
 	Duration time.Duration
 	// Planner aggregates the per-call planner work counters across every
-	// optimizer invocation of the build, making the fast path's work
-	// reduction (paths pruned, clause-set lookups, DP states visited by
+	// optimizer invocation of the build, making the planner's work
+	// (paths pruned, clause-set lookups, DP states visited by
 	// the connectivity-aware enumeration, disconnected masks skipped)
 	// observable per query, not just timed.
 	Planner optimizer.PlannerStats

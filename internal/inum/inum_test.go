@@ -94,6 +94,74 @@ func TestCostNeverBelowOptimizer(t *testing.T) {
 			t.Fatalf("cfg %s: model %f below optimizer %f", cfg, got, res.Best.Cost)
 		}
 	}
+
+	// The same property on every workload.Shapes topology, the 17-relation
+	// chain no reference planner reaches included: four seeds each, over the
+	// shape's seeded configurations plus the empty one, against a slim cache
+	// filled as core.build fills it.
+	compared := 0
+	for seed := int64(0); seed < 4; seed++ {
+		for i, sh := range workload.Shapes {
+			spec := workload.ShapeSpec{Shape: sh, Rels: 5, Density: 0.4, Seed: 600 + 10*seed + int64(i)}
+			cat, q, err := workload.ShapeQuery(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := optimizer.NewAnalysis(q, nil, optimizer.DefaultCostParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := buildSlimAsCore(t, a, whatif.NewSession(cat))
+			rng := rand.New(rand.NewSource(spec.Seed))
+			for ci, cfg := range append(workload.ShapeConfigs(rng, cat, q, 6), &query.Config{}) {
+				got, _, err := c.Cost(cfg)
+				if err != nil {
+					t.Fatalf("%s cfg %d: %v", q.Name, ci, err)
+				}
+				res, err := optimizer.Optimize(a, cfg, optimizer.Options{EnableNestLoop: true})
+				if err != nil {
+					t.Fatalf("%s cfg %d: %v", q.Name, ci, err)
+				}
+				if got < res.Best.Cost*(1-1e-9) {
+					t.Errorf("%s seed %d cfg %d: model %v below optimizer %v", q.Name, spec.Seed, ci, got, res.Best.Cost)
+				}
+				compared++
+			}
+		}
+	}
+	if want := 4 * len(workload.Shapes) * 8; compared != want {
+		t.Fatalf("%d comparisons, want %d", compared, want)
+	}
+}
+
+// buildSlimAsCore fills a slim cache the way core.build does — nested loops
+// off, then on under PaperPrune, exporting all plans under the all-orders
+// configuration — except that on a query past 16 relations (the wide chain)
+// only the first three relations are indexed: ExportAll's retained set is
+// exponential in the number of indexed relations, in any planner.
+func buildSlimAsCore(t *testing.T, a *optimizer.Analysis, ws *whatif.Session) *Cache {
+	t.Helper()
+	cfg, err := AllOrdersConfig(a, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Rels) > 16 {
+		cfg = &query.Config{Indexes: slices.DeleteFunc(cfg.Indexes, func(ix *catalog.Index) bool {
+			return ix.Table != a.Rels[0].Table.Name && ix.Table != a.Rels[1].Table.Name && ix.Table != a.Rels[2].Table.Name
+		})}
+	}
+	c := NewSlimCache(a)
+	for _, nlj := range []bool{false, true} {
+		res, err := optimizer.Optimize(a, cfg, optimizer.Options{EnableNestLoop: nlj, ExportAll: true, PaperPrune: nlj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range res.Exported {
+			c.AddPath(p)
+		}
+	}
+	c.Seal()
+	return c
 }
 
 func TestAddPathDeduplicates(t *testing.T) {

@@ -2,10 +2,11 @@
 // machine-check the invariants this repository's correctness story rests
 // on, in the style of golang.org/x/tools/go/analysis.
 //
-// The whole value of the PINUM reproduction is that the fast planner stays
-// bit-identical to OptimizeReference, that plan caches are immutable once
-// sealed and shared across serving goroutines, and that the snapshot codec
-// is byte-deterministic. Those invariants are enforced after the fact by
+// The whole value of the PINUM reproduction is that the planner stays
+// bit-identical to its test oracle (the original planner loop, kept with
+// the optimizer's tests), that plan caches are immutable once sealed and
+// shared across serving goroutines, and that the snapshot codec is
+// byte-deterministic. Those invariants are enforced after the fact by
 // equivalence and fuzz suites — which catch a violation only when a test
 // input happens to hit it. The analyzers here move the common violation
 // shapes to build failures:
@@ -17,7 +18,7 @@
 //     (inum.Cache, inum.CachedPlan, plancache.Snapshot/QueryPlans) outside
 //     their constructor packages;
 //   - costarith: no floating-point cost arithmetic outside the optimizer
-//     package, so the fast and reference planners cannot drift onto
+//     package, so the planner and the cached cost model cannot drift onto
 //     separate arithmetic through a helper reimplemented elsewhere;
 //   - hotpath: no known allocation patterns (fmt, unhinted append growth,
 //     capturing closures, string concatenation) in functions marked

@@ -90,21 +90,19 @@ type Analysis struct {
 	// planner identifies leaf requirements and pathkeys through these
 	// 1-based per-relation ids; ordBase offsets them into a dense global
 	// id space shared by all relations (one sentinel entry past the last
-	// relation holds the total); ordTotal is the highest global id. packed reports whether the query additionally fits the
-	// fixed-size planKey invariants (≤16 relations, ≤63 interesting
-	// orders per relation, grouping/ordering ≤8 columns) — inside them
-	// ids pack into planKey bytes, outside them the fast planner spills
-	// plan identities to the variable-width string-key lane
-	// (frontier.go). fastPlan is false only past RelSet's 64 relations;
-	// the order id space cannot overflow, NewAnalysis refuses such a query.
+	// relation holds the total); ordTotal is the highest global id. packed
+	// reports whether the query additionally fits the fixed-size planKey
+	// invariants (≤16 relations, ≤63 interesting orders per relation,
+	// grouping/ordering ≤8 columns) — inside them ids pack into planKey
+	// bytes, outside them the planner spills plan identities to the
+	// variable-width string-key lane (frontier.go).
 	ordIDs   []map[string]uint16
 	ordBase  []uint16
 	ordTotal int
 	packed   bool
-	fastPlan bool
 
 	// Lazily-built connectivity-aware enumeration state, shared by every
-	// fast Optimize call on this analysis: the join graph — and with it
+	// Optimize call on this analysis: the join graph — and with it
 	// connectivity, the csg-cmp pair list and the overflow verdict —
 	// depends only on the query's join clauses, never on the
 	// configuration or options, so planFast computes it once and reuses
@@ -127,16 +125,6 @@ func (a *Analysis) orderGID(c query.ColRef) uint16 {
 	return a.ordBase[c.Rel] + a.ordIDs[c.Rel][c.Column]
 }
 
-// FastPlannable reports whether Optimize will use the fast planner for
-// this analysis. Queries inside the packed-key invariants (≤16 relations,
-// ≤63 interesting orders per relation, grouping/ordering ≤8 columns) run
-// the packed fixed-size key lane; wider queries run the same fast planner
-// through the variable-width string-key lane. It is false only past 64
-// relations, where Optimize returns an error. The other hard capacity —
-// MaxLeafSlots, about 32 K interesting orders per query — is enforced
-// earlier: NewAnalysis returns no analysis past it.
-func (a *Analysis) FastPlannable() bool { return a.fastPlan }
-
 // MaxLeafSlots is the longest leaf-slot table an analysis may have
 // (NumLeafSlots: relations + 2 × interesting orders, so roughly 32 K
 // interesting orders per query): plan caches store a leaf as its 16-bit
@@ -144,12 +132,20 @@ func (a *Analysis) FastPlannable() bool { return a.fastPlan }
 // leaf identity (PackLeaf, the snapshot wire form) can name.
 const MaxLeafSlots = math.MaxUint16
 
+// MaxRels is the most relations a query may join: a plan names its
+// relation set as a RelSet, one bit per relation.
+const MaxRels = 64
+
 // NewAnalysis derives the planning state for q. The statistics store may be
 // nil, in which case column metadata defaults drive selectivity. It fails
-// on an invalid query and on one past MaxLeafSlots.
+// on an invalid query and on one past MaxRels or MaxLeafSlots — the
+// planner's two hard capacities.
 func NewAnalysis(q *query.Query, st *stats.Store, params CostParams) (*Analysis, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
+	}
+	if len(q.Rels) > MaxRels {
+		return nil, fmt.Errorf("optimizer: query %s joins %d relations; a plan names at most %d", q.Name, len(q.Rels), MaxRels)
 	}
 	a := &Analysis{
 		Q:         q,
@@ -214,7 +210,7 @@ func NewAnalysis(q *query.Query, st *stats.Store, params CostParams) (*Analysis,
 		a.JoinSel = append(a.JoinSel, a.joinSelectivity(j))
 	}
 
-	// Intern the interesting orders for the fast planner. Every order is
+	// Intern the interesting orders for the planner. Every order is
 	// interned regardless of width — the lookup and usefulness memos key
 	// on global ids in both lanes; packed only decides whether plan keys
 	// fit the fixed-size planKey or spill to the string-key lane.
@@ -235,12 +231,11 @@ func NewAnalysis(q *query.Query, st *stats.Store, params CostParams) (*Analysis,
 		a.ordBase[i] = uint16(total)
 		total += len(m)
 	}
+	// The 16-bit global id space (clause-order packs and the memo tables
+	// index by gid) is inside MaxLeafSlots.
 	a.ordBase[len(a.Rels)] = uint16(total)
 	a.ordTotal = total
 	a.packed = packed
-	// RelSet bounds the relation count. The 16-bit global id space (clause-
-	// order packs and the memo tables index by gid) is inside MaxLeafSlots.
-	a.fastPlan = len(a.Rels) <= 64
 	return a, nil
 }
 

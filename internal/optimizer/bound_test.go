@@ -247,3 +247,36 @@ func TestLeafSlotCapacityBoundary(t *testing.T) {
 		}
 	}
 }
+
+// TestRelationCapBoundary: a plan names its relation set as a 64-bit RelSet,
+// so NewAnalysis admits a 64-relation self-join chain — which then plans —
+// and refuses a 65-relation one with an error naming the limit, before any
+// planner runs.
+func TestRelationCapBoundary(t *testing.T) {
+	tb := &catalog.Table{Name: "t", RowCount: 1000, Columns: []*catalog.Column{
+		{Name: "id", Type: catalog.Int, NDV: 1000}, {Name: "fk", Type: catalog.Int, NDV: 1000},
+	}}
+	chain := func(n int) *query.Query {
+		q := &query.Query{Name: fmt.Sprintf("chain-%d", n)}
+		for i := 0; i < n; i++ {
+			q.Rels = append(q.Rels, query.Rel{Table: tb, Alias: fmt.Sprintf("t%d", i)})
+			if i > 0 {
+				q.Joins = append(q.Joins, query.Join{Left: query.ColRef{Rel: i - 1, Column: "fk"}, Right: query.ColRef{Rel: i, Column: "id"}})
+			}
+		}
+		q.Select = []query.ColRef{{Rel: 0, Column: "id"}}
+		return q
+	}
+	a, err := optimizer.NewAnalysis(chain(optimizer.MaxRels), nil, optimizer.DefaultCostParams())
+	if err != nil {
+		t.Fatalf("a %d-relation chain was refused: %v", optimizer.MaxRels, err)
+	}
+	res, err := optimizer.Optimize(a, nil, optimizer.Options{})
+	if err != nil || res.Best.Rels.Count() != optimizer.MaxRels {
+		t.Fatalf("a %d-relation chain did not plan: %v", optimizer.MaxRels, err)
+	}
+	_, err = optimizer.NewAnalysis(chain(optimizer.MaxRels+1), nil, optimizer.DefaultCostParams())
+	if err == nil || !strings.Contains(err.Error(), "64") {
+		t.Errorf("a 65-relation chain: NewAnalysis returned %v, want an error naming the limit 64", err)
+	}
+}

@@ -105,12 +105,13 @@ func TestDebugExportCounts(t *testing.T) {
 	}
 	t.Logf("combos: %d", q.ComboCount())
 	cfg := debugAllOrdersConfig(t, a)
-	p := &planner{a: a, cfg: cfg, opt: Options{EnableNestLoop: true, ExportAll: true, PreciseNLJ: true}, res: &Result{}}
-	top, err := p.plan()
+	// The test oracle's top relation, after its batch pass (reference_test.go).
+	r := &refPlanner{a: a, cfg: cfg, opt: Options{EnableNestLoop: true, ExportAll: true, PreciseNLJ: true}, res: &Result{}}
+	top, err := r.sweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("top paths: %d, considered %d", len(top.paths), p.res.Stats.PathsConsidered)
+	t.Logf("top paths: %d, considered %d", len(top.paths), r.res.Stats.PathsConsidered)
 	hist := map[string]int{}
 	coefs := map[float64]bool{}
 	for _, pt := range top.paths {

@@ -1,4 +1,4 @@
-// Connectivity-aware join enumeration for the fast planner, in the spirit
+// Connectivity-aware join enumeration for the planner, in the spirit
 // of DPccp (Moerkotte & Neumann, VLDB 2006): instead of sweeping every
 // relation subset and every submask split — discovering disconnected
 // subproblems only through empty DP slots — the planner builds the query's
@@ -9,8 +9,8 @@
 //
 // The emitted pairs are re-sorted per union mask into the dense sweep's
 // split order (the half containing the union's lowest relation, descending
-// numerically), so the DP inserts candidates in exactly the reference
-// planner's sequence and every insertion-order tie-break — and therefore
+// numerically), so the DP inserts candidates in exactly the dense sweep's
+// sequence and every insertion-order tie-break — and therefore
 // every exported plan sequence — stays byte-identical. The equivalence
 // suite pins this across shapes, options, and configurations.
 package optimizer

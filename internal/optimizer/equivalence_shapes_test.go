@@ -118,9 +118,6 @@ func shapeAnalysis(t testing.TB, spec workload.ShapeSpec) (*optimizer.Analysis, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.FastPlannable() {
-		t.Fatalf("%s: shape query unexpectedly not fast-plannable", q.Name)
-	}
 	rng := rand.New(rand.NewSource(spec.Seed ^ 0x5eed))
 	return a, workload.ShapeConfigs(rng, cat, q, 2), rng
 }
@@ -212,9 +209,6 @@ func TestWideChainFastPath(t *testing.T) {
 	a, err := optimizer.NewAnalysis(q, nil, optimizer.DefaultCostParams())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !a.FastPlannable() {
-		t.Fatal("17-relation chain must be fast-plannable")
 	}
 	// Index only the head of the chain: ExportAll's retained set is an
 	// antichain over per-relation leaf choices, so indexing all 17 relations

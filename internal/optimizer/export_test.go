@@ -26,15 +26,19 @@ func (ri *RelInfo) ColumnSel(col string) (float64, bool) {
 	return 1, false
 }
 
-// EachJoinRelPath plans (a, cfg, opt) with the fast planner and hands visit
+// OptimizeReference plans with the test oracle (reference_test.go), for the
+// external test package's equivalence suites.
+var OptimizeReference = optimizeReference
+
+// EachJoinRelPath plans (a, cfg, opt) with the planner and hands visit
 // every path each join relation of the DP table retained, beside the
 // relation's row count — the population joinPaths prices pairs over
 // (TestJoinRelPathsShareRows).
 func EachJoinRelPath(a *Analysis, cfg *query.Config, opt Options, visit func(set RelSet, relRows float64, pt *Path)) error {
 	p := new(planner)
-	p.reset(a, cfg, opt, true)
+	p.reset(a, cfg, opt)
 	defer p.release()
-	if _, err := p.plan(); err != nil {
+	if _, err := p.planFast(); err != nil {
 		return err
 	}
 	each := func(jr *joinRel) {

@@ -1,16 +1,15 @@
-// Fast planner internals: the per-call plan context, the DP loops over the
+// Planner internals: the per-call plan context, the DP loops over the
 // join-relation table, and the two plan-key lanes the dominance frontier
 // (frontier.go) finds its slots through.
 //
-// The fast path exists because PINUM's whole promise is "two optimizer
-// calls per query": after the batch builders (PR 1) and the incremental
-// greedy pricer (PR 2), the cost of one Optimize call is the cost of cache
-// construction. Profiles showed that call dominated by avoidable work —
-// per-split clause rescans, per-probe configuration filtering, per-path
-// string keys, and an all-pairs subsumption pass — all of which this file
-// replaces with precomputation and integer identities. Results are
-// bit-identical to OptimizeReference: the equivalence suite
-// (equivalence_test.go) pins that for every Options combination.
+// PINUM's whole promise is "two optimizer calls per query", so the cost of
+// one Optimize call is the cost of cache construction. The original planner
+// loop spent that call on avoidable work — per-split clause rescans,
+// per-probe configuration filtering, per-path string keys, an all-pairs
+// subsumption pass — which this file replaces with precomputation and
+// integer identities. That loop survives as the test oracle
+// (reference_test.go), and the equivalence suites hold the two
+// bit-identical for every Options combination.
 //
 // An ExportAll call considers hundreds of candidates for each one it keeps,
 // so a join candidate pays only for the cheapest test that can kill it, in
@@ -22,9 +21,9 @@
 // frontierAdd screens for dominance on packed keys alone; (3) the slot's
 // last winner is materialised once, when its relation drains. Plan
 // identities that do not fit planKey (Analysis.packed false) take the wide
-// lane: the key is the reference planner's appendPathKey bytes, built from
-// the candidate and found through a map, and steps (2) and (3) are the same
-// code reading the slot's stored leaves instead of key words.
+// lane: the key is appendPathKey's bytes, built from the candidate and
+// found through a map, and steps (2) and (3) are the same code reading the
+// slot's stored leaves instead of key words.
 package optimizer
 
 import (
@@ -38,7 +37,7 @@ import (
 )
 
 // planKey is the packed (leaf combo, output order) identity of a path — the
-// fast equivalent of the reference path's string pathKey, 32 bytes. Leaf
+// fixed-size form of appendPathKey's bytes, 32 bytes. Leaf
 // requirements pack one byte per relation (access mode in the top two bits,
 // the interned interesting-order column id in the low six), stored as two
 // uint64 words so a join's combo is the OR of its children's; the output
@@ -188,8 +187,8 @@ type lookupMemo struct {
 	id   uint16 // the column's per-relation interned id
 }
 
-// planCtx is the per-Optimize fast-path state: everything that can be
-// computed once per call instead of once per probe.
+// planCtx is the per-Optimize state: everything that can be computed once
+// per call instead of once per probe.
 type planCtx struct {
 	a *Analysis
 	// packed selects the ExportAll key lane: fixed-size planKeys inside
@@ -197,8 +196,7 @@ type planCtx struct {
 	// outside them.
 	packed bool
 	// perRel holds the configuration's indexes per relation, filtered
-	// once (configIndexes re-filtered the whole configuration per probe
-	// on the reference path) into ixBuf.
+	// once per call into ixBuf.
 	perRel [][]*catalog.Index
 	ixBuf  []*catalog.Index
 	// clauses holds the prepared join clauses; crossClauses scans it once
@@ -293,10 +291,10 @@ func (ctx *planCtx) crossClauses(s1, s2 RelSet) (fwd, rev []clauseRef) {
 	return fwd, rev
 }
 
-// lookup memoizes the reference planner's per-candidate scan for the
-// cheapest probing index: the answer depends only on (relation, column).
-// The minimisation replicates the reference loop exactly (first strictly
-// cheaper index wins), so the chosen index and cost are bit-identical.
+// lookup memoizes the cheapest index for a nested-loop probe: the answer
+// depends only on (relation, column). The minimisation runs over the
+// relation's indexes in configuration order, first strictly cheaper index
+// winning.
 //
 //pinum:hotpath
 func (ctx *planCtx) lookup(a *Analysis, rel int, col string) *lookupMemo {
@@ -391,13 +389,12 @@ func (ctx *planCtx) orderID(packed [2]uint64, order []query.ColRef) int32 {
 // this relation set?" through the per-call verdict cache, computing via
 // usefulLead on a miss. The cache is keyed by the column's global interned
 // id and resets when the join relation under construction changes (the DP
-// completes one relation at a time). Both usefulOrder's fast branch and
-// usefulFast share this memo, so the invalidation protocol lives in
-// exactly one place.
+// completes one relation at a time). Both usefulOrder and usefulFast share
+// this memo, so the invalidation protocol lives in exactly one place.
 //
 //pinum:hotpath
 func (p *planner) usefulMemo(set RelSet, lead query.ColRef, g uint16) bool {
-	ctx := p.ctx
+	ctx := &p.ctx
 	if ctx.usefulSet != set {
 		ctx.usefulSet = set
 		clear(ctx.useful)
@@ -448,7 +445,7 @@ func (p *planner) candLeaf(rel int, mode AccessMode, id uint16, coef float64) {
 }
 
 // keyOf returns the arena key of a path retained by a finished join
-// relation (packed ExportAll lane only; finishRelFast assigns pkRef when it
+// relation (packed ExportAll lane only; finishRel assigns pkRef when it
 // parks a kept path's key in the arena).
 func (p *planner) keyOf(pt *Path) *hashedKey {
 	return &p.keyArena[pt.pkRef-1]
@@ -508,8 +505,8 @@ func (p *planner) probe(o0, o1 uint64) {
 }
 
 // wideProbe is the wide lane's slot lookup: the arrival's key is its
-// appendPathKey bytes — the reference planner's dedup identity — built in
-// keyBuf from the path's or the candidate's leaves.
+// appendPathKey bytes, built in keyBuf from the path's or the candidate's
+// leaves.
 //
 //pinum:hotpath
 func (p *planner) wideProbe(rels RelSet, leaves []LeafReq, order []query.ColRef) {
@@ -524,7 +521,7 @@ func (p *planner) wideProbe(rels RelSet, leaves []LeafReq, order []query.ColRef)
 // anything is built for it: with the pair's leaves in the scratch key, it
 // adds the candidate's order, probes, and reports a dedup loss — a known
 // key whose slot already holds a metric no worse — counted exactly as
-// frontierAdd would. Everything else goes on to addJoin, which finds the
+// frontierAdd would. Everything else goes on to admit, which finds the
 // probe's result in the scratch.
 //
 //pinum:hotpath
@@ -538,51 +535,12 @@ func (p *planner) screen(o0, o1 uint64, cost, internal float64) bool {
 	return true
 }
 
-// addJoinFast screens a join candidate before any allocation: in ExportAll
-// mode through the insertion-time dominance frontier, in normal mode
-// against the retained path list. Only survivors are materialised — in
-// ExportAll mode not before their relation drains.
-//
-//pinum:hotpath
-func (p *planner) addJoinFast(jr *joinRel, c *joinCand) {
-	p.res.Stats.PathsConsidered++
-	if p.opt.ExportAll {
-		// In the packed lane joinPaths' screen left the candidate's key and
-		// slot in the scratch; the wide lane keys on the merged leaves.
-		if !p.ctx.packed {
-			p.leafBuf = c.leaves(p.leafBuf)
-			p.wideProbe(jr.set, p.leafBuf, c.order)
-		}
-		if slot, ok := p.frontierAdd(p.metric(c.cost, c.internal), c.order); ok {
-			p.cands[slot], p.live[slot] = *c, true
-		}
-		return
-	}
-	const fuzz = 1e-9
-	for _, old := range jr.paths {
-		if OrderSatisfies(old.Order, c.order) && old.Cost <= c.cost*(1+fuzz) {
-			p.res.Stats.PathsPruned++
-			return
-		}
-	}
-	np := c.materialize(p, jr)
-	keep := jr.paths[:0]
-	for _, old := range jr.paths {
-		if OrderSatisfies(np.Order, old.Order) && np.Cost <= old.Cost*(1+fuzz) {
-			p.res.Stats.PathsPruned++
-			continue
-		}
-		keep = append(keep, old)
-	}
-	jr.paths = append(keep, np)
-}
-
 // planFast is the connectivity-aware DP loop: join relations indexed by
 // relation mask in a dense table, but instead of sweeping every mask and
 // every submask split, the prebuilt join graph emits only csg-cmp pairs
 // (enumerate.go), pre-sorted into the dense sweep's order so candidate
-// insertion — and with it every tie-break — matches the reference planner
-// exactly. Disconnection is detected up front by a graph reachability
+// insertion — and with it every tie-break — is the sweep's, and so the test
+// oracle's (reference_test.go). Disconnection is detected up front by a graph reachability
 // check rather than discovered at the full mask.
 //
 // relTable is planFast's DP table over join relations: a dense
@@ -694,10 +652,9 @@ func (p *planner) planFast() (*joinRel, error) {
 	}
 	p.res.Stats.JoinRels = planned
 	// Every non-trivial mask the dense sweep would visit but the
-	// enumeration never produced is a disconnected subset; the reference
-	// planner counts the same masks one by one as its splits come up empty.
-	// (Past 62 relations the mask count overflows int; no reference run
-	// exists at that width to compare stats against.)
+	// enumeration never produced is a disconnected subset; a sweep counts
+	// the same masks one by one as their splits come up empty. (Past 62
+	// relations the mask count overflows int.)
 	if n <= 62 {
 		p.res.Stats.MasksSkipped += (1<<uint(n) - 1) - planned
 	}
@@ -708,14 +665,14 @@ func (p *planner) planFast() (*joinRel, error) {
 	return top, nil
 }
 
-// planFastDense is the PR 3 dense-table sweep, retained as planFast's
-// fallback for graphs whose csg-cmp pair count overflows enumPairCap (near-
+// planFastDense is the dense-table sweep, retained as planFast's fallback
+// for graphs whose csg-cmp pair count overflows enumPairCap (near-
 // clique joins approaching the 16-relation cap, where connectivity-aware
 // enumeration saves nothing). It walks every submask split of every mask in
 // place — no pair list, no sort — visiting splits in exactly the order the
-// sorted pair list reproduces, so results stay bit-identical either way.
-// rels holds the already-planned single-relation entries; planned counts
-// them.
+// sorted pair list reproduces, so results stay bit-identical either way;
+// it visits DenseSplits(n) splits. rels holds the already-planned
+// single-relation entries; planned counts them.
 //
 //pinum:hotpath
 func (p *planner) planFastDense(rels []*joinRel, planned int) (*joinRel, error) {
@@ -764,6 +721,17 @@ func (p *planner) planFastDense(rels []*joinRel, planned int) (*joinRel, error) 
 		return nil, fmt.Errorf("optimizer: join graph of query %s is disconnected", p.a.Q.Name)
 	}
 	return top, nil
+}
+
+// DenseSplits is the number of splits a dense sweep over n relations visits:
+// every proper submask holding the lowest member, of every subset of at
+// least two relations — Σₖ C(n,k)(2ᵏ⁻¹−1) = (3ⁿ−1)/2 − (2ⁿ−1).
+func DenseSplits(n int) int {
+	pow3 := 1
+	for i := 0; i < n; i++ {
+		pow3 *= 3
+	}
+	return (pow3-1)/2 - (1<<uint(n) - 1)
 }
 
 const (

@@ -1,27 +1,27 @@
 // Insertion-time dominance frontier: the §V-D subsumption rule applied as
 // candidates arrive instead of in a per-relation batch pass.
 //
-// The reference planner collects every deduplicated (leaf combo, output
-// order) key and prunes once per finished join relation — a sort plus an
-// all-pairs scan, after materialising a Path for every key. The frontier
-// keeps the live (undominated) set ordered as paths arrive, so a candidate
-// dominated on arrival is dropped before materialisation, which on dense
-// shapes is most of them. frontier_test.go proves the incremental and batch
-// prunes agree on real DP populations; the argument is that dominance
+// The batch rule — collect every deduplicated (leaf combo, output order) key
+// and prune once per finished join relation with a sort plus an all-pairs
+// scan, after materialising a Path for every key — is what the test oracle
+// does (reference_test.go). The frontier keeps the live (undominated) set
+// ordered as paths arrive, so a candidate dominated on arrival is dropped
+// before materialisation, which on dense shapes is most of them. The
+// equivalence suites hold the two prunes equal; the argument is that dominance
 // (metric ≤, order satisfaction, combo subsumption — each transitive, mutual
 // domination between distinct keys impossible) is a strict partial order, so
 // every dominated element has a *live maximal* dominator and screening
 // arrivals against live members only is exact.
 //
 // The protocol, implemented once in this file (frontierAdd and the scans
-// and bucket moves under it, finishRelFast) over the planner's slot arrays:
+// and bucket moves under it, finishRel) over the planner's slot arrays:
 //
 //   - arrival with a known key and metric ≥ the slot's: dedup loss, drop;
 //   - improvement of a live slot: reposition in its order bucket, then
 //     evict any live slot the improved entry now dominates;
 //   - improvement of a dead slot: re-screen at the new metric; revive into
 //     the frontier if undominated (keeping the slot's original sequence
-//     number, which is the reference planner's first-insertion tie-break);
+//     number, which is the batch rule's first-insertion tie-break);
 //   - new key: screen against live entries with metric ≤ the arrival's;
 //     dominated arrivals park as dead slots (metric recorded for dedup),
 //     undominated ones enter the frontier and run the eviction scan.
@@ -97,7 +97,7 @@ func (p *planner) subsumes(a, b int32) bool {
 // return means the arrival lost its dedup slot or was dominated on arrival.
 // Screening reads the slot metric/order arrays, the bucket entries and the
 // lane's subsumes only — never p.cands — and no Path exists for a join
-// candidate before its relation drains (finishRelFast). Every scan and
+// candidate before its relation drains (finishRel). Every scan and
 // bucket move below is made for the arrival's own slot, so the prefilter
 // words they need are the scratch key's leaf words: the packed combo, or
 // zero in the wide lane.
@@ -276,7 +276,7 @@ func (p *planner) frontierEvict(s int32, zombie bool) {
 // bucketInsert places the arrival's slot s into its order bucket at its
 // (metric, slot) position; bucketRemove takes it back out by binary search
 // on the same total order. Slot ids are first-arrival order, so the
-// in-bucket tie order is the reference planner's stable-sort tie order.
+// in-bucket tie order is the batch rule's stable-sort tie order.
 //
 //pinum:hotpath
 func (p *planner) bucketInsert(s int32) {
@@ -319,18 +319,21 @@ func (p *planner) bucketRemove(s int32) {
 	p.buckets[ord] = b[:len(b)-1]
 }
 
-// finishRelFast drains the frontier for one completed join relation. The
-// pruning already happened at insertion time, so all that remains is to
-// count the dead slots (exactly the keys the batch pass prunes after
+// finishRel drains the frontier for one completed relation in ExportAll
+// mode. The pruning already happened at insertion time, so all that remains
+// is to count the dead slots (exactly the keys the batch pass prunes after
 // materialising them), order the live ones by (metric, first-arrival) —
-// byte-identical to the reference pass's kept sequence — and materialise
+// byte-identical to the batch pass's kept sequence — and materialise
 // each from the candidate that won its slot. The packed lane also parks the
 // survivors' keys in the arena, where the joins built on top of this
 // relation read them back through pkRef; pruned slots' keys die with the
 // scratch buffers, which are reused across relations.
 //
 //pinum:hotpath
-func (p *planner) finishRelFast(jr *joinRel) {
+func (p *planner) finishRel(jr *joinRel) {
+	if !p.opt.ExportAll {
+		return
+	}
 	jr.paths = nil
 	if len(p.live) == 0 {
 		return
@@ -378,8 +381,8 @@ func (p *planner) finishRelFast(jr *joinRel) {
 // sortSlotsByMetric orders slot ids by (metric, id) ascending with an
 // in-place heapsort: no closure, no allocation. The id tie-break makes the
 // order total, so heapsort's instability is unobservable, and slot ids are
-// first-arrival order, so ties break exactly like the reference planner's
-// stable sort over its insertion-ordered key list.
+// first-arrival order, so ties break exactly like the batch rule's stable
+// sort over its insertion-ordered key list.
 //
 //pinum:hotpath
 func sortSlotsByMetric(idx []int32, metric []float64) {

@@ -5,7 +5,7 @@ import (
 )
 
 // incrementalFrontier reproduces the original incremental pruning for
-// comparison with finishRel's batch pruning.
+// comparison with the batch pruning of the oracle's batchPrune.
 func incrementalFrontier(paths []*Path) []*Path {
 	var out []*Path
 	dominates := func(a, b *Path) bool {
@@ -36,7 +36,8 @@ func incrementalFrontier(paths []*Path) []*Path {
 }
 
 // TestFrontierEquivalence checks that batch subsumption pruning and the
-// incremental variant agree on a real DP-generated path population.
+// incremental variant agree on a real DP-generated path population: the
+// test oracle's, pruned by its batch pass (reference_test.go).
 func TestFrontierEquivalence(t *testing.T) {
 	q, _ := debugStarQuery(t)
 	a, err := NewAnalysis(q, nil, DefaultCostParams())
@@ -57,8 +58,8 @@ func TestFrontierEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &planner{a: a3, cfg: cfg, opt: Options{EnableNestLoop: true, ExportAll: true, PreciseNLJ: true}, res: &Result{}}
-	top, err := p.plan()
+	r := &refPlanner{a: a3, cfg: cfg, opt: Options{EnableNestLoop: true, ExportAll: true, PreciseNLJ: true}, res: &Result{}}
+	top, err := r.sweep()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestFrontierEquivalence(t *testing.T) {
 
 	inc := incrementalFrontier(batch)
 	// Frontier of a frontier must be itself: if incremental pruning finds
-	// dominated paths inside finishRel's output, batch pruning is leaky.
+	// dominated paths inside batchPrune's output, batch pruning is leaky.
 	if len(inc) != len(batch) {
 		t.Errorf("batch frontier has %d paths but %d survive incremental re-pruning",
 			len(batch), len(inc))

@@ -13,21 +13,22 @@
 //     subsumption rule of §V-D and exports one optimal plan per useful
 //     interesting order combination from a single call.
 //
-// Two planner implementations share all cost arithmetic. Optimize runs the
-// fast path (fastplan.go): clause bitsets consulted once per split, a dense
-// mask-indexed DP table, interned fixed-size plan keys, subsumption pruning
-// at insertion time (frontier.go), and Path materialisation deferred until a
-// candidate survives the cheap screens. OptimizeReference retains the
-// original loop — map-keyed DP table, per-direction clause rescans, string
-// plan keys, a sort-and-all-pairs pruning pass per finished relation — as
-// the equivalence oracle: both produce bit-identical results.
+// One planner ships (fastplan.go): clause bitsets consulted once per split,
+// connectivity-aware enumeration over a mask-indexed DP table, interned
+// fixed-size plan keys, subsumption pruning at insertion time (frontier.go),
+// and Path materialisation deferred until a candidate survives the cheap
+// screens. Its oracle lives with the tests (reference_test.go): the original
+// loop — map-keyed dense mask sweep, per-direction clause rescans, eager
+// candidates, string plan keys, a sort-and-all-pairs pruning pass per
+// finished relation — written apart from this code and sharing only the
+// cost model, Path and the §V-D predicates; the equivalence suites hold the
+// two bit-identical.
 package optimizer
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"strconv"
 
 	"github.com/pinumdb/pinum/internal/catalog"
@@ -72,44 +73,35 @@ type IndexAccess struct {
 }
 
 // PlannerStats counts planner work, used by the experiments to show where
-// INUM's repeated calls spend their time and how much of it the fast path
-// eliminates.
+// INUM's repeated calls spend their time.
 type PlannerStats struct {
 	PathsConsidered int
 	PathsRetained   int
 	// PathsPruned counts candidates discarded by any pruning screen:
 	// key-slot losses in ExportAll dedup, dominance rejections and
-	// evictions in normal mode, and subsumption removals in finishRel.
+	// evictions in normal mode, and the keys the frontier leaves dead.
 	PathsPruned int
 	JoinRels    int
-	// ClauseLookups counts join-clause set computations for DP splits.
-	// The reference planner rescans the clause list three times per
-	// viable split (a connectivity probe plus once per join direction);
-	// the fast planner consults its prebuilt clause bitsets once.
+	// ClauseLookups counts join-clause set computations for DP splits: one
+	// pass over the prebuilt clause bitsets per split.
 	ClauseLookups int
-	// EnumStates counts the DP split states the join enumeration visited.
-	// The reference planner's dense sweep walks every proper submask of
-	// every relation subset, discovering disconnected subproblems only by
-	// finding nothing to join; the fast planner enumerates exactly the
-	// connected subgraph / connected-complement pairs of the join graph
-	// (DPccp), so its count is the number of genuinely plannable splits.
+	// EnumStates counts the DP split states the join enumeration visited:
+	// the connected subgraph / connected-complement pairs of the join graph
+	// (DPccp), or, when planFast falls back to the dense sweep, every split
+	// of every relation subset (DenseSplits).
 	EnumStates int
-	// MasksSkipped counts the non-trivial relation subsets the dense sweep
-	// visits but that are disconnected and can never hold a plan. The
-	// reference planner discovers each by exhausting its splits; the fast
-	// planner never touches them and reports the same count arithmetically,
-	// so the two planners' values coincide (the equivalence suite pins it).
+	// MasksSkipped counts the non-trivial relation subsets a dense sweep
+	// visits that are disconnected and can never hold a plan. The
+	// enumeration never touches them and reports the count arithmetically.
 	MasksSkipped int
 	// FrontierInserts / FrontierDrops / FrontierEvictions count the
 	// insertion-time dominance frontier's work in ExportAll mode: keys that
 	// entered the live frontier (first arrivals and revivals of previously
 	// dominated keys), arrivals screened out as dominated before
 	// materialisation, and live keys evicted by a later-arriving dominator.
-	// Only the fast planner has a frontier; the reference planner prunes in
-	// a batch pass and reports zero for all three
-	// (TestPlannerCountersGolden holds the fast planner's values to a
-	// record). Drops are the fast path's headline saving: each is a Path
-	// (and its merged leaf slice) never allocated.
+	// TestPlannerCountersGolden holds them to a record. Drops are the
+	// frontier's headline saving: each is a Path (and its merged leaf
+	// slice) never allocated.
 	FrontierInserts   int
 	FrontierDrops     int
 	FrontierEvictions int
@@ -144,43 +136,18 @@ type Result struct {
 }
 
 // Optimize plans the analysed query under the given index configuration.
-// This function is "one optimizer call" in the paper's accounting. It uses
-// the fast planner whenever the analysis supports it (Analysis.FastPlannable)
-// and falls back to the reference loop otherwise; results are bit-identical
-// either way, and so are the work counters the two planners both keep. A
-// fallback call reports the reference loop's ClauseLookups and EnumStates
-// (it rescans and sweeps where the fast planner looks up and enumerates)
-// and zero FrontierInserts/Drops/Evictions.
+// This function is "one optimizer call" in the paper's accounting.
 func Optimize(a *Analysis, cfg *query.Config, opt Options) (*Result, error) {
-	return new(planner).optimize(a, cfg, opt, a.fastPlan)
+	return new(planner).optimize(a, cfg, opt)
 }
 
-// OptimizeReference plans with the original (pre-fast-path) planner loop:
-// map-keyed DP table, per-direction clause rescans, string plan keys and
-// all-pairs subsumption pruning. It is retained as the equivalence oracle
-// for the fast path, the way Advisor.RunReference anchors the incremental
-// cost engine: identical results, different work.
-func OptimizeReference(a *Analysis, cfg *query.Config, opt Options) (*Result, error) {
-	return new(planner).optimize(a, cfg, opt, false)
-}
-
-func (p *planner) optimize(a *Analysis, cfg *query.Config, opt Options, fast bool) (*Result, error) {
-	n := len(a.Rels)
-	if n == 0 {
+func (p *planner) optimize(a *Analysis, cfg *query.Config, opt Options) (*Result, error) {
+	if len(a.Rels) == 0 {
 		return nil, fmt.Errorf("optimizer: query %s has no relations", a.Q.Name)
 	}
-	if n > 64 {
-		return nil, fmt.Errorf("optimizer: query %s joins %d relations; the DP planner supports at most 64", a.Q.Name, n)
-	}
-	if !fast && n > 16 {
-		// The reference loop sweeps every mask and submask split; past 16
-		// relations only the fast planner's connectivity-aware enumeration
-		// is feasible.
-		return nil, fmt.Errorf("optimizer: query %s joins %d relations; the reference planner supports at most 16", a.Q.Name, n)
-	}
-	p.reset(a, cfg, opt, fast)
+	p.reset(a, cfg, opt)
 	defer p.release()
-	top, err := p.plan()
+	top, err := p.planFast()
 	if err != nil {
 		return nil, err
 	}
@@ -208,35 +175,30 @@ func (p *planner) optimize(a *Analysis, cfg *query.Config, opt Options, fast boo
 // call on it reuses (workspace.go): reset names every field that survives.
 type planner struct {
 	a   *Analysis
-	cfg *query.Config
 	opt Options
 	res *Result
 
-	// ctx is the per-call fast-path state (fastplan.go), stored in fastCtx;
-	// nil selects the reference planner. rels is the fast planner's DP table.
-	ctx     *planCtx
-	fastCtx planCtx
-	rels    relTable
+	// ctx is the per-call plan context (fastplan.go); rels is the DP table.
+	ctx  planCtx
+	rels relTable
 
 	// recycle makes newPath and newLeaves draw on the slabs (workspace.go).
 	recycle bool
 	paths   slab[Path]
 	leaves  slab[LeafReq]
 
-	// ExportAll key-lane state of the fast planner for the join relation
-	// currently being filled: where an arrival's frontier slot is found.
-	// The DP completes one relation before starting the next, so one index
-	// serves the whole call; finishRelFast drains and resets it per
-	// relation. cand is the scratch both lanes leave the arrival's lookup
-	// in. The packed lane (ctx.packed) finds 32-byte keys through slots and
+	// ExportAll key-lane state for the join relation currently being
+	// filled: where an arrival's frontier slot is found. The DP completes
+	// one relation before starting the next, so one index serves the whole
+	// call; finishRel drains and resets it per relation. cand is the
+	// scratch both lanes leave the arrival's lookup in. The packed lane (ctx.packed) finds 32-byte keys through slots and
 	// moves the kept paths' keys into keyArena (addressed by Path.pkRef;
 	// arenaCoefs is its PreciseNLJ side array) where the joins built on top
 	// of a finished relation read them. The wide lane finds appendPathKey
 	// bytes through wideKeys and keeps each slot's leaf requirements —
 	// len(a.Rels) per slot, over the relation set wideSet — in wideLeaves
 	// for the subsumption test; leafBuf is where a join candidate's leaves
-	// are merged. keyBuf holds the key bytes (the reference planner's
-	// addPath builds its keys there too).
+	// are merged. keyBuf holds the key bytes.
 	slots      keyTable
 	cand       candScratch
 	keyArena   []hashedKey
@@ -258,7 +220,7 @@ type planner struct {
 	// live-only mode, stays live) an improving dead slot stays dead without
 	// re-running the frontier screen. buckets holds the live slots of each
 	// output order in (metric, slot) order; idxBuf is the collection
-	// scratch in finishRelFast.
+	// scratch in finishRel.
 	cands       []joinCand
 	live        []bool
 	slotMetric  []float64
@@ -272,33 +234,6 @@ type joinRel struct {
 	set   RelSet
 	rows  float64
 	paths []*Path
-	// byKey deduplicates paths by (leaf combo, output order) during
-	// reference-path ExportAll construction; keyOrder records first
-	// insertion so pruning tie-breaks are deterministic and independent
-	// of map iteration order. finishRel folds both into paths. The fast
-	// path uses the planner's keyed store instead.
-	byKey    map[string]*Path
-	keyOrder []string
-}
-
-// configIndexes returns the configuration's indexes on the table of
-// relation rel. The fast path serves the slice from the plan context,
-// computed once per call; the reference path re-filters per probe.
-func (p *planner) configIndexes(rel int) []*catalog.Index {
-	if p.ctx != nil {
-		return p.ctx.perRel[rel]
-	}
-	if p.cfg == nil {
-		return nil
-	}
-	t := p.a.Rels[rel].Table.Name
-	var out []*catalog.Index
-	for _, ix := range p.cfg.Indexes {
-		if ix.Table == t {
-			out = append(out, ix)
-		}
-	}
-	return out
 }
 
 // scanPaths builds the access paths for one base relation: a single
@@ -314,7 +249,7 @@ func (p *planner) scanPaths(rel int) *joinRel {
 	bestCost := p.a.SeqScanCost(rel)
 	bestOp := OpSeqScan
 	var bestIx *catalog.Index
-	for _, ix := range p.configIndexes(rel) {
+	for _, ix := range p.ctx.perRel[rel] {
 		f := p.a.IndexScanCost(rel, ix)
 		if f.Cost < bestCost {
 			bestCost = f.Cost
@@ -348,7 +283,7 @@ func (p *planner) scanPaths(rel int) *joinRel {
 		best := math.Inf(1)
 		var via *catalog.Index
 		indexOnly := false
-		for _, ix := range p.configIndexes(rel) {
+		for _, ix := range p.ctx.perRel[rel] {
 			if !ix.Covers(col) {
 				continue
 			}
@@ -382,16 +317,8 @@ func (p *planner) scanPaths(rel int) *joinRel {
 	return jr
 }
 
-// addPath inserts an already-materialised path into jr unless dominated. In
-// normal mode dominance is cheaper-or-equal total cost with a satisfying
-// output order, applied immediately against the retained list. In ExportAll
-// mode the DP generates orders of magnitude more paths: the fast planner runs
-// the arrival through its dominance frontier (frontier.go), the reference
-// planner only deduplicates exactly equal (leaf combo, output order) keys by
-// metric here and applies the paper's subsumption pruning (§V-D) once per
-// finished join relation in finishRel.
-// metric is the ExportAll pruning metric (see finishRel): the provably-safe
-// internal cost by default, the paper's literal total cost under PaperPrune.
+// metric is the ExportAll pruning metric: the provably-safe internal cost by
+// default, the paper's literal total cost under PaperPrune.
 func (p *planner) metric(cost, internal float64) float64 {
 	if p.opt.PaperPrune {
 		return cost
@@ -399,55 +326,50 @@ func (p *planner) metric(cost, internal float64) float64 {
 	return internal
 }
 
+// addPath admits an already-built path: a base-relation scan or a complete
+// plan.
 func (p *planner) addPath(jr *joinRel, np *Path) {
+	p.admit(jr, &joinCand{cost: np.Cost, internal: np.Internal, order: np.Order, pre: np})
+}
+
+// admit is the one admission rule for a candidate of jr. In normal mode
+// dominance is cheaper-or-equal total cost (within a relative 1e-9) with a
+// satisfying output order, applied against the retained list, and only a
+// survivor is materialised. In ExportAll mode the DP generates orders of
+// magnitude more candidates: each runs through the dominance frontier
+// (frontier.go), which keeps it unbuilt until its relation drains. A join
+// candidate on the packed lane arrives with its key already probed by
+// joinPaths' screen; everything else is keyed here.
+//
+//pinum:hotpath
+func (p *planner) admit(jr *joinRel, c *joinCand) {
 	p.res.Stats.PathsConsidered++
 	if p.opt.ExportAll {
-		if p.ctx != nil {
-			if p.ctx.packed {
-				p.candPath(np)
-			} else {
-				p.wideProbe(np.Rels, np.Leaves, np.Order)
-			}
-			if slot, ok := p.frontierAdd(p.metric(np.Cost, np.Internal), np.Order); ok {
-				p.cands[slot], p.live[slot] = joinCand{pre: np}, true
-			}
-			return
+		switch {
+		case !p.ctx.packed && c.pre != nil:
+			p.wideProbe(jr.set, c.pre.Leaves, c.order)
+		case !p.ctx.packed:
+			p.leafBuf = c.leaves(p.leafBuf)
+			p.wideProbe(jr.set, p.leafBuf, c.order)
+		case c.pre != nil:
+			p.candPath(c.pre)
 		}
-		if jr.byKey == nil {
-			jr.byKey = make(map[string]*Path)
+		if slot, ok := p.frontierAdd(p.metric(c.cost, c.internal), c.order); ok {
+			p.cands[slot], p.live[slot] = *c, true
 		}
-		p.keyBuf = appendPathKey(p.keyBuf[:0], np.Rels, np.Leaves, np.Order, p.opt.PreciseNLJ, p.opt.PaperPrune)
-		key := string(p.keyBuf)
-		if old, ok := jr.byKey[key]; ok {
-			if p.opt.PaperPrune {
-				if old.Cost <= np.Cost {
-					p.res.Stats.PathsPruned++
-					return
-				}
-			} else if old.Internal <= np.Internal {
-				p.res.Stats.PathsPruned++
-				return
-			}
-			p.res.Stats.PathsPruned++ // the displaced incumbent
-		} else {
-			jr.keyOrder = append(jr.keyOrder, key)
-		}
-		jr.byKey[key] = np
 		return
 	}
 	const fuzz = 1e-9
-	dominates := func(a, b *Path) bool {
-		return OrderSatisfies(a.Order, b.Order) && a.Cost <= b.Cost*(1+fuzz)
-	}
 	for _, old := range jr.paths {
-		if dominates(old, np) {
+		if OrderSatisfies(old.Order, c.order) && old.Cost <= c.cost*(1+fuzz) {
 			p.res.Stats.PathsPruned++
 			return
 		}
 	}
+	np := c.materialize(p, jr)
 	keep := jr.paths[:0]
 	for _, old := range jr.paths {
-		if dominates(np, old) {
+		if OrderSatisfies(np.Order, old.Order) && np.Cost <= old.Cost*(1+fuzz) {
 			p.res.Stats.PathsPruned++
 			continue
 		}
@@ -456,12 +378,11 @@ func (p *planner) addPath(jr *joinRel, np *Path) {
 	jr.paths = append(keep, np)
 }
 
-// joinCand is a join path candidate before materialisation: every number
-// the pruning screens need, but no Path, no merged leaf slice, no sort
-// enforcer and no nested-loop inner node. The fast path materialises a
-// candidate only once it survives the key/cost screen (the packed lane
-// keeps each slot's winner by value and materialises at drain); the
-// reference path materialises immediately.
+// joinCand is a candidate before materialisation: every number the pruning
+// screens need, but no Path, no merged leaf slice, no sort enforcer and no
+// nested-loop inner node. A candidate is materialised only once it survives
+// the screens (in ExportAll mode the frontier keeps each slot's winner by
+// value and materialises it at drain).
 type joinCand struct {
 	op       Op
 	cost     float64
@@ -472,8 +393,8 @@ type joinCand struct {
 	internal float64
 	leafCost float64
 
-	// pre is set instead of everything above for a slot won by an
-	// already-built path (a base-relation scan or a complete plan).
+	// pre is set, beside cost, internal and order, for an already-built
+	// path (a base-relation scan or a complete plan).
 	pre *Path
 
 	// Merge-join sort enforcers: non-nil when the corresponding side
@@ -551,18 +472,6 @@ func (c *joinCand) leaves(dst []LeafReq) []LeafReq {
 	return dst
 }
 
-// addJoin routes a join candidate to the deferred fast screen or to the
-// eager reference insertion.
-//
-//pinum:hotpath
-func (p *planner) addJoin(jr *joinRel, c *joinCand) {
-	if p.ctx != nil {
-		p.addJoinFast(jr, c)
-		return
-	}
-	p.addPath(jr, c.materialize(p, jr))
-}
-
 // leavesFor builds a requirement slice with a single non-default entry.
 func (p *planner) leavesFor(rel int, req LeafReq) []LeafReq {
 	out := p.newLeaves()
@@ -570,11 +479,10 @@ func (p *planner) leavesFor(rel int, req LeafReq) []LeafReq {
 	return out
 }
 
-// appendPathKey appends the (leaf combo, output order) identity used for
-// exact deduplication by the reference path's ExportAll mode and by the
-// fast planner's wide lane — of a path, or of a join candidate from its
-// merged leaves. It avoids fmt for speed: this runs once per generated
-// path. The packed lane packs the same identity into a fixed-size
+// appendPathKey appends the (leaf combo, output order) identity the wide
+// lane deduplicates ExportAll arrivals on — of a path, or of a join
+// candidate from its merged leaves. It avoids fmt for speed: this runs once
+// per arrival. The packed lane packs the same identity into a fixed-size
 // comparable struct instead (fastplan.go).
 //
 //pinum:hotpath
@@ -607,76 +515,9 @@ func appendPathKey(b []byte, rels RelSet, leaves []LeafReq, order []query.ColRef
 	return b
 }
 
-// finishRel applies subsumption pruning to a completed join relation in
-// ExportAll mode: drop plan B when a plan A requires a subset of B's
-// interesting orders at lower-or-equal internal cost while still providing
-// B's output order.
-func (p *planner) finishRel(jr *joinRel) {
-	if !p.opt.ExportAll {
-		return
-	}
-	if p.ctx != nil {
-		p.finishRelFast(jr)
-		return
-	}
-	// Iterate in first-insertion order: deterministic independent of map
-	// iteration, and the same sequence the fast path's keyed store holds,
-	// so metric ties below break identically in both planners.
-	paths := make([]*Path, 0, len(jr.byKey))
-	for _, k := range jr.keyOrder {
-		paths = append(paths, jr.byKey[k])
-	}
-	// The pruning metric is the provably-safe internal cost by default,
-	// or the paper's literal total cost under PaperPrune, which also
-	// collapses access modes: one plan per column combination.
-	metric := func(pt *Path) float64 { return pt.Internal }
-	subsumes := func(a, b *Path) bool {
-		return comboSubsumes(a.Leaves, b.Leaves, jr.set, p.opt.PreciseNLJ)
-	}
-	if p.opt.PaperPrune {
-		metric = func(pt *Path) float64 { return pt.Cost }
-		subsumes = func(a, b *Path) bool {
-			return comboSubsumesByColumn(a.Leaves, b.Leaves, jr.set)
-		}
-	}
-	// Ascending metric, so the dominator scan can stop at the first path
-	// with a larger value. Candidates are compared against every path
-	// with metric ≤ theirs — including ties and paths that are themselves
-	// dominated (domination is transitive, so a dominated dominator's own
-	// dominator also covers the candidate). Mutual domination between
-	// distinct (combo, order) keys is impossible, so this never removes
-	// both sides of a tie.
-	sort.SliceStable(paths, func(i, j int) bool { return metric(paths[i]) < metric(paths[j]) })
-	var kept []*Path
-	for i, cand := range paths {
-		dominated := false
-		for j, a := range paths {
-			if metric(a) > metric(cand) {
-				break
-			}
-			if j == i {
-				continue
-			}
-			if OrderSatisfies(a.Order, cand.Order) && subsumes(a, cand) {
-				dominated = true
-				break
-			}
-		}
-		if dominated {
-			p.res.Stats.PathsPruned++
-			continue
-		}
-		kept = append(kept, cand)
-	}
-	jr.paths = kept
-	jr.byKey = nil
-	jr.keyOrder = nil
-}
-
-// clauseRef is a join clause oriented for a specific (outer, inner) pair.
-// The fast path prebuilds the single-column sort-key slices (and their
-// packed order forms) once per call; the reference path leaves them nil
-// and allocates on demand, as the original planner did.
+// clauseRef is a join clause oriented for a specific (outer, inner) pair,
+// with the single-column sort-key slices that enforce each side's clause
+// order and their packed order forms, prebuilt once per call (planCtx.reset).
 type clauseRef struct {
 	idx          int // index into a.Q.Joins
 	outer, inner query.ColRef
@@ -686,102 +527,11 @@ type clauseRef struct {
 	innerPack    [2]uint64
 }
 
-func (p *planner) clausesBetween(outer, inner RelSet) []clauseRef {
-	p.res.Stats.ClauseLookups++
-	var out []clauseRef
-	for i, j := range p.a.Q.Joins {
-		switch {
-		case outer.Has(j.Left.Rel) && inner.Has(j.Right.Rel):
-			out = append(out, clauseRef{idx: i, outer: j.Left, inner: j.Right})
-		case outer.Has(j.Right.Rel) && inner.Has(j.Left.Rel):
-			out = append(out, clauseRef{idx: i, outer: j.Right, inner: j.Left})
-		}
-	}
-	return out
-}
-
-// plan runs the dynamic program over connected relation subsets and returns
-// the top join relation, dispatching between the fast and reference
-// implementations.
-func (p *planner) plan() (*joinRel, error) {
-	if p.ctx != nil {
-		return p.planFast()
-	}
-	return p.planReference()
-}
-
-// planReference is the original DP loop: a map-keyed table of join
-// relations and a fresh clause-list scan per split and direction.
-func (p *planner) planReference() (*joinRel, error) {
-	n := len(p.a.Rels)
-	rels := make(map[RelSet]*joinRel)
-	for i := 0; i < n; i++ {
-		jr := p.scanPaths(i)
-		p.finishRel(jr)
-		if len(jr.paths) == 0 {
-			return nil, fmt.Errorf("optimizer: no access path for relation %d", i)
-		}
-		rels[jr.set] = jr
-	}
-	if n == 1 {
-		p.res.Stats.JoinRels = 1
-		return rels[Single(0)], nil
-	}
-
-	full := RelSet(1<<uint(n)) - 1
-	for mask := RelSet(3); mask <= full; mask++ {
-		if mask.Count() < 2 {
-			continue
-		}
-		var jr *joinRel
-		low := RelSet(1) << uint(mask.Members()[0])
-		// Enumerate proper submasks containing the lowest bit, so each
-		// unordered split is visited once.
-		for s1 := (mask - 1) & mask; s1 > 0; s1 = (s1 - 1) & mask {
-			if s1&low == 0 {
-				continue
-			}
-			p.res.Stats.EnumStates++
-			s2 := mask ^ s1
-			left, lok := rels[s1]
-			right, rok := rels[s2]
-			if !lok || !rok {
-				continue
-			}
-			if len(p.clausesBetween(s1, s2)) == 0 {
-				continue
-			}
-			if jr == nil {
-				jr = &joinRel{set: mask, rows: p.a.JoinRows(mask)}
-			}
-			p.joinPaths(jr, left, right, p.clausesBetween(s1, s2))
-			p.joinPaths(jr, right, left, p.clausesBetween(s2, s1))
-		}
-		if jr != nil {
-			p.finishRel(jr)
-			rels[mask] = jr
-		} else {
-			// The mask is a disconnected relation subset: every split came
-			// up empty. The fast planner's connectivity-aware enumeration
-			// skips these outright and accounts them identically.
-			p.res.Stats.MasksSkipped++
-		}
-	}
-	p.res.Stats.JoinRels = len(rels)
-	top, ok := rels[full]
-	if !ok || len(top.paths) == 0 {
-		return nil, fmt.Errorf("optimizer: join graph of query %s is disconnected", p.a.Q.Name)
-	}
-	return top, nil
-}
-
 // joinPaths emits hash, merge, and nested-loop candidates joining
-// outer × inner. The oriented clause list is supplied by the caller: the
-// fast path computes both orientations of a split in one bitset pass, the
-// reference path rescans the query's clause list per direction. All cost
-// arithmetic lives here, shared by both planners, which is what guarantees
-// bit-identical results. The packed ExportAll lane screens each candidate
-// (fastplan.go) before a joinCand is assembled for it.
+// outer × inner over the oriented clause list of the split (planCtx's
+// crossClauses computes both orientations in one bitset pass). The packed
+// ExportAll lane screens each candidate (fastplan.go) before a joinCand is
+// assembled for it.
 //
 //pinum:hotpath
 func (p *planner) joinPaths(jr *joinRel, outer, inner *joinRel, clauses []clauseRef) {
@@ -810,7 +560,7 @@ func (p *planner) joinPaths(jr *joinRel, outer, inner *joinRel, clauses []clause
 	// The packed ExportAll lane threads packed output orders alongside the
 	// slices so candidate keys never re-intern columns; the wide lane
 	// screens on the assembled candidate and takes the plain branches.
-	exportFast := p.ctx != nil && p.opt.ExportAll && p.ctx.packed
+	exportFast := p.opt.ExportAll && p.ctx.packed
 
 	// Indexed nested loops need a single-base-relation inner; the relation
 	// index is loop-invariant.
@@ -845,7 +595,7 @@ func (p *planner) joinPaths(jr *joinRel, outer, inner *joinRel, clauses []clause
 			// Hash join: order-insensitive, destroys ordering.
 			cost, internal := op.Cost+ip.Cost+hc, op.Internal+ip.Internal+hc
 			if !exportFast || !p.screen(0, 0, cost, internal) {
-				p.addJoin(jr, &joinCand{
+				p.admit(jr, &joinCand{
 					op:       OpHashJoin,
 					cost:     cost,
 					outer:    op,
@@ -864,10 +614,6 @@ func (p *planner) joinPaths(jr *joinRel, outer, inner *joinRel, clauses []clause
 				var sortOuter []query.ColRef
 				if !(len(op.Order) > 0 && op.Order[0] == cl.outer) {
 					sortOuter = cl.outerKey
-					if sortOuter == nil {
-						//pinum:alloc-ok reference planner only: the fast path prebuilds the clause keys once per call
-						sortOuter = []query.ColRef{cl.outer}
-					}
 					osCost += outerSort
 					osInternal += outerSort
 					osOrder = sortOuter
@@ -877,10 +623,6 @@ func (p *planner) joinPaths(jr *joinRel, outer, inner *joinRel, clauses []clause
 				var sortInner []query.ColRef
 				if !(len(ip.Order) > 0 && ip.Order[0] == cl.inner) {
 					sortInner = cl.innerKey
-					if sortInner == nil {
-						//pinum:alloc-ok reference planner only: the fast path prebuilds the clause keys once per call
-						sortInner = []query.ColRef{cl.inner}
-					}
 					isCost += innerSort
 					isInternal += innerSort
 				}
@@ -894,7 +636,7 @@ func (p *planner) joinPaths(jr *joinRel, outer, inner *joinRel, clauses []clause
 				if exportFast && p.screen(os0, os1, cost, internal) {
 					continue
 				}
-				p.addJoin(jr, &joinCand{
+				p.admit(jr, &joinCand{
 					op:           OpMergeJoin,
 					cost:         cost,
 					order:        mOrd,
@@ -918,53 +660,33 @@ func (p *planner) joinPaths(jr *joinRel, outer, inner *joinRel, clauses []clause
 		if nljInner {
 			for ci := range clauses {
 				cl := &clauses[ci]
-				var best, lrows float64
-				var via *catalog.Index
-				var colID uint16
-				if p.ctx != nil {
-					m := p.ctx.lookup(p.a, nljRel, cl.inner.Column)
-					best, via, lrows, colID = m.cost, m.ix, m.rows, m.id
-				} else {
-					best = math.Inf(1)
-					for _, ix := range p.configIndexes(nljRel) {
-						if !ix.Covers(cl.inner.Column) {
-							continue
-						}
-						if lc := p.a.LookupCost(nljRel, ix, cl.inner.Column); lc < best {
-							best = lc
-							via = ix
-						}
-					}
-					if via != nil {
-						lrows = p.a.LookupRows(nljRel, cl.inner.Column)
-					}
-				}
-				if via == nil {
+				m := p.ctx.lookup(p.a, nljRel, cl.inner.Column)
+				if m.ix == nil {
 					continue
 				}
 				coef := oRows
-				cost, internal := op.Cost+coef*best+nc, op.Internal+nc
+				cost, internal := op.Cost+coef*m.cost+nc, op.Internal+nc
 				if exportFast {
 					p.candOf(op, nil)
-					p.candLeaf(nljRel, AccessLookup, colID, coef)
+					p.candLeaf(nljRel, AccessLookup, m.id, coef)
 					if p.screen(nl0, nl1, cost, internal) {
 						continue
 					}
 				}
-				p.addJoin(jr, &joinCand{
+				p.admit(jr, &joinCand{
 					op:       OpNestLoop,
 					cost:     cost,
 					order:    opOrd,
 					outer:    op,
 					clause:   cl.idx,
 					internal: internal,
-					leafCost: op.LeafCost + coef*best,
+					leafCost: op.LeafCost + coef*m.cost,
 					nljRel:   nljRel,
-					nljIndex: via,
+					nljIndex: m.ix,
 					nljCol:   cl.inner.Column,
 					nljCoef:  coef,
-					nljRows:  lrows,
-					nljCost:  best,
+					nljRows:  m.rows,
+					nljCost:  m.cost,
 				})
 			}
 		}
@@ -980,7 +702,7 @@ func (p *planner) joinPaths(jr *joinRel, outer, inner *joinRel, clauses []clause
 					continue
 				}
 			}
-			p.addJoin(jr, &joinCand{
+			p.admit(jr, &joinCand{
 				op:       OpNestLoopMat,
 				cost:     cost,
 				order:    opOrd,
@@ -999,19 +721,10 @@ func (p *planner) joinPaths(jr *joinRel, outer, inner *joinRel, clauses []clause
 // to the set's complement, or the query's grouping/ordering columns. This
 // mirrors PostgreSQL's canonical-pathkey usefulness test and collapses
 // otherwise-identical plans whose orders can never be exploited again. The
-// verdict depends only on (set, leading column), so the fast path memoizes
-// it per join relation.
+// verdict depends only on (set, leading column), so it is memoized per join
+// relation (usefulMemo).
 func (p *planner) usefulOrder(set RelSet, order []query.ColRef) []query.ColRef {
-	if len(order) == 0 {
-		return nil
-	}
-	if ctx := p.ctx; ctx != nil {
-		if p.usefulMemo(set, order[0], ctx.a.orderGID(order[0])) {
-			return order
-		}
-		return nil
-	}
-	if p.usefulLead(set, order[0]) {
+	if len(order) > 0 && p.usefulMemo(set, order[0], p.a.orderGID(order[0])) {
 		return order
 	}
 	return nil
@@ -1146,7 +859,7 @@ func (p *planner) collectAccessCosts() {
 		for _, col := range ri.Interesting {
 			interesting[col] = true
 		}
-		for _, ix := range p.configIndexes(rel) {
+		for _, ix := range p.ctx.perRel[rel] {
 			f := p.a.IndexScanCost(rel, ix)
 			ia := IndexAccess{
 				Rel:       rel,

@@ -226,7 +226,9 @@ func TestAccessCostAgreesWithScanPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := debugAllOrdersConfig(t, a)
-	p := &planner{a: a, cfg: cfg, opt: Options{}, res: &Result{}}
+	p := new(planner)
+	p.reset(a, cfg, Options{})
+	defer p.release()
 	for rel := range a.Rels {
 		jr := p.scanPaths(rel)
 		var cheapest float64 = math.Inf(1)

@@ -11,8 +11,8 @@ import (
 	"github.com/pinumdb/pinum/internal/query"
 )
 
-// RelSet is a bitset of base-relation indices within one query. Queries are
-// limited to 64 relations, far beyond the DP join planner's practical reach.
+// RelSet is a bitset of base-relation indices within one query: the reason
+// NewAnalysis refuses a query past MaxRels (64) relations.
 type RelSet uint64
 
 // Single returns the set containing only relation i.
@@ -166,7 +166,7 @@ type Path struct {
 	Leaves []LeafReq
 
 	// pkRef points (1-based) into the planner's per-call key arena at the
-	// packed (leaf combo, output order) identity assigned when the fast
+	// packed (leaf combo, output order) identity assigned when the
 	// planner retained this path in ExportAll mode: join candidates
 	// derive their own keys by OR-ing their children's packed leaves
 	// instead of re-interning columns (see fastplan.go). Zero means no

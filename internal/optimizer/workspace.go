@@ -6,7 +6,7 @@ import (
 	"github.com/pinumdb/pinum/internal/query"
 )
 
-// A Workspace owns what one planner call after another can share: the fast
+// A Workspace owns what one planner call after another can share: the
 // planner's scratch (the frontier's slot arrays and buckets, the key table
 // and arena, the DP table, the plan context), grown by a worker's first
 // queries and reused by the rest. It is not safe for concurrent use: give
@@ -30,16 +30,16 @@ func NewWorkspace(recycle bool) *Workspace {
 
 // Optimize is the package's Optimize on this workspace's buffers.
 func (w *Workspace) Optimize(a *Analysis, cfg *query.Config, opt Options) (*Result, error) {
-	return w.p.optimize(a, cfg, opt, a.fastPlan)
+	return w.p.optimize(a, cfg, opt)
 }
 
 // reset starts a call. Whatever the last left — slots of a relation it failed
 // in, the other lane's keys, PreciseNLJ's side arrays, buckets of a longer
 // order registry — is truncated or cleared; a field not named starts zero.
-func (p *planner) reset(a *Analysis, cfg *query.Config, opt Options, fast bool) {
+func (p *planner) reset(a *Analysis, cfg *query.Config, opt Options) {
 	*p = planner{
-		a: a, cfg: cfg, opt: opt, res: &Result{},
-		fastCtx: p.fastCtx, rels: p.rels, recycle: p.recycle, paths: p.paths, leaves: p.leaves,
+		a: a, opt: opt, res: &Result{},
+		ctx: p.ctx, rels: p.rels, recycle: p.recycle, paths: p.paths, leaves: p.leaves,
 		slots:    keyTable{precise: opt.PreciseNLJ, index: p.slots.index, keys: p.slots.keys[:0], coefs: p.slots.coefs[:0]},
 		keyArena: p.keyArena[:0], arenaCoefs: p.arenaCoefs[:0],
 		wideKeys: p.wideKeys, wideLeaves: p.wideLeaves[:0], keyBuf: p.keyBuf[:0], leafBuf: p.leafBuf[:0],
@@ -47,10 +47,6 @@ func (p *planner) reset(a *Analysis, cfg *query.Config, opt Options, fast bool) 
 		slotOrd: p.slotOrd[:0], slotWitness: p.slotWitness[:0], buckets: p.buckets[:0], idxBuf: p.idxBuf[:0],
 	}
 	p.paths.cur, p.paths.used, p.leaves.cur, p.leaves.used = 0, 0, 0, 0
-	if !fast {
-		return
-	}
-	p.ctx = &p.fastCtx
 	p.ctx.reset(a, cfg)
 	if opt.ExportAll && p.slots.index == nil {
 		p.slots.index, p.wideKeys = make([]int32, 64), make(map[string]int32)
@@ -65,10 +61,10 @@ func (p *planner) release() {
 	clear(p.cands[:cap(p.cands)])
 	clear(p.rels.dense)
 	clear(p.rels.sparse)
-	clear(p.fastCtx.ixBuf)
-	clear(p.fastCtx.lookups)
-	clear(p.fastCtx.orderRefs)
-	p.a, p.cfg, p.res, p.ctx, p.fastCtx.a = nil, nil, nil, nil, nil
+	clear(p.ctx.ixBuf)
+	clear(p.ctx.lookups)
+	clear(p.ctx.orderRefs)
+	p.a, p.res, p.ctx.a = nil, nil, nil
 }
 
 // newPath is the one constructor of plan nodes: from the slab when the

@@ -290,7 +290,8 @@ func TestSlimTreeShapeEquivalence(t *testing.T) {
 
 // TestAdvisorSlimTreeEquivalence runs the full greedy search over slim
 // and snapshot-roundtripped caches and requires results identical to the
-// tree-backed advisor's Run and RunReference.
+// tree-backed advisor's Run (which advisor's TestRunMatchesReferenceSelfJoinMix
+// holds to the full-repricing oracle on this workload).
 func TestAdvisorSlimTreeEquivalence(t *testing.T) {
 	s, err := workload.StarSchema(1.0)
 	if err != nil {
@@ -312,10 +313,6 @@ func TestAdvisorSlimTreeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, err := adTree.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRef, err := adTree.RunReference()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,10 +375,6 @@ func TestAdvisorSlimTreeEquivalence(t *testing.T) {
 				label, got.Rounds, got.TotalBytes, want.Rounds, want.TotalBytes)
 		}
 	}
-
-	// Run vs RunReference on the tree path first (sanity that the oracle
-	// holds on this workload), then slim and loaded against it.
-	assertSame("tree reference", wantRef)
 
 	analyses, slims := buildSlimCaches()
 	assertSame("slim", runOver("slim", analyses, slims))

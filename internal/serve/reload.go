@@ -168,7 +168,7 @@ func newSnapshotSet(env *Environment, caches []*inum.Cache, source string, fp ui
 			return nil, fmt.Errorf("serve: base cost for %s: %w", env.Queries[i].Name, err)
 		}
 		set.base[i] = cost
-		//pinum:costarith-ok workload objective Σ wᵢ·cᵢ mirroring advisor.workloadCost; pinned by TestWhatIfMatchesInProcess
+		//pinum:costarith-ok workload objective Σ wᵢ·cᵢ in query order, as the advisor sums it; pinned by TestWhatIfMatchesInProcess
 		set.baseTotal += set.weights[i] * cost
 	}
 	return set, nil

@@ -748,7 +748,7 @@ func (s *Server) whatIfOn(ctx context.Context, set *snapshotSet, req *WhatIfRequ
 			return nil, fmt.Errorf("pricing %s: %w", set.env.Queries[i].Name, errs[i])
 		}
 		resp.Queries[i] = QueryCost{Name: set.env.Queries[i].Name, Base: set.base[i], Cost: costs[i]}
-		//pinum:costarith-ok workload objective Σ wᵢ·cᵢ mirroring advisor.workloadCost; pinned by TestWhatIfMatchesInProcess
+		//pinum:costarith-ok workload objective Σ wᵢ·cᵢ in query order, as the advisor sums it; pinned by TestWhatIfMatchesInProcess
 		resp.Total += weights[i] * costs[i]
 		if overridden {
 			//pinum:costarith-ok same objective over the request's override weights; pinned by TestWeightOverrides

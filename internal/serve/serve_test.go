@@ -309,6 +309,36 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestExplainRefusesPastRelationCap: a query joining more relations than a
+// plan can name (optimizer.MaxRels) is the client's error — 400 naming the
+// limit — not an endpoint failure.
+func TestExplainRefusesPastRelationCap(t *testing.T) {
+	f := newFixture(t)
+	var from, where []string
+	for i := 0; i <= optimizer.MaxRels; i++ {
+		from = append(from, fmt.Sprintf("fact f%d", i))
+		if i > 0 {
+			where = append(where, fmt.Sprintf("f%d.fk_dim1_1 = f%d.fk_dim1_1", i-1, i))
+		}
+	}
+	body, err := json.Marshal(ExplainRequest{SQL: "SELECT f0.m1 FROM " + strings.Join(from, ", ") + " WHERE " + strings.Join(where, " AND ")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(f.ts.URL+"/explain", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var payload map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(payload["error"], "64") {
+		t.Errorf("/explain of a %d-relation chain: %d %q, want 400 naming the limit 64", optimizer.MaxRels+1, resp.StatusCode, payload["error"])
+	}
+}
+
 // TestHealthAndStatz checks the liveness payload and that the per-endpoint
 // request counters on /metrics actually count. (The name dates from the
 // /statz endpoint, whose counters these were.)
