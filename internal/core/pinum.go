@@ -13,7 +13,10 @@
 //
 // A build allocates little beyond the cache it returns: both calls, and
 // every query a batch worker builds, plan on one optimizer.Workspace
-// (Builder), which dies with the one-shot build or the batch.
+// (Builder), which dies with the one-shot build or the batch. The planner
+// keeps plans as pointer-free records; a slim build reads each exported
+// plan's summary straight off them (Workspace.Export), and only a tree
+// build has Path trees built for it.
 package core
 
 import (
@@ -41,11 +44,11 @@ func BuildPrecise(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error
 }
 
 // BuildSlim fills a slim cache: the same two optimizer calls, but every
-// exported plan is reduced to its INUM decomposition on the spot and the
-// planner's retained path trees become garbage as soon as each call
-// returns. Cost results are bit-identical to Build's; the cache just
-// cannot render EXPLAIN trees or feed the executor. This is the
-// construction the persistent snapshot store and the serving layer use.
+// exported plan reaches the cache as its INUM decomposition, read off the
+// planner's records, and no path tree is ever built. Cost results are
+// bit-identical to Build's; the cache just cannot render EXPLAIN trees or
+// feed the executor. This is the construction the persistent snapshot store
+// and the serving layer use.
 func BuildSlim(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error) {
 	return Builder(false, true)(a, ws)
 }
@@ -53,11 +56,11 @@ func BuildSlim(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error) {
 // Builder returns a BuildFunc for the given mode flags that plans every
 // query it is handed on one optimizer.Workspace of its own: call it once
 // per worker, as BuildAllWith does, and the worker's later queries reuse
-// the buffers its first ones grew. A slim Builder's workspace recycles the
-// planner's path trees too — a slim cache keeps nothing of an exported
-// plan; a tree Builder's stay on the heap, where its caches hold them.
+// the buffers its first ones grew. A slim Builder hands its caches the
+// workspace's export summaries; a tree Builder has the workspace build the
+// exported plans' trees, which its caches keep.
 func Builder(precise, slim bool) BuildFunc {
-	wk := optimizer.NewWorkspace(slim)
+	wk := optimizer.NewWorkspace()
 	return func(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error) {
 		return build(a, ws, wk, precise, slim)
 	}
@@ -82,24 +85,31 @@ func build(a *optimizer.Analysis, ws *whatif.Session, wk *optimizer.Workspace, p
 	// call: nested loops on; unless the precise refinement is requested,
 	// the paper's literal total-cost pruning keeps the NLJ plan set small
 	// at the price of the small errors §VI-C reports.
-	for _, nlj := range []bool{false, true} {
-		res, err := wk.Optimize(a, cfg, optimizer.Options{
-			EnableNestLoop: nlj,
-			ExportAll:      true,
-			PreciseNLJ:     precise,
-			PaperPrune:     nlj && !precise,
-		})
+	opts := [2]optimizer.Options{
+		{ExportAll: true, PreciseNLJ: precise},
+		{EnableNestLoop: true, ExportAll: true, PreciseNLJ: precise, PaperPrune: !precise},
+	}
+	if slim {
+		st, err := wk.Export(a, cfg, opts[:], c.AddSummary)
 		if err != nil {
 			return nil, err
 		}
-		c.Stats.OptimizerCalls++
-		c.Stats.Planner.Add(res.Stats)
-		for _, p := range res.Exported {
-			c.AddPath(p)
-		}
-	}
-	if slim {
+		c.Stats.OptimizerCalls += len(opts)
+		c.Stats.Planner.Add(st)
+		c.Stats.PlansSeen = st.PathsRetained
 		c.Seal()
+	} else {
+		for _, opt := range opts {
+			res, err := wk.Optimize(a, cfg, opt)
+			if err != nil {
+				return nil, err
+			}
+			c.Stats.OptimizerCalls++
+			c.Stats.Planner.Add(res.Stats)
+			for _, p := range res.Exported {
+				c.AddPath(p)
+			}
+		}
 	}
 	c.Stats.Duration = time.Since(start)
 	c.Stats.Mem = c.MemStats()

@@ -78,23 +78,24 @@ func allocsPer(runs int, f func()) (objects, bytes float64) {
 
 // TestBuildSlimAllocationBudget holds what a slim build allocates. One-shot
 // builds (a fresh workspace each, as BuildSlim makes): random6, where nine
-// join candidates in ten are dedup losses, only a slot's last winner is
-// ever materialised and the plan nodes come from the workspace's slabs
-// (packed key lane), and wide-orders, where the wide lane dedups on the
-// candidate's key bytes before it materialises. A one-shot build cannot go
-// below its larger call's plan nodes and slot array, about 4 MB of random6's
-// bytes; the steady state is the star case: the 200 queries of the
-// benchmark's whatif-wide tenant on one worker, whose workspace is warm
-// after the first few. A ceiling crossed means some per-candidate or
-// per-path allocation is back.
+// join candidates in ten are dedup losses and the packed key lane keeps
+// every plan as a pointer-free record, and wide-orders, where the wide lane
+// dedups on the candidate's key bytes (one string per slot). Neither builds
+// a Path: the cache takes summaries read off the records. A one-shot build
+// cannot go below its larger call's record arena, key arena and slot
+// arrays, grown from empty by doubling — about 2 MB of random6's bytes; the
+// steady state is the star case: the 200 queries of the benchmark's
+// whatif-wide tenant on one worker, whose workspace is warm after the first
+// few, leaving the what-if configuration and the cache itself. A ceiling
+// crossed means some per-candidate or per-plan allocation is back.
 func TestBuildSlimAllocationBudget(t *testing.T) {
 	budgets := map[string]struct {
 		objects, bytes float64 // ceilings per build
 		was            [2]float64
-		before         [2]float64 // with a heap Path and leaf slice per retained path, buffers grown per call
+		before         [2]float64 // with a Path tree per kept plan, drawn from slabs, and the cache's Signature and Summarize per export
 	}{
-		"random6":     {7000, 8 << 20, [2]float64{4975, 6.46e6}, [2]float64{28296, 10.28e6}},
-		"wide-orders": {5000, 2 << 20, [2]float64{3563, 1.51e6}, [2]float64{5918, 1.69e6}},
+		"random6":     {2500, 3 << 20, [2]float64{1807, 2.83e6}, [2]float64{4974, 6.45e6}},
+		"wide-orders": {4000, 1600 << 10, [2]float64{3057, 1.29e6}, [2]float64{3569, 1.46e6}},
 	}
 	for _, s := range designShapes {
 		b, ok := budgets[s.label]
@@ -117,9 +118,9 @@ func TestBuildSlimAllocationBudget(t *testing.T) {
 		}
 		sets = sets[1:]
 	})
-	t.Logf("star set, one worker: %.0f objects, %.0f bytes per query (ceilings 450, 64 KB; 291 and 42 KB when set; 1 577 and 457 KB before)", objects/n, bytes/n)
-	if objects/n > 450 || bytes/n > 64<<10 {
-		t.Errorf("star set: %.0f objects, %.0f bytes per query on a warm worker; ceilings 450 and 64 KB", objects/n, bytes/n)
+	t.Logf("star set, one worker: %.0f objects, %.0f bytes per query (ceilings 200, 24 KB; 151 and 18.1 KB when set; 291 and 41.6 KB before)", objects/n, bytes/n)
+	if objects/n > 200 || bytes/n > 24<<10 {
+		t.Errorf("star set: %.0f objects, %.0f bytes per query on a warm worker; ceilings 200 and 24 KB", objects/n, bytes/n)
 	}
 }
 

@@ -54,14 +54,9 @@ func shapeCase(t *testing.T, shape workload.Shape, rng *rand.Rand) propertyCase 
 			}
 		}
 		cache = inum.NewSlimCache(a)
-		for _, nlj := range []bool{false, true} {
-			res, err := optimizer.Optimize(a, head, optimizer.Options{EnableNestLoop: nlj, ExportAll: true, PaperPrune: nlj})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, p := range res.Exported {
-				cache.AddPath(p)
-			}
+		opts := []optimizer.Options{{ExportAll: true}, {EnableNestLoop: true, ExportAll: true, PaperPrune: true}}
+		if _, err := optimizer.NewWorkspace().Export(a, head, opts, cache.AddSummary); err != nil {
+			t.Fatal(err)
 		}
 		cache.Seal()
 	}

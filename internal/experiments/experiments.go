@@ -787,11 +787,14 @@ func RunE6(env *Env) (*E6Result, error) {
 		}
 
 		// Fill one tree-backed and one slim cache from the same exported
-		// set to measure what each retains.
+		// set — the timed call's trees, and the same call's summaries — to
+		// measure what each retains.
 		tree, slim := inum.NewCache(a), inum.NewSlimCache(a)
 		for _, p := range fast.Exported {
 			tree.AddPath(p)
-			slim.AddPath(p)
+		}
+		if _, err := optimizer.NewWorkspace().Export(a, cfg, []optimizer.Options{opt}, slim.AddSummary); err != nil {
+			return nil, fmt.Errorf("E6 %s: %w", q.Name, err)
 		}
 
 		res.Rows = append(res.Rows, E6Row{

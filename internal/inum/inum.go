@@ -169,15 +169,16 @@ func (m MemStats) String() string {
 
 // Cache is an INUM plan cache for one query. Cost and BestPlan only read
 // it, so any number of goroutines may price configurations at once;
-// construction (AddPath, AddSlim, Seal) is single-threaded.
+// construction (AddPath, AddSummary, AddSlim, Seal) is single-threaded.
 type Cache struct {
 	Q     *query.Query
 	A     *optimizer.Analysis
 	Plans []*CachedPlan
 	Stats BuildStats
 
-	// slim caches drop every entry's path tree and signature at AddPath
-	// time, retaining only the INUM decomposition Cost consumes.
+	// slim caches hold no path tree or signature: their entries arrive as
+	// summaries (AddSummary, from the planner) or snapshot rows (AddSlim),
+	// deduplicated before they get here.
 	slim bool
 
 	// Leaf arenas: entry idx's requirement on relation rel lives at index
@@ -194,30 +195,33 @@ type Cache struct {
 	sigs map[string]bool
 }
 
-// NewCache returns an empty cache over the analysed query.
+// NewCache returns an empty tree-backed cache over the analysed query,
+// filled by AddPath.
 func NewCache(a *optimizer.Analysis) *Cache {
 	return &Cache{Q: a.Q, A: a, sigs: make(map[string]bool)}
 }
 
-// NewSlimCache returns an empty slim cache over the analysed query: every
-// AddPath retains only the plan's INUM decomposition (combo, internal
-// cost, per-relation leaf requirements) and drops the path tree and the
-// signature string. Cost results are bit-identical to a tree-backed cache
-// built from the same paths — it never reads either.
+// NewSlimCache returns an empty slim cache over the analysed query, for
+// entries that are only a plan's INUM decomposition (internal cost,
+// per-relation leaf requirements) with no path tree or signature string:
+// AddSummary's — the planner's exports, which Workspace.Export
+// deduplicates — or AddSlim's from a snapshot. Cost results are
+// bit-identical to a tree-backed cache built from the same plans: it reads
+// neither. A slim cache has no signature map, so AddPath on one keeps the
+// tree it is given without deduplication.
 func NewSlimCache(a *optimizer.Analysis) *Cache {
-	c := NewCache(a)
-	c.slim = true
-	return c
+	return &Cache{Q: a.Q, A: a, slim: true}
 }
 
-// Slim reports whether the cache drops path trees at AddPath time.
+// Slim reports whether the cache was built to hold no path trees.
 func (c *Cache) Slim() bool { return c.slim }
 
-// AddPath converts an optimizer path into a cache entry, deduplicating by
-// structural signature. It reports whether the plan was new. On a sealed
-// cache the dedup map is gone, so every path is admitted (as Seal
-// documents); the signature is computed before the (allocating) summary
-// so duplicate-heavy ExportAll streams pay only the string per duplicate.
+// AddPath converts an optimizer path into a cache entry that keeps the
+// path tree and its signature, deduplicating by the signature. It reports
+// whether the plan was new. On a sealed or slim cache there is no dedup map,
+// so every path is admitted (as Seal documents); the signature is computed
+// before the (allocating) summary so duplicate-heavy ExportAll streams pay
+// only the string per duplicate.
 func (c *Cache) AddPath(p *optimizer.Path) bool {
 	c.Stats.PlansSeen++
 	sig := p.Signature()
@@ -239,12 +243,21 @@ func (c *Cache) AddPath(p *optimizer.Path) bool {
 		c.leafSlot = append(c.leafSlot, uint16(c.A.LeafSlot(rel, pk)))
 		c.leafCoef = append(c.leafCoef, req.Coef)
 	}
-	if !c.slim {
-		cp.Sig = sig
-		cp.Path = p
-	}
+	cp.Sig, cp.Path = sig, p
 	c.Stats.PlansCached++
 	return true
+}
+
+// AddSummary appends one entry from a plan summary the planner exported
+// (optimizer.Workspace.Export), already deduplicated and already in the
+// arenas' form: it copies the internal cost, the NLJ flag and the leaf-slot
+// and coefficient rows, and keeps nothing of the summary. A slim build's
+// caller counts the plans it saw (BuildStats.PlansSeen) from the planner.
+func (c *Cache) AddSummary(s *optimizer.Summary) {
+	c.appendEntry(s.Internal, s.NLJ)
+	c.leafSlot = append(c.leafSlot, s.Slots...)
+	c.leafCoef = append(c.leafCoef, s.Coefs...)
+	c.Stats.PlansCached++
 }
 
 // appendEntry allocates the next entry and its arena row ordinal.

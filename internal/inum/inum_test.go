@@ -151,14 +151,9 @@ func buildSlimAsCore(t *testing.T, a *optimizer.Analysis, ws *whatif.Session) *C
 		})}
 	}
 	c := NewSlimCache(a)
-	for _, nlj := range []bool{false, true} {
-		res, err := optimizer.Optimize(a, cfg, optimizer.Options{EnableNestLoop: nlj, ExportAll: true, PaperPrune: nlj})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range res.Exported {
-			c.AddPath(p)
-		}
+	opts := []optimizer.Options{{ExportAll: true}, {EnableNestLoop: true, ExportAll: true, PaperPrune: true}}
+	if _, err := optimizer.NewWorkspace().Export(a, cfg, opts, c.AddSummary); err != nil {
+		t.Fatal(err)
 	}
 	c.Seal()
 	return c
@@ -554,7 +549,9 @@ func TestPackedEntryBytesHalved(t *testing.T) {
 	for _, qi := range []int{0, 4, 9} { // 2-, 4- and 7-relation queries
 		s, a := setup(t, qi)
 		ws := whatif.NewSession(s.Catalog)
-		c := NewSlimCache(a)
+		// The conventional INUM build's distinct plans, moved into a slim
+		// cache the way a snapshot load fills one.
+		tree := NewCache(a)
 		for _, oc := range a.Q.EnumerateCombos() {
 			cfg, err := CoveringConfig(a, ws, oc)
 			if err != nil {
@@ -565,7 +562,14 @@ func TestPackedEntryBytesHalved(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				c.AddPath(res.Best)
+				tree.AddPath(res.Best)
+			}
+		}
+		c := NewSlimCache(a)
+		for _, cp := range tree.Plans {
+			pk, coefs := cp.PackedLeaves()
+			if _, err := c.AddSlim(cp.Internal, pk, coefs); err != nil {
+				t.Fatal(err)
 			}
 		}
 		c.Seal()

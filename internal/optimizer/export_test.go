@@ -31,7 +31,7 @@ func (ri *RelInfo) ColumnSel(col string) (float64, bool) {
 var OptimizeReference = optimizeReference
 
 // EachJoinRelPath plans (a, cfg, opt) with the planner and hands visit
-// every path each join relation of the DP table retained, beside the
+// the tree of every plan each join relation of the DP table kept, beside the
 // relation's row count — the population joinPaths prices pairs over
 // (TestJoinRelPathsShareRows).
 func EachJoinRelPath(a *Analysis, cfg *query.Config, opt Options, visit func(set RelSet, relRows float64, pt *Path)) error {
@@ -41,11 +41,10 @@ func EachJoinRelPath(a *Analysis, cfg *query.Config, opt Options, visit func(set
 	if _, err := p.planFast(); err != nil {
 		return err
 	}
-	each := func(jr *joinRel) {
-		if jr != nil {
-			for _, pt := range jr.paths {
-				visit(jr.set, jr.rows, pt)
-			}
+	p.startTrees()
+	each := func(jr joinRel) {
+		for r := jr.lo; r < jr.hi; r++ {
+			visit(jr.set, jr.rows, p.tree(r))
 		}
 	}
 	for _, jr := range p.rels.dense {
@@ -53,6 +52,57 @@ func EachJoinRelPath(a *Analysis, cfg *query.Config, opt Options, visit func(set
 	}
 	for _, jr := range p.rels.sparse {
 		each(jr)
+	}
+	return nil
+}
+
+// ExportWithTrees is Workspace.Export that also hands tree, after each
+// call's summaries, the Path tree of every plan the call exported, built
+// from the records the summaries were read from (TestSlimExportsMatchTrees).
+func ExportWithTrees(w *Workspace, a *Analysis, cfg *query.Config, opts []Options, emit func(*Summary), tree func(*Path)) error {
+	clear(w.ids)
+	w.seen = w.seen[:0]
+	for _, opt := range opts {
+		opt.ExportAll = true
+		if err := exportWithTrees(w, a, cfg, opt, emit, tree); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func exportWithTrees(w *Workspace, a *Analysis, cfg *query.Config, opt Options, emit func(*Summary), tree func(*Path)) error {
+	p := &w.p
+	p.reset(a, cfg, opt)
+	defer p.release()
+	final, err := p.plan()
+	if err != nil {
+		return err
+	}
+	w.summaries(final, emit)
+	p.startTrees()
+	for r := final.lo; r < final.hi; r++ {
+		tree(p.tree(r))
+	}
+	return nil
+}
+
+// EachRecordIdentity plans (a, cfg, opt) on w and hands visit the structural
+// identity Export dedups on and the Path tree of every record the call kept,
+// every relation's and the grouping planner's
+// (TestIdentityMatchesSignature).
+func EachRecordIdentity(w *Workspace, a *Analysis, cfg *query.Config, opt Options, visit func(id int32, pt *Path)) error {
+	p := &w.p
+	p.reset(a, cfg, opt)
+	defer p.release()
+	if _, err := p.plan(); err != nil {
+		return err
+	}
+	clear(w.ids)
+	w.memo = fit(w.memo, len(p.recs))
+	p.startTrees()
+	for r := range p.recs {
+		visit(w.identity(int32(r)), p.tree(int32(r)))
 	}
 	return nil
 }

@@ -17,11 +17,11 @@
 // PreciseNLJ's coefficient lanes ride in a side array) written into a
 // planner-owned scratch and found in an open-addressed table by a hash
 // summed from its children's carried hashes — drops a dedup loss, nine
-// arrivals in ten on dense shapes, before a joinCand exists; (2)
+// arrivals in ten on dense shapes, before a planRec exists; (2)
 // frontierAdd screens for dominance on packed keys alone; (3) the slot's
-// last winner is materialised once, when its relation drains. Plan
-// identities that do not fit planKey (Analysis.packed false) take the wide
-// lane: the key is appendPathKey's bytes, built from the candidate and
+// last winner becomes a record when its relation drains. Plan identities
+// that do not fit planKey (Analysis.packed false) take the wide lane: the
+// key is appendPathKey's bytes, built from the candidate's merged leaves and
 // found through a map, and steps (2) and (3) are the same code reading the
 // slot's stored leaves instead of key words.
 package optimizer
@@ -91,7 +91,7 @@ func keyHash(lh, o0, o1 uint64) uint64 {
 }
 
 // hashedKey is a planKey beside a hash of it. In the key arena — what a
-// retained path keeps for the joins built on top of it (Path.pkRef) — h is
+// kept record holds for the joins built on top of it (planRec.key) — h is
 // the linear part; in a keyTable it is the finalised hash.
 type hashedKey struct {
 	planKey
@@ -128,8 +128,10 @@ func (t *keyTable) find(k *planKey, c *coefLanes, h uint64) int32 {
 //
 //pinum:hotpath
 func (t *keyTable) insert(k *planKey, c *coefLanes, h uint64) int32 {
+	reserve(&t.keys, 1)
 	t.keys = append(t.keys, hashedKey{*k, h})
 	if t.precise {
+		reserve(&t.coefs, 1)
 		t.coefs = append(t.coefs, *c)
 	}
 	from := len(t.keys) - 1
@@ -154,7 +156,7 @@ func (t *keyTable) reset() {
 }
 
 // candScratch is the planner-owned scratch every arrival's key is assembled
-// in (candOf/candLeaf/candPath the leaves, probe the order) and found
+// in (candOf/candLeaf/candKey the leaves, probe the order) and found
 // through: keys are never built or returned by value. The wide lane builds
 // its key bytes in planner.keyBuf and uses slot and leaves only; key stays
 // zero there, which is what makes the frontier's prefilter words neutral.
@@ -168,9 +170,7 @@ type candScratch struct {
 }
 
 // clauseInfo is one join clause prepared for O(1) split tests: the two
-// relation bits plus both pre-oriented clauseRefs (including the prebuilt
-// single-column sort-key slices merge joins enforce with, and their packed
-// order forms).
+// relation bits plus both pre-oriented clauseRefs.
 type clauseInfo struct {
 	pair     RelSet // leftBit | rightBit
 	leftBit  RelSet
@@ -217,17 +217,21 @@ type planCtx struct {
 	orderRefs  [][]query.ColRef
 	sat        [][]bool
 
-	// lookups memoizes lookupBest per global column id.
+	// cols names each interesting column by its global id (entry 0 unused):
+	// cols[g:g+1:g+1] is the one-column order on it, the output order and
+	// sort keys of every plan below the grouping planner (orderOf).
+	cols []query.ColRef
+
+	// lookups memoizes the nested-loop probe per global column id.
 	lookups []lookupMemo
 
-	// useful memoizes usefulOrder verdicts per global column id for the
+	// useful memoizes planner.useful's verdicts per global column id for the
 	// join relation currently under construction (usefulSet).
 	usefulSet RelSet
 	useful    []int8 // 0 unknown, 1 useful, 2 not useful
 }
 
-// reset prepares ctx for one call on the buffers the last one grew. Only the
-// clause sort keys are fresh: retained paths keep them as Order and SortKeys.
+// reset prepares ctx for one call on the buffers the last one grew.
 func (ctx *planCtx) reset(a *Analysis, cfg *query.Config) {
 	clear(ctx.coefs)
 	*ctx = planCtx{
@@ -236,7 +240,13 @@ func (ctx *planCtx) reset(a *Analysis, cfg *query.Config) {
 		clauses: ctx.clauses[:0], bufFwd: ctx.bufFwd[:0], bufRev: ctx.bufRev[:0],
 		coefs: ctx.coefs, coefVals: ctx.coefVals[:0],
 		orderPacks: ctx.orderPacks[:0], orderRefs: ctx.orderRefs[:0], sat: ctx.sat[:0],
+		cols:    append(ctx.cols[:0], query.ColRef{}),
 		lookups: fit(ctx.lookups, a.ordTotal+1), useful: fit(ctx.useful, a.ordTotal+1),
+	}
+	for i := range a.Rels {
+		for _, col := range a.Rels[i].Interesting {
+			ctx.cols = append(ctx.cols, query.ColRef{Rel: i, Column: col})
+		}
 	}
 	if cfg != nil {
 		for i := range a.Rels {
@@ -249,18 +259,13 @@ func (ctx *planCtx) reset(a *Analysis, cfg *query.Config) {
 			ctx.perRel[i] = ctx.ixBuf[from:len(ctx.ixBuf):len(ctx.ixBuf)]
 		}
 	}
-	keys := make([]query.ColRef, 0, 2*len(a.Q.Joins))
 	for i, j := range a.Q.Joins {
-		keys = append(keys, j.Left, j.Right)
-		lk, rk := keys[2*i:2*i+1:2*i+1], keys[2*i+1:2*i+2:2*i+2]
-		lp, rp := ctx.packOrder(lk), ctx.packOrder(rk)
+		l, r := int32(a.orderGID(j.Left)), int32(a.orderGID(j.Right))
 		ctx.clauses = append(ctx.clauses, clauseInfo{
 			pair:    Single(j.Left.Rel) | Single(j.Right.Rel),
 			leftBit: Single(j.Left.Rel),
-			fwd: clauseRef{idx: i, outer: j.Left, inner: j.Right,
-				outerKey: lk, innerKey: rk, outerPack: lp, innerPack: rp},
-			rev: clauseRef{idx: i, outer: j.Right, inner: j.Left,
-				outerKey: rk, innerKey: lk, outerPack: rp, innerPack: lp},
+			fwd:     clauseRef{idx: int32(i), outer: l, inner: r},
+			rev:     clauseRef{idx: int32(i), outer: r, inner: l},
 		})
 	}
 }
@@ -291,18 +296,18 @@ func (ctx *planCtx) crossClauses(s1, s2 RelSet) (fwd, rev []clauseRef) {
 	return fwd, rev
 }
 
-// lookup memoizes the cheapest index for a nested-loop probe: the answer
-// depends only on (relation, column). The minimisation runs over the
-// relation's indexes in configuration order, first strictly cheaper index
-// winning.
+// lookup memoizes the cheapest index for a nested-loop probe on the
+// interesting column of global id g: the answer depends only on (relation,
+// column). The minimisation runs over the relation's indexes in
+// configuration order, first strictly cheaper index winning.
 //
 //pinum:hotpath
-func (ctx *planCtx) lookup(a *Analysis, rel int, col string) *lookupMemo {
-	g := a.orderGID(query.ColRef{Rel: rel, Column: col})
+func (ctx *planCtx) lookup(a *Analysis, g int32) *lookupMemo {
 	m := &ctx.lookups[g]
 	if !m.done {
 		m.done = true
-		m.id = a.ordIDs[rel][col]
+		rel, col := ctx.cols[g].Rel, ctx.cols[g].Column
+		m.id = uint16(g) - a.ordBase[rel]
 		best := math.Inf(1)
 		var via *catalog.Index
 		for _, ix := range ctx.perRel[rel] {
@@ -385,15 +390,14 @@ func (ctx *planCtx) orderID(packed [2]uint64, order []query.ColRef) int32 {
 	return int32(n)
 }
 
-// usefulMemo answers "can an order led by this column still matter above
-// this relation set?" through the per-call verdict cache, computing via
-// usefulLead on a miss. The cache is keyed by the column's global interned
-// id and resets when the join relation under construction changes (the DP
-// completes one relation at a time). Both usefulOrder and usefulFast share
-// this memo, so the invalidation protocol lives in exactly one place.
+// usefulMemo answers "can an order led by the column of global id g still
+// matter above this relation set?" through the per-call verdict cache,
+// computing via usefulLead on a miss. The cache resets when the join
+// relation under construction changes (the DP completes one relation at a
+// time), so a verdict costs two array reads per probe.
 //
 //pinum:hotpath
-func (p *planner) usefulMemo(set RelSet, lead query.ColRef, g uint16) bool {
+func (p *planner) usefulMemo(set RelSet, g uint16) bool {
 	ctx := &p.ctx
 	if ctx.usefulSet != set {
 		ctx.usefulSet = set
@@ -405,22 +409,12 @@ func (p *planner) usefulMemo(set RelSet, lead query.ColRef, g uint16) bool {
 	case 2:
 		return false
 	}
-	if p.usefulLead(set, lead) {
+	if p.usefulLead(set, p.ctx.cols[g]) {
 		ctx.useful[g] = 1
 		return true
 	}
 	ctx.useful[g] = 2
 	return false
-}
-
-// usefulFast is usefulOrder's verdict memoized per (join relation, leading
-// column id). lead is the low word of the order's pack, whose low 16 bits
-// are the leading column's global id, so the memo costs two array reads per
-// probe; an order that is not useful trims to nil and a zero pack.
-//
-//pinum:hotpath
-func (p *planner) usefulFast(set RelSet, order []query.ColRef, lead uint64) bool {
-	return len(order) > 0 && p.usefulMemo(set, order[0], uint16(lead))
 }
 
 // candLeaf ORs one relation's leaf requirement (mode, the column's interned
@@ -444,53 +438,49 @@ func (p *planner) candLeaf(rel int, mode AccessMode, id uint16, coef float64) {
 	}
 }
 
-// keyOf returns the arena key of a path retained by a finished join
-// relation (packed ExportAll lane only; finishRel assigns pkRef when it
-// parks a kept path's key in the arena).
-func (p *planner) keyOf(pt *Path) *hashedKey {
-	return &p.keyArena[pt.pkRef-1]
-}
-
 // candOf starts the scratch key of the candidates joining op and ip without
-// materialising anything: the children's packed leaf combos OR together
-// (their relation sets are disjoint) and their carried hashes add. ip is
-// nil for an indexed nested loop, whose probe leaf candLeaf adds.
+// building anything: the children's packed leaf combos, parked in the key
+// arena when their relations drained, OR together (their relation sets are
+// disjoint) and their carried hashes add. ip is nil for an indexed nested
+// loop, whose probe leaf candLeaf adds.
 //
 //pinum:hotpath
-func (p *planner) candOf(op, ip *Path) {
-	cd, ok := &p.cand, p.keyOf(op)
+func (p *planner) candOf(op, ip *planRec) {
+	cd, ok := &p.cand, &p.keyArena[op.key-1]
 	cd.key.leaves, cd.lh = ok.leaves, ok.h
 	if p.opt.PreciseNLJ {
-		cd.coefs = p.arenaCoefs[op.pkRef-1]
+		cd.coefs = p.arenaCoefs[op.key-1]
 	}
 	if ip == nil {
 		return
 	}
-	ik := p.keyOf(ip)
+	ik := &p.keyArena[ip.key-1]
 	cd.key.leaves[0] |= ik.leaves[0]
 	cd.key.leaves[1] |= ik.leaves[1]
 	cd.lh += ik.h
 	if p.opt.PreciseNLJ {
-		for w, v := range &p.arenaCoefs[ip.pkRef-1] {
+		for w, v := range &p.arenaCoefs[ip.key-1] {
 			cd.coefs[w] |= v
 		}
 	}
 }
 
-// candPath assembles and probes the key of an already-materialised path
-// (base-relation scans and the grouping planner's complete plans), interning
-// its columns through the analysis maps; join candidates never do.
+// candKey assembles and probes the key of a candidate no join screen
+// probed: a base-relation scan, from its own leaf, or a grouping-planner
+// plan, whose leaves are those of the record it sorts or aggregates.
 //
 //pinum:hotpath
-func (p *planner) candPath(np *Path) {
-	p.cand.key.leaves, p.cand.lh, p.cand.coefs = [2]uint64{}, 0, coefLanes{}
-	for v := uint64(np.Rels); v != 0; v &= v - 1 {
-		rel := bits.TrailingZeros64(v)
-		if req := &np.Leaves[rel]; req.Mode != AccessAny {
-			p.candLeaf(rel, req.Mode, p.a.ordIDs[rel][req.Col], req.Coef)
+func (p *planner) candKey(c *planRec) {
+	if c.key > 0 {
+		p.candOf(c, nil)
+	} else {
+		p.cand.key.leaves, p.cand.lh, p.cand.coefs = [2]uint64{}, 0, coefLanes{}
+		if c.order > 0 {
+			rel := p.ctx.cols[c.order].Rel
+			p.candLeaf(rel, AccessOrdered, uint16(c.order)-p.a.ordBase[rel], 1)
 		}
 	}
-	o := p.ctx.packOrder(np.Order)
+	o := p.ctx.packOrder(p.orderOf(c.order))
 	p.probe(o[0], o[1])
 }
 
@@ -518,20 +508,21 @@ func (p *planner) wideProbe(rels RelSet, leaves []LeafReq, order []query.ColRef)
 }
 
 // screen is the first and cheapest test a join candidate takes, before
-// anything is built for it: with the pair's leaves in the scratch key, it
-// adds the candidate's order, probes, and reports a dedup loss — a known
-// key whose slot already holds a metric no worse — counted exactly as
-// frontierAdd would. Everything else goes on to admit, which finds the
-// probe's result in the scratch.
+// anything is assembled for it: with the pair's leaves in the scratch key,
+// it adds the candidate's one-column order (a global column id, packed as
+// itself), probes, and reports a dedup loss — a known key whose slot
+// already holds a metric no worse — counted exactly as frontierAdd would.
+// Everything else goes on to admit, which finds the probe's result in the
+// scratch.
 //
 //pinum:hotpath
-func (p *planner) screen(o0, o1 uint64, cost, internal float64) bool {
-	p.probe(o0, o1)
+func (p *planner) screen(ord int32, cost, internal float64) bool {
+	p.probe(uint64(ord), 0)
 	if s := p.cand.slot; s < 0 || p.slotMetric[s] > p.metric(cost, internal) {
 		return false
 	}
-	p.res.Stats.PathsConsidered++
-	p.res.Stats.PathsPruned++
+	p.stats.PathsConsidered++
+	p.stats.PathsPruned++
 	return true
 }
 
@@ -549,21 +540,23 @@ func (p *planner) screen(o0, o1 uint64, cost, internal float64) bool {
 // only planned masks, so the wide form never materialises the exponential
 // mask space.
 type relTable struct {
-	dense  []*joinRel // 1<<n entries up to 16 relations, empty beyond
-	sparse map[RelSet]*joinRel
+	dense  []joinRel // 1<<n entries up to 16 relations, empty beyond
+	sparse map[RelSet]joinRel
 }
 
-// reset sizes the table, which release left empty, for n relations.
+// reset sizes the table for n relations.
 func (t *relTable) reset(n int) {
 	if t.dense = t.dense[:0]; n <= 16 {
 		t.dense = fit(t.dense, 1<<uint(n))
 	} else if t.sparse == nil {
-		t.sparse = make(map[RelSet]*joinRel, 4*n)
+		t.sparse = make(map[RelSet]joinRel, 4*n)
+	} else {
+		clear(t.sparse)
 	}
 }
 
 //pinum:hotpath
-func (t *relTable) get(s RelSet) *joinRel {
+func (t *relTable) get(s RelSet) joinRel {
 	if len(t.dense) != 0 {
 		return t.dense[s]
 	}
@@ -571,31 +564,30 @@ func (t *relTable) get(s RelSet) *joinRel {
 }
 
 //pinum:hotpath
-func (t *relTable) put(s RelSet, jr *joinRel) {
+func (t *relTable) put(jr joinRel) {
 	if len(t.dense) != 0 {
-		t.dense[s] = jr
+		t.dense[jr.set] = jr
 		return
 	}
-	t.sparse[s] = jr
+	t.sparse[jr.set] = jr
 }
 
 //pinum:hotpath
-func (p *planner) planFast() (*joinRel, error) {
+func (p *planner) planFast() (joinRel, error) {
 	n := len(p.a.Rels)
 	rels := &p.rels
 	rels.reset(n)
 	planned := 0
 	for i := 0; i < n; i++ {
 		jr := p.scanPaths(i)
-		p.finishRel(jr)
-		if len(jr.paths) == 0 {
-			return nil, fmt.Errorf("optimizer: no access path for relation %d", i)
+		if jr.lo == jr.hi {
+			return joinRel{}, fmt.Errorf("optimizer: no access path for relation %d", i)
 		}
-		rels.put(jr.set, jr)
+		rels.put(jr)
 		planned++
 	}
 	if n == 1 {
-		p.res.Stats.JoinRels = 1
+		p.stats.JoinRels = 1
 		return rels.get(Single(0)), nil
 	}
 
@@ -612,14 +604,14 @@ func (p *planner) planFast() (*joinRel, error) {
 		}
 	}
 	if !a.ccpConnected {
-		return nil, fmt.Errorf("optimizer: join graph of query %s is disconnected", p.a.Q.Name)
+		return joinRel{}, fmt.Errorf("optimizer: join graph of query %s is disconnected", p.a.Q.Name)
 	}
 	if !a.ccpFits {
 		if n > 16 {
 			// Past 16 relations the in-place sweep's 3^n splits are out of
 			// reach; only the connectivity-aware enumeration is feasible,
 			// and its pair list just overflowed.
-			return nil, fmt.Errorf("optimizer: query %s joins %d relations with a join graph too dense to enumerate", a.Q.Name, n)
+			return joinRel{}, fmt.Errorf("optimizer: query %s joins %d relations with a join graph too dense to enumerate", a.Q.Name, n)
 		}
 		// The graph is dense enough that the pair list would rival the
 		// dense sweep's 3^n split count in memory; sweep in place instead
@@ -627,40 +619,41 @@ func (p *planner) planFast() (*joinRel, error) {
 		return p.planFastDense(rels.dense, planned)
 	}
 	pairs := a.ccpPairs
-	p.res.Stats.EnumStates += len(pairs)
+	p.stats.EnumStates += len(pairs)
 
 	// Pairs arrive grouped by union mask, ascending, so both halves of
 	// every pair are planned before their union, and each join relation is
 	// filled contiguously — finishRel drains the keyed store per group
 	// exactly as the dense sweep did per mask. Both halves are connected
 	// with at least one crossing clause by construction, so the dense
-	// sweep's nil-half and empty-clause screens have nothing left to catch.
+	// sweep's absent-half and empty-clause screens have nothing left to
+	// catch.
 	for gi := 0; gi < len(pairs); {
 		mask := pairs[gi].mask
-		jr := &joinRel{set: mask, rows: p.a.JoinRows(mask)}
+		jr := joinRel{set: mask, rows: p.a.JoinRows(mask)}
 		for ; gi < len(pairs) && pairs[gi].mask == mask; gi++ {
 			s1 := pairs[gi].sub
 			s2 := mask ^ s1
 			fwd, rev := p.ctx.crossClauses(s1, s2)
-			p.res.Stats.ClauseLookups++
-			p.joinPaths(jr, rels.get(s1), rels.get(s2), fwd)
-			p.joinPaths(jr, rels.get(s2), rels.get(s1), rev)
+			p.stats.ClauseLookups++
+			left, right := rels.get(s1), rels.get(s2)
+			p.joinPaths(&jr, &left, &right, fwd)
+			p.joinPaths(&jr, &right, &left, rev)
 		}
-		p.finishRel(jr)
-		rels.put(mask, jr)
+		rels.put(p.finishRel(mask, jr.rows))
 		planned++
 	}
-	p.res.Stats.JoinRels = planned
+	p.stats.JoinRels = planned
 	// Every non-trivial mask the dense sweep would visit but the
 	// enumeration never produced is a disconnected subset; a sweep counts
 	// the same masks one by one as their splits come up empty. (Past 62
 	// relations the mask count overflows int.)
 	if n <= 62 {
-		p.res.Stats.MasksSkipped += (1<<uint(n) - 1) - planned
+		p.stats.MasksSkipped += (1<<uint(n) - 1) - planned
 	}
 	top := rels.get(RelSet(1<<uint(n)) - 1)
-	if top == nil || len(top.paths) == 0 {
-		return nil, fmt.Errorf("optimizer: join graph of query %s is disconnected", p.a.Q.Name)
+	if top.lo == top.hi {
+		return joinRel{}, fmt.Errorf("optimizer: join graph of query %s is disconnected", p.a.Q.Name)
 	}
 	return top, nil
 }
@@ -675,7 +668,7 @@ func (p *planner) planFast() (*joinRel, error) {
 // single-relation entries; planned counts them.
 //
 //pinum:hotpath
-func (p *planner) planFastDense(rels []*joinRel, planned int) (*joinRel, error) {
+func (p *planner) planFastDense(rels []joinRel, planned int) (joinRel, error) {
 	n := len(p.a.Rels)
 	full := RelSet(1<<uint(n)) - 1
 	for mask := RelSet(3); mask <= full; mask++ {
@@ -683,42 +676,41 @@ func (p *planner) planFastDense(rels []*joinRel, planned int) (*joinRel, error) 
 		if mask == low {
 			continue // single relation, already planned
 		}
-		var jr *joinRel
+		jr := joinRel{}
 		// Enumerate proper submasks containing the lowest bit, so each
 		// unordered split is visited once.
 		for s1 := (mask - 1) & mask; s1 > 0; s1 = (s1 - 1) & mask {
 			if s1&low == 0 {
 				continue
 			}
-			p.res.Stats.EnumStates++
+			p.stats.EnumStates++
 			s2 := mask ^ s1
-			left, right := rels[s1], rels[s2]
-			if left == nil || right == nil {
+			left, right := &rels[s1], &rels[s2]
+			if left.set == 0 || right.set == 0 {
 				continue
 			}
 			fwd, rev := p.ctx.crossClauses(s1, s2)
-			p.res.Stats.ClauseLookups++
+			p.stats.ClauseLookups++
 			if len(fwd) == 0 {
 				continue
 			}
-			if jr == nil {
-				jr = &joinRel{set: mask, rows: p.a.JoinRows(mask)}
+			if jr.set == 0 {
+				jr = joinRel{set: mask, rows: p.a.JoinRows(mask)}
 			}
-			p.joinPaths(jr, left, right, fwd)
-			p.joinPaths(jr, right, left, rev)
+			p.joinPaths(&jr, left, right, fwd)
+			p.joinPaths(&jr, right, left, rev)
 		}
-		if jr != nil {
-			p.finishRel(jr)
-			rels[mask] = jr
+		if jr.set != 0 {
+			rels[mask] = p.finishRel(mask, jr.rows)
 			planned++
 		} else {
-			p.res.Stats.MasksSkipped++
+			p.stats.MasksSkipped++
 		}
 	}
-	p.res.Stats.JoinRels = planned
+	p.stats.JoinRels = planned
 	top := rels[full]
-	if top == nil || len(top.paths) == 0 {
-		return nil, fmt.Errorf("optimizer: join graph of query %s is disconnected", p.a.Q.Name)
+	if top.lo == top.hi {
+		return joinRel{}, fmt.Errorf("optimizer: join graph of query %s is disconnected", p.a.Q.Name)
 	}
 	return top, nil
 }

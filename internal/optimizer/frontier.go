@@ -3,10 +3,10 @@
 //
 // The batch rule — collect every deduplicated (leaf combo, output order) key
 // and prune once per finished join relation with a sort plus an all-pairs
-// scan, after materialising a Path for every key — is what the test oracle
-// does (reference_test.go). The frontier keeps the live (undominated) set
-// ordered as paths arrive, so a candidate dominated on arrival is dropped
-// before materialisation, which on dense shapes is most of them. The
+// scan, after building a Path for every key — is what the test oracle does
+// (reference_test.go). The frontier keeps the live (undominated) set
+// ordered as candidates arrive, so a candidate dominated on arrival is
+// dropped on the spot, which on dense shapes is most of them. The
 // equivalence suites hold the two prunes equal; the argument is that dominance
 // (metric ≤, order satisfaction, combo subsumption — each transitive, mutual
 // domination between distinct keys impossible) is a strict partial order, so
@@ -37,12 +37,6 @@
 // or comboSubsumesByColumn on the wide lane's stored leaves).
 package optimizer
 
-import (
-	"slices"
-
-	"github.com/pinumdb/pinum/internal/query"
-)
-
 // bucketEnt is one frontier-bucket member: the slot id plus copies of the
 // scan-hot fields (metric for the early break, the two packed leaf words for
 // the subset reject), so dominator scans walk sequential memory and only
@@ -57,8 +51,9 @@ type bucketEnt struct {
 
 // newSlot creates the slot of the arrival in the scratch, whose lookup found
 // none: the packed lane's key goes into the key table, the wide lane's key
-// bytes into its map and its leaves — what subsumes reads — into the leaf
-// arena, before any screen runs and whether or not the slot ever goes live.
+// bytes into its map and its leaves — what subsumes reads — into
+// wideLeaves, before any screen runs and whether or not the slot ever goes
+// live.
 //
 //pinum:hotpath
 func (p *planner) newSlot() int32 {
@@ -91,16 +86,15 @@ func (p *planner) subsumes(a, b int32) bool {
 }
 
 // frontierAdd runs the arrival whose key and slot lookup the lane left in
-// the scratch (candPath, screen or wideProbe) through the protocol above. It
-// returns the arrival's slot and whether it now holds the slot: the caller
-// then stores the candidate there (p.cands[slot]) and marks it live; a false
-// return means the arrival lost its dedup slot or was dominated on arrival.
-// Screening reads the slot metric/order arrays, the bucket entries and the
-// lane's subsumes only — never p.cands — and no Path exists for a join
-// candidate before its relation drains (finishRel). Every scan and
-// bucket move below is made for the arrival's own slot, so the prefilter
-// words they need are the scratch key's leaf words: the packed combo, or
-// zero in the wide lane.
+// the scratch (candKey, screen or wideProbe) through the protocol above; ord
+// is its output order (planRec.order). It returns the arrival's slot and
+// whether it now holds the slot: the caller then stores the candidate there
+// (p.cands[slot]) and marks it live; a false return means the arrival lost
+// its dedup slot or was dominated on arrival. Screening reads the slot
+// metric/order arrays, the bucket entries and the lane's subsumes only —
+// never p.cands. Every scan and bucket move below is made for the arrival's
+// own slot, so the prefilter words they need are the scratch key's leaf
+// words: the packed combo, or zero in the wide lane.
 //
 // Under PaperPrune+PreciseNLJ the key keeps NLJ coefficients that the
 // column-collapsed subsumption ignores, so two distinct keys can dominate
@@ -114,23 +108,28 @@ func (p *planner) subsumes(a, b int32) bool {
 // exact (see the file comment) and keeps the scans shorter.
 //
 //pinum:hotpath
-func (p *planner) frontierAdd(m float64, order []query.ColRef) (int32, bool) {
+func (p *planner) frontierAdd(m float64, ord int32) (int32, bool) {
 	zombie := p.opt.PaperPrune && p.opt.PreciseNLJ
 	s := p.cand.slot
 	if s < 0 {
 		// New key: a dead slot with no witness, screened below.
 		s = p.newSlot()
-		p.cands = append(p.cands, joinCand{})
+		reserve(&p.cands, 1)
+		reserve(&p.live, 1)
+		reserve(&p.slotOrd, 1)
+		reserve(&p.slotMetric, 1)
+		reserve(&p.slotWitness, 1)
+		p.cands = append(p.cands, planRec{})
 		p.live = append(p.live, false)
-		p.slotOrd = append(p.slotOrd, p.ctx.orderID(p.cand.key.order, order))
+		p.slotOrd = append(p.slotOrd, p.ctx.orderID(p.cand.key.order, p.orderOf(ord)))
 		p.slotMetric = append(p.slotMetric, m)
 		p.slotWitness = append(p.slotWitness, -1)
 	} else {
 		if p.slotMetric[s] <= m {
-			p.res.Stats.PathsPruned++
+			p.stats.PathsPruned++
 			return 0, false
 		}
-		p.res.Stats.PathsPruned++ // the displaced incumbent
+		p.stats.PathsPruned++ // the displaced incumbent
 		if p.live[s] {
 			// Live improvement: the dominator set only shrinks as the
 			// metric drops, so no re-screen — reposition in the bucket
@@ -161,24 +160,24 @@ func (p *planner) frontierAdd(m float64, order []query.ColRef) (int32, bool) {
 		p.bucketInsert(s)
 		p.frontierEvict(s, zombie)
 		if dominated {
-			p.res.Stats.FrontierDrops++
+			p.stats.FrontierDrops++
 			return 0, false
 		}
-		p.res.Stats.FrontierInserts++
+		p.stats.FrontierInserts++
 		return s, true
 	}
 	if w := p.slotWitness[s]; w >= 0 && p.live[w] && p.slotMetric[w] <= m {
-		p.res.Stats.FrontierDrops++
+		p.stats.FrontierDrops++
 		return 0, false
 	}
 	if d := p.frontierDominated(s); d >= 0 {
 		p.slotWitness[s] = d
-		p.res.Stats.FrontierDrops++
+		p.stats.FrontierDrops++
 		return 0, false
 	}
 	// A revived slot re-enters the frontier under its original sequence
 	// number, preserving the first-insertion tie order.
-	p.res.Stats.FrontierInserts++
+	p.stats.FrontierInserts++
 	p.bucketInsert(s)
 	p.frontierEvict(s, zombie)
 	return s, true
@@ -251,7 +250,7 @@ func (p *planner) frontierEvict(s int32, zombie bool) {
 				if t != s && p.live[t] && sl0&^e.l0 == 0 && sl1&^e.l1 == 0 && p.subsumes(s, t) {
 					p.live[t] = false
 					p.slotWitness[t] = s
-					p.res.Stats.FrontierEvictions++
+					p.stats.FrontierEvictions++
 				}
 			}
 			continue
@@ -263,7 +262,7 @@ func (p *planner) frontierEvict(s int32, zombie bool) {
 			if t != s && sl0&^e.l0 == 0 && sl1&^e.l1 == 0 && p.subsumes(s, t) {
 				p.live[t] = false
 				p.slotWitness[t] = s
-				p.res.Stats.FrontierEvictions++
+				p.stats.FrontierEvictions++
 				continue
 			}
 			bucket[w] = e
@@ -319,51 +318,71 @@ func (p *planner) bucketRemove(s int32) {
 	p.buckets[ord] = b[:len(b)-1]
 }
 
-// finishRel drains the frontier for one completed relation in ExportAll
-// mode. The pruning already happened at insertion time, so all that remains
-// is to count the dead slots (exactly the keys the batch pass prunes after
-// materialising them), order the live ones by (metric, first-arrival) —
-// byte-identical to the batch pass's kept sequence — and materialise
-// each from the candidate that won its slot. The packed lane also parks the
-// survivors' keys in the arena, where the joins built on top of this
-// relation read them back through pkRef; pruned slots' keys die with the
-// scratch buffers, which are reused across relations.
+// finishRel keeps the candidates of the completed relation set as records,
+// contiguous in p.recs, and returns the relation. In normal mode they are
+// the retained list. In ExportAll mode the frontier drains: the pruning
+// already happened at insertion time, so all that remains is to count the
+// dead slots (exactly the keys the batch pass prunes), order the live ones
+// by (metric, first-arrival) — byte-identical to the batch pass's kept
+// sequence — and keep the candidate that won each slot. Each record's key
+// goes where the joins built on top of this relation read it back through
+// planRec.key: the packed lane parks the slot's key in the arena, the wide
+// lane the record's own leaves in the leaf arena (a sort's or an
+// aggregation's are its input's, already there). Pruned slots' keys die
+// with the scratch buffers, which are reused across relations.
 //
 //pinum:hotpath
-func (p *planner) finishRel(jr *joinRel) {
+func (p *planner) finishRel(set RelSet, rows float64) joinRel {
+	jr := joinRel{set: set, rows: rows, lo: int32(len(p.recs))}
 	if !p.opt.ExportAll {
-		return
+		reserve(&p.recs, len(p.cands))
+		p.recs = append(p.recs, p.cands...)
+		p.cands = p.cands[:0]
+		jr.hi = int32(len(p.recs))
+		return jr
 	}
-	jr.paths = nil
+	jr.hi = jr.lo
 	if len(p.live) == 0 {
-		return
+		return jr
 	}
 	idx := p.idxBuf[:0]
 	for s, live := range p.live {
 		if !live {
-			p.res.Stats.PathsPruned++
+			p.stats.PathsPruned++
 			continue
 		}
 		idx = append(idx, int32(s))
 	}
 	sortSlotsByMetric(idx, p.slotMetric)
-	jr.paths = make([]*Path, 0, len(idx))
+	reserve(&p.recs, len(idx))
 	if p.ctx.packed {
-		p.keyArena = slices.Grow(p.keyArena, len(idx))
+		reserve(&p.keyArena, len(idx))
+		if p.opt.PreciseNLJ {
+			reserve(&p.arenaCoefs, len(idx))
+		}
 	}
+	n := len(p.a.Rels)
 	for _, s := range idx {
-		pt := p.cands[s].materialize(p, jr)
-		if p.ctx.packed {
+		c := &p.cands[s]
+		switch {
+		case p.ctx.packed:
 			ak := hashedKey{p.slots.keys[s].planKey, leafHash(&p.slots.keys[s].leaves)}
 			if p.opt.PreciseNLJ {
 				ak.h += coefHash(&p.slots.coefs[s])
 				p.arenaCoefs = append(p.arenaCoefs, p.slots.coefs[s])
 			}
 			p.keyArena = append(p.keyArena, ak)
-			pt.pkRef = int32(len(p.keyArena))
+			c.key = int32(len(p.keyArena))
+		case c.key == 0:
+			at := len(p.leafArena)
+			reserve(&p.leafArena, n)
+			p.leafArena = p.leafArena[:at+n]
+			p.leavesInto(c, p.leafArena[at:])
+			c.key = int32(at/n + 1)
 		}
-		jr.paths = append(jr.paths, pt)
+		p.recs = append(p.recs, *c)
 	}
+	jr.hi = int32(len(p.recs))
 	p.idxBuf = idx
 
 	p.slots.reset()
@@ -376,6 +395,7 @@ func (p *planner) finishRel(jr *joinRel) {
 	for b := range p.buckets {
 		p.buckets[b] = p.buckets[b][:0]
 	}
+	return jr
 }
 
 // sortSlotsByMetric orders slot ids by (metric, id) ascending with an

@@ -86,12 +86,12 @@ func FuzzOptimizeEquivalence(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		// A recycling workspace that has just planned the same spec under
-		// another seed — a different query, arriving first — must then plan
-		// this input exactly as a fresh call does.
+		// A workspace that has just planned the same spec under another
+		// seed — a different query, arriving first — must then plan this
+		// input exactly as a fresh call does.
 		other := spec
 		other.Seed++
-		wk := optimizer.NewWorkspace(true)
+		wk := optimizer.NewWorkspace()
 		if ocat, oq, err := workload.ShapeQuery(other); err == nil && len(oq.Joins) <= len(q.Joins) { // inside the guards above
 			if oa, err := optimizer.NewAnalysis(oq, nil, optimizer.DefaultCostParams()); err == nil {
 				_, _ = wk.Optimize(oa, workload.ShapeAllOrdersConfig(ocat, oq), opt) // only what it leaves behind matters

@@ -16,13 +16,13 @@
 // One planner ships (fastplan.go): clause bitsets consulted once per split,
 // connectivity-aware enumeration over a mask-indexed DP table, interned
 // fixed-size plan keys, subsumption pruning at insertion time (frontier.go),
-// and Path materialisation deferred until a candidate survives the cheap
-// screens. Its oracle lives with the tests (reference_test.go): the original
-// loop — map-keyed dense mask sweep, per-direction clause rescans, eager
-// candidates, string plan keys, a sort-and-all-pairs pruning pass per
-// finished relation — written apart from this code and sharing only the
-// cost model, Path and the §V-D predicates; the equivalence suites hold the
-// two bit-identical.
+// and plans kept as fixed-size, pointer-free records (planRec) from which a
+// Path tree is built only when a caller asks for one (path.go). Its oracle
+// lives with the tests (reference_test.go): the original loop — map-keyed
+// dense mask sweep, per-direction clause rescans, eager Path candidates,
+// string plan keys, a sort-and-all-pairs pruning pass per finished relation
+// — written apart from this code and sharing only the cost model, Path and
+// the §V-D predicates; the equivalence suites hold the two bit-identical.
 package optimizer
 
 import (
@@ -97,11 +97,9 @@ type PlannerStats struct {
 	// FrontierInserts / FrontierDrops / FrontierEvictions count the
 	// insertion-time dominance frontier's work in ExportAll mode: keys that
 	// entered the live frontier (first arrivals and revivals of previously
-	// dominated keys), arrivals screened out as dominated before
-	// materialisation, and live keys evicted by a later-arriving dominator.
-	// TestPlannerCountersGolden holds them to a record. Drops are the
-	// frontier's headline saving: each is a Path (and its merged leaf
-	// slice) never allocated.
+	// dominated keys), arrivals screened out as dominated on arrival, and
+	// live keys evicted by a later-arriving dominator.
+	// TestPlannerCountersGolden holds them to a record.
 	FrontierInserts   int
 	FrontierDrops     int
 	FrontierEvictions int
@@ -142,62 +140,84 @@ func Optimize(a *Analysis, cfg *query.Config, opt Options) (*Result, error) {
 }
 
 func (p *planner) optimize(a *Analysis, cfg *query.Config, opt Options) (*Result, error) {
-	if len(a.Rels) == 0 {
-		return nil, fmt.Errorf("optimizer: query %s has no relations", a.Q.Name)
-	}
 	p.reset(a, cfg, opt)
 	defer p.release()
-	top, err := p.planFast()
+	final, err := p.plan()
 	if err != nil {
 		return nil, err
 	}
-	final := p.finalize(top.paths)
-	if len(final) == 0 {
-		return nil, fmt.Errorf("optimizer: query %s produced no complete plan", a.Q.Name)
-	}
-	best := final[0]
-	for _, pt := range final[1:] {
-		if pt.Cost < best.Cost {
-			best = pt
+	res := &Result{}
+	p.startTrees()
+	best := final.lo
+	for r := final.lo + 1; r < final.hi; r++ {
+		if p.recs[r].cost < p.recs[best].cost {
+			best = r
 		}
 	}
-	p.res.Best = best
+	res.Best = p.tree(best)
 	if opt.ExportAll {
-		p.res.Exported = final
+		res.Exported = make([]*Path, 0, final.hi-final.lo)
+		for r := final.lo; r < final.hi; r++ {
+			res.Exported = append(res.Exported, p.tree(r))
+		}
 	}
 	if opt.CollectAccessCosts {
-		p.collectAccessCosts()
+		res.AccessCosts = p.collectAccessCosts()
 	}
-	return p.res, nil
+	res.Stats = p.stats
+	return res, nil
+}
+
+// plan runs the join DP and the grouping planner and returns the relation
+// of complete plans, its records in export order.
+func (p *planner) plan() (joinRel, error) {
+	if len(p.a.Rels) == 0 {
+		return joinRel{}, fmt.Errorf("optimizer: query %s has no relations", p.a.Q.Name)
+	}
+	top, err := p.planFast()
+	if err != nil {
+		return joinRel{}, err
+	}
+	final := p.finalize(top)
+	if final.lo == final.hi {
+		return joinRel{}, fmt.Errorf("optimizer: query %s produced no complete plan", p.a.Q.Name)
+	}
+	return final, nil
 }
 
 // planner is one call's state and, behind a Workspace, the buffers the next
 // call on it reuses (workspace.go): reset names every field that survives.
 type planner struct {
-	a   *Analysis
-	opt Options
-	res *Result
+	a     *Analysis
+	opt   Options
+	stats PlannerStats
 
 	// ctx is the per-call plan context (fastplan.go); rels is the DP table.
 	ctx  planCtx
 	rels relTable
 
-	// recycle makes newPath and newLeaves draw on the slabs (workspace.go).
-	recycle bool
-	paths   slab[Path]
-	leaves  slab[LeafReq]
+	// recs is the call's record arena: every plan a relation kept, and the
+	// grouping planner's inner nodes, named by index. trees memoises the
+	// Path built from each record when a caller asks for trees (path.go),
+	// whose one-column orders are slices of treeCols, the call's own copy
+	// of ctx.cols: trees outlive the call, the workspace's buffers do not.
+	recs     []planRec
+	trees    []*Path
+	treeCols []query.ColRef
 
 	// ExportAll key-lane state for the join relation currently being
 	// filled: where an arrival's frontier slot is found. The DP completes
 	// one relation before starting the next, so one index serves the whole
 	// call; finishRel drains and resets it per relation. cand is the
-	// scratch both lanes leave the arrival's lookup in. The packed lane (ctx.packed) finds 32-byte keys through slots and
-	// moves the kept paths' keys into keyArena (addressed by Path.pkRef;
-	// arenaCoefs is its PreciseNLJ side array) where the joins built on top
-	// of a finished relation read them. The wide lane finds appendPathKey
-	// bytes through wideKeys and keeps each slot's leaf requirements —
-	// len(a.Rels) per slot, over the relation set wideSet — in wideLeaves
-	// for the subsumption test; leafBuf is where a join candidate's leaves
+	// scratch both lanes leave the arrival's lookup in. The packed lane
+	// (ctx.packed) finds 32-byte keys through slots and moves the kept
+	// records' keys into keyArena (addressed by planRec.key; arenaCoefs is
+	// its PreciseNLJ side array) where the joins built on top of a finished
+	// relation read them. The wide lane finds appendPathKey bytes through
+	// wideKeys and keeps each slot's leaf requirements — len(a.Rels) per
+	// slot, over the relation set wideSet — in wideLeaves for the
+	// subsumption test; a kept record's own requirements go to leafArena
+	// (addressed by planRec.key), and leafBuf is where a join candidate's
 	// are merged. keyBuf holds the key bytes.
 	slots      keyTable
 	cand       candScratch
@@ -206,22 +226,26 @@ type planner struct {
 	wideKeys   map[string]int32
 	wideLeaves []LeafReq
 	wideSet    RelSet
+	leafArena  []LeafReq
 	keyBuf     []byte
 	leafBuf    []LeafReq
 
-	// Per-slot frontier state, shared by both lanes and indexed by slot id
-	// (first-arrival order): the candidate that holds the slot, the live
-	// bit, the pruning metric and the dense output-order id. A slot that is not live is dead (dominated); its
-	// metric stays recorded so later arrivals of the same key still dedup,
-	// and a revival keeps the slot's original sequence number (the
-	// first-insertion tie-break). slotWitness remembers the
-	// slot that dominated a dead slot: domination between fixed keys is
-	// static, so while the witness keeps metric ≤ the dead slot's (and, in
-	// live-only mode, stays live) an improving dead slot stays dead without
-	// re-running the frontier screen. buckets holds the live slots of each
-	// output order in (metric, slot) order; idxBuf is the collection
-	// scratch in finishRel.
-	cands       []joinCand
+	// cands holds the relation under construction's candidates until
+	// finishRel keeps them as records: in normal mode its retained list, in
+	// ExportAll mode the candidate that holds each frontier slot. The rest
+	// is per-slot frontier state, shared by both lanes and indexed by slot
+	// id (first-arrival order): the live bit, the pruning metric and the
+	// dense output-order id. A slot that is not live is dead (dominated);
+	// its metric stays recorded so later arrivals of the same key still
+	// dedup, and a revival keeps the slot's original sequence number (the
+	// first-insertion tie-break). slotWitness remembers the slot that
+	// dominated a dead slot: domination between fixed keys is static, so
+	// while the witness keeps metric ≤ the dead slot's (and, in live-only
+	// mode, stays live) an improving dead slot stays dead without re-running
+	// the frontier screen. buckets holds the live slots of each output order
+	// in (metric, slot) order; idxBuf is the collection scratch in
+	// finishRel.
+	cands       []planRec
 	live        []bool
 	slotMetric  []float64
 	slotOrd     []int32
@@ -230,30 +254,101 @@ type planner struct {
 	idxBuf      []int32
 }
 
-type joinRel struct {
-	set   RelSet
-	rows  float64
-	paths []*Path
+// planRec is one plan: a candidate while its relation is being filled, a
+// record once the relation kept it (planner.recs, named by its index there).
+// It is fixed-size and holds no pointer, so storing, copying and clearing a
+// candidate moves plain words.
+type planRec struct {
+	cost, internal, leafCost, rows float64
+	rels                           RelSet
+	op                             Op
+	// outer and inner are the children's records (-1: none); a sort's or an
+	// aggregation's input is outer. An indexed nested loop's inner is its
+	// probe, named by aux through the lookup memo.
+	outer, inner int32
+	// clause indexes a.Q.Joins (joins only).
+	clause int32
+	// order is the output order: 0 for none, a global column id g for the
+	// one-column order on that interesting column (every order below the
+	// grouping planner has one column), ordOrderBy or ordGroupBy for the
+	// query's ORDER BY or GROUP BY list.
+	order int32
+	// key names the record's plan key in ExportAll mode, 1-based: its
+	// keyArena entry (packed lane) or its leafArena row (wide lane). A sort
+	// or aggregation starts with its input's, whose leaves it shares.
+	key int32
+	// aux is a scan's index — its position in ctx.perRel, -1 for a
+	// sequential scan — or an indexed nested loop's probe column, a global
+	// column id into ctx.lookups.
+	aux int32
+	// sorts marks the merge-join inputs that need a sort on the clause
+	// column (sortOuter, sortInner).
+	sorts uint8
 }
 
-// scanPaths builds the access paths for one base relation: a single
+// Order references past the one-column orders (planRec.order).
+const (
+	ordOrderBy = -1
+	ordGroupBy = -2
+)
+
+// Merge-join sort enforcers (planRec.sorts).
+const (
+	sortOuter = 1 << iota
+	sortInner
+)
+
+// isScan reports whether op reads a base relation.
+func isScan(op Op) bool { return op <= OpIndexOnlyScan }
+
+// joinRel is one relation set of the DP table: its row estimate and the
+// range of records it kept. An absent relation is the zero value.
+type joinRel struct {
+	set    RelSet
+	rows   float64
+	lo, hi int32
+}
+
+// orderOf returns the order an order reference stands for.
+//
+//pinum:hotpath
+func (p *planner) orderOf(ord int32) []query.ColRef {
+	switch {
+	case ord > 0:
+		return p.ctx.cols[ord : ord+1 : ord+1]
+	case ord == ordOrderBy:
+		return p.a.Q.OrderBy
+	case ord == ordGroupBy:
+		return p.a.Q.GroupBy
+	}
+	return nil
+}
+
+// orderSat is OrderSatisfies on order references.
+//
+//pinum:hotpath
+func (p *planner) orderSat(have, want int32) bool {
+	return want == 0 || have == want || OrderSatisfies(p.orderOf(have), p.orderOf(want))
+}
+
+// scanPaths keeps the access paths for one base relation: a single
 // cheapest "any order" access plus one ordered access per interesting order
 // the configuration covers. Folding every physical alternative into these
 // slots is exactly the INUM abstraction: the plan cache later re-prices the
 // slots under other configurations.
-func (p *planner) scanPaths(rel int) *joinRel {
+func (p *planner) scanPaths(rel int) joinRel {
 	ri := &p.a.Rels[rel]
-	jr := &joinRel{set: Single(rel), rows: ri.Rows}
+	set := Single(rel)
 
 	// Any-order access: cheapest of a seq scan and every index scan.
 	bestCost := p.a.SeqScanCost(rel)
 	bestOp := OpSeqScan
-	var bestIx *catalog.Index
-	for _, ix := range p.ctx.perRel[rel] {
+	bestIx := int32(-1)
+	for k, ix := range p.ctx.perRel[rel] {
 		f := p.a.IndexScanCost(rel, ix)
 		if f.Cost < bestCost {
 			bestCost = f.Cost
-			bestIx = ix
+			bestIx = int32(k)
 			if f.IndexOnly {
 				bestOp = OpIndexOnlyScan
 			} else {
@@ -265,56 +360,40 @@ func (p *planner) scanPaths(rel int) *joinRel {
 	// deliver an order, the Any slot advertises no pathkeys: the cached
 	// model re-prices this slot under other configurations, where the
 	// cheapest access may be unordered.
-	p.addPath(jr, p.newPath(Path{
-		Op:       bestOp,
-		Rels:     jr.set,
-		Rows:     ri.Rows,
-		Cost:     bestCost,
-		Order:    nil,
-		BaseRel:  rel,
-		Index:    bestIx,
-		Internal: 0,
-		LeafCost: bestCost,
-		Leaves:   p.leavesFor(rel, LeafReq{Mode: AccessAny, Coef: 1}),
-	}))
+	p.addPlan(set, &planRec{
+		op: bestOp, rels: set, rows: ri.Rows, cost: bestCost, leafCost: bestCost,
+		outer: -1, inner: -1, aux: bestIx,
+	})
 
 	// Ordered access per interesting order covered by the configuration.
-	for _, col := range ri.Interesting {
+	for k, col := range ri.Interesting {
 		best := math.Inf(1)
-		var via *catalog.Index
+		via := int32(-1)
 		indexOnly := false
-		for _, ix := range p.ctx.perRel[rel] {
+		for x, ix := range p.ctx.perRel[rel] {
 			if !ix.Covers(col) {
 				continue
 			}
 			f := p.a.IndexScanCost(rel, ix)
 			if f.Cost < best {
 				best = f.Cost
-				via = ix
+				via = int32(x)
 				indexOnly = f.IndexOnly
 			}
 		}
-		if via == nil {
+		if via < 0 {
 			continue
 		}
 		op := OpIndexScan
 		if indexOnly {
 			op = OpIndexOnlyScan
 		}
-		p.addPath(jr, p.newPath(Path{
-			Op:       op,
-			Rels:     jr.set,
-			Rows:     ri.Rows,
-			Cost:     best,
-			Order:    []query.ColRef{{Rel: rel, Column: col}},
-			BaseRel:  rel,
-			Index:    via,
-			Internal: 0,
-			LeafCost: best,
-			Leaves:   p.leavesFor(rel, LeafReq{Mode: AccessOrdered, Col: col, Coef: 1}),
-		}))
+		p.addPlan(set, &planRec{
+			op: op, rels: set, rows: ri.Rows, cost: best, leafCost: best,
+			order: int32(p.a.ordBase[rel]) + int32(k) + 1, outer: -1, inner: -1, aux: via,
+		})
 	}
-	return jr
+	return p.finishRel(set, ri.Rows)
 }
 
 // metric is the ExportAll pruning metric: the provably-safe internal cost by
@@ -326,33 +405,29 @@ func (p *planner) metric(cost, internal float64) float64 {
 	return internal
 }
 
-// addPath admits an already-built path: a base-relation scan or a complete
-// plan.
-func (p *planner) addPath(jr *joinRel, np *Path) {
-	p.admit(jr, &joinCand{cost: np.Cost, internal: np.Internal, order: np.Order, pre: np})
+// addPlan admits a candidate whose key no screen has probed: a base-relation
+// scan or a grouping-planner plan.
+func (p *planner) addPlan(set RelSet, c *planRec) {
+	if p.opt.ExportAll && p.ctx.packed {
+		p.candKey(c)
+	}
+	p.admit(set, c)
 }
 
-// admit is the one admission rule for a candidate of jr. In normal mode
-// dominance is cheaper-or-equal total cost (within a relative 1e-9) with a
-// satisfying output order, applied against the retained list, and only a
-// survivor is materialised. In ExportAll mode the DP generates orders of
-// magnitude more candidates: each runs through the dominance frontier
-// (frontier.go), which keeps it unbuilt until its relation drains. A join
-// candidate on the packed lane arrives with its key already probed by
-// joinPaths' screen; everything else is keyed here.
+// admit is the one admission rule for a candidate of the relation set under
+// construction. In normal mode dominance is cheaper-or-equal total cost
+// (within a relative 1e-9) with a satisfying output order, applied against
+// the retained list. In ExportAll mode the DP generates orders of magnitude
+// more candidates: each runs through the dominance frontier (frontier.go).
+// A candidate on the packed lane arrives with its key already probed
+// (joinPaths' screen, addPlan's candKey); the wide lane keys it here.
 //
 //pinum:hotpath
-func (p *planner) admit(jr *joinRel, c *joinCand) {
-	p.res.Stats.PathsConsidered++
+func (p *planner) admit(set RelSet, c *planRec) {
+	p.stats.PathsConsidered++
 	if p.opt.ExportAll {
-		switch {
-		case !p.ctx.packed && c.pre != nil:
-			p.wideProbe(jr.set, c.pre.Leaves, c.order)
-		case !p.ctx.packed:
-			p.leafBuf = c.leaves(p.leafBuf)
-			p.wideProbe(jr.set, p.leafBuf, c.order)
-		case c.pre != nil:
-			p.candPath(c.pre)
+		if !p.ctx.packed {
+			p.wideProbe(set, p.leavesOf(c), p.orderOf(c.order))
 		}
 		if slot, ok := p.frontierAdd(p.metric(c.cost, c.internal), c.order); ok {
 			p.cands[slot], p.live[slot] = *c, true
@@ -360,129 +435,80 @@ func (p *planner) admit(jr *joinRel, c *joinCand) {
 		return
 	}
 	const fuzz = 1e-9
-	for _, old := range jr.paths {
-		if OrderSatisfies(old.Order, c.order) && old.Cost <= c.cost*(1+fuzz) {
-			p.res.Stats.PathsPruned++
+	for i := range p.cands {
+		if old := &p.cands[i]; p.orderSat(old.order, c.order) && old.cost <= c.cost*(1+fuzz) {
+			p.stats.PathsPruned++
 			return
 		}
 	}
-	np := c.materialize(p, jr)
-	keep := jr.paths[:0]
-	for _, old := range jr.paths {
-		if OrderSatisfies(np.Order, old.Order) && np.Cost <= old.Cost*(1+fuzz) {
-			p.res.Stats.PathsPruned++
+	keep := p.cands[:0]
+	for i := range p.cands {
+		if old := &p.cands[i]; p.orderSat(c.order, old.order) && c.cost <= old.cost*(1+fuzz) {
+			p.stats.PathsPruned++
 			continue
 		}
-		keep = append(keep, old)
+		keep = append(keep, p.cands[i])
 	}
-	jr.paths = append(keep, np)
+	p.cands = append(keep, *c)
 }
 
-// joinCand is a candidate before materialisation: every number the pruning
-// screens need, but no Path, no merged leaf slice, no sort enforcer and no
-// nested-loop inner node. A candidate is materialised only once it survives
-// the screens (in ExportAll mode the frontier keeps each slot's winner by
-// value and materialises it at drain).
-type joinCand struct {
-	op       Op
-	cost     float64
-	order    []query.ColRef
-	outer    *Path
-	inner    *Path // nil for OpNestLoop (inner is built at materialise time)
-	clause   int   // index into a.Q.Joins
-	internal float64
-	leafCost float64
-
-	// pre is set, beside cost, internal and order, for an already-built
-	// path (a base-relation scan or a complete plan).
-	pre *Path
-
-	// Merge-join sort enforcers: non-nil when the corresponding side
-	// needs an explicit sort on these keys.
-	sortOuterKey, sortInnerKey []query.ColRef
-
-	// OpNestLoop parameterized inner, built at materialise time.
-	nljRel   int
-	nljIndex *catalog.Index
-	nljCol   string
-	nljCoef  float64
-	nljRows  float64
-	nljCost  float64
-}
-
-// materialize builds the full Path for a surviving candidate of jr,
-// reproducing exactly the tree the original planner built eagerly.
+// leavesOf returns a wide-lane candidate's leaf requirements: the row its
+// input kept, for a sort or an aggregation, or merged into leafBuf.
 //
 //pinum:hotpath
-func (c *joinCand) materialize(p *planner, jr *joinRel) *Path {
-	if c.pre != nil {
-		return c.pre
+func (p *planner) leavesOf(c *planRec) []LeafReq {
+	if c.key > 0 {
+		return p.row(c.key)
 	}
-	op := c.outer
-	if c.sortOuterKey != nil {
-		op = p.sortPath(op, c.sortOuterKey)
-	}
-	ip := c.inner
-	if c.sortInnerKey != nil {
-		ip = p.sortPath(ip, c.sortInnerKey)
-	}
-	if c.op == OpNestLoop {
-		ip = p.newPath(Path{
-			Op:      OpIndexScan,
-			Rels:    Single(c.nljRel),
-			Rows:    c.nljRows,
-			Cost:    c.nljCost,
-			BaseRel: c.nljRel,
-			Index:   c.nljIndex,
-			Order:   nil,
-			Leaves:  p.leavesFor(c.nljRel, LeafReq{Mode: AccessLookup, Col: c.nljCol, Coef: c.nljCoef}),
-		})
-	}
-	return p.newPath(Path{
-		Op:         c.op,
-		Rels:       jr.set,
-		Rows:       jr.rows,
-		Cost:       c.cost,
-		Order:      c.order,
-		Outer:      op,
-		Inner:      ip,
-		JoinClause: p.a.Q.Joins[c.clause],
-		Internal:   c.internal,
-		LeafCost:   c.leafCost,
-		Leaves:     c.leaves(p.newLeaves()),
-	})
+	p.leavesInto(c, p.leafBuf)
+	return p.leafBuf
 }
 
-// leaves writes the candidate's merged leaf requirements over dst[:0]: the
-// outer's entries, overlaid with the inner's for the inner's members or with
-// the nested-loop probe's. materialize keeps them; the wide lane keys on them.
+// row is the leafArena row of wide-lane key k.
 //
 //pinum:hotpath
-func (c *joinCand) leaves(dst []LeafReq) []LeafReq {
-	dst = append(dst[:0], c.outer.Leaves...)
-	if c.op == OpNestLoop {
-		dst[c.nljRel] = LeafReq{Mode: AccessLookup, Col: c.nljCol, Coef: c.nljCoef}
-		return dst
+func (p *planner) row(k int32) []LeafReq {
+	n := int32(len(p.a.Rels))
+	return p.leafArena[(k-1)*n : k*n : k*n]
+}
+
+// leavesInto writes a scan's or a join's leaf requirements, one per query
+// relation, into dst: a scan's own over the all-AccessAny row; a join's
+// outer row, overlaid with the inner's for the inner's members or with the
+// nested-loop probe's.
+//
+//pinum:hotpath
+func (p *planner) leavesInto(c *planRec, dst []LeafReq) {
+	if isScan(c.op) {
+		for i := range dst {
+			dst[i] = LeafReq{Coef: 1}
+		}
+		if c.order > 0 {
+			col := p.ctx.cols[c.order]
+			dst[col.Rel] = LeafReq{Mode: AccessOrdered, Col: col.Column, Coef: 1}
+		}
+		return
 	}
+	outer := &p.recs[c.outer]
+	copy(dst, p.row(outer.key))
+	if c.op == OpNestLoop {
+		col := p.ctx.cols[c.aux]
+		dst[col.Rel] = LeafReq{Mode: AccessLookup, Col: col.Column, Coef: outer.rows}
+		return
+	}
+	inner := &p.recs[c.inner]
+	ir := p.row(inner.key)
 	for rel := range dst {
-		if c.inner.Rels.Has(rel) {
-			dst[rel] = c.inner.Leaves[rel]
+		if inner.rels.Has(rel) {
+			dst[rel] = ir[rel]
 		}
 	}
-	return dst
-}
-
-// leavesFor builds a requirement slice with a single non-default entry.
-func (p *planner) leavesFor(rel int, req LeafReq) []LeafReq {
-	out := p.newLeaves()
-	out[rel] = req
-	return out
 }
 
 // appendPathKey appends the (leaf combo, output order) identity the wide
-// lane deduplicates ExportAll arrivals on — of a path, or of a join
-// candidate from its merged leaves. It avoids fmt for speed: this runs once
-// per arrival. The packed lane packs the same identity into a fixed-size
+// lane deduplicates ExportAll arrivals on — of a path, or of a candidate
+// from its merged leaves. It avoids fmt for speed: this runs once per
+// arrival. The packed lane packs the same identity into a fixed-size
 // comparable struct instead (fastplan.go).
 //
 //pinum:hotpath
@@ -515,32 +541,29 @@ func appendPathKey(b []byte, rels RelSet, leaves []LeafReq, order []query.ColRef
 	return b
 }
 
-// clauseRef is a join clause oriented for a specific (outer, inner) pair,
-// with the single-column sort-key slices that enforce each side's clause
-// order and their packed order forms, prebuilt once per call (planCtx.reset).
+// clauseRef is a join clause oriented for a specific (outer, inner) pair:
+// the global column ids of its outer and inner side, which are also the
+// one-column orders a merge join enforces on each side.
 type clauseRef struct {
-	idx          int // index into a.Q.Joins
-	outer, inner query.ColRef
-	outerKey     []query.ColRef // sort keys enforcing outer-side clause order
-	innerKey     []query.ColRef // sort keys enforcing inner-side clause order
-	outerPack    [2]uint64
-	innerPack    [2]uint64
+	idx          int32 // index into a.Q.Joins
+	outer, inner int32
 }
 
 // joinPaths emits hash, merge, and nested-loop candidates joining
 // outer × inner over the oriented clause list of the split (planCtx's
 // crossClauses computes both orientations in one bitset pass). The packed
-// ExportAll lane screens each candidate (fastplan.go) before a joinCand is
+// ExportAll lane screens each candidate (fastplan.go) before a planRec is
 // assembled for it.
 //
 //pinum:hotpath
-func (p *planner) joinPaths(jr *joinRel, outer, inner *joinRel, clauses []clauseRef) {
+func (p *planner) joinPaths(jr, outer, inner *joinRel, clauses []clauseRef) {
 	if len(clauses) == 0 {
 		return
 	}
 	c := &p.a.Coster
+	set := jr.set
 
-	// Every path of a join relation carries the relation's row count
+	// Every plan of a join relation carries the relation's row count
 	// (TestJoinRelPathsShareRows), so the operator and enforcing-sort costs
 	// are constants of the pair: priced once, not per outer × inner × clause.
 	oRows, iRows, outRows := outer.rows, inner.rows, jr.rows
@@ -548,18 +571,17 @@ func (p *planner) joinPaths(jr *joinRel, outer, inner *joinRel, clauses []clause
 	mc := c.MergeJoinCost(oRows, iRows, outRows)
 	nc := c.NestLoopCost(oRows, outRows)
 	outerSort, innerSort := c.SortCost(oRows), c.SortCost(iRows)
-	var cheapestInner *Path
-	for _, ip := range inner.paths {
-		if cheapestInner == nil || ip.Cost < cheapestInner.Cost {
-			cheapestInner = ip
+	cheapestInner := int32(-1)
+	for i := inner.lo; i < inner.hi; i++ {
+		if cheapestInner < 0 || p.recs[i].cost < p.recs[cheapestInner].cost {
+			cheapestInner = i
 		}
 	}
 	ncMat := nc + (math.Max(oRows, 1)-1)*c.MaterialRescanCost(iRows) +
 		oRows*iRows*c.P.CPUOperatorCost*float64(len(clauses))
 
-	// The packed ExportAll lane threads packed output orders alongside the
-	// slices so candidate keys never re-intern columns; the wide lane
-	// screens on the assembled candidate and takes the plain branches.
+	// The packed ExportAll lane screens a candidate on its key before
+	// admitting it; the wide lane keys the candidate in admit.
 	exportFast := p.opt.ExportAll && p.ctx.packed
 
 	// Indexed nested loops need a single-base-relation inner; the relation
@@ -570,39 +592,27 @@ func (p *planner) joinPaths(jr *joinRel, outer, inner *joinRel, clauses []clause
 		nljRel = bits.TrailingZeros64(uint64(inner.set))
 	}
 
-	for _, op := range outer.paths {
-		// op.Order's pack (op0, op1), and the trimmed op.Order with its pack
-		// (nl0, nl1), which feed every nested-loop candidate below. Packs
-		// travel as words: an array by value goes through memory.
-		var opOrd []query.ColRef
-		var op0, op1, nl0, nl1 uint64
-		if exportFast {
-			k := p.keyOf(op)
-			op0, op1 = k.order[0], k.order[1]
-		}
+	for o := outer.lo; o < outer.hi; o++ {
+		op := &p.recs[o]
+		// The outer's order trimmed to what can still matter above set, which
+		// every nested-loop candidate below inherits.
+		var opOrd int32
 		if p.opt.EnableNestLoop {
-			if !exportFast {
-				opOrd = p.usefulOrder(jr.set, op.Order)
-			} else if p.usefulFast(jr.set, op.Order, op0) {
-				opOrd, nl0, nl1 = op.Order, op0, op1
-			}
+			opOrd = p.useful(set, op.order)
 		}
 
-		for _, ip := range inner.paths {
+		for i := inner.lo; i < inner.hi; i++ {
+			ip := &p.recs[i]
 			if exportFast {
 				p.candOf(op, ip)
 			}
 			// Hash join: order-insensitive, destroys ordering.
-			cost, internal := op.Cost+ip.Cost+hc, op.Internal+ip.Internal+hc
-			if !exportFast || !p.screen(0, 0, cost, internal) {
-				p.admit(jr, &joinCand{
-					op:       OpHashJoin,
-					cost:     cost,
-					outer:    op,
-					inner:    ip,
-					clause:   clauses[0].idx,
-					internal: internal,
-					leafCost: op.LeafCost + ip.LeafCost,
+			cost, internal := op.cost+ip.cost+hc, op.internal+ip.internal+hc
+			if !exportFast || !p.screen(0, cost, internal) {
+				p.admit(set, &planRec{
+					op: OpHashJoin, rels: set, rows: outRows,
+					cost: cost, internal: internal, leafCost: op.leafCost + ip.leafCost,
+					outer: o, inner: i, clause: clauses[0].idx,
 				})
 			}
 
@@ -610,43 +620,29 @@ func (p *planner) joinPaths(jr *joinRel, outer, inner *joinRel, clauses []clause
 			// columns; explicit sorts are internal enforcers.
 			for ci := range clauses {
 				cl := &clauses[ci]
-				osCost, osInternal, osOrder, os0, os1 := op.Cost, op.Internal, op.Order, op0, op1
-				var sortOuter []query.ColRef
-				if !(len(op.Order) > 0 && op.Order[0] == cl.outer) {
-					sortOuter = cl.outerKey
+				osCost, osInternal, osOrder := op.cost, op.internal, op.order
+				var sorts uint8
+				if op.order != cl.outer {
+					sorts = sortOuter
 					osCost += outerSort
 					osInternal += outerSort
-					osOrder = sortOuter
-					os0, os1 = cl.outerPack[0], cl.outerPack[1]
+					osOrder = cl.outer
 				}
-				isCost, isInternal := ip.Cost, ip.Internal
-				var sortInner []query.ColRef
-				if !(len(ip.Order) > 0 && ip.Order[0] == cl.inner) {
-					sortInner = cl.innerKey
+				isCost, isInternal := ip.cost, ip.internal
+				if ip.order != cl.inner {
+					sorts |= sortInner
 					isCost += innerSort
 					isInternal += innerSort
 				}
-				mOrd := osOrder
-				if !exportFast {
-					mOrd = p.usefulOrder(jr.set, osOrder)
-				} else if !p.usefulFast(jr.set, osOrder, os0) {
-					mOrd, os0, os1 = nil, 0, 0
-				}
+				mOrd := p.useful(set, osOrder)
 				cost, internal := osCost+isCost+mc, osInternal+isInternal+mc
-				if exportFast && p.screen(os0, os1, cost, internal) {
+				if exportFast && p.screen(mOrd, cost, internal) {
 					continue
 				}
-				p.admit(jr, &joinCand{
-					op:           OpMergeJoin,
-					cost:         cost,
-					order:        mOrd,
-					outer:        op,
-					inner:        ip,
-					clause:       cl.idx,
-					internal:     internal,
-					leafCost:     op.LeafCost + ip.LeafCost,
-					sortOuterKey: sortOuter,
-					sortInnerKey: sortInner,
+				p.admit(set, &planRec{
+					op: OpMergeJoin, rels: set, rows: outRows,
+					cost: cost, internal: internal, leafCost: op.leafCost + ip.leafCost,
+					order: mOrd, outer: o, inner: i, clause: cl.idx, sorts: sorts,
 				})
 			}
 		}
@@ -660,33 +656,23 @@ func (p *planner) joinPaths(jr *joinRel, outer, inner *joinRel, clauses []clause
 		if nljInner {
 			for ci := range clauses {
 				cl := &clauses[ci]
-				m := p.ctx.lookup(p.a, nljRel, cl.inner.Column)
+				m := p.ctx.lookup(p.a, cl.inner)
 				if m.ix == nil {
 					continue
 				}
 				coef := oRows
-				cost, internal := op.Cost+coef*m.cost+nc, op.Internal+nc
+				cost, internal := op.cost+coef*m.cost+nc, op.internal+nc
 				if exportFast {
 					p.candOf(op, nil)
 					p.candLeaf(nljRel, AccessLookup, m.id, coef)
-					if p.screen(nl0, nl1, cost, internal) {
+					if p.screen(opOrd, cost, internal) {
 						continue
 					}
 				}
-				p.admit(jr, &joinCand{
-					op:       OpNestLoop,
-					cost:     cost,
-					order:    opOrd,
-					outer:    op,
-					clause:   cl.idx,
-					internal: internal,
-					leafCost: op.LeafCost + coef*m.cost,
-					nljRel:   nljRel,
-					nljIndex: m.ix,
-					nljCol:   cl.inner.Column,
-					nljCoef:  coef,
-					nljRows:  m.rows,
-					nljCost:  m.cost,
+				p.admit(set, &planRec{
+					op: OpNestLoop, rels: set, rows: outRows,
+					cost: cost, internal: internal, leafCost: op.leafCost + coef*m.cost,
+					order: opOrd, outer: o, inner: -1, clause: cl.idx, aux: cl.inner,
 				})
 			}
 		}
@@ -694,40 +680,37 @@ func (p *planner) joinPaths(jr *joinRel, outer, inner *joinRel, clauses []clause
 		// Materialised nested loop: rescan a materialised inner per outer
 		// row. Only the cheapest inner is considered (the rescan cost
 		// depends only on the inner's cardinality).
-		if ip := cheapestInner; ip != nil {
-			cost, internal := op.Cost+ip.Cost+ncMat, op.Internal+ip.Internal+ncMat
+		if i := cheapestInner; i >= 0 {
+			ip := &p.recs[i]
+			cost, internal := op.cost+ip.cost+ncMat, op.internal+ip.internal+ncMat
 			if exportFast {
 				p.candOf(op, ip)
-				if p.screen(nl0, nl1, cost, internal) {
+				if p.screen(opOrd, cost, internal) {
 					continue
 				}
 			}
-			p.admit(jr, &joinCand{
-				op:       OpNestLoopMat,
-				cost:     cost,
-				order:    opOrd,
-				outer:    op,
-				inner:    ip,
-				clause:   clauses[0].idx,
-				internal: internal,
-				leafCost: op.LeafCost + ip.LeafCost,
+			p.admit(set, &planRec{
+				op: OpNestLoopMat, rels: set, rows: outRows,
+				cost: cost, internal: internal, leafCost: op.leafCost + ip.leafCost,
+				order: opOrd, outer: o, inner: i, clause: clauses[0].idx,
 			})
 		}
 	}
 }
 
-// usefulOrder trims a path's advertised sort order to orders that can still
-// matter above this relation set: a future merge join on a clause crossing
-// to the set's complement, or the query's grouping/ordering columns. This
-// mirrors PostgreSQL's canonical-pathkey usefulness test and collapses
-// otherwise-identical plans whose orders can never be exploited again. The
-// verdict depends only on (set, leading column), so it is memoized per join
-// relation (usefulMemo).
-func (p *planner) usefulOrder(set RelSet, order []query.ColRef) []query.ColRef {
-	if len(order) > 0 && p.usefulMemo(set, order[0], p.a.orderGID(order[0])) {
-		return order
+// useful trims an order to what can still matter above this relation set: a
+// future merge join on a clause crossing to the set's complement, or the
+// query's grouping/ordering columns. This mirrors PostgreSQL's
+// canonical-pathkey usefulness test and collapses otherwise-identical plans
+// whose orders can never be exploited again. The verdict depends only on
+// (set, leading column), so it is memoized per join relation (usefulMemo).
+//
+//pinum:hotpath
+func (p *planner) useful(set RelSet, ord int32) int32 {
+	if ord > 0 && p.usefulMemo(set, uint16(ord)) {
+		return ord
 	}
-	return nil
+	return 0
 }
 
 func (p *planner) usefulLead(set RelSet, lead query.ColRef) bool {
@@ -752,23 +735,6 @@ func (p *planner) usefulLead(set RelSet, lead query.ColRef) bool {
 	return false
 }
 
-// sortPath enforces keys on child.
-func (p *planner) sortPath(child *Path, keys []query.ColRef) *Path {
-	sc := p.a.Coster.SortCost(child.Rows)
-	return p.newPath(Path{
-		Op:       OpSort,
-		Rels:     child.Rels,
-		Rows:     child.Rows,
-		Cost:     child.Cost + sc,
-		Order:    keys,
-		Child:    child,
-		SortKeys: keys,
-		Internal: child.Internal + sc,
-		LeafCost: child.LeafCost,
-		Leaves:   child.Leaves,
-	})
-}
-
 // orderCoversGroup reports whether the path order's prefix is exactly the
 // group-by column set (grouping is order-insensitive across its columns).
 func orderCoversGroup(order []query.ColRef, group []query.ColRef) bool {
@@ -787,72 +753,87 @@ func orderCoversGroup(order []query.ColRef, group []query.ColRef) bool {
 	return true
 }
 
-// finalize runs the grouping planner (paper §III): aggregation for GROUP BY
-// and a final sort for ORDER BY, producing the complete-plan candidates.
-func (p *planner) finalize(paths []*Path) []*Path {
+// finalize runs the grouping planner (paper §III) over the top relation's
+// records: aggregation for GROUP BY and a final sort for ORDER BY, producing
+// the complete-plan candidates. An input a candidate sorts or aggregates is
+// kept as a record first; the candidates become records when the relation
+// of complete plans finishes.
+func (p *planner) finalize(top joinRel) joinRel {
 	q := p.a.Q
-	out := &joinRel{set: paths[0].Rels}
 	c := &p.a.Coster
+	set := top.set
 
-	finish := func(path *Path) {
-		if len(q.OrderBy) > 0 && !OrderSatisfies(path.Order, q.OrderBy) {
-			path = p.sortPath(path, q.OrderBy)
-		}
-		p.addPath(out, path)
-	}
-
-	// The group count depends on the row count, which top paths share.
+	// The group count depends on the row count, which top plans share.
 	groups, groupRows := 0.0, -1.0
-	for _, path := range paths {
+	for r := top.lo; r < top.hi; r++ {
+		in := p.recs[r]
 		if len(q.GroupBy) == 0 {
-			finish(path)
+			p.finish(set, in)
 			continue
 		}
-		if path.Rows != groupRows {
-			groups, groupRows = p.a.GroupCount(q.GroupBy, path.Rows), path.Rows
+		if in.rows != groupRows {
+			groups, groupRows = p.a.GroupCount(q.GroupBy, in.rows), in.rows
 		}
 
 		// Hash aggregation: no input-order requirement, output unordered.
-		hc := c.HashAggCost(path.Rows, groups, len(q.GroupBy))
-		finish(p.newPath(Path{
-			Op:       OpHashAgg,
-			Rels:     path.Rels,
-			Rows:     groups,
-			Cost:     path.Cost + hc,
-			Order:    nil,
-			Child:    path,
-			Internal: path.Internal + hc,
-			LeafCost: path.LeafCost,
-			Leaves:   path.Leaves,
-		}))
+		hc := c.HashAggCost(in.rows, groups, len(q.GroupBy))
+		p.finish(set, planRec{
+			op: OpHashAgg, rels: in.rels, rows: groups,
+			cost: in.cost + hc, internal: in.internal + hc, leafCost: in.leafCost,
+			outer: r, inner: -1, key: in.key,
+		})
 
 		// Sorted aggregation: requires group-column order, preserves it.
-		in := path
-		if !orderCoversGroup(in.Order, q.GroupBy) {
-			in = p.sortPath(in, q.GroupBy)
+		ir := r
+		if !orderCoversGroup(p.orderOf(in.order), q.GroupBy) {
+			ir = p.keep(p.sortRec(r, ordGroupBy))
+			in = p.recs[ir]
 		}
-		gc := c.SortedAggCost(in.Rows, groups, len(q.GroupBy))
-		finish(p.newPath(Path{
-			Op:       OpSortedAgg,
-			Rels:     in.Rels,
-			Rows:     groups,
-			Cost:     in.Cost + gc,
-			Order:    in.Order,
-			Child:    in,
-			Internal: in.Internal + gc,
-			LeafCost: in.LeafCost,
-			Leaves:   in.Leaves,
-		}))
+		gc := c.SortedAggCost(in.rows, groups, len(q.GroupBy))
+		p.finish(set, planRec{
+			op: OpSortedAgg, rels: in.rels, rows: groups,
+			cost: in.cost + gc, internal: in.internal + gc, leafCost: in.leafCost,
+			order: in.order, outer: ir, inner: -1, key: in.key,
+		})
 	}
-	p.finishRel(out)
-	p.res.Stats.PathsRetained = len(out.paths)
-	return out.paths
+	out := p.finishRel(set, 0)
+	p.stats.PathsRetained = int(out.hi - out.lo)
+	return out
+}
+
+// finish admits a complete-plan candidate, under a final sort when it does
+// not deliver the ORDER BY.
+func (p *planner) finish(set RelSet, c planRec) {
+	if q := p.a.Q; len(q.OrderBy) > 0 && !OrderSatisfies(p.orderOf(c.order), q.OrderBy) {
+		c = p.sortRec(p.keep(c), ordOrderBy)
+	}
+	p.addPlan(set, &c)
+}
+
+// sortRec is the sort that enforces order ord on record r.
+func (p *planner) sortRec(r, ord int32) planRec {
+	in := &p.recs[r]
+	sc := p.a.Coster.SortCost(in.rows)
+	return planRec{
+		op: OpSort, rels: in.rels, rows: in.rows,
+		cost: in.cost + sc, internal: in.internal + sc, leafCost: in.leafCost,
+		order: ord, outer: r, inner: -1, key: in.key,
+	}
+}
+
+// keep appends a record outside any relation's range — an input the
+// grouping planner sorts or aggregates — and returns it.
+func (p *planner) keep(c planRec) int32 {
+	reserve(&p.recs, 1)
+	p.recs = append(p.recs, c)
+	return int32(len(p.recs) - 1)
 }
 
 // collectAccessCosts implements the §V-C hook: report the access cost of
 // every configuration index on every relation, instead of discarding all
 // but the cheapest.
-func (p *planner) collectAccessCosts() {
+func (p *planner) collectAccessCosts() []IndexAccess {
+	var out []IndexAccess
 	for rel := range p.a.Rels {
 		ri := &p.a.Rels[rel]
 		interesting := make(map[string]bool, len(ri.Interesting))
@@ -871,7 +852,8 @@ func (p *planner) collectAccessCosts() {
 				ia.OrderCol = ix.LeadColumn()
 				ia.LookupCost = p.a.LookupCost(rel, ix, ix.LeadColumn())
 			}
-			p.res.AccessCosts = append(p.res.AccessCosts, ia)
+			out = append(out, ia)
 		}
 	}
+	return out
 }

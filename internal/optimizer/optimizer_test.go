@@ -232,9 +232,9 @@ func TestAccessCostAgreesWithScanPaths(t *testing.T) {
 	for rel := range a.Rels {
 		jr := p.scanPaths(rel)
 		var cheapest float64 = math.Inf(1)
-		for _, path := range jr.paths {
-			if path.Cost < cheapest {
-				cheapest = path.Cost
+		for _, rec := range p.recs[jr.lo:jr.hi] {
+			if rec.cost < cheapest {
+				cheapest = rec.cost
 			}
 		}
 		got, ok := a.AccessCost(rel, LeafReq{Mode: AccessAny, Coef: 1}, cfg)

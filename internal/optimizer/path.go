@@ -3,6 +3,7 @@ package optimizer
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 	"unsafe"
@@ -49,7 +50,7 @@ func (s RelSet) Members() []int {
 }
 
 // Op identifies a physical operator in a path/plan tree.
-type Op int
+type Op uint8
 
 const (
 	OpSeqScan Op = iota
@@ -164,39 +165,114 @@ type Path struct {
 	// relations in the query); entries for relations outside Rels are
 	// the zero requirement and must be ignored.
 	Leaves []LeafReq
-
-	// pkRef points (1-based) into the planner's per-call key arena at the
-	// packed (leaf combo, output order) identity assigned when the
-	// planner retained this path in ExportAll mode: join candidates
-	// derive their own keys by OR-ing their children's packed leaves
-	// instead of re-interning columns (see fastplan.go). Zero means no
-	// key was assigned. The keys live in the arena, not on the path, so
-	// retained plans — which outlive the call inside plan caches by the
-	// thousand — don't each carry the key struct.
-	pkRef int32
 }
 
-// LeafCombo derives the interesting order combination this path requires:
-// one entry per query relation, "" (Φ) for AccessAny or absent relations,
-// the column for AccessOrdered and AccessLookup.
-func (p *Path) LeafCombo(nRels int) query.OrderCombo {
-	combo := make(query.OrderCombo, nRels)
-	for rel := 0; rel < nRels && rel < len(p.Leaves); rel++ {
-		if p.Rels.Has(rel) && p.Leaves[rel].Mode != AccessAny {
-			combo[rel] = p.Leaves[rel].Col
+// tree returns the Path tree of record r. The planner keeps records, not
+// Paths: a tree is built only for what a caller asks for — a Result's Best
+// and, in ExportAll mode, its Exported plans — and memoised per record
+// (p.trees), so plans share the subtree of every record they share, as the
+// DP shares them. A merge join's enforcing sorts and a nested loop's probe
+// are nodes of the join's own tree.
+func (p *planner) tree(r int32) *Path {
+	if t := p.trees[r]; t != nil {
+		return t
+	}
+	c := &p.recs[r]
+	order := p.orderOf(c.order)
+	if c.order > 0 {
+		order = p.treeCols[c.order : c.order+1 : c.order+1]
+	}
+	t := &Path{
+		Op: c.op, Rels: c.rels, Rows: c.rows, Cost: c.cost, Order: order,
+		Internal: c.internal, LeafCost: c.leafCost,
+	}
+	n := len(p.a.Rels)
+	switch {
+	case isScan(c.op):
+		col := p.treeCols[c.order]
+		t.BaseRel = bits.TrailingZeros64(uint64(c.rels))
+		if c.aux >= 0 {
+			t.Index = p.ctx.perRel[t.BaseRel][c.aux]
+		}
+		t.Leaves = newLeaves(n)
+		if c.order > 0 {
+			t.Leaves[col.Rel] = LeafReq{Mode: AccessOrdered, Col: col.Column, Coef: 1}
+		}
+	case c.op == OpSort:
+		t.Child = p.tree(c.outer)
+		t.SortKeys, t.Leaves = t.Order, t.Child.Leaves
+	case c.op == OpHashAgg || c.op == OpSortedAgg:
+		t.Child = p.tree(c.outer)
+		t.Leaves = t.Child.Leaves
+	default:
+		t.JoinClause = p.a.Q.Joins[c.clause]
+		outerKey, innerKey := p.clauseSides(c)
+		t.Outer = p.tree(c.outer)
+		t.Leaves = make([]LeafReq, n)
+		copy(t.Leaves, t.Outer.Leaves)
+		if c.sorts&sortOuter != 0 {
+			t.Outer = p.sortPath(t.Outer, outerKey)
+		}
+		if c.op == OpNestLoop {
+			m, col := &p.ctx.lookups[c.aux], p.treeCols[c.aux]
+			probe := LeafReq{Mode: AccessLookup, Col: col.Column, Coef: p.recs[c.outer].rows}
+			t.Inner = &Path{
+				Op: OpIndexScan, Rels: Single(col.Rel), Rows: m.rows, Cost: m.cost,
+				BaseRel: col.Rel, Index: m.ix, Leaves: newLeaves(n),
+			}
+			t.Inner.Leaves[col.Rel], t.Leaves[col.Rel] = probe, probe
+			break
+		}
+		t.Inner = p.tree(c.inner)
+		for rel := range t.Leaves {
+			if t.Inner.Rels.Has(rel) {
+				t.Leaves[rel] = t.Inner.Leaves[rel]
+			}
+		}
+		if c.sorts&sortInner != 0 {
+			t.Inner = p.sortPath(t.Inner, innerKey)
 		}
 	}
-	return combo
+	p.trees[r] = t
+	return t
 }
 
-// PlanSummary is the INUM decomposition of one complete plan, detached
-// from the path tree that produced it: exactly what the cached cost model
-// (inum.Cache.Cost) consumes. Slim plan caches retain only this, so the
-// DP planner's retained trees become garbage the moment the optimizer
-// call returns instead of living for the cache's lifetime.
+// startTrees readies the call for tree building.
+func (p *planner) startTrees() {
+	p.trees = fit(p.trees, len(p.recs))
+	p.treeCols = slices.Clone(p.ctx.cols)
+}
+
+// clauseSides returns the global column ids of a join record's clause on
+// its outer and its inner side: the one-column orders its merge-join sort
+// enforcers impose.
+func (p *planner) clauseSides(c *planRec) (outer, inner int32) {
+	j := &p.a.Q.Joins[c.clause]
+	l, r := int32(p.a.orderGID(j.Left)), int32(p.a.orderGID(j.Right))
+	if p.recs[c.outer].rels.Has(j.Left.Rel) {
+		return l, r
+	}
+	return r, l
+}
+
+// sortPath is the sort enforcing the one-column order on the column of
+// global id g over child.
+func (p *planner) sortPath(child *Path, g int32) *Path {
+	keys := p.treeCols[g : g+1 : g+1]
+	sc := p.a.Coster.SortCost(child.Rows)
+	return &Path{
+		Op: OpSort, Rels: child.Rels, Rows: child.Rows, Cost: child.Cost + sc, Order: keys,
+		Child: child, SortKeys: keys, Internal: child.Internal + sc, LeafCost: child.LeafCost,
+		Leaves: child.Leaves,
+	}
+}
+
+// PlanSummary is the INUM decomposition of one complete plan's tree:
+// exactly what the cached cost model (inum.Cache.Cost) consumes, read off
+// a Path (a tree build's AddPath, /explain). A slim build never has a tree:
+// Workspace.Export reads the same decomposition off the planner's records,
+// already in a cache's packed form (Summary).
 type PlanSummary struct {
-	// Combo is the interesting order combination the plan requires.
-	Combo query.OrderCombo
 	// Internal is the access-method-independent cost.
 	Internal float64
 	// Leaves holds one access requirement per query relation.
@@ -208,8 +284,8 @@ type PlanSummary struct {
 // Summarize extracts the INUM decomposition of a complete plan over nRels
 // relations. The leaf normalisation (AccessAny with coefficient 1 for
 // every relation, overwritten by the plan's own requirements) is the one
-// the plan cache has always applied; hoisting it here lets tree-backed
-// and slim caches share it bit for bit.
+// the plan cache has always applied, and the one Workspace.Export starts
+// its summaries from: TestSlimExportsMatchTrees holds the two equal.
 func Summarize(p *Path, nRels int) PlanSummary {
 	leaves := newLeaves(nRels)
 	nlj := false
@@ -220,7 +296,6 @@ func Summarize(p *Path, nRels int) PlanSummary {
 		}
 	}
 	return PlanSummary{
-		Combo:    p.LeafCombo(nRels),
 		Internal: p.Internal,
 		Leaves:   leaves,
 		NLJ:      nlj,

@@ -1,0 +1,125 @@
+package optimizer_test
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"github.com/pinumdb/pinum/internal/inum"
+	"github.com/pinumdb/pinum/internal/optimizer"
+	"github.com/pinumdb/pinum/internal/query"
+	"github.com/pinumdb/pinum/internal/whatif"
+	"github.com/pinumdb/pinum/internal/workload"
+)
+
+// TestSlimExportsMatchTrees holds the slim build's export — summaries read
+// off the planner's records, deduplicated on a structural identity computed
+// over them — to the tree build it replaced. Per call, the Path trees of the
+// exported plans, built from the same records, go through
+// inum.Cache.AddPath (Signature dedup, Summarize, PackLeaf) and the
+// summaries through AddSummary; the two caches must agree entry for entry,
+// in order: internal cost bits, leaf slots, coefficient bits and the NLJ
+// flag. Inputs: every design shape, star Q10 and the 17-relation chain,
+// under core.Build's two calls and under core.BuildPrecise's (random6's
+// precise pair, ~6 s, is skipped in -short mode).
+func TestSlimExportsMatchTrees(t *testing.T) {
+	wk := optimizer.NewWorkspace()
+	for _, in := range exportInputs(t) {
+		for _, precise := range []bool{false, true} {
+			label := fmt.Sprintf("%s/precise=%v", in.label, precise)
+			if precise && in.label == "random-6" && testing.Short() {
+				continue
+			}
+			tree, slim := inum.NewCache(in.a), inum.NewSlimCache(in.a)
+			err := optimizer.ExportWithTrees(wk, in.a, in.cfg, buildOptions(precise), slim.AddSummary,
+				func(p *optimizer.Path) { tree.AddPath(p) })
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if len(slim.Plans) != len(tree.Plans) || len(tree.Plans) == 0 {
+				t.Fatalf("%s: %d slim entries, %d from trees", label, len(slim.Plans), len(tree.Plans))
+			}
+			for i, tp := range tree.Plans {
+				sp := slim.Plans[i]
+				if math.Float64bits(sp.Internal) != math.Float64bits(tp.Internal) || sp.NLJ != tp.NLJ {
+					t.Fatalf("%s entry %d: internal %v nlj %v, from the tree %v nlj %v", label, i, sp.Internal, sp.NLJ, tp.Internal, tp.NLJ)
+				}
+				spk, sc := sp.PackedLeaves()
+				tpk, tc := tp.PackedLeaves()
+				for rel := range tpk {
+					if in.a.LeafSlot(rel, spk[rel]) != in.a.LeafSlot(rel, tpk[rel]) || math.Float64bits(sc[rel]) != math.Float64bits(tc[rel]) {
+						t.Fatalf("%s entry %d (%s) relation %d: slot %d coef %v, from the tree slot %d coef %v", label, i, tp.Sig, rel,
+							in.a.LeafSlot(rel, spk[rel]), sc[rel], in.a.LeafSlot(rel, tpk[rel]), tc[rel])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestIdentityMatchesSignature holds the identity Export dedups on to the
+// one it replaced over far more plans than the exports: every record every
+// relation of a construction call kept, whose trees share subtrees, sorts
+// and probes in every combination. Two records must share an identity
+// exactly when their trees' Signature strings are equal.
+func TestIdentityMatchesSignature(t *testing.T) {
+	wk := optimizer.NewWorkspace()
+	for _, in := range exportInputs(t) {
+		for _, opt := range buildOptions(false) {
+			label := fmt.Sprintf("%s/opt=%+v", in.label, opt)
+			bySig, byID := map[string]int32{}, map[int32]string{}
+			err := optimizer.EachRecordIdentity(wk, in.a, in.cfg, opt, func(id int32, pt *optimizer.Path) {
+				sig := pt.Signature()
+				if other, ok := bySig[sig]; ok && other != id {
+					t.Fatalf("%s: %s has identities %d and %d", label, sig, other, id)
+				}
+				if other, ok := byID[id]; ok && other != sig {
+					t.Fatalf("%s: identity %d names %s and %s", label, id, other, sig)
+				}
+				bySig[sig], byID[id] = id, sig
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if len(bySig) < 2 {
+				t.Fatalf("%s: %d distinct plans", label, len(bySig))
+			}
+		}
+	}
+}
+
+// exportInput is one query a construction call plans, with its planning
+// configuration.
+type exportInput struct {
+	label string
+	a     *optimizer.Analysis
+	cfg   *query.Config
+}
+
+// exportInputs are every design shape, the 17-relation chain (indexed on
+// its head) and star Q10, each under its all-orders configuration.
+func exportInputs(t *testing.T) []exportInput {
+	t.Helper()
+	var inputs []exportInput
+	for _, spec := range append([]workload.ShapeSpec{{Shape: workload.ShapeWideChain, Rels: 17, Seed: 42}}, designSpecs...) {
+		a, cfg := shapeBuildConfig(t, spec)
+		inputs = append(inputs, exportInput{a.Q.Name, a, cfg})
+	}
+	s, err := workload.StarSchema(1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := s.Queries(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := optimizer.NewAnalysis(qs[9], s.Stats, optimizer.DefaultCostParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := inum.AllOrdersConfig(a, whatif.NewSession(s.Catalog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(inputs, exportInput{"star-" + a.Q.Name, a, cfg})
+}

@@ -1,6 +1,5 @@
-// A Workspace against the one-shot Optimize: a buffer the last call left
-// dirty, or a plan node the slab handed out before, must never show in a
-// result.
+// A Workspace against the one-shot Optimize: a buffer or a record the last
+// call left behind must never show in a result.
 package optimizer_test
 
 import (
@@ -28,7 +27,8 @@ func assertSameCall(t *testing.T, label string, got *optimizer.Result, gerr erro
 
 // TestWorkspaceReuseBitIdentical plans every workload shape (the 17-relation
 // chain included) under all 32 option combinations, in a shuffled order,
-// through one workspace of each kind, and holds each result to a fresh
+// through two workspaces — one that only optimizes, one that also runs each
+// ExportAll call through Export first — and holds each result to a fresh
 // Optimize of the same call. Consecutive calls therefore differ in query,
 // key lane, relation count and option set, so every buffer arrives dirty
 // from something else; a query with a disconnected join graph, which fails
@@ -65,7 +65,7 @@ func TestWorkspaceReuseBitIdentical(t *testing.T) {
 	rng.Shuffle(len(calls), func(i, j int) { calls[i], calls[j] = calls[j], calls[i] })
 
 	failed := 0
-	scratch, recycling := optimizer.NewWorkspace(false), optimizer.NewWorkspace(true)
+	scratch, exporting := optimizer.NewWorkspace(), optimizer.NewWorkspace()
 	for _, c := range calls {
 		want, werr := optimizer.Optimize(c.a, c.cfg, c.opt)
 		if werr != nil {
@@ -73,8 +73,11 @@ func TestWorkspaceReuseBitIdentical(t *testing.T) {
 		}
 		got, gerr := scratch.Optimize(c.a, c.cfg, c.opt)
 		assertSameCall(t, c.label+"/scratch", got, gerr, want, werr)
-		got, gerr = recycling.Optimize(c.a, c.cfg, c.opt)
-		assertSameCall(t, c.label+"/recycling", got, gerr, want, werr)
+		if c.opt.ExportAll {
+			_, _ = exporting.Export(c.a, c.cfg, []optimizer.Options{c.opt}, func(*optimizer.Summary) {})
+		}
+		got, gerr = exporting.Optimize(c.a, c.cfg, c.opt)
+		assertSameCall(t, c.label+"/exporting", got, gerr, want, werr)
 	}
 	if failed != 6 {
 		t.Fatalf("%d calls failed, want the 6 on the disconnected query", failed)

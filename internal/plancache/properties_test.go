@@ -40,14 +40,9 @@ func buildShapeSlim(t *testing.T, spec workload.ShapeSpec) (*inum.Cache, []*quer
 		}
 	}
 	c := inum.NewSlimCache(a)
-	for _, nlj := range []bool{false, true} {
-		res, err := optimizer.Optimize(a, plan, optimizer.Options{EnableNestLoop: nlj, ExportAll: true, PaperPrune: nlj})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range res.Exported {
-			c.AddPath(p)
-		}
+	opts := []optimizer.Options{{ExportAll: true}, {EnableNestLoop: true, ExportAll: true, PaperPrune: true}}
+	if _, err := optimizer.NewWorkspace().Export(a, plan, opts, c.AddSummary); err != nil {
+		t.Fatal(err)
 	}
 	c.Seal()
 	rng := rand.New(rand.NewSource(spec.Seed))
