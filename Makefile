@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race goldens shuffle fuzz bench lint static fmt vet check
+.PHONY: build test race pairing goldens shuffle fuzz bench lint static fmt vet check
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,14 @@ test:
 # driven with HTTP, SIGHUP and SIGTERM).
 race:
 	$(GO) test -race ./...
+
+# A build pairs its two optimizer calls when its batch leaves a core idle:
+# at -cpu 1 a one-shot build runs them serially, at -cpu 2 on two planners,
+# so both sides run on any machine, under the race detector (-short skips
+# random6's precise build, ~6 s a build without the detector).
+pairing:
+	$(GO) test -short -race -cpu 1,2 ./internal/core -run 'PairingRule|PairedBuildMatchesSerial|BuildAllSlimWorkersAgree'
+	$(GO) test -short -race -cpu 1,2 ./internal/optimizer -run 'WorkspaceReuseBitIdentical|AnalysisSharedByPlanners'
 
 # Whole-system correctness: every reply byte-compared with its golden;
 # only the exit status gates (timings are compared in paired local runs).
@@ -60,4 +68,4 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-check: fmt vet build lint race goldens shuffle fuzz bench
+check: fmt vet build lint race pairing goldens shuffle fuzz bench

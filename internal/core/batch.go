@@ -173,20 +173,26 @@ func (f *fanOut) help() {
 	f.drain(f.newWorker())
 }
 
-// BuildAllWith fills one plan cache per analysis across a bounded worker
-// pool. Each worker owns a private what-if session and the BuildFunc its
-// own newBuilder call returned (neither is safe for concurrent use; both
-// are garbage once the batch returns), and results are merged back in input
-// order, so the returned slice is deterministic regardless of scheduling:
-// caches[i] is the cache for analyses[i].
-//
-// workers <= 0 means GOMAXPROCS; workers == 1 degenerates to the serial
-// construction. The first error, in input order, aborts the batch.
-func BuildAllWith(analyses []*optimizer.Analysis, cat *catalog.Catalog, workers int, newBuilder func() BuildFunc) ([]*inum.Cache, error) {
+// BuildAllWith fills one plan cache per analysis on a budget of workers
+// cores (≤ 0: GOMAXPROCS). When the budget gives every query two cores
+// (pairs), each query gets a worker of its own whose two optimizer calls
+// plan at once; otherwise each worker builds one query at a time and plans
+// its calls one after the other. Each worker owns a private what-if session
+// and the BuildFunc its own newBuilder(paired) call returned (neither is
+// safe for concurrent use; both are garbage once the batch returns), and
+// results are merged back in input order, so the returned slice is
+// deterministic regardless of scheduling or pairing: caches[i] is the cache
+// for analyses[i], bit for bit the same at any budget. workers == 1 is the
+// serial construction. The first error, in input order, aborts the batch.
+func BuildAllWith(analyses []*optimizer.Analysis, cat *catalog.Catalog, workers int, newBuilder func(paired bool) BuildFunc) ([]*inum.Cache, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	paired := pairs(len(analyses), workers)
 	caches := make([]*inum.Cache, len(analyses))
 	errs := make([]error, len(analyses))
 	Fan(len(analyses), workers, func() func(int) {
-		ws, fn := whatif.NewSession(cat), newBuilder()
+		ws, fn := whatif.NewSession(cat), newBuilder(paired)
 		return func(i int) {
 			caches[i], errs[i] = fn(analyses[i], ws)
 		}
@@ -199,15 +205,22 @@ func BuildAllWith(analyses []*optimizer.Analysis, cat *catalog.Catalog, workers 
 	return caches, nil
 }
 
-// BuildAll fills one PINUM plan cache per analysis across a bounded worker
-// pool (see BuildAllWith for the pool semantics).
+// pairs is the pairing rule: a batch of n queries pairs each query's two
+// optimizer calls when its core budget gives every query two cores. A wider
+// batch already keeps every core busy with one query per worker, and
+// pairing there would only add a helper goroutine and a second planner per
+// worker.
+func pairs(n, budget int) bool { return 2*n <= budget }
+
+// BuildAll fills one PINUM plan cache per analysis on a budget of workers
+// cores (see BuildAllWith for the budget and pool semantics).
 func BuildAll(analyses []*optimizer.Analysis, cat *catalog.Catalog, workers int, precise bool) ([]*inum.Cache, error) {
-	return BuildAllWith(analyses, cat, workers, func() BuildFunc { return Builder(precise, false) })
+	return BuildAllWith(analyses, cat, workers, func(paired bool) BuildFunc { return Builder(precise, false, paired) })
 }
 
-// BuildAllSlim fills one slim PINUM plan cache per analysis across a
-// bounded worker pool — the batch construction the snapshot store and the
+// BuildAllSlim fills one slim PINUM plan cache per analysis on a budget of
+// workers cores — the batch construction the snapshot store and the
 // serving layer start from.
 func BuildAllSlim(analyses []*optimizer.Analysis, cat *catalog.Catalog, workers int) ([]*inum.Cache, error) {
-	return BuildAllWith(analyses, cat, workers, func() BuildFunc { return Builder(false, true) })
+	return BuildAllWith(analyses, cat, workers, func(paired bool) BuildFunc { return Builder(false, true, paired) })
 }

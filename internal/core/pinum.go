@@ -3,23 +3,29 @@
 // harvesting the intermediate plans a bottom-up optimizer builds anyway.
 //
 // Conventional INUM issues one optimizer call per interesting order
-// combination (648 for TPC-H Q5). PINUM instead invokes the optimizer once
-// with what-if indexes covering *all* interesting orders and the join
-// planner switched to subsumption pruning (§V-D): the top level of the
-// dynamic program then holds the optimal plan for every useful combination,
-// and all of them are exported to the cache. A second call with nested
-// loops disabled supplies the NLJ-free plans INUM tracks separately, hence
-// exactly two calls per query.
+// combination (648 for TPC-H Q5). PINUM instead invokes the optimizer with
+// what-if indexes covering *all* interesting orders and the join planner
+// switched to subsumption pruning (§V-D): the top level of the dynamic
+// program then holds the optimal plan for every useful combination, and all
+// of them are exported to the cache. The first call runs with nested loops
+// disabled and supplies the NLJ-free plans INUM tracks separately; the
+// second enables them under the paper's pruning — exactly two calls per
+// query.
 //
-// A build allocates little beyond the cache it returns: both calls, and
-// every query a batch worker builds, plan on one optimizer.Workspace
-// (Builder), which dies with the one-shot build or the batch. The planner
-// keeps plans as pointer-free records; a slim build reads each exported
-// plan's summary straight off them (Workspace.Export), and only a tree
-// build has Path trees built for it.
+// The two calls read nothing but the analysis and the all-orders
+// configuration, so a build whose batch leaves it two cores plans them at
+// once, each on a planner of its own (BuildAllWith's core budget), and
+// otherwise one after the other; either way the cache is the same, bit for
+// bit. A build allocates little beyond the cache it returns: every query a
+// batch worker builds plans on one optimizer.Workspace (Builder), which
+// dies with the one-shot build or the batch. The planner keeps plans as
+// pointer-free records in arenas that grow by blocks; a slim build reads
+// each exported plan's summary straight off them (Workspace.Export), and
+// only a tree build has Path trees built for it.
 package core
 
 import (
+	"runtime"
 	"time"
 
 	"github.com/pinumdb/pinum/internal/catalog"
@@ -29,10 +35,12 @@ import (
 )
 
 // Build fills an INUM-compatible plan cache with two optimizer calls (one
-// with and one without nested-loop joins), implementing §V-D with the
-// paper's default, coarse treatment of nested-loop plans.
+// without and one with nested-loop joins), implementing §V-D with the
+// paper's default, coarse treatment of nested-loop plans. Like BuildPrecise
+// and BuildSlim it is a batch of one on every core the process has: the two
+// calls plan at once when GOMAXPROCS is at least 2.
 func Build(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error) {
-	return Builder(false, false)(a, ws)
+	return oneShot(false, false)(a, ws)
 }
 
 // BuildPrecise fills the cache with the §V-D refinement enabled: nested-
@@ -40,7 +48,7 @@ func Build(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error) {
 // plan cache and slower cost lookup" for exact nested-loop costing. The
 // ablation benchmarks compare the two.
 func BuildPrecise(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error) {
-	return Builder(true, false)(a, ws)
+	return oneShot(true, false)(a, ws)
 }
 
 // BuildSlim fills a slim cache: the same two optimizer calls, but every
@@ -50,23 +58,41 @@ func BuildPrecise(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error
 // feed the executor. This is the construction the persistent snapshot store
 // and the serving layer use.
 func BuildSlim(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error) {
-	return Builder(false, true)(a, ws)
+	return oneShot(false, true)(a, ws)
+}
+
+// oneShot is the Builder of a batch of one whose core budget is GOMAXPROCS.
+func oneShot(precise, slim bool) BuildFunc {
+	return Builder(precise, slim, pairs(1, runtime.GOMAXPROCS(0)))
 }
 
 // Builder returns a BuildFunc for the given mode flags that plans every
 // query it is handed on one optimizer.Workspace of its own: call it once
 // per worker, as BuildAllWith does, and the worker's later queries reuse
-// the buffers its first ones grew. A slim Builder hands its caches the
-// workspace's export summaries; a tree Builder has the workspace build the
-// exported plans' trees, which its caches keep.
-func Builder(precise, slim bool) BuildFunc {
+// the buffers its first ones grew. A paired Builder plans each query's two
+// calls at once, on the caller and one helper goroutine, each on a planner
+// of the workspace; an unpaired one plans them one after the other on one
+// planner. BuildAllWith says which (pairs). A slim Builder hands its caches
+// the workspace's export summaries; a tree Builder has the workspace build
+// the exported plans' trees, which its caches keep.
+func Builder(precise, slim, paired bool) BuildFunc {
 	wk := optimizer.NewWorkspace()
+	var run optimizer.Runner
+	if paired {
+		run = pairCalls
+	}
 	return func(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error) {
-		return build(a, ws, wk, precise, slim)
+		return build(a, ws, wk, run, precise, slim)
 	}
 }
 
-func build(a *optimizer.Analysis, ws *whatif.Session, wk *optimizer.Workspace, precise, slim bool) (*inum.Cache, error) {
+// pairCalls is a paired build's optimizer.Runner: Fan on two goroutines, so
+// a panic in either call surfaces on the caller once both have stopped.
+func pairCalls(n int, call func(i int)) {
+	Fan(n, 2, func() func(int) { return call })
+}
+
+func build(a *optimizer.Analysis, ws *whatif.Session, wk *optimizer.Workspace, run optimizer.Runner, precise, slim bool) (*inum.Cache, error) {
 	start := time.Now()
 	var c *inum.Cache
 	if slim {
@@ -90,7 +116,7 @@ func build(a *optimizer.Analysis, ws *whatif.Session, wk *optimizer.Workspace, p
 		{EnableNestLoop: true, ExportAll: true, PreciseNLJ: precise, PaperPrune: !precise},
 	}
 	if slim {
-		st, err := wk.Export(a, cfg, opts[:], c.AddSummary)
+		st, err := wk.Export(a, cfg, opts[:], run, c.AddSummary)
 		if err != nil {
 			return nil, err
 		}
@@ -99,11 +125,11 @@ func build(a *optimizer.Analysis, ws *whatif.Session, wk *optimizer.Workspace, p
 		c.Stats.PlansSeen = st.PathsRetained
 		c.Seal()
 	} else {
-		for _, opt := range opts {
-			res, err := wk.Optimize(a, cfg, opt)
-			if err != nil {
-				return nil, err
-			}
+		results, err := wk.OptimizeEach(a, cfg, opts[:], run)
+		if err != nil {
+			return nil, err
+		}
+		for _, res := range results {
 			c.Stats.OptimizerCalls++
 			c.Stats.Planner.Add(res.Stats)
 			for _, p := range res.Exported {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -30,9 +31,9 @@ var designShapes = []struct {
 }
 
 // buildSlimShape returns a closure building the slim cache of one design
-// shape from a fresh analysis, the unit the benchmark's
-// core.build_slim_ms.* probes time.
-func buildSlimShape(tb testing.TB, spec workload.ShapeSpec) func() {
+// shape from a fresh analysis with build — BuildSlim is the unit the
+// benchmark's core.build_slim_ms.* probes time.
+func buildSlimShape(tb testing.TB, spec workload.ShapeSpec, build BuildFunc) func() {
 	tb.Helper()
 	cat, q, err := workload.ShapeQuery(spec)
 	if err != nil {
@@ -41,7 +42,7 @@ func buildSlimShape(tb testing.TB, spec workload.ShapeSpec) func() {
 	return func() {
 		a, err := optimizer.NewAnalysis(q, nil, optimizer.DefaultCostParams())
 		if err == nil {
-			_, err = BuildSlim(a, whatif.NewSession(cat))
+			_, err = build(a, whatif.NewSession(cat))
 		}
 		if err != nil {
 			tb.Fatal(err)
@@ -51,7 +52,7 @@ func buildSlimShape(tb testing.TB, spec workload.ShapeSpec) func() {
 
 func BenchmarkBuildSlimShapes(b *testing.B) {
 	for _, s := range designShapes {
-		build := buildSlimShape(b, s.spec)
+		build := buildSlimShape(b, s.spec, BuildSlim)
 		b.Run(s.label, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -77,35 +78,47 @@ func allocsPer(runs int, f func()) (objects, bytes float64) {
 }
 
 // TestBuildSlimAllocationBudget holds what a slim build allocates. One-shot
-// builds (a fresh workspace each, as BuildSlim makes): random6, where nine
-// join candidates in ten are dedup losses and the packed key lane keeps
-// every plan as a pointer-free record, and wide-orders, where the wide lane
-// dedups on the candidate's key bytes (one string per slot). Neither builds
-// a Path: the cache takes summaries read off the records. A one-shot build
-// cannot go below its larger call's record arena, key arena and slot
-// arrays, grown from empty by doubling — about 2 MB of random6's bytes; the
-// steady state is the star case: the 200 queries of the benchmark's
-// whatif-wide tenant on one worker, whose workspace is warm after the first
-// few, leaving the what-if configuration and the cache itself. A ceiling
-// crossed means some per-candidate or per-plan allocation is back.
+// builds (a fresh workspace each, as BuildSlim makes), serial and paired:
+// random6, where nine join candidates in ten are dedup losses and the packed
+// key lane keeps every plan as a pointer-free record, and wide-orders, where
+// the wide lane dedups on the candidate's key bytes (one string per slot).
+// Neither builds a Path: the cache takes summaries read off the records. A
+// serial one-shot build cannot go below its larger call's record arena, key
+// arena and slot arrays — the arenas grow by blocks, without the copies a
+// doubling slice leaves behind —, a paired one below both calls' at once,
+// each on its own planner. The steady state is the star case: the
+// 200 queries of the benchmark's whatif-wide tenant on one worker (a batch
+// too wide to pair), whose workspace is warm after the first few, leaving
+// the what-if configuration and the cache itself. A ceiling crossed means
+// some per-candidate or per-plan allocation is back.
 func TestBuildSlimAllocationBudget(t *testing.T) {
-	budgets := map[string]struct {
-		objects, bytes float64 // ceilings per build
-		was            [2]float64
-		before         [2]float64 // with a Path tree per kept plan, drawn from slabs, and the cache's Signature and Summarize per export
+	for _, b := range []struct {
+		label          string
+		paired         bool
+		objects, bytes float64    // ceilings per build
+		was            [2]float64 // when set
+		before         [2]float64 // serial, arenas grown by doubling and copying
 	}{
-		"random6":     {2500, 3 << 20, [2]float64{1807, 2.83e6}, [2]float64{4974, 6.45e6}},
-		"wide-orders": {4000, 1600 << 10, [2]float64{3057, 1.29e6}, [2]float64{3569, 1.46e6}},
-	}
-	for _, s := range designShapes {
-		b, ok := budgets[s.label]
-		if !ok {
-			continue
+		{"random6", false, 2200, 2460 << 10, [2]float64{1753, 2.04e6}, [2]float64{1807, 2.83e6}},
+		{"wide-orders", false, 3800, 1440 << 10, [2]float64{3057, 1.21e6}, [2]float64{3057, 1.29e6}},
+		{"random6", true, 2600, 3990 << 10, [2]float64{2032, 3.31e6}, [2]float64{1807, 2.83e6}},
+		{"wide-orders", true, 4500, 1640 << 10, [2]float64{3611, 1.34e6}, [2]float64{3057, 1.29e6}},
+	} {
+		var spec workload.ShapeSpec
+		for _, s := range designShapes {
+			if s.label == b.label {
+				spec = s.spec
+			}
 		}
-		objects, bytes := allocsPer(3, buildSlimShape(t, s.spec))
-		t.Logf("%s: %.0f objects, %.0f bytes per build (ceilings %.0f, %.0f; %.0f when set; %.0f before)", s.label, objects, bytes, b.objects, b.bytes, b.was, b.before)
+		label := fmt.Sprintf("%s paired=%v", b.label, b.paired)
+		// BuildSlim with its budget fixed: allocsPer runs at GOMAXPROCS 1.
+		oneShot := func(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error) {
+			return Builder(false, true, b.paired)(a, ws)
+		}
+		objects, bytes := allocsPer(3, buildSlimShape(t, spec, oneShot))
+		t.Logf("%s: %.0f objects, %.0f bytes per build (ceilings %.0f, %.0f; %.0f when set; %.0f before)", label, objects, bytes, b.objects, b.bytes, b.was, b.before)
 		if objects > b.objects || bytes > b.bytes {
-			t.Errorf("%s: %.0f objects, %.0f bytes per build; ceilings %.0f, %.0f", s.label, objects, bytes, b.objects, b.bytes)
+			t.Errorf("%s: %.0f objects, %.0f bytes per build; ceilings %.0f, %.0f", label, objects, bytes, b.objects, b.bytes)
 		}
 	}
 
@@ -118,9 +131,9 @@ func TestBuildSlimAllocationBudget(t *testing.T) {
 		}
 		sets = sets[1:]
 	})
-	t.Logf("star set, one worker: %.0f objects, %.0f bytes per query (ceilings 200, 24 KB; 151 and 18.1 KB when set; 291 and 41.6 KB before)", objects/n, bytes/n)
-	if objects/n > 200 || bytes/n > 24<<10 {
-		t.Errorf("star set: %.0f objects, %.0f bytes per query on a warm worker; ceilings 200 and 24 KB", objects/n, bytes/n)
+	t.Logf("star set, one worker: %.0f objects, %.0f bytes per query (ceilings 180, 20 KB; 138 and 15.7 KB when set; 151 and 18.1 KB before)", objects/n, bytes/n)
+	if objects/n > 180 || bytes/n > 20<<10 {
+		t.Errorf("star set: %.0f objects, %.0f bytes per query on a warm worker; ceilings 180 and 20 KB", objects/n, bytes/n)
 	}
 }
 

@@ -55,7 +55,7 @@ func shapeCase(t *testing.T, shape workload.Shape, rng *rand.Rand) propertyCase 
 		}
 		cache = inum.NewSlimCache(a)
 		opts := []optimizer.Options{{ExportAll: true}, {EnableNestLoop: true, ExportAll: true, PaperPrune: true}}
-		if _, err := optimizer.NewWorkspace().Export(a, head, opts, cache.AddSummary); err != nil {
+		if _, err := optimizer.NewWorkspace().Export(a, head, opts, nil, cache.AddSummary); err != nil {
 			t.Fatal(err)
 		}
 		cache.Seal()

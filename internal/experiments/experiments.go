@@ -338,7 +338,7 @@ func RunE3(env *Env, queries []*query.Query) (*E3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ins, err := core.BuildAllWith(analyses, env.Star.Catalog, 1, func() core.BuildFunc { return inum.Build })
+	ins, err := core.BuildAllWith(analyses, env.Star.Catalog, 1, func(bool) core.BuildFunc { return inum.Build })
 	if err != nil {
 		return nil, err
 	}
@@ -793,7 +793,7 @@ func RunE6(env *Env) (*E6Result, error) {
 		for _, p := range fast.Exported {
 			tree.AddPath(p)
 		}
-		if _, err := optimizer.NewWorkspace().Export(a, cfg, []optimizer.Options{opt}, slim.AddSummary); err != nil {
+		if _, err := optimizer.NewWorkspace().Export(a, cfg, []optimizer.Options{opt}, nil, slim.AddSummary); err != nil {
 			return nil, fmt.Errorf("E6 %s: %w", q.Name, err)
 		}
 

@@ -152,7 +152,7 @@ func buildSlimAsCore(t *testing.T, a *optimizer.Analysis, ws *whatif.Session) *C
 	}
 	c := NewSlimCache(a)
 	opts := []optimizer.Options{{ExportAll: true}, {EnableNestLoop: true, ExportAll: true, PaperPrune: true}}
-	if _, err := optimizer.NewWorkspace().Export(a, cfg, opts, c.AddSummary); err != nil {
+	if _, err := optimizer.NewWorkspace().Export(a, cfg, opts, nil, c.AddSummary); err != nil {
 		t.Fatal(err)
 	}
 	c.Seal()

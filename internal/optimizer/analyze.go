@@ -3,7 +3,9 @@ package optimizer
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
+	"sync"
 
 	"github.com/pinumdb/pinum/internal/catalog"
 	"github.com/pinumdb/pinum/internal/query"
@@ -74,6 +76,11 @@ func indexOfOrdinal(list []colValue, ord int) int {
 // Analysis bundles everything cost evaluation needs about a query. It is
 // shared by the optimizer proper and by the INUM/PINUM cost model, which is
 // what guarantees the two cost identical plans identically.
+//
+// An Analysis is read-only once NewAnalysis returns — the one state it
+// builds later, the join enumeration, is built once under a sync.Once — so
+// any number of planners, on any goroutines, may plan one analysis at once,
+// as a build's paired calls do, and pricing may read it meanwhile.
 type Analysis struct {
 	Q      *query.Query
 	Stats  *stats.Store
@@ -83,8 +90,6 @@ type Analysis struct {
 	// JoinSel caches the selectivity of each join clause, index-aligned
 	// with Q.Joins.
 	JoinSel []float64
-
-	rowsCache map[RelSet]float64
 
 	// Interesting-order interning, built once per analysis: the fast
 	// planner identifies leaf requirements and pathkeys through these
@@ -101,19 +106,36 @@ type Analysis struct {
 	ordTotal int
 	packed   bool
 
-	// Lazily-built connectivity-aware enumeration state, shared by every
-	// Optimize call on this analysis: the join graph — and with it
-	// connectivity, the csg-cmp pair list and the overflow verdict —
-	// depends only on the query's join clauses, never on the
-	// configuration or options, so planFast computes it once and reuses
-	// it across the repeated calls cache construction and the experiments
-	// make. Like rowsCache, this makes an Analysis single-threaded with
-	// respect to concurrent Optimize calls (callers already build one
-	// analysis per worker).
-	ccpOnce      bool
-	ccpConnected bool
-	ccpPairs     []csgCmpPair
-	ccpFits      bool
+	// The connectivity-aware enumeration state (joinEnum), built by the
+	// first planner call that needs it and shared by every later one.
+	enumOnce sync.Once
+	enum     joinEnum
+}
+
+// joinEnum is a query's join enumeration: whether its join graph is
+// connected and, if so, the csg-cmp pairs in DP order, or fits false when
+// they overflowed enumPairCap. It depends only on the query's join clauses,
+// never on the configuration or options, so it is built once per analysis
+// and reused across the repeated calls cache construction and the
+// experiments make.
+type joinEnum struct {
+	connected bool
+	pairs     []csgCmpPair
+	fits      bool
+}
+
+// joinEnum returns the analysis's join enumeration, building it on first
+// use. The connectivity check is the query package's shared reachability
+// test, so a cross-product query fails before any join enumeration instead
+// of at the full mask.
+func (a *Analysis) joinEnum() *joinEnum {
+	a.enumOnce.Do(func() {
+		e := &a.enum
+		if e.connected = a.Q.JoinGraphConnected(); e.connected {
+			e.pairs, e.fits = newJoinGraph(a).csgCmpPairs(enumPairCap)
+		}
+	})
+	return &a.enum
 }
 
 // orderGID returns the dense global id (≥1) of an interned interesting-
@@ -148,10 +170,9 @@ func NewAnalysis(q *query.Query, st *stats.Store, params CostParams) (*Analysis,
 		return nil, fmt.Errorf("optimizer: query %s joins %d relations; a plan names at most %d", q.Name, len(q.Rels), MaxRels)
 	}
 	a := &Analysis{
-		Q:         q,
-		Stats:     st,
-		Coster:    Coster{P: params},
-		rowsCache: make(map[RelSet]float64),
+		Q:      q,
+		Stats:  st,
+		Coster: Coster{P: params},
 	}
 	needed := q.ColumnsNeeded()
 	ios := q.InterestingOrders()
@@ -305,16 +326,13 @@ func (a *Analysis) joinSelectivity(j query.Join) float64 {
 }
 
 // JoinRows estimates the cardinality of the join of the relations in set s:
-// the product of filtered base cardinalities times the selectivity of every
-// join clause internal to s. The estimate is order-independent, so it is
-// cached per set.
+// the product of filtered base cardinalities, in relation order, times the
+// selectivity of every join clause internal to s, in clause order. The
+// planner asks once per join relation and keeps the answer in its DP table.
 func (a *Analysis) JoinRows(s RelSet) float64 {
-	if r, ok := a.rowsCache[s]; ok {
-		return r
-	}
 	rows := 1.0
-	for _, i := range s.Members() {
-		rows *= a.Rels[i].Rows
+	for v := uint64(s); v != 0; v &= v - 1 {
+		rows *= a.Rels[bits.TrailingZeros64(v)].Rows
 	}
 	for k, j := range a.Q.Joins {
 		if s.Has(j.Left.Rel) && s.Has(j.Right.Rel) {
@@ -324,7 +342,6 @@ func (a *Analysis) JoinRows(s RelSet) float64 {
 	if rows < 1 {
 		rows = 1
 	}
-	a.rowsCache[s] = rows
 	return rows
 }
 

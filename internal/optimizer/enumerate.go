@@ -2,7 +2,7 @@
 // of DPccp (Moerkotte & Neumann, VLDB 2006): instead of sweeping every
 // relation subset and every submask split — discovering disconnected
 // subproblems only through empty DP slots — the planner builds the query's
-// join graph once per call from the prepared clause bitsets and emits only
+// join graph once per analysis from its join clauses and emits only
 // csg-cmp pairs: (connected subgraph, connected complement) pairs with at
 // least one join clause crossing them. Chain and snowflake queries thus
 // enumerate O(#connected pairs) states instead of O(3^n) splits.
@@ -20,20 +20,17 @@ import (
 	"sort"
 )
 
-// joinGraph is the query's join graph as one neighbor bitset per relation,
-// derived from the plan context's prepared clause table.
+// joinGraph is the query's join graph as one neighbor bitset per relation.
 type joinGraph struct {
 	n   int
 	adj []RelSet
 }
 
-func newJoinGraph(n int, clauses []clauseInfo) *joinGraph {
-	g := &joinGraph{n: n, adj: make([]RelSet, n)}
-	for i := range clauses {
-		left := clauses[i].leftBit
-		right := clauses[i].pair &^ left
-		g.adj[bits.TrailingZeros64(uint64(left))] |= right
-		g.adj[bits.TrailingZeros64(uint64(right))] |= left
+func newJoinGraph(a *Analysis) *joinGraph {
+	g := &joinGraph{n: len(a.Rels), adj: make([]RelSet, len(a.Rels))}
+	for _, j := range a.Q.Joins {
+		g.adj[j.Left.Rel] |= Single(j.Right.Rel)
+		g.adj[j.Right.Rel] |= Single(j.Left.Rel)
 	}
 	return g
 }

@@ -72,14 +72,14 @@ func ExportWithTrees(w *Workspace, a *Analysis, cfg *query.Config, opts []Option
 }
 
 func exportWithTrees(w *Workspace, a *Analysis, cfg *query.Config, opt Options, emit func(*Summary), tree func(*Path)) error {
-	p := &w.p
+	p := w.planners(1)[0]
 	p.reset(a, cfg, opt)
 	defer p.release()
 	final, err := p.plan()
 	if err != nil {
 		return err
 	}
-	w.summaries(final, emit)
+	w.summaries(p, final, emit)
 	p.startTrees()
 	for r := final.lo; r < final.hi; r++ {
 		tree(p.tree(r))
@@ -92,17 +92,17 @@ func exportWithTrees(w *Workspace, a *Analysis, cfg *query.Config, opt Options, 
 // every relation's and the grouping planner's
 // (TestIdentityMatchesSignature).
 func EachRecordIdentity(w *Workspace, a *Analysis, cfg *query.Config, opt Options, visit func(id int32, pt *Path)) error {
-	p := &w.p
+	p := w.planners(1)[0]
 	p.reset(a, cfg, opt)
 	defer p.release()
 	if _, err := p.plan(); err != nil {
 		return err
 	}
 	clear(w.ids)
-	w.memo = fit(w.memo, len(p.recs))
+	w.on, w.memo = p, fit(w.memo, int(p.recs.n))
 	p.startTrees()
-	for r := range p.recs {
-		visit(w.identity(int32(r)), p.tree(int32(r)))
+	for r := int32(0); r < p.recs.n; r++ {
+		visit(w.identity(r), p.tree(r))
 	}
 	return nil
 }

@@ -441,25 +441,26 @@ func (p *planner) candLeaf(rel int, mode AccessMode, id uint16, coef float64) {
 // candOf starts the scratch key of the candidates joining op and ip without
 // building anything: the children's packed leaf combos, parked in the key
 // arena when their relations drained, OR together (their relation sets are
-// disjoint) and their carried hashes add. ip is nil for an indexed nested
-// loop, whose probe leaf candLeaf adds.
+// disjoint) and their carried hashes add. ok is op's arena key, which the
+// caller looks up once for all of op's candidates; ip is nil for an indexed
+// nested loop, whose probe leaf candLeaf adds.
 //
 //pinum:hotpath
-func (p *planner) candOf(op, ip *planRec) {
-	cd, ok := &p.cand, &p.keyArena[op.key-1]
+func (p *planner) candOf(op *planRec, ok *hashedKey, ip *planRec) {
+	cd := &p.cand
 	cd.key.leaves, cd.lh = ok.leaves, ok.h
 	if p.opt.PreciseNLJ {
-		cd.coefs = p.arenaCoefs[op.key-1]
+		cd.coefs = *p.arenaCoefs.at(op.key - 1)
 	}
 	if ip == nil {
 		return
 	}
-	ik := &p.keyArena[ip.key-1]
+	ik := p.keyArena.at(ip.key - 1)
 	cd.key.leaves[0] |= ik.leaves[0]
 	cd.key.leaves[1] |= ik.leaves[1]
 	cd.lh += ik.h
 	if p.opt.PreciseNLJ {
-		for w, v := range &p.arenaCoefs[ip.key-1] {
+		for w, v := range p.arenaCoefs.at(ip.key - 1) {
 			cd.coefs[w] |= v
 		}
 	}
@@ -472,7 +473,7 @@ func (p *planner) candOf(op, ip *planRec) {
 //pinum:hotpath
 func (p *planner) candKey(c *planRec) {
 	if c.key > 0 {
-		p.candOf(c, nil)
+		p.candOf(c, p.keyArena.at(c.key-1), nil)
 	} else {
 		p.cand.key.leaves, p.cand.lh, p.cand.coefs = [2]uint64{}, 0, coefLanes{}
 		if c.order > 0 {
@@ -591,22 +592,11 @@ func (p *planner) planFast() (joinRel, error) {
 		return rels.get(Single(0)), nil
 	}
 
-	a := p.a
-	if !a.ccpOnce {
-		a.ccpOnce = true
-		// Connectivity is checked up front (the query package's shared
-		// reachability test), so a cross-product query fails before any
-		// join enumeration instead of at the full mask.
-		a.ccpConnected = a.Q.JoinGraphConnected()
-		if a.ccpConnected {
-			g := newJoinGraph(n, p.ctx.clauses)
-			a.ccpPairs, a.ccpFits = g.csgCmpPairs(enumPairCap)
-		}
-	}
-	if !a.ccpConnected {
+	a, e := p.a, p.a.joinEnum()
+	if !e.connected {
 		return joinRel{}, fmt.Errorf("optimizer: join graph of query %s is disconnected", p.a.Q.Name)
 	}
-	if !a.ccpFits {
+	if !e.fits {
 		if n > 16 {
 			// Past 16 relations the in-place sweep's 3^n splits are out of
 			// reach; only the connectivity-aware enumeration is feasible,
@@ -618,7 +608,7 @@ func (p *planner) planFast() (joinRel, error) {
 		// (same order, same results, no pair materialisation).
 		return p.planFastDense(rels.dense, planned)
 	}
-	pairs := a.ccpPairs
+	pairs := e.pairs
 	p.stats.EnumStates += len(pairs)
 
 	// Pairs arrive grouped by union mask, ascending, so both halves of

@@ -114,12 +114,11 @@ func (p *planner) frontierAdd(m float64, ord int32) (int32, bool) {
 	if s < 0 {
 		// New key: a dead slot with no witness, screened below.
 		s = p.newSlot()
-		reserve(&p.cands, 1)
 		reserve(&p.live, 1)
 		reserve(&p.slotOrd, 1)
 		reserve(&p.slotMetric, 1)
 		reserve(&p.slotWitness, 1)
-		p.cands = append(p.cands, planRec{})
+		p.cands.push(planRec{})
 		p.live = append(p.live, false)
 		p.slotOrd = append(p.slotOrd, p.ctx.orderID(p.cand.key.order, p.orderOf(ord)))
 		p.slotMetric = append(p.slotMetric, m)
@@ -333,12 +332,13 @@ func (p *planner) bucketRemove(s int32) {
 //
 //pinum:hotpath
 func (p *planner) finishRel(set RelSet, rows float64) joinRel {
-	jr := joinRel{set: set, rows: rows, lo: int32(len(p.recs))}
+	jr := joinRel{set: set, rows: rows, lo: p.recs.n}
 	if !p.opt.ExportAll {
-		reserve(&p.recs, len(p.cands))
-		p.recs = append(p.recs, p.cands...)
-		p.cands = p.cands[:0]
-		jr.hi = int32(len(p.recs))
+		for i := int32(0); i < p.cands.n; i++ {
+			p.recs.push(*p.cands.at(i))
+		}
+		p.cands.n = 0
+		jr.hi = p.recs.n
 		return jr
 	}
 	jr.hi = jr.lo
@@ -354,41 +354,31 @@ func (p *planner) finishRel(set RelSet, rows float64) joinRel {
 		idx = append(idx, int32(s))
 	}
 	sortSlotsByMetric(idx, p.slotMetric)
-	reserve(&p.recs, len(idx))
-	if p.ctx.packed {
-		reserve(&p.keyArena, len(idx))
-		if p.opt.PreciseNLJ {
-			reserve(&p.arenaCoefs, len(idx))
-		}
-	}
-	n := len(p.a.Rels)
+	n := int32(len(p.a.Rels))
 	for _, s := range idx {
-		c := &p.cands[s]
+		c := p.cands.at(s)
 		switch {
 		case p.ctx.packed:
 			ak := hashedKey{p.slots.keys[s].planKey, leafHash(&p.slots.keys[s].leaves)}
 			if p.opt.PreciseNLJ {
 				ak.h += coefHash(&p.slots.coefs[s])
-				p.arenaCoefs = append(p.arenaCoefs, p.slots.coefs[s])
+				p.arenaCoefs.push(p.slots.coefs[s])
 			}
-			p.keyArena = append(p.keyArena, ak)
-			c.key = int32(len(p.keyArena))
+			c.key = p.keyArena.push(ak) + 1
 		case c.key == 0:
-			at := len(p.leafArena)
-			reserve(&p.leafArena, n)
-			p.leafArena = p.leafArena[:at+n]
-			p.leavesInto(c, p.leafArena[at:])
-			c.key = int32(at/n + 1)
+			row, at := p.leafArena.grow(n)
+			p.leavesInto(c, row)
+			c.key = at + 1
 		}
-		p.recs = append(p.recs, *c)
+		p.recs.push(*c)
 	}
-	jr.hi = int32(len(p.recs))
+	jr.hi = p.recs.n
 	p.idxBuf = idx
 
 	p.slots.reset()
 	clear(p.wideKeys)
 	p.wideLeaves = p.wideLeaves[:0]
-	p.cands, p.live = p.cands[:0], p.live[:0]
+	p.cands.n, p.live = 0, p.live[:0]
 	p.slotMetric = p.slotMetric[:0]
 	p.slotOrd = p.slotOrd[:0]
 	p.slotWitness = p.slotWitness[:0]

@@ -146,26 +146,31 @@ func (p *planner) optimize(a *Analysis, cfg *query.Config, opt Options) (*Result
 	if err != nil {
 		return nil, err
 	}
+	return p.result(final), nil
+}
+
+// result is the Result of the call that planned final.
+func (p *planner) result(final joinRel) *Result {
 	res := &Result{}
 	p.startTrees()
 	best := final.lo
 	for r := final.lo + 1; r < final.hi; r++ {
-		if p.recs[r].cost < p.recs[best].cost {
+		if p.recs.at(r).cost < p.recs.at(best).cost {
 			best = r
 		}
 	}
 	res.Best = p.tree(best)
-	if opt.ExportAll {
+	if p.opt.ExportAll {
 		res.Exported = make([]*Path, 0, final.hi-final.lo)
 		for r := final.lo; r < final.hi; r++ {
 			res.Exported = append(res.Exported, p.tree(r))
 		}
 	}
-	if opt.CollectAccessCosts {
+	if p.opt.CollectAccessCosts {
 		res.AccessCosts = p.collectAccessCosts()
 	}
 	res.Stats = p.stats
-	return res, nil
+	return res
 }
 
 // plan runs the join DP and the grouping planner and returns the relation
@@ -201,7 +206,7 @@ type planner struct {
 	// Path built from each record when a caller asks for trees (path.go),
 	// whose one-column orders are slices of treeCols, the call's own copy
 	// of ctx.cols: trees outlive the call, the workspace's buffers do not.
-	recs     []planRec
+	recs     arena[planRec]
 	trees    []*Path
 	treeCols []query.ColRef
 
@@ -221,12 +226,12 @@ type planner struct {
 	// are merged. keyBuf holds the key bytes.
 	slots      keyTable
 	cand       candScratch
-	keyArena   []hashedKey
-	arenaCoefs []coefLanes
+	keyArena   arena[hashedKey]
+	arenaCoefs arena[coefLanes]
 	wideKeys   map[string]int32
 	wideLeaves []LeafReq
 	wideSet    RelSet
-	leafArena  []LeafReq
+	leafArena  arena[LeafReq]
 	keyBuf     []byte
 	leafBuf    []LeafReq
 
@@ -245,7 +250,7 @@ type planner struct {
 	// the frontier screen. buckets holds the live slots of each output order
 	// in (metric, slot) order; idxBuf is the collection scratch in
 	// finishRel.
-	cands       []planRec
+	cands       arena[planRec]
 	live        []bool
 	slotMetric  []float64
 	slotOrd     []int32
@@ -274,8 +279,9 @@ type planRec struct {
 	// query's ORDER BY or GROUP BY list.
 	order int32
 	// key names the record's plan key in ExportAll mode, 1-based: its
-	// keyArena entry (packed lane) or its leafArena row (wide lane). A sort
-	// or aggregation starts with its input's, whose leaves it shares.
+	// keyArena entry (packed lane) or the first entry of its leafArena row
+	// (wide lane). A sort or aggregation starts with its input's, whose
+	// leaves it shares.
 	key int32
 	// aux is a scan's index — its position in ctx.perRel, -1 for a
 	// sequential scan — or an indexed nested loop's probe column, a global
@@ -430,26 +436,28 @@ func (p *planner) admit(set RelSet, c *planRec) {
 			p.wideProbe(set, p.leavesOf(c), p.orderOf(c.order))
 		}
 		if slot, ok := p.frontierAdd(p.metric(c.cost, c.internal), c.order); ok {
-			p.cands[slot], p.live[slot] = *c, true
+			*p.cands.at(slot), p.live[slot] = *c, true
 		}
 		return
 	}
 	const fuzz = 1e-9
-	for i := range p.cands {
-		if old := &p.cands[i]; p.orderSat(old.order, c.order) && old.cost <= c.cost*(1+fuzz) {
+	for i := int32(0); i < p.cands.n; i++ {
+		if old := p.cands.at(i); p.orderSat(old.order, c.order) && old.cost <= c.cost*(1+fuzz) {
 			p.stats.PathsPruned++
 			return
 		}
 	}
-	keep := p.cands[:0]
-	for i := range p.cands {
-		if old := &p.cands[i]; p.orderSat(c.order, old.order) && c.cost <= old.cost*(1+fuzz) {
+	kept := int32(0)
+	for i := int32(0); i < p.cands.n; i++ {
+		if old := p.cands.at(i); p.orderSat(c.order, old.order) && c.cost <= old.cost*(1+fuzz) {
 			p.stats.PathsPruned++
 			continue
 		}
-		keep = append(keep, p.cands[i])
+		*p.cands.at(kept) = *p.cands.at(i)
+		kept++
 	}
-	p.cands = append(keep, *c)
+	p.cands.n = kept
+	p.cands.push(*c)
 }
 
 // leavesOf returns a wide-lane candidate's leaf requirements: the row its
@@ -468,8 +476,7 @@ func (p *planner) leavesOf(c *planRec) []LeafReq {
 //
 //pinum:hotpath
 func (p *planner) row(k int32) []LeafReq {
-	n := int32(len(p.a.Rels))
-	return p.leafArena[(k-1)*n : k*n : k*n]
+	return p.leafArena.span(k-1, int32(len(p.a.Rels)))
 }
 
 // leavesInto writes a scan's or a join's leaf requirements, one per query
@@ -489,14 +496,14 @@ func (p *planner) leavesInto(c *planRec, dst []LeafReq) {
 		}
 		return
 	}
-	outer := &p.recs[c.outer]
+	outer := p.recs.at(c.outer)
 	copy(dst, p.row(outer.key))
 	if c.op == OpNestLoop {
 		col := p.ctx.cols[c.aux]
 		dst[col.Rel] = LeafReq{Mode: AccessLookup, Col: col.Column, Coef: outer.rows}
 		return
 	}
-	inner := &p.recs[c.inner]
+	inner := p.recs.at(c.inner)
 	ir := p.row(inner.key)
 	for rel := range dst {
 		if inner.rels.Has(rel) {
@@ -573,7 +580,7 @@ func (p *planner) joinPaths(jr, outer, inner *joinRel, clauses []clauseRef) {
 	outerSort, innerSort := c.SortCost(oRows), c.SortCost(iRows)
 	cheapestInner := int32(-1)
 	for i := inner.lo; i < inner.hi; i++ {
-		if cheapestInner < 0 || p.recs[i].cost < p.recs[cheapestInner].cost {
+		if cheapestInner < 0 || p.recs.at(i).cost < p.recs.at(cheapestInner).cost {
 			cheapestInner = i
 		}
 	}
@@ -593,18 +600,22 @@ func (p *planner) joinPaths(jr, outer, inner *joinRel, clauses []clauseRef) {
 	}
 
 	for o := outer.lo; o < outer.hi; o++ {
-		op := &p.recs[o]
+		op := p.recs.at(o)
 		// The outer's order trimmed to what can still matter above set, which
 		// every nested-loop candidate below inherits.
 		var opOrd int32
 		if p.opt.EnableNestLoop {
 			opOrd = p.useful(set, op.order)
 		}
+		var ok *hashedKey
+		if exportFast {
+			ok = p.keyArena.at(op.key - 1)
+		}
 
 		for i := inner.lo; i < inner.hi; i++ {
-			ip := &p.recs[i]
+			ip := p.recs.at(i)
 			if exportFast {
-				p.candOf(op, ip)
+				p.candOf(op, ok, ip)
 			}
 			// Hash join: order-insensitive, destroys ordering.
 			cost, internal := op.cost+ip.cost+hc, op.internal+ip.internal+hc
@@ -663,7 +674,7 @@ func (p *planner) joinPaths(jr, outer, inner *joinRel, clauses []clauseRef) {
 				coef := oRows
 				cost, internal := op.cost+coef*m.cost+nc, op.internal+nc
 				if exportFast {
-					p.candOf(op, nil)
+					p.candOf(op, ok, nil)
 					p.candLeaf(nljRel, AccessLookup, m.id, coef)
 					if p.screen(opOrd, cost, internal) {
 						continue
@@ -681,10 +692,10 @@ func (p *planner) joinPaths(jr, outer, inner *joinRel, clauses []clauseRef) {
 		// row. Only the cheapest inner is considered (the rescan cost
 		// depends only on the inner's cardinality).
 		if i := cheapestInner; i >= 0 {
-			ip := &p.recs[i]
+			ip := p.recs.at(i)
 			cost, internal := op.cost+ip.cost+ncMat, op.internal+ip.internal+ncMat
 			if exportFast {
-				p.candOf(op, ip)
+				p.candOf(op, ok, ip)
 				if p.screen(opOrd, cost, internal) {
 					continue
 				}
@@ -766,7 +777,7 @@ func (p *planner) finalize(top joinRel) joinRel {
 	// The group count depends on the row count, which top plans share.
 	groups, groupRows := 0.0, -1.0
 	for r := top.lo; r < top.hi; r++ {
-		in := p.recs[r]
+		in := *p.recs.at(r)
 		if len(q.GroupBy) == 0 {
 			p.finish(set, in)
 			continue
@@ -787,7 +798,7 @@ func (p *planner) finalize(top joinRel) joinRel {
 		ir := r
 		if !orderCoversGroup(p.orderOf(in.order), q.GroupBy) {
 			ir = p.keep(p.sortRec(r, ordGroupBy))
-			in = p.recs[ir]
+			in = *p.recs.at(ir)
 		}
 		gc := c.SortedAggCost(in.rows, groups, len(q.GroupBy))
 		p.finish(set, planRec{
@@ -812,7 +823,7 @@ func (p *planner) finish(set RelSet, c planRec) {
 
 // sortRec is the sort that enforces order ord on record r.
 func (p *planner) sortRec(r, ord int32) planRec {
-	in := &p.recs[r]
+	in := p.recs.at(r)
 	sc := p.a.Coster.SortCost(in.rows)
 	return planRec{
 		op: OpSort, rels: in.rels, rows: in.rows,
@@ -824,9 +835,7 @@ func (p *planner) sortRec(r, ord int32) planRec {
 // keep appends a record outside any relation's range — an input the
 // grouping planner sorts or aggregates — and returns it.
 func (p *planner) keep(c planRec) int32 {
-	reserve(&p.recs, 1)
-	p.recs = append(p.recs, c)
-	return int32(len(p.recs) - 1)
+	return p.recs.push(c)
 }
 
 // collectAccessCosts implements the §V-C hook: report the access cost of

@@ -232,8 +232,8 @@ func TestAccessCostAgreesWithScanPaths(t *testing.T) {
 	for rel := range a.Rels {
 		jr := p.scanPaths(rel)
 		var cheapest float64 = math.Inf(1)
-		for _, rec := range p.recs[jr.lo:jr.hi] {
-			if rec.cost < cheapest {
+		for r := jr.lo; r < jr.hi; r++ {
+			if rec := p.recs.at(r); rec.cost < cheapest {
 				cheapest = rec.cost
 			}
 		}

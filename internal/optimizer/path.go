@@ -177,7 +177,7 @@ func (p *planner) tree(r int32) *Path {
 	if t := p.trees[r]; t != nil {
 		return t
 	}
-	c := &p.recs[r]
+	c := p.recs.at(r)
 	order := p.orderOf(c.order)
 	if c.order > 0 {
 		order = p.treeCols[c.order : c.order+1 : c.order+1]
@@ -215,7 +215,7 @@ func (p *planner) tree(r int32) *Path {
 		}
 		if c.op == OpNestLoop {
 			m, col := &p.ctx.lookups[c.aux], p.treeCols[c.aux]
-			probe := LeafReq{Mode: AccessLookup, Col: col.Column, Coef: p.recs[c.outer].rows}
+			probe := LeafReq{Mode: AccessLookup, Col: col.Column, Coef: p.recs.at(c.outer).rows}
 			t.Inner = &Path{
 				Op: OpIndexScan, Rels: Single(col.Rel), Rows: m.rows, Cost: m.cost,
 				BaseRel: col.Rel, Index: m.ix, Leaves: newLeaves(n),
@@ -239,7 +239,7 @@ func (p *planner) tree(r int32) *Path {
 
 // startTrees readies the call for tree building.
 func (p *planner) startTrees() {
-	p.trees = fit(p.trees, len(p.recs))
+	p.trees = fit(p.trees, int(p.recs.n))
 	p.treeCols = slices.Clone(p.ctx.cols)
 }
 
@@ -249,7 +249,7 @@ func (p *planner) startTrees() {
 func (p *planner) clauseSides(c *planRec) (outer, inner int32) {
 	j := &p.a.Q.Joins[c.clause]
 	l, r := int32(p.a.orderGID(j.Left)), int32(p.a.orderGID(j.Right))
-	if p.recs[c.outer].rels.Has(j.Left.Rel) {
+	if p.recs.at(c.outer).rels.Has(j.Left.Rel) {
 		return l, r
 	}
 	return r, l

@@ -50,36 +50,36 @@ func TestIdentityTellsVariantsApart(t *testing.T) {
 	cfg := debugAllOrdersConfig(t, a)
 	w := NewWorkspace()
 	for _, opt := range []Options{{ExportAll: true}, {EnableNestLoop: true, ExportAll: true, PaperPrune: true}} {
-		p := &w.p
+		p := w.planners(1)[0]
 		p.reset(a, cfg, opt)
 		if _, err := p.plan(); err != nil {
 			t.Fatal(err)
 		}
-		for r, n := 0, len(p.recs); r < n; r++ {
-			c := p.recs[r]
+		for r, n := int32(0), p.recs.n; r < n; r++ {
+			c := *p.recs.at(r)
 			switch {
 			case c.op == OpSort:
 				for _, ord := range []int32{ordOrderBy, ordGroupBy, 1, 2} {
 					v := c
 					v.order = ord
-					p.recs = append(p.recs, v)
+					p.recs.push(v)
 				}
 			case c.inner >= 0 && !isScan(c.op):
 				for _, op := range []Op{OpHashJoin, OpMergeJoin, OpNestLoopMat} {
 					for sorts := uint8(0); sorts <= sortOuter|sortInner; sorts++ {
 						v := c
 						v.op, v.sorts = op, sorts
-						p.recs = append(p.recs, v)
+						p.recs.push(v)
 					}
 				}
 			}
 		}
 		clear(w.ids)
-		w.memo = fit(w.memo, len(p.recs))
+		w.on, w.memo = p, fit(w.memo, int(p.recs.n))
 		p.startTrees()
 		bySig, byID := map[string]int32{}, map[int32]string{}
-		for r := range p.recs {
-			id, sig := w.identity(int32(r)), p.tree(int32(r)).Signature()
+		for r := int32(0); r < p.recs.n; r++ {
+			id, sig := w.identity(r), p.tree(r).Signature()
 			if other, ok := bySig[sig]; ok && other != id {
 				t.Fatalf("opt=%+v: %s has identities %d and %d", opt, sig, other, id)
 			}
@@ -88,7 +88,7 @@ func TestIdentityTellsVariantsApart(t *testing.T) {
 			}
 			bySig[sig], byID[id] = id, sig
 		}
-		t.Logf("opt=%+v: %d records, %d distinct plans", opt, len(p.recs), len(bySig))
+		t.Logf("opt=%+v: %d records, %d distinct plans", opt, p.recs.n, len(bySig))
 		p.release()
 	}
 }

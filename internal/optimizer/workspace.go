@@ -7,13 +7,16 @@ import (
 	"github.com/pinumdb/pinum/internal/query"
 )
 
-// A Workspace owns what one planner call after another can share: the
-// planner's record arena and scratch (the frontier's slot arrays and
-// buckets, the key table and arenas, the DP table, the plan context), grown
-// by a worker's first queries and reused by the rest. It is not safe for
-// concurrent use: give each worker its own. Every call starts by resetting
-// it — the last may have planned another query, lane or option set, or
-// failed midway — and ends by dropping its analysis and configuration.
+// A Workspace owns what the planner calls of one build, and one build after
+// another, can share: a planner per call of a build, each with its record
+// arena and scratch (the frontier's slot arrays and buckets, the key table
+// and arenas, the DP table, the plan context), grown by a worker's first
+// queries and reused by the rest. A build's calls may plan at once, each on
+// a planner of its own (Runner); beyond that a Workspace is not safe for
+// concurrent use: give each build worker its own. Every call starts by
+// resetting its planner — the last may have planned another query, lane or
+// option set, or failed or panicked midway — and ends by dropping its
+// analysis and configuration.
 //
 // The planner keeps plans as records, not trees. Optimize builds Path trees
 // from them for its Result (on the heap: a tree build's cache keeps them),
@@ -21,17 +24,31 @@ import (
 // each exported plan's summary straight off the records, which is all a
 // slim cache keeps.
 type Workspace struct {
-	p planner
+	// ps[i] plans call i of a paired build; ps[0] every call of a serial
+	// one. finals and errs are each paired call's outcome.
+	ps     []*planner
+	finals []joinRel
+	errs   []error
 
 	// Export's state: the structural identities interned by the calls of
-	// one Export (ids; seen marks the exported ones), the identity of each
-	// record of the current call (memo, 0 until computed), and the summary
-	// handed to emit.
+	// one Export (ids; seen marks the exported ones), the planner whose
+	// records are being summarised (on) and the identity of each of them
+	// (memo, 0 until computed), and the summary handed to emit.
 	ids  map[sigNode]int32
 	seen []bool
+	on   *planner
 	memo []int32
 	sum  Summary
 }
+
+// A Runner runs call(i) for every i in [0, n) and returns once every call
+// has returned; a panic in a call must reach the Runner's caller, and only
+// after every call has stopped. It may run the calls at once: Export and
+// OptimizeEach hand it calls that each plan on a planner of their own and
+// share only the analysis and the configuration, which planning reads and
+// never writes. The package starts no goroutine itself; core pairs a
+// build's two calls through its Fan.
+type Runner func(n int, call func(i int))
 
 // NewWorkspace returns an empty workspace.
 func NewWorkspace() *Workspace {
@@ -40,7 +57,37 @@ func NewWorkspace() *Workspace {
 
 // Optimize is the package's Optimize on this workspace's buffers.
 func (w *Workspace) Optimize(a *Analysis, cfg *query.Config, opt Options) (*Result, error) {
-	return w.p.optimize(a, cfg, opt)
+	return w.planners(1)[0].optimize(a, cfg, opt)
+}
+
+// OptimizeEach is Optimize once per option set: results[i] is call i's, and
+// the first error in call order fails it. A nil run plans the calls one
+// after another on one planner; otherwise run plans call i on planner i,
+// and the Results' trees are built once every call has planned.
+func (w *Workspace) OptimizeEach(a *Analysis, cfg *query.Config, opts []Options, run Runner) ([]*Result, error) {
+	res := make([]*Result, len(opts))
+	if run == nil {
+		for i, opt := range opts {
+			var err error
+			if res[i], err = w.Optimize(a, cfg, opt); err != nil {
+				return nil, err
+			}
+		}
+		return res, nil
+	}
+	ps := w.planners(len(opts))
+	defer w.release(ps)
+	for i, opt := range opts {
+		ps[i].reset(a, cfg, opt)
+	}
+	w.planEach(ps, run)
+	for i, p := range ps {
+		if err := w.errs[i]; err != nil {
+			return nil, err
+		}
+		res[i] = p.result(w.finals[i])
+	}
+	return res, nil
 }
 
 // Summary is one exported plan in the form a slim plan cache stores it
@@ -55,27 +102,49 @@ type Summary struct {
 	NLJ      bool
 }
 
-// Export plans a under cfg once per option set, in order, each an ExportAll
-// call, and hands emit the summary of every exported plan no earlier one of
-// these calls exported with the same structure — the identity
-// Path.Signature names, computed over the records (identity) — in export
-// order. The summary and its slices belong to the workspace and are valid
-// only during the emit call. It returns the calls' summed planner counters.
-func (w *Workspace) Export(a *Analysis, cfg *query.Config, opts []Options, emit func(*Summary)) (PlannerStats, error) {
+// Export plans a under cfg once per option set, each an ExportAll call, and
+// hands emit the summary of every exported plan no earlier one of these
+// calls exported with the same structure — the identity Path.Signature
+// names, computed over the records (identity) — call by call, in export
+// order. A nil run plans the calls one after another on one planner, each
+// emitting before the next starts; otherwise run plans call i on planner i
+// and the first call emits once every call has planned. Identities are
+// interned call by call either way, so both hand emit the same summaries in
+// the same order and return the same summed planner counters. The summary
+// and its slices belong to the workspace and are valid only during the emit
+// call.
+func (w *Workspace) Export(a *Analysis, cfg *query.Config, opts []Options, run Runner, emit func(*Summary)) (PlannerStats, error) {
 	var st PlannerStats
 	clear(w.ids)
 	w.seen = w.seen[:0]
-	for _, opt := range opts {
+	if run == nil {
+		p := w.planners(1)[0]
+		for _, opt := range opts {
+			if err := w.export(p, a, cfg, opt, emit, &st); err != nil {
+				return st, err
+			}
+		}
+		return st, nil
+	}
+	ps := w.planners(len(opts))
+	defer w.release(ps)
+	for i, opt := range opts {
 		opt.ExportAll = true
-		if err := w.export(a, cfg, opt, emit, &st); err != nil {
+		ps[i].reset(a, cfg, opt)
+	}
+	w.planEach(ps, run)
+	for i, p := range ps {
+		if err := w.errs[i]; err != nil {
 			return st, err
 		}
+		st.Add(p.stats)
+		w.summaries(p, w.finals[i], emit)
 	}
 	return st, nil
 }
 
-func (w *Workspace) export(a *Analysis, cfg *query.Config, opt Options, emit func(*Summary), st *PlannerStats) error {
-	p := &w.p
+func (w *Workspace) export(p *planner, a *Analysis, cfg *query.Config, opt Options, emit func(*Summary), st *PlannerStats) error {
+	opt.ExportAll = true
 	p.reset(a, cfg, opt)
 	defer p.release()
 	final, err := p.plan()
@@ -83,16 +152,41 @@ func (w *Workspace) export(a *Analysis, cfg *query.Config, opt Options, emit fun
 		return err
 	}
 	st.Add(p.stats)
-	w.summaries(final, emit)
+	w.summaries(p, final, emit)
 	return nil
 }
 
-// summaries hands emit the summary of each plan of the final relation whose
+// planners returns the workspace's first n planners, creating any it lacks.
+func (w *Workspace) planners(n int) []*planner {
+	for len(w.ps) < n {
+		w.ps = append(w.ps, new(planner))
+	}
+	return w.ps[:n]
+}
+
+// planEach plans every planner of ps, each reset for its call, through run,
+// leaving call i's relation of complete plans in w.finals[i] and its error
+// in w.errs[i]: the only state the calls write outside their own planner.
+func (w *Workspace) planEach(ps []*planner, run Runner) {
+	w.finals, w.errs = fit(w.finals, len(ps)), fit(w.errs, len(ps))
+	finals, errs := w.finals, w.errs
+	run(len(ps), func(i int) { finals[i], errs[i] = ps[i].plan() })
+}
+
+// release ends the paired calls of ps, however they ended.
+func (w *Workspace) release(ps []*planner) {
+	for _, p := range ps {
+		p.release()
+	}
+	clear(w.errs)
+}
+
+// summaries hands emit the summary of each plan of p's final relation whose
 // identity the Export has not yet seen.
-func (w *Workspace) summaries(final joinRel, emit func(*Summary)) {
-	p, s := &w.p, &w.sum
+func (w *Workspace) summaries(p *planner, final joinRel, emit func(*Summary)) {
+	s := &w.sum
 	n := len(p.a.Rels)
-	w.memo = fit(w.memo, len(p.recs))
+	w.on, w.memo = p, fit(w.memo, int(p.recs.n))
 	s.Slots, s.Coefs = fit(s.Slots, n), fit(s.Coefs, n)
 	for r := final.lo; r < final.hi; r++ {
 		id := w.identity(r)
@@ -103,7 +197,7 @@ func (w *Workspace) summaries(final joinRel, emit func(*Summary)) {
 			continue
 		}
 		w.seen[id] = true
-		s.Internal, s.NLJ = p.recs[r].internal, false
+		s.Internal, s.NLJ = p.recs.at(r).internal, false
 		for rel := range s.Slots {
 			s.Slots[rel], s.Coefs[rel] = uint16(p.a.LeafSlot(rel, 0)), 1
 		}
@@ -116,8 +210,8 @@ func (w *Workspace) summaries(final joinRel, emit func(*Summary)) {
 // each scan's and each nested-loop probe's on its own relation, over the
 // all-AccessAny row export starts from.
 func (w *Workspace) leaves(r int32) {
-	p, s := &w.p, &w.sum
-	c := &p.recs[r]
+	p, s := w.on, &w.sum
+	c := p.recs.at(r)
 	switch {
 	case isScan(c.op):
 		if c.order > 0 {
@@ -127,7 +221,7 @@ func (w *Workspace) leaves(r int32) {
 	case c.op == OpNestLoop:
 		w.leaves(c.outer)
 		rel := p.ctx.cols[c.aux].Rel
-		s.Slots[rel], s.Coefs[rel], s.NLJ = p.leafSlot(rel, AccessLookup, c.aux), p.recs[c.outer].rows, true
+		s.Slots[rel], s.Coefs[rel], s.NLJ = p.leafSlot(rel, AccessLookup, c.aux), p.recs.at(c.outer).rows, true
 	case c.inner >= 0:
 		w.leaves(c.outer)
 		w.leaves(c.inner)
@@ -156,8 +250,8 @@ func (w *Workspace) identity(r int32) int32 {
 	if id := w.memo[r]; id != 0 {
 		return id
 	}
-	p := &w.p
-	c := &p.recs[r]
+	p := w.on
+	c := p.recs.at(r)
 	var n sigNode
 	switch {
 	case isScan(c.op):
@@ -207,8 +301,8 @@ func (w *Workspace) intern(n sigNode) int32 {
 // it: a one-column list by its global column id, the query's ORDER BY list
 // by −1 and its GROUP BY list by −2 unless it equals the ORDER BY list.
 func (w *Workspace) keysID(ord int32) int32 {
-	a := w.p.a
-	keys := w.p.orderOf(ord)
+	a := w.on.a
+	keys := w.on.orderOf(ord)
 	switch {
 	case len(keys) == 1:
 		return int32(a.orderGID(keys[0]))
@@ -225,12 +319,12 @@ func (w *Workspace) keysID(ord int32) int32 {
 func (p *planner) reset(a *Analysis, cfg *query.Config, opt Options) {
 	*p = planner{
 		a: a, opt: opt,
-		ctx: p.ctx, rels: p.rels, recs: p.recs[:0], trees: p.trees[:0],
+		ctx: p.ctx, rels: p.rels, recs: p.recs.emptied(), trees: p.trees[:0],
 		slots:    keyTable{precise: opt.PreciseNLJ, index: p.slots.index, keys: p.slots.keys[:0], coefs: p.slots.coefs[:0]},
-		keyArena: p.keyArena[:0], arenaCoefs: p.arenaCoefs[:0],
-		wideKeys: p.wideKeys, wideLeaves: p.wideLeaves[:0], leafArena: p.leafArena[:0],
+		keyArena: p.keyArena.emptied(), arenaCoefs: p.arenaCoefs.emptied(),
+		wideKeys: p.wideKeys, wideLeaves: p.wideLeaves[:0], leafArena: p.leafArena.emptied(),
 		keyBuf: p.keyBuf[:0], leafBuf: fit(p.leafBuf, len(a.Rels)),
-		cands: p.cands[:0], live: p.live[:0], slotMetric: p.slotMetric[:0],
+		cands: p.cands.emptied(), live: p.live[:0], slotMetric: p.slotMetric[:0],
 		slotOrd: p.slotOrd[:0], slotWitness: p.slotWitness[:0], buckets: p.buckets[:0], idxBuf: p.idxBuf[:0],
 	}
 	p.ctx.reset(a, cfg)
@@ -261,12 +355,12 @@ func fit[T any](s []T, n int) []T {
 }
 
 // reserve makes room in *s for n more elements, at least doubling its
-// capacity when it must reallocate. The arenas grow a relation's records or
+// capacity when it must reallocate. The key table and the slot arrays grow
 // a slot at a time, and append's growth past 256 elements — a quarter —
-// would have a one-shot build allocate about five times an arena's final
-// size; doubling holds that to two. The slice header is stored back only
-// when it moves: appending in place then writes the length alone, which
-// needs no write barrier.
+// would have them allocate about five times their final size instead of
+// two. The slice header is stored back only when it
+// moves: appending in place then writes the length alone, which needs no
+// write barrier.
 //
 //pinum:hotpath
 func reserve[T any](s *[]T, n int) {
@@ -286,4 +380,85 @@ func addRow[T any](rows [][]T) [][]T {
 		return rows
 	}
 	return append(rows, nil)
+}
+
+// An arena is an append-only list that grows by adding blocks, never by
+// copying: block b holds arenaBase<<b entries, so entry i lives in block
+// bits.Len32(i+arenaBase)−1−arenaShift, found without a search, and an
+// entry never moves once written. A fresh workspace therefore allocates what
+// its calls keep — about half what a doubling slice's copies add up to — and
+// a later call on the same planner reuses the blocks an earlier one grew.
+// The planner's records, the keys and leaves kept for them, and the
+// candidates of the relation under construction live in arenas.
+type arena[T any] struct {
+	blocks [][]T
+	n      int32 // entries in use
+}
+
+// arenaBase is the first block's length: small enough that a call keeping
+// a few dozen plans, as a normal-mode Optimize does, allocates a few KB, and
+// MaxRels, so a wide-lane leaf row always fits in one block.
+const (
+	arenaShift = 6
+	arenaBase  = 1 << arenaShift
+)
+
+// emptied returns the arena with no entries, on the blocks it grew.
+func (s *arena[T]) emptied() arena[T] { return arena[T]{blocks: s.blocks} }
+
+// locate returns the block of entry i and the entry's offset in it.
+//
+//pinum:hotpath
+func locate(i int32) (int, uint32) {
+	j := uint32(i) + arenaBase
+	b := bits.Len32(j) - 1 - arenaShift
+	return b, j - arenaBase<<uint(b)
+}
+
+// at returns entry i.
+//
+//pinum:hotpath
+func (s *arena[T]) at(i int32) *T {
+	b, o := locate(i)
+	return &s.blocks[b][o]
+}
+
+// push appends v and returns its index.
+//
+//pinum:hotpath
+func (s *arena[T]) push(v T) int32 {
+	i := s.n
+	b, o := locate(i)
+	if b == len(s.blocks) {
+		s.blocks = append(s.blocks, make([]T, arenaBase<<uint(b)))
+	}
+	s.blocks[b][o] = v
+	s.n++
+	return i
+}
+
+// grow appends n entries (n ≤ arenaBase), whatever an earlier call left
+// there, inside one block — skipping the rest of the current block when
+// they do not fit — and returns them with the index of the first.
+//
+//pinum:hotpath
+func (s *arena[T]) grow(n int32) ([]T, int32) {
+	i := s.n
+	b, o := locate(i)
+	if o+uint32(n) > arenaBase<<uint(b) {
+		b, o, i = b+1, 0, arenaBase<<uint(b+1)-arenaBase
+	}
+	if b == len(s.blocks) {
+		s.blocks = append(s.blocks, make([]T, arenaBase<<uint(b)))
+	}
+	s.n = i + n
+	return s.blocks[b][o : o+uint32(n) : o+uint32(n)], i
+}
+
+// span returns the n entries from index i that grow appended.
+//
+//pinum:hotpath
+func (s *arena[T]) span(i, n int32) []T {
+	b, o := locate(i)
+	return s.blocks[b][o : o+uint32(n) : o+uint32(n)]
 }

@@ -6,8 +6,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
+	"github.com/pinumdb/pinum/internal/catalog"
 	"github.com/pinumdb/pinum/internal/optimizer"
 	"github.com/pinumdb/pinum/internal/query"
 	"github.com/pinumdb/pinum/internal/workload"
@@ -27,13 +31,16 @@ func assertSameCall(t *testing.T, label string, got *optimizer.Result, gerr erro
 
 // TestWorkspaceReuseBitIdentical plans every workload shape (the 17-relation
 // chain included) under all 32 option combinations, in a shuffled order,
-// through two workspaces — one that only optimizes, one that also runs each
-// ExportAll call through Export first — and holds each result to a fresh
-// Optimize of the same call. Consecutive calls therefore differ in query,
-// key lane, relation count and option set, so every buffer arrives dirty
-// from something else; a query with a disconnected join graph, which fails
-// after its base relations went through the frontier, runs between good
-// ones.
+// through three workspaces — one that only optimizes, one that also runs
+// each ExportAll call through a serial Export first, and one that pairs: it
+// plans every call as the second of two calls on two goroutines, after the
+// previous call's option set, exports paired, and now and then has both
+// calls of a paired Export panic midway — and holds each result to a fresh
+// Optimize of the same call, and the paired exports to the serial ones.
+// Consecutive calls therefore differ in query, key lane, relation count and
+// option set, so every buffer of both planners arrives dirty from something
+// else; a query with a disconnected join graph, which fails after its base
+// relations went through the frontier, runs between good ones.
 func TestWorkspaceReuseBitIdentical(t *testing.T) {
 	type call struct {
 		label string
@@ -64,24 +71,104 @@ func TestWorkspaceReuseBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	rng.Shuffle(len(calls), func(i, j int) { calls[i], calls[j] = calls[j], calls[i] })
 
-	failed := 0
-	scratch, exporting := optimizer.NewWorkspace(), optimizer.NewWorkspace()
-	for _, c := range calls {
+	failed, attempts, panicked := 0, 0, 0
+	scratch, exporting, pairing := optimizer.NewWorkspace(), optimizer.NewWorkspace(), optimizer.NewWorkspace()
+	var prev optimizer.Options
+	for i, c := range calls {
 		want, werr := optimizer.Optimize(c.a, c.cfg, c.opt)
 		if werr != nil {
 			failed++
 		}
 		got, gerr := scratch.Optimize(c.a, c.cfg, c.opt)
 		assertSameCall(t, c.label+"/scratch", got, gerr, want, werr)
+
+		pair := []optimizer.Options{prev, c.opt}
+		if i%9 == 4 {
+			attempts++
+			panicked += panicsMidway(pairing, c.a, c.cfg, pair)
+		}
 		if c.opt.ExportAll {
-			_, _ = exporting.Export(c.a, c.cfg, []optimizer.Options{c.opt}, func(*optimizer.Summary) {})
+			serial, serr := exportAll(exporting, c.a, c.cfg, pair, nil)
+			paired, perr := exportAll(pairing, c.a, c.cfg, pair, goRunner)
+			if (serr == nil) != (perr == nil) || !reflect.DeepEqual(serial, paired) {
+				t.Fatalf("%s: paired export (%d summaries, %v) differs from the serial one (%d, %v)", c.label, len(paired.sums), perr, len(serial.sums), serr)
+			}
 		}
 		got, gerr = exporting.Optimize(c.a, c.cfg, c.opt)
 		assertSameCall(t, c.label+"/exporting", got, gerr, want, werr)
+
+		res, gerr := pairing.OptimizeEach(c.a, c.cfg, pair, goRunner)
+		if gerr == nil {
+			got = res[1]
+		}
+		assertSameCall(t, c.label+"/paired", got, gerr, want, werr)
+		prev = c.opt
 	}
 	if failed != 6 {
 		t.Fatalf("%d calls failed, want the 6 on the disconnected query", failed)
 	}
+	if panicked != attempts {
+		t.Fatalf("%d of %d paired exports with a broken index panicked", panicked, attempts)
+	}
+}
+
+// exported is what one Export handed out: copies of its summaries, in
+// order, and its summed counters.
+type exported struct {
+	sums []optimizer.Summary
+	st   optimizer.PlannerStats
+}
+
+func exportAll(w *optimizer.Workspace, a *optimizer.Analysis, cfg *query.Config, opts []optimizer.Options, run optimizer.Runner) (exported, error) {
+	var out exported
+	st, err := w.Export(a, cfg, opts, run, func(s *optimizer.Summary) {
+		out.sums = append(out.sums, optimizer.Summary{
+			Internal: s.Internal, Slots: slices.Clone(s.Slots), Coefs: slices.Clone(s.Coefs), NLJ: s.NLJ,
+		})
+	})
+	out.st = st
+	return out, err
+}
+
+// goRunner is an optimizer.Runner that runs every call on a goroutine of
+// its own and re-raises the first panic, in call order, once all have
+// stopped — core.Fan's contract.
+func goRunner(n int, call func(i int)) {
+	var wg sync.WaitGroup
+	panics := make([]any, n)
+	for i := 0; i < n; i++ {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { panics[i] = recover() }()
+			call(i)
+		}()
+	}
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+}
+
+// panicsMidway runs a paired Export of a on w under cfg plus an index with
+// no columns on a's last relation, which both calls reach only after the
+// other relations' scans went through their frontiers, and reports 1 when
+// it panicked as it must.
+func panicsMidway(w *optimizer.Workspace, a *optimizer.Analysis, cfg *query.Config, opts []optimizer.Options) (panicked int) {
+	bad := &query.Config{Indexes: []*catalog.Index{{Name: "no-columns", Table: a.Q.Rels[len(a.Q.Rels)-1].Table.Name}}}
+	if cfg != nil {
+		bad.Indexes = append(slices.Clone(cfg.Indexes), bad.Indexes...)
+	}
+	defer func() {
+		if recover() != nil {
+			panicked = 1
+		}
+	}()
+	_, _ = w.Export(a, bad, opts, goRunner, func(*optimizer.Summary) {})
+	return 0
 }
 
 // TestJoinRelPathsShareRows is the precondition of joinPaths pricing a
@@ -133,6 +220,60 @@ func TestJoinRelPathsShareRows(t *testing.T) {
 			}
 			for _, pt := range ref.Exported {
 				walk(pt)
+			}
+		}
+	}
+}
+
+// TestAnalysisSharedByPlanners plans one fresh analysis from four goroutines
+// at once — Optimize in normal mode with and without nested loops, and
+// Export in each construction mode, each on a workspace of its own — and
+// holds every result to the same call made alone afterwards: an analysis is
+// read-only once built, its join enumeration built once by whichever call
+// needs it first. Inputs: every design shape and the 17-relation chain. Run
+// under -race it is also the check that no planner writes the analysis.
+func TestAnalysisSharedByPlanners(t *testing.T) {
+	construction := buildOptions(false)
+	for _, spec := range append([]workload.ShapeSpec{{Shape: workload.ShapeWideChain, Rels: 17, Seed: 42}}, designSpecs...) {
+		a, cfg := shapeBuildConfig(t, spec)
+		label := fmt.Sprintf("%s-%d", spec.Shape, len(a.Rels))
+		normal := []optimizer.Options{{EnableNestLoop: true}, {}}
+		var (
+			wg      sync.WaitGroup
+			results [2]*optimizer.Result
+			exports [2]exported
+			errs    [4]error
+		)
+		wg.Add(4)
+		for i := 0; i < 2; i++ {
+			i := i
+			go func() {
+				defer wg.Done()
+				results[i], errs[i] = optimizer.NewWorkspace().Optimize(a, cfg, normal[i])
+			}()
+			go func() {
+				defer wg.Done()
+				exports[i], errs[2+i] = exportAll(optimizer.NewWorkspace(), a, cfg, construction[i:i+1], nil)
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("%s: concurrent call %d: %v", label, i, err)
+			}
+		}
+		for i := 0; i < 2; i++ {
+			want, err := optimizer.Optimize(a, cfg, normal[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResult(t, fmt.Sprintf("%s/optimize %+v", label, normal[i]), results[i], want)
+			alone, err := exportAll(optimizer.NewWorkspace(), a, cfg, construction[i:i+1], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(exports[i], alone) {
+				t.Fatalf("%s/export %+v: %d summaries at once, %d alone", label, construction[i], len(exports[i].sums), len(alone.sums))
 			}
 		}
 	}

@@ -41,7 +41,7 @@ func buildShapeSlim(t *testing.T, spec workload.ShapeSpec) (*inum.Cache, []*quer
 	}
 	c := inum.NewSlimCache(a)
 	opts := []optimizer.Options{{ExportAll: true}, {EnableNestLoop: true, ExportAll: true, PaperPrune: true}}
-	if _, err := optimizer.NewWorkspace().Export(a, plan, opts, c.AddSummary); err != nil {
+	if _, err := optimizer.NewWorkspace().Export(a, plan, opts, nil, c.AddSummary); err != nil {
 		t.Fatal(err)
 	}
 	c.Seal()

@@ -464,10 +464,12 @@ func TestSnapshotSaveFailureIsAnEvent(t *testing.T) {
 
 // TestLoadPhasesTimedFromInside pins pinum_load_phase_seconds and the
 // phase tail of the cold-load and reload events: every phase that ran is
-// in its histogram, the event carries the same six numbers, and they sum
-// to no more than the load took from outside.
+// in its histogram, the event carries the same seven numbers, and they sum
+// to no more than the load took from outside. A residency cap of one lets
+// the test evict a tenant and cold-load it again from its snapshot, the one
+// load whose build phase runs.
 func TestLoadPhasesTimedFromInside(t *testing.T) {
-	f := newMTFixture(t, mtSeeds, mtOrder, 0, nil)
+	f := newMTFixture(t, mtSeeds, mtOrder, 1, nil)
 	phasesOf := func(typ string) (ran [numLoadPhases]bool, sum time.Duration) {
 		t.Helper()
 		var ev *obs.Event
@@ -495,43 +497,59 @@ func TestLoadPhasesTimedFromInside(t *testing.T) {
 		}
 		return ran, sum
 	}
-	// The phase tail rounds each of six phases to a microsecond.
-	const rounding = 6 * time.Microsecond
+	// The phase tail rounds each of seven phases to a microsecond.
+	const rounding = 7 * time.Microsecond
+	coldLoad := func(tenant string) time.Duration {
+		t.Helper()
+		start := time.Now()
+		if code, body := f.do(t, http.MethodPost, "/whatif", tenant, []byte(`{"indexes":[]}`)); code != http.StatusOK {
+			t.Fatalf("cold load of %s: %d %s", tenant, code, body)
+		}
+		return time.Since(start)
+	}
 
 	// No snapshot on disk yet: the load looks for one, plans and saves.
-	start := time.Now()
-	if code, body := f.do(t, http.MethodPost, "/whatif", "acme", []byte(`{"indexes":[]}`)); code != http.StatusOK {
-		t.Fatalf("cold load: %d %s", code, body)
-	}
-	wall := time.Since(start)
+	wall := coldLoad("acme")
 	ran, sum := phasesOf("cold-load")
-	if ran != [numLoadPhases]bool{true, true, true, true, true, true} {
-		t.Errorf("first cold load ran phases %v, want all six", ran)
+	if ran != [numLoadPhases]bool{phaseLoader: true, phaseFingerprint: true, phaseDecode: true, phaseOptimize: true, phaseAssemble: true, phaseSave: true} {
+		t.Errorf("first cold load ran phases %v, want all but build", ran)
 	}
 	if sum > wall+rounding {
 		t.Errorf("cold-load phases sum to %v, the request took %v", sum, wall)
 	}
 
 	// A forced reload skips the snapshot and plans everything again.
-	start = time.Now()
+	start := time.Now()
 	if _, err := f.srv.ReloadTenant("acme", true); err != nil {
 		t.Fatal(err)
 	}
 	wall = time.Since(start)
 	ran, sum = phasesOf("reload")
 	if ran != [numLoadPhases]bool{phaseLoader: true, phaseFingerprint: true, phaseOptimize: true, phaseAssemble: true, phaseSave: true} {
-		t.Errorf("forced reload ran phases %v, want all but snapshot", ran)
+		t.Errorf("forced reload ran phases %v, want all but decode and build", ran)
 	}
 	if sum > wall+rounding {
 		t.Errorf("reload phases sum to %v, the reload took %v", sum, wall)
 	}
 
-	for p, want := range [numLoadPhases]int64{phaseLoader: 2, phaseFingerprint: 2, phaseSnapshot: 1, phaseOptimize: 2, phaseAssemble: 2, phaseSave: 2} {
+	// globex's load evicts acme, whose next load decodes and builds its
+	// snapshot instead of planning.
+	coldLoad("globex")
+	wall = coldLoad("acme")
+	ran, sum = phasesOf("cold-load")
+	if ran != [numLoadPhases]bool{phaseLoader: true, phaseFingerprint: true, phaseDecode: true, phaseBuild: true, phaseAssemble: true} {
+		t.Errorf("cold load from the snapshot ran phases %v, want all but optimize and save", ran)
+	}
+	if sum > wall+rounding {
+		t.Errorf("cold-load phases sum to %v, the request took %v", sum, wall)
+	}
+
+	for p, want := range [numLoadPhases]int64{phaseLoader: 4, phaseFingerprint: 4, phaseDecode: 3, phaseBuild: 1, phaseOptimize: 3, phaseAssemble: 4, phaseSave: 3} {
 		if got := f.srv.loadPhases[p].Count(); got != want {
 			t.Errorf("pinum_load_phase_seconds{phase=%q} observed %d times, want %d", loadPhaseNames[p], got, want)
 		}
 	}
-	if text := scrape(t, f.ts.URL); !strings.Contains(text, `pinum_load_phase_seconds_count{phase="assemble"} 2`) {
+	if text := scrape(t, f.ts.URL); !strings.Contains(text, `pinum_load_phase_seconds_count{phase="build"} 1`) {
 		t.Error("/metrics does not expose pinum_load_phase_seconds by phase")
 	}
 }

@@ -301,14 +301,15 @@ type loadPhase int
 const (
 	phaseLoader      loadPhase = iota // the tenant's Loader
 	phaseFingerprint                  // plancache.Fingerprints
-	phaseSnapshot                     // plancache.Load + BuildCaches
+	phaseDecode                       // plancache.Load: read, verify and decode the snapshot file
+	phaseBuild                        // plancache.BuildCaches over the decoded snapshot
 	phaseOptimize                     // cache reuse and re-planning
 	phaseAssemble                     // newSnapshotSet
 	phaseSave                         // plancache.Save
 	numLoadPhases
 )
 
-var loadPhaseNames = [numLoadPhases]string{"loader", "fingerprint", "snapshot", "optimize", "assemble", "save"}
+var loadPhaseNames = [numLoadPhases]string{"loader", "fingerprint", "decode", "build", "optimize", "assemble", "save"}
 
 // loadTimes is one load's wall time per phase (zero: the phase did not
 // run); it renders as the tail of the load's cold-load or reload event.
@@ -557,14 +558,17 @@ func (t *tenant) buildSet(force bool, lt *loadTimes) (*snapshotSet, bool, error)
 	return set, false, nil
 }
 
-// loadCaches is the snapshot phase: the tenant's snapshot file, decoded,
-// fingerprint-checked against fp and rebuilt into caches.
+// loadCaches is the decode and build phases: the tenant's snapshot file,
+// decoded and fingerprint-checked against fp, then rebuilt into caches. A
+// missing, stale or corrupt file ends the load after decode.
 func (t *tenant) loadCaches(env *Environment, fp uint64, lt *loadTimes) ([]*inum.Cache, error) {
-	defer t.srv.observePhase(lt, phaseSnapshot, time.Now())
+	start := time.Now()
 	snap, err := plancache.Load(t.snapshotPath, fp)
+	t.srv.observePhase(lt, phaseDecode, start)
 	if err != nil {
 		return nil, err
 	}
+	defer t.srv.observePhase(lt, phaseBuild, time.Now())
 	return plancache.BuildCaches(snap, env.Queries, env.Analyses)
 }
 
@@ -590,19 +594,31 @@ func (t *tenant) optimize(env *Environment, prev *snapshotSet, tfps map[string]u
 		}
 		rebuild = append(rebuild, i)
 	}
-	if len(rebuild) > 0 {
-		errs := make([]error, len(rebuild))
-		core.Fan(len(rebuild), t.srv.cfg.Workers, func() func(int) {
-			ws, build := whatif.NewSession(env.Catalog), core.Builder(false, true)
-			return func(k int) {
-				caches[rebuild[k]], errs[k] = build(env.Analyses[rebuild[k]], ws)
-			}
-		})
-		for k, err := range errs {
+	if len(rebuild) == 0 {
+		return caches, reused, nil
+	}
+	// The rebuild is a batch on the pool's core budget: an incremental
+	// reload that replans at most half as many queries as there are workers
+	// plans each query's two calls at once.
+	analyses := make([]*optimizer.Analysis, len(rebuild))
+	for k, i := range rebuild {
+		analyses[k] = env.Analyses[i]
+	}
+	built, err := core.BuildAllWith(analyses, env.Catalog, t.srv.cfg.Workers, func(paired bool) core.BuildFunc {
+		build := core.Builder(false, true, paired)
+		return func(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error) {
+			c, err := build(a, ws)
 			if err != nil {
-				return nil, 0, fmt.Errorf("rebuilding %s: %w", env.Queries[rebuild[k]].Name, err)
+				return nil, fmt.Errorf("rebuilding %s: %w", a.Q.Name, err)
 			}
+			return c, nil
 		}
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	for k, i := range rebuild {
+		caches[i] = built[k]
 	}
 	return caches, reused, nil
 }

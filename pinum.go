@@ -169,8 +169,10 @@ type buildOptions struct {
 	slim    bool
 }
 
-// WithWorkers bounds the construction worker pool. n <= 0 (the default)
-// means one worker per available CPU.
+// WithWorkers sets the construction's core budget: n <= 0 (the default)
+// means every available CPU. A batch of at most n/2 queries plans each
+// query's two optimizer calls at once; a wider one builds one query per
+// worker.
 func WithWorkers(n int) BuildOption {
 	return func(o *buildOptions) { o.workers = n }
 }
@@ -210,7 +212,7 @@ func (db *Database) BuildPlanCaches(queries []*Query, opts ...BuildOption) ([]*P
 		}
 		analyses[i] = a
 	}
-	return core.BuildAllWith(analyses, db.cat, o.workers, func() core.BuildFunc { return core.Builder(o.precise, o.slim) })
+	return core.BuildAllWith(analyses, db.cat, o.workers, func(paired bool) core.BuildFunc { return core.Builder(o.precise, o.slim, paired) })
 }
 
 // BuildPlanCacheSlim fills a slim plan cache: two optimizer calls, path
