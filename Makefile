@@ -22,10 +22,12 @@ race:
 # A build pairs its two optimizer calls when its batch leaves a core idle:
 # at -cpu 1 a one-shot build runs them serially, at -cpu 2 on two planners,
 # so both sides run on any machine, under the race detector (-short skips
-# random6's precise build, ~6 s a build without the detector).
+# random6's precise build, ~6 s a build without the detector). Beside them:
+# a batch's claim order (largest estimated work first) and a paired
+# export's pipeline (call 0 emits while call 1 still plans).
 pairing:
-	$(GO) test -short -race -cpu 1,2 ./internal/core -run 'PairingRule|PairedBuildMatchesSerial|BuildAllSlimWorkersAgree'
-	$(GO) test -short -race -cpu 1,2 ./internal/optimizer -run 'WorkspaceReuseBitIdentical|AnalysisSharedByPlanners'
+	$(GO) test -short -race -cpu 1,2 ./internal/core -run 'PairingRule|BatchClaimsLargestFirst|PairedBuildMatchesSerial|BuildAllSlimWorkersAgree'
+	$(GO) test -short -race -cpu 1,2 ./internal/optimizer -run 'WorkspaceReuseBitIdentical|PairedExportEmitsCallZeroFirst|AnalysisSharedByPlanners'
 
 # Whole-system correctness: every reply byte-compared with its golden;
 # only the exit status gates (timings are compared in paired local runs).

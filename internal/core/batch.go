@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -177,23 +179,29 @@ func (f *fanOut) help() {
 // cores (≤ 0: GOMAXPROCS). When the budget gives every query two cores
 // (pairs), each query gets a worker of its own whose two optimizer calls
 // plan at once; otherwise each worker builds one query at a time and plans
-// its calls one after the other. Each worker owns a private what-if session
-// and the BuildFunc its own newBuilder(paired) call returned (neither is
-// safe for concurrent use; both are garbage once the batch returns), and
-// results are merged back in input order, so the returned slice is
-// deterministic regardless of scheduling or pairing: caches[i] is the cache
-// for analyses[i], bit for bit the same at any budget. workers == 1 is the
-// serial construction. The first error, in input order, aborts the batch.
+// its calls one after the other. Workers claim the queries largest
+// estimated planning work first (claimOrder), not in input order. Each
+// worker owns a private what-if session and the BuildFunc its own
+// newBuilder(paired) call returned (neither is safe for concurrent use;
+// both are garbage once the batch returns), and every cache lands at its
+// input index, so the returned slice is deterministic regardless of
+// scheduling, claim order or pairing: caches[i] is the cache for
+// analyses[i], bit for bit the same at any budget. workers == 1 is the
+// serial construction. A failed query does not stop the others: every
+// query builds, and the first error in input order is returned. A panic in
+// a build surfaces on the caller (Fan).
 func BuildAllWith(analyses []*optimizer.Analysis, cat *catalog.Catalog, workers int, newBuilder func(paired bool) BuildFunc) ([]*inum.Cache, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	paired := pairs(len(analyses), workers)
+	order := claimOrder(analyses, workers)
 	caches := make([]*inum.Cache, len(analyses))
 	errs := make([]error, len(analyses))
 	Fan(len(analyses), workers, func() func(int) {
 		ws, fn := whatif.NewSession(cat), newBuilder(paired)
-		return func(i int) {
+		return func(k int) {
+			i := order[k]
 			caches[i], errs[i] = fn(analyses[i], ws)
 		}
 	})
@@ -203,6 +211,24 @@ func BuildAllWith(analyses []*optimizer.Analysis, cat *catalog.Catalog, workers 
 		}
 	}
 	return caches, nil
+}
+
+// claimOrder is the order a batch's workers claim its queries in: by
+// descending optimizer.Analysis.PlanWork, ties in input order. This is
+// longest-processing-time-first scheduling (Graham, 1969): a workload
+// listed cheapest first — the paper's star queries are, and the last one
+// is about half the batch's planning — would otherwise start its largest
+// query last and leave it running alone while the other cores wait. The
+// estimates are computed on the batch's workers, not serially on the
+// caller: building a query's join enumeration is work its planning would
+// do anyway.
+func claimOrder(analyses []*optimizer.Analysis, workers int) []int {
+	order, work := make([]int, len(analyses)), make([]int, len(analyses))
+	Fan(len(analyses), workers, func() func(int) {
+		return func(i int) { order[i], work[i] = i, analyses[i].PlanWork() }
+	})
+	slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(work[y], work[x]) })
+	return order
 }
 
 // pairs is the pairing rule: a batch of n queries pairs each query's two

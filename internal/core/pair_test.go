@@ -18,9 +18,12 @@ import (
 
 // TestPairingRule holds BuildAllWith to its core budget: a batch pairs each
 // query's two calls exactly when the budget gives every query two cores,
-// and a budget of 0 is GOMAXPROCS.
+// and a budget of 0 is GOMAXPROCS. The batches are real star queries: the
+// claim order reads each one's PlanWork before anything builds.
 func TestPairingRule(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
+	star := mustStar(t)
+	set := starSet(t, star, 42)
 	for _, c := range []struct {
 		queries, budget int
 		want            bool
@@ -34,7 +37,7 @@ func TestPairingRule(t *testing.T) {
 		{2, 0, procs >= 4},
 	} {
 		var paired, unpaired atomic.Int32
-		_, err := BuildAllWith(make([]*optimizer.Analysis, c.queries), nil, c.budget, func(p bool) BuildFunc {
+		_, err := BuildAllWith(set[:c.queries], star.Catalog, c.budget, func(p bool) BuildFunc {
 			if p {
 				paired.Add(1)
 			} else {

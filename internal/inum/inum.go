@@ -27,6 +27,8 @@ package inum
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"time"
 	"unsafe"
@@ -394,13 +396,13 @@ func CoveringConfig(a *optimizer.Analysis, ws *whatif.Session, oc query.OrderCom
 		done[key] = true
 		// Every slot sharing this (table, order) pair is served by the
 		// same index, so cover the union of their needed columns.
-		var rels []int
+		var occ uint64
 		for j, cj := range oc {
 			if cj == col && a.Rels[j].Table.Name == table {
-				rels = append(rels, j)
+				occ |= 1 << uint(j)
 			}
 		}
-		ix, err := ws.CreateIndex(table, coveringColumns(a, rels, col)...)
+		ix, err := ws.CreateIndex(table, coveringColumns(col, neededColumns(a, occ))...)
 		if err != nil {
 			return nil, err
 		}
@@ -411,34 +413,28 @@ func CoveringConfig(a *optimizer.Analysis, ws *whatif.Session, oc query.OrderCom
 
 // AllOrdersConfig builds the configuration PINUM optimizes under: for every
 // relation and every one of its interesting orders, a covering index
-// leading on that order.
+// leading on that order. The index of a (table, order) pair covers the
+// union of the needed columns over every occurrence of the table for which
+// the order is interesting, so self-join occurrences share one truly
+// covering index; the first such occurrence makes it.
 func AllOrdersConfig(a *optimizer.Analysis, ws *whatif.Session) (*query.Config, error) {
 	cfg := &query.Config{}
-	seen := make(map[string]bool)
 	for i := range a.Rels {
+		table := a.Rels[i].Table.Name
 		for _, col := range a.Rels[i].Interesting {
-			table := a.Rels[i].Table.Name
-			key := table + ":" + col
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			// Cover the union of needed columns over every occurrence of
-			// this table for which col is an interesting order, so
-			// self-join occurrences share one truly covering index.
-			var rels []int
+			var occ uint64 // bit j: col is an interesting order of occurrence j
 			for j := range a.Rels {
 				if a.Rels[j].Table.Name != table {
 					continue
 				}
-				for _, cj := range a.Rels[j].Interesting {
-					if cj == col {
-						rels = append(rels, j)
-						break
-					}
+				if _, ok := slices.BinarySearch(a.Rels[j].Interesting, col); ok {
+					occ |= 1 << uint(j)
 				}
 			}
-			ix, err := ws.CreateIndex(table, coveringColumns(a, rels, col)...)
+			if occ&(1<<uint(i)-1) != 0 {
+				continue // an earlier occurrence made this pair's index
+			}
+			ix, err := ws.CreateIndex(table, coveringColumns(col, neededColumns(a, occ))...)
 			if err != nil {
 				return nil, err
 			}
@@ -448,24 +444,39 @@ func AllOrdersConfig(a *optimizer.Analysis, ws *whatif.Session) (*query.Config, 
 	return cfg, nil
 }
 
-// coveringColumns returns lead followed by every other column the query
-// needs from the given relation occurrences (sorted). Passing several
-// occurrences of the same table unions their needs, so the one index built
-// per (table, order) pair covers each of them.
-func coveringColumns(a *optimizer.Analysis, rels []int, lead string) []string {
+// neededColumns is the sorted union of the columns the query needs from the
+// relation occurrences in occ (bit j: relation j). A lone occurrence's is
+// its Needed list, already sorted and distinct.
+func neededColumns(a *optimizer.Analysis, occ uint64) []string {
+	if occ&(occ-1) == 0 {
+		return a.Rels[bits.TrailingZeros64(occ)].Needed
+	}
 	need := make(map[string]bool)
-	for _, r := range rels {
-		for _, col := range a.Rels[r].Needed {
+	for v := occ; v != 0; v &= v - 1 {
+		for _, col := range a.Rels[bits.TrailingZeros64(v)].Needed {
 			need[col] = true
 		}
 	}
-	delete(need, lead)
-	rest := make([]string, 0, len(need))
+	cols := make([]string, 0, len(need))
 	for col := range need {
-		rest = append(rest, col)
+		cols = append(cols, col)
 	}
-	sort.Strings(rest)
-	return append([]string{lead}, rest...)
+	sort.Strings(cols)
+	return cols
+}
+
+// coveringColumns returns lead followed by every other column of need, the
+// sorted columns the index's relation occurrences need: the key of the one
+// index built per (table, order) pair, which covers each of them.
+func coveringColumns(lead string, need []string) []string {
+	cols := make([]string, 1, len(need)+1)
+	cols[0] = lead
+	for _, col := range need {
+		if col != lead {
+			cols = append(cols, col)
+		}
+	}
+	return cols
 }
 
 // Build constructs the cache the conventional INUM way: enumerate every

@@ -138,6 +138,28 @@ func (a *Analysis) joinEnum() *joinEnum {
 	return &a.enum
 }
 
+// PlanWork estimates the work of planning a, deterministically and without
+// planning: (csg-cmp pairs + 1) × NumLeafSlots(). The pairs are the join
+// enumeration's, built here if no planner has built it yet and reused by
+// every later one; a graph whose pair list overflows enumPairCap counts the
+// dense sweep's DenseSplits(n) splits instead, and a query the planner
+// refuses right after its base relations — a disconnected join graph, or
+// one past 16 relations too dense to enumerate — weighs NumLeafSlots()
+// alone. A batch build claims its queries largest estimate first
+// (core.BuildAllWith), so only the ranking matters: on the paper's star
+// query sets and the design shapes it picks the query whose build
+// considers the most paths and ranks the rest with a Spearman correlation
+// of at least 0.95 against PathsConsidered (core's
+// TestPlanWorkRanksPlannerWork).
+func (a *Analysis) PlanWork() int {
+	e := a.joinEnum()
+	pairs := len(e.pairs)
+	if e.connected && !e.fits && len(a.Rels) <= 16 {
+		pairs = DenseSplits(len(a.Rels))
+	}
+	return (pairs + 1) * a.NumLeafSlots()
+}
+
 // orderGID returns the dense global id (≥1) of an interned interesting-
 // order column. Every column a planner-generated leaf requirement or
 // output order can name is an interesting order of its relation (join,
@@ -618,6 +640,8 @@ func (a *Analysis) FoldLeafSlots(slots []float64, rel int, ix *catalog.Index) {
 // matches differ only in how the lead column's ordinal and index-onlyness
 // are found — read off the bound form, or resolved by name as the per-leaf
 // reference does; the cost expressions and their operands are the same.
+// (RelInfo.resolve is the same rule for the planner; it is spelled out here
+// because a call would not inline, and this runs per request.)
 //
 //pinum:hotpath
 func (a *Analysis) foldLeafBlock(block []float64, ri *RelInfo, ix *catalog.Index, m catalog.TableMatch) {
@@ -643,6 +667,18 @@ func (a *Analysis) foldLeafBlock(block []float64, ri *RelInfo, ix *catalog.Index
 	if c := a.lookupCost(ri, ix, ri.orders[i].val, indexOnly); c < block[1+k+i] {
 		block[1+k+i] = c
 	}
+}
+
+// resolve finds what pricing an index on ri's table (m says how it
+// matched) needs of it, by foldLeafBlock's rule: its lead column's ordinal
+// in the table and whether a scan through it is index-only. The planner's
+// scans (scanPaths) resolve each configuration index through it once per
+// call.
+func (ri *RelInfo) resolve(ix *catalog.Index, m catalog.TableMatch) (lead int, indexOnly bool) {
+	if m == catalog.OnTableBound {
+		return ix.LeadOrdinal(), ri.neededMask&^ix.ColumnMask() == 0
+	}
+	return ri.Table.ColumnOrdinal(ix.LeadColumn()), ri.indexOnly(ix)
 }
 
 // FoldLeafRow prices one cached plan against a priced table: internal +

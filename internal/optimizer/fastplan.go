@@ -187,6 +187,18 @@ type lookupMemo struct {
 	id   uint16 // the column's per-relation interned id
 }
 
+// scanFact is one configuration index of a relation as the call priced it,
+// once, in scanPaths (RelInfo.resolve): the position in the relation's
+// Interesting list of the order it covers (-1: none), whether a scan
+// through it is index-only, and the scan's cost. The base-relation plans
+// and the nested-loop probes read these instead of pricing the index again.
+type scanFact struct {
+	ix        *catalog.Index
+	order     int
+	indexOnly bool
+	cost      float64
+}
+
 // planCtx is the per-Optimize state: everything that can be computed once
 // per call instead of once per probe.
 type planCtx struct {
@@ -196,9 +208,9 @@ type planCtx struct {
 	// outside them.
 	packed bool
 	// perRel holds the configuration's indexes per relation, filtered
-	// once per call into ixBuf.
-	perRel [][]*catalog.Index
-	ixBuf  []*catalog.Index
+	// once per call into ixBuf and priced by the relation's scanPaths.
+	perRel [][]scanFact
+	ixBuf  []scanFact
 	// clauses holds the prepared join clauses; crossClauses scans it once
 	// per split, filling both orientation buffers in one pass.
 	clauses        []clauseInfo
@@ -253,7 +265,7 @@ func (ctx *planCtx) reset(a *Analysis, cfg *query.Config) {
 			t, from := a.Rels[i].Table.Name, len(ctx.ixBuf)
 			for _, ix := range cfg.Indexes {
 				if ix.Table == t {
-					ctx.ixBuf = append(ctx.ixBuf, ix)
+					ctx.ixBuf = append(ctx.ixBuf, scanFact{ix: ix})
 				}
 			}
 			ctx.perRel[i] = ctx.ixBuf[from:len(ctx.ixBuf):len(ctx.ixBuf)]
@@ -306,23 +318,26 @@ func (ctx *planCtx) lookup(a *Analysis, g int32) *lookupMemo {
 	m := &ctx.lookups[g]
 	if !m.done {
 		m.done = true
-		rel, col := ctx.cols[g].Rel, ctx.cols[g].Column
+		rel := ctx.cols[g].Rel
+		ri := &a.Rels[rel]
 		m.id = uint16(g) - a.ordBase[rel]
+		k := int(m.id) - 1 // the column's position in ri.Interesting
 		best := math.Inf(1)
 		var via *catalog.Index
-		for _, ix := range ctx.perRel[rel] {
-			if !ix.Covers(col) {
+		for x := range ctx.perRel[rel] {
+			f := &ctx.perRel[rel][x]
+			if f.order != k {
 				continue
 			}
-			if lc := a.LookupCost(rel, ix, col); lc < best {
+			if lc := a.lookupCost(ri, f.ix, ri.orders[k].val, f.indexOnly); lc < best {
 				best = lc
-				via = ix
+				via = f.ix
 			}
 		}
 		if via != nil {
 			m.ix = via
 			m.cost = best
-			m.rows = a.LookupRows(rel, col)
+			m.rows = ri.orders[k].val
 		}
 	}
 	return m

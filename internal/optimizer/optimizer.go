@@ -342,24 +342,29 @@ func (p *planner) orderSat(have, want int32) bool {
 // the configuration covers. Folding every physical alternative into these
 // slots is exactly the INUM abstraction: the plan cache later re-prices the
 // slots under other configurations.
+//
+// Each of the relation's configuration indexes is priced once, here, for
+// both kinds of access and for the nested-loop probes planned later
+// (planCtx.lookup).
 func (p *planner) scanPaths(rel int) joinRel {
 	ri := &p.a.Rels[rel]
 	set := Single(rel)
+	facts := p.ctx.perRel[rel]
+	for k := range facts {
+		f := &facts[k]
+		lead, indexOnly := ri.resolve(f.ix, f.ix.OnTable(ri.Table))
+		f.order, f.indexOnly, f.cost = indexOfOrdinal(ri.orders, lead), indexOnly, p.a.indexScanCost(ri, f.ix, lead, indexOnly)
+	}
 
 	// Any-order access: cheapest of a seq scan and every index scan.
 	bestCost := p.a.SeqScanCost(rel)
 	bestOp := OpSeqScan
 	bestIx := int32(-1)
-	for k, ix := range p.ctx.perRel[rel] {
-		f := p.a.IndexScanCost(rel, ix)
-		if f.Cost < bestCost {
-			bestCost = f.Cost
+	for k := range facts {
+		if f := &facts[k]; f.cost < bestCost {
+			bestCost = f.cost
 			bestIx = int32(k)
-			if f.IndexOnly {
-				bestOp = OpIndexOnlyScan
-			} else {
-				bestOp = OpIndexScan
-			}
+			bestOp = scanOp(f.indexOnly)
 		}
 	}
 	// Even when the cheapest access is an index scan that happens to
@@ -372,34 +377,32 @@ func (p *planner) scanPaths(rel int) joinRel {
 	})
 
 	// Ordered access per interesting order covered by the configuration.
-	for k, col := range ri.Interesting {
+	for k := range ri.Interesting {
 		best := math.Inf(1)
 		via := int32(-1)
-		indexOnly := false
-		for x, ix := range p.ctx.perRel[rel] {
-			if !ix.Covers(col) {
-				continue
-			}
-			f := p.a.IndexScanCost(rel, ix)
-			if f.Cost < best {
-				best = f.Cost
+		for x := range facts {
+			if f := &facts[x]; f.order == k && f.cost < best {
+				best = f.cost
 				via = int32(x)
-				indexOnly = f.IndexOnly
 			}
 		}
 		if via < 0 {
 			continue
 		}
-		op := OpIndexScan
-		if indexOnly {
-			op = OpIndexOnlyScan
-		}
 		p.addPlan(set, &planRec{
-			op: op, rels: set, rows: ri.Rows, cost: best, leafCost: best,
+			op: scanOp(facts[via].indexOnly), rels: set, rows: ri.Rows, cost: best, leafCost: best,
 			order: int32(p.a.ordBase[rel]) + int32(k) + 1, outer: -1, inner: -1, aux: via,
 		})
 	}
 	return p.finishRel(set, ri.Rows)
+}
+
+// scanOp is the operator of a scan through an index.
+func scanOp(indexOnly bool) Op {
+	if indexOnly {
+		return OpIndexOnlyScan
+	}
+	return OpIndexScan
 }
 
 // metric is the ExportAll pruning metric: the provably-safe internal cost by
@@ -840,26 +843,22 @@ func (p *planner) keep(c planRec) int32 {
 
 // collectAccessCosts implements the §V-C hook: report the access cost of
 // every configuration index on every relation, instead of discarding all
-// but the cheapest.
+// but the cheapest. It reads the prices every relation's scanPaths put in
+// its scanFacts.
 func (p *planner) collectAccessCosts() []IndexAccess {
 	var out []IndexAccess
 	for rel := range p.a.Rels {
 		ri := &p.a.Rels[rel]
-		interesting := make(map[string]bool, len(ri.Interesting))
-		for _, col := range ri.Interesting {
-			interesting[col] = true
-		}
-		for _, ix := range p.ctx.perRel[rel] {
-			f := p.a.IndexScanCost(rel, ix)
+		for _, f := range p.ctx.perRel[rel] {
 			ia := IndexAccess{
 				Rel:       rel,
-				Index:     ix,
-				ScanCost:  f.Cost,
-				IndexOnly: f.IndexOnly,
+				Index:     f.ix,
+				ScanCost:  f.cost,
+				IndexOnly: f.indexOnly,
 			}
-			if interesting[ix.LeadColumn()] {
-				ia.OrderCol = ix.LeadColumn()
-				ia.LookupCost = p.a.LookupCost(rel, ix, ix.LeadColumn())
+			if f.order >= 0 {
+				ia.OrderCol = ri.Interesting[f.order]
+				ia.LookupCost = p.a.lookupCost(ri, f.ix, ri.orders[f.order].val, f.indexOnly)
 			}
 			out = append(out, ia)
 		}

@@ -192,7 +192,7 @@ func (p *planner) tree(r int32) *Path {
 		col := p.treeCols[c.order]
 		t.BaseRel = bits.TrailingZeros64(uint64(c.rels))
 		if c.aux >= 0 {
-			t.Index = p.ctx.perRel[t.BaseRel][c.aux]
+			t.Index = p.ctx.perRel[t.BaseRel][c.aux].ix
 		}
 		t.Leaves = newLeaves(n)
 		if c.order > 0 {

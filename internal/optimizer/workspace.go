@@ -80,7 +80,7 @@ func (w *Workspace) OptimizeEach(a *Analysis, cfg *query.Config, opts []Options,
 	for i, opt := range opts {
 		ps[i].reset(a, cfg, opt)
 	}
-	w.planEach(ps, run)
+	w.planEach(ps, run, nil)
 	for i, p := range ps {
 		if err := w.errs[i]; err != nil {
 			return nil, err
@@ -107,12 +107,17 @@ type Summary struct {
 // calls exported with the same structure — the identity Path.Signature
 // names, computed over the records (identity) — call by call, in export
 // order. A nil run plans the calls one after another on one planner, each
-// emitting before the next starts; otherwise run plans call i on planner i
-// and the first call emits once every call has planned. Identities are
-// interned call by call either way, so both hand emit the same summaries in
-// the same order and return the same summed planner counters. The summary
-// and its slices belong to the workspace and are valid only during the emit
-// call.
+// emitting on the caller before the next starts. Otherwise run plans call i
+// on planner i, and emit is called from two places: call 0 emits on
+// whichever goroutine run gave it, as soon as it has planned and while the
+// others may still plan; the later calls emit on the caller, in call order,
+// once run has returned. A call that fails emits nothing, and no call after
+// it emits. Identities are interned call by call either way, so both hand
+// emit the same summaries in the same order and return the same summed
+// planner counters. emit is never called twice at once. The summary and its
+// slices belong to the workspace and are valid only during the emit call. A
+// panic in emit, on call 0's goroutine too, reaches Export's caller through
+// run and leaves the workspace reusable.
 func (w *Workspace) Export(a *Analysis, cfg *query.Config, opts []Options, run Runner, emit func(*Summary)) (PlannerStats, error) {
 	var st PlannerStats
 	clear(w.ids)
@@ -132,13 +137,15 @@ func (w *Workspace) Export(a *Analysis, cfg *query.Config, opts []Options, run R
 		opt.ExportAll = true
 		ps[i].reset(a, cfg, opt)
 	}
-	w.planEach(ps, run)
+	w.planEach(ps, run, func(final joinRel) { w.summaries(ps[0], final, emit) })
 	for i, p := range ps {
 		if err := w.errs[i]; err != nil {
 			return st, err
 		}
 		st.Add(p.stats)
-		w.summaries(p, w.finals[i], emit)
+		if i > 0 {
+			w.summaries(p, w.finals[i], emit)
+		}
 	}
 	return st, nil
 }
@@ -167,10 +174,17 @@ func (w *Workspace) planners(n int) []*planner {
 // planEach plans every planner of ps, each reset for its call, through run,
 // leaving call i's relation of complete plans in w.finals[i] and its error
 // in w.errs[i]: the only state the calls write outside their own planner.
-func (w *Workspace) planEach(ps []*planner, run Runner) {
+// A non-nil first is handed call 0's relation, on call 0's goroutine, as
+// soon as call 0 has planned without error.
+func (w *Workspace) planEach(ps []*planner, run Runner, first func(final joinRel)) {
 	w.finals, w.errs = fit(w.finals, len(ps)), fit(w.errs, len(ps))
 	finals, errs := w.finals, w.errs
-	run(len(ps), func(i int) { finals[i], errs[i] = ps[i].plan() })
+	run(len(ps), func(i int) {
+		finals[i], errs[i] = ps[i].plan()
+		if i == 0 && first != nil && errs[0] == nil {
+			first(finals[0])
+		}
+	})
 }
 
 // release ends the paired calls of ps, however they ended.

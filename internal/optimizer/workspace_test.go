@@ -35,7 +35,8 @@ func assertSameCall(t *testing.T, label string, got *optimizer.Result, gerr erro
 // each ExportAll call through a serial Export first, and one that pairs: it
 // plans every call as the second of two calls on two goroutines, after the
 // previous call's option set, exports paired, and now and then has both
-// calls of a paired Export panic midway — and holds each result to a fresh
+// calls of a paired Export panic midway, or its emit panic in call 0's first
+// summary while call 1 may still plan — and holds each result to a fresh
 // Optimize of the same call, and the paired exports to the serial ones.
 // Consecutive calls therefore differ in query, key lane, relation count and
 // option set, so every buffer of both planners arrives dirty from something
@@ -71,7 +72,7 @@ func TestWorkspaceReuseBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	rng.Shuffle(len(calls), func(i, j int) { calls[i], calls[j] = calls[j], calls[i] })
 
-	failed, attempts, panicked := 0, 0, 0
+	failed, attempts, panicked, emitPanics := 0, 0, 0, 0
 	scratch, exporting, pairing := optimizer.NewWorkspace(), optimizer.NewWorkspace(), optimizer.NewWorkspace()
 	var prev optimizer.Options
 	for i, c := range calls {
@@ -86,6 +87,10 @@ func TestWorkspaceReuseBitIdentical(t *testing.T) {
 		if i%9 == 4 {
 			attempts++
 			panicked += panicsMidway(pairing, c.a, c.cfg, pair)
+		}
+		if i%9 == 7 && werr == nil {
+			emitPanics++
+			emitPanicSurfaces(t, c.label, pairing, c.a, c.cfg, pair)
 		}
 		if c.opt.ExportAll {
 			serial, serr := exportAll(exporting, c.a, c.cfg, pair, nil)
@@ -110,6 +115,70 @@ func TestWorkspaceReuseBitIdentical(t *testing.T) {
 	if panicked != attempts {
 		t.Fatalf("%d of %d paired exports with a broken index panicked", panicked, attempts)
 	}
+	if emitPanics == 0 {
+		t.Fatal("no paired export had its emit panic")
+	}
+}
+
+// emitPanicSurfaces runs a paired Export of a on w whose emit panics on the
+// first summary, which call 0 emits on its own goroutine, and fails unless
+// that panic reaches the caller.
+func emitPanicSurfaces(t *testing.T, label string, w *optimizer.Workspace, a *optimizer.Analysis, cfg *query.Config, opts []optimizer.Options) {
+	t.Helper()
+	type emitPanic struct{}
+	defer func() {
+		if p := recover(); p != (emitPanic{}) {
+			t.Fatalf("%s: a paired export whose emit panics returned with %v", label, p)
+		}
+	}()
+	_, _ = w.Export(a, cfg, opts, goRunner, func(*optimizer.Summary) { panic(emitPanic{}) })
+}
+
+// TestPairedExportEmitsCallZeroFirst holds a paired Export's pipeline: call
+// 0's summaries are emitted inside call 0, before call 1 starts under a
+// runner that runs the calls one after the other, and call 1's only after
+// run returns; the summaries, their order and the counters are the serial
+// Export's. A runner that runs call 1 first sees the same. Inputs: every
+// design shape.
+func TestPairedExportEmitsCallZeroFirst(t *testing.T) {
+	for _, spec := range designSpecs {
+		a, cfg := shapeBuildConfig(t, spec)
+		label := fmt.Sprintf("%s-%d", spec.Shape, len(a.Rels))
+		opts := buildOptions(false)
+		serial, err := exportAll(optimizer.NewWorkspace(), a, cfg, opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, reversed := range []bool{false, true} {
+			var got exported
+			var during [2]int // summaries emitted when call i returned
+			run := func(n int, call func(i int)) {
+				for k := 0; k < n; k++ {
+					i := k
+					if reversed {
+						i = n - 1 - k
+					}
+					call(i)
+					during[i] = len(got.sums)
+				}
+			}
+			st, err := optimizer.NewWorkspace().Export(a, cfg, opts, run, func(s *optimizer.Summary) { got.sums = append(got.sums, cloneSummary(s)) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.st = st
+			if !reflect.DeepEqual(got, serial) {
+				t.Fatalf("%s reversed=%v: pipelined export (%d summaries) differs from the serial one (%d)", label, reversed, len(got.sums), len(serial.sums))
+			}
+			one := during[0] // call 1 emits nothing inside run
+			if reversed {
+				one = 0
+			}
+			if during[0] == 0 || during[1] != one {
+				t.Fatalf("%s reversed=%v: %v summaries emitted as calls 0 and 1 returned, want call 0's inside call 0 and call 1's after run", label, reversed, during)
+			}
+		}
+	}
 }
 
 // exported is what one Export handed out: copies of its summaries, in
@@ -121,13 +190,14 @@ type exported struct {
 
 func exportAll(w *optimizer.Workspace, a *optimizer.Analysis, cfg *query.Config, opts []optimizer.Options, run optimizer.Runner) (exported, error) {
 	var out exported
-	st, err := w.Export(a, cfg, opts, run, func(s *optimizer.Summary) {
-		out.sums = append(out.sums, optimizer.Summary{
-			Internal: s.Internal, Slots: slices.Clone(s.Slots), Coefs: slices.Clone(s.Coefs), NLJ: s.NLJ,
-		})
-	})
+	st, err := w.Export(a, cfg, opts, run, func(s *optimizer.Summary) { out.sums = append(out.sums, cloneSummary(s)) })
 	out.st = st
 	return out, err
+}
+
+// cloneSummary copies an emitted summary out of the workspace's buffers.
+func cloneSummary(s *optimizer.Summary) optimizer.Summary {
+	return optimizer.Summary{Internal: s.Internal, Slots: slices.Clone(s.Slots), Coefs: slices.Clone(s.Coefs), NLJ: s.NLJ}
 }
 
 // goRunner is an optimizer.Runner that runs every call on a goroutine of
