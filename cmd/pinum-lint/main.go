@@ -1,6 +1,6 @@
 // Command pinum-lint runs the repository's invariant analyzers
 // (internal/lint) over the tree: determinism of result-affecting
-// packages, immutability of sealed shared caches, cost-arithmetic
+// packages, immutability of published shared caches, cost-arithmetic
 // locality, hot-path allocation discipline, and directive hygiene.
 //
 // Usage:

@@ -1,5 +1,5 @@
 // Command pinum-serve is the what-if serving daemon: it loads (or builds
-// and saves) a slim plan-cache snapshot for the star-schema workload,
+// and saves) a plan-cache snapshot for the star-schema workload,
 // then answers configuration questions over HTTP with pure cost
 // arithmetic — no optimizer calls per request. The snapshot is hot: a
 // SIGHUP or POST /reload re-derives the statistics, rebuilds only what
@@ -221,7 +221,7 @@ func main() {
 		for _, c := range caches {
 			m := c.MemStats()
 			entries += m.Entries
-			bytesTotal += m.TotalBytes()
+			bytesTotal += m.EntryBytes
 		}
 		how := "loaded from " + *snapshot
 		if buildReason != "" {

@@ -118,7 +118,7 @@ func (ad *Advisor) AddQuery(q *query.Query, weight float64) error {
 	if err != nil {
 		return err
 	}
-	cache, err := core.Build(a, ad.ws)
+	cache, err := core.BuildSlim(a, ad.ws)
 	if err != nil {
 		return fmt.Errorf("advisor: building cache for %s: %w", q.Name, err)
 	}
@@ -155,7 +155,7 @@ func (ad *Advisor) AddPrepared(q *query.Query, a *optimizer.Analysis, cache *inu
 }
 
 // AddQueries registers a whole workload at once, building the PINUM plan
-// caches across the advisor's worker pool (core.BuildAll). weights may be
+// caches across the advisor's worker pool (core.BuildAllSlim). weights may be
 // nil, meaning weight 1 for every query; otherwise it must be parallel to
 // queries. Queries are appended in input order, so the advisor's state is
 // identical to calling AddQuery serially.
@@ -171,7 +171,7 @@ func (ad *Advisor) AddQueries(queries []*query.Query, weights []float64) error {
 		}
 		analyses[i] = a
 	}
-	caches, err := core.BuildAll(analyses, ad.cat, ad.Parallelism, false)
+	caches, err := core.BuildAllSlim(analyses, ad.cat, ad.Parallelism)
 	if err != nil {
 		return fmt.Errorf("advisor: building caches: %w", err)
 	}

@@ -16,7 +16,8 @@ import (
 )
 
 // BuildFunc constructs one plan cache for an analysed query using the given
-// what-if session (core.Build, core.BuildPrecise, and inum.Build all fit).
+// what-if session (BuildSlim, BuildPrecise, a Builder's, the reference
+// Build and inum.Build all fit).
 // A BuildFunc may keep state between its calls, as Builder's do, so one
 // value serves one goroutine at a time.
 type BuildFunc func(*optimizer.Analysis, *whatif.Session) (*inum.Cache, error)
@@ -238,15 +239,18 @@ func claimOrder(analyses []*optimizer.Analysis, workers int) []int {
 // worker.
 func pairs(n, budget int) bool { return 2*n <= budget }
 
-// BuildAll fills one PINUM plan cache per analysis on a budget of workers
-// cores (see BuildAllWith for the budget and pool semantics).
+// BuildAll is the reference construction (Build) of a batch in either
+// nested-loop mode, fanned out across queries on a budget of workers cores
+// (BuildAllWith; its calls never pair). The library never calls it.
 func BuildAll(analyses []*optimizer.Analysis, cat *catalog.Catalog, workers int, precise bool) ([]*inum.Cache, error) {
-	return BuildAllWith(analyses, cat, workers, func(paired bool) BuildFunc { return Builder(precise, false, paired) })
+	return BuildAllWith(analyses, cat, workers, func(bool) BuildFunc {
+		return func(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error) { return reference(a, ws, precise) }
+	})
 }
 
-// BuildAllSlim fills one slim PINUM plan cache per analysis on a budget of
-// workers cores — the batch construction the snapshot store and the
-// serving layer start from.
+// BuildAllSlim fills one PINUM plan cache per analysis (BuildSlim's) on a
+// budget of workers cores — the batch construction the advisor, the
+// snapshot store and the serving layer start from.
 func BuildAllSlim(analyses []*optimizer.Analysis, cat *catalog.Catalog, workers int) ([]*inum.Cache, error) {
-	return BuildAllWith(analyses, cat, workers, func(paired bool) BuildFunc { return Builder(false, true, paired) })
+	return BuildAllWith(analyses, cat, workers, func(paired bool) BuildFunc { return Builder(false, paired) })
 }

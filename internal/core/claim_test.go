@@ -52,7 +52,7 @@ func TestPlanWorkRanksPlannerWork(t *testing.T) {
 		sets["design shapes"] = append(sets["design shapes"], a)
 		cats[a] = whatif.NewSession(cat)
 	}
-	build := Builder(false, true, false)
+	build := Builder(false, false)
 	for label, set := range sets {
 		est, paths := make([]float64, len(set)), make([]float64, len(set))
 		for i, a := range set {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -64,13 +66,15 @@ type pairInput struct {
 
 // TestPairedBuildMatchesSerial builds each input as a batch of one at a
 // budget of 2 (its two calls planned at once, on two planners) and at a
-// budget of 1 (one after the other, on one planner), as a slim, a tree and
-// a precise build: every design shape, star Q10 and a self-join query. The
-// two caches must encode to the same snapshot bytes, hold trees with the
-// same Signature sequence, and carry the same planner counters, plans seen,
-// plans cached and optimizer calls. The 17-relation chain, whose all-orders
-// configuration no planner can export, is held the same way through the
-// workspace a Builder drives, under its head's indexes.
+// budget of 1 (one after the other, on one planner), coarse and precise:
+// every design shape, star Q10 and a self-join query. The two caches must
+// hold the same rows entry for entry, encode to the same snapshot bytes and
+// carry the same planner counters, plans seen, plans cached and optimizer
+// calls. (The reference construction holds the rows: optimizer's
+// TestSlimExportsMatchTrees on the design shapes and star Q10, the facade's
+// TestFacadeMatchesReference on a self-join.) The 17-relation chain, whose
+// all-orders configuration no planner can export, is held the same way
+// through the workspace a Builder drives, under its head's indexes.
 func TestPairedBuildMatchesSerial(t *testing.T) {
 	var inputs []pairInput
 	for _, s := range designShapes {
@@ -90,14 +94,13 @@ func TestPairedBuildMatchesSerial(t *testing.T) {
 		WHERE f.fk_dim1_1 = d.id AND g.fk_dim1_1 = d.id AND d.a1 BETWEEN 1 AND 40 ORDER BY d.a2`, star.Catalog, "self")
 	inputs = append(inputs, pairInput{"self-join", analyze(t, star, self), star.Catalog})
 
-	modes := []struct {
-		label         string
-		precise, slim bool
-	}{{"slim", false, true}, {"tree", false, false}, {"precise", true, false}}
 	for _, in := range inputs {
-		for _, m := range modes {
-			label := in.label + "/" + m.label
-			if m.precise && in.label == "random6" && testing.Short() {
+		for _, precise := range []bool{false, true} {
+			label := in.label + "/coarse"
+			if precise {
+				label = in.label + "/precise"
+			}
+			if precise && in.label == "random6" && testing.Short() {
 				continue // ~6 s a build
 			}
 			build := func(budget int) *inum.Cache {
@@ -106,7 +109,7 @@ func TestPairedBuildMatchesSerial(t *testing.T) {
 					if paired != (budget == 2) {
 						t.Fatalf("%s: budget %d built paired=%v", label, budget, paired)
 					}
-					return Builder(m.precise, m.slim, paired)
+					return Builder(precise, paired)
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -119,18 +122,21 @@ func TestPairedBuildMatchesSerial(t *testing.T) {
 	chain17PairedMatchesSerial(t)
 }
 
+// encode is c's snapshot bytes.
+func encode(t *testing.T, c *inum.Cache) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := plancache.Encode(&buf, plancache.NewSnapshot(1, []*inum.Cache{c})); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // assertSameCache fails unless the paired cache got equals the serial want
 // in everything a build produces.
 func assertSameCache(t *testing.T, label string, got, want *inum.Cache) {
 	t.Helper()
-	encode := func(c *inum.Cache) []byte {
-		var buf bytes.Buffer
-		if err := plancache.Encode(&buf, plancache.NewSnapshot(1, []*inum.Cache{c})); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	if g, w := encode(got), encode(want); !bytes.Equal(g, w) {
+	if g, w := encode(t, got), encode(t, want); !bytes.Equal(g, w) {
 		t.Errorf("%s: paired build encodes to %d bytes that differ from the serial build's %d", label, len(g), len(w))
 	}
 	if len(got.Plans) != len(want.Plans) || len(want.Plans) == 0 {
@@ -138,8 +144,12 @@ func assertSameCache(t *testing.T, label string, got, want *inum.Cache) {
 	}
 	for i, wp := range want.Plans {
 		gp := got.Plans[i]
-		if (gp.Path == nil) != (wp.Path == nil) || gp.Sig != wp.Sig || gp.Path != nil && gp.Path.Signature() != wp.Path.Signature() {
-			t.Fatalf("%s: plan %d is %q paired, %q serial", label, i, gp.Sig, wp.Sig)
+		gpk, gc := gp.PackedLeaves()
+		wpk, wc := wp.PackedLeaves()
+		same := math.Float64bits(gp.Internal) == math.Float64bits(wp.Internal) && gp.NLJ == wp.NLJ && slices.Equal(gpk, wpk) &&
+			slices.EqualFunc(gc, wc, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+		if !same {
+			t.Fatalf("%s: plan %d is %s %v %v paired, %s %v %v serial", label, i, gp, gpk, gc, wp, wpk, wc)
 		}
 	}
 	gs, ws := got.Stats, want.Stats
@@ -151,10 +161,9 @@ func assertSameCache(t *testing.T, label string, got, want *inum.Cache) {
 
 // chain17PairedMatchesSerial is TestPairedBuildMatchesSerial's 17-relation
 // chain: past 16 relations the planner takes the wide key lane and the
-// sparse DP table. Its two construction calls run through Export and
-// OptimizeEach with pairCalls, a paired Builder's runner, and without a
-// runner, on one workspace each, and must hand out the same summaries, trees
-// and counters.
+// sparse DP table. Its two construction calls run through Export with
+// pairCalls, a paired Builder's runner, and without a runner, on one
+// workspace each, and must hand out the same summaries and counters.
 func chain17PairedMatchesSerial(t *testing.T) {
 	cat, q, err := workload.ShapeQuery(workload.ShapeSpec{Shape: workload.ShapeWideChain, Rels: 17, Seed: 42})
 	if err != nil {
@@ -173,7 +182,7 @@ func chain17PairedMatchesSerial(t *testing.T) {
 	}
 	opts := []optimizer.Options{{ExportAll: true}, {EnableNestLoop: true, ExportAll: true, PaperPrune: true}}
 	export := func(run optimizer.Runner) *inum.Cache {
-		c := inum.NewSlimCache(a)
+		c := inum.NewCache(a)
 		st, err := optimizer.NewWorkspace().Export(a, cfg, opts, run, c.AddSummary)
 		if err != nil {
 			t.Fatal(err)
@@ -182,21 +191,4 @@ func chain17PairedMatchesSerial(t *testing.T) {
 		return c
 	}
 	assertSameCache(t, "chain-17/export", export(pairCalls), export(nil))
-
-	trees := func(run optimizer.Runner) *inum.Cache {
-		c := inum.NewCache(a)
-		res, err := optimizer.NewWorkspace().OptimizeEach(a, cfg, opts, run)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range res {
-			c.Stats.OptimizerCalls++
-			c.Stats.Planner.Add(r.Stats)
-			for _, p := range r.Exported {
-				c.AddPath(p)
-			}
-		}
-		return c
-	}
-	assertSameCache(t, "chain-17/trees", trees(pairCalls), trees(nil))
 }

@@ -19,9 +19,9 @@
 // bit. A build allocates little beyond the cache it returns: every query a
 // batch worker builds plans on one optimizer.Workspace (Builder), which
 // dies with the one-shot build or the batch. The planner keeps plans as
-// pointer-free records in arenas that grow by blocks; a slim build reads
-// each exported plan's summary straight off them (Workspace.Export), and
-// only a tree build has Path trees built for it.
+// pointer-free records in arenas that grow by blocks, and a build reads
+// each exported plan's summary straight off them (Workspace.Export): no
+// Path tree is built.
 package core
 
 import (
@@ -34,55 +34,46 @@ import (
 	"github.com/pinumdb/pinum/internal/whatif"
 )
 
-// Build fills an INUM-compatible plan cache with two optimizer calls (one
-// without and one with nested-loop joins), implementing §V-D with the
-// paper's default, coarse treatment of nested-loop plans. Like BuildPrecise
-// and BuildSlim it is a batch of one on every core the process has: the two
-// calls plan at once when GOMAXPROCS is at least 2.
-func Build(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error) {
-	return oneShot(false, false)(a, ws)
-}
-
-// BuildPrecise fills the cache with the §V-D refinement enabled: nested-
-// loop plans that differ in probe count are all retained, trading "a bigger
-// plan cache and slower cost lookup" for exact nested-loop costing. The
-// ablation benchmarks compare the two.
-func BuildPrecise(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error) {
-	return oneShot(true, false)(a, ws)
-}
-
-// BuildSlim fills a slim cache: the same two optimizer calls, but every
-// exported plan reaches the cache as its INUM decomposition, read off the
-// planner's records, and no path tree is ever built. Cost results are
-// bit-identical to Build's; the cache just cannot render EXPLAIN trees or
-// feed the executor. This is the construction the persistent snapshot store
-// and the serving layer use.
+// BuildSlim fills a plan cache with two optimizer calls (one without and
+// one with nested-loop joins), implementing §V-D with the paper's default,
+// coarse treatment of nested-loop plans: every exported plan reaches the
+// cache as its INUM decomposition, read off the planner's records. This is
+// the construction the library, the persistent snapshot store and the
+// serving layer use. Like BuildPrecise it is a batch of one on every core
+// the process has: the two calls plan at once when GOMAXPROCS is at least 2.
 func BuildSlim(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error) {
-	return oneShot(false, true)(a, ws)
+	return oneShot(false)(a, ws)
+}
+
+// BuildPrecise is BuildSlim with the §V-D refinement enabled: nested-loop
+// plans that differ in probe count are all retained, trading "a bigger plan
+// cache and slower cost lookup" for exact nested-loop costing. The ablation
+// benchmarks compare the two.
+func BuildPrecise(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error) {
+	return oneShot(true)(a, ws)
 }
 
 // oneShot is the Builder of a batch of one whose core budget is GOMAXPROCS.
-func oneShot(precise, slim bool) BuildFunc {
-	return Builder(precise, slim, pairs(1, runtime.GOMAXPROCS(0)))
+func oneShot(precise bool) BuildFunc {
+	return Builder(precise, pairs(1, runtime.GOMAXPROCS(0)))
 }
 
-// Builder returns a BuildFunc for the given mode flags that plans every
-// query it is handed on one optimizer.Workspace of its own: call it once
-// per worker, as BuildAllWith does, and the worker's later queries reuse
-// the buffers its first ones grew. A paired Builder plans each query's two
-// calls at once, on the caller and one helper goroutine, each on a planner
-// of the workspace; an unpaired one plans them one after the other on one
-// planner. BuildAllWith says which (pairs). A slim Builder hands its caches
-// the workspace's export summaries; a tree Builder has the workspace build
-// the exported plans' trees, which its caches keep.
-func Builder(precise, slim, paired bool) BuildFunc {
+// Builder returns a BuildFunc for the given nested-loop mode that plans
+// every query it is handed on one optimizer.Workspace of its own: call it
+// once per worker, as BuildAllWith does, and the worker's later queries
+// reuse the buffers its first ones grew. A paired Builder plans each
+// query's two calls at once, on the caller and one helper goroutine, each
+// on a planner of the workspace; an unpaired one plans them one after the
+// other on one planner. BuildAllWith says which (pairs). Either way its
+// caches get the workspace's export summaries.
+func Builder(precise, paired bool) BuildFunc {
 	wk := optimizer.NewWorkspace()
 	var run optimizer.Runner
 	if paired {
 		run = pairCalls
 	}
 	return func(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error) {
-		return build(a, ws, wk, run, precise, slim)
+		return build(a, ws, wk, run, precise)
 	}
 }
 
@@ -92,49 +83,72 @@ func pairCalls(n int, call func(i int)) {
 	Fan(n, 2, func() func(int) { return call })
 }
 
-func build(a *optimizer.Analysis, ws *whatif.Session, wk *optimizer.Workspace, run optimizer.Runner, precise, slim bool) (*inum.Cache, error) {
-	start := time.Now()
-	var c *inum.Cache
-	if slim {
-		c = inum.NewSlimCache(a)
-	} else {
-		c = inum.NewCache(a)
+// callOptions are a build's two optimizer calls. First call: nested loops
+// off; the exported non-NLJ plan set is complete and exact under
+// internal-cost subsumption pruning. Second call: nested loops on; unless
+// the precise refinement is requested, the paper's literal total-cost
+// pruning keeps the NLJ plan set small at the price of the small errors
+// §VI-C reports.
+func callOptions(precise bool) [2]optimizer.Options {
+	return [2]optimizer.Options{
+		{ExportAll: true, PreciseNLJ: precise},
+		{EnableNestLoop: true, ExportAll: true, PreciseNLJ: precise, PaperPrune: !precise},
 	}
-	c.Stats.CombosEnumerated = a.Q.ComboCount()
+}
 
+func build(a *optimizer.Analysis, ws *whatif.Session, wk *optimizer.Workspace, run optimizer.Runner, precise bool) (*inum.Cache, error) {
+	start := time.Now()
+	c := inum.NewCache(a)
+	c.Stats.CombosEnumerated = a.Q.ComboCount()
 	cfg, err := inum.AllOrdersConfig(a, ws)
 	if err != nil {
 		return nil, err
 	}
-	// First call: nested loops off; the exported non-NLJ plan set is
-	// complete and exact under internal-cost subsumption pruning. Second
-	// call: nested loops on; unless the precise refinement is requested,
-	// the paper's literal total-cost pruning keeps the NLJ plan set small
-	// at the price of the small errors §VI-C reports.
-	opts := [2]optimizer.Options{
-		{ExportAll: true, PreciseNLJ: precise},
-		{EnableNestLoop: true, ExportAll: true, PreciseNLJ: precise, PaperPrune: !precise},
+	opts := callOptions(precise)
+	st, err := wk.Export(a, cfg, opts[:], run, c.AddSummary)
+	if err != nil {
+		return nil, err
 	}
-	if slim {
-		st, err := wk.Export(a, cfg, opts[:], run, c.AddSummary)
+	c.Stats.OptimizerCalls += len(opts)
+	c.Stats.Planner.Add(st)
+	c.Stats.PlansSeen = st.PathsRetained
+	c.Stats.Duration = time.Since(start)
+	c.Stats.Mem = c.MemStats()
+	return c, nil
+}
+
+// Build is the reference construction of BuildSlim's cache (BuildAll, of a
+// batch in either mode): each of the two calls plans on a fresh planner
+// through optimizer.Optimize, one after the other, and the cache is filled
+// from the Path trees they export through Path.Signature (inum.PathSet),
+// Summarize and PackLeaf (AddPath). It never calls Workspace.Export, so the
+// equivalence suites and the benchmark's golden answers, which hold the
+// library's caches to it bit for bit, share no construction code with what
+// they check past the planner; keep it off Export. The library never calls
+// it.
+func Build(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error) {
+	return reference(a, ws, false)
+}
+
+// reference is Build, and BuildAll's BuildFunc, in either nested-loop mode.
+func reference(a *optimizer.Analysis, ws *whatif.Session, precise bool) (*inum.Cache, error) {
+	start := time.Now()
+	c := inum.NewCache(a)
+	c.Stats.CombosEnumerated = a.Q.ComboCount()
+	cfg, err := inum.AllOrdersConfig(a, ws)
+	if err != nil {
+		return nil, err
+	}
+	set := inum.NewPathSet(c)
+	for _, opt := range callOptions(precise) {
+		res, err := optimizer.Optimize(a, cfg, opt)
 		if err != nil {
 			return nil, err
 		}
-		c.Stats.OptimizerCalls += len(opts)
-		c.Stats.Planner.Add(st)
-		c.Stats.PlansSeen = st.PathsRetained
-		c.Seal()
-	} else {
-		results, err := wk.OptimizeEach(a, cfg, opts[:], run)
-		if err != nil {
-			return nil, err
-		}
-		for _, res := range results {
-			c.Stats.OptimizerCalls++
-			c.Stats.Planner.Add(res.Stats)
-			for _, p := range res.Exported {
-				c.AddPath(p)
-			}
+		c.Stats.OptimizerCalls++
+		c.Stats.Planner.Add(res.Stats)
+		for _, p := range res.Exported {
+			set.Add(p)
 		}
 	}
 	c.Stats.Duration = time.Since(start)

@@ -57,9 +57,9 @@ func TestBuildProducesUsefulPlans(t *testing.T) {
 		t.Fatalf("Q5Analogue: %v", err)
 	}
 	a := analyze(t, s, q)
-	cache, err := Build(a, whatif.NewSession(s.Catalog))
+	cache, err := BuildSlim(a, whatif.NewSession(s.Catalog))
 	if err != nil {
-		t.Fatalf("Build: %v", err)
+		t.Fatalf("BuildSlim: %v", err)
 	}
 	if cache.Stats.OptimizerCalls != 2 {
 		t.Errorf("PINUM made %d optimizer calls, want 2", cache.Stats.OptimizerCalls)
@@ -127,9 +127,9 @@ func TestCoarseNLJAccuracy(t *testing.T) {
 		t.Run(q.Name, func(t *testing.T) {
 			a := analyze(t, s, q)
 			ws := whatif.NewSession(s.Catalog)
-			cache, err := Build(a, ws)
+			cache, err := BuildSlim(a, ws)
 			if err != nil {
-				t.Fatalf("Build: %v", err)
+				t.Fatalf("BuildSlim: %v", err)
 			}
 			var worst float64
 			for trial := 0; trial < 40; trial++ {
@@ -166,7 +166,7 @@ func TestPINUMEqualsINUM(t *testing.T) {
 		q := q
 		t.Run(q.Name, func(t *testing.T) {
 			a := analyze(t, s, q)
-			pin, err := Build(a, whatif.NewSession(s.Catalog))
+			pin, err := BuildSlim(a, whatif.NewSession(s.Catalog))
 			if err != nil {
 				t.Fatalf("PINUM build: %v", err)
 			}

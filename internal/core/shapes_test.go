@@ -113,7 +113,7 @@ func TestBuildSlimAllocationBudget(t *testing.T) {
 		label := fmt.Sprintf("%s paired=%v", b.label, b.paired)
 		// BuildSlim with its budget fixed: allocsPer runs at GOMAXPROCS 1.
 		oneShot := func(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error) {
-			return Builder(false, true, b.paired)(a, ws)
+			return Builder(false, b.paired)(a, ws)
 		}
 		objects, bytes := allocsPer(3, buildSlimShape(t, spec, oneShot))
 		t.Logf("%s: %.0f objects, %.0f bytes per build (ceilings %.0f, %.0f; %.0f when set; %.0f before)", label, objects, bytes, b.objects, b.bytes, b.was, b.before)

@@ -23,7 +23,7 @@ func TestConstructionSpeedAdvantage(t *testing.T) {
 	a := analyze(t, s, q)
 
 	start := time.Now()
-	pin, err := Build(a, whatif.NewSession(s.Catalog))
+	pin, err := BuildSlim(a, whatif.NewSession(s.Catalog))
 	if err != nil {
 		t.Fatalf("PINUM build: %v", err)
 	}

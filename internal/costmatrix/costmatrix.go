@@ -14,11 +14,10 @@
 // inverted index (table → queries) skips entirely the queries that never
 // reference the candidate's table.
 //
-// The engine consumes only each cache's slim decomposition — the leaf
-// arenas behind Cache.BestPlan — never a plan's path tree, so it runs
-// unchanged over slim and snapshot-loaded caches (internal/plancache) as
-// well as tree-backed ones; the serving layer's /recommend endpoint relies
-// on exactly that.
+// The engine consumes only each cache's decomposition — the leaf arenas
+// behind Cache.BestPlan — so it runs unchanged over built and
+// snapshot-loaded caches (internal/plancache); the serving layer's
+// /recommend endpoint relies on exactly that.
 //
 // The engine's results are bit-identical to pricing each configuration from
 // scratch through inum.Cache.Cost: per-slot minimisation visits indexes in

@@ -53,12 +53,11 @@ func shapeCase(t *testing.T, shape workload.Shape, rng *rand.Rand) propertyCase 
 				head.Indexes = append(head.Indexes, ix)
 			}
 		}
-		cache = inum.NewSlimCache(a)
+		cache = inum.NewCache(a)
 		opts := []optimizer.Options{{ExportAll: true}, {EnableNestLoop: true, ExportAll: true, PaperPrune: true}}
 		if _, err := optimizer.NewWorkspace().Export(a, head, opts, nil, cache.AddSummary); err != nil {
 			t.Fatal(err)
 		}
-		cache.Seal()
 	}
 	cfgs := workload.ShapeConfigs(rng, cat, q, 6)
 	return propertyCase{name: shape.String(), cache: cache, cfgs: append(cfgs, randomSubsets(rng, cfgs, 6)...)}
@@ -153,7 +152,7 @@ func referenceCost(c *inum.Cache, cfg *query.Config) (float64, int) {
 // all, so that sparse configurations leave it with no applicable plan.
 func orderedOnly(t *testing.T, c *inum.Cache) *inum.Cache {
 	t.Helper()
-	out := inum.NewSlimCache(c.A)
+	out := inum.NewCache(c.A)
 	for _, cp := range c.Plans {
 		pks, coefs := cp.PackedLeaves()
 		needsIndex := false
@@ -168,7 +167,6 @@ func orderedOnly(t *testing.T, c *inum.Cache) *inum.Cache {
 			}
 		}
 	}
-	out.Seal()
 	return out
 }
 

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"github.com/pinumdb/pinum/internal/advisor"
-	"github.com/pinumdb/pinum/internal/catalog"
 	"github.com/pinumdb/pinum/internal/core"
 	"github.com/pinumdb/pinum/internal/data"
 	"github.com/pinumdb/pinum/internal/executor"
@@ -180,7 +179,7 @@ func RunE2(env *Env, configsPerQuery int, queries []*query.Query) (*E2Result, er
 		if err != nil {
 			return nil, err
 		}
-		pin, err := core.Build(a, whatif.NewSession(env.Star.Catalog))
+		pin, err := core.BuildSlim(a, whatif.NewSession(env.Star.Catalog))
 		if err != nil {
 			return nil, err
 		}
@@ -262,12 +261,8 @@ type E3Row struct {
 	InumPlanner  optimizer.PlannerStats
 	PinumPlanner optimizer.PlannerStats
 
-	// PinumMem and SlimMem compare the retained memory of the tree-backed
-	// PINUM cache against a slim build of the same query (identical
-	// entries and costs, path trees dropped at export time). The ratio is
-	// the slim-cache headline: peak cache bytes per query before/after.
+	// PinumMem is the retained memory of the PINUM cache.
 	PinumMem inum.MemStats
-	SlimMem  inum.MemStats
 
 	InumAccessTime  time.Duration
 	InumAccessCalls int
@@ -295,14 +290,6 @@ func (r *E3Row) AccessSpeedup() float64 {
 	return float64(r.InumAccessTime) / float64(r.PinumAccessTime)
 }
 
-// MemSaving is the tree-vs-slim cache memory reduction factor.
-func (r *E3Row) MemSaving() float64 {
-	if r.SlimMem.TotalBytes() <= 0 {
-		return 0
-	}
-	return float64(r.PinumMem.TotalBytes()) / float64(r.SlimMem.TotalBytes())
-}
-
 // E3Result is the Fig. 4/5 data.
 type E3Result struct {
 	Rows []E3Row
@@ -319,7 +306,7 @@ func RunE3(env *Env, queries []*query.Query) (*E3Result, error) {
 		queries = env.Queries
 	}
 	res := &E3Result{}
-	// Both cache flavours go through the batch builder, but with a single
+	// Both constructions go through the batch builder, but with a single
 	// worker: E3's deliverable is the paper's per-query construction
 	// timing (Fig. 4/5), and timing each build in isolation — no sibling
 	// builds competing for cores — is what keeps the absolute durations
@@ -334,18 +321,11 @@ func RunE3(env *Env, queries []*query.Query) (*E3Result, error) {
 		}
 		analyses[i] = a
 	}
-	pins, err := core.BuildAll(analyses, env.Star.Catalog, 1, false)
+	pins, err := core.BuildAllSlim(analyses, env.Star.Catalog, 1)
 	if err != nil {
 		return nil, err
 	}
 	ins, err := core.BuildAllWith(analyses, env.Star.Catalog, 1, func(bool) core.BuildFunc { return inum.Build })
-	if err != nil {
-		return nil, err
-	}
-	// Slim builds of the same queries, for the memory column only (their
-	// timings are not reported; the paper's Fig. 4/5 methodology applies
-	// to the two cache flavours above).
-	slims, err := core.BuildAllSlim(analyses, env.Star.Catalog, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -354,16 +334,12 @@ func RunE3(env *Env, queries []*query.Query) (*E3Result, error) {
 		row := E3Row{Query: q.Name, Tables: len(q.Rels), Combos: q.ComboCount()}
 
 		// Only the build stats outlive this iteration; dropping the cache
-		// references keeps peak memory at one pair of live caches, as the
-		// old per-query build-then-drop loop did.
+		// references lets each be collected once its row is read.
 		row.PinumCacheTime = pins[qi].Stats.Duration
 		row.PinumCacheCalls = pins[qi].Stats.OptimizerCalls
 		row.PinumPlanner = pins[qi].Stats.Planner
 		row.PinumMem = pins[qi].Stats.Mem
 		pins[qi] = nil
-
-		row.SlimMem = slims[qi].Stats.Mem
-		slims[qi] = nil
 
 		row.InumCacheTime = ins[qi].Stats.Duration
 		row.InumCacheCalls = ins[qi].Stats.OptimizerCalls
@@ -372,15 +348,10 @@ func RunE3(env *Env, queries []*query.Query) (*E3Result, error) {
 
 		// Candidate indexes for the access-cost lookup comparison.
 		ws := whatif.NewSession(env.Star.Catalog)
-		_, names, err := workload.CandidateIndexes(a, ws)
-		if err != nil {
+		if _, _, err := workload.CandidateIndexes(a, ws); err != nil {
 			return nil, err
 		}
-		var cands []*catalog.Index
-		for _, ix := range ws.Indexes() {
-			cands = append(cands, ix)
-		}
-		_ = names
+		cands := ws.Indexes()
 		row.Candidates = len(cands)
 
 		naive := inum.CollectAccessCostsNaive(a, cands)
@@ -418,8 +389,7 @@ func (r *E3Result) String() string {
 		fmt.Fprintf(&b, "         frontier: INUM %d inserts / %d dominated on arrival / %d evicted, PINUM %d / %d / %d\n",
 			row.InumPlanner.FrontierInserts, row.InumPlanner.FrontierDrops, row.InumPlanner.FrontierEvictions,
 			row.PinumPlanner.FrontierInserts, row.PinumPlanner.FrontierDrops, row.PinumPlanner.FrontierEvictions)
-		fmt.Fprintf(&b, "         cache memory: tree %s | slim %s | %.1fx smaller\n",
-			row.PinumMem, row.SlimMem, row.MemSaving())
+		fmt.Fprintf(&b, "         cache memory: %s\n", row.PinumMem)
 		if row.AccessErrors > 0 {
 			fmt.Fprintf(&b, "  %-5s  WARNING: %d optimizer failures during access-cost collection; timings above are from incomplete tables\n",
 				row.Query, row.AccessErrors)
@@ -703,11 +673,9 @@ type E6Row struct {
 	FrontierDrops     int
 	FrontierEvictions int
 	FastTime          time.Duration
-	// TreeMem and SlimMem compare the retained memory of a plan cache
-	// filled from this call's exported set with and without path trees
-	// (the slim-cache refactor's per-shape saving).
-	TreeMem inum.MemStats
-	SlimMem inum.MemStats
+	// Mem is the retained memory of a plan cache filled from the call's
+	// exported set.
+	Mem inum.MemStats
 }
 
 // StateSaving is the DP-state reduction factor.
@@ -716,23 +684,6 @@ func (r *E6Row) StateSaving() float64 {
 		return 0
 	}
 	return float64(r.DenseStates) / float64(r.FastStates)
-}
-
-// MemSaving is the tree-vs-slim cache memory reduction factor.
-func (r *E6Row) MemSaving() float64 {
-	if r.SlimMem.TotalBytes() <= 0 {
-		return 0
-	}
-	return float64(r.TreeMem.TotalBytes()) / float64(r.SlimMem.TotalBytes())
-}
-
-// EntrySaving is the tree-vs-packed-slim per-entry byte reduction factor
-// (the packed-leaf arena refactor's saving, net of path trees).
-func (r *E6Row) EntrySaving() float64 {
-	if r.SlimMem.EntryBytes <= 0 {
-		return 0
-	}
-	return float64(r.TreeMem.EntryBytes) / float64(r.SlimMem.EntryBytes)
 }
 
 // E6Result is the enumeration experiment's table.
@@ -786,14 +737,10 @@ func RunE6(env *Env) (*E6Result, error) {
 			return nil, fmt.Errorf("E6 %s: %w", q.Name, err)
 		}
 
-		// Fill one tree-backed and one slim cache from the same exported
-		// set — the timed call's trees, and the same call's summaries — to
-		// measure what each retains.
-		tree, slim := inum.NewCache(a), inum.NewSlimCache(a)
-		for _, p := range fast.Exported {
-			tree.AddPath(p)
-		}
-		if _, err := optimizer.NewWorkspace().Export(a, cfg, []optimizer.Options{opt}, nil, slim.AddSummary); err != nil {
+		// Fill a cache from the same call's export to measure what it
+		// retains.
+		c := inum.NewCache(a)
+		if _, err := optimizer.NewWorkspace().Export(a, cfg, []optimizer.Options{opt}, nil, c.AddSummary); err != nil {
 			return nil, fmt.Errorf("E6 %s: %w", q.Name, err)
 		}
 
@@ -809,8 +756,7 @@ func RunE6(env *Env) (*E6Result, error) {
 			FrontierDrops:     fast.Stats.FrontierDrops,
 			FrontierEvictions: fast.Stats.FrontierEvictions,
 			FastTime:          fastTime,
-			TreeMem:           tree.MemStats(),
-			SlimMem:           slim.MemStats(),
+			Mem:               c.MemStats(),
 		})
 	}
 	return res, nil
@@ -839,19 +785,16 @@ func timedOptimize(a *optimizer.Analysis, cfg *query.Config, opt optimizer.Optio
 func (r *E6Result) String() string {
 	var b strings.Builder
 	b.WriteString("E6 connectivity-aware join enumeration (DPccp) vs dense sweep\n")
-	b.WriteString("  shape      rels joins  DP states fast/dense   saving  masks skipped  plans      fast call   cache tree/slim KB\n")
+	b.WriteString("  shape      rels joins  DP states fast/dense   saving  masks skipped  plans      fast call   cache KB\n")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %-9s  %4d %5d  %9d / %-9d %5.1fx  %13d  %5d  %13v  %7.1f / %-7.1f %4.1fx\n",
+		fmt.Fprintf(&b, "  %-9s  %4d %5d  %9d / %-9d %5.1fx  %13d  %5d  %13v  %8.1f\n",
 			row.Shape, row.Rels, row.Joins,
 			row.FastStates, row.DenseStates, row.StateSaving(),
 			row.MasksSkipped, row.Exported,
 			row.FastTime.Round(time.Microsecond),
-			float64(row.TreeMem.TotalBytes())/1024, float64(row.SlimMem.TotalBytes())/1024,
-			row.MemSaving())
-		fmt.Fprintf(&b, "             frontier %d inserts / %d dominated on arrival / %d evicted;"+
-			" entry bytes tree %d vs packed slim %d (%.1fx)\n",
-			row.FrontierInserts, row.FrontierDrops, row.FrontierEvictions,
-			row.TreeMem.EntryBytes, row.SlimMem.EntryBytes, row.EntrySaving())
+			float64(row.Mem.EntryBytes)/1024)
+		fmt.Fprintf(&b, "             frontier %d inserts / %d dominated on arrival / %d evicted\n",
+			row.FrontierInserts, row.FrontierDrops, row.FrontierEvictions)
 	}
 	b.WriteString("  (dense sweep: every submask split of every relation subset; DPccp: connected\n")
 	b.WriteString("   subgraph/complement pairs only — results are bit-identical either way)\n")

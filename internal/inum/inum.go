@@ -40,34 +40,27 @@ import (
 )
 
 // CachedPlan is one entry of the plan cache: an internal plan plus its leaf
-// access requirements. The requirements live in the owning cache's leaf
-// arenas (the two-byte index of the leaf's slot in the query's leaf-slot
-// table plus the float64 coefficient per relation) rather than as a
-// []LeafReq per entry; the entry itself holds only the arena ordinal. Leaf
-// reconstructs a LeafReq on demand without allocating.
+// access requirements — the plan's INUM decomposition, and nothing else of
+// it. The requirements live in the owning cache's leaf arenas (the two-byte
+// index of the leaf's slot in the query's leaf-slot table plus the float64
+// coefficient per relation) rather than as a []LeafReq per entry; the entry
+// itself holds only the arena ordinal. Leaf reconstructs a LeafReq on demand
+// without allocating.
 type CachedPlan struct {
 	// Internal is the access-method-independent cost (joins, sorts,
 	// aggregation).
 	Internal float64
-	// NLJ marks plans containing nested-loop joins; INUM tracks them
-	// separately because their cost is only piecewise linear in access
-	// costs.
-	NLJ bool
-	// Sig is the canonical structural signature (plan identity). Slim
-	// entries drop it (dedup already happened at construction); it is ""
-	// for them and for entries decoded from snapshots.
-	Sig string
-	// Path is the originating path tree, kept for EXPLAIN and execution.
-	// Slim cache entries store nil: Cost never reads it, and dropping it
-	// releases the DP planner's retained trees — the
-	// dominant share of cache memory on wide ExportAll queries.
-	Path *optimizer.Path
 
 	// c is the owning cache; idx is this entry's ordinal, striding into
 	// the cache's packed leaf arenas (every entry stores exactly one leaf
 	// per query relation).
 	c   *Cache
 	idx int32
+
+	// NLJ marks plans containing nested-loop joins; INUM tracks them
+	// separately because their cost is only piecewise linear in access
+	// costs.
+	NLJ bool
 }
 
 // NumRels is the number of leaf requirements (one per query relation).
@@ -138,50 +131,36 @@ type BuildStats struct {
 	// observable per query, not just timed.
 	Planner optimizer.PlannerStats
 	// Mem snapshots the cache's retained memory at the end of the build
-	// (entries, retained path-tree nodes, approximate bytes), so the
-	// slim-cache saving is measurable per query.
+	// (entries and their approximate bytes).
 	Mem MemStats
 }
 
-// MemStats reports a cache's retained memory: how many entries it holds,
-// how many path-tree nodes those entries pin (0 for slim caches), and the
-// approximate heap bytes of each part.
+// MemStats reports a cache's retained memory: how many entries it holds
+// and their approximate heap bytes.
 type MemStats struct {
 	// Entries is the number of cached plans.
 	Entries int
-	// RetainedPathNodes counts the distinct Path nodes reachable from the
-	// entries (shared subtrees counted once).
-	RetainedPathNodes int
-	// EntryBytes approximates the slim side of the cache: CachedPlan
-	// structs, leaf-requirement slices, combos and signatures.
+	// EntryBytes approximates the cache's entries: CachedPlan structs and
+	// the leaf arenas.
 	EntryBytes int64
-	// PathBytes approximates the retained path trees (0 for slim caches).
-	PathBytes int64
 }
-
-// TotalBytes is the cache's whole approximate footprint.
-func (m MemStats) TotalBytes() int64 { return m.EntryBytes + m.PathBytes }
 
 // String renders the stats compactly.
 func (m MemStats) String() string {
-	return fmt.Sprintf("%d entries, %d path nodes, ~%.1f KB (%.1f KB entries + %.1f KB paths)",
-		m.Entries, m.RetainedPathNodes,
-		float64(m.TotalBytes())/1024, float64(m.EntryBytes)/1024, float64(m.PathBytes)/1024)
+	return fmt.Sprintf("%d entries, ~%.1f KB", m.Entries, float64(m.EntryBytes)/1024)
 }
 
 // Cache is an INUM plan cache for one query. Cost and BestPlan only read
 // it, so any number of goroutines may price configurations at once;
-// construction (AddPath, AddSummary, AddSlim, Seal) is single-threaded.
+// construction (AddPath, AddSummary, AddSlim) is single-threaded. A cache
+// holds its plans' INUM decompositions and no construction state: the
+// constructions that see duplicate plans deduplicate before they add
+// (Workspace.Export on the planner's records, PathSet on Path trees).
 type Cache struct {
 	Q     *query.Query
 	A     *optimizer.Analysis
 	Plans []*CachedPlan
 	Stats BuildStats
-
-	// slim caches hold no path tree or signature: their entries arrive as
-	// summaries (AddSummary, from the planner) or snapshot rows (AddSlim),
-	// deduplicated before they get here.
-	slim bool
 
 	// Leaf arenas: entry idx's requirement on relation rel lives at index
 	// idx×len(Q.Rels)+rel — the leaf's slot in A's leaf-slot table
@@ -189,52 +168,25 @@ type Cache struct {
 	// fits two bytes because NewAnalysis admits no query past
 	// optimizer.MaxLeafSlots, and A.LeafOfSlot recovers the identity) and
 	// the float64 coefficient. Storing rows here instead of a []LeafReq per
-	// entry is what makes slim entries slim (~3x fewer entry bytes);
-	// MemStats measures it.
+	// entry is what keeps entries small (~3x fewer entry bytes); MemStats
+	// measures it.
 	leafSlot []uint16
 	leafCoef []float64
-
-	sigs map[string]bool
 }
 
-// NewCache returns an empty tree-backed cache over the analysed query,
-// filled by AddPath.
+// NewCache returns an empty cache over the analysed query.
 func NewCache(a *optimizer.Analysis) *Cache {
-	return &Cache{Q: a.Q, A: a, sigs: make(map[string]bool)}
+	return &Cache{Q: a.Q, A: a}
 }
 
-// NewSlimCache returns an empty slim cache over the analysed query, for
-// entries that are only a plan's INUM decomposition (internal cost,
-// per-relation leaf requirements) with no path tree or signature string:
-// AddSummary's — the planner's exports, which Workspace.Export
-// deduplicates — or AddSlim's from a snapshot. Cost results are
-// bit-identical to a tree-backed cache built from the same plans: it reads
-// neither. A slim cache has no signature map, so AddPath on one keeps the
-// tree it is given without deduplication.
-func NewSlimCache(a *optimizer.Analysis) *Cache {
-	return &Cache{Q: a.Q, A: a, slim: true}
-}
-
-// Slim reports whether the cache was built to hold no path trees.
-func (c *Cache) Slim() bool { return c.slim }
-
-// AddPath converts an optimizer path into a cache entry that keeps the
-// path tree and its signature, deduplicating by the signature. It reports
-// whether the plan was new. On a sealed or slim cache there is no dedup map,
-// so every path is admitted (as Seal documents); the signature is computed
-// before the (allocating) summary so duplicate-heavy ExportAll streams pay
-// only the string per duplicate.
-func (c *Cache) AddPath(p *optimizer.Path) bool {
-	c.Stats.PlansSeen++
-	sig := p.Signature()
-	if c.sigs != nil {
-		if c.sigs[sig] {
-			return false
-		}
-		c.sigs[sig] = true
-	}
+// AddPath appends one entry from an optimizer path tree: its summary
+// (optimizer.Summarize) with each leaf packed (Analysis.PackLeaf) into the
+// arenas' form. The cache keeps nothing of the tree and does not
+// deduplicate; PathSet does, for the constructions that feed trees. Like
+// AddSummary it counts the plan cached, and its caller the plans it saw.
+func (c *Cache) AddPath(p *optimizer.Path) {
 	s := optimizer.Summarize(p, len(c.Q.Rels))
-	cp := c.appendEntry(s.Internal, s.NLJ)
+	c.appendEntry(s.Internal, s.NLJ)
 	for rel, req := range s.Leaves {
 		pk, err := c.A.PackLeaf(rel, req)
 		if err != nil {
@@ -245,16 +197,45 @@ func (c *Cache) AddPath(p *optimizer.Path) bool {
 		c.leafSlot = append(c.leafSlot, uint16(c.A.LeafSlot(rel, pk)))
 		c.leafCoef = append(c.leafCoef, req.Coef)
 	}
-	cp.Sig, cp.Path = sig, p
 	c.Stats.PlansCached++
+}
+
+// A PathSet adds plans to a cache from their Path trees, each distinct plan
+// once, with Path.Signature as the plan identity. It is the deduplication
+// of the two constructions that fill a cache from trees — Build, the INUM
+// baseline, and core's reference construction — and lives beside the
+// cache, not in it.
+type PathSet struct {
+	c    *Cache
+	seen map[string]bool
+}
+
+// NewPathSet returns an empty set that adds to c.
+func NewPathSet(c *Cache) *PathSet {
+	return &PathSet{c: c, seen: make(map[string]bool)}
+}
+
+// Add counts p as a plan seen (BuildStats.PlansSeen) and adds it to the
+// cache (AddPath) unless an earlier Add saw its signature. It reports
+// whether p was new. The signature is computed before the (allocating)
+// summary, so duplicate-heavy ExportAll streams pay only the string per
+// duplicate.
+func (s *PathSet) Add(p *optimizer.Path) bool {
+	s.c.Stats.PlansSeen++
+	sig := p.Signature()
+	if s.seen[sig] {
+		return false
+	}
+	s.seen[sig] = true
+	s.c.AddPath(p)
 	return true
 }
 
 // AddSummary appends one entry from a plan summary the planner exported
 // (optimizer.Workspace.Export), already deduplicated and already in the
 // arenas' form: it copies the internal cost, the NLJ flag and the leaf-slot
-// and coefficient rows, and keeps nothing of the summary. A slim build's
-// caller counts the plans it saw (BuildStats.PlansSeen) from the planner.
+// and coefficient rows, and keeps nothing of the summary. Its caller counts
+// the plans it saw (BuildStats.PlansSeen) from the planner.
 func (c *Cache) AddSummary(s *optimizer.Summary) {
 	c.appendEntry(s.Internal, s.NLJ)
 	c.leafSlot = append(c.leafSlot, s.Slots...)
@@ -269,15 +250,15 @@ func (c *Cache) appendEntry(internal float64, nlj bool) *CachedPlan {
 	return cp
 }
 
-// AddSlim appends one slim entry from its stored packed decomposition —
-// the snapshot decode path (internal/plancache), where dedup already
-// happened at original construction time and no path tree exists. Each
-// packed leaf is validated against the analysis's interning (the snapshot
-// may be foreign bytes); the NLJ flag is re-derived from the packed modes
-// exactly as Summarize derives it from a complete plan's requirements.
+// AddSlim appends one entry from its stored packed decomposition — the
+// snapshot decode path (internal/plancache), where dedup already happened
+// at original construction time. Each packed leaf is validated against the
+// analysis's interning (the snapshot may be foreign bytes); the NLJ flag is
+// re-derived from the packed modes exactly as Summarize derives it from a
+// complete plan's requirements.
 func (c *Cache) AddSlim(internal float64, packed []uint16, coefs []float64) (*CachedPlan, error) {
 	if len(packed) != len(c.Q.Rels) || len(coefs) != len(c.Q.Rels) {
-		return nil, fmt.Errorf("inum: slim entry with %d packed leaves and %d coefficients for %d relations",
+		return nil, fmt.Errorf("inum: entry with %d packed leaves and %d coefficients for %d relations",
 			len(packed), len(coefs), len(c.Q.Rels))
 	}
 	nlj := false
@@ -299,30 +280,14 @@ func (c *Cache) AddSlim(internal float64, packed []uint16, coefs []float64) (*Ca
 	return cp, nil
 }
 
-// Seal marks construction finished: the signature dedup map is dropped so
-// its strings can be collected. Builders call it once every AddPath is
-// done. A sealed cache is immutable — Cost writes nothing to it — though
-// further AddPath calls would be admitted without deduplication.
-func (c *Cache) Seal() {
-	c.sigs = nil
-}
-
-// MemStats walks the cache and reports its retained memory: slim entry
-// structures and, for tree-backed caches, the distinct path nodes the
-// entries pin (shared DP subtrees counted once).
+// MemStats reports the cache's retained memory: the entry structures and
+// the leaf arenas.
 func (c *Cache) MemStats() MemStats {
-	m := MemStats{Entries: len(c.Plans)}
-	m.EntryBytes += int64(cap(c.leafSlot)) * 2
-	m.EntryBytes += int64(cap(c.leafCoef)) * 8
-	seen := make(map[*optimizer.Path]bool)
-	for _, cp := range c.Plans {
-		m.EntryBytes += int64(unsafe.Sizeof(*cp))
-		m.EntryBytes += int64(len(cp.Sig))
-		nodes, bytes := cp.Path.Footprint(seen)
-		m.RetainedPathNodes += nodes
-		m.PathBytes += bytes
+	return MemStats{
+		Entries: len(c.Plans),
+		EntryBytes: int64(len(c.Plans))*int64(unsafe.Sizeof(CachedPlan{})) +
+			int64(cap(c.leafSlot))*2 + int64(cap(c.leafCoef))*8,
 	}
-	return m
 }
 
 // Cost estimates the query's optimal cost under the configuration using
@@ -487,6 +452,7 @@ func Build(a *optimizer.Analysis, ws *whatif.Session) (*Cache, error) {
 	//pinum:nondeterministic-ok wall-clock feeds only Stats.Duration, never a plan or cost
 	start := time.Now()
 	c := NewCache(a)
+	set := NewPathSet(c)
 	combos := a.Q.EnumerateCombos()
 	c.Stats.CombosEnumerated = len(combos)
 	for _, oc := range combos {
@@ -501,7 +467,7 @@ func Build(a *optimizer.Analysis, ws *whatif.Session) (*Cache, error) {
 			}
 			c.Stats.OptimizerCalls++
 			c.Stats.Planner.Add(res.Stats)
-			c.AddPath(res.Best)
+			set.Add(res.Best)
 		}
 	}
 	//pinum:nondeterministic-ok wall-clock feeds only Stats.Duration, never a plan or cost

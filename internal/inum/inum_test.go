@@ -150,35 +150,83 @@ func buildSlimAsCore(t *testing.T, a *optimizer.Analysis, ws *whatif.Session) *C
 			return ix.Table != a.Rels[0].Table.Name && ix.Table != a.Rels[1].Table.Name && ix.Table != a.Rels[2].Table.Name
 		})}
 	}
-	c := NewSlimCache(a)
+	c := NewCache(a)
 	opts := []optimizer.Options{{ExportAll: true}, {EnableNestLoop: true, ExportAll: true, PaperPrune: true}}
 	if _, err := optimizer.NewWorkspace().Export(a, cfg, opts, nil, c.AddSummary); err != nil {
 		t.Fatal(err)
 	}
-	c.Seal()
 	return c
 }
 
-func TestAddPathDeduplicates(t *testing.T) {
-	s, a := setup(t, 0)
+func TestPathSetDeduplicates(t *testing.T) {
+	_, a := setup(t, 0)
 	res, err := optimizer.Optimize(a, nil, optimizer.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := NewCache(a)
-	if !c.AddPath(res.Best) {
-		t.Error("first AddPath rejected")
+	set := NewPathSet(c)
+	if !set.Add(res.Best) {
+		t.Error("first Add rejected")
 	}
-	if c.AddPath(res.Best) {
-		t.Error("duplicate AddPath accepted")
+	if set.Add(res.Best) {
+		t.Error("duplicate Add accepted")
 	}
-	if c.Stats.PlansSeen != 2 || c.Stats.PlansCached != 1 {
-		t.Errorf("stats %+v", c.Stats)
+	if c.Stats.PlansSeen != 2 || c.Stats.PlansCached != 1 || len(c.Plans) != 1 {
+		t.Errorf("stats %+v, %d plans", c.Stats, len(c.Plans))
 	}
 	if c.UniqueCombos() != 1 {
 		t.Errorf("UniqueCombos = %d", c.UniqueCombos())
 	}
-	_ = s
+}
+
+// TestAddPathLeavesMatchSummary holds AddPath's row to the tree it came
+// from: every entry's Leaf, reconstructed from the arena's slot, is the
+// requirement optimizer.Summarize gives the path, and its internal cost and
+// NLJ flag are the summary's — over both construction calls' exports of
+// every star query and a self-join.
+func TestAddPathLeavesMatchSummary(t *testing.T) {
+	check := func(s *workload.Star, a *optimizer.Analysis) {
+		t.Helper()
+		cfg, err := AllOrdersConfig(a, whatif.NewSession(s.Catalog))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opt := range []optimizer.Options{{ExportAll: true}, {EnableNestLoop: true, ExportAll: true, PaperPrune: true}} {
+			res, err := optimizer.Optimize(a, cfg, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := NewCache(a)
+			for i, p := range res.Exported {
+				c.AddPath(p)
+				cp, want := c.Plans[i], optimizer.Summarize(p, len(a.Rels))
+				if math.Float64bits(cp.Internal) != math.Float64bits(want.Internal) || cp.NLJ != want.NLJ {
+					t.Fatalf("%s plan %d: internal %v nlj %v, the path summarises to %v nlj %v", a.Q.Name, i, cp.Internal, cp.NLJ, want.Internal, want.NLJ)
+				}
+				for rel := range want.Leaves {
+					if got := cp.Leaf(rel); got != want.Leaves[rel] {
+						t.Fatalf("%s plan %d (%s) rel %d: Leaf %+v, the path summarises to %+v", a.Q.Name, i, p.Signature(), rel, got, want.Leaves[rel])
+					}
+				}
+			}
+			if c.Stats.PlansCached != len(res.Exported) || c.Stats.PlansSeen != 0 {
+				t.Errorf("%s: AddPath counted %d cached and %d seen for %d paths", a.Q.Name, c.Stats.PlansCached, c.Stats.PlansSeen, len(res.Exported))
+			}
+		}
+	}
+	for qi := 0; qi < 10; qi++ {
+		check(setup(t, qi))
+	}
+	check(selfJoin(t))
+}
+
+// TestCachedPlanSize pins an entry to its INUM decomposition: the internal
+// cost, the arena row (cache and ordinal) and the NLJ flag, 24 bytes.
+func TestCachedPlanSize(t *testing.T) {
+	if got := unsafe.Sizeof(CachedPlan{}); got != 24 {
+		t.Errorf("CachedPlan is %d bytes, want 24", got)
+	}
 }
 
 func TestAllOrdersConfigCoversEverything(t *testing.T) {
@@ -351,9 +399,9 @@ func TestSelfJoinBuildAndCost(t *testing.T) {
 	}
 }
 
-// TestCostConcurrentMatchesSerial prices one sealed cache from 8
+// TestCostConcurrentMatchesSerial prices one built cache from 8
 // goroutines, each with its own configurations, and checks bit-identical
-// results against a serial pass. A sealed cache is immutable and Cost
+// results against a serial pass. A built cache is immutable and Cost
 // works on its caller's stack, so under -race this proves there is no
 // shared write left on the pricing path.
 func TestCostConcurrentMatchesSerial(t *testing.T) {
@@ -362,7 +410,6 @@ func TestCostConcurrentMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Seal()
 	const workers, perWorker = 8, 8
 	ws := whatif.NewSession(s.Catalog)
 	rng := rand.New(rand.NewSource(11))
@@ -421,7 +468,6 @@ func TestCostAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Seal()
 		indexed, err := workload.RandomAtomicConfig(rng, a, whatif.NewSession(s.Catalog), 0.8)
 		if err != nil {
 			t.Fatal(err)
@@ -481,7 +527,7 @@ func TestSlotArenaRoundTrip(t *testing.T) {
 		caches = append(caches, build(setup(t, qi)))
 	}
 	for _, c := range caches {
-		fresh := NewSlimCache(c.A)
+		fresh := NewCache(c.A)
 		n := len(c.Q.Rels)
 		for i, cp := range c.Plans {
 			pks, coefs := cp.PackedLeaves()
@@ -524,13 +570,13 @@ func TestEmptySlotTableMatchesAccessCost(t *testing.T) {
 			want, ok := a.AccessCost(rel, cp.Leaf(rel), empty)
 			if !ok {
 				if !math.IsInf(got, 1) {
-					t.Errorf("plan %s rel %d: unsatisfiable leaf priced as %v", cp.Sig, rel, got)
+					t.Errorf("plan %s rel %d: unsatisfiable leaf priced as %v", cp, rel, got)
 				}
 				sawInf = true
 				continue
 			}
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("plan %s rel %d: slot %v != AccessCost %v", cp.Sig, rel, got, want)
+				t.Errorf("plan %s rel %d: slot %v != AccessCost %v", cp, rel, got, want)
 			}
 		}
 	}
@@ -539,40 +585,28 @@ func TestEmptySlotTableMatchesAccessCost(t *testing.T) {
 	}
 }
 
-// TestPackedEntryBytesHalved pins the packed slim-entry acceptance
-// criterion: storing leaf requirements in the planner's interned byte form
-// (two identity bytes + float64 coefficient per relation, in cache-level
-// arenas) must cut a slim cache's MemStats.EntryBytes at least 2x against
-// the representation it replaced — a []LeafReq (mode word, string header,
+// TestPackedEntryBytesHalved pins the packed-entry acceptance criterion:
+// storing leaf requirements in the planner's interned byte form (two
+// identity bytes + float64 coefficient per relation, in cache-level arenas)
+// must cut a cache's MemStats.EntryBytes at least 2x against the
+// representation it replaced — a []LeafReq (mode word, string header,
 // coefficient) plus a stored OrderCombo per entry.
 func TestPackedEntryBytesHalved(t *testing.T) {
 	for _, qi := range []int{0, 4, 9} { // 2-, 4- and 7-relation queries
 		s, a := setup(t, qi)
-		ws := whatif.NewSession(s.Catalog)
-		// The conventional INUM build's distinct plans, moved into a slim
-		// cache the way a snapshot load fills one.
-		tree := NewCache(a)
-		for _, oc := range a.Q.EnumerateCombos() {
-			cfg, err := CoveringConfig(a, ws, oc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, nlj := range []bool{false, true} {
-				res, err := optimizer.Optimize(a, cfg, optimizer.Options{EnableNestLoop: nlj})
-				if err != nil {
-					t.Fatal(err)
-				}
-				tree.AddPath(res.Best)
-			}
+		// The conventional INUM build's distinct plans, moved into a
+		// fresh cache the way a snapshot load fills one.
+		in, err := Build(a, whatif.NewSession(s.Catalog))
+		if err != nil {
+			t.Fatal(err)
 		}
-		c := NewSlimCache(a)
-		for _, cp := range tree.Plans {
+		c := NewCache(a)
+		for _, cp := range in.Plans {
 			pk, coefs := cp.PackedLeaves()
 			if _, err := c.AddSlim(cp.Internal, pk, coefs); err != nil {
 				t.Fatal(err)
 			}
 		}
-		c.Seal()
 		got := c.MemStats().EntryBytes
 		// What the pre-packing MemStats accounting charged for the same
 		// entries: an 88-byte CachedPlan (combo + leaves slice headers,

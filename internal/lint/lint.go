@@ -4,7 +4,7 @@
 //
 // The whole value of the PINUM reproduction is that the planner stays
 // bit-identical to its test oracle (the original planner loop, kept with
-// the optimizer's tests), that plan caches are immutable once sealed and
+// the optimizer's tests), that plan caches are immutable once published and
 // shared across serving goroutines, and that the snapshot codec is
 // byte-deterministic. Those invariants are enforced after the fact by
 // equivalence and fuzz suites — which catch a violation only when a test

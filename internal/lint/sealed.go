@@ -7,7 +7,7 @@ import (
 )
 
 // protectedTypes lists the shared-immutable structures of the serving
-// concurrency model: once a cache is built and sealed it is read
+// concurrency model: once a cache is built and published it is read
 // concurrently by every /whatif, /recommend and /explain goroutine with
 // no locking, which is only sound because nothing writes to it. Each
 // entry maps a defining package to its protected type names and the
@@ -20,7 +20,7 @@ var protectedTypes = []struct {
 	{
 		pkg:   "internal/inum",
 		names: []string{"Cache", "CachedPlan"},
-		// inum constructs and seals; core's two-call PINUM builders and
+		// inum constructs; core's two-call PINUM builders and
 		// plancache's snapshot reconstruction (ToCache, BuildCaches) fill
 		// Stats during construction, before the cache is published.
 		writers: []string{"internal/inum", "internal/core", "internal/plancache"},
@@ -39,10 +39,10 @@ var protectedTypes = []struct {
 // to a plain value copy of a protected struct is allowed — a copy cannot
 // alias the shared cache.
 //
-// This is the static side of the Seal contract: inum.Cache.Seal drops
-// the dedup state and the serving layer shares the sealed cache across
-// goroutines, so a post-Seal write from a consumer package is a data
-// race even if no test ever schedules it.
+// This is the static side of the published contract: a cache is written
+// only while it is built, then the serving layer shares it across
+// goroutines, so a write after publication from a consumer package is a
+// data race even if no test ever schedules it.
 var SealedMut = &Analyzer{
 	Name:     "sealedmut",
 	Suppress: DirSealedOK,

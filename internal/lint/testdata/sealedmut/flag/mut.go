@@ -8,13 +8,13 @@ import (
 	"github.com/pinumdb/pinum/internal/plancache"
 )
 
-// restamp mutates a sealed cache's stats from outside the constructors.
+// restamp mutates a published cache's stats from outside the constructors.
 func restamp(c *inum.Cache) {
 	c.Stats.Mem = c.MemStats() // want "shared immutable"
 }
 
 // tweak rewrites a cached plan's internal cost in place — the seeded
-// post-Seal write.
+// post-publication write.
 func tweak(c *inum.Cache) {
 	c.Plans[0].Internal = 0 // want "shared immutable"
 }

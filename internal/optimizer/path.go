@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"unsafe"
 
 	"github.com/pinumdb/pinum/internal/catalog"
 	"github.com/pinumdb/pinum/internal/query"
@@ -269,9 +268,10 @@ func (p *planner) sortPath(child *Path, g int32) *Path {
 
 // PlanSummary is the INUM decomposition of one complete plan's tree:
 // exactly what the cached cost model (inum.Cache.Cost) consumes, read off
-// a Path (a tree build's AddPath, /explain). A slim build never has a tree:
-// Workspace.Export reads the same decomposition off the planner's records,
-// already in a cache's packed form (Summary).
+// a Path (inum.Cache.AddPath in the reference and INUM constructions,
+// /explain). The library's builds never have a tree: Workspace.Export reads
+// the same decomposition off the planner's records, already in a cache's
+// packed form (Summary).
 type PlanSummary struct {
 	// Internal is the access-method-independent cost.
 	Internal float64
@@ -303,7 +303,7 @@ func Summarize(p *Path, nRels int) PlanSummary {
 }
 
 // Packed leaf requirements: the planner's interned byte form of a LeafReq,
-// used by slim plan caches and the plancache snapshot codec. One uint16
+// used by plan caches and the plancache snapshot codec. One uint16
 // holds the access mode in the top two bits and the column as the
 // relation's 1-based interned interesting-order id in the low fourteen
 // (0 = no column, i.e. AccessAny). The id space is per relation and
@@ -374,37 +374,6 @@ func (a *Analysis) CheckPackedLeaf(rel int, pk uint16) error {
 // PackedNLJ reports whether a packed leaf encodes a nested-loop lookup.
 func PackedNLJ(pk uint16) bool {
 	return AccessMode(pk>>packedLeafModeShift) == AccessLookup
-}
-
-// Footprint accumulates the retained size of the path tree rooted at p
-// into (nodes, bytes), skipping nodes already recorded in seen — DP plans
-// share subtrees heavily, and double-counting them would overstate the
-// cache's real footprint. bytes covers the Path structs plus their owned
-// slices (leaf requirements, pathkeys, sort keys), the storage a slim
-// cache entry gives back.
-func (p *Path) Footprint(seen map[*Path]bool) (nodes int, bytes int64) {
-	if p == nil || seen[p] {
-		return 0, 0
-	}
-	seen[p] = true
-	nodes, bytes = 1, pathNodeBytes(p)
-	for _, child := range []*Path{p.Outer, p.Inner, p.Child} {
-		n, b := child.Footprint(seen)
-		nodes += n
-		bytes += b
-	}
-	return nodes, bytes
-}
-
-// pathNodeBytes estimates one node's heap footprint: the struct itself
-// plus its owned slice backing arrays (slice headers are inside the
-// struct; string contents are shared column names and not charged).
-func pathNodeBytes(p *Path) int64 {
-	b := int64(unsafe.Sizeof(Path{}))
-	b += int64(cap(p.Leaves)) * int64(unsafe.Sizeof(LeafReq{}))
-	b += int64(cap(p.Order)) * int64(unsafe.Sizeof(query.ColRef{}))
-	b += int64(cap(p.SortKeys)) * int64(unsafe.Sizeof(query.ColRef{}))
-	return b
 }
 
 // OrderSatisfies reports whether the order provided by `have` satisfies the

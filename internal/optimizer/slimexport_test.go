@@ -12,14 +12,14 @@ import (
 	"github.com/pinumdb/pinum/internal/workload"
 )
 
-// TestSlimExportsMatchTrees holds the slim build's export — summaries read
-// off the planner's records, deduplicated on a structural identity computed
-// over them — to the tree build it replaced. Per call, the Path trees of the
-// exported plans, built from the same records, go through
-// inum.Cache.AddPath (Signature dedup, Summarize, PackLeaf) and the
-// summaries through AddSummary; the two caches must agree entry for entry,
-// in order: internal cost bits, leaf slots, coefficient bits and the NLJ
-// flag. Inputs: every design shape, star Q10 and the 17-relation chain,
+// TestSlimExportsMatchTrees holds the build's export — summaries read off
+// the planner's records, deduplicated on a structural identity computed
+// over them — to the reference construction's rows. Per call, the Path
+// trees of the exported plans, built from the same records, go through
+// inum.PathSet (Signature dedup, then AddPath: Summarize, PackLeaf) and
+// the summaries through AddSummary; the two caches must agree entry for
+// entry, in order: internal cost bits, leaf slots, coefficient bits and the
+// NLJ flag. Inputs: every design shape, star Q10 and the 17-relation chain,
 // under core.Build's two calls and under core.BuildPrecise's (random6's
 // precise pair, ~6 s, is skipped in -short mode).
 func TestSlimExportsMatchTrees(t *testing.T) {
@@ -30,9 +30,10 @@ func TestSlimExportsMatchTrees(t *testing.T) {
 			if precise && in.label == "random-6" && testing.Short() {
 				continue
 			}
-			tree, slim := inum.NewCache(in.a), inum.NewSlimCache(in.a)
+			tree, slim := inum.NewCache(in.a), inum.NewCache(in.a)
+			set := inum.NewPathSet(tree)
 			err := optimizer.ExportWithTrees(wk, in.a, in.cfg, buildOptions(precise), slim.AddSummary,
-				func(p *optimizer.Path) { tree.AddPath(p) })
+				func(p *optimizer.Path) { set.Add(p) })
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -48,7 +49,7 @@ func TestSlimExportsMatchTrees(t *testing.T) {
 				tpk, tc := tp.PackedLeaves()
 				for rel := range tpk {
 					if in.a.LeafSlot(rel, spk[rel]) != in.a.LeafSlot(rel, tpk[rel]) || math.Float64bits(sc[rel]) != math.Float64bits(tc[rel]) {
-						t.Fatalf("%s entry %d (%s) relation %d: slot %d coef %v, from the tree slot %d coef %v", label, i, tp.Sig, rel,
+						t.Fatalf("%s entry %d (%s) relation %d: slot %d coef %v, from the tree slot %d coef %v", label, i, tp, rel,
 							in.a.LeafSlot(rel, spk[rel]), sc[rel], in.a.LeafSlot(rel, tpk[rel]), tc[rel])
 					}
 				}

@@ -19,10 +19,9 @@ import (
 // analysis and configuration.
 //
 // The planner keeps plans as records, not trees. Optimize builds Path trees
-// from them for its Result (on the heap: a tree build's cache keeps them),
-// equal to the package Optimize's bit for bit. Export builds none: it reads
-// each exported plan's summary straight off the records, which is all a
-// slim cache keeps.
+// from them for its Result, equal to the package Optimize's bit for bit.
+// Export builds none: it reads each exported plan's summary straight off
+// the records, which is all a plan cache keeps.
 type Workspace struct {
 	// ps[i] plans call i of a paired build; ps[0] every call of a serial
 	// one. finals and errs are each paired call's outcome.
@@ -43,10 +42,9 @@ type Workspace struct {
 
 // A Runner runs call(i) for every i in [0, n) and returns once every call
 // has returned; a panic in a call must reach the Runner's caller, and only
-// after every call has stopped. It may run the calls at once: Export and
-// OptimizeEach hand it calls that each plan on a planner of their own and
-// share only the analysis and the configuration, which planning reads and
-// never writes. The package starts no goroutine itself; core pairs a
+// after every call has stopped. It may run the calls at once: Export hands
+// it calls that each plan on a planner of their own and share only the
+// analysis and the configuration, which planning reads and never writes. The package starts no goroutine itself; core pairs a
 // build's two calls through its Fan.
 type Runner func(n int, call func(i int))
 
@@ -60,37 +58,7 @@ func (w *Workspace) Optimize(a *Analysis, cfg *query.Config, opt Options) (*Resu
 	return w.planners(1)[0].optimize(a, cfg, opt)
 }
 
-// OptimizeEach is Optimize once per option set: results[i] is call i's, and
-// the first error in call order fails it. A nil run plans the calls one
-// after another on one planner; otherwise run plans call i on planner i,
-// and the Results' trees are built once every call has planned.
-func (w *Workspace) OptimizeEach(a *Analysis, cfg *query.Config, opts []Options, run Runner) ([]*Result, error) {
-	res := make([]*Result, len(opts))
-	if run == nil {
-		for i, opt := range opts {
-			var err error
-			if res[i], err = w.Optimize(a, cfg, opt); err != nil {
-				return nil, err
-			}
-		}
-		return res, nil
-	}
-	ps := w.planners(len(opts))
-	defer w.release(ps)
-	for i, opt := range opts {
-		ps[i].reset(a, cfg, opt)
-	}
-	w.planEach(ps, run, nil)
-	for i, p := range ps {
-		if err := w.errs[i]; err != nil {
-			return nil, err
-		}
-		res[i] = p.result(w.finals[i])
-	}
-	return res, nil
-}
-
-// Summary is one exported plan in the form a slim plan cache stores it
+// Summary is one exported plan in the form a plan cache stores it
 // (inum.Cache.AddSummary): the internal cost, per query relation the index
 // of the leaf's identity in the leaf-slot table (Analysis.LeafSlot) and its
 // coefficient, and whether the plan holds a nested-loop probe. It is what

@@ -33,11 +33,12 @@ func assertSameCall(t *testing.T, label string, got *optimizer.Result, gerr erro
 // chain included) under all 32 option combinations, in a shuffled order,
 // through three workspaces — one that only optimizes, one that also runs
 // each ExportAll call through a serial Export first, and one that pairs: it
-// plans every call as the second of two calls on two goroutines, after the
-// previous call's option set, exports paired, and now and then has both
-// calls of a paired Export panic midway, or its emit panic in call 0's first
-// summary while call 1 may still plan — and holds each result to a fresh
-// Optimize of the same call, and the paired exports to the serial ones.
+// exports every ExportAll call as the second of two calls on two
+// goroutines, after the previous call's option set, and now and then has
+// both calls of a paired Export panic midway, or its emit panic in call 0's
+// first summary while call 1 may still plan, before it optimizes the call
+// on the planner those left — and holds each result to a fresh Optimize of
+// the same call, and the paired exports to the serial ones.
 // Consecutive calls therefore differ in query, key lane, relation count and
 // option set, so every buffer of both planners arrives dirty from something
 // else; a query with a disconnected join graph, which fails after its base
@@ -102,10 +103,7 @@ func TestWorkspaceReuseBitIdentical(t *testing.T) {
 		got, gerr = exporting.Optimize(c.a, c.cfg, c.opt)
 		assertSameCall(t, c.label+"/exporting", got, gerr, want, werr)
 
-		res, gerr := pairing.OptimizeEach(c.a, c.cfg, pair, goRunner)
-		if gerr == nil {
-			got = res[1]
-		}
+		got, gerr = pairing.Optimize(c.a, c.cfg, c.opt)
 		assertSameCall(t, c.label+"/paired", got, gerr, want, werr)
 		prev = c.opt
 	}

@@ -47,8 +47,8 @@ func selfJoinQuery(t *testing.T, s *workload.Star, name, orderCol string) *query
 }
 
 // roundTrip pushes a cache through the full persistence pipeline —
-// FromCache → Encode → Decode → ToCache — and returns the reloaded slim
-// cache over a fresh analysis of the same query.
+// FromCache → Encode → Decode → ToCache — and returns the reloaded cache
+// over a fresh analysis of the same query.
 func roundTrip(t *testing.T, c *inum.Cache, st *stats.Store) *inum.Cache {
 	t.Helper()
 	snap := &Snapshot{Queries: []QueryPlans{FromCache(c)}}
@@ -81,16 +81,17 @@ func planIndex(c *inum.Cache, cp *inum.CachedPlan) int {
 	return -1
 }
 
-// assertCacheEquivalent prices both caches under the configurations and
-// requires exact cost bits, identical winning-plan positions, and a
-// bit-equal empty-configuration slot table read through the same slot by
-// every plan leaf.
+// assertCacheEquivalent prices the reference construction's cache (tree,
+// core.Build's: filled from Path trees) and another under the
+// configurations and requires exact cost bits, identical winning-plan
+// positions, and a bit-equal empty-configuration slot table read through
+// the same slot by every plan leaf.
 func assertCacheEquivalent(t *testing.T, label string, tree, other *inum.Cache, cfgs []*query.Config) {
 	t.Helper()
 	if len(tree.Plans) != len(other.Plans) {
-		t.Fatalf("%s: %d tree plans vs %d", label, len(tree.Plans), len(other.Plans))
+		t.Fatalf("%s: %d reference plans vs %d", label, len(tree.Plans), len(other.Plans))
 	}
-	assertLeavesRoundTrip(t, label+" (tree)", tree)
+	assertLeavesRoundTrip(t, label+" (reference)", tree)
 	assertLeavesRoundTrip(t, label, other)
 	ts, os := tree.A.PriceLeafSlots(nil, nil), other.A.PriceLeafSlots(nil, nil)
 	if len(ts) != len(os) {
@@ -146,11 +147,12 @@ func assertCacheEquivalent(t *testing.T, label string, tree, other *inum.Cache, 
 // assertLeavesRoundTrip takes a cache's leaves across the boundary the
 // snapshot codec uses and back: PackedLeaves → AddSlim into a fresh cache
 // over the same analysis must reproduce every leaf (the arena stores slot
-// indexes, the boundary speaks packed identities), and a tree-backed entry's
-// Leaf must be the requirement its path was summarised to.
+// indexes, the boundary speaks packed identities). That an entry AddPath
+// made holds the requirements its path summarises to is inum's
+// TestAddPathLeavesMatchSummary.
 func assertLeavesRoundTrip(t *testing.T, label string, c *inum.Cache) {
 	t.Helper()
-	fresh := inum.NewSlimCache(c.A)
+	fresh := inum.NewCache(c.A)
 	for i, cp := range c.Plans {
 		pk, coefs := cp.PackedLeaves()
 		fp, err := fresh.AddSlim(cp.Internal, pk, coefs)
@@ -161,26 +163,20 @@ func assertLeavesRoundTrip(t *testing.T, label string, c *inum.Cache) {
 			t.Fatalf("%s plan %d: NLJ %v re-derived as %v", label, i, cp.NLJ, fp.NLJ)
 		}
 		fpk, _ := fp.PackedLeaves()
-		var want []optimizer.LeafReq
-		if cp.Path != nil {
-			want = optimizer.Summarize(cp.Path, cp.NumRels()).Leaves
-		}
 		for rel := range pk {
 			if fpk[rel] != pk[rel] || fp.Leaf(rel) != cp.Leaf(rel) {
 				t.Fatalf("%s plan %d leaf %d: %#04x %+v came back as %#04x %+v",
 					label, i, rel, pk[rel], cp.Leaf(rel), fpk[rel], fp.Leaf(rel))
 			}
-			if want != nil && cp.Leaf(rel) != want[rel] {
-				t.Fatalf("%s plan %d leaf %d: Leaf %+v, the path summarises to %+v", label, i, rel, cp.Leaf(rel), want[rel])
-			}
 		}
 	}
 }
 
-// TestSlimTreeCostEquivalence pins the tentpole guarantee on the star
-// workload plus self-joins: a slim build and a snapshot-roundtripped load
-// answer Cost (and the empty slot table) bit-identically to the tree-backed
-// cache.
+// TestSlimTreeCostEquivalence pins the construction's guarantee on the
+// star workload plus self-joins: the library's build (core.BuildSlim, from
+// the planner's export summaries) and a snapshot-roundtripped load answer
+// Cost (and the empty slot table) bit-identically to the reference
+// construction's cache (core.Build, from Path trees).
 func TestSlimTreeCostEquivalence(t *testing.T) {
 	s, err := workload.StarSchema(1.0)
 	if err != nil {
@@ -210,12 +206,6 @@ func TestSlimTreeCostEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		loaded := roundTrip(t, slim, s.Stats)
-
-		for i, cp := range slim.Plans {
-			if cp.Path != nil || cp.Sig != "" {
-				t.Fatalf("%s: slim plan %d retained a path/signature", q.Name, i)
-			}
-		}
 
 		ws := whatif.NewSession(s.Catalog)
 		cfgs := []*query.Config{{}}
@@ -271,27 +261,15 @@ func TestSlimTreeShapeEquivalence(t *testing.T) {
 		cfgs = append(cfgs, &query.Config{})
 		assertCacheEquivalent(t, label+" slim", tree, slim, cfgs)
 		assertCacheEquivalent(t, label+" loaded", tree, loaded, cfgs)
-
-		// The memory the slim cache gives back is the tentpole's point:
-		// no retained path nodes at all, and a multiple fewer bytes on
-		// the wider queries.
-		tm, sm := tree.Stats.Mem, slim.Stats.Mem
-		if sm.RetainedPathNodes != 0 || sm.PathBytes != 0 {
-			t.Fatalf("%s: slim cache retained %d path nodes / %d bytes", label, sm.RetainedPathNodes, sm.PathBytes)
-		}
-		if tm.RetainedPathNodes == 0 {
-			t.Fatalf("%s: tree cache reports no retained path nodes", label)
-		}
-		if len(q.Rels) >= 5 && tm.TotalBytes() < 3*sm.TotalBytes() {
-			t.Errorf("%s: tree cache %d bytes is under 3x the slim cache's %d", label, tm.TotalBytes(), sm.TotalBytes())
-		}
 	}
 }
 
-// TestAdvisorSlimTreeEquivalence runs the full greedy search over slim
-// and snapshot-roundtripped caches and requires results identical to the
-// tree-backed advisor's Run (which advisor's TestRunMatchesReferenceSelfJoinMix
-// holds to the full-repricing oracle on this workload).
+// TestAdvisorSlimTreeEquivalence runs the full greedy search over the
+// caches of the advisor's own AddQueries path, of one-shot core.BuildSlim
+// builds and of their snapshot round trips, and requires results identical
+// to a run over the reference construction's caches (core.BuildAll, filled
+// from Path trees; advisor's TestRunMatchesReferenceSelfJoinMix holds the
+// greedy loop to the full-repricing oracle on this workload).
 func TestAdvisorSlimTreeEquivalence(t *testing.T) {
 	s, err := workload.StarSchema(1.0)
 	if err != nil {
@@ -305,16 +283,6 @@ func TestAdvisorSlimTreeEquivalence(t *testing.T) {
 	weights := make([]float64, len(qs))
 	for i := range weights {
 		weights[i] = float64(1 + i%3)
-	}
-
-	// Tree-backed ground truth: the normal AddQueries path.
-	adTree := advisor.New(s.Catalog, s.Stats, storage.BytesForGB(4))
-	if err := adTree.AddQueries(qs, weights); err != nil {
-		t.Fatal(err)
-	}
-	want, err := adTree.Run()
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	buildSlimCaches := func() ([]*optimizer.Analysis, []*inum.Cache) {
@@ -348,6 +316,14 @@ func TestAdvisorSlimTreeEquivalence(t *testing.T) {
 		return res
 	}
 
+	// Ground truth: the reference construction's caches.
+	analyses, slims := buildSlimCaches()
+	refs, err := core.BuildAll(analyses, s.Catalog, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runOver("reference", analyses, refs)
+
 	assertSame := func(label string, got *advisor.Result) {
 		t.Helper()
 		if len(got.Chosen) != len(want.Chosen) {
@@ -376,7 +352,15 @@ func TestAdvisorSlimTreeEquivalence(t *testing.T) {
 		}
 	}
 
-	analyses, slims := buildSlimCaches()
+	ad := advisor.New(s.Catalog, s.Stats, storage.BytesForGB(4))
+	if err := ad.AddQueries(qs, weights); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ad.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSame("AddQueries", got)
 	assertSame("slim", runOver("slim", analyses, slims))
 
 	loaded := make([]*inum.Cache, len(slims))
@@ -384,42 +368,4 @@ func TestAdvisorSlimTreeEquivalence(t *testing.T) {
 		loaded[i] = roundTrip(t, c, s.Stats)
 	}
 	assertSame("loaded", runOver("loaded", analyses, loaded))
-}
-
-// TestAddPathAfterSeal pins the sealed-cache contract: AddPath on a
-// sealed (slim-built or snapshot-loaded) cache appends without
-// deduplication instead of panicking on the dropped dedup map.
-func TestAddPathAfterSeal(t *testing.T) {
-	s, err := workload.StarSchema(1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs, err := s.Queries(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := qs[0]
-	a, err := optimizer.NewAnalysis(q, s.Stats, optimizer.DefaultCostParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := core.Build(a, whatif.NewSession(s.Catalog))
-	if err != nil {
-		t.Fatal(err)
-	}
-	slim, err := core.BuildSlim(a, whatif.NewSession(s.Catalog))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := len(slim.Plans)
-	p := tree.Plans[0].Path
-	if p == nil {
-		t.Fatal("tree cache entry lost its path")
-	}
-	if !slim.AddPath(p) {
-		t.Fatal("sealed AddPath reported a duplicate")
-	}
-	if len(slim.Plans) != n+1 {
-		t.Fatalf("sealed AddPath appended %d plans, want 1", len(slim.Plans)-n)
-	}
 }

@@ -1,4 +1,4 @@
-// Package plancache implements the persistent plan-cache store: a slim,
+// Package plancache implements the persistent plan-cache store: a compact,
 // versioned snapshot of one or more PINUM plan caches that a long-lived
 // process can write once and load on every start instead of re-invoking
 // the optimizer.
@@ -7,12 +7,11 @@
 // (inum.Cache.Cost) consumes — each plan's internal cost and per-relation
 // leaf requirements in the planner's packed interned form (two identity
 // bytes plus the float64 coefficient per relation, see optimizer.PackLeaf)
-// — and nothing the planner retained along the way: no path trees, no
-// signatures, no column strings (order ids resolve through the query's
-// deterministic interning at load). Loading a snapshot therefore
-// reconstructs a slim cache whose Cost results are bit-identical to the
-// cache that was saved (float64 payloads round-trip as raw IEEE-754 bits,
-// and entry order is preserved), at a fraction of the memory.
+// — and nothing else: no column strings (order ids resolve through the
+// query's deterministic interning at load). Loading a snapshot therefore
+// reconstructs a cache whose Cost results are bit-identical to the cache
+// that was saved (float64 payloads round-trip as raw IEEE-754 bits, and
+// entry order is preserved).
 //
 // Snapshots are fingerprinted against the catalog, statistics and cost
 // parameters they were built under. The stored internal costs and leaf
@@ -43,8 +42,8 @@ import (
 	"github.com/pinumdb/pinum/internal/stats"
 )
 
-// Entry is one slim cached plan: the INUM decomposition without the tree,
-// leaves in the planner's packed interned form.
+// Entry is one cached plan: its INUM decomposition, leaves in the planner's
+// packed interned form.
 type Entry struct {
 	// Internal is the access-method-independent plan cost.
 	Internal float64
@@ -56,7 +55,7 @@ type Entry struct {
 	Coefs []float64
 }
 
-// QueryPlans is the slim plan cache of one query.
+// QueryPlans is the stored plan cache of one query.
 type QueryPlans struct {
 	// Name identifies the query (matched against the workload at load).
 	Name string
@@ -77,15 +76,15 @@ type Snapshot struct {
 	// Fingerprint identifies the (catalog, statistics, cost parameters)
 	// the caches were built against.
 	Fingerprint uint64
-	// Queries holds one slim cache per workload query, in workload order.
+	// Queries holds one cache's plans per workload query, in workload order.
 	Queries []QueryPlans
 }
 
-// NewSnapshot assembles a snapshot from built caches (tree-backed or
-// slim), in the given order, under the given environment fingerprint.
-// It is the only supported way to build a Snapshot for Save/Encode:
-// Snapshot and its QueryPlans/Entry rows are shared immutable once
-// handed out, so construction stays inside this package.
+// NewSnapshot assembles a snapshot from built caches, in the given order,
+// under the given environment fingerprint. It is the only supported way to
+// build a Snapshot for Save/Encode: Snapshot and its QueryPlans/Entry rows
+// are shared immutable once handed out, so construction stays inside this
+// package.
 func NewSnapshot(fingerprint uint64, caches []*inum.Cache) *Snapshot {
 	snap := &Snapshot{
 		Fingerprint: fingerprint,
@@ -97,8 +96,8 @@ func NewSnapshot(fingerprint uint64, caches []*inum.Cache) *Snapshot {
 	return snap
 }
 
-// FromCache extracts a query's slim plan representation from a built
-// cache (tree-backed or already slim — only the decomposition is read).
+// FromCache extracts a query's stored plan representation from a built
+// cache.
 func FromCache(c *inum.Cache) QueryPlans {
 	qp := QueryPlans{
 		Name:    c.Q.Name,
@@ -113,7 +112,7 @@ func FromCache(c *inum.Cache) QueryPlans {
 	return qp
 }
 
-// ToCache reconstructs a slim cache over the analysed query from its
+// ToCache reconstructs a cache over the analysed query from its
 // stored plans. The analysis must describe the same query the snapshot
 // was built from (same relation count; the caller matches names); entry
 // order, internal-cost bits and leaf requirements are restored exactly,
@@ -123,7 +122,7 @@ func ToCache(a *optimizer.Analysis, qp QueryPlans) (*inum.Cache, error) {
 		return nil, fmt.Errorf("plancache: query %s has %d relations, snapshot stored %d",
 			a.Q.Name, len(a.Q.Rels), qp.NRels)
 	}
-	c := inum.NewSlimCache(a)
+	c := inum.NewCache(a)
 	for _, e := range qp.Entries {
 		if len(e.Packed) != qp.NRels || len(e.Coefs) != qp.NRels {
 			return nil, fmt.Errorf("plancache: query %s: entry with %d leaves and %d coefficients for %d relations",
@@ -133,7 +132,6 @@ func ToCache(a *optimizer.Analysis, qp QueryPlans) (*inum.Cache, error) {
 			return nil, fmt.Errorf("plancache: query %s: %w", qp.Name, err)
 		}
 	}
-	c.Seal()
 	c.Stats.Mem = c.MemStats()
 	return c, nil
 }
@@ -581,7 +579,7 @@ func decodeQuery(r *reader, qp *QueryPlans) error {
 
 // BuildCaches matches snapshot queries to the workload by name,
 // verifying the stored SQL still equals the workload's, and reconstructs
-// one slim cache per query (aligned with queries/analyses). Both the
+// one cache per query (aligned with queries/analyses). Both the
 // public LoadCaches facade and the serving layer's startup go through
 // this one matcher, so their validation cannot drift apart.
 func BuildCaches(snap *Snapshot, queries []*query.Query, analyses []*optimizer.Analysis) ([]*inum.Cache, error) {

@@ -39,12 +39,11 @@ func buildShapeSlim(t *testing.T, spec workload.ShapeSpec) (*inum.Cache, []*quer
 			}
 		}
 	}
-	c := inum.NewSlimCache(a)
+	c := inum.NewCache(a)
 	opts := []optimizer.Options{{ExportAll: true}, {EnableNestLoop: true, ExportAll: true, PaperPrune: true}}
 	if _, err := optimizer.NewWorkspace().Export(a, plan, opts, nil, c.AddSummary); err != nil {
 		t.Fatal(err)
 	}
-	c.Seal()
 	rng := rand.New(rand.NewSource(spec.Seed))
 	return c, append(workload.ShapeConfigs(rng, cat, q, 6), &query.Config{})
 }

@@ -582,7 +582,7 @@ func (t *tenant) optimize(env *Environment, prev *snapshotSet, tfps map[string]u
 	var rebuild []int
 	for i, q := range env.Queries {
 		if prev != nil && reusable(prev, q, tfps) {
-			// Reconstructing a slim cache from the previous set's entries
+			// Reconstructing a cache from the previous set's entries
 			// is deterministic bit-for-bit, so a reused query's costs are
 			// byte-identical before and after the swap.
 			j := prev.queryIdx[q.Name]
@@ -605,7 +605,7 @@ func (t *tenant) optimize(env *Environment, prev *snapshotSet, tfps map[string]u
 		analyses[k] = env.Analyses[i]
 	}
 	built, err := core.BuildAllWith(analyses, env.Catalog, t.srv.cfg.Workers, func(paired bool) core.BuildFunc {
-		build := core.Builder(false, true, paired)
+		build := core.Builder(false, paired)
 		return func(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error) {
 			c, err := build(a, ws)
 			if err != nil {
@@ -757,7 +757,7 @@ func (s *Server) handleReload(r *http.Request) (any, error) {
 
 // ------------------------------------------------------- snapshots -----
 
-// LoadOrBuild returns slim plan caches for the workload. When
+// LoadOrBuild returns plan caches for the workload. When
 // snapshotPath names a loadable snapshot carrying the environment's
 // fingerprint, the caches are reconstructed from it and buildReason is
 // "". Otherwise — no path configured, file missing, or the snapshot is

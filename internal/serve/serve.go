@@ -11,7 +11,7 @@
 // for its whole lifetime; a concurrent reload builds a complete new set in
 // the background and publishes it with a single pointer store, so
 // in-flight requests keep their consistent world and new requests see the
-// new one (never a mix). A sealed inum.Cache is immutable and Cost prices
+// new one (never a mix). A built inum.Cache is immutable and Cost prices
 // a configuration into a leaf-slot table on its caller's stack, so
 // /whatif requests evaluate the shared caches directly, with no lock
 // below the handler, fanning per-query evaluations with core.FanCtx: the
@@ -1109,14 +1109,12 @@ func (s *Server) tenantHealth(t *tenant) map[string]any {
 		out["tenant"] = t.name
 	}
 	if set != nil {
-		entries, slim := 0, true
+		entries := 0
 		for _, c := range set.caches {
 			entries += len(c.Plans)
-			slim = slim && c.Slim()
 		}
 		out["queries"] = len(set.env.Queries)
 		out["entries"] = entries
-		out["slim"] = slim
 		// First use generates the candidate set here, off any request
 		// path; a probe that cannot says so instead of reporting zero.
 		if cs, err := set.candidates(); err != nil {

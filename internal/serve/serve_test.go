@@ -33,7 +33,7 @@ type fixture struct {
 	ts       *httptest.Server
 }
 
-// newFixture boots a server over snapshot-roundtripped slim caches — the
+// newFixture boots a server over snapshot-roundtripped caches — the
 // production startup path (build → save → load) — on the star workload.
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
@@ -352,13 +352,12 @@ func TestHealthAndStatz(t *testing.T) {
 		Status  string `json:"status"`
 		Queries int    `json:"queries"`
 		Entries int    `json:"entries"`
-		Slim    bool   `json:"slim"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if health.Status != "ok" || health.Queries != len(f.queries) || health.Entries == 0 || !health.Slim {
+	if health.Status != "ok" || health.Queries != len(f.queries) || health.Entries == 0 {
 		t.Fatalf("unexpected health payload: %+v", health)
 	}
 

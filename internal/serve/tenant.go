@@ -218,7 +218,7 @@ func (t *tenant) snapshotGauges(set *snapshotSet) {
 	var entryBytes int64
 	for _, c := range set.caches {
 		ps.Add(c.Stats.Planner)
-		entryBytes += c.MemStats().TotalBytes()
+		entryBytes += c.MemStats().EntryBytes
 	}
 	t.snapQueries.Set(float64(len(set.env.Queries)))
 	t.snapReused.Set(float64(set.reused))

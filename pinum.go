@@ -157,7 +157,7 @@ func (db *Database) BuildPlanCache(q *Query) (*PlanCache, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.Build(a, whatif.NewSession(db.cat))
+	return core.BuildSlim(a, whatif.NewSession(db.cat))
 }
 
 // BuildOption configures batch plan-cache construction (BuildPlanCaches).
@@ -166,7 +166,6 @@ type BuildOption func(*buildOptions)
 type buildOptions struct {
 	workers int
 	precise bool
-	slim    bool
 }
 
 // WithWorkers sets the construction's core budget: n <= 0 (the default)
@@ -183,15 +182,12 @@ func WithPrecise() BuildOption {
 	return func(o *buildOptions) { o.precise = true }
 }
 
-// WithSlim builds slim caches: each entry keeps only the INUM
-// decomposition (combo, internal cost, per-relation leaf requirements)
-// and drops the optimizer's path tree, cutting retained memory by several
-// times on wide queries. Cost results are bit-identical to the default
-// tree-backed caches; slim caches just cannot render EXPLAIN trees or
-// feed the executor. SaveCaches/LoadCaches and the pinum-serve server
-// work with slim caches.
+// WithSlim changes nothing: a plan cache has one form, each entry only its
+// plan's INUM decomposition.
+//
+// Deprecated: every cache is built this way; drop the option.
 func WithSlim() BuildOption {
-	return func(o *buildOptions) { o.slim = true }
+	return func(*buildOptions) {}
 }
 
 // BuildPlanCaches fills one PINUM plan cache per query across a bounded
@@ -212,17 +208,7 @@ func (db *Database) BuildPlanCaches(queries []*Query, opts ...BuildOption) ([]*P
 		}
 		analyses[i] = a
 	}
-	return core.BuildAllWith(analyses, db.cat, o.workers, func(paired bool) core.BuildFunc { return core.Builder(o.precise, o.slim, paired) })
-}
-
-// BuildPlanCacheSlim fills a slim plan cache: two optimizer calls, path
-// trees dropped at export time (see WithSlim).
-func (db *Database) BuildPlanCacheSlim(q *Query) (*PlanCache, error) {
-	a, err := db.Analyze(q)
-	if err != nil {
-		return nil, err
-	}
-	return core.BuildSlim(a, whatif.NewSession(db.cat))
+	return core.BuildAllWith(analyses, db.cat, o.workers, func(paired bool) core.BuildFunc { return core.Builder(o.precise, paired) })
 }
 
 // CacheFingerprint identifies the environment plan caches are built
@@ -233,15 +219,14 @@ func (db *Database) CacheFingerprint() uint64 {
 	return plancache.Fingerprint(db.cat, db.st, optimizer.DefaultCostParams())
 }
 
-// SaveCaches writes the caches' slim plan representation to a versioned,
-// checksummed snapshot file, fingerprinted against this database's
-// catalog, statistics and cost parameters. Both tree-backed and slim
-// caches can be saved; only the INUM decomposition is stored either way.
+// SaveCaches writes the caches' plans — their INUM decompositions — to a
+// versioned, checksummed snapshot file, fingerprinted against this
+// database's catalog, statistics and cost parameters.
 func (db *Database) SaveCaches(path string, caches []*PlanCache) error {
 	return plancache.Save(path, plancache.NewSnapshot(db.CacheFingerprint(), caches))
 }
 
-// LoadCaches reads a snapshot and reconstructs one slim plan cache per
+// LoadCaches reads a snapshot and reconstructs one plan cache per
 // query, matched by query name, with no optimizer calls. The snapshot
 // must carry this database's current fingerprint (a snapshot built
 // against a drifted schema, statistics or cost parameters is rejected)

@@ -1,8 +1,13 @@
 package pinum
 
 import (
+	"bytes"
 	"testing"
 
+	"github.com/pinumdb/pinum/internal/core"
+	"github.com/pinumdb/pinum/internal/optimizer"
+	"github.com/pinumdb/pinum/internal/plancache"
+	"github.com/pinumdb/pinum/internal/whatif"
 	"github.com/pinumdb/pinum/internal/workload"
 )
 
@@ -193,8 +198,8 @@ func TestParseQueryErrors(t *testing.T) {
 	}
 }
 
-// TestSaveLoadCaches round-trips the public snapshot API: slim batch
-// build, save, load, and bit-identical costs — plus rejection once the
+// TestSaveLoadCaches round-trips the public snapshot API: batch build,
+// save, load, and bit-identical costs — plus rejection once the
 // schema drifts.
 func TestSaveLoadCaches(t *testing.T) {
 	db := demoDB(t)
@@ -202,12 +207,9 @@ func TestSaveLoadCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	caches, err := db.BuildPlanCaches([]*Query{q}, WithSlim())
+	caches, err := db.BuildPlanCaches([]*Query{q})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !caches[0].Slim() {
-		t.Fatal("WithSlim built a tree-backed cache")
 	}
 	path := t.TempDir() + "/demo.pcache"
 	if err := db.SaveCaches(path, caches); err != nil {
@@ -240,5 +242,81 @@ func TestSaveLoadCaches(t *testing.T) {
 	db.Catalog().Table("orders").RowCount *= 2
 	if _, err := db.LoadCaches(path, []*Query{q}); err == nil {
 		t.Error("LoadCaches accepted a snapshot after the catalog changed")
+	}
+}
+
+// TestFacadeMatchesReference holds the facade's builds to the reference
+// construction (core.Build and core.BuildAll, which fill their caches from
+// Path trees) on the star workload's ten queries and a self-join: the
+// coarse ones — BuildPlanCache, BuildPlanCaches and BuildPlanCaches with
+// the deprecated WithSlim — must encode to core.Build's bytes, the precise
+// ones — BuildPlanCachePrecise and BuildPlanCaches with WithPrecise — to
+// core.BuildAll's in precise mode.
+func TestFacadeMatchesReference(t *testing.T) {
+	s, err := workload.StarSchema(1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := s.Queries(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDatabaseWith(s.Catalog, s.Stats)
+	self, err := db.ParseQuery(`SELECT f.id, g.id, d.a2 FROM fact f, fact g, dim1_1 d
+		WHERE f.fk_dim1_1 = d.id AND g.fk_dim1_1 = d.id AND d.a1 BETWEEN 1 AND 40 ORDER BY d.a2`, "self")
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs = append(qs, self)
+	analyses := make([]*optimizer.Analysis, len(qs))
+	coarse := make([]*PlanCache, len(qs))
+	for i, q := range qs {
+		if analyses[i], err = db.Analyze(q); err != nil {
+			t.Fatal(err)
+		}
+		if coarse[i], err = core.Build(analyses[i], whatif.NewSession(s.Catalog)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	precise, err := core.BuildAll(analyses, s.Catalog, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func(caches []*PlanCache) []byte {
+		var buf bytes.Buffer
+		if err := plancache.Encode(&buf, plancache.NewSnapshot(1, caches)); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	oneShots := func(build func(*Query) (*PlanCache, error)) []*PlanCache {
+		caches := make([]*PlanCache, len(qs))
+		for i, q := range qs {
+			if caches[i], err = build(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return caches
+	}
+	batch := func(opts ...BuildOption) []*PlanCache {
+		caches, err := db.BuildPlanCaches(qs, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return caches
+	}
+	for _, c := range []struct {
+		label     string
+		got, want []*PlanCache
+	}{
+		{"BuildPlanCache", oneShots(db.BuildPlanCache), coarse},
+		{"BuildPlanCaches", batch(), coarse},
+		{"BuildPlanCaches(WithSlim)", batch(WithSlim()), coarse},
+		{"BuildPlanCachePrecise", oneShots(db.BuildPlanCachePrecise), precise},
+		{"BuildPlanCaches(WithPrecise)", batch(WithPrecise()), precise},
+	} {
+		if g, w := encode(c.got), encode(c.want); !bytes.Equal(g, w) {
+			t.Errorf("%s encodes to %d bytes that differ from the reference construction's %d", c.label, len(g), len(w))
+		}
 	}
 }
