@@ -15,9 +15,11 @@ test:
 	$(GO) test ./...
 
 # Includes cmd/pinum-serve's process tests (the daemon on 127.0.0.1:0,
-# driven with HTTP, SIGHUP and SIGTERM).
+# driven with HTTP, SIGHUP and SIGTERM). internal/optimizer alone takes
+# 8.5–10 minutes under the race detector on a 2-vCPU machine, at go's
+# default 10-minute test timeout, hence the explicit one.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 20m ./...
 
 # A build pairs its two optimizer calls when its batch leaves a core idle:
 # at -cpu 1 a one-shot build runs them serially, at -cpu 2 on two planners,

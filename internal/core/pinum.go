@@ -21,7 +21,11 @@
 // dies with the one-shot build or the batch. The planner keeps plans as
 // pointer-free records in arenas that grow by blocks, and a build reads
 // each exported plan's summary straight off them (Workspace.Export): no
-// Path tree is built.
+// Path tree is built. Once both calls have emitted, the build drops every
+// entry that another entry of the query never costs more than under any
+// configuration (inum.Cache.Compact): the §V-D frontier keeps one
+// antichain per output order, which the dynamic program needs, but a
+// cached plan's cost does not depend on its output order.
 package core
 
 import (
@@ -109,6 +113,7 @@ func build(a *optimizer.Analysis, ws *whatif.Session, wk *optimizer.Workspace, r
 	if err != nil {
 		return nil, err
 	}
+	c.Compact()
 	c.Stats.OptimizerCalls += len(opts)
 	c.Stats.Planner.Add(st)
 	c.Stats.PlansSeen = st.PathsRetained
@@ -124,8 +129,9 @@ func build(a *optimizer.Analysis, ws *whatif.Session, wk *optimizer.Workspace, r
 // Summarize and PackLeaf (AddPath). It never calls Workspace.Export, so the
 // equivalence suites and the benchmark's golden answers, which hold the
 // library's caches to it bit for bit, share no construction code with what
-// they check past the planner; keep it off Export. The library never calls
-// it.
+// they check past the planner; keep it off Export. It keeps every exported
+// plan (it does not compact), so the same comparisons, on costs, check the
+// library's compaction too. The library never calls it.
 func Build(a *optimizer.Analysis, ws *whatif.Session) (*inum.Cache, error) {
 	return reference(a, ws, false)
 }

@@ -62,6 +62,53 @@ func BenchmarkBuildSlimShapes(b *testing.B) {
 	}
 }
 
+// BenchmarkCompactShapes times the compaction a build ends with
+// (inum.Cache.Compact) on each design shape's uncompacted reference cache
+// (Build), copied afresh outside the timer for every run, and reports the
+// entries and entry bytes before and after. Each run starts after a
+// collection, so a cycle the copies' garbage would start is not charged to
+// the pass.
+func BenchmarkCompactShapes(b *testing.B) {
+	for _, s := range designShapes {
+		cat, q, err := workload.ShapeQuery(s.spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		a, err := optimizer.NewAnalysis(q, nil, optimizer.DefaultCostParams())
+		if err != nil {
+			b.Fatal(err)
+		}
+		ref, err := Build(a, whatif.NewSession(cat))
+		if err != nil {
+			b.Fatal(err)
+		}
+		fresh := func() *inum.Cache {
+			c := inum.NewCache(a)
+			for _, cp := range ref.Plans {
+				pk, coefs := cp.PackedLeaves()
+				if _, err := c.AddSlim(cp.Internal, pk, coefs); err != nil {
+					b.Fatal(err)
+				}
+			}
+			return c
+		}
+		b.Run(s.label, func(b *testing.B) {
+			var c *inum.Cache
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c = fresh()
+				runtime.GC()
+				b.StartTimer()
+				c.Compact()
+			}
+			b.ReportMetric(float64(len(ref.Plans)), "entries")
+			b.ReportMetric(float64(len(c.Plans)), "kept")
+			b.ReportMetric(float64(ref.MemStats().EntryBytes), "B-before")
+			b.ReportMetric(float64(c.MemStats().EntryBytes), "B-after")
+		})
+	}
+}
+
 // allocsPer runs f once to warm up, then runs times more, and returns the
 // objects and bytes one run allocated on average (testing.AllocsPerRun's
 // method, with the bytes beside the count).

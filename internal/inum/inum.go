@@ -21,10 +21,15 @@
 // Package core builds the same cache with just one optimizer call per
 // nested-loop mode (the paper's contribution); this package provides the
 // cache structure, the cost model, and the conventional one-call-per-
-// combination construction used as the baseline.
+// combination construction used as the baseline. A PINUM build ends with
+// Compact, which drops every entry that can never be the unique cheapest
+// because another entry of the cache is never dearer under any
+// configuration; that changes no cost. Cost returns the first cheapest
+// entry in cache order.
 package inum
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -122,6 +127,9 @@ type BuildStats struct {
 	PlansSeen int
 	// PlansCached is the number of unique plans retained.
 	PlansCached int
+	// PlansDominated is the number of unique plans Compact dropped because
+	// another entry is never dearer (PlansCached excludes them).
+	PlansDominated int
 	// Duration is the wall-clock construction time.
 	Duration time.Duration
 	// Planner aggregates the per-call planner work counters across every
@@ -152,9 +160,9 @@ func (m MemStats) String() string {
 
 // Cache is an INUM plan cache for one query. Cost and BestPlan only read
 // it, so any number of goroutines may price configurations at once;
-// construction (AddPath, AddSummary, AddSlim) is single-threaded. A cache
-// holds its plans' INUM decompositions and no construction state: the
-// constructions that see duplicate plans deduplicate before they add
+// construction (AddPath, AddSummary, AddSlim, Compact) is single-threaded.
+// A cache holds its plans' INUM decompositions and no construction state:
+// the constructions that see duplicate plans deduplicate before they add
 // (Workspace.Export on the planner's records, PathSet on Path trees).
 type Cache struct {
 	Q     *query.Query
@@ -280,6 +288,261 @@ func (c *Cache) AddSlim(internal float64, packed []uint16, coefs []float64) (*Ca
 	return cp, nil
 }
 
+// Compact drops every entry that another entry of the cache dominates, and
+// reallocates the entry list and the leaf arenas at their exact size.
+//
+// Entry A dominates entry B when A's internal cost is ≤ B's and, on every
+// relation, A's coefficient is ≤ B's and A's leaf is B's leaf, or A's leaf
+// is the relation's AccessAny identity where B's is an AccessOrdered one.
+// B is dropped when some other entry A dominates it and either B does not
+// dominate A or A comes first in cache order; the kept entries keep their
+// order. Cost never changes, bit for bit: a priced table's AccessAny slot
+// is never above an AccessOrdered slot of its relation and always finite
+// (PriceLeafSlots starts it at the sequential scan and folds every index
+// scan into it), and FoldLeafRow's in-order sums and products of
+// non-negative operands are monotone in each of them, so a dominating
+// entry is applicable wherever its victim is and never dearer. Only the
+// returned plan can change, and only on an exact tie. Lookup leaves must
+// match exactly, so the NLJ flag follows.
+//
+// A dominator shares its victim's row with every AccessOrdered leaf
+// projected to its relation's AccessAny slot, and its ordered relations
+// are a subset of the victim's. So the pass groups the entries into buckets
+// by projected row and sorts each bucket by the number and the set of its
+// entries' ordered relations, then internal cost, coefficient row and cache
+// order: an order in which every entry comes after each entry that drops
+// it. An entry is then dropped exactly when an entry of its bucket kept
+// before it dominates it, and the kept entries are checked in runs of one
+// ordered-relation set.
+func (c *Cache) Compact() {
+	n, r := len(c.Plans), len(c.Q.Rels)
+	if n == 0 {
+		return
+	}
+	// The sweep moves the kept keys to the front of keys, so keys[lo:kept]
+	// are the current bucket's kept entries. A bucket's first entry is
+	// always kept, so the last kept key tells where a new bucket starts.
+	keys := c.compactOrder()
+	keep := make([]bool, n)
+	var runs []int // where each run of one ordered-relation set starts in keys[lo:kept]
+	kept, lo := 0, 0
+	for _, k := range keys {
+		if kept > 0 && k.bucket != keys[kept-1].bucket {
+			lo, runs = kept, runs[:0]
+		}
+		if !c.dominated(k, keys[lo:kept], runs) {
+			if kept == lo || keys[kept-1].ordered != k.ordered {
+				runs = append(runs, kept-lo)
+			}
+			keys[kept] = k
+			keep[k.i] = true
+			kept++
+		}
+	}
+
+	plans := make([]*CachedPlan, 0, kept)
+	slots, coefs := make([]uint16, 0, kept*r), make([]float64, 0, kept*r)
+	for i, cp := range c.Plans {
+		if !keep[i] {
+			continue
+		}
+		cp.idx = int32(len(plans))
+		plans = append(plans, cp)
+		slots = append(slots, c.leafSlot[i*r:i*r+r]...)
+		coefs = append(coefs, c.leafCoef[i*r:i*r+r]...)
+	}
+	c.Plans, c.leafSlot, c.leafCoef = plans, slots, coefs
+	c.Stats.PlansDominated += n - kept
+	c.Stats.PlansCached -= n - kept
+}
+
+// compactKey is what Compact orders an entry by: its bucket (the ordinal of
+// its projected row), then the number and the set of relations it reads in
+// an order, then its internal cost, then its coefficient row and its
+// ordinal i.
+type compactKey struct {
+	ordered   uint64 // bit rel: the entry's leaf on rel is AccessOrdered
+	internal  float64
+	bucket, i int32
+}
+
+// compactOrder returns every entry's key in Compact's order. Entries are
+// grouped by bucket and ordered-relation set through two open-addressing
+// tables keyed by hashes (a collision probes the next slot); the groups
+// are sorted, the keys laid out group by group in cache order (a counting
+// sort), and each group sorted by internal cost, coefficient row and
+// ordinal.
+func (c *Cache) compactOrder() []compactKey {
+	n, r := len(c.Plans), len(c.Q.Rels)
+	proj := c.slotProjection()
+	type bucketInfo struct {
+		hash  uint64
+		first int
+	}
+	type groupInfo struct {
+		ordered uint64
+		bucket  int32
+		count   int
+	}
+	var buckets []bucketInfo
+	groups := make([]groupInfo, 0, n/2+1)
+	size := 1 << bits.Len(uint(2*n))
+	tables := make([]int32, 2*size) // ordinal+1; 0 is empty
+	bucketTable, groupTable := tables[:size], tables[size:]
+	mask := uint64(size - 1)
+	groupOf := make([]int32, n)
+	for i := range c.Plans {
+		var ordered uint64
+		h := uint64(fnvOffset)
+		for rel, s := range c.leafSlot[i*r : i*r+r] {
+			h = (h ^ uint64(proj[s])) * fnvPrime
+			if proj[s] != s {
+				ordered |= 1 << uint(rel)
+			}
+		}
+		var b int32
+		for t := h & mask; ; t = (t + 1) & mask {
+			if b = bucketTable[t] - 1; b < 0 {
+				b = int32(len(buckets))
+				bucketTable[t] = b + 1
+				buckets = append(buckets, bucketInfo{h, i})
+			} else if buckets[b].hash != h || !sameRow(proj, c.leafSlot[buckets[b].first*r:][:r], c.leafSlot[i*r:][:r]) {
+				continue
+			}
+			break
+		}
+		gh := (uint64(b)*fnvPrime ^ ordered) * fnvPrime
+		for t := gh & mask; ; t = (t + 1) & mask {
+			g := groupTable[t] - 1
+			if g < 0 {
+				g = int32(len(groups))
+				groupTable[t] = g + 1
+				groups = append(groups, groupInfo{ordered, b, 0})
+			} else if groups[g].bucket != b || groups[g].ordered != ordered {
+				continue
+			}
+			groups[g].count++
+			groupOf[i] = g
+			break
+		}
+	}
+
+	order := make([]int32, len(groups))
+	for g := range order {
+		order[g] = int32(g)
+	}
+	slices.SortFunc(order, func(x, y int32) int {
+		gx, gy := &groups[x], &groups[y]
+		if gx.bucket != gy.bucket {
+			return cmp.Compare(gx.bucket, gy.bucket)
+		}
+		if d := bits.OnesCount64(gx.ordered) - bits.OnesCount64(gy.ordered); d != 0 {
+			return d
+		}
+		return cmp.Compare(gx.ordered, gy.ordered)
+	})
+	next := make([]int, len(groups)) // where each group's next key goes
+	pos := 0
+	for _, g := range order {
+		next[g], pos = pos, pos+groups[g].count
+	}
+	sorted := make([]compactKey, n)
+	for i, g := range groupOf {
+		sorted[next[g]] = compactKey{groups[g].ordered, c.Plans[i].Internal, groups[g].bucket, int32(i)}
+		next[g]++
+	}
+	byRank := func(x, y compactKey) int {
+		if x.internal != y.internal {
+			return cmp.Compare(x.internal, y.internal)
+		}
+		yc := c.leafCoef[int(y.i)*r:][:r]
+		for rel, xc := range c.leafCoef[int(x.i)*r:][:r] {
+			if xc != yc[rel] {
+				return cmp.Compare(xc, yc[rel])
+			}
+		}
+		return int(x.i - y.i)
+	}
+	for g, end := range next {
+		if count := groups[g].count; count > 1 {
+			slices.SortFunc(sorted[end-count:end], byRank)
+		}
+	}
+	return sorted
+}
+
+// sameRow reports whether two leaf rows project to the same row.
+func sameRow(proj, x, y []uint16) bool {
+	for rel, s := range x {
+		if proj[s] != proj[y[rel]] {
+			return false
+		}
+	}
+	return true
+}
+
+// slotProjection maps every index of the query's leaf-slot table to itself,
+// except an AccessOrdered identity's, which it maps to its relation's
+// AccessAny slot.
+func (c *Cache) slotProjection() []uint16 {
+	proj := make([]uint16, c.A.NumLeafSlots())
+	for s := range proj {
+		proj[s] = uint16(s)
+	}
+	for rel := range c.Q.Rels {
+		anyPk, _ := c.A.PackLeaf(rel, optimizer.LeafReq{Mode: optimizer.AccessAny})
+		anySlot := uint16(c.A.LeafSlot(rel, anyPk))
+		for _, col := range c.A.Rels[rel].Interesting {
+			pk, err := c.A.PackLeaf(rel, optimizer.LeafReq{Mode: optimizer.AccessOrdered, Col: col})
+			if err != nil {
+				panic(err) // every interesting order is interned
+			}
+			proj[c.A.LeafSlot(rel, pk)] = anySlot
+		}
+	}
+	return proj
+}
+
+// dominated reports whether one of the entries of bucket dominates entry b
+// (Compact's rule), given that they all share b's projected row. The bucket
+// comes in runs of one ordered-relation set, starting at runs: a run's set
+// must be among b's relations, and an entry of it must read b's slots on
+// them and have an internal cost and coefficients ≤ b's.
+func (c *Cache) dominated(b compactKey, bucket []compactKey, runs []int) bool {
+	r := len(c.Q.Rels)
+	bs, bc := c.leafSlot[int(b.i)*r:][:r], c.leafCoef[int(b.i)*r:][:r]
+	for ri, lo := range runs {
+		ord := bucket[lo].ordered
+		if ord&^b.ordered != 0 {
+			continue
+		}
+		hi := len(bucket)
+		if ri+1 < len(runs) {
+			hi = runs[ri+1]
+		}
+	next:
+		for _, a := range bucket[lo:hi] {
+			if a.internal > b.internal {
+				break // a run is in ascending internal cost
+			}
+			as, ac := c.leafSlot[int(a.i)*r:][:r], c.leafCoef[int(a.i)*r:][:r]
+			for rel, cf := range ac {
+				if cf > bc[rel] || ord&(1<<uint(rel)) != 0 && as[rel] != bs[rel] {
+					continue next
+				}
+			}
+			return true
+		}
+	}
+	return false
+}
+
+// FNV-1a's 64-bit parameters, for Compact's row hash.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
 // MemStats reports the cache's retained memory: the entry structures and
 // the leaf arenas.
 func (c *Cache) MemStats() MemStats {
@@ -292,10 +555,13 @@ func (c *Cache) MemStats() MemStats {
 
 // Cost estimates the query's optimal cost under the configuration using
 // only cached information — the operation that replaces an optimizer call.
-// It returns the winning plan. An error is returned only when no cached
-// plan is applicable (an empty cache). The configuration (nil = empty) is
-// priced once into the leaf-slot table; costs are bit-identical to folding
-// Analysis.AccessCost per plan leaf.
+// It returns the winning plan: the first cheapest in cache order. On a
+// compacted cache (every PINUM build's) that plan can differ from the
+// uncompacted cache's only on an exact tie, and the cost never does. An
+// error is returned only when no cached plan is applicable (an empty
+// cache). The configuration (nil = empty) is priced once into the
+// leaf-slot table; costs are bit-identical to folding Analysis.AccessCost
+// per plan leaf.
 //
 //pinum:hotpath
 func (c *Cache) Cost(cfg *query.Config) (float64, *CachedPlan, error) {
@@ -309,10 +575,11 @@ func (c *Cache) Cost(cfg *query.Config) (float64, *CachedPlan, error) {
 
 // BestPlan runs the INUM fold over a priced leaf-slot table: per plan,
 // internal + Σ coef × slot in relation order (optimizer.FoldLeafRow),
-// first strictly better plan in cache order wins. It returns the winning
-// cost and plan ordinal, or (+Inf, -1) when no plan is applicable. This is
-// the one plan loop: Cost and costmatrix differ only in how they obtain
-// the table.
+// first strictly better plan in cache order wins, so the winner is the
+// first cheapest. It returns the winning cost and plan ordinal, or
+// (+Inf, -1) when no plan is applicable. A PINUM build's cache holds no
+// plan another plan is never dearer than (Compact). This is the one plan
+// loop: Cost and costmatrix differ only in how they obtain the table.
 //
 //pinum:allocfree reads the arenas and the caller's table only; pinned by TestCostAllocFree and costmatrix.TestEvaluateCandidateAllocFree
 func (c *Cache) BestPlan(slots []float64) (float64, int) {

@@ -622,3 +622,99 @@ func TestPackedEntryBytesHalved(t *testing.T) {
 			qi, len(c.Q.Rels), len(c.Plans), got, unpacked, float64(unpacked)/float64(got))
 	}
 }
+
+// TestCompactRules holds Compact to each clause of its rule on hand-made
+// entries of star Q10: an AccessAny leaf dominates an AccessOrdered one and
+// not the other way round, a lookup leaf is dominated only by the same
+// lookup, every coefficient and the internal cost must be ≤, and of two
+// equal entries the first in cache order is kept. Kept entries keep their
+// order, the counters add up, and every cost is the uncompacted cache's.
+func TestCompactRules(t *testing.T) {
+	s, a := setup(t, 9)
+	n := len(a.Q.Rels)
+	k := slices.IndexFunc(a.Rels, func(ri optimizer.RelInfo) bool { return len(ri.Interesting) > 0 })
+	if k < 0 {
+		t.Fatal("no relation of Q10 has an interesting order")
+	}
+	col := a.Rels[k].Interesting[0]
+	row := func(mode optimizer.AccessMode) []uint16 {
+		packed := make([]uint16, n)
+		if mode != optimizer.AccessAny {
+			pk, err := a.PackLeaf(k, optimizer.LeafReq{Mode: mode, Col: col})
+			if err != nil {
+				t.Fatal(err)
+			}
+			packed[k] = pk
+		}
+		return packed
+	}
+	coefs := func(onK, others float64) []float64 {
+		cs := make([]float64, n)
+		for rel := range cs {
+			cs[rel] = others
+		}
+		cs[k] = onK
+		return cs
+	}
+	entries := []struct {
+		internal float64
+		packed   []uint16
+		coefs    []float64
+		kept     bool
+	}{
+		{10, row(optimizer.AccessOrdered), coefs(1, 1), false}, // entry 1's Any leaf undercuts it
+		{10, row(optimizer.AccessAny), coefs(1, 1), true},
+		{11, row(optimizer.AccessLookup), coefs(1, 1), true}, // no Any leaf stands in for a lookup
+		{10, row(optimizer.AccessAny), coefs(1, 1), false},   // equal to entry 1, which comes first
+		{9, row(optimizer.AccessOrdered), coefs(2, 2), true}, // cheaper inside, dearer per leaf
+		{11, row(optimizer.AccessOrdered), coefs(0.5, 1), true},
+		{12, row(optimizer.AccessLookup), coefs(1, 1), false}, // entry 2 is the same lookup, cheaper
+		{10, row(optimizer.AccessAny), coefs(1, 2), false},
+	}
+	raw, c := NewCache(a), NewCache(a)
+	for _, e := range entries {
+		for _, into := range []*Cache{raw, c} {
+			if _, err := into.AddSlim(e.internal, e.packed, e.coefs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	c.Compact()
+	var want []int
+	for i, e := range entries {
+		if e.kept {
+			want = append(want, i)
+		}
+	}
+	if len(c.Plans) != len(want) || c.Stats.PlansCached != len(want) || c.Stats.PlansDominated != len(entries)-len(want) {
+		t.Fatalf("kept %d entries (%d cached, %d dominated), want entries %v", len(c.Plans), c.Stats.PlansCached, c.Stats.PlansDominated, want)
+	}
+	for j, i := range want {
+		pk, cs := c.Plans[j].PackedLeaves()
+		if c.Plans[j].Internal != entries[i].internal || !slices.Equal(pk, entries[i].packed) || !slices.Equal(cs, entries[i].coefs) {
+			t.Errorf("kept entry %d is %s, want entry %d", j, c.Plans[j], i)
+		}
+	}
+	if got := c.MemStats().EntryBytes; got != int64(len(want))*int64(unsafe.Sizeof(CachedPlan{})+uintptr(10*n)) {
+		t.Errorf("compacted entries take %d bytes; the arenas are not exact-size", got)
+	}
+	rng := rand.New(rand.NewSource(3))
+	ws := whatif.NewSession(s.Catalog)
+	for i := 0; i < 20; i++ {
+		cfg, err := workload.RandomAtomicConfig(rng, a, ws, 0.8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := c.Cost(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := raw.Cost(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: compacted cost %v, uncompacted %v", cfg, got, want)
+		}
+	}
+}

@@ -1,0 +1,204 @@
+package plancache
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"github.com/pinumdb/pinum/internal/catalog"
+	"github.com/pinumdb/pinum/internal/core"
+	"github.com/pinumdb/pinum/internal/inum"
+	"github.com/pinumdb/pinum/internal/optimizer"
+	"github.com/pinumdb/pinum/internal/query"
+	"github.com/pinumdb/pinum/internal/whatif"
+	"github.com/pinumdb/pinum/internal/workload"
+)
+
+// compactReference is inum.Cache.Compact's definition checked naively, over
+// every ordered pair of entries and their CachedPlan.Leaf requirements, with
+// no shipped compaction code: entry b is dropped when another entry a
+// dominates it — a's internal cost and every coefficient ≤ b's, and on every
+// relation a's leaf identity is b's, or a's is AccessAny where b's is
+// AccessOrdered — and either b does not dominate a or a comes first. The
+// kept entries fill a fresh cache over the same analysis, in cache order.
+// The root package's facade test carries a twin of it.
+func compactReference(t testing.TB, c *inum.Cache) *inum.Cache {
+	t.Helper()
+	leaves := make([][]optimizer.LeafReq, len(c.Plans))
+	for i, cp := range c.Plans {
+		for rel := 0; rel < cp.NumRels(); rel++ {
+			leaves[i] = append(leaves[i], cp.Leaf(rel))
+		}
+	}
+	dominates := func(a, b int) bool {
+		if c.Plans[a].Internal > c.Plans[b].Internal {
+			return false
+		}
+		for rel, la := range leaves[a] {
+			lb := leaves[b][rel]
+			same := la.Mode == lb.Mode && la.Col == lb.Col
+			if la.Coef > lb.Coef || !same && (la.Mode != optimizer.AccessAny || lb.Mode != optimizer.AccessOrdered) {
+				return false
+			}
+		}
+		return true
+	}
+	out := inum.NewCache(c.A)
+	for j, b := range c.Plans {
+		dropped := false
+		for i := range c.Plans {
+			if i != j && dominates(i, j) && (i < j || !dominates(j, i)) {
+				dropped = true
+				break
+			}
+		}
+		if !dropped {
+			pk, coefs := b.PackedLeaves()
+			if _, err := out.AddSlim(b.Internal, pk, coefs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return out
+}
+
+// assertSameCosts requires exact cost bits from got and want under every
+// configuration (both failing alike is agreement).
+func assertSameCosts(t *testing.T, label string, got, want *inum.Cache, cfgs []*query.Config) {
+	t.Helper()
+	for ci, cfg := range cfgs {
+		gc, _, gerr := got.Cost(cfg)
+		wc, _, werr := want.Cost(cfg)
+		if (gerr == nil) != (werr == nil) || math.Float64bits(gc) != math.Float64bits(wc) {
+			t.Fatalf("%s cfg %d: cost %v (%v), uncompacted %v (%v)", label, ci, gc, gerr, wc, werr)
+		}
+	}
+}
+
+// TestNoCachedEntryDominated holds the library's compaction without an
+// oracle for the kept set, on every workload.Shapes topology, coarse and
+// precise, serial and paired: after a build no entry is dominated (the
+// naive check drops nothing), the paired build is the serial one entry for
+// entry, the build's counters add up to the uncompacted reference
+// construction's entries (core.BuildAll), and under seeded configurations
+// every cost is bit-identical to that reference's. The 17-relation chain —
+// the wide key lane —, whose all-orders configuration no planner can
+// export, goes through the workspace a build drives, under its head's
+// indexes, and is held to the same export before Compact.
+func TestNoCachedEntryDominated(t *testing.T) {
+	for i, sh := range workload.Shapes {
+		spec := workload.ShapeSpec{Shape: sh, Rels: 5, Density: 0.4, Seed: int64(500 + i)}
+		cat, q, err := workload.ShapeQuery(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := optimizer.NewAnalysis(q, nil, optimizer.DefaultCostParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs := append(workload.ShapeConfigs(rand.New(rand.NewSource(spec.Seed)), cat, q, 24), &query.Config{})
+		for _, precise := range []bool{false, true} {
+			label := fmt.Sprintf("%s/%d", sh, len(q.Rels))
+			if precise {
+				label += "/precise"
+			}
+			var serial, paired, ref *inum.Cache
+			if len(q.Rels) > 16 {
+				serial, paired, ref = exportHead(t, a, cat, precise)
+			} else {
+				refs, err := core.BuildAll([]*optimizer.Analysis{a}, cat, 1, precise)
+				if err != nil {
+					t.Fatal(err)
+				}
+				build := func(paired bool) *inum.Cache {
+					c, err := core.Builder(precise, paired)(a, whatif.NewSession(cat))
+					if err != nil {
+						t.Fatal(err)
+					}
+					return c
+				}
+				serial, paired, ref = build(false), build(true), refs[0]
+			}
+			if n := len(compactReference(t, serial).Plans); n != len(serial.Plans) {
+				t.Errorf("%s: %d of %d kept entries are dominated", label, len(serial.Plans)-n, len(serial.Plans))
+			}
+			if !bytes.Equal(encodeToBytes(t, NewSnapshot(1, []*inum.Cache{paired})), encodeToBytes(t, NewSnapshot(1, []*inum.Cache{serial}))) {
+				t.Errorf("%s: the paired build's entries differ from the serial build's", label)
+			}
+			for _, c := range []*inum.Cache{serial, paired} {
+				st := c.Stats
+				if st.PlansCached != len(c.Plans) || st.PlansCached+st.PlansDominated != len(ref.Plans) {
+					t.Errorf("%s: %d entries, %d cached + %d dominated; the uncompacted cache has %d",
+						label, len(c.Plans), st.PlansCached, st.PlansDominated, len(ref.Plans))
+				}
+				if got, was := c.MemStats().EntryBytes, ref.MemStats().EntryBytes; got > was {
+					t.Errorf("%s: compacted entries take %d bytes, uncompacted %d", label, got, was)
+				}
+				assertSameCosts(t, label, c, ref, cfgs)
+			}
+		}
+	}
+}
+
+// exportHead builds a wide chain's cache as a build does — both calls'
+// exports through one workspace, serial and paired, then Compact — under
+// planConfig's head indexes. It returns the compacted serial and paired
+// caches and the serial export uncompacted.
+func exportHead(t *testing.T, a *optimizer.Analysis, cat *catalog.Catalog, precise bool) (serial, paired, raw *inum.Cache) {
+	t.Helper()
+	opts := []optimizer.Options{
+		{ExportAll: true, PreciseNLJ: precise},
+		{EnableNestLoop: true, ExportAll: true, PreciseNLJ: precise, PaperPrune: !precise},
+	}
+	export := func(run optimizer.Runner, compact bool) *inum.Cache {
+		c := inum.NewCache(a)
+		if _, err := optimizer.NewWorkspace().Export(a, planConfig(cat, a.Q), opts, run, c.AddSummary); err != nil {
+			t.Fatal(err)
+		}
+		if compact {
+			c.Compact()
+		}
+		return c
+	}
+	pairCalls := func(n int, call func(int)) { core.Fan(n, 2, func() func(int) { return call }) }
+	return export(nil, true), export(pairCalls, true), export(nil, false)
+}
+
+// TestPinumCacheNoLargerThanInum is the paper's E5 comparison as a property
+// on the star workload's ten queries: once dominated entries are dropped,
+// PINUM's two-call cache holds no more entries than conventional INUM's
+// (inum.Build, one call per interesting order combination and nested-loop
+// mode), query by query.
+func TestPinumCacheNoLargerThanInum(t *testing.T) {
+	s, err := workload.StarSchema(1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := s.Queries(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pinum, inumRaw, inumKept int
+	for _, q := range qs {
+		a, err := optimizer.NewAnalysis(q, s.Stats, optimizer.DefaultCostParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pin, err := core.BuildSlim(a, whatif.NewSession(s.Catalog))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := inum.Build(a, whatif.NewSession(s.Catalog))
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := compactReference(t, raw)
+		pinum, inumRaw, inumKept = pinum+len(pin.Plans), inumRaw+len(raw.Plans), inumKept+len(in.Plans)
+		if len(pin.Plans) > len(in.Plans) {
+			t.Errorf("%s: PINUM keeps %d entries, INUM %d", q.Name, len(pin.Plans), len(in.Plans))
+		}
+	}
+	t.Logf("star Q1–Q10: PINUM keeps %d entries, INUM %d of its %d", pinum, inumKept, inumRaw)
+}

@@ -82,7 +82,8 @@ func planIndex(c *inum.Cache, cp *inum.CachedPlan) int {
 }
 
 // assertCacheEquivalent prices the reference construction's cache (tree,
-// core.Build's: filled from Path trees) and another under the
+// core.Build's: filled from Path trees, then compactReference's, since a
+// library build drops dominated entries) and another under the
 // configurations and requires exact cost bits, identical winning-plan
 // positions, and a bit-equal empty-configuration slot table read through
 // the same slot by every plan leaf.
@@ -174,9 +175,10 @@ func assertLeavesRoundTrip(t *testing.T, label string, c *inum.Cache) {
 
 // TestSlimTreeCostEquivalence pins the construction's guarantee on the
 // star workload plus self-joins: the library's build (core.BuildSlim, from
-// the planner's export summaries) and a snapshot-roundtripped load answer
-// Cost (and the empty slot table) bit-identically to the reference
-// construction's cache (core.Build, from Path trees).
+// the planner's export summaries, compacted) and a snapshot-roundtripped
+// load hold the reference construction's entries (core.Build, from Path
+// trees) minus exactly the dominated ones (compactReference), and answer
+// Cost (and the empty slot table) bit-identically to them.
 func TestSlimTreeCostEquivalence(t *testing.T) {
 	s, err := workload.StarSchema(1.0)
 	if err != nil {
@@ -201,6 +203,7 @@ func TestSlimTreeCostEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		tree = compactReference(t, tree)
 		slim, err := core.BuildSlim(a2, whatif.NewSession(s.Catalog))
 		if err != nil {
 			t.Fatal(err)
@@ -252,6 +255,7 @@ func TestSlimTreeShapeEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		tree = compactReference(t, tree)
 		slim, err := core.BuildSlim(a2, whatif.NewSession(cat))
 		if err != nil {
 			t.Fatal(err)
@@ -268,8 +272,9 @@ func TestSlimTreeShapeEquivalence(t *testing.T) {
 // caches of the advisor's own AddQueries path, of one-shot core.BuildSlim
 // builds and of their snapshot round trips, and requires results identical
 // to a run over the reference construction's caches (core.BuildAll, filled
-// from Path trees; advisor's TestRunMatchesReferenceSelfJoinMix holds the
-// greedy loop to the full-repricing oracle on this workload).
+// from Path trees, with the dominated entries dropped by compactReference;
+// advisor's TestRunMatchesReferenceSelfJoinMix holds the greedy loop to the
+// full-repricing oracle on this workload).
 func TestAdvisorSlimTreeEquivalence(t *testing.T) {
 	s, err := workload.StarSchema(1.0)
 	if err != nil {
@@ -321,6 +326,9 @@ func TestAdvisorSlimTreeEquivalence(t *testing.T) {
 	refs, err := core.BuildAll(analyses, s.Catalog, 0, false)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, c := range refs {
+		refs[i] = compactReference(t, c)
 	}
 	want := runOver("reference", analyses, refs)
 

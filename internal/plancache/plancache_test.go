@@ -7,10 +7,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/pinumdb/pinum/internal/core"
 	"github.com/pinumdb/pinum/internal/faultpoint"
+	"github.com/pinumdb/pinum/internal/inum"
 	"github.com/pinumdb/pinum/internal/optimizer"
 	"github.com/pinumdb/pinum/internal/whatif"
 	"github.com/pinumdb/pinum/internal/workload"
@@ -20,6 +22,13 @@ import (
 // into a snapshot.
 func starSnapshot(t *testing.T, seed int64) (*workload.Star, *Snapshot) {
 	t.Helper()
+	s, caches := starCaches(t, seed, core.BuildSlim)
+	return s, NewSnapshot(Fingerprint(s.Catalog, s.Stats, optimizer.DefaultCostParams()), caches)
+}
+
+// starCaches builds the star workload's caches with build.
+func starCaches(t *testing.T, seed int64, build core.BuildFunc) (*workload.Star, []*inum.Cache) {
+	t.Helper()
 	s, err := workload.StarSchema(1.0)
 	if err != nil {
 		t.Fatal(err)
@@ -28,19 +37,17 @@ func starSnapshot(t *testing.T, seed int64) (*workload.Star, *Snapshot) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := &Snapshot{Fingerprint: Fingerprint(s.Catalog, s.Stats, optimizer.DefaultCostParams())}
-	for _, q := range qs {
+	caches := make([]*inum.Cache, len(qs))
+	for i, q := range qs {
 		a, err := optimizer.NewAnalysis(q, s.Stats, optimizer.DefaultCostParams())
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := core.BuildSlim(a, whatif.NewSession(s.Catalog))
-		if err != nil {
+		if caches[i], err = build(a, whatif.NewSession(s.Catalog)); err != nil {
 			t.Fatal(err)
 		}
-		snap.Queries = append(snap.Queries, FromCache(c))
 	}
-	return s, snap
+	return s, caches
 }
 
 func encodeToBytes(t testing.TB, snap *Snapshot) []byte {
@@ -350,16 +357,56 @@ func TestLoadRejectsStaleFingerprint(t *testing.T) {
 
 // TestStarSnapshotBytesFrozen pins the wire form across the arena's change
 // of representation (packed identities → slot indexes, PR 23): the star
-// workload's snapshot is byte-equal to what the commit before that change
-// wrote — these two literals were printed there by this very test body.
+// workload's snapshot, encoded from the reference construction's caches
+// (core.Build, which does not compact), is byte-equal to what the commit
+// before that change wrote — the first two literals were printed there by
+// this very test body. The library's caches drop dominated entries; their
+// snapshot is pinned by the second pair of literals and decodes to the
+// frozen entries minus exactly the dominated ones (compactReference): one
+// entry of Q6.
 func TestStarSnapshotBytesFrozen(t *testing.T) {
+	fnvSum := func(data []byte) uint64 {
+		h := fnv.New64a()
+		h.Write(data)
+		return h.Sum64()
+	}
+	s, refs := starCaches(t, 42, core.Build)
+	frozen := encodeToBytes(t, NewSnapshot(Fingerprint(s.Catalog, s.Stats, optimizer.DefaultCostParams()), refs))
+	const wantLen, wantSum = 21471, uint64(0x30a7a18c97a38398)
+	if len(frozen) != wantLen || fnvSum(frozen) != wantSum {
+		t.Fatalf("star snapshot encodes to %d bytes, FNV-1a %#x; the frozen form is %d bytes, %#x",
+			len(frozen), fnvSum(frozen), wantLen, wantSum)
+	}
+
 	_, snap := starSnapshot(t, 42)
 	data := encodeToBytes(t, snap)
-	h := fnv.New64a()
-	h.Write(data)
-	const wantLen, wantSum = 21471, uint64(0x30a7a18c97a38398)
-	if len(data) != wantLen || h.Sum64() != wantSum {
-		t.Fatalf("star snapshot encodes to %d bytes, FNV-1a %#x; the frozen form is %d bytes, %#x",
-			len(data), h.Sum64(), wantLen, wantSum)
+	const compactLen, compactSum = 21423, uint64(0x80091f3a7fee4e99)
+	if len(data) != compactLen || fnvSum(data) != compactSum {
+		t.Errorf("compacted star snapshot encodes to %d bytes, FNV-1a %#x; pinned %d bytes, %#x",
+			len(data), fnvSum(data), compactLen, compactSum)
+	}
+	dec, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped := map[string]int{}
+	for i, qp := range dec.Queries {
+		want := FromCache(compactReference(t, refs[i]))
+		if len(qp.Entries) != len(want.Entries) {
+			t.Fatalf("%s: %d entries decoded, the frozen ones minus the dominated are %d", qp.Name, len(qp.Entries), len(want.Entries))
+		}
+		for j, e := range qp.Entries {
+			w := want.Entries[j]
+			if math.Float64bits(e.Internal) != math.Float64bits(w.Internal) || !slices.Equal(e.Packed, w.Packed) ||
+				!slices.EqualFunc(e.Coefs, w.Coefs, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+				t.Fatalf("%s entry %d: decoded %+v, frozen %+v", qp.Name, j, e, w)
+			}
+		}
+		if n := len(refs[i].Plans) - len(qp.Entries); n > 0 {
+			dropped[qp.Name] = n
+		}
+	}
+	if len(dropped) != 1 || dropped["Q6"] != 1 {
+		t.Errorf("dominated entries dropped per query: %v; want Q6's one", dropped)
 	}
 }

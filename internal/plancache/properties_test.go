@@ -12,12 +12,28 @@ import (
 	"github.com/pinumdb/pinum/internal/workload"
 )
 
+// planConfig is the configuration a shape query's cache is planned under:
+// every interesting order, except on a wide chain, where only the first
+// three relations are indexed — ExportAll's retained set is exponential in
+// the number of indexed relations, in any planner.
+func planConfig(cat *catalog.Catalog, q *query.Query) *query.Config {
+	all := workload.ShapeAllOrdersConfig(cat, q)
+	if len(q.Rels) <= 16 {
+		return all
+	}
+	head := map[string]bool{q.Rels[0].Table.Name: true, q.Rels[1].Table.Name: true, q.Rels[2].Table.Name: true}
+	plan := &query.Config{}
+	for _, ix := range all.Indexes {
+		if head[ix.Table] {
+			plan.Indexes = append(plan.Indexes, ix)
+		}
+	}
+	return plan
+}
+
 // buildShapeSlim fills a slim cache for one shape query the way core.build
-// does — nested loops off, then on under PaperPrune — from a fresh analysis.
-// The planning configuration covers every interesting order, except on a
-// wide chain, where only the first three relations are indexed: ExportAll's
-// retained set is exponential in the number of indexed relations, in any
-// planner.
+// does — nested loops off, then on under PaperPrune — from a fresh analysis,
+// under planConfig, and leaves it uncompacted.
 func buildShapeSlim(t *testing.T, spec workload.ShapeSpec) (*inum.Cache, []*query.Config) {
 	t.Helper()
 	cat, q, err := workload.ShapeQuery(spec)
@@ -28,20 +44,9 @@ func buildShapeSlim(t *testing.T, spec workload.ShapeSpec) (*inum.Cache, []*quer
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := workload.ShapeAllOrdersConfig(cat, q)
-	plan := all
-	if len(q.Rels) > 16 {
-		head := map[string]bool{q.Rels[0].Table.Name: true, q.Rels[1].Table.Name: true, q.Rels[2].Table.Name: true}
-		plan = &query.Config{}
-		for _, ix := range all.Indexes {
-			if head[ix.Table] {
-				plan.Indexes = append(plan.Indexes, ix)
-			}
-		}
-	}
 	c := inum.NewCache(a)
 	opts := []optimizer.Options{{ExportAll: true}, {EnableNestLoop: true, ExportAll: true, PaperPrune: true}}
-	if _, err := optimizer.NewWorkspace().Export(a, plan, opts, nil, c.AddSummary); err != nil {
+	if _, err := optimizer.NewWorkspace().Export(a, planConfig(cat, q), opts, nil, c.AddSummary); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))

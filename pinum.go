@@ -34,6 +34,10 @@
 // Whole workloads batch-build their caches across a worker pool:
 //
 //	caches, err := db.BuildPlanCaches(queries, pinum.WithWorkers(8))
+//
+// A built cache drops every plan that can never be the unique cheapest
+// because another plan is never dearer under any configuration, which
+// changes no cost, and Cost returns the first cheapest plan in cache order.
 package pinum
 
 import (

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/pinumdb/pinum/internal/core"
+	"github.com/pinumdb/pinum/internal/inum"
 	"github.com/pinumdb/pinum/internal/optimizer"
 	"github.com/pinumdb/pinum/internal/plancache"
 	"github.com/pinumdb/pinum/internal/whatif"
@@ -247,11 +248,12 @@ func TestSaveLoadCaches(t *testing.T) {
 
 // TestFacadeMatchesReference holds the facade's builds to the reference
 // construction (core.Build and core.BuildAll, which fill their caches from
-// Path trees) on the star workload's ten queries and a self-join: the
-// coarse ones — BuildPlanCache, BuildPlanCaches and BuildPlanCaches with
-// the deprecated WithSlim — must encode to core.Build's bytes, the precise
-// ones — BuildPlanCachePrecise and BuildPlanCaches with WithPrecise — to
-// core.BuildAll's in precise mode.
+// Path trees and keep every plan) with the dominated entries dropped by
+// compactReference, on the star workload's ten queries and a self-join:
+// the coarse ones — BuildPlanCache, BuildPlanCaches and BuildPlanCaches
+// with the deprecated WithSlim — must encode to core.Build's compacted
+// bytes, the precise ones — BuildPlanCachePrecise and BuildPlanCaches with
+// WithPrecise — to core.BuildAll's in precise mode, compacted.
 func TestFacadeMatchesReference(t *testing.T) {
 	s, err := workload.StarSchema(1.0)
 	if err != nil {
@@ -277,10 +279,14 @@ func TestFacadeMatchesReference(t *testing.T) {
 		if coarse[i], err = core.Build(analyses[i], whatif.NewSession(s.Catalog)); err != nil {
 			t.Fatal(err)
 		}
+		coarse[i] = compactReference(t, coarse[i])
 	}
 	precise, err := core.BuildAll(analyses, s.Catalog, 0, true)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, c := range precise {
+		precise[i] = compactReference(t, c)
 	}
 	encode := func(caches []*PlanCache) []byte {
 		var buf bytes.Buffer
@@ -319,4 +325,52 @@ func TestFacadeMatchesReference(t *testing.T) {
 			t.Errorf("%s encodes to %d bytes that differ from the reference construction's %d", c.label, len(g), len(w))
 		}
 	}
+}
+
+// compactReference is inum.Cache.Compact's definition checked naively, over
+// every ordered pair of entries and their CachedPlan.Leaf requirements, with
+// no shipped compaction code: entry b is dropped when another entry a
+// dominates it — a's internal cost and every coefficient ≤ b's, and on every
+// relation a's leaf identity is b's, or a's is AccessAny where b's is
+// AccessOrdered — and either b does not dominate a or a comes first. The
+// kept entries fill a fresh cache over the same analysis, in cache order.
+// It is the twin of internal/plancache's, which the equivalence suites use.
+func compactReference(t testing.TB, c *PlanCache) *PlanCache {
+	t.Helper()
+	leaves := make([][]optimizer.LeafReq, len(c.Plans))
+	for i, cp := range c.Plans {
+		for rel := 0; rel < cp.NumRels(); rel++ {
+			leaves[i] = append(leaves[i], cp.Leaf(rel))
+		}
+	}
+	dominates := func(a, b int) bool {
+		if c.Plans[a].Internal > c.Plans[b].Internal {
+			return false
+		}
+		for rel, la := range leaves[a] {
+			lb := leaves[b][rel]
+			same := la.Mode == lb.Mode && la.Col == lb.Col
+			if la.Coef > lb.Coef || !same && (la.Mode != optimizer.AccessAny || lb.Mode != optimizer.AccessOrdered) {
+				return false
+			}
+		}
+		return true
+	}
+	out := inum.NewCache(c.A)
+	for j, b := range c.Plans {
+		dropped := false
+		for i := range c.Plans {
+			if i != j && dominates(i, j) && (i < j || !dominates(j, i)) {
+				dropped = true
+				break
+			}
+		}
+		if !dropped {
+			pk, coefs := b.PackedLeaves()
+			if _, err := out.AddSlim(b.Internal, pk, coefs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return out
 }
