@@ -47,6 +47,7 @@ shuffle:
 fuzz:
 	$(GO) test ./internal/optimizer -run=NONE -fuzz=FuzzOptimizeEquivalence -fuzztime=19s
 	$(GO) test ./internal/serve -run=NONE -fuzz=FuzzWhatIfEncode -fuzztime=10s
+	$(GO) test ./internal/serve -run=NONE -fuzz=FuzzWhatIfBody -fuzztime=10s
 	$(GO) test ./internal/plancache -run=NONE -fuzz=FuzzSnapshotDecode -fuzztime=10s -fuzzminimizetime=1s
 	$(GO) test ./internal/sql -run=NONE -fuzz=FuzzSQLParse -fuzztime=10s
 

@@ -108,17 +108,38 @@ type Table struct {
 	ForeignKeys []ForeignKey
 
 	colIndex map[string]int
-	// names is the name space the table was last registered in: AddTable
-	// stamps it with the catalog's token, which Clone copies. See
-	// Index.OnTable for what it licenses.
-	names *nameSpace
+	// names is the name space the table was last registered in and ord
+	// its position there: AddTable stamps both, Clone shares them. See
+	// Index.OnTable for what the token licenses, and Table.OrdinalIn for
+	// the position.
+	names *NameSpace
+	ord   int
 }
 
-// nameSpace is the identity of one catalog's table names. A catalog and
+// NameSpace is the identity of one catalog's table names. A catalog and
 // its clones share one (they share the table map), and AddTable rejects
 // duplicate names, so two different tables stamped with the same token
-// are differently named. The byte keeps tokens from sharing an address.
-type nameSpace struct{ _ byte }
+// are differently named. AddTable also numbers the tables it registers
+// there 0, 1, 2, … and never reuses a number, so a (name space, ordinal)
+// pair names one table descriptor.
+type NameSpace struct{ tables int }
+
+// Tables is the number of tables registered in the name space so far:
+// every ordinal OrdinalIn reports for it is below it.
+func (ns *NameSpace) Tables() int { return ns.tables }
+
+// OrdinalIn is t's position in name space ns, or -1 when t was last
+// registered elsewhere (or never).
+func (t *Table) OrdinalIn(ns *NameSpace) int {
+	if ns == nil || t.names != ns {
+		return -1
+	}
+	return t.ord
+}
+
+// NameSpace is the name space t was last registered in, nil for a table
+// no catalog registered.
+func (t *Table) NameSpace() *NameSpace { return t.names }
 
 // Column returns the named column, or nil.
 func (t *Table) Column(name string) *Column {
@@ -258,6 +279,17 @@ func (ix *Index) OnTable(t *Table) TableMatch {
 	return OffTable
 }
 
+// OrdinalIn is the position in name space ns of the table ix is bound
+// to, or -1 when ix is unbound or bound to a table of another name space.
+// Every relation whose table is at another position of ns has OnTable
+// answer OffTable for ix, since two positions are two tables.
+func (ix *Index) OrdinalIn(ns *NameSpace) int {
+	if ix.tab == nil {
+		return -1
+	}
+	return ix.tab.OrdinalIn(ns)
+}
+
 // LeadOrdinal is the lead column's ordinal in the bound table. Meaningful
 // only after OnTable returned OnTableBound.
 func (ix *Index) LeadOrdinal() int { return ix.lead }
@@ -300,7 +332,7 @@ func (ix *Index) Key() string {
 type Catalog struct {
 	tables     map[string]*Table
 	tableOrder []string
-	names      *nameSpace
+	names      *NameSpace
 	indexes    map[string]*Index
 	byTable    map[string][]*Index
 }
@@ -309,7 +341,7 @@ type Catalog struct {
 func New() *Catalog {
 	return &Catalog{
 		tables:  make(map[string]*Table),
-		names:   new(nameSpace),
+		names:   new(NameSpace),
 		indexes: make(map[string]*Index),
 		byTable: make(map[string][]*Index),
 	}
@@ -338,11 +370,15 @@ func (c *Catalog) AddTable(t *Table) error {
 		seen[col.Name] = true
 	}
 	t.buildIndex()
-	t.names = c.names
+	t.names, t.ord = c.names, c.names.tables
+	c.names.tables++
 	c.tables[t.Name] = t
 	c.tableOrder = append(c.tableOrder, t.Name)
 	return nil
 }
+
+// NameSpace is the catalog's table name space, shared with its clones.
+func (c *Catalog) NameSpace() *NameSpace { return c.names }
 
 // Table returns the named table, or nil.
 func (c *Catalog) Table(name string) *Table { return c.tables[name] }

@@ -243,3 +243,65 @@ func TestIndexOnTable(t *testing.T) {
 		}
 	}
 }
+
+// TestTableOrdinal pins the position AddTable stamps beside the name-space
+// token: tables are numbered in registration order, a refused table takes
+// no number, a clone shares the numbering (and continues it), and
+// registering a table in a second catalog restamps it there — after which
+// it, and an index bound to it, have no position in the first.
+func TestTableOrdinal(t *testing.T) {
+	named := func(name string) *Table {
+		tb := sampleTable()
+		tb.Name = name
+		return tb
+	}
+	c := New()
+	ta, tb := named("a"), named("b")
+	for _, tab := range []*Table{ta, tb} {
+		if err := c.AddTable(tab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.AddTable(named("a")); err == nil {
+		t.Fatal("a duplicate table was registered")
+	}
+	ns := c.NameSpace()
+	if ns.Tables() != 2 || ta.OrdinalIn(ns) != 0 || tb.OrdinalIn(ns) != 1 {
+		t.Fatalf("after two tables and a refused one: %d tables, ordinals %d and %d; want 2, 0 and 1",
+			ns.Tables(), ta.OrdinalIn(ns), tb.OrdinalIn(ns))
+	}
+	if ta.NameSpace() != ns || ta.OrdinalIn(nil) != -1 || named("loose").OrdinalIn(ns) != -1 {
+		t.Fatal("a table's name space, or the ordinal of an unregistered table or a nil name space, is wrong")
+	}
+
+	clone := c.Clone()
+	if clone.NameSpace() != ns || clone.Table("b").OrdinalIn(clone.NameSpace()) != 1 {
+		t.Fatal("a clone does not share the name space and its ordinals")
+	}
+	tc := named("c")
+	if err := clone.AddTable(tc); err != nil {
+		t.Fatal(err)
+	}
+	if tc.OrdinalIn(ns) != 2 || ns.Tables() != 3 {
+		t.Fatalf("a table added through the clone got ordinal %d of %d, want 2 of 3", tc.OrdinalIn(ns), ns.Tables())
+	}
+
+	bound := &Index{Name: "ix", Table: "b", Columns: []string{"a"}}
+	bound.Bind(tb)
+	literal := &Index{Name: "lit", Table: "b", Columns: []string{"a"}}
+	if bound.OrdinalIn(ns) != 1 || literal.OrdinalIn(ns) != -1 {
+		t.Fatalf("index ordinals: bound %d, literal %d; want 1 and -1", bound.OrdinalIn(ns), literal.OrdinalIn(ns))
+	}
+
+	second := New()
+	if err := second.AddTable(tb); err != nil {
+		t.Fatal(err)
+	}
+	if tb.NameSpace() != second.NameSpace() || tb.OrdinalIn(second.NameSpace()) != 0 || tb.OrdinalIn(ns) != -1 {
+		t.Fatalf("restamped table: ordinal %d in the second catalog and %d in the first; want 0 and -1",
+			tb.OrdinalIn(second.NameSpace()), tb.OrdinalIn(ns))
+	}
+	if bound.OrdinalIn(ns) != -1 || bound.OrdinalIn(second.NameSpace()) != 0 {
+		t.Fatal("an index bound to a restamped table kept its place in the first catalog")
+	}
+}

@@ -17,7 +17,9 @@ import (
 // benchmark/env.go describes (20 star query sets, seeds 1000–1019, over one
 // catalog) priced under one fixed 12-index configuration, and a
 // /recommend-sized EvaluateCandidate over one 10-query set. One "cost" op is
-// a whole request's pricing — 200 Cache.Cost calls. Build the parent's test
+// a whole request's pricing — 200 Cache.Cost calls, each grouping the
+// configuration itself; one "cost-grouped" op groups it once and makes 200
+// Cache.CostByTable calls, as /whatif does. Build the parent's test
 // binary too (go test -c) and alternate them; a single run drifts.
 func BenchmarkCostWide(b *testing.B) {
 	star, err := workload.StarSchema(1.0)
@@ -69,6 +71,19 @@ func BenchmarkCostWide(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, c := range caches {
 				if _, _, err := c.Cost(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("cost-grouped", func(b *testing.B) {
+		// The served form of the same request: one grouping, then the
+		// 200 queries priced through it.
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g := optimizer.GroupByTable(star.Catalog.NameSpace(), cfg)
+			for _, c := range caches {
+				if _, _, err := c.CostByTable(g); err != nil {
 					b.Fatal(err)
 				}
 			}

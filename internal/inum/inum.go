@@ -15,8 +15,12 @@
 // into the query's leaf-slot table (optimizer.PriceLeafSlots, a few dozen
 // floats on the caller's stack) and every plan reads it as an array: the
 // cache's leaf arena holds, per plan and relation, the index of the leaf's
-// slot in that table. A cache holds no memo and no lock: once built it is
-// never written.
+// slot in that table. Pricing groups C by table first
+// (optimizer.ConfigByTable), so each relation folds only the indexes that
+// can apply to it; the fold order that changes is immaterial, since a slot
+// is a minimum and costs are positive. A caller pricing many queries under
+// one configuration groups it once (CostByTable). A cache holds no memo
+// and no lock: once built it is never written.
 //
 // Package core builds the same cache with just one optimizer call per
 // nested-loop mode (the paper's contribution); this package provides the
@@ -559,14 +563,31 @@ func (c *Cache) MemStats() MemStats {
 // compacted cache (every PINUM build's) that plan can differ from the
 // uncompacted cache's only on an exact tie, and the cost never does. An
 // error is returned only when no cached plan is applicable (an empty
-// cache). The configuration (nil = empty) is priced once into the
-// leaf-slot table; costs are bit-identical to folding Analysis.AccessCost
-// per plan leaf.
+// cache). The configuration (nil = empty) is grouped by table and priced
+// once into the leaf-slot table; costs are bit-identical to folding
+// Analysis.AccessCost per plan leaf. Grouping folds a relation's indexes
+// in another order than the configuration's, which changes no slot
+// (optimizer.ConfigByTable).
 //
 //pinum:hotpath
 func (c *Cache) Cost(cfg *query.Config) (float64, *CachedPlan, error) {
 	var buf [optimizer.LeafSlotsInline]float64
-	best, i := c.BestPlan(c.A.PriceLeafSlots(buf[:0], cfg))
+	return c.cost(c.A.PriceLeafSlots(buf[:0], cfg), cfg)
+}
+
+// CostByTable is Cost under a configuration grouped once for many
+// queries (optimizer.GroupByTable): the same table, the same cost, the
+// same plan.
+//
+//pinum:allocfree prices into a stack table; pinned by TestCostByTableAllocFree
+func (c *Cache) CostByTable(g *optimizer.ConfigByTable) (float64, *CachedPlan, error) {
+	var buf [optimizer.LeafSlotsInline]float64
+	return c.cost(c.A.PriceLeafSlotsByTable(buf[:0], g), g.Config())
+}
+
+// cost picks the winning plan over a priced table.
+func (c *Cache) cost(slots []float64, cfg *query.Config) (float64, *CachedPlan, error) {
+	best, i := c.BestPlan(slots)
 	if i < 0 {
 		return 0, nil, fmt.Errorf("inum: no applicable cached plan for configuration %s", cfg)
 	}

@@ -485,6 +485,44 @@ func TestCostAllocFree(t *testing.T) {
 	}
 }
 
+// TestCostByTableAllocFree is the pin behind CostByTable's
+// //pinum:allocfree: a request groups its configuration with one
+// allocation (optimizer.GroupByTable), and every query priced through that
+// grouping allocates nothing — and answers what Cost does, cost and plan.
+func TestCostByTableAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for qi := 0; qi < 10; qi++ {
+		s, a := setup(t, qi)
+		c, err := Build(a, whatif.NewSession(s.Catalog))
+		if err != nil {
+			t.Fatal(err)
+		}
+		indexed, err := workload.RandomAtomicConfig(rng, a, whatif.NewSession(s.Catalog), 0.8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range []*query.Config{nil, {}, indexed} {
+			var g *optimizer.ConfigByTable
+			if allocs := testing.AllocsPerRun(20, func() { g = optimizer.GroupByTable(s.Catalog.NameSpace(), cfg) }); allocs > 1 {
+				t.Errorf("query %d: grouping %s allocates %v times, want at most 1", qi, cfg, allocs)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, _, err := c.CostByTable(g); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("query %d: CostByTable(%s) allocates %v times per call, want 0", qi, cfg, allocs)
+			}
+			want, wantPlan, _ := c.Cost(cfg)
+			got, gotPlan, _ := c.CostByTable(g)
+			if math.Float64bits(got) != math.Float64bits(want) || gotPlan != wantPlan {
+				t.Errorf("query %d: CostByTable(%s) = %v (%v), Cost = %v (%v)", qi, cfg, got, gotPlan, want, wantPlan)
+			}
+		}
+	}
+}
+
 func TestCollectAccessCostsNaiveCallsPerIndex(t *testing.T) {
 	s, a := setup(t, 2)
 	ws := whatif.NewSession(s.Catalog)

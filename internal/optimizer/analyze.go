@@ -590,16 +590,153 @@ func (a *Analysis) leafSlotBlock(slots []float64, rel int) []float64 {
 	return slots[rel+2*int(a.ordBase[rel]) : rel+1+2*int(a.ordBase[rel+1])]
 }
 
+// ConfigByTable is a configuration grouped by table for one catalog name
+// space: built once (GroupByTable) and read by any number of queries'
+// PriceLeafSlotsByTable, concurrently. An index bound to a table of the
+// name space sits in that table's group; every other index — an unbound
+// literal, an index on a table of more than 64 columns (Bind declines
+// those), a descriptor bound to another catalog — sits in one residual
+// list. A relation whose table is in the name space folds its table's
+// group and the residual list, and no other index can match it: one bound
+// to another position of the name space is on another table
+// (catalog.Index.OrdinalIn). A relation whose table is not in the name
+// space folds the whole configuration, as an ungrouped table would.
+//
+// Grouping changes the order indexes are folded in, and that is free: a
+// slot is the minimum of its base and the costs of the indexes that apply
+// to it, kept with strict <, and a minimum does not depend on the order
+// its operands arrive in — the only values strict < could tell apart by
+// order are +0 and −0, and costs are positive. So the table, every Cost
+// and every winning plan are bit-identical to folding in configuration
+// order (TestBoundPricingMatchesNames shuffles the order to hold that).
+type ConfigByTable struct {
+	cfg    *query.Config
+	names  *catalog.NameSpace
+	tables int
+	// bounds[t] is where group t starts in pos and bounds[tables] where
+	// the residual list does; pos holds configuration positions, grouped.
+	bounds []int32
+	pos    []int32
+}
+
+// groupInline is the grouping buffer a grouping keeps inline, on the
+// stack in PriceLeafSlots: table bounds plus configuration positions, for
+// a catalog of up to ~100 tables under a request-sized configuration.
+const groupInline = 128
+
+// GroupByTable groups cfg (nil = empty) by the tables of name space names
+// (nil groups nothing: every relation folds the whole configuration). It
+// makes one allocation, the grouping and its buffer together, when the
+// name space's tables plus cfg's indexes are within groupInline, and one
+// more past it. The grouping reads cfg rather than copying it: cfg must
+// not change while the grouping is in use.
+//
+//pinum:hotpath
+func GroupByTable(names *catalog.NameSpace, cfg *query.Config) *ConfigByTable {
+	b := new(struct {
+		g   ConfigByTable
+		buf [groupInline]int32
+	})
+	b.g = groupByTable(b.buf[:0], names, cfg)
+	return &b.g
+}
+
+// groupByTable is GroupByTable into buf, reallocating only when buf's
+// capacity is too small. It is a counting sort: group sizes, running
+// ends, then each position placed back to front, which keeps every group
+// in configuration order and leaves bounds at the groups' starts.
+//
+//pinum:hotpath
+func groupByTable(buf []int32, names *catalog.NameSpace, cfg *query.Config) ConfigByTable {
+	g := ConfigByTable{cfg: cfg, names: names}
+	if names != nil {
+		g.tables = names.Tables()
+	}
+	var ixs []*catalog.Index
+	if cfg != nil {
+		ixs = cfg.Indexes
+	}
+	if n := g.tables + 1 + len(ixs); cap(buf) < n {
+		buf = make([]int32, n)
+	} else {
+		buf = buf[:n]
+	}
+	g.bounds, g.pos = buf[:g.tables+1], buf[g.tables+1:]
+	clear(g.bounds)
+	for _, ix := range ixs {
+		g.bounds[g.groupOf(ix)]++
+	}
+	end := int32(0)
+	for t, size := range g.bounds {
+		end += size
+		g.bounds[t] = end
+	}
+	for i := len(ixs) - 1; i >= 0; i-- {
+		t := g.groupOf(ixs[i])
+		g.bounds[t]--
+		g.pos[g.bounds[t]] = int32(i)
+	}
+	return g
+}
+
+// groupOf is the group ix belongs to: its bound table's position in the
+// name space, or tables for the residual list.
+//
+//pinum:hotpath
+func (g *ConfigByTable) groupOf(ix *catalog.Index) int {
+	if t := ix.OrdinalIn(g.names); t >= 0 && t < g.tables {
+		return t
+	}
+	return g.tables
+}
+
+// Config is the configuration the grouping was built from.
+func (g *ConfigByTable) Config() *query.Config { return g.cfg }
+
+// lists returns the configuration positions a relation on table t folds:
+// its table's group and the residual list, or the whole configuration
+// when t is not in the grouping's name space.
+//
+//pinum:hotpath
+func (g *ConfigByTable) lists(t *catalog.Table) (own, rest []int32) {
+	if o := t.OrdinalIn(g.names); o >= 0 && o < g.tables {
+		return g.pos[g.bounds[o]:g.bounds[o+1]], g.pos[g.bounds[g.tables]:]
+	}
+	return g.pos, nil
+}
+
 // PriceLeafSlots prices the whole table under cfg (nil = empty) into dst,
-// reallocating only when dst's capacity is too small, and returns it. Per
-// slot the result is bit-identical to AccessCost on that identity: the
-// same base, the same applicable indexes in configuration order, the same
-// strict <. Most (relation, index) pairs are on different tables; the loop
-// dismisses those itself (OnTable inlines to pointer compares) and calls
-// the fold only for a match.
+// reallocating only when dst's capacity is too small, and returns it. It
+// groups cfg by the tables of the query's catalog in a stack buffer and
+// prices through PriceLeafSlotsByTable; a caller pricing many queries
+// under one configuration groups it once and calls that directly. A
+// catalog too large for the buffer is not grouped, and a configuration
+// too large for it groups on the heap.
 //
 //pinum:hotpath
 func (a *Analysis) PriceLeafSlots(dst []float64, cfg *query.Config) []float64 {
+	var buf [groupInline]int32
+	var names *catalog.NameSpace
+	if cfg != nil && len(cfg.Indexes) > 0 {
+		names = a.Rels[0].Table.NameSpace()
+		if names != nil && names.Tables()+1+len(cfg.Indexes) > len(buf) {
+			names = nil
+		}
+	}
+	g := groupByTable(buf[:0], names, cfg)
+	return a.PriceLeafSlotsByTable(dst, &g)
+}
+
+// PriceLeafSlotsByTable prices the whole table under a grouped
+// configuration into dst, reallocating only when dst's capacity is too
+// small, and returns it. Per slot the result is bit-identical to
+// AccessCost on that identity: the same base, the same applicable
+// indexes, the same strict < (in another order, which ConfigByTable says
+// is free). Each relation asks OnTable only of its own table's group and
+// the residual list, to pick the bound or the by-name fold.
+//
+//pinum:hotpath
+func (a *Analysis) PriceLeafSlotsByTable(dst []float64, g *ConfigByTable) []float64 {
 	if n := a.NumLeafSlots(); cap(dst) < n {
 		dst = make([]float64, n)
 	} else {
@@ -612,8 +749,10 @@ func (a *Analysis) PriceLeafSlots(dst []float64, cfg *query.Config) []float64 {
 		for i := 1; i < len(block); i++ {
 			block[i] = math.Inf(1)
 		}
-		if cfg != nil {
-			for _, ix := range cfg.Indexes {
+		own, rest := g.lists(ri.Table)
+		for _, list := range [2][]int32{own, rest} {
+			for _, p := range list {
+				ix := g.cfg.Indexes[p]
 				if m := ix.OnTable(ri.Table); m != catalog.OffTable {
 					a.foldLeafBlock(block, ri, ix, m)
 				}

@@ -21,6 +21,11 @@ import (
 // no bound form (matched and priced by name), and descriptors bound to a
 // second catalog generated from the same spec — same names, different
 // table pointers, where trusting the pointers would lose every index.
+// Each is priced grouped by table (ConfigByTable), and held to the
+// ungrouped per-pair fold (FoldLeafSlots, which asks OnTable of every
+// relation × index pair): grouped by the query's own catalog, by the
+// twin's (every relation outside the grouping's name space), by none, as
+// one configuration mixing all three forms, and under a shuffled order.
 func TestBoundPricingMatchesNames(t *testing.T) {
 	for _, shape := range workload.Shapes {
 		for _, seed := range []int64{1, 2, 3} {
@@ -39,7 +44,7 @@ func TestBoundPricingMatchesNames(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(seed))
 			for ci, cfg := range workload.ShapeConfigs(rng, cat, q, 4) {
-				checkBoundPricing(t, fmt.Sprintf("%s/seed=%d/cfg=%d", q.Name, seed, ci), a, cfg, twin)
+				checkBoundPricing(t, fmt.Sprintf("%s/seed=%d/cfg=%d", q.Name, seed, ci), a, cfg, cat, twin)
 			}
 		}
 	}
@@ -63,7 +68,7 @@ func TestBoundPricingMatchesNames(t *testing.T) {
 			t.Fatal(err)
 		}
 		for ci, cfg := range workload.ShapeConfigs(rng, star.Catalog, q, 4) {
-			checkBoundPricing(t, fmt.Sprintf("star/%s/cfg=%d", q.Name, ci), a, cfg, starTwin.Catalog)
+			checkBoundPricing(t, fmt.Sprintf("star/%s/cfg=%d", q.Name, ci), a, cfg, star.Catalog, starTwin.Catalog)
 		}
 	}
 
@@ -73,7 +78,18 @@ func TestBoundPricingMatchesNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkBoundPricing(t, "corners", a, cfg, twin)
+	checkBoundPricing(t, "corners", a, cfg, cat, twin)
+	// Grouped by its own catalog, each relation folds only its table's
+	// group (six on emp, none on wide) and the residual list (the four
+	// unbound indexes on wide); grouped by the twin's, or by none, every
+	// relation folds all eleven.
+	for rel, want := range []int{10, 10, 4} {
+		for names, w := range map[*catalog.NameSpace]int{cat.NameSpace(): want, twin.NameSpace(): len(cfg.Indexes), nil: len(cfg.Indexes)} {
+			if got := optimizer.GroupByTable(names, cfg).Folded(a, rel); got != w {
+				t.Errorf("corners: relation %d folds %d indexes, want %d", rel, got, w)
+			}
+		}
+	}
 	// The corner case must take the paths it is there for.
 	for _, ix := range cfg.Indexes {
 		want := catalog.OnTableBound
@@ -87,25 +103,40 @@ func TestBoundPricingMatchesNames(t *testing.T) {
 }
 
 // checkBoundPricing prices cfg as built, as unbound literals and as
-// descriptors bound to the same-named tables of twin, and compares the
-// three tables with each other and with AccessCost per identity.
-func checkBoundPricing(t *testing.T, label string, a *optimizer.Analysis, cfg *query.Config, twin *catalog.Catalog) {
+// descriptors bound to the same-named tables of twin, each grouped every
+// way, and compares the tables with each other, with the per-pair fold and
+// with AccessCost per identity. cat is the catalog the query reads.
+func checkBoundPricing(t *testing.T, label string, a *optimizer.Analysis, cfg *query.Config, cat, twin *catalog.Catalog) {
 	t.Helper()
-	literal, foreign := &query.Config{}, &query.Config{}
-	for _, ix := range cfg.Indexes {
+	literal, foreign, mixed := &query.Config{}, &query.Config{}, &query.Config{}
+	for i, ix := range cfg.Indexes {
 		literal.Indexes = append(literal.Indexes, &catalog.Index{
 			Name: ix.Name, Table: ix.Table, Columns: append([]string(nil), ix.Columns...),
 			Unique: ix.Unique, Hypothetical: ix.Hypothetical,
 			LeafPages: ix.LeafPages, InternalPages: ix.InternalPages, Height: ix.Height,
 		})
 		foreign.Indexes = append(foreign.Indexes, storage.HypotheticalIndex(ix.Name, twin.Table(ix.Table), ix.Columns))
+		mixed.Indexes = append(mixed.Indexes, []*catalog.Index{ix, literal.Indexes[i], foreign.Indexes[i]}[i%3])
 	}
-	bound := a.PriceLeafSlots(nil, cfg)
-	for name, other := range map[string]*query.Config{"literal": literal, "second-catalog": foreign} {
-		for i, c := range a.PriceLeafSlots(nil, other) {
+	shuffled := &query.Config{Indexes: append([]*catalog.Index(nil), mixed.Indexes...)}
+	rand.New(rand.NewSource(int64(len(label)))).Shuffle(len(shuffled.Indexes), func(i, j int) {
+		shuffled.Indexes[i], shuffled.Indexes[j] = shuffled.Indexes[j], shuffled.Indexes[i]
+	})
+	bound := perPairSlots(a, cfg)
+	same := func(form string, got []float64) {
+		t.Helper()
+		for i, c := range got {
 			if math.Float64bits(c) != math.Float64bits(bound[i]) {
-				t.Errorf("%s: slot %d priced %v from %s descriptors, %v from constructor-built ones", label, i, c, name, bound[i])
+				t.Errorf("%s: slot %d priced %v from %s, %v by the per-pair fold of constructor-built descriptors", label, i, c, form, bound[i])
 			}
+		}
+	}
+	for name, other := range map[string]*query.Config{"constructor-built": cfg, "literal": literal, "second-catalog": foreign, "mixed": mixed, "shuffled": shuffled} {
+		same(name+" descriptors, per pair", perPairSlots(a, other))
+		same(name+" descriptors, grouped by the query", a.PriceLeafSlots(nil, other))
+		for gname, names := range map[string]*catalog.NameSpace{"own": cat.NameSpace(), "twin": twin.NameSpace(), "no": nil} {
+			g := optimizer.GroupByTable(names, other)
+			same(fmt.Sprintf("%s descriptors, grouped by the %s catalog", name, gname), a.PriceLeafSlotsByTable(nil, g))
 		}
 	}
 	for rel := range a.Rels {
@@ -130,6 +161,19 @@ func checkBoundPricing(t *testing.T, label string, a *optimizer.Analysis, cfg *q
 			}
 		}
 	}
+}
+
+// perPairSlots is the ungrouped reference: the empty configuration's
+// table with every index folded into every relation in configuration
+// order, each pair matched by OnTable.
+func perPairSlots(a *optimizer.Analysis, cfg *query.Config) []float64 {
+	slots := a.PriceLeafSlots(nil, nil)
+	for _, ix := range cfg.Indexes {
+		for rel := range a.Rels {
+			a.FoldLeafSlots(slots, rel, ix)
+		}
+	}
+	return slots
 }
 
 // boundCornerCase builds the inputs where ordinals and names could part

@@ -26,6 +26,15 @@ func (ri *RelInfo) ColumnSel(col string) (float64, bool) {
 	return 1, false
 }
 
+// Folded counts the configuration indexes relation rel of a folds under
+// g — its table's group plus the residual list, or the whole configuration
+// — for TestBoundPricingMatchesNames's check that grouping dismisses what
+// it should.
+func (g *ConfigByTable) Folded(a *Analysis, rel int) int {
+	own, rest := g.lists(a.Rels[rel].Table)
+	return len(own) + len(rest)
+}
+
 // OptimizeReference plans with the test oracle (reference_test.go), for the
 // external test package's equivalence suites.
 var OptimizeReference = optimizeReference

@@ -50,12 +50,14 @@ func (rb *replyBuf) render(resp any) error {
 }
 
 // appendWhatIf appends an untraced WhatIfResponse as the indented
-// encoding/json encoder renders it, byte for byte (FuzzWhatIfEncode). It
+// encoding/json encoder renders it, byte for byte (FuzzWhatIfEncode),
+// copying a row's base — and its cost, when that equals the base — from
+// the set's pre-rendered digits where the row still carries them. It
 // reports false, with nothing usable appended, for a value encoding/json
 // refuses (a non-finite float), which the caller then lets encoding/json
 // refuse.
 //
-//pinum:allocfree one reply into the caller's pooled buffer; pinned by TestAppendWhatIfAllocFree
+//pinum:allocfree one reply into the caller's pooled buffer; pinned by TestAppendWhatIfAllocFree and TestAppendWhatIfDigitsAllocFree
 func appendWhatIf(b []byte, r *WhatIfResponse) ([]byte, bool) {
 	ok := true
 	b = appendField(b, "{\n  \"total\": ", r.Total, &ok)
@@ -76,13 +78,76 @@ func appendWhatIf(b []byte, r *WhatIfResponse) ([]byte, bool) {
 				b = append(b, ",\n    {\n      \"name\": "...)
 			}
 			b = appendString(b, q.Name)
-			b = appendField(b, ",\n      \"base\": ", q.Base, &ok)
-			b = appendField(b, ",\n      \"cost\": ", q.Cost, &ok)
+			if digits := r.baseDigits.of(i, q.Base); digits != nil {
+				b = append(b, ",\n      \"base\": "...)
+				b = append(b, digits...)
+				if math.Float64bits(q.Cost) == math.Float64bits(q.Base) {
+					b = append(b, ",\n      \"cost\": "...)
+					b = append(b, digits...)
+				} else {
+					b = appendField(b, ",\n      \"cost\": ", q.Cost, &ok)
+				}
+			} else {
+				b = appendField(b, ",\n      \"base\": ", q.Base, &ok)
+				b = appendField(b, ",\n      \"cost\": ", q.Cost, &ok)
+			}
 			b = append(b, "\n    }"...)
 		}
 		b = append(b, "\n  ]"...)
 	}
 	return append(b, "\n}\n"...), ok
+}
+
+// baseDigits is a snapshot set's per-query base costs rendered once, by
+// appendField's rule, into one buffer: query i's digits are
+// text[end[i-1]:end[i]], from 0 for the first. Half the numbers of a
+// /whatif reply are bases, fixed for the set's life, and a cost the
+// configuration did not move equals its base bit for bit, so the renderer
+// copies these digits rather than formatting the float again. base is the
+// set's own slice: a row whose Base differs from it in any bit (another
+// set's reply, a value changed after rendering) is formatted as usual.
+type baseDigits struct {
+	base []float64
+	text []byte
+	end  []int32
+}
+
+// maxFloatDigits is the longest appendField rendering of a float64,
+// seventeen significant digits at the small end of the 'f' form:
+// "-0.0000012345678901234567".
+const maxFloatDigits = 25
+
+// newBaseDigits renders base once. A non-finite base, which JSON cannot
+// carry, gets no digits, so its rows take appendField and are refused
+// there.
+func newBaseDigits(base []float64) *baseDigits {
+	d := &baseDigits{base: base, text: make([]byte, 0, maxFloatDigits*len(base)), end: make([]int32, len(base))}
+	for i, f := range base {
+		finite := true
+		if text := appendField(d.text, "", f, &finite); finite {
+			d.text = text
+		}
+		d.end[i] = int32(len(d.text))
+	}
+	return d
+}
+
+// of returns row i's base digits when f is the set's base for that row,
+// bit for bit, and nil otherwise (and on a nil d).
+//
+//pinum:hotpath
+func (d *baseDigits) of(i int, f float64) []byte {
+	if d == nil || i >= len(d.base) || math.Float64bits(f) != math.Float64bits(d.base[i]) {
+		return nil
+	}
+	lo := int32(0)
+	if i > 0 {
+		lo = d.end[i-1]
+	}
+	if lo == d.end[i] {
+		return nil
+	}
+	return d.text[lo:d.end[i]]
 }
 
 // appendField appends the separator-and-key text and then f by

@@ -83,6 +83,29 @@ func TestAppendEncoderMatchesReference(t *testing.T) {
 		}
 	}
 
+	// Against a set's pre-rendered bases: every edge float as a base, its
+	// cost unmoved or moved, a −0 cost beside a +0 base and the reverse,
+	// and a row whose base no longer matches the set's.
+	bases := append([]float64(nil), encodeEdgeFloats...)
+	digits := newBaseDigits(bases)
+	resp := &WhatIfResponse{Queries: make([]QueryCost, len(bases)), baseDigits: digits}
+	for i, f := range bases {
+		if digits.of(i, f) == nil {
+			t.Fatalf("base %v has no pre-rendered digits", f)
+		}
+		resp.Queries[i] = QueryCost{Name: encodeEdgeNames[i%len(encodeEdgeNames)], Base: f, Cost: f}
+	}
+	assertRendersLikeReference(t, resp)
+	for i := range resp.Queries {
+		resp.Queries[i].Cost = -resp.Queries[i].Base
+	}
+	assertRendersLikeReference(t, resp)
+	resp.Queries[3].Base = 7 // moved after the digits were rendered
+	assertRendersLikeReference(t, resp)
+	if digits.of(3, 7) != nil || newBaseDigits([]float64{math.Inf(1)}).of(0, math.Inf(1)) != nil {
+		t.Fatal("digits served for a base they were not rendered from, or for a non-finite base")
+	}
+
 	// The table must exercise the append path itself, not only agree
 	// through the fallback.
 	plain := &WhatIfResponse{Total: 1e-7, Queries: []QueryCost{{Name: "Q1", Base: 1e21}}}
@@ -92,7 +115,10 @@ func TestAppendEncoderMatchesReference(t *testing.T) {
 }
 
 // FuzzWhatIfEncode is the property half: for arbitrary replies the served
-// rendering equals EncodeJSON's.
+// rendering equals EncodeJSON's — with every float formatted, and again
+// against a set's pre-rendered bases (baseDigits), where shape's bit 16
+// leaves every other cost equal to its base, and bit 32 moves the last
+// row's base after the digits were rendered.
 func FuzzWhatIfEncode(f *testing.F) {
 	for i, x := range encodeEdgeFloats {
 		f.Add(x, -x, encodeEdgeFloats[(i+1)%len(encodeEdgeFloats)], encodeEdgeNames[i%len(encodeEdgeNames)], uint8(i))
@@ -102,6 +128,15 @@ func FuzzWhatIfEncode(f *testing.F) {
 	}
 	f.Add(math.Inf(1), 0.0, 0.0, "Q1", uint8(1))
 	f.Add(0.0, 0.0, math.NaN(), "Q1", uint8(2))
+	// The cached-digits path: unmoved costs, −0 beside +0, e-form
+	// magnitudes, names that need escaping, a base moved after rendering.
+	negZero := math.Copysign(0, -1)
+	for i, x := range []float64{13050.875632718771, 0, negZero, 1e-7, 1e21, 5e-324, math.MaxFloat64} {
+		f.Add(1.0, x, negZero, encodeEdgeNames[(7+i)%len(encodeEdgeNames)], uint8(16|32|(2+i%6)))
+		f.Add(x, x, x, "S1.Q1", uint8(16|(7-i%6)))
+	}
+	f.Add(1.0, negZero, 0.0, "Q1", uint8(7))
+	f.Add(1.0, 1e-7, 1e-7, "<q&1>", uint8(32|5))
 	f.Fuzz(func(t *testing.T, total, base, cost float64, name string, shape uint8) {
 		resp := &WhatIfResponse{Total: total, BaseTotal: base, Speedup: cost}
 		switch n := int(shape % 8); n {
@@ -110,7 +145,11 @@ func FuzzWhatIfEncode(f *testing.F) {
 			resp.Queries = []QueryCost{}
 		default:
 			for i := 1; i < n; i++ {
-				resp.Queries = append(resp.Queries, QueryCost{Name: name, Base: base * float64(i), Cost: cost / float64(i)})
+				q := QueryCost{Name: name, Base: base * float64(i), Cost: cost / float64(i)}
+				if shape&16 != 0 && i%2 == 1 {
+					q.Cost = q.Base
+				}
+				resp.Queries = append(resp.Queries, q)
 				name += "'"
 			}
 		}
@@ -118,6 +157,17 @@ func FuzzWhatIfEncode(f *testing.F) {
 			resp.Trace = &obs.TraceView{ID: name}
 		}
 		assertRendersLikeReference(t, resp)
+
+		bases := make([]float64, len(resp.Queries))
+		for i, q := range resp.Queries {
+			bases[i] = q.Base
+		}
+		resp.baseDigits = newBaseDigits(bases)
+		assertRendersLikeReference(t, resp)
+		if n := len(resp.Queries); n > 0 && shape&32 != 0 {
+			resp.Queries[n-1].Base = cost
+			assertRendersLikeReference(t, resp)
+		}
 	})
 }
 
@@ -140,6 +190,31 @@ func TestAppendWhatIfAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("rendering an untraced /whatif reply into a warmed buffer: %v allocs, want 0", allocs)
+	}
+}
+
+// TestAppendWhatIfDigitsAllocFree pins the same for a reply rendered
+// against its set's pre-rendered bases, half its costs unmoved.
+func TestAppendWhatIfDigitsAllocFree(t *testing.T) {
+	resp := &WhatIfResponse{Total: 123456.789, BaseTotal: 234567.891, Speedup: 0.4737, Queries: make([]QueryCost, 200)}
+	bases := make([]float64, len(resp.Queries))
+	for i := range resp.Queries {
+		bases[i] = 1234.5 * float64(i+1)
+		resp.Queries[i] = QueryCost{Name: "S1.Q1", Base: bases[i], Cost: bases[i] / float64(1+i%2)}
+	}
+	resp.baseDigits = newBaseDigits(bases)
+	rb := new(replyBuf)
+	if err := rb.render(resp); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		rb.b = rb.b[:0]
+		if err := rb.render(resp); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("rendering against pre-rendered bases into a warmed buffer: %v allocs, want 0", allocs)
 	}
 }
 

@@ -204,3 +204,84 @@ func TestWeightOverrides(t *testing.T) {
 		t.Fatalf("/recommend duplicate weights: %d %s, want 400", code, raw)
 	}
 }
+
+// FuzzWhatIfBody feeds arbitrary bytes to a ten-query tenant's /whatif
+// handler. Whatever arrives, the answer is never a 500 and no handler
+// panic is recorded; and every 200 is the reply the in-process WhatIf
+// gives for the request the server decoded, byte for byte (a traced
+// reply field for field: its trace block carries timings).
+func FuzzWhatIfBody(f *testing.F) {
+	srv, err := New(Config{
+		Loader:       func() (*Environment, error) { return starEnv(42, nil) },
+		Workers:      2,
+		MaxBodyBytes: 1 << 12,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(srv.Close)
+	if _, err := srv.ReloadNow(false); err != nil {
+		f.Fatal(err)
+	}
+	h := srv.Handler()
+	for _, seed := range []string{
+		`{"indexes":[]}`,
+		`{"indexes":[{"table":"fact","columns":["a1","m1"]}]}`,
+		`{"indexes":[{"table":"fact","columns":["fk_dim1_1","m1"]},{"table":"dim1_1","columns":["a1"]},{"table":"dim1_2","columns":["id","a1"]}]}`,
+		`{"indexes":[{"table":"fact","columns":["a1"]},{"table":"fact","columns":["a1"]}],"weights":[{"name":"Q1","weight":2.5}]}`,
+		`{"indexes":[{"table":"dim1_1","columns":["a1"]}],"trace":true}`,
+		`{"indexes":[],"weights":[{"name":"Q1","weight":1e308},{"name":"Q2","weight":1e308}]}`,
+		`{"indexes":[{"table":"nope","columns":["a1"]}]}`,
+		`{"indexes":[{"table":"fact","columns":[]}]}`,
+		`{"indexes":[{"table":"fact","columns":["a1","a1"]}]}`,
+		`{"tenant":"other","indexes":[]}`,
+		`{"indexes":[],"weights":[{"name":"Q1","weight":-1}]}`,
+		`{"indexes":null,"weights":null}`,
+		`{"indexes":[]} trailing`,
+		`{"indexes":[],"extra":1}`,
+		`[]`, `null`, ``, `{`, "\xff\xfe",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/whatif", bytes.NewReader(body)))
+		if rec.Code == http.StatusInternalServerError {
+			t.Fatalf("body %q: 500 %s", body, rec.Body.Bytes())
+		}
+		if n := srv.panics.Value(); n != 0 {
+			t.Fatalf("body %q: %d handler panics recorded", body, n)
+		}
+		if rec.Code != http.StatusOK {
+			return
+		}
+		var req WhatIfRequest
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
+			t.Fatalf("body %q: served 200, but does not decode: %v", body, err)
+		}
+		resp, err := srv.WhatIf(&req)
+		if err != nil {
+			t.Fatalf("body %q: served 200, in-process WhatIf failed: %v", body, err)
+		}
+		want, err := EncodeJSON(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := rec.Body.Bytes()
+		if req.Trace {
+			var traced WhatIfResponse
+			if err := json.Unmarshal(got, &traced); err != nil || traced.Trace == nil {
+				t.Fatalf("body %q: traced reply %q lacks its trace block (%v)", body, got, err)
+			}
+			traced.Trace = nil
+			if got, err = EncodeJSON(&traced); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("body %q: served\n%s\nin-process\n%s", body, got, want)
+		}
+	})
+}

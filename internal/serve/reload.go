@@ -92,9 +92,11 @@ type snapshotSet struct {
 	weights []float64
 	// base holds the per-query costs under the empty configuration
 	// (they are configuration-independent, so one computation serves
-	// every request on this set).
-	base      []float64
-	baseTotal float64
+	// every request on this set). baseDigits is base rendered once for
+	// the /whatif reply encoder.
+	base       []float64
+	baseTotal  float64
+	baseDigits *baseDigits
 
 	// cand is the advisor candidate set, generated once per set — on the
 	// first /recommend or /healthz that asks (see candidates), so
@@ -171,6 +173,7 @@ func newSnapshotSet(env *Environment, caches []*inum.Cache, source string, fp ui
 		//pinum:costarith-ok workload objective Σ wᵢ·cᵢ in query order, as the advisor sums it; pinned by TestWhatIfMatchesInProcess
 		set.baseTotal += set.weights[i] * cost
 	}
+	set.baseDigits = newBaseDigits(set.base)
 	return set, nil
 }
 

@@ -688,6 +688,11 @@ type WhatIfResponse struct {
 	Speedup   float64        `json:"speedup"`
 	Queries   []QueryCost    `json:"queries"`
 	Trace     *obs.TraceView `json:"trace,omitempty"`
+
+	// baseDigits is the answering set's pre-rendered base costs, which
+	// the reply renderer copies instead of formatting; nil renders every
+	// float.
+	baseDigits *baseDigits
 }
 
 // WhatIf prices the workload under the given configuration on the
@@ -726,17 +731,20 @@ func (s *Server) whatIfOn(ctx context.Context, set *snapshotSet, req *WhatIfRequ
 			tr.Add("query:"+set.env.Queries[i].Name, qs, d)
 		}
 	}
+	// One grouping serves every query of the fan-out: each folds only the
+	// indexes on its own tables, plus any the catalog cannot place.
 	ft := time.Now()
+	g := optimizer.GroupByTable(set.env.Catalog.NameSpace(), cfg)
 	fanErr := core.FanCtxObserved(ctx, n, s.cfg.Workers, func() func(int) {
 		return func(i int) {
-			costs[i], _, errs[i] = set.caches[i].Cost(cfg)
+			costs[i], _, errs[i] = set.caches[i].CostByTable(g)
 		}
 	}, observe)
 	tr.Add("fanout", ft, time.Since(ft))
 	if fanErr != nil {
 		return nil, fmt.Errorf("request abandoned: %w", fanErr)
 	}
-	resp := &WhatIfResponse{BaseTotal: set.baseTotal, Queries: make([]QueryCost, n)}
+	resp := &WhatIfResponse{BaseTotal: set.baseTotal, Queries: make([]QueryCost, n), baseDigits: set.baseDigits}
 	if overridden {
 		// The precomputed base total carries the set's weights; overridden
 		// requests re-sum it below, in the identical order, so the
