@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 	"time"
 
@@ -810,9 +809,4 @@ func relErr(a, b float64) float64 {
 		return 0
 	}
 	return d / m
-}
-
-// SortRowsByQuery orders E3 rows Q1..Q10 (helper for stable output).
-func SortRowsByQuery(rows []E3Row) {
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Query < rows[j].Query })
 }

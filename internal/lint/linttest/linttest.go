@@ -13,8 +13,6 @@
 package linttest
 
 import (
-	"fmt"
-	"go/token"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -112,10 +110,4 @@ func matchWant(expects []expectation, file string, line int, msg string) int {
 		}
 	}
 	return -1
-}
-
-// Positions formats a FileSet position compactly for failure messages.
-func Positions(fset *token.FileSet, pos token.Pos) string {
-	p := fset.Position(pos)
-	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
 }

@@ -114,10 +114,10 @@ type Analysis struct {
 
 // joinEnum is a query's join enumeration: whether its join graph is
 // connected and, if so, the csg-cmp pairs in DP order, or fits false when
-// they overflowed enumPairCap. It depends only on the query's join clauses,
-// never on the configuration or options, so it is built once per analysis
-// and reused across the repeated calls cache construction and the
-// experiments make.
+// they overflow enumPairCap and the planner refuses the query. It depends
+// only on the query's join clauses, never on the configuration or options,
+// so it is built once per analysis and reused across the repeated calls
+// cache construction and the experiments make.
 type joinEnum struct {
 	connected bool
 	pairs     []csgCmpPair
@@ -132,7 +132,7 @@ func (a *Analysis) joinEnum() *joinEnum {
 	a.enumOnce.Do(func() {
 		e := &a.enum
 		if e.connected = a.Q.JoinGraphConnected(); e.connected {
-			e.pairs, e.fits = newJoinGraph(a).csgCmpPairs(enumPairCap)
+			e.pairs, e.fits = newJoinGraph(a).csgCmpPairs()
 		}
 	})
 	return &a.enum
@@ -141,23 +141,16 @@ func (a *Analysis) joinEnum() *joinEnum {
 // PlanWork estimates the work of planning a, deterministically and without
 // planning: (csg-cmp pairs + 1) × NumLeafSlots(). The pairs are the join
 // enumeration's, built here if no planner has built it yet and reused by
-// every later one; a graph whose pair list overflows enumPairCap counts the
-// dense sweep's DenseSplits(n) splits instead, and a query the planner
-// refuses right after its base relations — a disconnected join graph, or
-// one past 16 relations too dense to enumerate — weighs NumLeafSlots()
-// alone. A batch build claims its queries largest estimate first
-// (core.BuildAllWith), so only the ranking matters: on the paper's star
-// query sets and the design shapes it picks the query whose build
-// considers the most paths and ranks the rest with a Spearman correlation
-// of at least 0.95 against PathsConsidered (core's
+// every later one; a query the planner refuses right after its base
+// relations — a disconnected join graph, or one with more than enumPairCap
+// pairs — weighs NumLeafSlots() alone. A batch build claims its queries
+// largest estimate first (core.BuildAllWith), so only the ranking matters:
+// on the paper's star query sets and the design shapes it picks the query
+// whose build considers the most paths and ranks the rest with a Spearman
+// correlation of at least 0.95 against PathsConsidered (core's
 // TestPlanWorkRanksPlannerWork).
 func (a *Analysis) PlanWork() int {
-	e := a.joinEnum()
-	pairs := len(e.pairs)
-	if e.connected && !e.fits && len(a.Rels) <= 16 {
-		pairs = DenseSplits(len(a.Rels))
-	}
-	return (pairs + 1) * a.NumLeafSlots()
+	return (len(a.joinEnum().pairs) + 1) * a.NumLeafSlots()
 }
 
 // orderGID returns the dense global id (≥1) of an interned interesting-
@@ -837,26 +830,6 @@ func FoldLeafRow(internal float64, leaves []uint16, coefs []float64, slots []flo
 		cost += coefs[rel] * access
 	}
 	return cost, true
-}
-
-// OrderedCols returns the relation's interesting orders coverable by the
-// given configuration (those with a covering index present).
-func (a *Analysis) OrderedCols(rel int, cfg *query.Config) []string {
-	ri := &a.Rels[rel]
-	var out []string
-	for _, col := range ri.Interesting {
-		if cfg == nil {
-			continue
-		}
-		for _, ix := range cfg.Indexes {
-			if ix.Table == ri.Table.Name && ix.Covers(col) {
-				out = append(out, col)
-				break
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // sortedColumns lists a column set in sorted order.

@@ -156,7 +156,7 @@ func assertSameResult(t *testing.T, label string, got, want *optimizer.Result) {
 // — under the construction option sets with and without PreciseNLJ: the
 // lanes must export the same plans in the same order at the same costs and
 // count the same work. Both lanes stay in the tree (README "Why two key
-// lanes and a dense sweep"), so nothing else holds them to each other
+// lanes"), so nothing else holds them to each other
 // except through the reference planner, which stops at 16 relations. The
 // design-sized instances run the two construction modes; PreciseNLJ, which
 // retains path sets that take either lane seconds at that size, runs on

@@ -7,15 +7,18 @@
 // least one join clause crossing them. Chain and snowflake queries thus
 // enumerate O(#connected pairs) states instead of O(3^n) splits.
 //
-// The emitted pairs are re-sorted per union mask into the dense sweep's
+// The emitted pairs are re-sorted per union mask into a dense sweep's
 // split order (the half containing the union's lowest relation, descending
-// numerically), so the DP inserts candidates in exactly the dense sweep's
-// sequence and every insertion-order tie-break — and therefore
-// every exported plan sequence — stays byte-identical. The equivalence
-// suite pins this across shapes, options, and configurations.
+// numerically), so the DP inserts candidates in exactly the sequence of
+// the test oracle, a dense sweep (reference_test.go), and every
+// insertion-order tie-break — and therefore every exported plan sequence —
+// stays byte-identical. The equivalence suite pins this across shapes,
+// options, and configurations. This is the planner's only enumerator: a
+// graph with more than enumPairCap pairs is refused, not swept.
 package optimizer
 
 import (
+	"errors"
 	"math/bits"
 	"sort"
 )
@@ -54,32 +57,36 @@ type csgCmpPair struct {
 	sub  RelSet
 }
 
-// enumPairCap bounds the number of csg-cmp pairs the planner materialises.
-// On dense graphs near the 16-relation cap the pair count approaches the
-// dense sweep's 3^n split count — hundreds of MB of pairs on a 16-clique —
-// while DPccp saves nothing there; past the cap planFast falls back to the
-// allocation-free dense mask sweep. Sparse graphs (where DPccp matters)
-// stay far below it: a 16-chain has 680 pairs. Variable so tests can
-// exercise the fallback without a pathological query.
-var enumPairCap = 1 << 21
+// enumPairCap bounds the number of csg-cmp pairs the planner enumerates.
+// It is the planner's one admission rule for join graphs: a graph with more
+// pairs is refused (ErrTooDense) at any relation count, as PostgreSQL's
+// geqo_threshold refuses exhaustive DP. Sparse graphs, where DPccp matters,
+// stay far below it (a 16-chain has 680 pairs); cliques reach it first: a
+// 13-clique has 788 970 pairs and fits, a 14-clique has 2 375 101.
+const enumPairCap = 1 << 21
+
+// ErrTooDense is wrapped by the error a planner call returns for a query
+// whose join graph has more than enumPairCap csg-cmp pairs; the message
+// names the relation count and the cap. It is the caller's input that is
+// refused, so servers answer it as a bad request.
+var ErrTooDense = errors.New("join graph too dense to enumerate")
 
 // csgCmpPairs enumerates every csg-cmp pair of the graph exactly once via
 // neighborhood expansion, then sorts them into DP order: union masks
 // ascending (every proper submask of a union is numerically smaller, so
 // both halves are always planned before the union), and within one union
 // the csg half descending, reproducing the dense sweep's submask walk.
-// The boolean is false when the pair count exceeded maxPairs and the
-// (partial) enumeration was abandoned.
-func (g *joinGraph) csgCmpPairs(maxPairs int) ([]csgCmpPair, bool) {
-	c := &ccpCollector{g: g, max: maxPairs}
-	for i := g.n - 1; i >= 0; i-- {
-		v := Single(i)
-		c.emitCsg(v)
-		c.enumCsgRec(v, v|(v-1))
-		if c.overflow {
-			return nil, false
-		}
+// A first pass only counts, abandoning the walk once the count passes
+// enumPairCap, so an overflow is detected without allocating; the boolean
+// is then false. A graph that fits is walked again into a slice of exact
+// size.
+func (g *joinGraph) csgCmpPairs() ([]csgCmpPair, bool) {
+	c := &ccpCollector{g: g}
+	if c.walk(); c.n > enumPairCap {
+		return nil, false
 	}
+	c.pairs = make([]csgCmpPair, c.n)
+	c.walk()
 	out := c.pairs
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].mask != out[j].mask {
@@ -90,21 +97,32 @@ func (g *joinGraph) csgCmpPairs(maxPairs int) ([]csgCmpPair, bool) {
 	return out, true
 }
 
-// ccpCollector accumulates emitted pairs up to the cap; once overflow is
-// set the recursion unwinds without emitting further.
+// ccpCollector counts emitted pairs in n, storing each while n is below
+// len(pairs): the counting pass has no slice, the collecting pass one of
+// exactly the counted size. Once n passes enumPairCap the recursion
+// unwinds without emitting further.
 type ccpCollector struct {
-	g        *joinGraph
-	pairs    []csgCmpPair
-	max      int
-	overflow bool
+	g     *joinGraph
+	pairs []csgCmpPair
+	n     int
+}
+
+// walk restarts the count and emits every pair, seeding one connected
+// subgraph per relation from the highest down.
+func (c *ccpCollector) walk() {
+	c.n = 0
+	for i := c.g.n - 1; i >= 0 && c.n <= enumPairCap; i-- {
+		v := Single(i)
+		c.emitCsg(v)
+		c.enumCsgRec(v, v|(v-1))
+	}
 }
 
 func (c *ccpCollector) emit(mask, sub RelSet) {
-	if len(c.pairs) >= c.max {
-		c.overflow = true
-		return
+	if c.n < len(c.pairs) {
+		c.pairs[c.n] = csgCmpPair{mask: mask, sub: sub}
 	}
-	c.pairs = append(c.pairs, csgCmpPair{mask: mask, sub: sub})
+	c.n++
 }
 
 // emitCsg emits every pair whose connected subgraph is s1: one seed
@@ -117,7 +135,7 @@ func (c *ccpCollector) emitCsg(s1 RelSet) {
 	low := s1 & -s1
 	x := s1 | (low - 1)
 	nb := c.g.neighbors(s1) &^ x
-	for v := nb; v != 0 && !c.overflow; {
+	for v := nb; v != 0 && c.n <= enumPairCap; {
 		i := 63 - bits.LeadingZeros64(uint64(v))
 		seed := Single(i)
 		v &^= seed
@@ -135,10 +153,10 @@ func (c *ccpCollector) enumCmpRec(s1, s2, x RelSet) {
 	if nb == 0 {
 		return
 	}
-	for sub := nb.NextSubset(0); sub != 0 && !c.overflow; sub = nb.NextSubset(sub) {
+	for sub := nb.NextSubset(0); sub != 0 && c.n <= enumPairCap; sub = nb.NextSubset(sub) {
 		c.emit(s1|s2|sub, s1)
 	}
-	for sub := nb.NextSubset(0); sub != 0 && !c.overflow; sub = nb.NextSubset(sub) {
+	for sub := nb.NextSubset(0); sub != 0 && c.n <= enumPairCap; sub = nb.NextSubset(sub) {
 		c.enumCmpRec(s1, s2|sub, x|nb)
 	}
 }
@@ -151,10 +169,10 @@ func (c *ccpCollector) enumCsgRec(s1, x RelSet) {
 	if nb == 0 {
 		return
 	}
-	for sub := nb.NextSubset(0); sub != 0 && !c.overflow; sub = nb.NextSubset(sub) {
+	for sub := nb.NextSubset(0); sub != 0 && c.n <= enumPairCap; sub = nb.NextSubset(sub) {
 		c.emitCsg(s1 | sub)
 	}
-	for sub := nb.NextSubset(0); sub != 0 && !c.overflow; sub = nb.NextSubset(sub) {
+	for sub := nb.NextSubset(0); sub != 0 && c.n <= enumPairCap; sub = nb.NextSubset(sub) {
 		c.enumCsgRec(s1|sub, x|nb)
 	}
 }

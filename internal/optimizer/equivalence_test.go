@@ -1,10 +1,13 @@
 package optimizer
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/pinumdb/pinum/internal/catalog"
@@ -220,48 +223,6 @@ func testPlannerEquivalence(t *testing.T, shape string, gen func(*rand.Rand, *ca
 	}
 }
 
-// TestDenseFallbackEquivalence forces the csg-cmp pair cap down to zero so
-// planFast abandons the enumeration and takes the dense-sweep fallback
-// (planFastDense), then re-runs the randomized equivalence matrix: the
-// fallback must be just as bit-identical to the reference as DPccp is.
-// Safe to mutate the package global: top-level tests never overlap.
-func TestDenseFallbackEquivalence(t *testing.T) {
-	old := enumPairCap
-	enumPairCap = 0
-	defer func() { enumPairCap = old }()
-	testPlannerEquivalence(t, "dense-fallback", func(rng *rand.Rand, f *catalogFixture) *query.Query {
-		if rng.Intn(2) == 0 {
-			return f.starQuery(rng)
-		}
-		return f.chainQuery(rng)
-	})
-
-	// The sweep's split count is arithmetic on the mask space (DenseSplits,
-	// what E6 reports as the dense state count): the fallback and the
-	// oracle both visit exactly that many.
-	rng, f := rand.New(rand.NewSource(7)), equivCatalog(t)
-	debug, _ := debugStarQuery(t)
-	for _, q := range []*query.Query{f.chainQuery(rng), f.starQuery(rng), debug} {
-		a, err := NewAnalysis(q, nil, DefaultCostParams())
-		if err != nil {
-			t.Fatal(err)
-		}
-		fast, err := Optimize(a, nil, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := OptimizeReference(a, nil, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := DenseSplits(len(a.Rels))
-		if fast.Stats.EnumStates != want || ref.Stats.EnumStates != want {
-			t.Errorf("%s: %d relations: the fallback visits %d splits, the oracle %d, want (3^n-1)/2-(2^n-1) = %d",
-				q.Name, len(a.Rels), fast.Stats.EnumStates, ref.Stats.EnumStates, want)
-		}
-	}
-}
-
 // TestPlannerEquivalenceDebugQuery pins the 6-way Q5 analogue with the
 // all-orders configuration — the exact call core.Build makes.
 func TestPlannerEquivalenceDebugQuery(t *testing.T) {
@@ -278,6 +239,76 @@ func TestPlannerEquivalenceDebugQuery(t *testing.T) {
 	for _, opt := range allOptions() {
 		assertEquivalent(t, fmt.Sprintf("debug-q5-nilcfg/opt=%+v", opt), a, nil, opt)
 		assertEquivalent(t, fmt.Sprintf("debug-q5-emptycfg/opt=%+v", opt), a, &query.Config{}, opt)
+	}
+
+	// The oracle's split count is arithmetic on the mask space (DenseSplits,
+	// what E6 reports as the dense state count): it visits exactly that
+	// many splits on a chain, a star and this query.
+	rng, f := rand.New(rand.NewSource(7)), equivCatalog(t)
+	for _, q := range []*query.Query{f.chainQuery(rng), f.starQuery(rng), q} {
+		a, err := NewAnalysis(q, nil, DefaultCostParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := OptimizeReference(a, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := DenseSplits(len(a.Rels)); ref.Stats.EnumStates != want {
+			t.Errorf("%s: %d relations: the oracle visits %d splits, want (3^n-1)/2-(2^n-1) = %d",
+				q.Name, len(a.Rels), ref.Stats.EnumStates, want)
+		}
+	}
+}
+
+// TestEnumerationBoundary pins where the planner stops admitting join
+// graphs: a self-join clique, whose every split is a csg-cmp pair, fits
+// enumPairCap at 13 relations with exactly DenseSplits(13) pairs, and at 14
+// (2 375 101 pairs) is refused with ErrTooDense right after its base
+// relations, weighing NumLeafSlots() alone, and without allocating the
+// pairs it counted.
+func TestEnumerationBoundary(t *testing.T) {
+	f := equivCatalog(t)
+	clique := func(n int) *Analysis {
+		q := &query.Query{Name: fmt.Sprintf("clique-%d", n)}
+		for i := 0; i < n; i++ {
+			q.Rels = append(q.Rels, query.Rel{Table: f.cat.Table("dim1")})
+			for j := 0; j < i; j++ {
+				q.Joins = append(q.Joins, query.Join{Left: query.ColRef{Rel: j, Column: "id"}, Right: query.ColRef{Rel: i, Column: "id"}})
+			}
+		}
+		q.Select = []query.ColRef{{Rel: 0, Column: "a1"}}
+		a, err := NewAnalysis(q, nil, DefaultCostParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+
+	e := clique(13).joinEnum()
+	if !e.fits || len(e.pairs) != DenseSplits(13) || DenseSplits(13) != 788970 {
+		t.Errorf("13-clique: fits %v with %d pairs, want true with DenseSplits(13) = %d = 788970", e.fits, len(e.pairs), DenseSplits(13))
+	}
+
+	a := clique(14)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	work := a.PlanWork()
+	runtime.ReadMemStats(&after)
+	if work != a.NumLeafSlots() {
+		t.Errorf("14-clique: PlanWork %d, want NumLeafSlots() = %d", work, a.NumLeafSlots())
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<20 {
+		t.Errorf("14-clique: detecting the overflow allocated %d bytes, want < 1 MB", b)
+	}
+	res, err := Optimize(a, nil, Options{EnableNestLoop: true})
+	if !errors.Is(err, ErrTooDense) || res != nil {
+		t.Fatalf("14-clique: Optimize = %v, %v; want a refusal wrapping ErrTooDense", res, err)
+	}
+	for _, want := range []string{"clique-14", "14 relations", fmt.Sprint(enumPairCap)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("14-clique refusal %q does not name %q", err, want)
+		}
 	}
 }
 

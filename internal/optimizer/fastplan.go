@@ -545,10 +545,12 @@ func (p *planner) screen(ord int32, cost, internal float64) bool {
 // planFast is the connectivity-aware DP loop: join relations indexed by
 // relation mask in a dense table, but instead of sweeping every mask and
 // every submask split, the prebuilt join graph emits only csg-cmp pairs
-// (enumerate.go), pre-sorted into the dense sweep's order so candidate
-// insertion — and with it every tie-break — is the sweep's, and so the test
-// oracle's (reference_test.go). Disconnection is detected up front by a graph reachability
-// check rather than discovered at the full mask.
+// (enumerate.go), pre-sorted into a dense sweep's order so candidate
+// insertion — and with it every tie-break — is the test oracle's
+// (reference_test.go). Disconnection is detected up front by a graph
+// reachability check rather than discovered at the full mask, and a graph
+// with more than enumPairCap pairs is refused right after its base
+// relations, at any relation count.
 //
 // relTable is planFast's DP table over join relations: a dense
 // mask-indexed slice when the mask space is small (≤16 relations, at most
@@ -612,16 +614,7 @@ func (p *planner) planFast() (joinRel, error) {
 		return joinRel{}, fmt.Errorf("optimizer: join graph of query %s is disconnected", p.a.Q.Name)
 	}
 	if !e.fits {
-		if n > 16 {
-			// Past 16 relations the in-place sweep's 3^n splits are out of
-			// reach; only the connectivity-aware enumeration is feasible,
-			// and its pair list just overflowed.
-			return joinRel{}, fmt.Errorf("optimizer: query %s joins %d relations with a join graph too dense to enumerate", a.Q.Name, n)
-		}
-		// The graph is dense enough that the pair list would rival the
-		// dense sweep's 3^n split count in memory; sweep in place instead
-		// (same order, same results, no pair materialisation).
-		return p.planFastDense(rels.dense, planned)
+		return joinRel{}, fmt.Errorf("optimizer: query %s: %w: its %d relations form more than %d csg-cmp pairs", a.Q.Name, ErrTooDense, n, enumPairCap)
 	}
 	pairs := e.pairs
 	p.stats.EnumStates += len(pairs)
@@ -629,8 +622,8 @@ func (p *planner) planFast() (joinRel, error) {
 	// Pairs arrive grouped by union mask, ascending, so both halves of
 	// every pair are planned before their union, and each join relation is
 	// filled contiguously — finishRel drains the keyed store per group
-	// exactly as the dense sweep did per mask. Both halves are connected
-	// with at least one crossing clause by construction, so the dense
+	// exactly as the oracle's dense sweep does per mask. Both halves are
+	// connected with at least one crossing clause by construction, so the
 	// sweep's absent-half and empty-clause screens have nothing left to
 	// catch.
 	for gi := 0; gi < len(pairs); {
@@ -663,66 +656,11 @@ func (p *planner) planFast() (joinRel, error) {
 	return top, nil
 }
 
-// planFastDense is the dense-table sweep, retained as planFast's fallback
-// for graphs whose csg-cmp pair count overflows enumPairCap (near-
-// clique joins approaching the 16-relation cap, where connectivity-aware
-// enumeration saves nothing). It walks every submask split of every mask in
-// place — no pair list, no sort — visiting splits in exactly the order the
-// sorted pair list reproduces, so results stay bit-identical either way;
-// it visits DenseSplits(n) splits. rels holds the already-planned
-// single-relation entries; planned counts them.
-//
-//pinum:hotpath
-func (p *planner) planFastDense(rels []joinRel, planned int) (joinRel, error) {
-	n := len(p.a.Rels)
-	full := RelSet(1<<uint(n)) - 1
-	for mask := RelSet(3); mask <= full; mask++ {
-		low := mask & -mask
-		if mask == low {
-			continue // single relation, already planned
-		}
-		jr := joinRel{}
-		// Enumerate proper submasks containing the lowest bit, so each
-		// unordered split is visited once.
-		for s1 := (mask - 1) & mask; s1 > 0; s1 = (s1 - 1) & mask {
-			if s1&low == 0 {
-				continue
-			}
-			p.stats.EnumStates++
-			s2 := mask ^ s1
-			left, right := &rels[s1], &rels[s2]
-			if left.set == 0 || right.set == 0 {
-				continue
-			}
-			fwd, rev := p.ctx.crossClauses(s1, s2)
-			p.stats.ClauseLookups++
-			if len(fwd) == 0 {
-				continue
-			}
-			if jr.set == 0 {
-				jr = joinRel{set: mask, rows: p.a.JoinRows(mask)}
-			}
-			p.joinPaths(&jr, left, right, fwd)
-			p.joinPaths(&jr, right, left, rev)
-		}
-		if jr.set != 0 {
-			rels[mask] = p.finishRel(mask, jr.rows)
-			planned++
-		} else {
-			p.stats.MasksSkipped++
-		}
-	}
-	p.stats.JoinRels = planned
-	top := rels[full]
-	if top.lo == top.hi {
-		return joinRel{}, fmt.Errorf("optimizer: join graph of query %s is disconnected", p.a.Q.Name)
-	}
-	return top, nil
-}
-
-// DenseSplits is the number of splits a dense sweep over n relations visits:
+// DenseSplits is the number of splits a dense sweep over n relations visits
+// (the test oracle's sweep; E6 reports it beside the planner's pair count):
 // every proper submask holding the lowest member, of every subset of at
-// least two relations — Σₖ C(n,k)(2ᵏ⁻¹−1) = (3ⁿ−1)/2 − (2ⁿ−1).
+// least two relations — Σₖ C(n,k)(2ᵏ⁻¹−1) = (3ⁿ−1)/2 − (2ⁿ−1). It is also
+// the pair count of an n-clique, whose every split is a csg-cmp pair.
 func DenseSplits(n int) int {
 	pow3 := 1
 	for i := 0; i < n; i++ {

@@ -87,11 +87,11 @@ type PlannerStats struct {
 	ClauseLookups int
 	// EnumStates counts the DP split states the join enumeration visited:
 	// the connected subgraph / connected-complement pairs of the join graph
-	// (DPccp), or, when planFast falls back to the dense sweep, every split
-	// of every relation subset (DenseSplits).
+	// (DPccp). The test oracle's dense sweep visits every split of every
+	// relation subset instead (DenseSplits).
 	EnumStates int
 	// MasksSkipped counts the non-trivial relation subsets a dense sweep
-	// visits that are disconnected and can never hold a plan. The
+	// would visit that are disconnected and can never hold a plan. The
 	// enumeration never touches them and reports the count arithmetically.
 	MasksSkipped int
 	// FrontierInserts / FrontierDrops / FrontierEvictions count the

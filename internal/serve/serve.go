@@ -859,22 +859,9 @@ type EngineStats struct {
 	QuerySkips     int64 `json:"query_skips"`
 }
 
-// Recommend runs one greedy advisor search over the named tenant's
-// shared caches with request-local engine state. Results are identical
-// to an in-process advisor.Run over the same workload, weights and
-// budget.
-func (s *Server) Recommend(req *RecommendRequest) (*RecommendResponse, error) {
-	t, err := s.tenantByName(req.Tenant)
-	if err != nil {
-		return nil, err
-	}
-	set, err := s.acquireSet(t)
-	if err != nil {
-		return nil, err
-	}
-	return s.recommendOn(context.Background(), set, req)
-}
-
+// recommendOn runs one greedy advisor search over the set's shared caches
+// with request-local engine state. Results are identical to an in-process
+// advisor.Run over the same workload, weights and budget.
 func (s *Server) recommendOn(ctx context.Context, set *snapshotSet, req *RecommendRequest) (*RecommendResponse, error) {
 	if req.BudgetGB <= 0 {
 		return nil, badRequest("budget_gb must be positive, got %g", req.BudgetGB)
@@ -992,23 +979,12 @@ type ExplainResponse struct {
 	Trace    *obs.TraceView `json:"trace,omitempty"`
 }
 
-// Explain runs one conventional optimizer call for an ad-hoc query — the
+// explainOn runs one conventional optimizer call for an ad-hoc query — the
 // only endpoint that plans, since arbitrary SQL has no prebuilt cache —
 // and reports the plan tree plus its internal/leaf cost decomposition.
 // All state is request-local except the set's read-only catalog and its
-// index interner.
-func (s *Server) Explain(req *ExplainRequest) (*ExplainResponse, error) {
-	t, err := s.tenantByName(req.Tenant)
-	if err != nil {
-		return nil, err
-	}
-	set, err := s.acquireSet(t)
-	if err != nil {
-		return nil, err
-	}
-	return explainOn(context.Background(), set, req)
-}
-
+// index interner. A query the planner refuses as too dense to enumerate is
+// the client's error, like one past optimizer.MaxRels.
 func explainOn(ctx context.Context, set *snapshotSet, req *ExplainRequest) (*ExplainResponse, error) {
 	if req.SQL == "" {
 		return nil, badRequest("sql is required")
@@ -1032,6 +1008,9 @@ func explainOn(ctx context.Context, set *snapshotSet, req *ExplainRequest) (*Exp
 	ot := time.Now()
 	res, err := optimizer.Optimize(a, cfg, optimizer.Options{EnableNestLoop: true})
 	obs.TraceFrom(ctx).Add("optimize", ot, time.Since(ot))
+	if errors.Is(err, optimizer.ErrTooDense) {
+		return nil, badRequest("%v", err)
+	}
 	if err != nil {
 		return nil, err
 	}

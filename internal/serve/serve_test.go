@@ -309,9 +309,12 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
-// TestExplainRefusesPastRelationCap: a query joining more relations than a
-// plan can name (optimizer.MaxRels) is the client's error — 400 naming the
-// limit — not an endpoint failure.
+// TestExplainRefusesPastRelationCap: a query past what the planner admits
+// is the client's error — 400 naming the limit — not an endpoint failure
+// and no panic. One joins more relations than a plan can name
+// (optimizer.MaxRels); the self-join cliques have more csg-cmp pairs than
+// the planner enumerates (14 aliases: 2 375 101 pairs; 17: past the
+// mask-indexed table too) and are refused before any join is planned.
 func TestExplainRefusesPastRelationCap(t *testing.T) {
 	f := newFixture(t)
 	var from, where []string
@@ -321,21 +324,48 @@ func TestExplainRefusesPastRelationCap(t *testing.T) {
 			where = append(where, fmt.Sprintf("f%d.fk_dim1_1 = f%d.fk_dim1_1", i-1, i))
 		}
 	}
-	body, err := json.Marshal(ExplainRequest{SQL: "SELECT f0.m1 FROM " + strings.Join(from, ", ") + " WHERE " + strings.Join(where, " AND ")})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct{ sql, want string }{
+		{"SELECT f0.m1 FROM " + strings.Join(from, ", ") + " WHERE " + strings.Join(where, " AND "), "64"},
 	}
-	resp, err := http.Post(f.ts.URL+"/explain", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	for _, n := range []int{14, 17} {
+		from, where = nil, nil
+		for i := 0; i < n; i++ {
+			from = append(from, fmt.Sprintf("dim1_1 d%d", i))
+			for j := 0; j < i; j++ {
+				where = append(where, fmt.Sprintf("d%d.id = d%d.id", j, i))
+			}
+		}
+		cases = append(cases, struct{ sql, want string }{
+			"SELECT d0.id FROM " + strings.Join(from, ", ") + " WHERE " + strings.Join(where, " AND "),
+			fmt.Sprintf("%d relations", n),
+		})
 	}
-	defer resp.Body.Close()
-	var payload map[string]string
-	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		body, err := json.Marshal(ExplainRequest{SQL: tc.sql})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(f.ts.URL+"/explain", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var payload map[string]string
+		err = json.NewDecoder(resp.Body).Decode(&payload)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(payload["error"], tc.want) {
+			t.Errorf("/explain of %.40s…: %d %q, want 400 naming %q", tc.sql, resp.StatusCode, payload["error"], tc.want)
+		}
 	}
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(payload["error"], "64") {
-		t.Errorf("/explain of a %d-relation chain: %d %q, want 400 naming the limit 64", optimizer.MaxRels+1, resp.StatusCode, payload["error"])
+	if n := f.srv.panics.Value(); n != 0 {
+		t.Errorf("%d handler panics recorded", n)
+	}
+	for _, typ := range eventTypes(t, f.ts.URL) {
+		if typ == "panic" {
+			t.Error("a panic event was recorded")
+		}
 	}
 }
 

@@ -311,13 +311,6 @@ func (s *Server) tenantByName(name string) (*tenant, error) {
 // tenant in single-tenant mode, the first configured one otherwise.
 func (s *Server) defaultTenant() *tenant { return s.tenants[s.defaultName] }
 
-// TenantNames lists the configured tenants in sorted order.
-func (s *Server) TenantNames() []string {
-	out := make([]string, len(s.tenantNames))
-	copy(out, s.tenantNames)
-	return out
-}
-
 // touch stamps t with a fresh recency tick.
 func (s *Server) touch(t *tenant) { t.lastUsed.Store(s.clock.Add(1)) }
 

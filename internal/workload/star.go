@@ -346,15 +346,6 @@ func (s *Star) generateSQL(rng *rand.Rand, n, qi int) string {
 	return b.String()
 }
 
-// attrColumn picks a non-key attribute or measure column of t, or "".
-func attrColumn(t *catalog.Table, rng *rand.Rand) string {
-	cands := attrColumns(t)
-	if len(cands) == 0 {
-		return ""
-	}
-	return cands[rng.Intn(len(cands))]
-}
-
 // hotColumn picks from the first few attribute columns of t, modelling the
 // column reuse real analytical workloads exhibit.
 func hotColumn(t *catalog.Table, rng *rand.Rand) string {
