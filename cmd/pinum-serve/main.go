@@ -8,7 +8,7 @@
 // with automatic retry).
 //
 //	pinum-serve -snapshot star.pcache                 # load or build+save, then serve
-//	pinum-serve -snapshot star.pcache -save-exit      # build the snapshot and exit
+//	pinum-serve -snapshot star.pcache -save-exit      # load or build+save, then exit
 //	pinum-serve -addr 127.0.0.1:8093                  # serve address
 //	pinum-serve -stats-overrides drift.json           # {"table": rows} applied on every (re)load
 //	pinum-serve -tenants roster.json -snapshot-dir d  # multi-tenant: one workload per roster entry
@@ -29,9 +29,9 @@
 // <tenant>.pcache per tenant, same format as -snapshot) consulted on
 // every load; -tenant-cap bounds how many tenants hold live snapshot
 // sets at once — past it, the least-recently-used tenant is evicted and
-// cold-loads again on its next request. With -save-exit the roster's
-// snapshots are all built/refreshed into the store, then the process
-// exits.
+// cold-loads again on its next request. -save-exit is the startup load
+// of every roster tenant — a fresh store file loads, any other is rebuilt
+// and written back — followed by exit.
 //
 // Endpoints (JSON in, JSON out):
 //
@@ -83,6 +83,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -185,53 +186,6 @@ func main() {
 		}
 	}
 
-	if *saveExit && *tenantsPath != "" {
-		// Build/refresh every roster tenant's snapshot into the store.
-		for _, tc := range tenantCfgs {
-			env, err := tc.Loader()
-			if err != nil {
-				fatal(fmt.Errorf("tenant %s: %w", tc.Name, err))
-			}
-			buildStart := time.Now()
-			_, buildReason, err := serve.LoadOrBuild(env.Catalog, env.Stats, env.Queries, env.Analyses, tc.SnapshotPath, *workers)
-			if err != nil {
-				fatal(fmt.Errorf("tenant %s: %w", tc.Name, err))
-			}
-			how := "loaded from " + tc.SnapshotPath
-			if buildReason != "" {
-				how = "built: " + buildReason + ", saved to " + tc.SnapshotPath
-			}
-			log.Printf("tenant %s: snapshot ready in %v: %d queries (%s)",
-				tc.Name, time.Since(buildStart).Round(time.Millisecond), len(env.Queries), how)
-		}
-		return
-	}
-
-	if *saveExit {
-		env, err := loader()
-		if err != nil {
-			fatal(err)
-		}
-		buildStart := time.Now()
-		caches, buildReason, err := serve.LoadOrBuild(env.Catalog, env.Stats, env.Queries, env.Analyses, *snapshot, *workers)
-		if err != nil {
-			fatal(err)
-		}
-		entries, bytesTotal := 0, int64(0)
-		for _, c := range caches {
-			m := c.MemStats()
-			entries += m.Entries
-			bytesTotal += m.EntryBytes
-		}
-		how := "loaded from " + *snapshot
-		if buildReason != "" {
-			how = "built with 2 optimizer calls/query: " + buildReason + ", saved to " + *snapshot
-		}
-		log.Printf("caches ready in %v: %d queries, %d entries, ~%.1f KB (%s)",
-			time.Since(buildStart).Round(time.Millisecond), len(env.Queries), entries, float64(bytesTotal)/1024, how)
-		return
-	}
-
 	cfg := serve.Config{
 		Workers:        *workers,
 		MaxInFlight:    *maxInFlight,
@@ -253,6 +207,19 @@ func main() {
 		fatal(err)
 	}
 	defer srv.Close()
+
+	if *saveExit {
+		targets := []serve.TenantConfig{{Name: serve.DefaultTenant, SnapshotPath: *snapshot}}
+		if *tenantsPath != "" {
+			targets = tenantCfgs
+		}
+		for _, tc := range targets {
+			if err := prebuild(srv, tc.Name, tc.SnapshotPath); err != nil {
+				fatal(err)
+			}
+		}
+		return
+	}
 
 	// Warm the default tenant (the only one in single-tenant mode, the
 	// first roster entry otherwise) so readiness means "can serve now";
@@ -314,6 +281,33 @@ func main() {
 	}
 	<-drained
 	log.Printf("drained; exiting")
+}
+
+// prebuild is -save-exit's work for one tenant: the daemon's own load —
+// a fresh snapshot file loads, a missing, stale or corrupt one is rebuilt
+// and written back — followed by a re-read of the file. The server only
+// records a failed save as an event, so the re-read is what makes one
+// fatal here.
+func prebuild(srv *serve.Server, name, path string) error {
+	start := time.Now()
+	out, err := srv.ReloadTenant(name, false)
+	if err != nil {
+		return fmt.Errorf("tenant %s: %w", name, err)
+	}
+	fp, err := strconv.ParseUint(out.Fingerprint, 16, 64)
+	if err != nil {
+		return fmt.Errorf("tenant %s: fingerprint %q: %w", name, out.Fingerprint, err)
+	}
+	if _, err := plancache.Load(path, fp); err != nil {
+		return fmt.Errorf("tenant %s: snapshot %s not saved: %w", name, path, err)
+	}
+	how := "loaded from " + path
+	if out.QueriesRebuilt > 0 {
+		how = fmt.Sprintf("built %d queries with 2 optimizer calls each, saved to %s", out.QueriesRebuilt, path)
+	}
+	log.Printf("snapshot ready in %v: tenant=%s fingerprint=%s source=%s (%s)",
+		time.Since(start).Round(time.Millisecond), name, out.Fingerprint, out.SnapshotSource, how)
+	return nil
 }
 
 // tenantSpec is one roster entry in the -tenants file.

@@ -406,6 +406,21 @@ func TestServeMatchesInProcess(t *testing.T) {
 	d.stop(t)
 }
 
+// TestSaveExitFailsUnsaved pins that -save-exit fails loudly when its
+// snapshot cannot be written: the server records a failed save as an
+// event only, so the post-load re-read must turn it into exit 1, naming
+// the tenant and the path, with no "ready" line.
+func TestSaveExitFailsUnsaved(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "missing", "x.pcache")
+	code, stderr := runToExit(t, "-snapshot", snap, "-save-exit")
+	if code != 1 || !strings.Contains(stderr, "tenant default") || !strings.Contains(stderr, snap) {
+		t.Errorf("-save-exit into a missing directory: exit %d, stderr %q; want exit 1 naming the tenant and %s", code, stderr, snap)
+	}
+	if strings.Contains(stderr, "ready") {
+		t.Errorf("-save-exit reported a snapshot ready it did not save: %q", stderr)
+	}
+}
+
 // TestReloadLifecycle drives the hot-reload lifecycle with signals and
 // the overrides file: SIGHUP picks up drift incrementally and serves the
 // recomputed bytes, a corrupt file degrades the daemon without changing

@@ -13,7 +13,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -528,7 +528,7 @@ func (t *tenant) buildSet(force bool, lt *loadTimes) (*snapshotSet, bool, error)
 
 	if !force && prev != nil && fp == prev.fingerprint &&
 		sameWorkload(prev.env, env) &&
-		weightsEqual(prev.weights, normalizeWeights(env.Weights, len(env.Queries))) {
+		slices.Equal(prev.weights, normalizeWeights(env.Weights, len(env.Queries))) {
 		return nil, true, nil
 	}
 
@@ -654,27 +654,9 @@ func reusable(prev *snapshotSet, q *query.Query, tfps map[string]uint64) bool {
 }
 
 func sameWorkload(a, b *Environment) bool {
-	if len(a.Queries) != len(b.Queries) {
-		return false
-	}
-	for i := range a.Queries {
-		if a.Queries[i].Name != b.Queries[i].Name || a.Queries[i].SQL != b.Queries[i].SQL {
-			return false
-		}
-	}
-	return true
-}
-
-func weightsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(a.Queries, b.Queries, func(x, y *query.Query) bool {
+		return x.Name == y.Name && x.SQL == y.SQL
+	})
 }
 
 // ----------------------------------------------------------- retry -----
@@ -756,43 +738,4 @@ func (s *Server) handleReload(r *http.Request) (any, error) {
 		return map[string]string{"tenant": t.name, "result": "triggered"}, nil
 	}
 	return map[string]string{"tenant": t.name, "result": "already-pending"}, nil
-}
-
-// ------------------------------------------------------- snapshots -----
-
-// LoadOrBuild returns plan caches for the workload. When
-// snapshotPath names a loadable snapshot carrying the environment's
-// fingerprint, the caches are reconstructed from it and buildReason is
-// "". Otherwise — no path configured, file missing, or the snapshot is
-// corrupt, stale, or mismatched against the workload — the caches are
-// built with two optimizer calls per query and, when snapshotPath is
-// non-empty, saved back (atomically overwriting a rejected file), with
-// buildReason saying why the build happened; a rejected snapshot never
-// serves stale costs, and never wedges the daemon either.
-func LoadOrBuild(cat *catalog.Catalog, st *stats.Store, queries []*query.Query,
-	analyses []*optimizer.Analysis, snapshotPath string, workers int) (caches []*inum.Cache, buildReason string, err error) {
-
-	fp := plancache.Fingerprint(cat, st, optimizer.DefaultCostParams())
-	buildReason = "no snapshot configured"
-	if snapshotPath != "" {
-		if _, statErr := os.Stat(snapshotPath); statErr != nil {
-			buildReason = "snapshot not found"
-		} else if snap, loadErr := plancache.Load(snapshotPath, fp); loadErr != nil {
-			buildReason = fmt.Sprintf("snapshot rejected: %v", loadErr)
-		} else if caches, err = plancache.BuildCaches(snap, queries, analyses); err != nil {
-			buildReason = fmt.Sprintf("snapshot rejected: %v", err)
-		} else {
-			return caches, "", nil
-		}
-	}
-	caches, err = core.BuildAllSlim(analyses, cat, workers)
-	if err != nil {
-		return nil, "", err
-	}
-	if snapshotPath != "" {
-		if err := plancache.Save(snapshotPath, plancache.NewSnapshot(fp, caches)); err != nil {
-			return nil, "", err
-		}
-	}
-	return caches, buildReason, nil
 }

@@ -14,14 +14,14 @@
 // new one (never a mix). A built inum.Cache is immutable and Cost prices
 // a configuration into a leaf-slot table on its caller's stack, so
 // /whatif requests evaluate the shared caches directly, with no lock
-// below the handler, fanning per-query evaluations with core.FanCtx: the
-// handler's goroutine prices queries itself, beside at most Workers − 1
-// helpers claiming from the same counter, and no query is claimed once
-// the request's deadline passed. Everything a request
-// does mutate is request-local: /recommend builds a fresh Advisor and
-// incremental cost engine per request, /explain runs a fresh optimizer
-// call. The one mutable structure inside a set is the what-if index
-// interner — a mutex-guarded session that resolves each requested
+// below the handler, fanning per-query evaluations with
+// core.FanCtxObserved: the handler's goroutine prices queries itself,
+// beside at most Workers − 1 helpers claiming from the same counter, and
+// no query is claimed once the request's deadline passed. Everything a
+// request does mutate is request-local: /recommend builds a fresh Advisor
+// and incremental cost engine per request, /explain runs a fresh
+// optimizer call. The one mutable structure inside a set is the what-if
+// index interner — a mutex-guarded session that resolves each requested
 // (table, columns) spec to a stably named descriptor, capped so a client
 // enumerating index permutations cannot grow it without bound; past the
 // cap a never-seen spec is priced through a request-local descriptor.
@@ -119,6 +119,12 @@ const TraceHeader = "X-Pinum-Trace"
 // and becomes ready when the first load succeeds. Tenants: each entry is
 // its own loader-mode workload, routed by name; MaxResident bounds how
 // many hold live sets at once.
+//
+// The server has one load path. Startup (ReloadNow or ReloadTenant),
+// reload and cold load all decide the same way: a snapshot file carrying
+// the environment's fingerprint loads, and a missing, stale or corrupt
+// one is rebuilt and written back. pinum-serve -save-exit is that load
+// of every tenant, followed by exit.
 type Config struct {
 	Catalog *catalog.Catalog
 	Stats   *stats.Store
@@ -782,7 +788,7 @@ func (s *Server) handleWhatIf(r *http.Request) (any, error) {
 	}
 	r, tr := s.ensureTrace(r, req.Trace, t0)
 	tr.Add("decode", t0, time.Since(t0))
-	resp, err := s.computeOn(r, req.Tenant, func(t *tenant, set *snapshotSet) (any, error) {
+	resp, err := s.computeOn(r, req.Tenant, func(set *snapshotSet) (any, error) {
 		return s.whatIfOn(r.Context(), set, &req)
 	})
 	if err != nil {
@@ -936,7 +942,7 @@ func (s *Server) handleRecommend(r *http.Request) (any, error) {
 	}
 	r, tr := s.ensureTrace(r, req.Trace, t0)
 	tr.Add("decode", t0, time.Since(t0))
-	resp, err := s.computeOn(r, req.Tenant, func(t *tenant, set *snapshotSet) (any, error) {
+	resp, err := s.computeOn(r, req.Tenant, func(set *snapshotSet) (any, error) {
 		return s.recommendOn(r.Context(), set, &req)
 	})
 	if err != nil {
@@ -1045,7 +1051,7 @@ func (s *Server) handleExplain(r *http.Request) (any, error) {
 	}
 	r, tr := s.ensureTrace(r, req.Trace, t0)
 	tr.Add("decode", t0, time.Since(t0))
-	resp, err := s.computeOn(r, req.Tenant, func(t *tenant, set *snapshotSet) (any, error) {
+	resp, err := s.computeOn(r, req.Tenant, func(set *snapshotSet) (any, error) {
 		return explainOn(r.Context(), set, &req)
 	})
 	if err != nil {
@@ -1152,14 +1158,10 @@ func (s *Server) handleReady(*http.Request) (any, error) {
 	return map[string]any{"status": s.serverStatus()}, nil
 }
 
-// serverStatus is the process-level status word: the default tenant's
-// word in single-tenant mode (preserving the pre-tenant contract), and
-// starting / degraded-if-any-resident-tenant-is / ok across the registry
-// otherwise.
+// serverStatus is the process-level status word: starting until any
+// tenant has loaded, degraded while any resident tenant is, ok otherwise.
+// A single-tenant server never evicts, so this is its one tenant's word.
 func (s *Server) serverStatus() string {
-	if !s.multi {
-		return s.defaultTenant().statusWord()
-	}
 	if !s.everLoaded.Load() {
 		return "starting"
 	}
@@ -1208,26 +1210,30 @@ func (s *Server) decodeBody(r *http.Request, v any) error {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.oversized.Inc()
-			return &httpError{
-				code: http.StatusRequestEntityTooLarge,
-				err:  fmt.Errorf("request body exceeds %d bytes", mbe.Limit),
-			}
+		if tooLarge := s.oversizedBody(err); tooLarge != nil {
+			return tooLarge
 		}
 		return badRequest("bad request body: %v", err)
 	}
 	if _, err := dec.Token(); err != io.EOF {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.oversized.Inc()
-			return &httpError{
-				code: http.StatusRequestEntityTooLarge,
-				err:  fmt.Errorf("request body exceeds %d bytes", mbe.Limit),
-			}
+		if tooLarge := s.oversizedBody(err); tooLarge != nil {
+			return tooLarge
 		}
 		return badRequest("trailing data after JSON value")
 	}
 	return nil
+}
+
+// oversizedBody turns a body read that hit Config.MaxBodyBytes into a
+// counted 413; any other error yields nil.
+func (s *Server) oversizedBody(err error) error {
+	var mbe *http.MaxBytesError
+	if !errors.As(err, &mbe) {
+		return nil
+	}
+	s.oversized.Inc()
+	return &httpError{
+		code: http.StatusRequestEntityTooLarge,
+		err:  fmt.Errorf("request body exceeds %d bytes", mbe.Limit),
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -17,6 +16,7 @@ import (
 	"github.com/pinumdb/pinum/internal/advisor"
 	"github.com/pinumdb/pinum/internal/core"
 	"github.com/pinumdb/pinum/internal/optimizer"
+	"github.com/pinumdb/pinum/internal/plancache"
 	"github.com/pinumdb/pinum/internal/query"
 	"github.com/pinumdb/pinum/internal/storage"
 	"github.com/pinumdb/pinum/internal/whatif"
@@ -33,8 +33,8 @@ type fixture struct {
 	ts       *httptest.Server
 }
 
-// newFixture boots a server over snapshot-roundtripped caches — the
-// production startup path (build → save → load) — on the star workload.
+// newFixture boots a static server over snapshot-roundtripped caches
+// (build → save → load → rebuild) on the star workload.
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
 	star, err := workload.StarSchema(1.0)
@@ -51,22 +51,24 @@ func newFixture(t *testing.T) *fixture {
 			t.Fatal(err)
 		}
 	}
+	built, err := core.BuildAllSlim(analyses, star.Catalog, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Serve the caches rebuilt from a saved snapshot, so the fixture's
+	// caches took the persistence path.
+	fp := plancache.Fingerprint(star.Catalog, star.Stats, optimizer.DefaultCostParams())
 	snapPath := filepath.Join(t.TempDir(), "star.pcache")
-	caches, reason, err := LoadOrBuild(star.Catalog, star.Stats, queries, analyses, snapPath, 0)
+	if err := plancache.Save(snapPath, plancache.NewSnapshot(fp, built)); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := plancache.Load(snapPath, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reason == "" {
-		t.Fatal("first LoadOrBuild should build")
-	}
-	// Reload through the snapshot so the served caches took the
-	// persistence path.
-	caches, reason, err = LoadOrBuild(star.Catalog, star.Stats, queries, analyses, snapPath, 0)
+	caches, err := plancache.BuildCaches(snap, queries, analyses)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if reason != "" {
-		t.Fatalf("second LoadOrBuild should load the snapshot, rebuilt instead: %s", reason)
 	}
 	srv, err := New(Config{
 		Catalog:  star.Catalog,
@@ -462,56 +464,5 @@ func TestFullInternerStillAnswers(t *testing.T) {
 	// What an operator watches against the cap.
 	if got := metricValue(t, scrape(t, capped.ts.URL), `pinum_tenant_interned_indexes{tenant="default"}`); got != 2 {
 		t.Errorf("/metrics pinum_tenant_interned_indexes = %v, want 2", got)
-	}
-}
-
-// TestLoadOrBuildRebuildsStaleSnapshot pins the startup staleness story:
-// after statistics drift, the saved snapshot is never served — it is
-// rebuilt and overwritten, with the rejection surfaced in the reason.
-func TestLoadOrBuildRebuildsStaleSnapshot(t *testing.T) {
-	star, err := workload.StarSchema(1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries, err := star.Queries(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	analyses := make([]*optimizer.Analysis, len(queries))
-	for i, q := range queries {
-		if analyses[i], err = optimizer.NewAnalysis(q, star.Stats, optimizer.DefaultCostParams()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snapPath := filepath.Join(t.TempDir(), "star.pcache")
-	if _, _, err := LoadOrBuild(star.Catalog, star.Stats, queries, analyses, snapPath, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(snapPath); err != nil {
-		t.Fatalf("snapshot not written: %v", err)
-	}
-
-	// Drift the statistics: the stale snapshot must be rejected and
-	// rebuilt, not loaded and not a startup failure.
-	star.Catalog.Table("fact").RowCount *= 2
-	for i, q := range queries {
-		if analyses[i], err = optimizer.NewAnalysis(q, star.Stats, optimizer.DefaultCostParams()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, reason, err := LoadOrBuild(star.Catalog, star.Stats, queries, analyses, snapPath, 0)
-	if err != nil {
-		t.Fatalf("LoadOrBuild failed on a stale snapshot instead of rebuilding: %v", err)
-	}
-	if !strings.Contains(reason, "rejected") {
-		t.Fatalf("stale snapshot load reported %q, want a rejection reason", reason)
-	}
-
-	// The rebuilt snapshot carries the new fingerprint: a third start
-	// loads it cleanly.
-	if _, reason, err = LoadOrBuild(star.Catalog, star.Stats, queries, analyses, snapPath, 0); err != nil {
-		t.Fatal(err)
-	} else if reason != "" {
-		t.Fatalf("rebuilt snapshot did not load: %s", reason)
 	}
 }

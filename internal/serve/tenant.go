@@ -386,7 +386,7 @@ func (s *Server) residentCount() int {
 // evicted. Concurrent cold loads may overshoot the cap transiently; the
 // loop converges because every successful publish lands here.
 func (s *Server) noteResident(justLoaded *tenant) {
-	if !s.multi || s.residentCap <= 0 {
+	if s.residentCap <= 0 {
 		return
 	}
 	s.resMu.Lock()
@@ -435,7 +435,7 @@ func (s *Server) evictLocked(t *tenant) {
 // request, take its admission slot, make it resident, and run fn against
 // the immutable set — which fn uses for its whole lifetime regardless of
 // concurrent swaps or evictions.
-func (s *Server) computeOn(r *http.Request, bodyTenant string, fn func(*tenant, *snapshotSet) (any, error)) (any, error) {
+func (s *Server) computeOn(r *http.Request, bodyTenant string, fn func(*snapshotSet) (any, error)) (any, error) {
 	tr := obs.TraceFrom(r.Context())
 	rt := time.Now()
 	t, err := s.resolveTenant(r, bodyTenant)
@@ -456,7 +456,7 @@ func (s *Server) computeOn(r *http.Request, bodyTenant string, fn func(*tenant, 
 		t.errors.Inc()
 		return nil, err
 	}
-	resp, err := fn(t, set)
+	resp, err := fn(set)
 	if err != nil {
 		t.errors.Inc()
 	}
