@@ -109,11 +109,9 @@ func New(cat *catalog.Catalog, st *stats.Store, budgetBytes int64) *Advisor {
 }
 
 // AddQuery registers a workload query with the given frequency weight,
-// building its analysis and PINUM plan cache.
+// building its analysis and PINUM plan cache on the advisor's what-if
+// session, then adding them as AddPrepared does.
 func (ad *Advisor) AddQuery(q *query.Query, weight float64) error {
-	if weight <= 0 {
-		weight = 1
-	}
 	a, err := optimizer.NewAnalysis(q, ad.st, optimizer.DefaultCostParams())
 	if err != nil {
 		return err
@@ -122,15 +120,7 @@ func (ad *Advisor) AddQuery(q *query.Query, weight float64) error {
 	if err != nil {
 		return fmt.Errorf("advisor: building cache for %s: %w", q.Name, err)
 	}
-	ad.calls += cache.Stats.OptimizerCalls
-	base, _, err := cache.Cost(&query.Config{})
-	if err != nil {
-		return fmt.Errorf("advisor: base cost for %s: %w", q.Name, err)
-	}
-	ad.queries = append(ad.queries, &QueryState{
-		Query: q, A: a, Cache: cache, Weight: weight, BaseCost: base,
-	})
-	return nil
+	return ad.AddPrepared(q, a, cache, weight)
 }
 
 // AddPrepared registers a workload query whose analysis and plan cache
@@ -138,7 +128,7 @@ func (ad *Advisor) AddQuery(q *query.Query, weight float64) error {
 // is built (or loaded from a snapshot) at startup and every /recommend
 // request prices it through a fresh Advisor. The cache is shared, not
 // copied: pricing only reads it, and the greedy search's own state lives
-// in the per-run cost engine.
+// in the per-run cost engine. A weight ≤ 0 counts as 1.
 func (ad *Advisor) AddPrepared(q *query.Query, a *optimizer.Analysis, cache *inum.Cache, weight float64) error {
 	if weight <= 0 {
 		weight = 1
@@ -157,8 +147,8 @@ func (ad *Advisor) AddPrepared(q *query.Query, a *optimizer.Analysis, cache *inu
 // AddQueries registers a whole workload at once, building the PINUM plan
 // caches across the advisor's worker pool (core.BuildAllSlim). weights may be
 // nil, meaning weight 1 for every query; otherwise it must be parallel to
-// queries. Queries are appended in input order, so the advisor's state is
-// identical to calling AddQuery serially.
+// queries. Queries are added in input order through AddPrepared, so the
+// advisor's state is identical to calling AddQuery serially.
 func (ad *Advisor) AddQueries(queries []*query.Query, weights []float64) error {
 	if len(weights) != 0 && len(weights) != len(queries) {
 		return fmt.Errorf("advisor: %d weights for %d queries", len(weights), len(queries))
@@ -176,18 +166,13 @@ func (ad *Advisor) AddQueries(queries []*query.Query, weights []float64) error {
 		return fmt.Errorf("advisor: building caches: %w", err)
 	}
 	for i, q := range queries {
-		w := 1.0
-		if len(weights) != 0 && weights[i] > 0 {
+		var w float64
+		if len(weights) != 0 {
 			w = weights[i]
 		}
-		ad.calls += caches[i].Stats.OptimizerCalls
-		base, _, err := caches[i].Cost(&query.Config{})
-		if err != nil {
-			return fmt.Errorf("advisor: base cost for %s: %w", q.Name, err)
+		if err := ad.AddPrepared(q, analyses[i], caches[i], w); err != nil {
+			return err
 		}
-		ad.queries = append(ad.queries, &QueryState{
-			Query: q, A: analyses[i], Cache: caches[i], Weight: w, BaseCost: base,
-		})
 	}
 	return nil
 }

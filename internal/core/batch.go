@@ -39,26 +39,21 @@ type BuildFunc func(*optimizer.Analysis, *whatif.Session) (*inum.Cache, error)
 // helper's panic value is re-raised from Fan — so a recover around the
 // call contains the whole fan-out.
 func Fan(n, workers int, newWorker func() func(i int)) {
-	FanCtx(context.Background(), n, workers, newWorker)
+	FanCtxObserved(context.Background(), n, workers, newWorker, nil)
 }
 
-// FanCtx is Fan with cancellation: once ctx is done no further index is
-// claimed, in-flight jobs finish, and ctx.Err() is returned (nil when
-// every index was claimed first). A serving layer threads each request's
-// context through here so a disconnected client or an expired deadline
-// stops burning workers on per-query evaluations nobody will read.
-// Callers must treat their result slices as incomplete whenever the
-// returned error is non-nil: indexes past the cancellation point were
-// never evaluated.
-func FanCtx(ctx context.Context, n, workers int, newWorker func() func(i int)) error {
-	return FanCtxObserved(ctx, n, workers, newWorker, nil)
-}
-
-// FanCtxObserved is FanCtx with per-job timing: when observe is non-nil,
-// every completed job reports (index, start, duration) from the goroutine
-// that ran it — the hook the serving layer uses to attach per-query spans
-// to a request trace. observe must be safe for concurrent calls; a nil
-// observe reads no timestamps, so untraced requests pay nothing.
+// FanCtxObserved is Fan with cancellation and per-job timing. Once ctx is
+// done no further index is claimed, in-flight jobs finish, and ctx.Err() is
+// returned (nil when every index was claimed first). A serving layer threads
+// each request's context through here so a disconnected client or an
+// expired deadline stops burning workers on per-query evaluations nobody
+// will read. Callers must treat their result slices as incomplete whenever
+// the returned error is non-nil: indexes past the cancellation point were
+// never evaluated. When observe is non-nil, every completed job reports
+// (index, start, duration) from the goroutine that ran it — the hook the
+// serving layer uses to attach per-query spans to a request trace. observe
+// must be safe for concurrent calls; a nil observe reads no timestamps, so
+// untraced requests pay nothing.
 func FanCtxObserved(ctx context.Context, n, workers int, newWorker func() func(i int), observe func(i int, start time.Time, d time.Duration)) error {
 	if n == 0 {
 		return ctx.Err()

@@ -14,9 +14,9 @@ import (
 func TestFanCtxRunsAllWithoutCancellation(t *testing.T) {
 	const n = 100
 	var done [n]atomic.Int32
-	err := FanCtx(context.Background(), n, 4, func() func(int) {
+	err := FanCtxObserved(context.Background(), n, 4, func() func(int) {
 		return func(i int) { done[i].Add(1) }
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestFanCtxStopsDispatchOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int32
 	release := make(chan struct{})
-	err := FanCtx(ctx, n, 2, func() func(int) {
+	err := FanCtxObserved(ctx, n, 2, func() func(int) {
 		return func(i int) {
 			if ran.Add(1) == 2 {
 				cancel()
@@ -43,9 +43,9 @@ func TestFanCtxStopsDispatchOnCancel(t *testing.T) {
 			}
 			<-release
 		}
-	})
+	}, nil)
 	if err != context.Canceled {
-		t.Fatalf("FanCtx returned %v, want context.Canceled", err)
+		t.Fatalf("FanCtxObserved returned %v, want context.Canceled", err)
 	}
 	// Two in-flight jobs plus at most the ones already queued before the
 	// cancellation won; nowhere near all thousand.
@@ -88,11 +88,11 @@ func TestFanCtxExpiredDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	var ran atomic.Int32
-	err := FanCtx(ctx, 50, 4, func() func(int) {
+	err := FanCtxObserved(ctx, 50, 4, func() func(int) {
 		return func(int) { ran.Add(1) }
-	})
+	}, nil)
 	if err != context.DeadlineExceeded {
-		t.Fatalf("FanCtx returned %v, want context.DeadlineExceeded", err)
+		t.Fatalf("FanCtxObserved returned %v, want context.DeadlineExceeded", err)
 	}
 	if got := ran.Load(); got != 0 {
 		t.Fatalf("%d jobs ran under an expired deadline", got)
@@ -154,7 +154,7 @@ func TestFanSerialRunsOnCaller(t *testing.T) {
 		ran = 0
 		before := runtime.NumGoroutine()
 		allocs := testing.AllocsPerRun(100, func() {
-			if err := FanCtx(ctx, tc.n, tc.workers, newWorker); err != nil {
+			if err := FanCtxObserved(ctx, tc.n, tc.workers, newWorker, nil); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -21,11 +21,12 @@
 // dies with the one-shot build or the batch. The planner keeps plans as
 // pointer-free records in arenas that grow by blocks, and a build reads
 // each exported plan's summary straight off them (Workspace.Export): no
-// Path tree is built. Once both calls have emitted, the build drops every
-// entry that another entry of the query never costs more than under any
-// configuration (inum.Cache.Compact): the §V-D frontier keeps one
-// antichain per output order, which the dynamic program needs, but a
-// cached plan's cost does not depend on its output order.
+// Path tree is built, and no plan is dropped on the way. Once both calls
+// have emitted, the build drops every entry that another entry of the query
+// never costs more than under any configuration (inum.Cache.Compact),
+// the second call's copies of plans the first exported included: the §V-D
+// frontier keeps one antichain per output order, which the dynamic program
+// needs, but a cached plan's cost does not depend on its output order.
 package core
 
 import (

@@ -129,10 +129,12 @@ type BuildStats struct {
 	// PlansSeen is the number of (not necessarily distinct) plans
 	// returned by the optimizer.
 	PlansSeen int
-	// PlansCached is the number of unique plans retained.
+	// PlansCached is the number of plans retained.
 	PlansCached int
-	// PlansDominated is the number of unique plans Compact dropped because
-	// another entry is never dearer (PlansCached excludes them).
+	// PlansDominated is the number of plans Compact dropped because another
+	// entry is never dearer (PlansCached excludes them). In a PINUM build it
+	// includes each exact duplicate of an earlier call's plan, so there
+	// PlansCached + PlansDominated = PlansSeen.
 	PlansDominated int
 	// Duration is the wall-clock construction time.
 	Duration time.Duration
@@ -165,9 +167,10 @@ func (m MemStats) String() string {
 // Cache is an INUM plan cache for one query. Cost and BestPlan only read
 // it, so any number of goroutines may price configurations at once;
 // construction (AddPath, AddSummary, AddSlim, Compact) is single-threaded.
-// A cache holds its plans' INUM decompositions and no construction state:
-// the constructions that see duplicate plans deduplicate before they add
-// (Workspace.Export on the planner's records, PathSet on Path trees).
+// A cache holds its plans' INUM decompositions and no construction state.
+// A PINUM build adds every plan the planner exported and drops duplicates
+// with the dominated entries (Compact); the constructions that feed Path
+// trees deduplicate before they add (PathSet).
 type Cache struct {
 	Q     *query.Query
 	A     *optimizer.Analysis
@@ -244,10 +247,11 @@ func (s *PathSet) Add(p *optimizer.Path) bool {
 }
 
 // AddSummary appends one entry from a plan summary the planner exported
-// (optimizer.Workspace.Export), already deduplicated and already in the
-// arenas' form: it copies the internal cost, the NLJ flag and the leaf-slot
-// and coefficient rows, and keeps nothing of the summary. Its caller counts
-// the plans it saw (BuildStats.PlansSeen) from the planner.
+// (optimizer.Workspace.Export), already in the arenas' form: it copies the
+// internal cost, the NLJ flag and the leaf-slot and coefficient rows, and
+// keeps nothing of the summary. It does not deduplicate; Compact drops a
+// later duplicate. Its caller counts the plans it saw (BuildStats.PlansSeen)
+// from the planner.
 func (c *Cache) AddSummary(s *optimizer.Summary) {
 	c.appendEntry(s.Internal, s.NLJ)
 	c.leafSlot = append(c.leafSlot, s.Slots...)
@@ -263,11 +267,11 @@ func (c *Cache) appendEntry(internal float64, nlj bool) *CachedPlan {
 }
 
 // AddSlim appends one entry from its stored packed decomposition — the
-// snapshot decode path (internal/plancache), where dedup already happened
-// at original construction time. Each packed leaf is validated against the
-// analysis's interning (the snapshot may be foreign bytes); the NLJ flag is
-// re-derived from the packed modes exactly as Summarize derives it from a
-// complete plan's requirements.
+// snapshot decode path (internal/plancache), which re-adds a cache's
+// entries as its construction left them. Each packed leaf is validated
+// against the analysis's interning (the snapshot may be foreign bytes); the
+// NLJ flag is re-derived from the packed modes exactly as Summarize derives
+// it from a complete plan's requirements.
 func (c *Cache) AddSlim(internal float64, packed []uint16, coefs []float64) (*CachedPlan, error) {
 	if len(packed) != len(c.Q.Rels) || len(coefs) != len(c.Q.Rels) {
 		return nil, fmt.Errorf("inum: entry with %d packed leaves and %d coefficients for %d relations",

@@ -69,8 +69,6 @@ func EachJoinRelPath(a *Analysis, cfg *query.Config, opt Options, visit func(set
 // call's summaries, the Path tree of every plan the call exported, built
 // from the records the summaries were read from (TestSlimExportsMatchTrees).
 func ExportWithTrees(w *Workspace, a *Analysis, cfg *query.Config, opts []Options, emit func(*Summary), tree func(*Path)) error {
-	clear(w.ids)
-	w.seen = w.seen[:0]
 	for _, opt := range opts {
 		opt.ExportAll = true
 		if err := exportWithTrees(w, a, cfg, opt, emit, tree); err != nil {
@@ -92,26 +90,6 @@ func exportWithTrees(w *Workspace, a *Analysis, cfg *query.Config, opt Options, 
 	p.startTrees()
 	for r := final.lo; r < final.hi; r++ {
 		tree(p.tree(r))
-	}
-	return nil
-}
-
-// EachRecordIdentity plans (a, cfg, opt) on w and hands visit the structural
-// identity Export dedups on and the Path tree of every record the call kept,
-// every relation's and the grouping planner's
-// (TestIdentityMatchesSignature).
-func EachRecordIdentity(w *Workspace, a *Analysis, cfg *query.Config, opt Options, visit func(id int32, pt *Path)) error {
-	p := w.planners(1)[0]
-	p.reset(a, cfg, opt)
-	defer p.release()
-	if _, err := p.plan(); err != nil {
-		return err
-	}
-	clear(w.ids)
-	w.on, w.memo = p, fit(w.memo, int(p.recs.n))
-	p.startTrees()
-	for r := int32(0); r < p.recs.n; r++ {
-		visit(w.identity(r), p.tree(r))
 	}
 	return nil
 }

@@ -13,11 +13,10 @@ import (
 )
 
 // TestSlimExportsMatchTrees holds the build's export — summaries read off
-// the planner's records, deduplicated on a structural identity computed
-// over them — to the reference construction's rows. Per call, the Path
-// trees of the exported plans, built from the same records, go through
-// inum.PathSet (Signature dedup, then AddPath: Summarize, PackLeaf) and
-// the summaries through AddSummary; the two caches must agree entry for
+// the planner's records — to the reference construction's rows. Per call,
+// the Path trees of the exported plans, built from the same records, go
+// through AddPath (Summarize, PackLeaf) and the summaries through
+// AddSummary, neither deduplicated; the two caches must agree entry for
 // entry, in order: internal cost bits, leaf slots, coefficient bits and the
 // NLJ flag. Inputs: every design shape, star Q10 and the 17-relation chain,
 // under core.Build's two calls and under core.BuildPrecise's (random6's
@@ -31,9 +30,7 @@ func TestSlimExportsMatchTrees(t *testing.T) {
 				continue
 			}
 			tree, slim := inum.NewCache(in.a), inum.NewCache(in.a)
-			set := inum.NewPathSet(tree)
-			err := optimizer.ExportWithTrees(wk, in.a, in.cfg, buildOptions(precise), slim.AddSummary,
-				func(p *optimizer.Path) { set.Add(p) })
+			err := optimizer.ExportWithTrees(wk, in.a, in.cfg, buildOptions(precise), slim.AddSummary, tree.AddPath)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -53,37 +50,6 @@ func TestSlimExportsMatchTrees(t *testing.T) {
 							in.a.LeafSlot(rel, spk[rel]), sc[rel], in.a.LeafSlot(rel, tpk[rel]), tc[rel])
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestIdentityMatchesSignature holds the identity Export dedups on to the
-// one it replaced over far more plans than the exports: every record every
-// relation of a construction call kept, whose trees share subtrees, sorts
-// and probes in every combination. Two records must share an identity
-// exactly when their trees' Signature strings are equal.
-func TestIdentityMatchesSignature(t *testing.T) {
-	wk := optimizer.NewWorkspace()
-	for _, in := range exportInputs(t) {
-		for _, opt := range buildOptions(false) {
-			label := fmt.Sprintf("%s/opt=%+v", in.label, opt)
-			bySig, byID := map[string]int32{}, map[int32]string{}
-			err := optimizer.EachRecordIdentity(wk, in.a, in.cfg, opt, func(id int32, pt *optimizer.Path) {
-				sig := pt.Signature()
-				if other, ok := bySig[sig]; ok && other != id {
-					t.Fatalf("%s: %s has identities %d and %d", label, sig, other, id)
-				}
-				if other, ok := byID[id]; ok && other != sig {
-					t.Fatalf("%s: identity %d names %s and %s", label, id, other, sig)
-				}
-				bySig[sig], byID[id] = id, sig
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if len(bySig) < 2 {
-				t.Fatalf("%s: %d distinct plans", label, len(bySig))
 			}
 		}
 	}

@@ -29,15 +29,8 @@ type Workspace struct {
 	finals []joinRel
 	errs   []error
 
-	// Export's state: the structural identities interned by the calls of
-	// one Export (ids; seen marks the exported ones), the planner whose
-	// records are being summarised (on) and the identity of each of them
-	// (memo, 0 until computed), and the summary handed to emit.
-	ids  map[sigNode]int32
-	seen []bool
-	on   *planner
-	memo []int32
-	sum  Summary
+	// sum is the summary Export hands to emit.
+	sum Summary
 }
 
 // A Runner runs call(i) for every i in [0, n) and returns once every call
@@ -50,7 +43,7 @@ type Runner func(n int, call func(i int))
 
 // NewWorkspace returns an empty workspace.
 func NewWorkspace() *Workspace {
-	return &Workspace{ids: make(map[sigNode]int32)}
+	return new(Workspace)
 }
 
 // Optimize is the package's Optimize on this workspace's buffers.
@@ -71,25 +64,23 @@ type Summary struct {
 }
 
 // Export plans a under cfg once per option set, each an ExportAll call, and
-// hands emit the summary of every exported plan no earlier one of these
-// calls exported with the same structure — the identity Path.Signature
-// names, computed over the records (identity) — call by call, in export
-// order. A nil run plans the calls one after another on one planner, each
-// emitting on the caller before the next starts. Otherwise run plans call i
-// on planner i, and emit is called from two places: call 0 emits on
-// whichever goroutine run gave it, as soon as it has planned and while the
-// others may still plan; the later calls emit on the caller, in call order,
-// once run has returned. A call that fails emits nothing, and no call after
-// it emits. Identities are interned call by call either way, so both hand
-// emit the same summaries in the same order and return the same summed
-// planner counters. emit is never called twice at once. The summary and its
-// slices belong to the workspace and are valid only during the emit call. A
-// panic in emit, on call 0's goroutine too, reaches Export's caller through
-// run and leaves the workspace reusable.
+// hands emit the summary of every plan each call exported, call by call, in
+// export order: PathsRetained summaries in all. It does not deduplicate; a
+// later call's plan with an earlier one's structure has its summary too, and
+// the cache drops it (inum.Cache.Compact). A nil run plans the calls one
+// after another on one planner, each emitting on the caller before the next
+// starts. Otherwise run plans call i on planner i, and emit is called from
+// two places: call 0 emits on whichever goroutine run gave it, as soon as it
+// has planned and while the others may still plan; the later calls emit on
+// the caller, in call order, once run has returned. A call that fails emits
+// nothing, and no call after it emits. Both hand emit the same summaries in
+// the same order and return the same summed planner counters. emit is never
+// called twice at once. The summary and its slices belong to the workspace
+// and are valid only during the emit call. A panic in emit, on call 0's
+// goroutine too, reaches Export's caller through run and leaves the
+// workspace reusable.
 func (w *Workspace) Export(a *Analysis, cfg *query.Config, opts []Options, run Runner, emit func(*Summary)) (PlannerStats, error) {
 	var st PlannerStats
-	clear(w.ids)
-	w.seen = w.seen[:0]
 	if run == nil {
 		p := w.planners(1)[0]
 		for _, opt := range opts {
@@ -163,36 +154,26 @@ func (w *Workspace) release(ps []*planner) {
 	clear(w.errs)
 }
 
-// summaries hands emit the summary of each plan of p's final relation whose
-// identity the Export has not yet seen.
+// summaries hands emit the summary of each plan of p's final relation, in
+// record order.
 func (w *Workspace) summaries(p *planner, final joinRel, emit func(*Summary)) {
 	s := &w.sum
 	n := len(p.a.Rels)
-	w.on, w.memo = p, fit(w.memo, int(p.recs.n))
 	s.Slots, s.Coefs = fit(s.Slots, n), fit(s.Coefs, n)
 	for r := final.lo; r < final.hi; r++ {
-		id := w.identity(r)
-		for int(id) >= len(w.seen) {
-			w.seen = append(w.seen, false)
-		}
-		if w.seen[id] {
-			continue
-		}
-		w.seen[id] = true
 		s.Internal, s.NLJ = p.recs.at(r).internal, false
 		for rel := range s.Slots {
 			s.Slots[rel], s.Coefs[rel] = uint16(p.a.LeafSlot(rel, 0)), 1
 		}
-		w.leaves(r)
+		p.leaves(s, r)
 		emit(s)
 	}
 }
 
-// leaves writes the leaf requirements of record r's plan into the summary:
-// each scan's and each nested-loop probe's on its own relation, over the
+// leaves writes the leaf requirements of record r's plan into s: each
+// scan's and each nested-loop probe's on its own relation, over the
 // all-AccessAny row export starts from.
-func (w *Workspace) leaves(r int32) {
-	p, s := w.on, &w.sum
+func (p *planner) leaves(s *Summary, r int32) {
 	c := p.recs.at(r)
 	switch {
 	case isScan(c.op):
@@ -201,14 +182,14 @@ func (w *Workspace) leaves(r int32) {
 			s.Slots[rel] = p.leafSlot(rel, AccessOrdered, c.order)
 		}
 	case c.op == OpNestLoop:
-		w.leaves(c.outer)
+		p.leaves(s, c.outer)
 		rel := p.ctx.cols[c.aux].Rel
 		s.Slots[rel], s.Coefs[rel], s.NLJ = p.leafSlot(rel, AccessLookup, c.aux), p.recs.at(c.outer).rows, true
 	case c.inner >= 0:
-		w.leaves(c.outer)
-		w.leaves(c.inner)
+		p.leaves(s, c.outer)
+		p.leaves(s, c.inner)
 	default:
-		w.leaves(c.outer)
+		p.leaves(s, c.outer)
 	}
 }
 
@@ -216,82 +197,6 @@ func (w *Workspace) leaves(r int32) {
 // interesting column of global id g.
 func (p *planner) leafSlot(rel int, mode AccessMode, g int32) uint16 {
 	return uint16(p.a.LeafSlot(rel, uint16(mode)<<packedLeafModeShift|(uint16(g)-p.a.ordBase[rel])))
-}
-
-// sigNode is one node of a plan's structure as Path.Signature spells it:
-// a leaf is (−1 − access mode, relation, global column id or 0), a sort
-// (OpSort, key list, input), an aggregation (op, input, 0) and a join (op,
-// outer, inner), where inputs are node ids.
-type sigNode struct{ kind, a, b int32 }
-
-// identity returns the structural identity of record r's plan: the id of its
-// root node, interned with its children's ids (hash-consing), so two plans
-// share an id exactly when their Signature strings are equal. Ids are
-// memoised per record and interned across the calls of one Export.
-func (w *Workspace) identity(r int32) int32 {
-	if id := w.memo[r]; id != 0 {
-		return id
-	}
-	p := w.on
-	c := p.recs.at(r)
-	var n sigNode
-	switch {
-	case isScan(c.op):
-		rel := int32(bits.TrailingZeros64(uint64(c.rels)))
-		if c.order == 0 {
-			n = sigNode{-1 - int32(AccessAny), rel, 0}
-		} else {
-			n = sigNode{-1 - int32(AccessOrdered), rel, c.order}
-		}
-	case c.op == OpSort:
-		n = sigNode{int32(OpSort), w.keysID(c.order), w.identity(c.outer)}
-	case c.op == OpHashAgg || c.op == OpSortedAgg:
-		n = sigNode{int32(c.op), w.identity(c.outer), 0}
-	default:
-		outerKey, innerKey := p.clauseSides(c)
-		o := w.identity(c.outer)
-		if c.sorts&sortOuter != 0 {
-			o = w.intern(sigNode{int32(OpSort), outerKey, o})
-		}
-		var i int32
-		if c.op == OpNestLoop {
-			i = w.intern(sigNode{-1 - int32(AccessLookup), int32(p.ctx.cols[c.aux].Rel), c.aux})
-		} else {
-			i = w.identity(c.inner)
-			if c.sorts&sortInner != 0 {
-				i = w.intern(sigNode{int32(OpSort), innerKey, i})
-			}
-		}
-		n = sigNode{int32(c.op), o, i}
-	}
-	id := w.intern(n)
-	w.memo[r] = id
-	return id
-}
-
-// intern returns the id of node n, 1-based, creating it on first sight.
-func (w *Workspace) intern(n sigNode) int32 {
-	if id, ok := w.ids[n]; ok {
-		return id
-	}
-	id := int32(len(w.ids) + 1)
-	w.ids[n] = id
-	return id
-}
-
-// keysID names a sort's key list by its content, as the signature spells
-// it: a one-column list by its global column id, the query's ORDER BY list
-// by −1 and its GROUP BY list by −2 unless it equals the ORDER BY list.
-func (w *Workspace) keysID(ord int32) int32 {
-	a := w.on.a
-	keys := w.on.orderOf(ord)
-	switch {
-	case len(keys) == 1:
-		return int32(a.orderGID(keys[0]))
-	case ord == ordOrderBy || slices.Equal(keys, a.Q.OrderBy):
-		return -1
-	}
-	return -2
 }
 
 // reset starts a call. Whatever the last left — records and slots of a

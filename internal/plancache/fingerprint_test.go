@@ -71,13 +71,13 @@ func TestFingerprintGolden(t *testing.T) {
 		if got := Fingerprint(s.Catalog, tc.st, params); got != tc.env {
 			t.Errorf("%s: Fingerprint = %#016x, golden %#016x", tc.name, got, tc.env)
 		}
-		tables := TableFingerprints(s.Catalog, tc.st, params)
+		_, tables := Fingerprints(s.Catalog, tc.st, params)
 		if len(tables) != len(goldenStarTableFPs) {
 			t.Errorf("%s: %d table fingerprints, golden has %d", tc.name, len(tables), len(goldenStarTableFPs))
 		}
 		for name, want := range goldenStarTableFPs {
 			if got := tables[name]; got != want[k] {
-				t.Errorf("%s: TableFingerprints[%s] = %#016x, golden %#016x", tc.name, name, got, want[k])
+				t.Errorf("%s: table %s fingerprint = %#016x, golden %#016x", tc.name, name, got, want[k])
 			}
 		}
 	}
@@ -162,7 +162,7 @@ func refFingerprints(cat *catalog.Catalog, st *stats.Store, p optimizer.CostPara
 	return env.h.Sum64(), tables
 }
 
-// checkWalk asserts the one walk, its two views and the oracle agree on
+// checkWalk asserts the one walk, Fingerprint and the oracle agree on
 // an environment, and that changing one table (its row count) moves the
 // environment's fingerprint and that table's entry — and no other.
 func checkWalk(t *testing.T, label string, cat *catalog.Catalog, st *stats.Store) {
@@ -175,13 +175,12 @@ func checkWalk(t *testing.T, label string, cat *catalog.Catalog, st *stats.Store
 		if env != wantEnv || Fingerprint(cat, st, params) != wantEnv {
 			t.Fatalf("%s: Fingerprints %#016x, Fingerprint %#016x, oracle %#016x", label, env, Fingerprint(cat, st, params), wantEnv)
 		}
-		view := TableFingerprints(cat, st, params)
-		if len(tables) != len(wantTables) || len(view) != len(wantTables) {
-			t.Fatalf("%s: %d / %d table fingerprints, oracle has %d", label, len(tables), len(view), len(wantTables))
+		if len(tables) != len(wantTables) {
+			t.Fatalf("%s: %d table fingerprints, oracle has %d", label, len(tables), len(wantTables))
 		}
 		for name, want := range wantTables {
-			if tables[name] != want || view[name] != want {
-				t.Fatalf("%s: table %s: Fingerprints %#016x, TableFingerprints %#016x, oracle %#016x", label, name, tables[name], view[name], want)
+			if tables[name] != want {
+				t.Fatalf("%s: table %s: Fingerprints %#016x, oracle %#016x", label, name, tables[name], want)
 			}
 		}
 		return env, tables

@@ -247,8 +247,12 @@ func walk(cat *catalog.Catalog, st *stats.Store, params optimizer.CostParams, pe
 }
 
 // Fingerprints walks the environment once and returns both fingerprints a
-// load needs: the one Fingerprint returns and the map TableFingerprints
-// returns. Callers that want both should call this, not those two.
+// load needs: the one Fingerprint returns and, per catalog table, one hashed
+// independently (same field walk, same cost parameters mixed into every
+// hash). Two environments agreeing on a table's fingerprint cost every plan
+// touching only that table's statistics identically, so a reload can
+// re-optimize just the queries whose referenced tables moved and reuse the
+// rest of the snapshot verbatim.
 func Fingerprints(cat *catalog.Catalog, st *stats.Store, params optimizer.CostParams) (env uint64, tables map[string]uint64) {
 	return walk(cat, st, params, true)
 }
@@ -263,17 +267,6 @@ func Fingerprints(cat *catalog.Catalog, st *stats.Store, params optimizer.CostPa
 func Fingerprint(cat *catalog.Catalog, st *stats.Store, params optimizer.CostParams) uint64 {
 	env, _ := walk(cat, st, params, false)
 	return env
-}
-
-// TableFingerprints hashes each catalog table independently (same field
-// walk as Fingerprint, same cost parameters mixed into every hash). Two
-// environments agreeing on a table's fingerprint cost every plan touching
-// only that table's statistics identically, so a reload can re-optimize
-// just the queries whose referenced tables moved and reuse the rest of
-// the snapshot verbatim.
-func TableFingerprints(cat *catalog.Catalog, st *stats.Store, params optimizer.CostParams) map[string]uint64 {
-	_, tables := Fingerprints(cat, st, params)
-	return tables
 }
 
 // ------------------------------------------------------------- codec ----

@@ -281,12 +281,12 @@ func TestSaveCrashSafety(t *testing.T) {
 func TestTableFingerprints(t *testing.T) {
 	s, _ := starSnapshot(t, 42)
 	params := optimizer.DefaultCostParams()
-	base := TableFingerprints(s.Catalog, s.Stats, params)
+	_, base := Fingerprints(s.Catalog, s.Stats, params)
 	if len(base) != len(s.Catalog.Tables()) {
 		t.Fatalf("fingerprinted %d tables, catalog has %d", len(base), len(s.Catalog.Tables()))
 	}
 
-	again := TableFingerprints(s.Catalog, s.Stats, params)
+	_, again := Fingerprints(s.Catalog, s.Stats, params)
 	for name, fp := range base {
 		if again[name] != fp {
 			t.Fatalf("table %s fingerprint not deterministic", name)
@@ -295,7 +295,7 @@ func TestTableFingerprints(t *testing.T) {
 
 	fact := s.Catalog.Table("fact")
 	fact.RowCount++
-	drifted := TableFingerprints(s.Catalog, s.Stats, params)
+	_, drifted := Fingerprints(s.Catalog, s.Stats, params)
 	fact.RowCount--
 	for name, fp := range base {
 		moved := drifted[name] != fp
@@ -308,7 +308,7 @@ func TestTableFingerprints(t *testing.T) {
 	}
 
 	params.RandomPageCost *= 2
-	repriced := TableFingerprints(s.Catalog, s.Stats, params)
+	_, repriced := Fingerprints(s.Catalog, s.Stats, params)
 	for name, fp := range base {
 		if repriced[name] == fp {
 			t.Errorf("cost-parameter change did not move %s's fingerprint", name)

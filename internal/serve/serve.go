@@ -187,9 +187,6 @@ type Config struct {
 	// this are recorded in the operational event log
 	// (0 = DefaultSlowRequest, negative = disabled).
 	SlowRequest time.Duration
-	// EventLogSize caps the operational event ring served at /eventz
-	// (0 = obs.DefaultEventLogSize).
-	EventLogSize int
 }
 
 // Server answers what-if, recommendation and explain questions over
@@ -282,7 +279,7 @@ func New(cfg Config) (*Server, error) {
 		start:   time.Now(),
 		mux:     http.NewServeMux(),
 		reg:     obs.NewRegistry(),
-		events:  obs.NewEventLog(cfg.EventLogSize),
+		events:  obs.NewEventLog(obs.DefaultEventLogSize),
 		logger:  cfg.Logger,
 		ep:      make(map[string]*endpointObs),
 	}
