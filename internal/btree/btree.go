@@ -147,7 +147,9 @@ func firstKey(n *node) []int64 {
 	return n.entries[0].Key
 }
 
-// Insert adds an entry, splitting nodes as needed.
+// Insert adds an entry, splitting nodes as needed. Shipped code builds
+// trees with Bulk only; Insert is the incremental oracle
+// TestBulkEqualsInsert holds Bulk to.
 func (t *Tree) Insert(e Entry) {
 	if promoted, right := t.insert(t.root, e); promoted != nil {
 		newRoot := &node{
@@ -280,22 +282,11 @@ func (t *Tree) leftmost() *node {
 	return n
 }
 
-// Count returns the number of entries.
-func (t *Tree) Count() int { return t.count }
-
-// LeafNodes returns the number of leaf nodes (≈ leaf pages).
-func (t *Tree) LeafNodes() int { return t.leaves }
-
-// InternalNodes returns the number of internal nodes (what the §V-A
-// what-if estimate ignores).
-func (t *Tree) InternalNodes() int { return t.inner }
-
-// Height returns the number of edges from root to leaf.
-func (t *Tree) Height() int { return t.height }
-
 // Validate checks the B+-tree invariants: sorted leaves, correct sibling
-// chaining, separator consistency, and entry count. It is used by the
-// property-based tests.
+// chaining, separator consistency, and entry count. It is the invariant
+// btree_test.go checks after every build (TestInsertProperty,
+// TestBulkEqualsInsert and the others), as does package data's
+// TestBuildIndexMatchesHeap; shipped code never calls it.
 func (t *Tree) Validate() error {
 	// Walk the leaf chain: keys must be globally non-decreasing and the
 	// total must match.

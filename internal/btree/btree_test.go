@@ -40,13 +40,13 @@ func TestBulkAndScan(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Count() != len(entries) {
-		t.Fatalf("Count = %d", tr.Count())
+	if tr.count != len(entries) {
+		t.Fatalf("Count = %d", tr.count)
 	}
-	if tr.Height() < 2 {
-		t.Errorf("height = %d, expected a multi-level tree", tr.Height())
+	if tr.height < 2 {
+		t.Errorf("height = %d, expected a multi-level tree", tr.height)
 	}
-	if tr.InternalNodes() == 0 {
+	if tr.inner == 0 {
 		t.Error("no internal nodes recorded")
 	}
 	// A full scan returns everything in key order.
@@ -111,8 +111,8 @@ func TestInsertMaintainsInvariants(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Count() != len(keys) {
-		t.Fatalf("Count = %d", tr.Count())
+	if tr.count != len(keys) {
+		t.Fatalf("Count = %d", tr.count)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	i := 0
@@ -211,8 +211,8 @@ func TestEmptyTree(t *testing.T) {
 	if n != 0 {
 		t.Error("empty tree scanned entries")
 	}
-	if tr.Height() != 0 || tr.LeafNodes() != 1 {
-		t.Errorf("empty tree shape: height %d leaves %d", tr.Height(), tr.LeafNodes())
+	if tr.height != 0 || tr.leaves != 1 {
+		t.Errorf("empty tree shape: height %d leaves %d", tr.height, tr.leaves)
 	}
 }
 
@@ -226,7 +226,7 @@ func TestLeafInternalAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Internal nodes must be a small fraction of leaves (≈1/fanout).
-	frac := float64(tr.InternalNodes()) / float64(tr.LeafNodes())
+	frac := float64(tr.inner) / float64(tr.leaves)
 	if frac <= 0 || frac > 0.02 {
 		t.Errorf("internal/leaf fraction = %.4f", frac)
 	}

@@ -1,6 +1,6 @@
 // Package catalog models the schema metadata a query optimizer consumes:
-// tables, columns, foreign keys, statistics handles, and secondary indexes,
-// both real and hypothetical ("what-if") ones.
+// tables, columns, foreign keys and statistics handles, plus the descriptor
+// of a secondary index, real or hypothetical ("what-if").
 //
 // The catalog is deliberately statistics-oriented. Exactly as in the paper,
 // the optimizer never needs the data itself — only row counts, page counts,
@@ -10,7 +10,6 @@ package catalog
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -109,19 +108,17 @@ type Table struct {
 
 	colIndex map[string]int
 	// names is the name space the table was last registered in and ord
-	// its position there: AddTable stamps both, Clone shares them. See
-	// Index.OnTable for what the token licenses, and Table.OrdinalIn for
-	// the position.
+	// its position there: AddTable stamps both. See Index.OnTable for
+	// what the token licenses, and Table.OrdinalIn for the position.
 	names *NameSpace
 	ord   int
 }
 
-// NameSpace is the identity of one catalog's table names. A catalog and
-// its clones share one (they share the table map), and AddTable rejects
-// duplicate names, so two different tables stamped with the same token
-// are differently named. AddTable also numbers the tables it registers
-// there 0, 1, 2, … and never reuses a number, so a (name space, ordinal)
-// pair names one table descriptor.
+// NameSpace is the identity of one catalog's table names. AddTable
+// rejects duplicate names, so two different tables stamped with the same
+// token are differently named. AddTable also numbers the tables it
+// registers there 0, 1, 2, … and never reuses a number, so a (name space,
+// ordinal) pair names one table descriptor.
 type NameSpace struct{ tables int }
 
 // Tables is the number of tables registered in the name space so far:
@@ -193,7 +190,6 @@ type Index struct {
 	Name    string
 	Table   string
 	Columns []string
-	Unique  bool
 
 	// Hypothetical marks a what-if index: it exists only as statistics.
 	Hypothetical bool
@@ -263,10 +259,10 @@ const (
 // OnTable matches the index against table t, and is the one place the
 // table-identity rule lives. Equal descriptors are the same table, always.
 // Unequal descriptors mean different names only when both were registered
-// in one catalog name space (AddTable rejects duplicates; Clone shares the
-// tables): then the pair is dismissed on two pointer compares. An unbound
-// index, a table no catalog registered, or descriptors of two catalogs —
-// which may well carry the same name — fall back to comparing names.
+// in one catalog name space (AddTable rejects duplicates): then the pair
+// is dismissed on two pointer compares. An unbound index, a table no
+// catalog registered, or descriptors of two catalogs — which may well
+// carry the same name — fall back to comparing names.
 func (ix *Index) OnTable(t *Table) TableMatch {
 	switch {
 	case ix.tab == t:
@@ -326,25 +322,18 @@ func (ix *Index) Key() string {
 	return ix.Table + "(" + strings.Join(ix.Columns, ",") + ")"
 }
 
-// Catalog is the schema plus its index set. A Catalog is not safe for
-// concurrent mutation; what-if sessions clone the index set instead (see
-// package whatif).
+// Catalog is the schema. A Catalog is not safe for concurrent mutation;
+// what-if indexes live outside it, in a whatif.Session, and reach the
+// planner through a query.Config.
 type Catalog struct {
 	tables     map[string]*Table
 	tableOrder []string
 	names      *NameSpace
-	indexes    map[string]*Index
-	byTable    map[string][]*Index
 }
 
 // New returns an empty catalog.
 func New() *Catalog {
-	return &Catalog{
-		tables:  make(map[string]*Table),
-		names:   new(NameSpace),
-		indexes: make(map[string]*Index),
-		byTable: make(map[string][]*Index),
-	}
+	return &Catalog{tables: make(map[string]*Table), names: new(NameSpace)}
 }
 
 // AddTable registers a table. It returns an error on duplicate names,
@@ -377,7 +366,7 @@ func (c *Catalog) AddTable(t *Table) error {
 	return nil
 }
 
-// NameSpace is the catalog's table name space, shared with its clones.
+// NameSpace is the catalog's table name space.
 func (c *Catalog) NameSpace() *NameSpace { return c.names }
 
 // Table returns the named table, or nil.
@@ -388,92 +377,6 @@ func (c *Catalog) Tables() []*Table {
 	out := make([]*Table, 0, len(c.tableOrder))
 	for _, n := range c.tableOrder {
 		out = append(out, c.tables[n])
-	}
-	return out
-}
-
-// AddIndex registers an index (real or hypothetical). It validates that the
-// table and all key columns exist.
-func (c *Catalog) AddIndex(ix *Index) error {
-	if ix.Name == "" {
-		return fmt.Errorf("catalog: index with empty name")
-	}
-	if _, dup := c.indexes[ix.Name]; dup {
-		return fmt.Errorf("catalog: duplicate index %q", ix.Name)
-	}
-	t := c.tables[ix.Table]
-	if t == nil {
-		return fmt.Errorf("catalog: index %q references unknown table %q", ix.Name, ix.Table)
-	}
-	if len(ix.Columns) == 0 {
-		return fmt.Errorf("catalog: index %q has no key columns", ix.Name)
-	}
-	seen := make(map[string]bool, len(ix.Columns))
-	for _, col := range ix.Columns {
-		if t.Column(col) == nil {
-			return fmt.Errorf("catalog: index %q references unknown column %s.%s", ix.Name, ix.Table, col)
-		}
-		if seen[col] {
-			return fmt.Errorf("catalog: index %q repeats column %q", ix.Name, col)
-		}
-		seen[col] = true
-	}
-	c.indexes[ix.Name] = ix
-	c.byTable[ix.Table] = append(c.byTable[ix.Table], ix)
-	return nil
-}
-
-// DropIndex removes the named index. It reports whether it existed.
-func (c *Catalog) DropIndex(name string) bool {
-	ix, ok := c.indexes[name]
-	if !ok {
-		return false
-	}
-	delete(c.indexes, name)
-	list := c.byTable[ix.Table]
-	for i, other := range list {
-		if other.Name == name {
-			c.byTable[ix.Table] = append(list[:i:i], list[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
-// Index returns the named index, or nil.
-func (c *Catalog) Index(name string) *Index { return c.indexes[name] }
-
-// TableIndexes returns the indexes on a table, sorted by name for
-// determinism.
-func (c *Catalog) TableIndexes(table string) []*Index {
-	list := append([]*Index(nil), c.byTable[table]...)
-	sort.Slice(list, func(i, j int) bool { return list[i].Name < list[j].Name })
-	return list
-}
-
-// AllIndexes returns every index, sorted by name.
-func (c *Catalog) AllIndexes() []*Index {
-	out := make([]*Index, 0, len(c.indexes))
-	for _, ix := range c.indexes {
-		out = append(out, ix)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Clone returns a catalog sharing the (immutable) tables but with an
-// independent copy of the index set, so what-if sessions can add and drop
-// hypothetical indexes without disturbing the base catalog.
-func (c *Catalog) Clone() *Catalog {
-	out := New()
-	out.tables = c.tables
-	out.tableOrder = c.tableOrder
-	out.names = c.names
-	for n, ix := range c.indexes {
-		out.indexes[n] = ix
-	}
-	for t, list := range c.byTable {
-		out.byTable[t] = append([]*Index(nil), list...)
 	}
 	return out
 }

@@ -75,20 +75,7 @@ func TestRowWidth(t *testing.T) {
 }
 
 func TestIndexLifecycle(t *testing.T) {
-	c := New()
-	if err := c.AddTable(sampleTable()); err != nil {
-		t.Fatal(err)
-	}
 	ix := &Index{Name: "t_a", Table: "t", Columns: []string{"a", "id"}}
-	if err := c.AddIndex(ix); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Index("t_a"); got != ix {
-		t.Error("Index lookup failed")
-	}
-	if list := c.TableIndexes("t"); len(list) != 1 {
-		t.Errorf("TableIndexes = %d entries", len(list))
-	}
 	if !ix.Covers("a") || ix.Covers("id") {
 		t.Error("Covers should be lead-column only")
 	}
@@ -97,61 +84,6 @@ func TestIndexLifecycle(t *testing.T) {
 	}
 	if ix.Key() != "t(a,id)" {
 		t.Errorf("Key = %q", ix.Key())
-	}
-	if !c.DropIndex("t_a") {
-		t.Error("DropIndex returned false")
-	}
-	if c.DropIndex("t_a") {
-		t.Error("double drop returned true")
-	}
-	if len(c.TableIndexes("t")) != 0 {
-		t.Error("index still listed after drop")
-	}
-}
-
-func TestAddIndexValidation(t *testing.T) {
-	c := New()
-	if err := c.AddTable(sampleTable()); err != nil {
-		t.Fatal(err)
-	}
-	cases := []*Index{
-		{Name: "", Table: "t", Columns: []string{"a"}},
-		{Name: "i1", Table: "nope", Columns: []string{"a"}},
-		{Name: "i2", Table: "t", Columns: nil},
-		{Name: "i3", Table: "t", Columns: []string{"zz"}},
-		{Name: "i4", Table: "t", Columns: []string{"a", "a"}},
-	}
-	for _, ix := range cases {
-		if err := c.AddIndex(ix); err == nil {
-			t.Errorf("index %+v accepted", ix)
-		}
-	}
-}
-
-func TestCloneIsolation(t *testing.T) {
-	c := New()
-	if err := c.AddTable(sampleTable()); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddIndex(&Index{Name: "base", Table: "t", Columns: []string{"id"}}); err != nil {
-		t.Fatal(err)
-	}
-	cl := c.Clone()
-	if err := cl.AddIndex(&Index{Name: "extra", Table: "t", Columns: []string{"a"}}); err != nil {
-		t.Fatal(err)
-	}
-	if c.Index("extra") != nil {
-		t.Error("clone index leaked into base catalog")
-	}
-	if cl.Index("base") == nil {
-		t.Error("clone lost base index")
-	}
-	cl.DropIndex("base")
-	if c.Index("base") == nil {
-		t.Error("dropping in clone affected base")
-	}
-	if len(cl.AllIndexes()) != 1 {
-		t.Errorf("clone has %d indexes, want 1", len(cl.AllIndexes()))
 	}
 }
 
@@ -209,7 +141,6 @@ func TestIndexOnTable(t *testing.T) {
 		want TableMatch
 	}{
 		{"bound, its own table", bound, tt, OnTableBound},
-		{"bound, the clone's shared table", bound, c.Clone().Table("t"), OnTableBound},
 		{"bound, another table of its catalog", bound, tu, OffTable},
 		{"bound, a same-named table of another catalog", bound, t2, OnTableByName},
 		{"bound, a same-named table of no catalog", bound, loose, OnTableByName},
@@ -246,9 +177,9 @@ func TestIndexOnTable(t *testing.T) {
 
 // TestTableOrdinal pins the position AddTable stamps beside the name-space
 // token: tables are numbered in registration order, a refused table takes
-// no number, a clone shares the numbering (and continues it), and
-// registering a table in a second catalog restamps it there — after which
-// it, and an index bound to it, have no position in the first.
+// no number, and registering a table in a second catalog restamps it
+// there — after which it, and an index bound to it, have no position in
+// the first.
 func TestTableOrdinal(t *testing.T) {
 	named := func(name string) *Table {
 		tb := sampleTable()
@@ -272,18 +203,6 @@ func TestTableOrdinal(t *testing.T) {
 	}
 	if ta.NameSpace() != ns || ta.OrdinalIn(nil) != -1 || named("loose").OrdinalIn(ns) != -1 {
 		t.Fatal("a table's name space, or the ordinal of an unregistered table or a nil name space, is wrong")
-	}
-
-	clone := c.Clone()
-	if clone.NameSpace() != ns || clone.Table("b").OrdinalIn(clone.NameSpace()) != 1 {
-		t.Fatal("a clone does not share the name space and its ordinals")
-	}
-	tc := named("c")
-	if err := clone.AddTable(tc); err != nil {
-		t.Fatal(err)
-	}
-	if tc.OrdinalIn(ns) != 2 || ns.Tables() != 3 {
-		t.Fatalf("a table added through the clone got ordinal %d of %d, want 2 of 3", tc.OrdinalIn(ns), ns.Tables())
 	}
 
 	bound := &Index{Name: "ix", Table: "b", Columns: []string{"a"}}

@@ -90,7 +90,7 @@ func TestPairedBuildMatchesSerial(t *testing.T) {
 	}
 	star := mustStar(t)
 	inputs = append(inputs, pairInput{"star-Q10", analyze(t, star, mustQueries(t, star)[9]), star.Catalog})
-	self := sql.MustParseBind(`SELECT f.id, g.id, d.a2 FROM fact f, fact g, dim1_1 d
+	self := mustParseBind(t, `SELECT f.id, g.id, d.a2 FROM fact f, fact g, dim1_1 d
 		WHERE f.fk_dim1_1 = d.id AND g.fk_dim1_1 = d.id AND d.a1 BETWEEN 1 AND 40 ORDER BY d.a2`, star.Catalog, "self")
 	inputs = append(inputs, pairInput{"self-join", analyze(t, star, self), star.Catalog})
 
@@ -191,4 +191,18 @@ func chain17PairedMatchesSerial(t *testing.T) {
 		return c
 	}
 	assertSameCache(t, "chain-17/export", export(pairCalls), export(nil))
+}
+
+// mustParseBind parses and binds src, failing the test on error.
+func mustParseBind(t *testing.T, src string, cat *catalog.Catalog, name string) *query.Query {
+	t.Helper()
+	stmt, err := sql.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := sql.Bind(stmt, cat, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
 }

@@ -88,7 +88,6 @@ type Engine struct {
 	queries []*queryState
 	// byTable maps a table name to the queries referencing it, ascending.
 	byTable map[string][]int
-	chosen  []*catalog.Index
 	// total is the weighted workload cost under the applied set, summed in
 	// registration order.
 	total float64
@@ -181,11 +180,6 @@ func (e *Engine) QueryCosts() []float64 {
 	return out
 }
 
-// Chosen returns the applied indexes in pick order.
-func (e *Engine) Chosen() []*catalog.Index {
-	return append([]*catalog.Index(nil), e.chosen...)
-}
-
 // EvaluateCandidate prices the workload under the applied set plus ix,
 // without committing anything. Only queries referencing ix's table are
 // re-priced — every other query contributes its stored cost — but the
@@ -237,7 +231,6 @@ func (e *Engine) Apply(pick *catalog.Index) {
 		qs.best = qs.costWith(nil)
 	}
 	e.recomputeTotal()
-	e.chosen = append(e.chosen, pick)
 }
 
 // Stats snapshots the work counters.

@@ -166,8 +166,8 @@ func TestEvaluateAndApplyMatchCacheCost(t *testing.T) {
 			}
 		}
 	}
-	if got := e.Chosen(); len(got) != len(picks) {
-		t.Errorf("Chosen() returned %d picks, want %d", len(got), len(picks))
+	if got := e.Stats().Applies; got != int64(len(picks)) {
+		t.Errorf("Stats().Applies = %d, want %d picks", got, len(picks))
 	}
 }
 

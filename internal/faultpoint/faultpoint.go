@@ -108,7 +108,9 @@ func Hit(name string) error {
 
 // Count returns how many times the named point has been hit since the
 // first fault was configured in this process (dormant processes do not
-// count hits at all).
+// count hits at all). Part of the package's test API with Clear and
+// Reset: serve's candidates and reload tests assert a guarded path ran
+// with it (TestFailedReloadRetriesAutomatically among them).
 func Count(name string) int64 {
 	mu.Lock()
 	defer mu.Unlock()
@@ -134,7 +136,8 @@ func Set(name, spec string) error {
 	return nil
 }
 
-// Clear disarms one fault (hit counting continues).
+// Clear disarms one fault (hit counting continues). Tests use it to let
+// a healed path succeed mid-test (serve's reload_test.go, TestClearDisarms).
 func Clear(name string) {
 	mu.Lock()
 	defer mu.Unlock()
@@ -145,7 +148,7 @@ func Clear(name string) {
 }
 
 // Reset disarms every fault and zeroes every hit counter. Tests pair Set
-// with t.Cleanup(faultpoint.Reset).
+// with t.Cleanup(faultpoint.Reset); shipped code never calls it.
 func Reset() {
 	mu.Lock()
 	defer mu.Unlock()

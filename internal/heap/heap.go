@@ -122,9 +122,6 @@ func (f *File) Get(tid TID, out []int64) ([]int64, error) {
 // Count returns the number of stored tuples.
 func (f *File) Count() int { return f.count }
 
-// Pages returns the number of allocated pages.
-func (f *File) Pages() int { return len(f.pages) }
-
 // Bytes returns the file's total size in bytes.
 func (f *File) Bytes() int64 { return int64(len(f.pages)) * PageSize }
 

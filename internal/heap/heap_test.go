@@ -60,8 +60,8 @@ func TestScanVisitsAllInOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if f.Pages() < 2 {
-		t.Fatalf("expected multiple pages, got %d", f.Pages())
+	if len(f.pages) < 2 {
+		t.Fatalf("expected multiple pages, got %d", len(f.pages))
 	}
 	var seen int64
 	var prev TID
@@ -149,7 +149,7 @@ func TestBytesTracksPages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if f.Bytes() != int64(f.Pages())*PageSize {
+	if f.Bytes() != int64(len(f.pages))*PageSize {
 		t.Error("Bytes != Pages*PageSize")
 	}
 }

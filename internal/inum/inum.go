@@ -271,11 +271,23 @@ func (c *Cache) appendEntry(internal float64, nlj bool) *CachedPlan {
 // entries as its construction left them. Each packed leaf is validated
 // against the analysis's interning (the snapshot may be foreign bytes); the
 // NLJ flag is re-derived from the packed modes exactly as Summarize derives
-// it from a complete plan's requirements.
+// it from a complete plan's requirements. The internal cost and every
+// coefficient must be finite and non-negative, as pricing and Compact
+// assume.
 func (c *Cache) AddSlim(internal float64, packed []uint16, coefs []float64) (*CachedPlan, error) {
 	if len(packed) != len(c.Q.Rels) || len(coefs) != len(c.Q.Rels) {
 		return nil, fmt.Errorf("inum: entry with %d packed leaves and %d coefficients for %d relations",
 			len(packed), len(coefs), len(c.Q.Rels))
+	}
+	if !(internal >= 0 && internal <= math.MaxFloat64) {
+		return nil, fmt.Errorf("inum: query %s entry %d: internal cost %v is not finite and non-negative",
+			c.Q.Name, len(c.Plans), internal)
+	}
+	for rel, k := range coefs {
+		if !(k >= 0 && k <= math.MaxFloat64) {
+			return nil, fmt.Errorf("inum: query %s entry %d: coefficient %v of relation %d is not finite and non-negative",
+				c.Q.Name, len(c.Plans), k, rel)
+		}
 	}
 	nlj := false
 	for rel, pk := range packed {
@@ -618,16 +630,6 @@ func (c *Cache) BestPlan(slots []float64) (float64, int) {
 		}
 	}
 	return best, bestIdx
-}
-
-// UniqueCombos returns the number of distinct order combinations among the
-// cached plans (the paper's "useful plans" count).
-func (c *Cache) UniqueCombos() int {
-	seen := make(map[string]bool)
-	for _, cp := range c.Plans {
-		seen[cp.Combo().Key()] = true
-	}
-	return len(seen)
 }
 
 // CoveringConfig builds the what-if configuration INUM optimizes under for

@@ -35,7 +35,8 @@ var quoteRe = regexp.MustCompile(`"(?:[^"\\]|\\.)*"`)
 
 // Run loads dir as one package under import path asPath, runs the
 // analyzers over it, and fails the test on any mismatch between reported
-// diagnostics and the fixture's want comments — in either direction.
+// diagnostics and the fixture's want comments — in either direction. It
+// is the harness of internal/lint's fixture tests (lint_test.go).
 func Run(t *testing.T, dir, asPath string, analyzers ...*lint.Analyzer) {
 	t.Helper()
 	loader := lint.NewLoader()

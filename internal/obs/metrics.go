@@ -43,11 +43,6 @@ type Counter struct{ v atomic.Int64 }
 //pinum:hotpath
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (n must be non-negative; counters only go up).
-//
-//pinum:hotpath
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
 // Value reads the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 

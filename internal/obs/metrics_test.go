@@ -161,7 +161,10 @@ func TestRegistryIdempotent(t *testing.T) {
 // format change.
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("pinum_test_requests_total", "Requests received.", L("endpoint", "/whatif")).Add(3)
+	whatif := r.Counter("pinum_test_requests_total", "Requests received.", L("endpoint", "/whatif"))
+	for i := 0; i < 3; i++ {
+		whatif.Inc()
+	}
 	r.Counter("pinum_test_requests_total", "Requests received.", L("endpoint", "/readyz")).Inc()
 	r.Gauge("pinum_test_heap_bytes", "Resident heap bytes.").Set(12345.5)
 	r.GaugeFunc("pinum_test_workers", "Configured workers.", func() float64 { return 8 })
@@ -216,8 +219,9 @@ func TestRecordingAllocFree(t *testing.T) {
 	g := r.Gauge("g", "g")
 	h := r.Histogram("h_seconds", "h")
 	if n := testing.AllocsPerRun(1000, func() {
-		c.Inc()
-		c.Add(2)
+		for i := 0; i < 3; i++ {
+			c.Inc()
+		}
 		g.Set(1.5)
 		h.Observe(0.01)
 	}); n != 0 {

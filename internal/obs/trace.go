@@ -34,12 +34,6 @@ type Trace struct {
 	spans []Span
 }
 
-// NewTrace builds a trace whose span offsets are measured from now.
-func NewTrace(id string) *Trace {
-	//pinum:nondeterministic-ok trace timing is wall-clock by design; never feeds computed results
-	return NewTraceAt(id, time.Now())
-}
-
 // NewTraceAt builds a trace whose span offsets are measured from start —
 // the handler entry time, so the decode span's offset is non-negative.
 func NewTraceAt(id string, start time.Time) *Trace {

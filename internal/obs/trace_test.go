@@ -62,7 +62,7 @@ func TestTraceContext(t *testing.T) {
 	if TraceFrom(context.Background()) != nil {
 		t.Fatal("empty context produced a trace")
 	}
-	tr := NewTrace("t1")
+	tr := NewTraceAt("t1", time.Now())
 	ctx := WithTrace(context.Background(), tr)
 	if TraceFrom(ctx) != tr {
 		t.Fatal("trace did not round-trip through the context")
@@ -72,7 +72,7 @@ func TestTraceContext(t *testing.T) {
 // TestTraceConcurrentAdd pins that concurrent span recording (the
 // fan-out workers) is safe and loses nothing; run under -race.
 func TestTraceConcurrentAdd(t *testing.T) {
-	tr := NewTrace("conc")
+	tr := NewTraceAt("conc", time.Now())
 	var wg sync.WaitGroup
 	const n = 50
 	for i := 0; i < n; i++ {

@@ -112,8 +112,8 @@ func checkBoundPricing(t *testing.T, label string, a *optimizer.Analysis, cfg *q
 	for i, ix := range cfg.Indexes {
 		literal.Indexes = append(literal.Indexes, &catalog.Index{
 			Name: ix.Name, Table: ix.Table, Columns: append([]string(nil), ix.Columns...),
-			Unique: ix.Unique, Hypothetical: ix.Hypothetical,
-			LeafPages: ix.LeafPages, InternalPages: ix.InternalPages, Height: ix.Height,
+			Hypothetical: ix.Hypothetical,
+			LeafPages:    ix.LeafPages, InternalPages: ix.InternalPages, Height: ix.Height,
 		})
 		foreign.Indexes = append(foreign.Indexes, storage.HypotheticalIndex(ix.Name, twin.Table(ix.Table), ix.Columns))
 		mixed.Indexes = append(mixed.Indexes, []*catalog.Index{ix, literal.Indexes[i], foreign.Indexes[i]}[i%3])

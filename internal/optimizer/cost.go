@@ -86,17 +86,11 @@ func heapShape(t *catalog.Table) (pages, perPage int64) {
 	return pages, perPage
 }
 
-// IndexScanCost is the cost of an index scan fetching fraction sel of the
-// table through index ix, then visiting the heap for each match.
-// indexOnly skips the heap visits (the index covers every needed column).
-func (c *Coster) IndexScanCost(t *catalog.Table, ix *catalog.Index, sel float64, indexOnly bool, nFilters int) float64 {
-	pages, perPage := heapShape(t)
-	return c.IndexScanCostOn(t.RowCount, pages, perPage, ix, sel, indexOnly, nFilters)
-}
-
-// IndexScanCostOn is IndexScanCost over a heap given by its row count, page
-// count and tuples per page rather than derived from the table — the entry
-// point of an Analysis, which fixes the three once per relation.
+// IndexScanCostOn is the cost of an index scan fetching fraction sel of a
+// heap of rowCount rows on pages pages, perPage tuples each, through index
+// ix, then visiting the heap for each match. indexOnly skips the heap
+// visits (the index covers every needed column). An Analysis fixes the
+// heap's three figures once per relation (heapShape).
 func (c *Coster) IndexScanCostOn(rowCount, pages, perPage int64, ix *catalog.Index, sel float64, indexOnly bool, nFilters int) float64 {
 	if sel < 0 {
 		sel = 0

@@ -28,23 +28,29 @@ func TestSeqScanCostScalesWithSize(t *testing.T) {
 	}
 }
 
+// indexScanCost prices an index scan on table tb's own heap.
+func indexScanCost(c Coster, tb *catalog.Table, ix *catalog.Index, sel float64, indexOnly bool, nFilters int) float64 {
+	pages, perPage := heapShape(tb)
+	return c.IndexScanCostOn(tb.RowCount, pages, perPage, ix, sel, indexOnly, nFilters)
+}
+
 func TestIndexScanCostSelectivityMonotone(t *testing.T) {
 	c := Coster{P: DefaultCostParams()}
 	tb := costerTable()
 	ix := storage.HypotheticalIndex("ix", tb, []string{"a"})
 	prev := -1.0
 	for _, sel := range []float64{0.001, 0.01, 0.1, 0.5, 1.0} {
-		cost := c.IndexScanCost(tb, ix, sel, false, 0)
+		cost := indexScanCost(c, tb, ix, sel, false, 0)
 		if cost <= prev {
 			t.Errorf("cost not increasing at sel=%.3f: %f after %f", sel, cost, prev)
 		}
 		prev = cost
 	}
 	// Out-of-range selectivities clamp rather than explode.
-	if c.IndexScanCost(tb, ix, -1, false, 0) > c.IndexScanCost(tb, ix, 0.01, false, 0) {
+	if indexScanCost(c, tb, ix, -1, false, 0) > indexScanCost(c, tb, ix, 0.01, false, 0) {
 		t.Error("negative selectivity not clamped")
 	}
-	if c.IndexScanCost(tb, ix, 2, false, 0) != c.IndexScanCost(tb, ix, 1, false, 0) {
+	if indexScanCost(c, tb, ix, 2, false, 0) != indexScanCost(c, tb, ix, 1, false, 0) {
 		t.Error("selectivity above 1 not clamped")
 	}
 }
@@ -53,8 +59,8 @@ func TestIndexOnlyCheaperAtEqualSelectivity(t *testing.T) {
 	c := Coster{P: DefaultCostParams()}
 	tb := costerTable()
 	ix := storage.HypotheticalIndex("ix", tb, []string{"a", "id", "b"})
-	ioCost := c.IndexScanCost(tb, ix, 0.05, true, 0)
-	heapCost := c.IndexScanCost(tb, ix, 0.05, false, 0)
+	ioCost := indexScanCost(c, tb, ix, 0.05, true, 0)
+	heapCost := indexScanCost(c, tb, ix, 0.05, false, 0)
 	if ioCost >= heapCost {
 		t.Errorf("index-only (%f) not cheaper than heap-fetching (%f)", ioCost, heapCost)
 	}
@@ -67,7 +73,7 @@ func TestHighSelectivityFavorsSeqScan(t *testing.T) {
 	tb := costerTable()
 	ix := storage.HypotheticalIndex("thin", tb, []string{"a"})
 	seq := c.SeqScanCost(storage.TablePages(tb), tb.RowCount, 1)
-	idx := c.IndexScanCost(tb, ix, 0.5, false, 1)
+	idx := indexScanCost(c, tb, ix, 0.5, false, 1)
 	if idx <= seq {
 		t.Errorf("unselective index scan (%f) beat seq scan (%f)", idx, seq)
 	}

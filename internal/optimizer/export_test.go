@@ -16,6 +16,10 @@ var (
 	ComboSubsumesByColumn = comboSubsumesByColumn
 )
 
+// HeapShape is the heap an index scan on a table visits (pages, tuples per
+// page), for TestHoistedFactsMatchDerivations's direct derivation.
+var HeapShape = heapShape
+
 // ColumnSel returns the combined selectivity of the relation's filters on
 // the named column, and whether it has any — the ordinal-keyed list
 // NewAnalysis fixes, read by name for TestHoistedFactsMatchDerivations.

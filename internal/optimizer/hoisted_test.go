@@ -102,8 +102,9 @@ func checkHoistedFacts(t *testing.T, label string, q *query.Query, st *stats.Sto
 			if got.IndexOnly != indexOnly {
 				t.Errorf("%s: rel %d index %s IndexOnly = %v, want %v", label, rel, ix.Key(), got.IndexOnly, indexOnly)
 			}
+			pages, perPage := optimizer.HeapShape(tb)
 			same(fmt.Sprintf("IndexScanCost(%d, %s)", rel, ix.Key()), got.Cost,
-				coster.IndexScanCost(tb, ix, scanSel, indexOnly, nQuals))
+				coster.IndexScanCostOn(tb.RowCount, pages, perPage, ix, scanSel, indexOnly, nQuals))
 
 			lead := ix.LeadColumn()
 			match := float64(tb.RowCount) / a.NDV(tb, lead)

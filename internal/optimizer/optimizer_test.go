@@ -134,16 +134,13 @@ func TestExplainMentionsOperators(t *testing.T) {
 }
 
 func TestRelSetOps(t *testing.T) {
-	s := Single(0).Union(Single(3)).Union(Single(5))
+	s := Single(0) | Single(3) | Single(5)
 	if s.Count() != 3 || !s.Has(3) || s.Has(1) {
 		t.Errorf("set ops wrong: %b", s)
 	}
 	m := s.Members()
 	if len(m) != 3 || m[0] != 0 || m[1] != 3 || m[2] != 5 {
 		t.Errorf("Members = %v", m)
-	}
-	if !s.Intersects(Single(5)) || s.Intersects(Single(4)) {
-		t.Error("Intersects wrong")
 	}
 }
 

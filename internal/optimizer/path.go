@@ -21,12 +21,6 @@ func Single(i int) RelSet { return RelSet(1) << uint(i) }
 // Has reports membership.
 func (s RelSet) Has(i int) bool { return s&Single(i) != 0 }
 
-// Union returns s ∪ t.
-func (s RelSet) Union(t RelSet) RelSet { return s | t }
-
-// Intersects reports whether the sets overlap.
-func (s RelSet) Intersects(t RelSet) bool { return s&t != 0 }
-
 // Count returns the cardinality.
 func (s RelSet) Count() int { return bits.OnesCount64(uint64(s)) }
 

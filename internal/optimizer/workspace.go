@@ -46,7 +46,9 @@ func NewWorkspace() *Workspace {
 	return new(Workspace)
 }
 
-// Optimize is the package's Optimize on this workspace's buffers.
+// Optimize is the package's Optimize on this workspace's buffers. Shipped
+// code plans through Export; this is the handle FuzzOptimizeEquivalence
+// and TestWorkspaceReuseBitIdentical hold a dirty workspace's reuse by.
 func (w *Workspace) Optimize(a *Analysis, cfg *query.Config, opt Options) (*Result, error) {
 	return w.planners(1)[0].optimize(a, cfg, opt)
 }

@@ -2,6 +2,7 @@ package plancache
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"github.com/pinumdb/pinum/internal/catalog"
@@ -18,11 +19,14 @@ import (
 // bytes — whatever is in the tenant's snapshot file. Decode must never
 // panic; what it accepts must re-encode to exactly the bytes it read (the
 // format has one encoding per snapshot, so nothing it accepts is
-// ambiguous); and changing any one byte of an accepted snapshot must be
-// rejected, or — the checksum aside — hold to the same rule.
+// ambiguous); every query of it that a seed's analysis can load prices a
+// finite, non-negative cost under the empty configuration; and changing
+// any one byte of an accepted snapshot must be rejected, or — the checksum
+// aside — hold to the same rules.
 func FuzzSnapshotDecode(f *testing.F) {
 	// Seeds are kept small — two of the star set's ten queries, two small
 	// shapes — because every fuzz worker builds them again, instrumented.
+	analyses := make(map[string]*optimizer.Analysis)
 	encoded := func(cat *catalog.Catalog, st *stats.Store, queries ...*query.Query) []byte {
 		var caches []*inum.Cache
 		for _, q := range queries {
@@ -30,6 +34,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 			if err != nil {
 				f.Fatal(err)
 			}
+			analyses[q.Name] = a
 			c, err := core.BuildSlim(a, whatif.NewSession(cat))
 			if err != nil {
 				f.Fatal(err)
@@ -70,6 +75,19 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		if !bytes.Equal(re.Bytes(), data) {
 			t.Fatalf("%s: accepted %d bytes that re-encode to %d different ones", what, len(data), re.Len())
+		}
+		for _, qp := range snap.Queries {
+			a := analyses[qp.Name]
+			if a == nil {
+				continue
+			}
+			c, err := ToCache(a, qp)
+			if err != nil {
+				continue // fails to load
+			}
+			if cost, _, err := c.Cost(nil); err != nil || !(cost >= 0 && cost <= math.MaxFloat64) {
+				t.Fatalf("%s: query %s loads but prices %v under the empty configuration (%v)", what, qp.Name, cost, err)
+			}
 		}
 		return true
 	}

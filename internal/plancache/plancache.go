@@ -549,6 +549,9 @@ func decodeQuery(r *reader, qp *QueryPlans) error {
 			return err
 		}
 		e.Internal = math.Float64frombits(bits)
+		if !(e.Internal >= 0 && e.Internal <= math.MaxFloat64) {
+			return fmt.Errorf("plancache: query %s entry %d: internal cost %v is not finite and non-negative", qp.Name, i, e.Internal)
+		}
 		e.Packed = make([]uint16, qp.NRels)
 		e.Coefs = make([]float64, qp.NRels)
 		for rel := range e.Packed {
@@ -565,6 +568,9 @@ func decodeQuery(r *reader, qp *QueryPlans) error {
 			}
 			e.Packed[rel] = pk
 			e.Coefs[rel] = math.Float64frombits(coefBits)
+			if k := e.Coefs[rel]; !(k >= 0 && k <= math.MaxFloat64) {
+				return fmt.Errorf("plancache: query %s entry %d: coefficient %v of relation %d is not finite and non-negative", qp.Name, i, k, rel)
+			}
 		}
 	}
 	return nil

@@ -8,12 +8,14 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/pinumdb/pinum/internal/core"
 	"github.com/pinumdb/pinum/internal/faultpoint"
 	"github.com/pinumdb/pinum/internal/inum"
 	"github.com/pinumdb/pinum/internal/optimizer"
+	"github.com/pinumdb/pinum/internal/query"
 	"github.com/pinumdb/pinum/internal/whatif"
 	"github.com/pinumdb/pinum/internal/workload"
 )
@@ -352,6 +354,49 @@ func TestLoadRejectsStaleFingerprint(t *testing.T) {
 	// ...and the mismatched load must fail.
 	if _, err := Load(path, fpGrown); err == nil {
 		t.Fatal("Load accepted a snapshot with a stale fingerprint")
+	}
+}
+
+// TestLoadRejectsUnpriceableCosts pins what pricing assumes of an entry:
+// its internal cost and its coefficients are finite and non-negative
+// (Compact's dominance argument needs it, and a NaN cost cannot be
+// rendered). A snapshot file carrying NaN, an infinity or a negative value
+// in either place must fail to load, and the same entry handed to the
+// cache directly (ToCache → inum.Cache.AddSlim) must be refused too; both
+// errors name the query and the entry.
+func TestLoadRejectsUnpriceableCosts(t *testing.T) {
+	s, snap := starSnapshot(t, 42)
+	qp := &snap.Queries[0]
+	qs, err := s.Queries(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(qs, func(q *query.Query) bool { return q.Name == qp.Name })
+	a, err := optimizer.NewAnalysis(qs[i], s.Stats, optimizer.DefaultCostParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "bad.pcache")
+	e := &qp.Entries[0]
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		for _, field := range []*float64{&e.Internal, &e.Coefs[len(e.Coefs)-1]} {
+			good := *field
+			*field = bad
+			if err := Save(path, snap); err != nil {
+				t.Fatal(err)
+			}
+			_, lerr := Load(path, snap.Fingerprint)
+			_, cerr := ToCache(a, *qp)
+			*field = good
+			for _, err := range []error{lerr, cerr} {
+				if err == nil || !strings.Contains(err.Error(), "query "+qp.Name+" entry 0") {
+					t.Errorf("an entry priced %v loaded or was refused without naming itself: %v", bad, err)
+				}
+			}
+		}
+	}
+	if _, err := ToCache(a, *qp); err != nil {
+		t.Fatalf("the restored entry is refused: %v", err)
 	}
 }
 

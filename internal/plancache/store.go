@@ -1,19 +1,18 @@
 package plancache
 
 // Store: the on-disk layout for a multi-tenant snapshot collection — one
-// directory, one <tenant>.pcache file per tenant, each written and read
-// with the same crash-safe, fingerprint-validated Save/Load as a
-// standalone snapshot file. The store adds nothing to the format; it
-// only fixes the naming contract, so an operator can point N dedicated
-// single-tenant processes and one multi-tenant process at the same
-// directory and they read each other's snapshots byte for byte.
+// directory, one <tenant>.pcache file per tenant at the path Store.Path
+// names, each written and read with the same crash-safe,
+// fingerprint-validated Save/Load as a standalone snapshot file. The
+// store adds nothing to the format; it only fixes the naming contract, so
+// an operator can point N dedicated single-tenant processes and one
+// multi-tenant process at the same directory and they read each other's
+// snapshots byte for byte.
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 )
 
 // storeExt is the snapshot file suffix inside a Store directory.
@@ -57,9 +56,6 @@ func NewStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's directory.
-func (st *Store) Dir() string { return st.dir }
-
 // Path returns the snapshot file path for a tenant, or an error for an
 // invalid name (never a path outside the store directory).
 func (st *Store) Path(tenant string) (string, error) {
@@ -67,46 +63,4 @@ func (st *Store) Path(tenant string) (string, error) {
 		return "", fmt.Errorf("plancache: invalid tenant name %q", tenant)
 	}
 	return filepath.Join(st.dir, tenant+storeExt), nil
-}
-
-// Save writes a tenant's snapshot crash-safely (see Save).
-func (st *Store) Save(tenant string, s *Snapshot) error {
-	path, err := st.Path(tenant)
-	if err != nil {
-		return err
-	}
-	return Save(path, s)
-}
-
-// Load reads a tenant's snapshot, rejecting it unless its environment
-// fingerprint matches want (see Load).
-func (st *Store) Load(tenant string, want uint64) (*Snapshot, error) {
-	path, err := st.Path(tenant)
-	if err != nil {
-		return nil, err
-	}
-	return Load(path, want)
-}
-
-// List returns the tenants with a snapshot file in the store, sorted.
-// Files that are not valid tenant snapshots by name are ignored; their
-// content is not inspected (Load validates on read).
-func (st *Store) List() ([]string, error) {
-	entries, err := os.ReadDir(st.dir)
-	if err != nil {
-		return nil, fmt.Errorf("plancache: store: %w", err)
-	}
-	var tenants []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		name, ok := strings.CutSuffix(e.Name(), storeExt)
-		if !ok || !ValidTenantName(name) {
-			continue
-		}
-		tenants = append(tenants, name)
-	}
-	sort.Strings(tenants)
-	return tenants, nil
 }

@@ -1,9 +1,7 @@
 package plancache
 
 import (
-	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -27,29 +25,27 @@ func TestValidTenantName(t *testing.T) {
 	}
 }
 
-// TestStoreRoundTrip pins the store layout: Save writes
-// <dir>/<tenant>.pcache, Load validates the fingerprint, and List
-// returns exactly the saved tenants, sorted.
+// TestStoreRoundTrip pins the store layout: NewStore creates the
+// directory, a tenant's snapshot lives at <dir>/<tenant>.pcache, and a
+// snapshot saved there loads back only under its own fingerprint.
 func TestStoreRoundTrip(t *testing.T) {
 	_, snap := starSnapshot(t, 42)
-	store, err := NewStore(filepath.Join(t.TempDir(), "snapshots"))
+	dir := filepath.Join(t.TempDir(), "snapshots")
+	store, err := NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, tenant := range []string{"globex", "acme"} {
-		if err := store.Save(tenant, snap); err != nil {
-			t.Fatalf("save %s: %v", tenant, err)
-		}
 	}
 	path, err := store.Path("acme")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("expected snapshot file at %s: %v", path, err)
+	if want := filepath.Join(dir, "acme.pcache"); path != want {
+		t.Fatalf("Path(acme) = %s, want %s", path, want)
 	}
-
-	got, err := store.Load("acme", snap.Fingerprint)
+	if err := Save(path, snap); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(path, snap.Fingerprint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,23 +55,14 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 
 	// A stale fingerprint must be rejected exactly like a standalone Load.
-	if _, err := store.Load("acme", snap.Fingerprint+1); err == nil {
+	if _, err := Load(path, snap.Fingerprint+1); err == nil {
 		t.Fatal("stale-fingerprint load succeeded, want rejection")
-	}
-
-	names, err := store.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []string{"acme", "globex"}; !reflect.DeepEqual(names, want) {
-		t.Fatalf("List() = %v, want %v", names, want)
 	}
 }
 
 // TestStoreRejectsBadTenantNames pins path safety: no tenant name can
 // escape the store directory or collide with non-snapshot files.
 func TestStoreRejectsBadTenantNames(t *testing.T) {
-	_, snap := starSnapshot(t, 42)
 	store, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -84,36 +71,5 @@ func TestStoreRejectsBadTenantNames(t *testing.T) {
 		if _, err := store.Path(name); err == nil {
 			t.Errorf("Path(%q) succeeded, want error", name)
 		}
-		if err := store.Save(name, snap); err == nil {
-			t.Errorf("Save(%q) succeeded, want error", name)
-		}
-		if _, err := store.Load(name, snap.Fingerprint); err == nil {
-			t.Errorf("Load(%q) succeeded, want error", name)
-		}
-	}
-}
-
-// TestStoreListIgnoresForeignFiles pins List's filter: only
-// valid-tenant-named .pcache files count.
-func TestStoreListIgnoresForeignFiles(t *testing.T) {
-	dir := t.TempDir()
-	store, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"notes.txt", "bad name.pcache", ".pcache"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.Mkdir(filepath.Join(dir, "sub.pcache"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	names, err := store.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 0 {
-		t.Fatalf("List() = %v, want empty", names)
 	}
 }

@@ -253,7 +253,10 @@ func (q *Query) InterestingOrders() [][]string {
 // for each relation, either a column name or "" denoting Φ (no order).
 type OrderCombo []string
 
-// Key returns a canonical string form usable as a map key.
+// Key returns a canonical string form usable as a map key. Shipped code
+// never keys by it: it is how TestComboEnumeration and plancache's
+// TestSlimTreeCostEquivalence and TestSlimTreeShapeEquivalence
+// (assertCacheEquivalent) compare combinations.
 func (oc OrderCombo) Key() string {
 	return strings.Join(oc, "|")
 }
@@ -269,32 +272,6 @@ func (oc OrderCombo) String() string {
 		}
 	}
 	return "(" + strings.Join(parts, ",") + ")"
-}
-
-// Subsumes reports whether oc ⊆ other: every non-Φ slot of oc matches the
-// same slot in other. A plan requiring oc is applicable wherever one
-// requiring other is (paper §V-D pruning condition).
-func (oc OrderCombo) Subsumes(other OrderCombo) bool {
-	if len(oc) != len(other) {
-		return false
-	}
-	for i, c := range oc {
-		if c != "" && c != other[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Orders returns the number of non-Φ slots.
-func (oc OrderCombo) Orders() int {
-	n := 0
-	for _, c := range oc {
-		if c != "" {
-			n++
-		}
-	}
-	return n
 }
 
 // Clone returns a copy.
@@ -347,6 +324,9 @@ type Config struct {
 }
 
 // Atomic reports whether the configuration is atomic with respect to q.
+// Shipped code never asks: it is the check TestRandomAtomicConfigIsAtomic
+// (package workload) and TestCoveringConfigIsAtomicAndCovers (package
+// inum) hold their generators to.
 func (cfg *Config) Atomic(q *Query) bool {
 	perTable := make(map[string]int)
 	for _, ix := range cfg.Indexes {
@@ -354,45 +334,6 @@ func (cfg *Config) Atomic(q *Query) bool {
 	}
 	for _, r := range q.Rels {
 		if perTable[r.Table.Name] > 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// IndexFor returns the configuration's first index on the given table, or
-// nil. For atomic configurations that is the only one; configurations can
-// legitimately hold several indexes per table (self-join covering configs
-// do), and callers that care about which one must iterate Indexes
-// themselves, as Covers does.
-func (cfg *Config) IndexFor(table string) *catalog.Index {
-	for _, ix := range cfg.Indexes {
-		if ix.Table == table {
-			return ix
-		}
-	}
-	return nil
-}
-
-// Covers reports whether the configuration covers the order combination:
-// for every non-Φ slot, the configuration has an index on that relation's
-// table whose leading column is the ordered column (paper §II definition 4).
-// Every index on the slot's table is considered, so self-join combinations
-// needing two different orders on one table are covered by a configuration
-// holding one index per order.
-func (cfg *Config) Covers(q *Query, oc OrderCombo) bool {
-	for i, col := range oc {
-		if col == "" {
-			continue
-		}
-		covered := false
-		for _, ix := range cfg.Indexes {
-			if ix.Table == q.Rels[i].Table.Name && ix.Covers(col) {
-				covered = true
-				break
-			}
-		}
-		if !covered {
 			return false
 		}
 	}

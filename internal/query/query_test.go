@@ -114,29 +114,9 @@ func TestComboEnumeration(t *testing.T) {
 	}
 }
 
-func TestOrderComboSubsumes(t *testing.T) {
-	a := OrderCombo{"x", "", ""}
-	b := OrderCombo{"x", "y", ""}
-	if !a.Subsumes(b) {
-		t.Error("subset combo should subsume superset")
-	}
-	if b.Subsumes(a) {
-		t.Error("superset combo should not subsume subset")
-	}
-	if !(OrderCombo{"", "", ""}).Subsumes(b) {
-		t.Error("Φ combo subsumes everything")
-	}
-	if (OrderCombo{"z", "", ""}).Subsumes(b) {
-		t.Error("mismatched column subsumed")
-	}
-	if a.Subsumes(OrderCombo{"x", ""}) {
-		t.Error("length mismatch subsumed")
-	}
-	if b.Orders() != 2 || a.Orders() != 1 {
-		t.Error("Orders count wrong")
-	}
-	if b.String() != "(x,y,Φ)" {
-		t.Errorf("String = %q", b.String())
+func TestOrderComboString(t *testing.T) {
+	if got := (OrderCombo{"x", "y", ""}).String(); got != "(x,y,Φ)" {
+		t.Errorf("String = %q", got)
 	}
 }
 
@@ -152,15 +132,6 @@ func TestConfigAtomicAndCovers(t *testing.T) {
 	notAtomic := &Config{Indexes: []*catalog.Index{ixF, ixF2}}
 	if notAtomic.Atomic(q) {
 		t.Error("two indexes on one table classified atomic")
-	}
-	if !atomic.Covers(q, OrderCombo{"fk1", "a", ""}) {
-		t.Error("coverage missed")
-	}
-	if atomic.Covers(q, OrderCombo{"fk2", "", ""}) {
-		t.Error("coverage claimed for non-lead column")
-	}
-	if atomic.IndexFor("f") != ixF || atomic.IndexFor("d2") != nil {
-		t.Error("IndexFor wrong")
 	}
 	if got := (*Config)(nil).String(); got != "{}" {
 		t.Errorf("nil config String = %q, want {}", got)

@@ -370,12 +370,10 @@ func eventTypes(t *testing.T, baseURL string) []string {
 // in the order /eventz holds them.
 func TestOneLogRecordPerOutcome(t *testing.T) {
 	h := &captureHandler{}
-	f := newMTFixture(t, mtSeeds, mtOrder, 1, func(cfg *Config) {
-		cfg.Logger = slog.New(h)
-		// No background retry: the failed reload below must stay the
-		// last outcome.
-		cfg.RetryMin, cfg.RetryMax = time.Hour, time.Hour
-	})
+	f := newMTFixture(t, mtSeeds, mtOrder, 1, func(cfg *Config) { cfg.Logger = slog.New(h) })
+	// No background retry: the failed reload below must stay the last
+	// outcome.
+	f.srv.retryMin, f.srv.retryMax = time.Hour, time.Hour
 	t.Cleanup(faultpoint.Reset)
 	probe := []byte(`{"indexes":[{"table":"fact","columns":["a1","m1"]}]}`)
 

@@ -375,10 +375,10 @@ func (s *Server) ReloadTenant(name string, force bool) (ReloadOutcome, error) {
 // blocked — they keep serving the current set until the swap. On any
 // failure (loader error, rebuild error, panic) the current set stays
 // published, the tenant is marked degraded, and a retry is scheduled
-// with exponential backoff capped at RetryMax; the first success clears
-// the degradation. A reload whose environment fingerprint and workload
-// match the live set is skipped (force bypasses the skip, the disk
-// snapshot and per-query reuse, re-optimizing everything).
+// with exponential backoff capped at DefaultRetryMax; the first success
+// clears the degradation. A reload whose environment fingerprint and
+// workload match the live set is skipped (force bypasses the skip, the
+// disk snapshot and per-query reuse, re-optimizing everything).
 func (t *tenant) reloadNow(force bool) (ReloadOutcome, error) {
 	s := t.srv
 	opID := s.nextTraceID()
@@ -662,8 +662,9 @@ func sameWorkload(a, b *Environment) bool {
 // ----------------------------------------------------------- retry -----
 
 // scheduleRetry arms the tenant's backoff timer after a failed reload:
-// RetryMin doubling per consecutive failure, capped at RetryMax. The
-// previous snapshot keeps serving the whole time.
+// DefaultRetryMin doubling per consecutive failure, capped at
+// DefaultRetryMax (Server.retryMin/retryMax). The previous snapshot keeps
+// serving the whole time.
 func (t *tenant) scheduleRetry() {
 	t.retryMu.Lock()
 	defer t.retryMu.Unlock()
@@ -675,9 +676,9 @@ func (t *tenant) scheduleRetry() {
 	if shift > 20 {
 		shift = 20
 	}
-	d := t.srv.cfg.RetryMin << shift
-	if d <= 0 || d > t.srv.cfg.RetryMax {
-		d = t.srv.cfg.RetryMax
+	d := t.srv.retryMin << shift
+	if d <= 0 || d > t.srv.retryMax {
+		d = t.srv.retryMax
 	}
 	if t.retryTimer != nil {
 		t.retryTimer.Stop()

@@ -39,12 +39,7 @@ type reloadFixture struct {
 func newReloadFixture(t *testing.T, mutate func(*Config)) *reloadFixture {
 	t.Helper()
 	rf := &reloadFixture{overrides: make(map[string]int64)}
-	cfg := Config{
-		Loader:   rf.loadEnv,
-		Workers:  4,
-		RetryMin: 5 * time.Millisecond,
-		RetryMax: 20 * time.Millisecond,
-	}
+	cfg := Config{Loader: rf.loadEnv, Workers: 4}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -52,6 +47,7 @@ func newReloadFixture(t *testing.T, mutate func(*Config)) *reloadFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.retryMin, srv.retryMax = 5*time.Millisecond, 20*time.Millisecond
 	t.Cleanup(srv.Close)
 	rf.srv = srv
 	rf.ts = httptest.NewServer(srv.Handler())

@@ -88,8 +88,8 @@ const (
 	// DefaultRequestTimeout bounds one compute request's evaluation.
 	DefaultRequestTimeout = 30 * time.Second
 	// DefaultRetryMin/Max bound the reload retry backoff: after a failed
-	// reload a tenant retries at RetryMin, doubling per attempt up to
-	// RetryMax, while its old snapshot set keeps serving.
+	// reload a tenant retries at DefaultRetryMin, doubling per attempt up
+	// to DefaultRetryMax, while its old snapshot set keeps serving.
 	DefaultRetryMin = time.Second
 	DefaultRetryMax = time.Minute
 	// DefaultMaxBodyBytes bounds one request body; oversized bodies are
@@ -175,10 +175,6 @@ type Config struct {
 	// with a status field, since the old snapshot still answers
 	// correctly.
 	StrictHealth bool
-	// RetryMin/RetryMax bound the failed-reload backoff
-	// (0 = DefaultRetryMin/Max).
-	RetryMin time.Duration
-	RetryMax time.Duration
 	// Logger, when set, receives one structured record per request and
 	// operational event, each carrying a trace ID (-log-format in
 	// pinum-serve).
@@ -236,6 +232,11 @@ type Server struct {
 
 	start time.Time
 	mux   *http.ServeMux
+
+	// retryMin/retryMax bound the failed-reload backoff
+	// (DefaultRetryMin/Max); tests that need a fast retry, or none, set
+	// them before the first reload.
+	retryMin, retryMax time.Duration
 }
 
 // endpointObs are one endpoint's registry handles — requests, errors and
@@ -264,12 +265,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = DefaultRequestTimeout
 	}
-	if cfg.RetryMin <= 0 {
-		cfg.RetryMin = DefaultRetryMin
-	}
-	if cfg.RetryMax <= 0 {
-		cfg.RetryMax = DefaultRetryMax
-	}
 	if cfg.SlowRequest == 0 {
 		cfg.SlowRequest = DefaultSlowRequest
 	}
@@ -282,6 +277,9 @@ func New(cfg Config) (*Server, error) {
 		events:  obs.NewEventLog(obs.DefaultEventLogSize),
 		logger:  cfg.Logger,
 		ep:      make(map[string]*endpointObs),
+
+		retryMin: DefaultRetryMin,
+		retryMax: DefaultRetryMax,
 	}
 	s.traceBase = strconv.FormatInt(s.start.UnixNano(), 36)
 	s.registerProcessMetrics()

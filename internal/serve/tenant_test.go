@@ -73,8 +73,6 @@ func newMTFixture(t *testing.T, seeds map[string]int64, order []string, resident
 	cfg := Config{
 		Workers:     4,
 		MaxResident: resident,
-		RetryMin:    5 * time.Millisecond,
-		RetryMax:    20 * time.Millisecond,
 	}
 	for _, name := range order {
 		name := name
@@ -95,6 +93,7 @@ func newMTFixture(t *testing.T, seeds map[string]int64, order []string, resident
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.retryMin, srv.retryMax = 5*time.Millisecond, 20*time.Millisecond
 	t.Cleanup(srv.Close)
 	f.srv = srv
 	f.ts = httptest.NewServer(srv.Handler())

@@ -145,17 +145,3 @@ func Bind(stmt *SelectStmt, cat *catalog.Catalog, name string) (*query.Query, er
 	}
 	return q, nil
 }
-
-// MustParseBind parses and binds, panicking on error. Intended for tests and
-// examples where the SQL text is a constant.
-func MustParseBind(src string, cat *catalog.Catalog, name string) *query.Query {
-	stmt, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	q, err := Bind(stmt, cat, name)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}

@@ -25,6 +25,20 @@ func testCatalog(t *testing.T) *catalog.Catalog {
 	return c
 }
 
+// mustParseBind parses and binds src, failing the test on error.
+func mustParseBind(t *testing.T, src string, cat *catalog.Catalog, name string) *query.Query {
+	t.Helper()
+	stmt, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := Bind(stmt, cat, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
 func TestTokenizeBasics(t *testing.T) {
 	toks, err := Tokenize("SELECT a, t.b FROM t WHERE a >= 10 AND b BETWEEN 1 AND 2 -- comment\nORDER BY a")
 	if err != nil {
@@ -120,7 +134,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestBindResolvesAndSeparates(t *testing.T) {
 	cat := testCatalog(t)
-	q := MustParseBind("SELECT amount, region FROM orders, customers "+
+	q := mustParseBind(t, "SELECT amount, region FROM orders, customers "+
 		"WHERE orders.customer_id = customers.id AND amount BETWEEN 10 AND 20 "+
 		"ORDER BY region", cat, "q1")
 	if len(q.Rels) != 2 || len(q.Joins) != 1 || len(q.Filters) != 1 {
@@ -163,7 +177,7 @@ func TestBindErrors(t *testing.T) {
 
 func TestBindDistinctBecomesGrouping(t *testing.T) {
 	cat := testCatalog(t)
-	q := MustParseBind("SELECT DISTINCT region FROM customers", cat, "qd")
+	q := mustParseBind(t, "SELECT DISTINCT region FROM customers", cat, "qd")
 	if len(q.GroupBy) != 1 || q.GroupBy[0] != (query.ColRef{Rel: 0, Column: "region"}) {
 		t.Errorf("distinct did not become grouping: %v", q.GroupBy)
 	}
@@ -171,7 +185,7 @@ func TestBindDistinctBecomesGrouping(t *testing.T) {
 
 func TestBindSelfJoinWithAliases(t *testing.T) {
 	cat := testCatalog(t)
-	q := MustParseBind("SELECT a.id, b.id FROM customers a, customers b WHERE a.segment = b.id", cat, "self")
+	q := mustParseBind(t, "SELECT a.id, b.id FROM customers a, customers b WHERE a.segment = b.id", cat, "self")
 	if len(q.Rels) != 2 {
 		t.Fatalf("%d rels", len(q.Rels))
 	}

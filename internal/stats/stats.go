@@ -8,11 +8,7 @@
 // table.column, independent of which indexes exist.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Default selectivities used when no statistics are available, mirroring
 // PostgreSQL's hard-wired defaults.
@@ -30,47 +26,6 @@ type Histogram struct {
 	Rows int64
 	// Distinct is the number of distinct values observed.
 	Distinct int64
-}
-
-// NewEquiDepth builds an equi-depth histogram with at most buckets buckets
-// from a sample of values. The sample is copied and sorted.
-func NewEquiDepth(sample []int64, buckets int) (*Histogram, error) {
-	if len(sample) == 0 {
-		return nil, fmt.Errorf("stats: empty sample")
-	}
-	if buckets < 1 {
-		return nil, fmt.Errorf("stats: need at least one bucket, got %d", buckets)
-	}
-	vals := append([]int64(nil), sample...)
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-
-	distinct := int64(1)
-	for i := 1; i < len(vals); i++ {
-		if vals[i] != vals[i-1] {
-			distinct++
-		}
-	}
-	if buckets > len(vals) {
-		buckets = len(vals)
-	}
-	bounds := make([]int64, 0, buckets+1)
-	bounds = append(bounds, vals[0])
-	for b := 1; b < buckets; b++ {
-		idx := b * len(vals) / buckets
-		v := vals[idx]
-		if v > bounds[len(bounds)-1] {
-			bounds = append(bounds, v)
-		}
-	}
-	last := vals[len(vals)-1]
-	if last > bounds[len(bounds)-1] {
-		bounds = append(bounds, last)
-	} else {
-		// Degenerate single-value domain: widen artificially so the
-		// histogram still has one bucket.
-		bounds = append(bounds, bounds[len(bounds)-1]+1)
-	}
-	return &Histogram{Bounds: bounds, Rows: int64(len(vals)), Distinct: distinct}, nil
 }
 
 // Uniform builds a histogram describing a perfectly uniform distribution on

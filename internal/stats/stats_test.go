@@ -1,45 +1,9 @@
 package stats
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
-
-func TestNewEquiDepthErrors(t *testing.T) {
-	if _, err := NewEquiDepth(nil, 4); err == nil {
-		t.Error("empty sample accepted")
-	}
-	if _, err := NewEquiDepth([]int64{1}, 0); err == nil {
-		t.Error("zero buckets accepted")
-	}
-}
-
-func TestEquiDepthSelectivityAgainstSample(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	sample := make([]int64, 20000)
-	for i := range sample {
-		sample[i] = rng.Int63n(10000)
-	}
-	h, err := NewEquiDepth(sample, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Compare P(x < v) from the histogram against the empirical CDF.
-	for _, v := range []int64{100, 1000, 2500, 5000, 9000, 9999} {
-		var count int
-		for _, x := range sample {
-			if x < v {
-				count++
-			}
-		}
-		emp := float64(count) / float64(len(sample))
-		got := h.SelectivityLT(v)
-		if diff := got - emp; diff > 0.03 || diff < -0.03 {
-			t.Errorf("SelectivityLT(%d) = %.4f, empirical %.4f", v, got, emp)
-		}
-	}
-}
 
 func TestUniformHistogramBounds(t *testing.T) {
 	h := Uniform(1, 100000, 1_000_000, 100000, 64)

@@ -60,9 +60,6 @@ func TablePages(t *catalog.Table) int64 {
 	return ceilDiv(t.RowCount, int64(perPage))
 }
 
-// TableBytes returns the heap size in bytes.
-func TableBytes(t *catalog.Table) int64 { return TablePages(t) * PageSize }
-
 // IndexTupleWidth returns the aligned width of one index entry whose key is
 // the given columns of table t.
 func IndexTupleWidth(t *catalog.Table, columns []string) int {

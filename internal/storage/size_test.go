@@ -38,9 +38,6 @@ func TestTablePages(t *testing.T) {
 	if TablePages(tb) != 42 {
 		t.Error("explicit Pages not honoured")
 	}
-	if TableBytes(tb) != 42*PageSize {
-		t.Error("TableBytes wrong")
-	}
 }
 
 // Property: leaf page estimates are monotone in row count and key width.

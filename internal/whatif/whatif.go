@@ -1,5 +1,5 @@
 // Package whatif implements hypothetical-index sessions: the paper's §V-A
-// what-if interface. A session creates and drops indexes that exist only as
+// what-if interface. A session creates indexes that exist only as
 // statistics (leaf-page size estimates from average attribute widths and
 // row counts), and packages index sets into configurations the optimizer
 // can plan under.
@@ -7,7 +7,7 @@ package whatif
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/pinumdb/pinum/internal/catalog"
@@ -19,20 +19,13 @@ import (
 // mutates the base catalog: hypothetical indexes live only in the session.
 type Session struct {
 	base    *catalog.Catalog
-	hypo    map[string]*catalog.Index // by name
+	created []*catalog.Index          // in creation order
 	byKey   map[string]*catalog.Index // by canonical table(cols) key
-	seq     map[string]int            // name → creation counter, orders Indexes()
-	counter int
 }
 
 // NewSession returns an empty what-if session over cat.
 func NewSession(cat *catalog.Catalog) *Session {
-	return &Session{
-		base:  cat,
-		hypo:  make(map[string]*catalog.Index),
-		byKey: make(map[string]*catalog.Index),
-		seq:   make(map[string]int),
-	}
+	return &Session{base: cat, byKey: make(map[string]*catalog.Index)}
 }
 
 // CreateIndex declares a hypothetical index on table(columns...) and
@@ -47,12 +40,9 @@ func (s *Session) CreateIndex(table string, columns ...string) (*catalog.Index, 
 	if ix, ok := s.byKey[key]; ok {
 		return ix, nil
 	}
-	s.counter++
-	name := fmt.Sprintf("hypo_%s_%d", table, s.counter)
-	ix := storage.HypotheticalIndex(name, t, columns)
-	s.hypo[name] = ix
+	ix := storage.HypotheticalIndex(fmt.Sprintf("hypo_%s_%d", table, len(s.created)+1), t, columns)
+	s.created = append(s.created, ix)
 	s.byKey[key] = ix
-	s.seq[name] = s.counter
 	return ix, nil
 }
 
@@ -66,7 +56,7 @@ func (s *Session) Transient(n int, table string, columns ...string) (*catalog.In
 	if err != nil {
 		return nil, err
 	}
-	return storage.HypotheticalIndex(fmt.Sprintf("hypo_%s_%d", table, s.counter+n), t, columns), nil
+	return storage.HypotheticalIndex(fmt.Sprintf("hypo_%s_%d", table, len(s.created)+n), t, columns), nil
 }
 
 // checkSpec validates an index spec against the base catalog.
@@ -114,7 +104,7 @@ func indexKey(table string, columns []string) string {
 
 // Count returns the number of hypothetical indexes the session holds.
 // Long-lived servers use it to bound their shared index interner.
-func (s *Session) Count() int { return len(s.hypo) }
+func (s *Session) Count() int { return len(s.created) }
 
 // Lookup returns the already-declared index on table(columns...), or nil
 // — CreateIndex's dedup check without the side effect of declaring.
@@ -122,43 +112,15 @@ func (s *Session) Lookup(table string, columns ...string) *catalog.Index {
 	return s.byKey[indexKey(table, columns)]
 }
 
-// DropIndex removes a hypothetical index by name.
-func (s *Session) DropIndex(name string) bool {
-	ix, ok := s.hypo[name]
-	if !ok {
-		return false
-	}
-	delete(s.hypo, name)
-	delete(s.byKey, ix.Key())
-	delete(s.seq, name)
-	return true
-}
-
-// Indexes returns all hypothetical indexes in creation order. Ordering by
-// the creation counter (not the name) keeps the sequence stable past nine
-// indexes per table: lexicographically "hypo_t_10" sorts before "hypo_t_2",
-// which made AllConfig's index order — and therefore equal-cost index
-// tie-breaks in the planner — depend on how many indexes a session held.
-func (s *Session) Indexes() []*catalog.Index {
-	out := make([]*catalog.Index, 0, len(s.hypo))
-	for _, ix := range s.hypo {
-		out = append(out, ix)
-	}
-	sort.Slice(out, func(i, j int) bool { return s.seq[out[i].Name] < s.seq[out[j].Name] })
-	return out
-}
+// Indexes returns all hypothetical indexes in creation order, which fixes
+// equal-cost index tie-breaks in the planner however many indexes the
+// session holds.
+func (s *Session) Indexes() []*catalog.Index { return slices.Clone(s.created) }
 
 // Config bundles the given indexes (hypothetical or real) into a planning
 // configuration.
 func Config(indexes ...*catalog.Index) *query.Config {
 	return &query.Config{Indexes: indexes}
-}
-
-// AllConfig returns the configuration holding every session index plus any
-// extra indexes given — the "all interesting orders covered" configuration
-// PINUM optimizes under.
-func (s *Session) AllConfig(extra ...*catalog.Index) *query.Config {
-	return &query.Config{Indexes: append(s.Indexes(), extra...)}
 }
 
 // CoveringConfig builds an atomic configuration covering the interesting

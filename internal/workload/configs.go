@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math/rand"
-	"strings"
 
 	"github.com/pinumdb/pinum/internal/optimizer"
 	"github.com/pinumdb/pinum/internal/query"
@@ -109,21 +108,4 @@ func without(cols []string, drop string) []string {
 		}
 	}
 	return out
-}
-
-// DescribeQueries renders a short human-readable summary of a query list
-// (used by the CLIs).
-func DescribeQueries(qs []*query.Query) string {
-	var b strings.Builder
-	for _, q := range qs {
-		tables := make([]string, len(q.Rels))
-		for i := range q.Rels {
-			tables[i] = q.RelName(i)
-		}
-		b.WriteString(q.Name)
-		b.WriteString(": ")
-		b.WriteString(strings.Join(tables, " ⋈ "))
-		b.WriteString("\n")
-	}
-	return b.String()
 }

@@ -46,9 +46,11 @@ const (
 	ShapeWideGroup
 )
 
-// Shapes lists every generated topology, in the order the fuzz decoder and
-// the experiment runner enumerate them. New shapes append at the end: the
-// position of existing entries is the fuzz corpus ABI.
+// Shapes lists every generated topology, in the order the decoder of
+// FuzzOptimizeEquivalence (package optimizer) enumerates them; the
+// optimizer's shape suites range over it too, and shipped code does not
+// read it. New shapes append at the end: the position of existing entries
+// is the fuzz corpus ABI.
 var Shapes = []Shape{ShapeChain, ShapeCycle, ShapeStar, ShapeSnowflake, ShapeClique, ShapeRandom,
 	ShapeWideChain, ShapeWideOrders, ShapeWideGroup}
 

@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"github.com/pinumdb/pinum/internal/optimizer"
@@ -37,7 +36,7 @@ func TestStarSchemaShape(t *testing.T) {
 	// The database totals ≈10 GB at scale 1.
 	var bytes int64
 	for _, tb := range s.Catalog.Tables() {
-		bytes += storage.TableBytes(tb)
+		bytes += storage.TablePages(tb) * storage.PageSize
 	}
 	gb := storage.GigaBytes(bytes)
 	if gb < 8 || gb > 12 {
@@ -324,8 +323,5 @@ func TestCandidateIndexes(t *testing.T) {
 	}
 	if len(names) < 20 {
 		t.Errorf("only %d candidates for a 7-way join", len(names))
-	}
-	if got := DescribeQueries(qs); !strings.Contains(got, "Q10") {
-		t.Error("DescribeQueries misses Q10")
 	}
 }

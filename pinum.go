@@ -321,6 +321,5 @@ const Version = "1.0.0"
 
 // String summarises the database handle.
 func (db *Database) String() string {
-	return fmt.Sprintf("pinum.Database(%d tables, %d indexes)",
-		len(db.cat.Tables()), len(db.cat.AllIndexes()))
+	return fmt.Sprintf("pinum.Database(%d tables)", len(db.cat.Tables()))
 }
