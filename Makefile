@@ -16,8 +16,9 @@ test:
 
 # Includes cmd/pinum-serve's process tests (the daemon on 127.0.0.1:0,
 # driven with HTTP, SIGHUP and SIGTERM). internal/optimizer alone takes
-# 8.5–10 minutes under the race detector on a 2-vCPU machine, at go's
-# default 10-minute test timeout, hence the explicit one.
+# about 5.5 minutes (327 s) under the race detector on a 2-vCPU machine,
+# too close to go's default 10-minute test timeout on a slower runner,
+# hence the explicit one.
 race:
 	$(GO) test -race -timeout 20m ./...
 

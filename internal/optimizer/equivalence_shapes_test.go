@@ -1,16 +1,19 @@
 // Shape-diverse planner equivalence: the fast (DPccp) planner against the
 // reference dense sweep over the internal/workload shape generator's
 // topologies — snowflake, cycle, clique, and random connected graphs of
-// tunable density — across every Options combination and random
-// configurations. This file lives in the external test package because
+// tunable density — across every Options combination (plans compared under
+// the nine the planner implements, refusals asserted for the rest) and
+// random configurations. This file lives in the external test package because
 // package workload imports the optimizer; the star/chain/self-join suite
 // over the paper's schema remains in equivalence_test.go.
 package optimizer_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/pinumdb/pinum/internal/optimizer"
@@ -18,7 +21,7 @@ import (
 	"github.com/pinumdb/pinum/internal/workload"
 )
 
-// shapeOptions enumerates every Options combination.
+// shapeOptions enumerates all 32 Options values, refused ones included.
 func shapeOptions() []optimizer.Options {
 	var out []optimizer.Options
 	for i := 0; i < 32; i++ {
@@ -41,12 +44,14 @@ func optionsFromBits(b uint8) optimizer.Options {
 
 // assertPlannersAgree runs both planners and requires bit-identical best
 // cost, export sequence and per-plan cost decomposition, access-cost
-// tables, and work counters — the external-package mirror of
-// assertEquivalent in equivalence_test.go.
+// tables, and work counters — or, for an option set outside
+// optimizer.ValidOptions, that both refuse it — the external-package mirror
+// of assertEquivalent in equivalence_test.go.
 func assertPlannersAgree(t *testing.T, label string, a *optimizer.Analysis, cfg *query.Config, opt optimizer.Options) {
 	t.Helper()
 	fast, ferr := optimizer.Optimize(a, cfg, opt)
 	ref, rerr := optimizer.OptimizeReference(a, cfg, opt)
+	assertRefusedIffInvalid(t, label, opt, ferr, rerr)
 	if (ferr == nil) != (rerr == nil) {
 		t.Fatalf("%s: error disagreement: fast=%v reference=%v", label, ferr, rerr)
 	}
@@ -107,6 +112,19 @@ func assertPlannersAgree(t *testing.T, label string, a *optimizer.Analysis, cfg 
 	}
 }
 
+// assertRefusedIffInvalid requires every error of errs to wrap
+// optimizer.ErrOptions when opt is not one of the nine valid sets, and none
+// to when it is.
+func assertRefusedIffInvalid(t *testing.T, label string, opt optimizer.Options, errs ...error) {
+	t.Helper()
+	valid := slices.Contains(optimizer.ValidOptions, opt)
+	for _, err := range errs {
+		if valid == errors.Is(err, optimizer.ErrOptions) {
+			t.Fatalf("%s: valid=%v, but the call returned %v", label, valid, err)
+		}
+	}
+}
+
 // shapeAnalysis generates one shape query and its analysis.
 func shapeAnalysis(t testing.TB, spec workload.ShapeSpec) (*optimizer.Analysis, []*query.Config, *rand.Rand) {
 	t.Helper()
@@ -127,7 +145,8 @@ func TestPlannerEquivalenceShapes(t *testing.T) {
 	// shapes (clique, high-density random, 7-cycle) explode the ExportAll ×
 	// PreciseNLJ path count in *both* planners, so the biggest instances
 	// are exercised once with the cache-construction options in
-	// TestShapeEquivalenceLargeInstances rather than 32 times here.
+	// TestShapeEquivalenceLargeInstances rather than under all nine planned
+	// sets here.
 	cases := []struct {
 		shape workload.Shape
 		rels  []int
@@ -225,7 +244,7 @@ func TestWideChainFastPath(t *testing.T) {
 	}
 	for _, opt := range []optimizer.Options{
 		{EnableNestLoop: true, ExportAll: true},
-		{EnableNestLoop: true, ExportAll: true, PreciseNLJ: true, PaperPrune: true},
+		{EnableNestLoop: true, ExportAll: true, PreciseNLJ: true},
 	} {
 		res, err := optimizer.Optimize(a, cfg, opt)
 		if err != nil {
@@ -363,6 +382,7 @@ func TestDisconnectedGraphParity(t *testing.T) {
 					fast, ferr := optimizer.Optimize(a, cfg, opt)
 					ref, rerr := optimizer.OptimizeReference(a, cfg, opt)
 					label := fmt.Sprintf("%s/cfg=%d/opt=%+v", tc.name, ci, opt)
+					assertRefusedIffInvalid(t, label, opt, ferr, rerr)
 					if ferr == nil || rerr == nil {
 						t.Fatalf("%s: disconnected query planned: fast=%v/%v reference=%v/%v",
 							label, fast, ferr, ref, rerr)

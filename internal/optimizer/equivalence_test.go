@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -15,7 +16,8 @@ import (
 	"github.com/pinumdb/pinum/internal/storage"
 )
 
-// allOptions enumerates every Options combination the planner supports.
+// allOptions enumerates all 32 Options values, the nine the planner
+// implements and the 23 it refuses.
 func allOptions() []Options {
 	var out []Options
 	for i := 0; i < 32; i++ {
@@ -30,6 +32,21 @@ func allOptions() []Options {
 	return out
 }
 
+// validOptions are the nine option sets the planner implements, listed
+// apart from Options.check: the sweeps compare plans under these and expect
+// every other value refused with ErrOptions.
+var validOptions = []Options{
+	{},
+	{EnableNestLoop: true},
+	{CollectAccessCosts: true},
+	{ExportAll: true},
+	{ExportAll: true, PreciseNLJ: true},
+	{EnableNestLoop: true, ExportAll: true, PaperPrune: true},
+	{EnableNestLoop: true, ExportAll: true, PreciseNLJ: true},
+	{EnableNestLoop: true, ExportAll: true},
+	{ExportAll: true, PaperPrune: true},
+}
+
 // sigSet collects the canonical signature multiset of an exported plan list.
 func sigSet(paths []*Path) []string {
 	out := make([]string, 0, len(paths))
@@ -42,11 +59,15 @@ func sigSet(paths []*Path) []string {
 
 // assertEquivalent runs the planner and its oracle on the same inputs
 // and requires bit-identical best cost, identical exported signature sets,
-// and identical access-cost tables.
+// and identical access-cost tables — or, for an option set outside
+// validOptions, that both refuse it.
 func assertEquivalent(t *testing.T, label string, a *Analysis, cfg *query.Config, opt Options) {
 	t.Helper()
 	fast, ferr := Optimize(a, cfg, opt)
 	ref, rerr := OptimizeReference(a, cfg, opt)
+	if valid := slices.Contains(validOptions, opt); valid == errors.Is(ferr, ErrOptions) || valid == errors.Is(rerr, ErrOptions) {
+		t.Fatalf("%s: valid=%v, but fast=%v reference=%v", label, valid, ferr, rerr)
+	}
 	if (ferr == nil) != (rerr == nil) {
 		t.Fatalf("%s: error disagreement: fast=%v reference=%v", label, ferr, rerr)
 	}

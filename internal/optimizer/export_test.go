@@ -40,8 +40,12 @@ func (g *ConfigByTable) Folded(a *Analysis, rel int) int {
 }
 
 // OptimizeReference plans with the test oracle (reference_test.go), for the
-// external test package's equivalence suites.
-var OptimizeReference = optimizeReference
+// external test package's equivalence suites; ValidOptions are the nine
+// option sets those suites plan under.
+var (
+	OptimizeReference = optimizeReference
+	ValidOptions      = validOptions
+)
 
 // EachJoinRelPath plans (a, cfg, opt) with the planner and hands visit
 // the tree of every plan each join relation of the DP table kept, beside the

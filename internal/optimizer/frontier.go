@@ -8,10 +8,12 @@
 // ordered as candidates arrive, so a candidate dominated on arrival is
 // dropped on the spot, which on dense shapes is most of them. The
 // equivalence suites hold the two prunes equal; the argument is that dominance
-// (metric ≤, order satisfaction, combo subsumption — each transitive, mutual
-// domination between distinct keys impossible) is a strict partial order, so
-// every dominated element has a *live maximal* dominator and screening
-// arrivals against live members only is exact.
+// (metric ≤, order satisfaction, combo subsumption — each transitive) is
+// antisymmetric in every mode Options admits: each mode's key is exactly as
+// fine as its subsumption rule, so two distinct keys never dominate each
+// other. Dominance is then a strict partial order, every dominated element
+// has a *live maximal* dominator, and screening arrivals against live
+// members only is exact.
 //
 // The protocol, implemented once in this file (frontierAdd and the scans
 // and bucket moves under it, finishRel) over the planner's slot arrays:
@@ -96,20 +98,8 @@ func (p *planner) subsumes(a, b int32) bool {
 // own slot, so the prefilter words they need are the scratch key's leaf
 // words: the packed combo, or zero in the wide lane.
 //
-// Under PaperPrune+PreciseNLJ the key keeps NLJ coefficients that the
-// column-collapsed subsumption ignores, so two distinct keys can dominate
-// each other and the batch rule — compare against the whole population,
-// dead members included — kills both sides of an equal-metric mutual pair.
-// Live-only screening would keep whichever arrived first, so in that mode
-// (zombie below) dead slots stay parked in their buckets as dominators and
-// every arrival, dominated or not, runs the eviction scan. Every other
-// mode's key granularity matches its subsumption granularity, making
-// domination antisymmetric, and there live-only screening is provably
-// exact (see the file comment) and keeps the scans shorter.
-//
 //pinum:hotpath
 func (p *planner) frontierAdd(m float64, ord int32) (int32, bool) {
-	zombie := p.opt.PaperPrune && p.opt.PreciseNLJ
 	s := p.cand.slot
 	if s < 0 {
 		// New key: a dead slot with no witness, screened below.
@@ -136,35 +126,13 @@ func (p *planner) frontierAdd(m float64, ord int32) (int32, bool) {
 			p.bucketRemove(s)
 			p.slotMetric[s] = m
 			p.bucketInsert(s)
-			p.frontierEvict(s, zombie)
+			p.frontierEvict(s)
 			return s, true
-		}
-		if zombie {
-			// The dead slot is a zombie parked in its bucket: reposition it.
-			p.bucketRemove(s)
 		}
 		p.slotMetric[s] = m
 	}
 	// s is dead at metric m: screen it. The recorded witness makes that
 	// O(1) while it still applies.
-	if zombie {
-		// Dead population members still dominate under the batch rule, so
-		// the eviction scan runs whether s enters the frontier or not.
-		dominated := true
-		if w := p.slotWitness[s]; w < 0 || p.slotMetric[w] > m {
-			d := p.frontierDominated(s)
-			p.slotWitness[s] = d
-			dominated = d >= 0
-		}
-		p.bucketInsert(s)
-		p.frontierEvict(s, zombie)
-		if dominated {
-			p.stats.FrontierDrops++
-			return 0, false
-		}
-		p.stats.FrontierInserts++
-		return s, true
-	}
 	if w := p.slotWitness[s]; w >= 0 && p.live[w] && p.slotMetric[w] <= m {
 		p.stats.FrontierDrops++
 		return 0, false
@@ -178,18 +146,17 @@ func (p *planner) frontierAdd(m float64, ord int32) (int32, bool) {
 	// number, preserving the first-insertion tie order.
 	p.stats.FrontierInserts++
 	p.bucketInsert(s)
-	p.frontierEvict(s, zombie)
+	p.frontierEvict(s)
 	return s, true
 }
 
 // frontierDominated screens the arrival's slot s, at its recorded metric,
 // against the frontier: a bucket member with metric ≤ s's whose order
 // satisfies s's and whose combo subsumes s's. Buckets hold the live slots
-// (plus, in zombie mode, the dead ones — dominators either way, so no
-// liveness check is needed) in (metric, slot) order, so each scan stops at
-// the first larger metric, exactly like the batch pass over its fully sorted
-// slice. Returns the dominating slot — the caller records it as the dead
-// slot's witness — or -1.
+// only, in (metric, slot) order, so each scan stops at the first larger
+// metric, exactly like the batch pass over its fully sorted slice. Returns
+// the dominating slot — the caller records it as the dead slot's witness —
+// or -1.
 //
 //pinum:hotpath
 func (p *planner) frontierDominated(s int32) int32 {
@@ -216,12 +183,11 @@ func (p *planner) frontierDominated(s int32) int32 {
 // frontierEvict kills every live slot the just-inserted (or improved)
 // arrival's slot s now dominates: metric ≥ s's — the batch pass dominates
 // across equal metrics regardless of arrival order — in a bucket whose order
-// s satisfies, with a subsumed combo. Outside zombie mode the killed slots
-// also leave their buckets (transitivity re-covers anything they
-// dominated); in zombie mode they stay parked as future dominators.
+// s satisfies, with a subsumed combo. The killed slots also leave their
+// buckets: transitivity re-covers anything they dominated.
 //
 //pinum:hotpath
-func (p *planner) frontierEvict(s int32, zombie bool) {
+func (p *planner) frontierEvict(s int32) {
 	m := p.slotMetric[s]
 	sl0, sl1 := p.cand.key.leaves[0], p.cand.key.leaves[1]
 	sat := p.ctx.sat[p.slotOrd[s]]
@@ -240,18 +206,6 @@ func (p *planner) frontierEvict(s int32, zombie bool) {
 			}
 		}
 		if lo == len(bucket) {
-			continue
-		}
-		if zombie {
-			for i := lo; i < len(bucket); i++ {
-				e := &bucket[i]
-				t := e.slot
-				if t != s && p.live[t] && sl0&^e.l0 == 0 && sl1&^e.l1 == 0 && p.subsumes(s, t) {
-					p.live[t] = false
-					p.slotWitness[t] = s
-					p.stats.FrontierEvictions++
-				}
-			}
 			continue
 		}
 		w := lo

@@ -21,8 +21,6 @@ func goldenCounterCalls(t *testing.T) (labels []string, calls []func() (*optimiz
 			opt := opt
 			mode := "hash-merge"
 			switch {
-			case opt.PaperPrune && opt.PreciseNLJ:
-				mode = "paper-precise"
 			case opt.PreciseNLJ:
 				mode = "precise"
 			case opt.EnableNestLoop:
@@ -69,8 +67,8 @@ func goldenCounterCalls(t *testing.T) (labels []string, calls []func() (*optimiz
 		t.Fatal(err)
 	}
 	add("star-q10", a, cfg, buildOptions(false))
-	// Small shapes in the two PreciseNLJ modes: with PaperPrune the frontier
-	// keeps dead slots as dominators (two packed-lane shapes, one wide).
+	// Small shapes under the precise build's nested-loop call (two
+	// packed-lane shapes, one wide).
 	for _, spec := range []workload.ShapeSpec{
 		{Shape: workload.ShapeStar, Rels: 5, Seed: 402},
 		{Shape: workload.ShapeRandom, Rels: 5, Density: 0.7, Seed: 405},
@@ -78,7 +76,6 @@ func goldenCounterCalls(t *testing.T) (labels []string, calls []func() (*optimiz
 	} {
 		a, cfg := shapeBuildConfig(t, spec)
 		add(fmt.Sprintf("%s-%d", spec.Shape, len(a.Rels)), a, cfg, []optimizer.Options{
-			{EnableNestLoop: true, ExportAll: true, PreciseNLJ: true, PaperPrune: true},
 			{EnableNestLoop: true, ExportAll: true, PreciseNLJ: true},
 		})
 	}
@@ -114,19 +111,16 @@ var goldenCounters = map[string]optimizer.PlannerStats{
 	"wide-chain-17/nestloop-paper": {14237, 8, 13858, 153, 816, 816, 130918, 386, 621, 7},
 	"star-q10/hash-merge":          {8140, 96, 7473, 40, 98, 98, 87, 682, 1045, 15},
 	"star-q10/nestloop-paper":      {30412, 64, 29174, 40, 98, 98, 87, 1324, 6438, 86},
-	"star-5/paper-precise":         {3328, 10, 3135, 20, 32, 32, 11, 291, 1234, 98},
 	"star-5/precise":               {9278, 285, 8125, 20, 32, 32, 11, 1300, 2331, 147},
-	"random-5/paper-precise":       {72478, 122, 71633, 30, 82, 82, 1, 1470, 13001, 625},
 	"random-5/precise":             {355253, 9607, 336046, 30, 82, 82, 1, 21587, 44682, 2380},
-	"wide-group-3/paper-precise":   {950, 4, 880, 6, 4, 4, 1, 90, 288, 20},
 	"wide-group-3/precise":         {1250, 30, 1104, 6, 4, 4, 1, 149, 371, 3},
 }
 
 // TestPlannerCountersGolden holds every work counter of the calls the
 // benchmark times — the eight design shapes, the head-indexed 17-relation
 // chain and star Q10 under the two construction modes — and of three small
-// shapes under PreciseNLJ with and without PaperPrune (with it the frontier
-// keeps dominated slots as dominators) to goldenCounters.
+// shapes under the precise nested-loop call {EnableNestLoop, ExportAll,
+// PreciseNLJ} to goldenCounters.
 func TestPlannerCountersGolden(t *testing.T) {
 	labels, calls := goldenCounterCalls(t)
 	if len(labels) != len(goldenCounters) {

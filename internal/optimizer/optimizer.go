@@ -13,6 +13,10 @@
 //     subsumption rule of §V-D and exports one optimal plan per useful
 //     interesting order combination from a single call.
 //
+// ExportAll's two refinements exclude each other: PaperPrune (§V-D's literal
+// total-cost rule) and PreciseNLJ (nested-loop probe counts kept apart).
+// Every call refuses an Options value outside the nine the planner implements.
+//
 // One planner ships (fastplan.go): clause bitsets consulted once per split,
 // connectivity-aware enumeration over a mask-indexed DP table, interned
 // fixed-size plan keys, subsumption pruning at insertion time (frontier.go),
@@ -26,6 +30,7 @@
 package optimizer
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -35,7 +40,19 @@ import (
 	"github.com/pinumdb/pinum/internal/query"
 )
 
-// Options selects the optimizer mode for one call.
+// Options selects the optimizer mode for one call. The planner implements
+// nine of its 32 values (check) and refuses the rest, before it plans, with
+// an error wrapping ErrOptions. By set fields (E EnableNestLoop, X ExportAll,
+// C CollectAccessCosts, P PreciseNLJ, R PaperPrune) and caller:
+//
+//   - {}: inum.Build without nested loops, core.MeasureRedundancy;
+//   - {E}: /explain, the facade, inum.Build with nested loops, experiments;
+//   - {C}: core.CollectAccessCosts, inum.CollectAccessCostsNaive;
+//   - {X}, {X,P}: a cache build's first call, coarse and precise;
+//   - {E,X,R}, {E,X,P}: its second call, coarse and precise ({E,X,R} is
+//     also E6's and the export_all_ms.q10 probe's);
+//   - {E,X}: the wide_chain17 probe;
+//   - {X,R}: no caller.
 type Options struct {
 	// EnableNestLoop permits nested-loop join paths. INUM/PINUM cache
 	// construction makes one call with and one without them.
@@ -46,19 +63,36 @@ type Options struct {
 	ExportAll bool
 	// CollectAccessCosts reports the access cost of every configuration
 	// index instead of only the surviving cheapest paths (the PINUM
-	// access-cost hook).
+	// access-cost hook). It takes no other option.
 	CollectAccessCosts bool
 	// PreciseNLJ keeps nested-loop plans that differ only in probe count
 	// apart during subsumption pruning (the paper's §V-D higher-accuracy
 	// option: "a bigger plan cache and slower cost lookup"). Off by
-	// default, matching the paper's coarse treatment of nested loops.
+	// default, matching the paper's coarse treatment of nested loops. It
+	// needs ExportAll and excludes PaperPrune.
 	PreciseNLJ bool
 	// PaperPrune applies §V-D's pruning rule literally, comparing total
 	// cost under the planning configuration ("Cost(SA) < Cost(SB)")
 	// instead of the provably-safe internal cost. It prunes far more —
 	// PINUM uses it for the nested-loop export call, accepting the small
-	// cost-model errors the paper reports.
+	// cost-model errors the paper reports. It needs ExportAll and excludes
+	// PreciseNLJ.
 	PaperPrune bool
+}
+
+// ErrOptions is wrapped by the error of a call whose Options are not one of
+// the nine sets the planner implements.
+var ErrOptions = errors.New("unsupported option set: PreciseNLJ and PaperPrune each need ExportAll and exclude each other, CollectAccessCosts takes no other option")
+
+// check refuses the option sets no planner mode implements.
+func (o Options) check() error {
+	switch {
+	case o.CollectAccessCosts && o != Options{CollectAccessCosts: true},
+		(o.PreciseNLJ || o.PaperPrune) && !o.ExportAll,
+		o.PreciseNLJ && o.PaperPrune:
+		return fmt.Errorf("optimizer: %+v: %w", o, ErrOptions)
+	}
+	return nil
 }
 
 // IndexAccess reports the harvested access costs of one configuration index
@@ -140,6 +174,9 @@ func Optimize(a *Analysis, cfg *query.Config, opt Options) (*Result, error) {
 }
 
 func (p *planner) optimize(a *Analysis, cfg *query.Config, opt Options) (*Result, error) {
+	if err := opt.check(); err != nil {
+		return nil, err
+	}
 	p.reset(a, cfg, opt)
 	defer p.release()
 	final, err := p.plan()

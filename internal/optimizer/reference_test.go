@@ -53,9 +53,13 @@ type refClause struct {
 	outer, inner query.ColRef
 }
 
-// optimizeReference plans (a, cfg, opt) with the reference loop. Past 16
-// relations it refuses: the sweep visits 3^n splits.
+// optimizeReference plans (a, cfg, opt) with the reference loop. It refuses
+// what the planner refuses — an option set outside the nine, through the same
+// check — and, past 16 relations, what the sweep cannot visit: 3^n splits.
 func optimizeReference(a *Analysis, cfg *query.Config, opt Options) (*Result, error) {
+	if err := opt.check(); err != nil {
+		return nil, err
+	}
 	n := len(a.Rels)
 	if n == 0 {
 		return nil, fmt.Errorf("optimizer: query %s has no relations", a.Q.Name)

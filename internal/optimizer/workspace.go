@@ -80,9 +80,15 @@ type Summary struct {
 // called twice at once. The summary and its slices belong to the workspace
 // and are valid only during the emit call. A panic in emit, on call 0's
 // goroutine too, reaches Export's caller through run and leaves the
-// workspace reusable.
+// workspace reusable. Each option set is checked as given before any call
+// plans: a refused one fails the export with nothing emitted.
 func (w *Workspace) Export(a *Analysis, cfg *query.Config, opts []Options, run Runner, emit func(*Summary)) (PlannerStats, error) {
 	var st PlannerStats
+	for _, opt := range opts {
+		if err := opt.check(); err != nil {
+			return st, err
+		}
+	}
 	if run == nil {
 		p := w.planners(1)[0]
 		for _, opt := range opts {

@@ -31,17 +31,15 @@ import (
 	"github.com/pinumdb/pinum/internal/whatif"
 )
 
-// Environment is one consistent serving world: the catalog, statistics,
-// analysed workload and weights a snapshot set is built from. A Loader
-// re-derives it on every reload so statistics drift is picked up; static
-// servers build one from their Config and keep it for life.
+// Environment is one consistent serving world: the catalog, statistics and
+// analysed workload a snapshot set is built from. A Loader re-derives it on
+// every reload so statistics drift is picked up; static servers build one
+// from their Config and keep it for life.
 type Environment struct {
 	Catalog  *catalog.Catalog
 	Stats    *stats.Store
 	Queries  []*query.Query
 	Analyses []*optimizer.Analysis
-	// Weights are the workload frequency weights (nil = all 1).
-	Weights []float64
 }
 
 func (e *Environment) validate() error {
@@ -89,7 +87,7 @@ const (
 type snapshotSet struct {
 	env     *Environment
 	caches  []*inum.Cache
-	weights []float64
+	weights []float64 // every query's workload weight: 1
 	// base holds the per-query costs under the empty configuration
 	// (they are configuration-independent, so one computation serves
 	// every request on this set). baseDigits is base rendered once for
@@ -152,7 +150,7 @@ func newSnapshotSet(env *Environment, caches []*inum.Cache, source string, fp ui
 	set := &snapshotSet{
 		env:         env,
 		caches:      caches,
-		weights:     normalizeWeights(env.Weights, len(env.Queries)),
+		weights:     make([]float64, len(env.Queries)),
 		base:        make([]float64, len(caches)),
 		fingerprint: fp,
 		tableFPs:    tableFPs,
@@ -163,6 +161,7 @@ func newSnapshotSet(env *Environment, caches []*inum.Cache, source string, fp ui
 	}
 	for i, q := range env.Queries {
 		set.queryIdx[q.Name] = i
+		set.weights[i] = 1
 	}
 	for i, c := range caches {
 		cost, _, err := c.Cost(&query.Config{})
@@ -208,18 +207,6 @@ func (set *snapshotSet) candidates() (*candidateSet, error) {
 	return cs, nil
 }
 
-func normalizeWeights(weights []float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		w := 1.0
-		if i < len(weights) && weights[i] > 0 {
-			w = weights[i]
-		}
-		out[i] = w
-	}
-	return out
-}
-
 // maxInternedIndexes caps each set's interner — the only per-tenant state
 // that grows with the number of distinct indexes asked about: a client
 // enumerating the factorially many valid column permutations must not be
@@ -257,8 +244,8 @@ func (set *snapshotSet) resolveConfig(specs []IndexSpec) (*query.Config, error) 
 }
 
 // resolveWeights applies a request's per-query weight overrides on top of
-// the set's workload weights. Overrides are validated loudly: a name not
-// in the workload, a non-positive or non-finite weight, and — because
+// the set's workload weights, all 1. Overrides are validated loudly: a name
+// not in the workload, a non-positive or non-finite weight, and — because
 // last-wins would silently misprice the workload — a duplicated query
 // name are each a 400 naming the offender. Without overrides the set's
 // shared slice is returned untouched, keeping the default-weight path
@@ -507,7 +494,6 @@ func (t *tenant) buildSet(force bool, lt *loadTimes) (*snapshotSet, bool, error)
 		Stats:    s.cfg.Stats,
 		Queries:  s.cfg.Queries,
 		Analyses: s.cfg.Analyses,
-		Weights:  s.cfg.Weights,
 	}
 	if t.loader != nil {
 		start := time.Now()
@@ -526,9 +512,7 @@ func (t *tenant) buildSet(force bool, lt *loadTimes) (*snapshotSet, bool, error)
 	s.observePhase(lt, phaseFingerprint, start)
 	prev := t.current()
 
-	if !force && prev != nil && fp == prev.fingerprint &&
-		sameWorkload(prev.env, env) &&
-		slices.Equal(prev.weights, normalizeWeights(env.Weights, len(env.Queries))) {
+	if !force && prev != nil && fp == prev.fingerprint && sameWorkload(prev.env, env) {
 		return nil, true, nil
 	}
 

@@ -133,8 +133,6 @@ type Config struct {
 	Queries  []*query.Query
 	Analyses []*optimizer.Analysis
 	Caches   []*inum.Cache
-	// Weights are the workload frequency weights (nil = all 1).
-	Weights []float64
 	// Workers bounds the per-request evaluation pool, each /recommend
 	// run's greedy parallelism, and rebuild parallelism (0 = GOMAXPROCS).
 	Workers int
@@ -321,7 +319,6 @@ func New(cfg Config) (*Server, error) {
 				Stats:    cfg.Stats,
 				Queries:  cfg.Queries,
 				Analyses: cfg.Analyses,
-				Weights:  cfg.Weights,
 			}
 			if err := env.validate(); err != nil {
 				return nil, err
