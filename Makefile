@@ -45,12 +45,16 @@ shuffle:
 
 # FuzzOptimizeEquivalence's budget is its seed-corpus replay (7–9 s, 60 % of
 # it the test-side reference planner) + 10 s, the same figure as ci.yml.
+# Every target runs even when an earlier one fails; the recipe fails at the
+# end if any did.
 fuzz:
-	$(GO) test ./internal/optimizer -run=NONE -fuzz=FuzzOptimizeEquivalence -fuzztime=19s
-	$(GO) test ./internal/serve -run=NONE -fuzz=FuzzWhatIfEncode -fuzztime=10s
-	$(GO) test ./internal/serve -run=NONE -fuzz=FuzzWhatIfBody -fuzztime=10s
-	$(GO) test ./internal/plancache -run=NONE -fuzz=FuzzSnapshotDecode -fuzztime=10s -fuzzminimizetime=1s
-	$(GO) test ./internal/sql -run=NONE -fuzz=FuzzSQLParse -fuzztime=10s
+	status=0; \
+	$(GO) test ./internal/optimizer -run=NONE -fuzz=FuzzOptimizeEquivalence -fuzztime=19s || status=1; \
+	$(GO) test ./internal/serve -run=NONE -fuzz=FuzzWhatIfEncode -fuzztime=10s || status=1; \
+	$(GO) test ./internal/serve -run=NONE -fuzz=FuzzWhatIfBody -fuzztime=10s || status=1; \
+	$(GO) test ./internal/plancache -run=NONE -fuzz=FuzzSnapshotDecode -fuzztime=10s -fuzzminimizetime=1s || status=1; \
+	$(GO) test ./internal/sql -run=NONE -fuzz=FuzzSQLParse -fuzztime=10s || status=1; \
+	exit $$status
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...

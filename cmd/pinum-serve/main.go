@@ -11,11 +11,13 @@
 //	pinum-serve -snapshot star.pcache -save-exit      # load or build+save, then exit
 //	pinum-serve -addr 127.0.0.1:8093                  # serve address
 //	pinum-serve -stats-overrides drift.json           # {"table": rows} applied on every (re)load
-//	pinum-serve -tenants roster.json -snapshot-dir d  # multi-tenant: one workload per roster entry
+//	pinum-serve -tenants roster.json -snapshot-dir d  # one tenant per roster entry
 //	kill -HUP $(pidof pinum-serve)                    # trigger a hot reload (all resident tenants)
 //
-// Multi-tenant mode (-tenants) serves N workloads from one process. The
-// roster is JSON:
+// Every server serves a roster of tenants. Without -tenants it is a roster
+// of one, "default", over the star workload the -seed, -scale,
+// -stats-overrides and -snapshot flags describe. -tenants serves N
+// workloads from one process; its roster is JSON:
 //
 //	{"tenants": [
 //	  {"name": "acme", "seed": 42, "scale": 1.0,
@@ -39,7 +41,8 @@
 //	POST /recommend  {"budget_gb":5,"max_indexes":0}
 //	POST /explain    {"sql":"SELECT ...","indexes":[...]}
 //	POST /reload     hot reload (?wait=1 synchronous, ?force=1 full rebuild, ?tenant= one tenant)
-//	GET  /healthz    liveness + snapshot shape (always 200; status ok|degraded|starting; ?tenant= detail)
+//	GET  /healthz    liveness (always 200): a tenant's detail, status ok|degraded|cold
+//	                 (?tenant=, or a roster of one); else the overview, status ok|degraded|starting
 //	GET  /readyz     readiness (503 until the first snapshot; -strict-health adds degraded)
 //	GET  /metrics    Prometheus text exposition (latency histograms, per-tenant counters, runtime gauges)
 //	GET  /eventz     operational event ring (reloads, evictions, cold loads, panics, slow requests)
@@ -105,9 +108,9 @@ func main() {
 	statsOverrides := flag.String("stats-overrides", "",
 		`JSON file {"table": rows} re-read and applied on every (re)load — statistics drift injection`)
 	tenantsPath := flag.String("tenants", "",
-		`JSON tenant roster {"tenants":[{"name","seed","scale","stats_overrides","max_in_flight"}]} — multi-tenant mode`)
+		`JSON tenant roster {"tenants":[{"name","seed","scale","stats_overrides","max_in_flight"}]} — one tenant per entry`)
 	snapshotDir := flag.String("snapshot-dir", "",
-		"snapshot store directory for multi-tenant mode (one <tenant>.pcache per tenant)")
+		"snapshot store directory for -tenants (one <tenant>.pcache per tenant)")
 	tenantCap := flag.Int("tenant-cap", 0,
 		"max tenants holding live snapshot sets at once; LRU eviction past it (0 = all resident)")
 	requestTimeout := flag.Duration("request-timeout", serve.DefaultRequestTimeout,
@@ -174,18 +177,6 @@ func main() {
 		}
 	}
 
-	loader := func() (*serve.Environment, error) {
-		return loadEnvironment(*scale, *seed, *statsOverrides)
-	}
-
-	var tenantCfgs []serve.TenantConfig
-	if *tenantsPath != "" {
-		var err error
-		if tenantCfgs, err = loadTenantConfigs(*tenantsPath, *snapshotDir, *seed, *scale); err != nil {
-			fatal(err)
-		}
-	}
-
 	cfg := serve.Config{
 		Workers:        *workers,
 		MaxInFlight:    *maxInFlight,
@@ -196,11 +187,16 @@ func main() {
 		SlowRequest:    *slowRequest,
 	}
 	if *tenantsPath != "" {
-		cfg.Tenants = tenantCfgs
+		var err error
+		if cfg.Tenants, err = loadTenantConfigs(*tenantsPath, *snapshotDir, *seed, *scale); err != nil {
+			fatal(err)
+		}
 		cfg.MaxResident = *tenantCap
 	} else {
-		cfg.Loader = loader
-		cfg.SnapshotPath = *snapshot
+		loader := func() (*serve.Environment, error) {
+			return loadEnvironment(*scale, *seed, *statsOverrides)
+		}
+		cfg.Tenants = []serve.TenantConfig{{Name: serve.DefaultTenant, Loader: loader, SnapshotPath: *snapshot}}
 	}
 	srv, err := serve.New(cfg)
 	if err != nil {
@@ -209,11 +205,7 @@ func main() {
 	defer srv.Close()
 
 	if *saveExit {
-		targets := []serve.TenantConfig{{Name: serve.DefaultTenant, SnapshotPath: *snapshot}}
-		if *tenantsPath != "" {
-			targets = tenantCfgs
-		}
-		for _, tc := range targets {
+		for _, tc := range cfg.Tenants {
 			if err := prebuild(srv, tc.Name, tc.SnapshotPath); err != nil {
 				fatal(err)
 			}
@@ -221,11 +213,11 @@ func main() {
 		return
 	}
 
-	// Warm the default tenant (the only one in single-tenant mode, the
-	// first roster entry otherwise) so readiness means "can serve now";
-	// other tenants cold-load lazily on their first request.
+	// Warm the default tenant (the roster's first entry) so readiness
+	// means "can serve now"; other tenants cold-load lazily on their first
+	// request.
 	loadStart := time.Now()
-	out, err := srv.ReloadNow(false)
+	out, err := srv.ReloadTenant("", false)
 	if err != nil {
 		fatal(fmt.Errorf("initial snapshot load: %w", err))
 	}

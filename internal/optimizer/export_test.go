@@ -78,7 +78,6 @@ func EachJoinRelPath(a *Analysis, cfg *query.Config, opt Options, visit func(set
 // from the records the summaries were read from (TestSlimExportsMatchTrees).
 func ExportWithTrees(w *Workspace, a *Analysis, cfg *query.Config, opts []Options, emit func(*Summary), tree func(*Path)) error {
 	for _, opt := range opts {
-		opt.ExportAll = true
 		if err := exportWithTrees(w, a, cfg, opt, emit, tree); err != nil {
 			return err
 		}

@@ -81,7 +81,8 @@ type Options struct {
 }
 
 // ErrOptions is wrapped by the error of a call whose Options are not one of
-// the nine sets the planner implements.
+// the nine sets the planner implements, and of an Export whose option set
+// lacks ExportAll.
 var ErrOptions = errors.New("unsupported option set: PreciseNLJ and PaperPrune each need ExportAll and exclude each other, CollectAccessCosts takes no other option")
 
 // check refuses the option sets no planner mode implements.

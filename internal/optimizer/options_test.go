@@ -15,9 +15,10 @@ import (
 
 // TestOptionsRefused runs all 32 Options values through Optimize, a
 // workspace's Optimize, its serial and paired Export and the test oracle:
-// exactly the 23 outside ValidOptions fail, every call with an error
-// wrapping ErrOptions, a refused export emitting nothing, and the nine plan
-// without error. After each value the workspace that saw it plans a valid
+// exactly the 23 outside ValidOptions fail Optimize and the oracle, and the
+// exports refuse those and the three valid sets without ExportAll, 26 in
+// all. Every refusal wraps ErrOptions, a refused export emits nothing, and
+// the rest plan without error. After each value the workspace that saw it plans a valid
 // Optimize and a paired construction Export exactly as a fresh workspace
 // does.
 func TestOptionsRefused(t *testing.T) {
@@ -33,13 +34,17 @@ func TestOptionsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w, refused := optimizer.NewWorkspace(), 0
+	w, refused, exportRefused := optimizer.NewWorkspace(), 0, 0
 	for b := uint8(0); b < 32; b++ {
 		opt := optionsFromBits(b)
 		label := fmt.Sprintf("opt=%d %+v", b, opt)
 		ok := slices.Contains(optimizer.ValidOptions, opt)
+		exportOK := ok && opt.ExportAll
 		if !ok {
 			refused++
+		}
+		if !exportOK {
+			exportRefused++
 		}
 		res, oerr := optimizer.Optimize(a, cfg, opt)
 		ref, rerr := optimizer.OptimizeReference(a, cfg, opt)
@@ -47,12 +52,19 @@ func TestOptionsRefused(t *testing.T) {
 		serial, serr := exportAll(w, a, cfg, []optimizer.Options{opt}, nil)
 		paired, perr := exportAll(w, a, cfg, []optimizer.Options{{ExportAll: true}, opt}, goRunner)
 		for i, err := range []error{oerr, rerr, werr, serr, perr} {
-			if ok && err != nil || !ok && !errors.Is(err, optimizer.ErrOptions) {
-				t.Fatalf("%s: call %d returned %v; valid=%v", label, i, err, ok)
+			want := ok
+			if i >= 3 {
+				want = exportOK
+			}
+			if want && err != nil || !want && !errors.Is(err, optimizer.ErrOptions) {
+				t.Fatalf("%s: call %d returned %v; valid=%v", label, i, err, want)
 			}
 		}
-		if !ok && (res != nil || ref != nil || wres != nil || len(serial.sums)+len(paired.sums) != 0) {
-			t.Fatalf("%s: a refused set returned results or emitted %d summaries", label, len(serial.sums)+len(paired.sums))
+		if !ok && (res != nil || ref != nil || wres != nil) {
+			t.Fatalf("%s: a refused set returned results", label)
+		}
+		if !exportOK && len(serial.sums)+len(paired.sums) != 0 {
+			t.Fatalf("%s: a refused export emitted %d summaries", label, len(serial.sums)+len(paired.sums))
 		}
 
 		got, err := w.Optimize(a, cfg, valid)
@@ -65,7 +77,7 @@ func TestOptionsRefused(t *testing.T) {
 			t.Fatalf("%s: then a paired construction export: %d summaries, %v; a fresh workspace's %d", label, len(gotExport.sums), err, len(wantExport.sums))
 		}
 	}
-	if refused != 23 || len(optimizer.ValidOptions) != 9 {
-		t.Fatalf("%d of 32 option sets refused and %d valid, want 23 and 9", refused, len(optimizer.ValidOptions))
+	if refused != 23 || exportRefused != 26 || len(optimizer.ValidOptions) != 9 {
+		t.Fatalf("%d of 32 option sets refused, %d refused by Export and %d valid, want 23, 26 and 9", refused, exportRefused, len(optimizer.ValidOptions))
 	}
 }

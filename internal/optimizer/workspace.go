@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"fmt"
 	"math/bits"
 	"slices"
 
@@ -80,11 +81,15 @@ type Summary struct {
 // called twice at once. The summary and its slices belong to the workspace
 // and are valid only during the emit call. A panic in emit, on call 0's
 // goroutine too, reaches Export's caller through run and leaves the
-// workspace reusable. Each option set is checked as given before any call
-// plans: a refused one fails the export with nothing emitted.
+// workspace reusable. Every option set is checked before any call plans:
+// one without ExportAll, or one Optimize refuses, fails the export with an
+// error wrapping ErrOptions and nothing emitted.
 func (w *Workspace) Export(a *Analysis, cfg *query.Config, opts []Options, run Runner, emit func(*Summary)) (PlannerStats, error) {
 	var st PlannerStats
 	for _, opt := range opts {
+		if !opt.ExportAll {
+			return st, fmt.Errorf("optimizer: Export of %+v needs ExportAll: %w", opt, ErrOptions)
+		}
 		if err := opt.check(); err != nil {
 			return st, err
 		}
@@ -101,7 +106,6 @@ func (w *Workspace) Export(a *Analysis, cfg *query.Config, opts []Options, run R
 	ps := w.planners(len(opts))
 	defer w.release(ps)
 	for i, opt := range opts {
-		opt.ExportAll = true
 		ps[i].reset(a, cfg, opt)
 	}
 	w.planEach(ps, run, func(final joinRel) { w.summaries(ps[0], final, emit) })
@@ -118,7 +122,6 @@ func (w *Workspace) Export(a *Analysis, cfg *query.Config, opts []Options, run R
 }
 
 func (w *Workspace) export(p *planner, a *Analysis, cfg *query.Config, opt Options, emit func(*Summary), st *PlannerStats) error {
-	opt.ExportAll = true
 	p.reset(a, cfg, opt)
 	defer p.release()
 	final, err := p.plan()

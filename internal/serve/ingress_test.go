@@ -31,7 +31,7 @@ func rawPost(t *testing.T, url string, body []byte) (int, []byte) {
 // endpoint, and a body under the cap still works.
 func TestMaxBodyBytes(t *testing.T) {
 	srv, err := New(Config{
-		Loader:       func() (*Environment, error) { return starEnv(42, nil) },
+		Tenants:      []TenantConfig{{Name: DefaultTenant, Loader: func() (*Environment, error) { return starEnv(42, nil) }}},
 		Workers:      2,
 		MaxBodyBytes: 512,
 	})
@@ -39,7 +39,7 @@ func TestMaxBodyBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	if _, err := srv.ReloadNow(false); err != nil {
+	if _, err := srv.ReloadTenant("", false); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
@@ -212,7 +212,7 @@ func TestWeightOverrides(t *testing.T) {
 // reply field for field: its trace block carries timings).
 func FuzzWhatIfBody(f *testing.F) {
 	srv, err := New(Config{
-		Loader:       func() (*Environment, error) { return starEnv(42, nil) },
+		Tenants:      []TenantConfig{{Name: DefaultTenant, Loader: func() (*Environment, error) { return starEnv(42, nil) }}},
 		Workers:      2,
 		MaxBodyBytes: 1 << 12,
 	})
@@ -220,7 +220,7 @@ func FuzzWhatIfBody(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Cleanup(srv.Close)
-	if _, err := srv.ReloadNow(false); err != nil {
+	if _, err := srv.ReloadTenant("", false); err != nil {
 		f.Fatal(err)
 	}
 	h := srv.Handler()

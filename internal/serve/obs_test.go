@@ -179,7 +179,7 @@ func TestUntracedBytesUnchanged(t *testing.T) {
 func TestEventzRecordsReloads(t *testing.T) {
 	rf := newReloadFixture(t, nil)
 	rf.load(t)
-	out, err := rf.srv.ReloadNow(true)
+	out, err := rf.srv.ReloadTenant("", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,9 +302,9 @@ func TestRequestRecordAllocFree(t *testing.T) {
 // hot path with tracing and logging off; the 0 allocs/op report is the
 // second pin behind record's //pinum:allocfree directive.
 func BenchmarkRequestRecord(b *testing.B) {
-	srv, err := New(Config{Loader: func() (*Environment, error) {
+	srv, err := New(Config{Tenants: []TenantConfig{{Name: DefaultTenant, Loader: func() (*Environment, error) {
 		return nil, fmt.Errorf("never loaded")
-	}})
+	}}}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func TestOneLogRecordPerOutcome(t *testing.T) {
 // and the tenant is not degraded.
 func TestSnapshotSaveFailureIsAnEvent(t *testing.T) {
 	snapPath := filepath.Join(t.TempDir(), "star.pcache")
-	rf := newReloadFixture(t, func(cfg *Config) { cfg.SnapshotPath = snapPath })
+	rf := newReloadFixture(t, func(cfg *Config) { cfg.Tenants[0].SnapshotPath = snapPath })
 	t.Cleanup(faultpoint.Reset)
 	if err := faultpoint.Set("plancache.save.write", "error"); err != nil {
 		t.Fatal(err)
@@ -452,7 +452,7 @@ func TestSnapshotSaveFailureIsAnEvent(t *testing.T) {
 	}
 
 	faultpoint.Clear("plancache.save.write")
-	if _, err := rf.srv.ReloadNow(true); err != nil {
+	if _, err := rf.srv.ReloadTenant("", true); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(snapPath); err != nil {

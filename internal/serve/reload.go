@@ -32,9 +32,9 @@ import (
 )
 
 // Environment is one consistent serving world: the catalog, statistics and
-// analysed workload a snapshot set is built from. A Loader re-derives it on
-// every reload so statistics drift is picked up; static servers build one
-// from their Config and keep it for life.
+// analysed workload a snapshot set is built from. A tenant's Loader
+// re-derives it on every reload so statistics drift is picked up; the
+// loader of a Config without Tenants returns the one its fields describe.
 type Environment struct {
 	Catalog  *catalog.Catalog
 	Stats    *stats.Store
@@ -93,7 +93,6 @@ type snapshotSet struct {
 	// every request on this set). baseDigits is base rendered once for
 	// the /whatif reply encoder.
 	base       []float64
-	baseTotal  float64
 	baseDigits *baseDigits
 
 	// cand is the advisor candidate set, generated once per set — on the
@@ -169,8 +168,6 @@ func newSnapshotSet(env *Environment, caches []*inum.Cache, source string, fp ui
 			return nil, fmt.Errorf("serve: base cost for %s: %w", env.Queries[i].Name, err)
 		}
 		set.base[i] = cost
-		//pinum:costarith-ok workload objective Σ wᵢ·cᵢ in query order, as the advisor sums it; pinned by TestWhatIfMatchesInProcess
-		set.baseTotal += set.weights[i] * cost
 	}
 	set.baseDigits = newBaseDigits(set.base)
 	return set, nil
@@ -248,30 +245,29 @@ func (set *snapshotSet) resolveConfig(specs []IndexSpec) (*query.Config, error) 
 // not in the workload, a non-positive or non-finite weight, and — because
 // last-wins would silently misprice the workload — a duplicated query
 // name are each a 400 naming the offender. Without overrides the set's
-// shared slice is returned untouched, keeping the default-weight path
-// byte-identical to the pre-override server.
-func (set *snapshotSet) resolveWeights(overrides []WeightOverride) ([]float64, bool, error) {
+// shared slice is returned untouched.
+func (set *snapshotSet) resolveWeights(overrides []WeightOverride) ([]float64, error) {
 	if len(overrides) == 0 {
-		return set.weights, false, nil
+		return set.weights, nil
 	}
 	out := make([]float64, len(set.weights))
 	copy(out, set.weights)
 	seen := make(map[string]bool, len(overrides))
 	for _, o := range overrides {
 		if seen[o.Name] {
-			return nil, false, badRequest("weights: duplicate query %q (each query may be reweighted at most once)", o.Name)
+			return nil, badRequest("weights: duplicate query %q (each query may be reweighted at most once)", o.Name)
 		}
 		seen[o.Name] = true
 		i, ok := set.queryIdx[o.Name]
 		if !ok {
-			return nil, false, badRequest("weights: unknown query %q", o.Name)
+			return nil, badRequest("weights: unknown query %q", o.Name)
 		}
 		if !(o.Weight > 0) || math.IsInf(o.Weight, 1) {
-			return nil, false, badRequest("weights: query %q needs a positive finite weight, got %v", o.Name, o.Weight)
+			return nil, badRequest("weights: query %q needs a positive finite weight, got %v", o.Name, o.Weight)
 		}
 		out[i] = o.Weight
 	}
-	return out, true, nil
+	return out, nil
 }
 
 func (set *snapshotSet) internedCount() int {
@@ -326,7 +322,7 @@ func (s *Server) observePhase(lt *loadTimes, p loadPhase, start time.Time) {
 
 // --------------------------------------------------------- reloads -----
 
-// ReloadOutcome is one reload's summary, returned by ReloadNow and by
+// ReloadOutcome is one reload's summary, returned by ReloadTenant and by
 // POST /reload?wait=1.
 type ReloadOutcome struct {
 	// Tenant is the tenant the reload targeted.
@@ -340,15 +336,9 @@ type ReloadOutcome struct {
 	QueriesRebuilt int    `json:"queries_rebuilt"`
 }
 
-// ReloadNow synchronously reloads the default tenant — the whole server
-// in single-tenant mode. See ReloadTenant for the per-tenant form.
-func (s *Server) ReloadNow(force bool) (ReloadOutcome, error) {
-	return s.defaultTenant().reloadNow(force)
-}
-
-// ReloadTenant synchronously reloads one tenant by name. Reloading a
-// cold tenant loads it (and counts against the residency cap like any
-// other load).
+// ReloadTenant synchronously reloads one tenant by name ("" = the
+// default tenant). Reloading a cold tenant loads it (and counts against
+// the residency cap like any other load).
 func (s *Server) ReloadTenant(name string, force bool) (ReloadOutcome, error) {
 	t, err := s.tenantByName(name)
 	if err != nil {
@@ -430,11 +420,11 @@ func (t *tenant) saveSnapshot(set *snapshotSet, opID string, lt *loadTimes) {
 }
 
 // TriggerReload requests an asynchronous reload of every resident tenant
-// (the SIGHUP path; single-tenant servers behave exactly as before).
-// Triggers are coalesced per tenant: at most one reload runs and one
-// more waits; beyond that the trigger reports false for that tenant and
-// the pending reload covers it. Cold tenants are skipped — they rebuild
-// from fresh statistics on their next request anyway.
+// (the SIGHUP path). Triggers are coalesced per tenant: at most one
+// reload runs and one more waits; beyond that the trigger reports false
+// for that tenant and the pending reload covers it. Cold tenants are
+// skipped — they rebuild from fresh statistics on their next request
+// anyway.
 func (s *Server) TriggerReload(force bool) bool {
 	any := false
 	for _, name := range s.tenantNames {
@@ -489,25 +479,16 @@ func (t *tenant) buildSet(force bool, lt *loadTimes) (*snapshotSet, bool, error)
 	if err := faultpoint.Hit("serve.rebuild"); err != nil {
 		return nil, false, fmt.Errorf("rebuild: %w", err)
 	}
-	env := &Environment{
-		Catalog:  s.cfg.Catalog,
-		Stats:    s.cfg.Stats,
-		Queries:  s.cfg.Queries,
-		Analyses: s.cfg.Analyses,
-	}
-	if t.loader != nil {
-		start := time.Now()
-		var err error
-		env, err = t.loader()
-		s.observePhase(lt, phaseLoader, start)
-		if err != nil {
-			return nil, false, fmt.Errorf("loading environment: %w", err)
-		}
+	start := time.Now()
+	env, err := t.loader()
+	s.observePhase(lt, phaseLoader, start)
+	if err != nil {
+		return nil, false, fmt.Errorf("loading environment: %w", err)
 	}
 	if err := env.validate(); err != nil {
 		return nil, false, err
 	}
-	start := time.Now()
+	start = time.Now()
 	fp, tfps := plancache.Fingerprints(env.Catalog, env.Stats, optimizer.DefaultCostParams())
 	s.observePhase(lt, phaseFingerprint, start)
 	prev := t.current()

@@ -23,11 +23,11 @@ import (
 	"github.com/pinumdb/pinum/internal/workload"
 )
 
-// reloadFixture is a loader-mode server over the star workload. Every
-// load rebuilds the environment from scratch (catalog, statistics,
-// analyses), applying the fixture's row-count overrides — so a live
-// snapshot set and a reload in progress share no mutable state, exactly
-// like the daemon's loader.
+// reloadFixture is a server over a roster of one, DefaultTenant on the
+// star workload (mutate may rename it). Every load rebuilds the
+// environment from scratch (catalog, statistics, analyses), applying the
+// fixture's row-count overrides — so a live snapshot set and a reload in
+// progress share no mutable state, exactly like the daemon's loader.
 type reloadFixture struct {
 	mu        sync.Mutex
 	overrides map[string]int64
@@ -39,7 +39,7 @@ type reloadFixture struct {
 func newReloadFixture(t *testing.T, mutate func(*Config)) *reloadFixture {
 	t.Helper()
 	rf := &reloadFixture{overrides: make(map[string]int64)}
-	cfg := Config{Loader: rf.loadEnv, Workers: 4}
+	cfg := Config{Tenants: []TenantConfig{{Name: DefaultTenant, Loader: rf.loadEnv}}, Workers: 4}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -96,7 +96,7 @@ func (rf *reloadFixture) setRows(t *testing.T, table string, rows int64) {
 // load performs the initial synchronous load and fails the test on error.
 func (rf *reloadFixture) load(t *testing.T) ReloadOutcome {
 	t.Helper()
-	out, err := rf.srv.ReloadNow(false)
+	out, err := rf.srv.ReloadTenant("", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestReloadUnderTraffic(t *testing.T) {
 		}()
 	}
 	for i := 0; i < reloads; i++ {
-		out, err := rf.srv.ReloadNow(true)
+		out, err := rf.srv.ReloadTenant("", true)
 		if err != nil {
 			t.Errorf("reload %d: %v", i, err)
 		} else if out.Result != "swapped" {
@@ -247,7 +247,7 @@ func TestReloadUnderTraffic(t *testing.T) {
 func TestReloadSkipsWhenUnchanged(t *testing.T) {
 	rf := newReloadFixture(t, nil)
 	first := rf.load(t)
-	out, err := rf.srv.ReloadNow(false)
+	out, err := rf.srv.ReloadTenant("", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestReloadPicksUpStatsDrift(t *testing.T) {
 	}
 
 	rf.setRows(t, dim, 1_234_567)
-	out, err := rf.srv.ReloadNow(false)
+	out, err := rf.srv.ReloadTenant("", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestReloadFailureKeepsServing(t *testing.T) {
 	}
 
 	faultpoint.Clear("serve.rebuild")
-	out, err := rf.srv.ReloadNow(true)
+	out, err := rf.srv.ReloadTenant("", true)
 	if err != nil || out.Result != "swapped" {
 		t.Fatalf("healed reload: %+v, %v", out, err)
 	}
@@ -390,7 +390,7 @@ func TestReloadRejectsForeignCatalog(t *testing.T) {
 	var foreign atomic.Bool
 	var rf *reloadFixture
 	rf = newReloadFixture(t, func(cfg *Config) {
-		cfg.Loader = func() (*Environment, error) {
+		cfg.Tenants[0].Loader = func() (*Environment, error) {
 			env, err := rf.loadEnv()
 			if err != nil || !foreign.Load() {
 				return env, err
@@ -407,7 +407,7 @@ func TestReloadRejectsForeignCatalog(t *testing.T) {
 	_, baseline := rf.do(t, http.MethodPost, "/whatif", whatIfProbe)
 
 	foreign.Store(true)
-	if _, err := rf.srv.ReloadNow(true); err == nil || !strings.Contains(err.Error(), "not the environment catalog's") {
+	if _, err := rf.srv.ReloadTenant("", true); err == nil || !strings.Contains(err.Error(), "not the environment catalog's") {
 		t.Fatalf("reload over a foreign catalog returned %v, want the validation error", err)
 	}
 	code, body := rf.do(t, http.MethodPost, "/whatif", whatIfProbe)
@@ -420,7 +420,7 @@ func TestReloadRejectsForeignCatalog(t *testing.T) {
 	}
 
 	foreign.Store(false)
-	if out, err := rf.srv.ReloadNow(true); err != nil || out.Result != "swapped" {
+	if out, err := rf.srv.ReloadTenant("", true); err != nil || out.Result != "swapped" {
 		t.Fatalf("reload after heal: %+v, %v", out, err)
 	}
 }
@@ -435,7 +435,7 @@ func TestFailedReloadRetriesAutomatically(t *testing.T) {
 	if err := faultpoint.Set("serve.rebuild", "error:2"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rf.srv.ReloadNow(true); err == nil {
+	if _, err := rf.srv.ReloadTenant("", true); err == nil {
 		t.Fatal("first reload should fail")
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -461,7 +461,7 @@ func TestReloadPanicContained(t *testing.T) {
 	if err := faultpoint.Set("serve.rebuild", "panic"); err != nil {
 		t.Fatal(err)
 	}
-	_, err := rf.srv.ReloadNow(true)
+	_, err := rf.srv.ReloadTenant("", true)
 	if err == nil || !strings.Contains(err.Error(), "panic during snapshot rebuild") {
 		t.Fatalf("panicking reload returned %v, want contained panic error", err)
 	}
@@ -473,7 +473,7 @@ func TestReloadPanicContained(t *testing.T) {
 		t.Fatalf("server unusable after contained panic: %d", code)
 	}
 	faultpoint.Clear("serve.rebuild")
-	if out, err := rf.srv.ReloadNow(true); err != nil || out.Result != "swapped" {
+	if out, err := rf.srv.ReloadTenant("", true); err != nil || out.Result != "swapped" {
 		t.Fatalf("reload after heal: %+v, %v", out, err)
 	}
 }
@@ -485,7 +485,7 @@ func TestReloadPanicContained(t *testing.T) {
 // snapshot is loadable again.
 func TestReloadSurvivesCorruptSnapshot(t *testing.T) {
 	snapPath := filepath.Join(t.TempDir(), "star.pcache")
-	rf := newReloadFixture(t, func(cfg *Config) { cfg.SnapshotPath = snapPath })
+	rf := newReloadFixture(t, func(cfg *Config) { cfg.Tenants[0].SnapshotPath = snapPath })
 	first := rf.load(t)
 	if _, err := os.Stat(snapPath); err != nil {
 		t.Fatalf("first load did not persist a snapshot: %v", err)
@@ -495,7 +495,7 @@ func TestReloadSurvivesCorruptSnapshot(t *testing.T) {
 	// old statistics; the reload must reject it and rebuild.
 	queries := starQueries(t)
 	rf.setRows(t, splitTable(t, queries), 777_777)
-	out, err := rf.srv.ReloadNow(false)
+	out, err := rf.srv.ReloadTenant("", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +512,7 @@ func TestReloadSurvivesCorruptSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	rf.setRows(t, splitTable(t, queries), 888_888)
-	out, err = rf.srv.ReloadNow(false)
+	out, err = rf.srv.ReloadTenant("", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,9 +526,9 @@ func TestReloadSurvivesCorruptSnapshot(t *testing.T) {
 
 	// The reload rewrote the snapshot; a fresh server must load it from
 	// disk without touching the optimizer.
-	rf2 := newReloadFixture(t, func(cfg *Config) { cfg.SnapshotPath = snapPath })
+	rf2 := newReloadFixture(t, func(cfg *Config) { cfg.Tenants[0].SnapshotPath = snapPath })
 	rf2.setRows(t, splitTable(t, queries), 888_888)
-	out2, err := rf2.srv.ReloadNow(false)
+	out2, err := rf2.srv.ReloadTenant("", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,48 +540,63 @@ func TestReloadSurvivesCorruptSnapshot(t *testing.T) {
 	}
 }
 
-// TestReadinessGating pins the liveness/readiness split: before the
-// first load the process is alive (/healthz 200 "starting") but not
-// ready (/readyz 503, compute endpoints 503); afterwards both are green.
-// With StrictHealth a degraded server also fails readiness.
+// TestReadinessGating pins the liveness/readiness split on a roster of
+// one, under the default name and under another: before the first load
+// the process is alive (/healthz 200 with the tenant's detail, status
+// "cold") but not ready (/readyz 503). The first compute request
+// cold-loads the tenant, answers the bytes an explicitly loaded server
+// answers, and makes the server ready. With StrictHealth a degraded
+// tenant also fails readiness, and the refusal names it.
 func TestReadinessGating(t *testing.T) {
-	rf := newReloadFixture(t, func(cfg *Config) { cfg.StrictHealth = true })
-	code, body := rf.do(t, http.MethodGet, "/healthz", nil)
-	var health map[string]any
-	if err := json.Unmarshal(body, &health); err != nil {
-		t.Fatal(err)
-	}
-	if code != http.StatusOK || health["status"] != "starting" {
-		t.Fatalf("pre-load /healthz: %d %v", code, health["status"])
-	}
-	if code, _ = rf.do(t, http.MethodGet, "/readyz", nil); code != http.StatusServiceUnavailable {
-		t.Fatalf("pre-load /readyz: %d, want 503", code)
-	}
-	if code, _ = rf.do(t, http.MethodPost, "/whatif", whatIfProbe); code != http.StatusServiceUnavailable {
-		t.Fatalf("pre-load /whatif: %d, want 503", code)
-	}
+	loaded := newReloadFixture(t, nil)
+	loaded.load(t)
+	_, want := loaded.do(t, http.MethodPost, "/whatif", whatIfProbe)
+	for _, name := range []string{DefaultTenant, "acme"} {
+		t.Run(name, func(t *testing.T) {
+			rf := newReloadFixture(t, func(cfg *Config) {
+				cfg.StrictHealth = true
+				cfg.Tenants[0].Name = name
+			})
+			code, body := rf.do(t, http.MethodGet, "/healthz", nil)
+			var health map[string]any
+			if err := json.Unmarshal(body, &health); err != nil {
+				t.Fatal(err)
+			}
+			if code != http.StatusOK || health["status"] != "cold" || health["tenant"] != name {
+				t.Fatalf("pre-load /healthz: %d %s, want 200 with tenant %s's cold detail", code, body, name)
+			}
+			if code, _ = rf.do(t, http.MethodGet, "/readyz", nil); code != http.StatusServiceUnavailable {
+				t.Fatalf("pre-load /readyz: %d, want 503", code)
+			}
 
-	rf.load(t)
-	if code, _ = rf.do(t, http.MethodGet, "/readyz", nil); code != http.StatusOK {
-		t.Fatalf("post-load /readyz: %d, want 200", code)
-	}
+			if code, body = rf.do(t, http.MethodPost, "/whatif", whatIfProbe); code != http.StatusOK || !bytes.Equal(body, want) {
+				t.Fatalf("pre-load /whatif: %d %s, want 200 and a loaded server's answer\n%s", code, body, want)
+			}
+			if got := metricValue(t, scrape(t, rf.ts.URL), `pinum_tenant_cold_loads_total{tenant="`+name+`"}`); got != 1 {
+				t.Fatalf("cold loads after the first /whatif: %v, want 1", got)
+			}
+			if code, _ = rf.do(t, http.MethodGet, "/readyz", nil); code != http.StatusOK {
+				t.Fatalf("post-load /readyz: %d, want 200", code)
+			}
 
-	t.Cleanup(faultpoint.Reset)
-	if err := faultpoint.Set("serve.rebuild", "error"); err != nil {
-		t.Fatal(err)
-	}
-	if code, _ = rf.do(t, http.MethodPost, "/reload?wait=1&force=1", nil); code != http.StatusInternalServerError {
-		t.Fatalf("failing reload: %d, want 500", code)
-	}
-	if code, _ = rf.do(t, http.MethodGet, "/readyz", nil); code != http.StatusServiceUnavailable {
-		t.Fatalf("degraded strict /readyz: %d, want 503", code)
-	}
-	faultpoint.Clear("serve.rebuild")
-	if _, err := rf.srv.ReloadNow(true); err != nil {
-		t.Fatal(err)
-	}
-	if code, _ = rf.do(t, http.MethodGet, "/readyz", nil); code != http.StatusOK {
-		t.Fatalf("healed strict /readyz: %d, want 200", code)
+			t.Cleanup(faultpoint.Reset)
+			if err := faultpoint.Set("serve.rebuild", "error"); err != nil {
+				t.Fatal(err)
+			}
+			if code, _ = rf.do(t, http.MethodPost, "/reload?wait=1&force=1", nil); code != http.StatusInternalServerError {
+				t.Fatalf("failing reload: %d, want 500", code)
+			}
+			if code, body = rf.do(t, http.MethodGet, "/readyz", nil); code != http.StatusServiceUnavailable || !bytes.Contains(body, []byte("tenant "+name)) {
+				t.Fatalf("degraded strict /readyz: %d %s, want 503 naming tenant %s", code, body, name)
+			}
+			faultpoint.Clear("serve.rebuild")
+			if _, err := rf.srv.ReloadTenant("", true); err != nil {
+				t.Fatal(err)
+			}
+			if code, _ = rf.do(t, http.MethodGet, "/readyz", nil); code != http.StatusOK {
+				t.Fatalf("healed strict /readyz: %d, want 200", code)
+			}
+		})
 	}
 }
 
@@ -634,7 +649,7 @@ func TestReloadWorkerPanicContained(t *testing.T) {
 	var broken atomic.Bool
 	var rf *reloadFixture
 	rf = newReloadFixture(t, func(cfg *Config) {
-		cfg.Loader = func() (*Environment, error) {
+		cfg.Tenants[0].Loader = func() (*Environment, error) {
 			env, err := rf.loadEnv()
 			if err == nil && broken.Load() {
 				for i := 1; i < len(env.Analyses); i++ {
@@ -648,7 +663,7 @@ func TestReloadWorkerPanicContained(t *testing.T) {
 	_, baseline := rf.do(t, http.MethodPost, "/whatif", whatIfProbe)
 
 	broken.Store(true)
-	_, err := rf.srv.ReloadNow(true)
+	_, err := rf.srv.ReloadTenant("", true)
 	if err == nil || !strings.Contains(err.Error(), "panic during snapshot rebuild") {
 		t.Fatalf("reload with a panicking rebuild worker returned %v, want contained panic error", err)
 	}
@@ -660,7 +675,7 @@ func TestReloadWorkerPanicContained(t *testing.T) {
 		t.Fatalf("old set not serving after the contained worker panic: %d", code)
 	}
 	broken.Store(false)
-	if out, err := rf.srv.ReloadNow(true); err != nil || out.Result != "swapped" {
+	if out, err := rf.srv.ReloadTenant("", true); err != nil || out.Result != "swapped" {
 		t.Fatalf("reload after heal: %+v, %v", out, err)
 	}
 }
@@ -690,7 +705,7 @@ func TestHandlerPanicIsContained(t *testing.T) {
 // verifies the checksum and fingerprint).
 func TestReloadPersistsLoadableSnapshot(t *testing.T) {
 	snapPath := filepath.Join(t.TempDir(), "star.pcache")
-	rf := newReloadFixture(t, func(cfg *Config) { cfg.SnapshotPath = snapPath })
+	rf := newReloadFixture(t, func(cfg *Config) { cfg.Tenants[0].SnapshotPath = snapPath })
 	out := rf.load(t)
 	fp, err := strconv.ParseUint(out.Fingerprint, 16, 64)
 	if err != nil {

@@ -26,13 +26,13 @@
 // enumerating index permutations cannot grow it without bound; past the
 // cap a never-seen spec is priced through a request-local descriptor.
 //
-// Multi-tenancy: one process fronts N workloads (Config.Tenants), each an
-// independent tenant — its own snapshot set, reload/retry state machine
-// and admission semaphore — routed by the request's `tenant` field or the
-// X-Pinum-Tenant header (see tenant.go). A residency cap bounds how many
-// tenants hold live sets at once; evicted tenants cold-load from their
-// snapshot file on next request. A Config without Tenants serves one
-// default tenant with the pre-tenant behavior, byte for byte.
+// Multi-tenancy: one process fronts a roster of workloads (Config.Tenants),
+// each an independent tenant — its own snapshot set, reload/retry state
+// machine and admission semaphore — routed by the request's `tenant` field
+// or the X-Pinum-Tenant header (see tenant.go). A residency cap bounds how
+// many tenants hold live sets at once; evicted tenants cold-load from their
+// snapshot file on next request. A Config without Tenants is a roster of
+// one, DefaultTenant, over the prebuilt workload it carries.
 //
 // Robustness: handlers run behind panic recovery (a handler panic is a
 // counted 500, not a dead process — core.Fan re-raises a fan-out helper's
@@ -107,24 +107,21 @@ const (
 // pre-tracing server.
 const TraceHeader = "X-Pinum-Trace"
 
-// Config assembles a server over one prepared workload — or several.
+// Config assembles a server over a roster of workloads.
 //
-// Three modes exist. Static: Catalog/Stats/Queries/Analyses/Caches
-// describe one prebuilt workload; New builds the initial snapshot set
-// from them synchronously and Reload can only rebuild that same
+// Tenants is the roster: each entry is its own workload, loaded, reloaded
+// and evicted on its own, and routed by name; MaxResident bounds how many
+// hold live sets at once. A Config without Tenants is a roster of one,
+// DefaultTenant, whose loader returns the prebuilt workload in
+// Catalog/Stats/Queries/Analyses/Caches: New publishes its set from those
+// caches synchronously, and a reload can only rebuild that same
 // environment (force-reload still exercises the full optimizer path).
-// Loader: Loader re-derives the environment — catalog, statistics,
-// queries, analyses — on every (re)load, so statistics drift between
-// calls is picked up by /reload or SIGHUP; the server starts unloaded
-// and becomes ready when the first load succeeds. Tenants: each entry is
-// its own loader-mode workload, routed by name; MaxResident bounds how
-// many hold live sets at once.
 //
-// The server has one load path. Startup (ReloadNow or ReloadTenant),
-// reload and cold load all decide the same way: a snapshot file carrying
-// the environment's fingerprint loads, and a missing, stale or corrupt
-// one is rebuilt and written back. pinum-serve -save-exit is that load
-// of every tenant, followed by exit.
+// The server has one load path. Startup (ReloadTenant), reload and cold
+// load all decide the same way: a snapshot file carrying the environment's
+// fingerprint loads, and a missing, stale or corrupt one is rebuilt and
+// written back. pinum-serve -save-exit is that load of every tenant,
+// followed by exit.
 type Config struct {
 	Catalog *catalog.Catalog
 	Stats   *stats.Store
@@ -137,20 +134,11 @@ type Config struct {
 	// run's greedy parallelism, and rebuild parallelism (0 = GOMAXPROCS).
 	Workers int
 
-	// Loader re-derives the serving environment for hot reloads; nil
-	// means static mode over the fields above. Ignored when Tenants is
-	// set.
-	Loader func() (*Environment, error)
-	// SnapshotPath, when set, is consulted on every (re)load — a disk
-	// snapshot matching the environment fingerprint is loaded instead of
-	// re-optimizing — and rewritten (crash-safely) after every rebuild.
-	// Ignored when Tenants is set (each tenant carries its own path).
-	SnapshotPath string
-
-	// Tenants, when non-empty, makes this a multi-tenant server: each
-	// entry is an independently loaded, reloaded and evicted workload.
-	// Requests route by tenant name; unrouted requests hit the first
-	// entry.
+	// Tenants is the roster: each entry is an independently loaded,
+	// reloaded and evicted workload. Requests route by tenant name;
+	// unrouted requests hit the first entry. Empty means the one
+	// DefaultTenant over Catalog/Stats/Queries/Analyses/Caches, which are
+	// ignored otherwise.
 	Tenants []TenantConfig
 	// MaxResident caps how many tenants hold a live snapshot set at once
 	// (0 = all of them). Past the cap, publishing one tenant's set
@@ -185,19 +173,16 @@ type Config struct {
 
 // Server answers what-if, recommendation and explain questions over
 // hot-swappable immutable snapshot sets, one per tenant. Create with
-// New; serve with Handler; swap with ReloadNow/ReloadTenant/
-// TriggerReload (or POST /reload).
+// New; serve with Handler; swap with ReloadTenant/TriggerReload (or
+// POST /reload).
 type Server struct {
 	cfg Config
 
 	// The tenant registry (see tenant.go). tenantNames is sorted;
-	// defaultName is the tenant unrouted requests hit; multi reports
-	// whether Config.Tenants was used (single-tenant servers keep the
-	// pre-tenant wire contract exactly).
+	// defaultName is the tenant unrouted requests hit.
 	tenants     map[string]*tenant
 	tenantNames []string
 	defaultName string
-	multi       bool
 
 	// residentCap bounds live snapshot sets across tenants; resMu
 	// serializes the LRU residency sweep; clock issues recency ticks.
@@ -246,13 +231,12 @@ type endpointObs struct {
 	latency  *obs.Histogram
 }
 
-// New builds the server. In static mode (no Loader, no Tenants) the
-// initial snapshot set is built synchronously from the provided caches —
+// New builds the server. Every roster tenant starts cold; it loads on its
+// first request or explicit reload. A Config without Tenants builds its
+// one tenant's set synchronously from the provided caches instead —
 // construction is the only place optimizer-derived state is created, and
-// every request after it runs on shared immutable data plus
-// request-local scratch. In loader mode the server starts unloaded
-// (readiness fails) until the first load succeeds. In tenant mode every
-// entry starts cold; loads happen on first request or explicit reload.
+// every request after it runs on shared immutable data plus request-local
+// scratch.
 func New(cfg Config) (*Server, error) {
 	if cfg.MaxInFlight == 0 {
 		cfg.MaxInFlight = DefaultMaxInFlight
@@ -267,14 +251,15 @@ func New(cfg Config) (*Server, error) {
 		cfg.SlowRequest = DefaultSlowRequest
 	}
 	s := &Server{
-		cfg:     cfg,
-		tenants: make(map[string]*tenant),
-		start:   time.Now(),
-		mux:     http.NewServeMux(),
-		reg:     obs.NewRegistry(),
-		events:  obs.NewEventLog(obs.DefaultEventLogSize),
-		logger:  cfg.Logger,
-		ep:      make(map[string]*endpointObs),
+		cfg:         cfg,
+		tenants:     make(map[string]*tenant),
+		residentCap: cfg.MaxResident,
+		start:       time.Now(),
+		mux:         http.NewServeMux(),
+		reg:         obs.NewRegistry(),
+		events:      obs.NewEventLog(obs.DefaultEventLogSize),
+		logger:      cfg.Logger,
+		ep:          make(map[string]*endpointObs),
 
 		retryMin: DefaultRetryMin,
 		retryMax: DefaultRetryMax,
@@ -282,54 +267,37 @@ func New(cfg Config) (*Server, error) {
 	s.traceBase = strconv.FormatInt(s.start.UnixNano(), 36)
 	s.registerProcessMetrics()
 
-	if len(cfg.Tenants) > 0 {
-		s.multi = true
-		s.residentCap = cfg.MaxResident
-		for _, tc := range cfg.Tenants {
-			if !plancache.ValidTenantName(tc.Name) {
-				return nil, fmt.Errorf("serve: invalid tenant name %q", tc.Name)
-			}
-			if s.tenants[tc.Name] != nil {
-				return nil, fmt.Errorf("serve: duplicate tenant %q", tc.Name)
-			}
-			if tc.Loader == nil {
-				return nil, fmt.Errorf("serve: tenant %q needs a Loader", tc.Name)
-			}
-			s.tenants[tc.Name] = s.newTenant(tc.Name, tc.Loader, tc.SnapshotPath, tc.MaxInFlight)
-			s.tenantNames = append(s.tenantNames, tc.Name)
+	roster := cfg.Tenants
+	var static *snapshotSet
+	if len(roster) == 0 {
+		env := &Environment{Catalog: cfg.Catalog, Stats: cfg.Stats, Queries: cfg.Queries, Analyses: cfg.Analyses}
+		if err := env.validate(); err != nil {
+			return nil, err
 		}
-		s.defaultName = cfg.Tenants[0].Name
-		sort.Strings(s.tenantNames)
-	} else {
-		t := s.newTenant(DefaultTenant, cfg.Loader, cfg.SnapshotPath, cfg.MaxInFlight)
-		s.tenants[DefaultTenant] = t
-		s.tenantNames = []string{DefaultTenant}
-		s.defaultName = DefaultTenant
-
-		if cfg.Loader == nil {
-			if len(cfg.Queries) == 0 {
-				return nil, fmt.Errorf("serve: no queries")
-			}
-			if len(cfg.Caches) != len(cfg.Queries) || len(cfg.Analyses) != len(cfg.Queries) {
-				return nil, fmt.Errorf("serve: %d queries need matching caches (%d) and analyses (%d)",
-					len(cfg.Queries), len(cfg.Caches), len(cfg.Analyses))
-			}
-			env := &Environment{
-				Catalog:  cfg.Catalog,
-				Stats:    cfg.Stats,
-				Queries:  cfg.Queries,
-				Analyses: cfg.Analyses,
-			}
-			if err := env.validate(); err != nil {
-				return nil, err
-			}
-			fp, tfps := plancache.Fingerprints(env.Catalog, env.Stats, optimizer.DefaultCostParams())
-			set, err := newSnapshotSet(env, cfg.Caches, sourceStartup, fp, tfps)
-			if err != nil {
-				return nil, err
-			}
-			t.publish(set)
+		fp, tfps := plancache.Fingerprints(env.Catalog, env.Stats, optimizer.DefaultCostParams())
+		var err error
+		if static, err = newSnapshotSet(env, cfg.Caches, sourceStartup, fp, tfps); err != nil {
+			return nil, err
 		}
+		roster = []TenantConfig{{Name: DefaultTenant, Loader: func() (*Environment, error) { return env, nil }}}
+	}
+	for _, tc := range roster {
+		if !plancache.ValidTenantName(tc.Name) {
+			return nil, fmt.Errorf("serve: invalid tenant name %q", tc.Name)
+		}
+		if s.tenants[tc.Name] != nil {
+			return nil, fmt.Errorf("serve: duplicate tenant %q", tc.Name)
+		}
+		if tc.Loader == nil {
+			return nil, fmt.Errorf("serve: tenant %q needs a Loader", tc.Name)
+		}
+		s.tenants[tc.Name] = s.newTenant(tc)
+		s.tenantNames = append(s.tenantNames, tc.Name)
+	}
+	s.defaultName = roster[0].Name
+	sort.Strings(s.tenantNames)
+	if static != nil {
+		s.tenants[DefaultTenant].publish(static)
 	}
 
 	s.mux.HandleFunc("/whatif", s.instrument("/whatif", http.MethodPost, true, s.handleWhatIf))
@@ -402,17 +370,18 @@ func (s *Server) epFor(name string) *endpointObs {
 // surface is GET /metrics).
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// newTenant builds one registry entry. maxInFlight 0 inherits the
+// newTenant builds one registry entry. MaxInFlight 0 inherits the
 // server-wide cap; negative means unlimited.
-func (s *Server) newTenant(name string, loader func() (*Environment, error), snapshotPath string, maxInFlight int) *tenant {
+func (s *Server) newTenant(tc TenantConfig) *tenant {
+	maxInFlight := tc.MaxInFlight
 	if maxInFlight == 0 {
 		maxInFlight = s.cfg.MaxInFlight
 	}
 	t := &tenant{
-		name:         name,
+		name:         tc.Name,
 		srv:          s,
-		loader:       loader,
-		snapshotPath: snapshotPath,
+		loader:       tc.Loader,
+		snapshotPath: tc.SnapshotPath,
 		reloadQueue:  make(chan struct{}, 2),
 	}
 	if maxInFlight > 0 {
@@ -443,15 +412,6 @@ func (e *httpError) Error() string { return e.err.Error() }
 
 func badRequest(format string, args ...any) error {
 	return &httpError{code: http.StatusBadRequest, err: fmt.Errorf(format, args...)}
-}
-
-// errNotReady is every compute endpoint's answer until the first
-// snapshot set has been published.
-func errNotReady() error {
-	return &httpError{
-		code: http.StatusServiceUnavailable,
-		err:  errors.New("not ready: no snapshot loaded yet"),
-	}
 }
 
 // instrument wraps a handler with method filtering, panic containment,
@@ -661,9 +621,9 @@ type WeightOverride struct {
 
 // WhatIfRequest prices the workload under a configuration.
 type WhatIfRequest struct {
-	// Tenant routes the request in a multi-tenant server; it must agree
-	// with the X-Pinum-Tenant header when both are set. Empty means the
-	// default tenant.
+	// Tenant routes the request to one of the roster's tenants; it must
+	// agree with the X-Pinum-Tenant header when both are set. Empty means
+	// the default tenant.
 	Tenant  string           `json:"tenant,omitempty"`
 	Indexes []IndexSpec      `json:"indexes"`
 	Weights []WeightOverride `json:"weights,omitempty"`
@@ -715,7 +675,7 @@ func (s *Server) whatIfOn(ctx context.Context, set *snapshotSet, req *WhatIfRequ
 	if err != nil {
 		return nil, err
 	}
-	weights, overridden, err := set.resolveWeights(req.Weights)
+	weights, err := set.resolveWeights(req.Weights)
 	if err != nil {
 		return nil, err
 	}
@@ -742,13 +702,7 @@ func (s *Server) whatIfOn(ctx context.Context, set *snapshotSet, req *WhatIfRequ
 	if fanErr != nil {
 		return nil, fmt.Errorf("request abandoned: %w", fanErr)
 	}
-	resp := &WhatIfResponse{BaseTotal: set.baseTotal, Queries: make([]QueryCost, n), baseDigits: set.baseDigits}
-	if overridden {
-		// The precomputed base total carries the set's weights; overridden
-		// requests re-sum it below, in the identical order, so the
-		// no-override path stays byte-for-byte what it always was.
-		resp.BaseTotal = 0
-	}
+	resp := &WhatIfResponse{Queries: make([]QueryCost, n), baseDigits: set.baseDigits}
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("pricing %s: %w", set.env.Queries[i].Name, errs[i])
@@ -756,10 +710,8 @@ func (s *Server) whatIfOn(ctx context.Context, set *snapshotSet, req *WhatIfRequ
 		resp.Queries[i] = QueryCost{Name: set.env.Queries[i].Name, Base: set.base[i], Cost: costs[i]}
 		//pinum:costarith-ok workload objective Σ wᵢ·cᵢ in query order, as the advisor sums it; pinned by TestWhatIfMatchesInProcess
 		resp.Total += weights[i] * costs[i]
-		if overridden {
-			//pinum:costarith-ok same objective over the request's override weights; pinned by TestWeightOverrides
-			resp.BaseTotal += weights[i] * set.base[i]
-		}
+		//pinum:costarith-ok the same objective over the base costs; pinned by TestWeightOverrides
+		resp.BaseTotal += weights[i] * set.base[i]
 	}
 	// Each weight is finite (resolveWeights) and each cost is; their sum
 	// need not be, and JSON cannot carry the result.
@@ -864,7 +816,7 @@ func (s *Server) recommendOn(ctx context.Context, set *snapshotSet, req *Recomme
 	if req.BudgetGB <= 0 {
 		return nil, badRequest("budget_gb must be positive, got %g", req.BudgetGB)
 	}
-	weights, _, err := set.resolveWeights(req.Weights)
+	weights, err := set.resolveWeights(req.Weights)
 	if err != nil {
 		return nil, err
 	}
@@ -1057,12 +1009,11 @@ func (s *Server) handleExplain(r *http.Request) (any, error) {
 // ------------------------------------------------- health / metrics ----
 
 // handleHealth is liveness plus a status summary: the process is up, so
-// the answer is always 200. Single-tenant servers keep the pre-tenant
-// payload (status, fingerprint, snapshot_source, …); multi-tenant
-// servers report the registry overview, with ?tenant= selecting one
-// tenant's detail in the single-tenant shape.
+// the answer is always 200. ?tenant= selects one tenant's detail (status,
+// fingerprint, snapshot_source, …); without it a roster of one answers its
+// tenant's detail and a larger roster the registry overview.
 func (s *Server) handleHealth(r *http.Request) (any, error) {
-	if name := r.URL.Query().Get("tenant"); name != "" || !s.multi {
+	if name := r.URL.Query().Get("tenant"); name != "" || len(s.tenants) == 1 {
 		t, err := s.tenantByName(name)
 		if err != nil {
 			return nil, err
@@ -1085,14 +1036,10 @@ func (s *Server) handleHealth(r *http.Request) (any, error) {
 	return out, nil
 }
 
-// tenantHealth is one tenant's health detail — in single-tenant mode,
-// the entire (pre-tenant, byte-compatible) /healthz payload.
+// tenantHealth is one tenant's health detail.
 func (s *Server) tenantHealth(t *tenant) map[string]any {
 	set := t.current()
-	out := map[string]any{"status": t.statusWord()}
-	if s.multi {
-		out["tenant"] = t.name
-	}
+	out := map[string]any{"status": t.statusWord(), "tenant": t.name}
 	if set != nil {
 		entries := 0
 		for _, c := range set.caches {
@@ -1133,16 +1080,9 @@ func (s *Server) handleReady(*http.Request) (any, error) {
 		for _, name := range s.tenantNames {
 			t := s.tenants[name]
 			if t.current() != nil && t.degraded.Load() {
-				msg := loadString(&t.lastReloadErr)
-				if s.multi {
-					return nil, &httpError{
-						code: http.StatusServiceUnavailable,
-						err:  fmt.Errorf("degraded: tenant %s: %s", t.name, msg),
-					}
-				}
 				return nil, &httpError{
 					code: http.StatusServiceUnavailable,
-					err:  fmt.Errorf("degraded: %s", msg),
+					err:  fmt.Errorf("degraded: tenant %s: %s", t.name, loadString(&t.lastReloadErr)),
 				}
 			}
 		}
@@ -1152,7 +1092,6 @@ func (s *Server) handleReady(*http.Request) (any, error) {
 
 // serverStatus is the process-level status word: starting until any
 // tenant has loaded, degraded while any resident tenant is, ok otherwise.
-// A single-tenant server never evicts, so this is its one tenant's word.
 func (s *Server) serverStatus() string {
 	if !s.everLoaded.Load() {
 		return "starting"

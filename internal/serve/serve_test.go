@@ -86,6 +86,9 @@ func newFixture(t *testing.T) *fixture {
 	return &fixture{star: star, queries: queries, analyses: analyses, srv: srv, ts: ts}
 }
 
+// defaultTenant returns the tenant unrouted requests hit.
+func (s *Server) defaultTenant() *tenant { return s.tenants[s.defaultName] }
+
 func (f *fixture) post(t *testing.T, path string, body any, out any) *http.Response {
 	t.Helper()
 	data, err := json.Marshal(body)

@@ -1,12 +1,12 @@
 package serve
 
-// Multi-tenant registry: one pinum-serve process fronts N workloads.
-// Every tenant is an independently reloadable snapshotSet (PR 8's
+// Tenant registry: one pinum-serve process fronts a roster of workloads.
+// Every tenant is an independently reloadable snapshotSet (the
 // immutable-set + atomic-pointer model, instantiated per entry) keyed by
 // tenant name, with the environment fingerprint validating its snapshot
 // file on every load. Requests route by the `tenant` body field or the
-// X-Pinum-Tenant header; absent both, they hit the default tenant, so a
-// single-tenant deployment behaves exactly as before.
+// X-Pinum-Tenant header; absent both, they hit the default tenant, the
+// roster's first entry. A single-tenant server is a roster of one.
 //
 // Residency: the registry knows every configured tenant, but only up to
 // Config.MaxResident of them hold a live snapshot set at a time. A
@@ -41,11 +41,11 @@ import (
 // both are present they must agree.
 const TenantHeader = "X-Pinum-Tenant"
 
-// DefaultTenant is the tenant name a single-tenant Config serves under,
-// and the one requests without any tenant routing hit in that mode.
+// DefaultTenant names the one tenant of a Config without Tenants, the
+// roster of one pinum-serve serves without -tenants.
 const DefaultTenant = "default"
 
-// TenantConfig describes one served workload in a multi-tenant server.
+// TenantConfig describes one served workload: one entry of Config.Tenants.
 type TenantConfig struct {
 	// Name routes requests and keys the tenant's snapshot in the store;
 	// it must satisfy plancache.ValidTenantName.
@@ -64,8 +64,7 @@ type TenantConfig struct {
 // tenant is one workload's complete serving state: the hot-swapped
 // snapshot set, the reload/retry machinery that replaces it, the
 // admission semaphore that bounds it, and the counters that surface it
-// in /metrics. Everything PR 8 hung off Server now hangs off the tenant,
-// instantiated once per entry.
+// in /metrics, instantiated once per roster entry.
 type tenant struct {
 	name         string
 	srv          *Server
@@ -257,16 +256,12 @@ func (t *tenant) release() {
 }
 
 // statusWord is this tenant's health summary: cold (no resident set —
-// never loaded or evicted; "starting" in single-tenant mode for
-// continuity with the pre-tenant health contract), degraded (last reload
-// failed; the previous set keeps serving), or ok.
+// never loaded or evicted), degraded (last reload failed; the previous
+// set keeps serving), or ok.
 func (t *tenant) statusWord() string {
 	switch {
 	case t.current() == nil:
-		if t.srv.multi {
-			return "cold"
-		}
-		return "starting"
+		return "cold"
 	case t.degraded.Load():
 		return "degraded"
 	default:
@@ -278,8 +273,7 @@ func (t *tenant) statusWord() string {
 
 // resolveTenant routes a request: the X-Pinum-Tenant header and the
 // request body's tenant field must agree when both are set; absent both,
-// the default tenant serves, which is what keeps single-tenant requests
-// byte-identical to the pre-tenant server.
+// the default tenant serves.
 func (s *Server) resolveTenant(r *http.Request, bodyTenant string) (*tenant, error) {
 	name := bodyTenant
 	if header := r.Header.Get(TenantHeader); header != "" {
@@ -307,10 +301,6 @@ func (s *Server) tenantByName(name string) (*tenant, error) {
 	return t, nil
 }
 
-// defaultTenant returns the tenant unrouted requests hit: the sole
-// tenant in single-tenant mode, the first configured one otherwise.
-func (s *Server) defaultTenant() *tenant { return s.tenants[s.defaultName] }
-
 // touch stamps t with a fresh recency tick.
 func (s *Server) touch(t *tenant) { t.lastUsed.Store(s.clock.Add(1)) }
 
@@ -327,12 +317,6 @@ func (s *Server) acquireSet(t *tenant) (*snapshotSet, error) {
 	if set := t.current(); set != nil {
 		s.touch(t)
 		return set, nil
-	}
-	if !s.multi {
-		// Single-tenant servers keep the pre-tenant contract: requests
-		// before the first explicit load are 503, never an implicit
-		// multi-second build on a request goroutine.
-		return nil, errNotReady()
 	}
 	t.reloadMu.Lock()
 	defer t.reloadMu.Unlock()

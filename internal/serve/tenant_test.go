@@ -52,7 +52,7 @@ func starEnv(seed int64, overrides map[string]int64) (*Environment, error) {
 	}, nil
 }
 
-// mtFixture is a multi-tenant server over N star workloads (one seed
+// mtFixture is a server over a roster of N star workloads (one seed
 // each), with per-tenant drift injection and a shared snapshot store.
 type mtFixture struct {
 	mu        sync.Mutex
@@ -210,20 +210,20 @@ func (f *mtFixture) tenantHealth(t *testing.T, tenant string) tenantHealth {
 	return out
 }
 
-// dedicatedServer boots a single-tenant loader-mode server for one seed —
-// the ground truth a multi-tenant fixture's responses are byte-compared
+// dedicatedServer boots a one-tenant roster for one seed —
+// the ground truth an N-tenant fixture's responses are byte-compared
 // against.
 func dedicatedServer(t *testing.T, seed int64) *httptest.Server {
 	t.Helper()
 	srv, err := New(Config{
-		Loader:  func() (*Environment, error) { return starEnv(seed, nil) },
+		Tenants: []TenantConfig{{Name: DefaultTenant, Loader: func() (*Environment, error) { return starEnv(seed, nil) }}},
 		Workers: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	if _, err := srv.ReloadNow(false); err != nil {
+	if _, err := srv.ReloadTenant("", false); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
@@ -567,8 +567,8 @@ func TestTenantReloadDrift(t *testing.T) {
 	}
 }
 
-// TestMultiTenantHealthAndStatz pins the multi-tenant observability
-// shape: the registry overview on /healthz, per-tenant detail behind
+// TestMultiTenantHealthAndStatz pins the observability shape of a roster
+// of three: the registry overview on /healthz, per-tenant detail behind
 // ?tenant=, and — where /statz had per-tenant sections — one set of
 // /metrics series per tenant.
 func TestMultiTenantHealthAndStatz(t *testing.T) {
