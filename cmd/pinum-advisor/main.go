@@ -59,8 +59,8 @@ func main() {
 	if visits > 0 {
 		pruned = float64(res.Engine.QuerySkips) / float64(visits)
 	}
-	fmt.Printf("cost engine: %d candidate evaluations; %d query deltas computed, %d skipped by the table index (%.0f%% pruned)\n\n",
-		res.Engine.CandidateEvals, res.Engine.QueryEvals, res.Engine.QuerySkips, 100*pruned)
+	fmt.Printf("cost engine: %d candidate evaluations; %d query deltas computed, %d skipped by the table index (%.0f%% pruned); %d entry folds\n\n",
+		res.Engine.CandidateEvals, res.Engine.QueryEvals, res.Engine.QuerySkips, 100*pruned, res.Engine.PlanEvals)
 	fmt.Printf("suggested indexes (%.2f GB of %.2f GB budget):\n",
 		storage.GigaBytes(res.TotalBytes), *budget)
 	for i, ix := range res.Chosen {

@@ -63,8 +63,10 @@ type Result struct {
 	Rounds int
 	// Engine reports the incremental cost engine's work: how many
 	// per-query delta evaluations the greedy rounds performed
-	// (Engine.QueryEvals) and how many the table→queries index skipped
-	// outright (Engine.QuerySkips).
+	// (Engine.QueryEvals), how many the table→queries index skipped
+	// outright (Engine.QuerySkips), and how many cached entries the
+	// evaluations re-priced because they read a slot the candidate
+	// lowered (Engine.PlanEvals).
 	Engine costmatrix.Stats
 	// GenerationErrors records candidate-generation failures
 	// (GenerateCandidates index creations that were rejected); the

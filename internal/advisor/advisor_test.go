@@ -468,6 +468,53 @@ func TestRunMatchesReferenceStarWorkload(t *testing.T) {
 	}
 }
 
+// TestEngineFoldsOnlyWhatMoved guards the engine's work reduction on the
+// 10-query star workload at 1, 5 and 20 GB: the search folds at most 0.3 ×
+// the entries a full re-fold of every query evaluation would. That count is
+// Σ len(Plans) over the evaluations the search performed, replayed here
+// from its picks: each round evaluates every remaining candidate that fits
+// the budget left, and a candidate evaluates every query that reads its
+// table.
+func TestEngineFoldsOnlyWhatMoved(t *testing.T) {
+	for _, gb := range []float64{1, 5, 20} {
+		_, ad, _ := setup(t, gb, 10)
+		res, err := ad.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var evals, full, used int64
+		remaining := ad.Candidates()
+		for round := 0; ; round++ {
+			for _, cand := range remaining {
+				if used+storage.IndexBytes(cand) > ad.BudgetBytes {
+					continue
+				}
+				for _, qs := range ad.queries {
+					if slices.ContainsFunc(qs.Query.Rels, func(r query.Rel) bool { return r.Table.Name == cand.Table }) {
+						evals++
+						full += int64(len(qs.Cache.Plans))
+					}
+				}
+			}
+			if round == len(res.Chosen) {
+				break
+			}
+			pick := res.Chosen[round]
+			used += storage.IndexBytes(pick)
+			remaining = slices.DeleteFunc(remaining, func(ix *catalog.Index) bool { return ix == pick })
+		}
+		st := res.Engine
+		if evals != st.QueryEvals {
+			t.Fatalf("%g GB: the replay counts %d query evaluations, the engine %d", gb, evals, st.QueryEvals)
+		}
+		t.Logf("%g GB: %d rounds, %d entry folds of a full re-fold's %d (%.1f %%)",
+			gb, res.Rounds, st.PlanEvals, full, 100*float64(st.PlanEvals)/float64(full))
+		if st.PlanEvals == 0 || float64(st.PlanEvals) > 0.3*float64(full) {
+			t.Errorf("%g GB: %d entry folds, want in (0, 0.3 × %d]", gb, st.PlanEvals, full)
+		}
+	}
+}
+
 // selfJoinQuery builds a query joining dim1_1 to itself, plus a filter, so
 // one table owns two relation slots with different requirements.
 func selfJoinQuery(t *testing.T, s *workload.Star, name string, orderCol string) *query.Query {

@@ -59,11 +59,12 @@ func newEngine(t testing.TB, caches []*inum.Cache, weights []float64) *Engine {
 }
 
 // candidatePool builds single-column hypothetical indexes on every
-// attribute column of every table — including tables no query references.
-func candidatePool(t testing.TB, s *workload.Star) []*catalog.Index {
+// attribute column of every table given — for the star schema's whole
+// catalog, including tables no query references.
+func candidatePool(t testing.TB, tables []*catalog.Table) []*catalog.Index {
 	t.Helper()
 	var pool []*catalog.Index
-	for _, tb := range s.Catalog.Tables() {
+	for _, tb := range tables {
 		for _, col := range tb.Columns {
 			if strings.HasPrefix(col.Name, "fk_") {
 				continue
@@ -119,7 +120,7 @@ func TestBaselineMatchesCacheCost(t *testing.T) {
 func TestEvaluateAndApplyMatchCacheCost(t *testing.T) {
 	s, caches, weights := setup(t, 4)
 	e := newEngine(t, caches, weights)
-	pool := candidatePool(t, s)
+	pool := candidatePool(t, s.Catalog.Tables())
 	if len(pool) < 100 {
 		t.Fatalf("pool has only %d candidates, want >= 100", len(pool))
 	}
@@ -230,8 +231,29 @@ func TestSelfJoinMatchesCacheCost(t *testing.T) {
 	}
 }
 
+// impliedFolds is the number of entry folds EvaluateCandidate owes for ix
+// on a fresh engine over caches, computed without the engine: per query,
+// per entry, the relations on which the entry reads a slot that pricing
+// the table under {ix} lowers below the empty configuration's price.
+func impliedFolds(caches []*inum.Cache, ix *catalog.Index) int64 {
+	n := int64(0)
+	for _, c := range caches {
+		without := c.A.PriceLeafSlots(nil, nil)
+		with := c.A.PriceLeafSlots(nil, &query.Config{Indexes: []*catalog.Index{ix}})
+		for i := range c.Plans {
+			for _, s := range c.PlanSlots(i) {
+				if with[s] < without[s] {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
 // TestStatsCounting checks the work counters: every EvaluateCandidate
-// visits each query exactly once (as a delta or as a skip), applies are
+// visits each query exactly once (as a delta or as a skip), it folds
+// exactly the entries that read a slot the candidate lowered, applies are
 // counted, and a candidate on an unreferenced table is skipped everywhere.
 func TestStatsCounting(t *testing.T) {
 	s, caches, weights := setup(t, 3)
@@ -241,25 +263,45 @@ func TestStatsCounting(t *testing.T) {
 	}
 	fact := s.Catalog.Table("fact")
 	unref := s.Catalog.Table("dim3_8") // no 42-seed query reaches level 3
-	onFact := storage.HypotheticalIndex("st_fact", fact, []string{"a1"})
+	// Of the three queries' slots, fact(a1) lowers none and fact(m1) one.
+	flat := storage.HypotheticalIndex("st_fact", fact, []string{"a1"})
+	lowering := storage.HypotheticalIndex("st_fact_m1", fact, []string{"m1"})
 	onUnref := storage.HypotheticalIndex("st_unref", unref, []string{"a1"})
 
-	e.EvaluateCandidate(onFact)
-	st := e.Stats()
-	if st.CandidateEvals != 1 || st.QueryEvals != int64(len(caches)) || st.QuerySkips != 0 {
-		t.Errorf("fact candidate: %+v, want every query evaluated", st)
-	}
-	if st.PlanEvals == 0 {
-		t.Error("fact candidate evaluated zero plans")
+	// Every query reads fact, so a fact candidate is a delta evaluation of
+	// each, whether or not it lowers a slot.
+	var planEvals int64
+	for k, ix := range []*catalog.Index{flat, lowering} {
+		before := e.TotalCost()
+		got := e.EvaluateCandidate(ix)
+		st := e.Stats()
+		if st.CandidateEvals != int64(k+1) || st.QueryEvals != int64((k+1)*len(caches)) || st.QuerySkips != 0 {
+			t.Errorf("%s: %+v, want every query evaluated", ix.Name, st)
+		}
+		want := impliedFolds(caches, ix)
+		if folds := st.PlanEvals - planEvals; folds != want {
+			t.Errorf("%s: %d entry folds, the slots it lowers imply %d", ix.Name, folds, want)
+		}
+		planEvals = st.PlanEvals
+		if ix == flat {
+			if want != 0 {
+				t.Errorf("%s lowers slots read by %d entries; the check needs a candidate that lowers none", ix.Name, want)
+			}
+			if math.Float64bits(got) != math.Float64bits(before) {
+				t.Errorf("%s lowers no slot but changed the total: %v != %v", ix.Name, got, before)
+			}
+		} else if want == 0 {
+			t.Errorf("%s lowers no slot any entry reads; the check needs one that does", ix.Name)
+		}
 	}
 
 	before := e.TotalCost()
 	if got := e.EvaluateCandidate(onUnref); math.Float64bits(got) != math.Float64bits(before) {
 		t.Errorf("unreferenced-table candidate changed the total: %v != %v", got, before)
 	}
-	st = e.Stats()
-	if st.CandidateEvals != 2 || st.QuerySkips != int64(len(caches)) {
-		t.Errorf("unreferenced candidate: %+v, want every query skipped", st)
+	st := e.Stats()
+	if st.CandidateEvals != 3 || st.QuerySkips != int64(len(caches)) || st.PlanEvals != planEvals {
+		t.Errorf("unreferenced candidate: %+v, want every query skipped and no entry folded", st)
 	}
 	if st.QueryEvals+st.QuerySkips != st.CandidateEvals*int64(len(caches)) {
 		t.Errorf("evals %d + skips %d != candidates %d × queries %d",
@@ -281,7 +323,7 @@ func TestStatsCounting(t *testing.T) {
 func TestConcurrentEvaluateMatchesSerial(t *testing.T) {
 	s, caches, weights := setup(t, 4)
 	e := newEngine(t, caches, weights)
-	pool := candidatePool(t, s)
+	pool := candidatePool(t, s.Catalog.Tables())
 	e.Apply(pool[0])
 
 	serial := make([]float64, len(pool))
@@ -309,12 +351,13 @@ func TestConcurrentEvaluateMatchesSerial(t *testing.T) {
 
 // TestEvaluateCandidateAllocFree pins the engine's hot path over the whole
 // star workload: a candidate evaluation copies each affected query's slot
-// table to the stack, folds the candidate in and runs Cache.BestPlan —
-// nothing reaches the heap, before or after picks are applied.
+// table to the stack, folds the candidate in and re-prices the entries
+// that read a lowered slot — nothing reaches the heap, before or after
+// picks are applied.
 func TestEvaluateCandidateAllocFree(t *testing.T) {
 	s, caches, weights := setup(t, 10)
 	e := newEngine(t, caches, weights)
-	pool := candidatePool(t, s)
+	pool := candidatePool(t, s.Catalog.Tables())
 	for step := 0; step < 3; step++ {
 		for i := step; i < len(pool); i += 11 {
 			cand := pool[i]

@@ -615,10 +615,12 @@ func (c *Cache) cost(slots []float64, cfg *query.Config) (float64, *CachedPlan, 
 // first strictly better plan in cache order wins, so the winner is the
 // first cheapest. It returns the winning cost and plan ordinal, or
 // (+Inf, -1) when no plan is applicable. A PINUM build's cache holds no
-// plan another plan is never dearer than (Compact). This is the one plan
-// loop: Cost and costmatrix differ only in how they obtain the table.
+// plan another plan is never dearer than (Compact). This is the one
+// whole-cache loop: Cost and CostByTable differ only in how they obtain
+// the table, and costmatrix prices the base table through it before it
+// folds single entries (PlanCost).
 //
-//pinum:allocfree reads the arenas and the caller's table only; pinned by TestCostAllocFree and costmatrix.TestEvaluateCandidateAllocFree
+//pinum:allocfree reads the arenas and the caller's table only; pinned by TestCostAllocFree
 func (c *Cache) BestPlan(slots []float64) (float64, int) {
 	best, bestIdx := math.Inf(1), -1
 	n := len(c.Q.Rels)
@@ -630,6 +632,26 @@ func (c *Cache) BestPlan(slots []float64) (float64, int) {
 		}
 	}
 	return best, bestIdx
+}
+
+// PlanCost prices entry i alone over a priced leaf-slot table, by the
+// fold BestPlan runs per entry (optimizer.FoldLeafRow). It reports false
+// when the table cannot satisfy one of the entry's leaves.
+//
+//pinum:hotpath
+func (c *Cache) PlanCost(i int, slots []float64) (float64, bool) {
+	n := len(c.Q.Rels)
+	lo := i * n
+	return optimizer.FoldLeafRow(c.Plans[i].Internal, c.leafSlot[lo:lo+n], c.leafCoef[lo:lo+n], slots)
+}
+
+// PlanSlots returns a view of entry i's leaf row: per relation, the index
+// of the slot the entry reads in the query's leaf-slot table. Callers must
+// not mutate it.
+func (c *Cache) PlanSlots(i int) []uint16 {
+	n := len(c.Q.Rels)
+	lo := i * n
+	return c.leafSlot[lo : lo+n : lo+n]
 }
 
 // CoveringConfig builds the what-if configuration INUM optimizes under for
