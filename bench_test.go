@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/pinumdb/pinum/internal/advisor"
 	"github.com/pinumdb/pinum/internal/core"
 	"github.com/pinumdb/pinum/internal/experiments"
 	"github.com/pinumdb/pinum/internal/inum"
@@ -191,11 +192,10 @@ func BenchmarkAccessCostCollection(b *testing.B) {
 	e := env(b)
 	q := e.Queries[8]
 	a := analysis(b, e, q)
-	ws := whatif.NewSession(e.Star.Catalog)
-	if _, _, err := workload.CandidateIndexes(a, ws); err != nil {
-		b.Fatal(err)
+	cands, errs := advisor.CandidateIndexes(whatif.NewSession(e.Star.Catalog), []*optimizer.Analysis{a})
+	if len(errs) != 0 {
+		b.Fatal(errs)
 	}
-	cands := ws.Indexes()
 	b.Run("naive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			inum.CollectAccessCostsNaive(a, cands)

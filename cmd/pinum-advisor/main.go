@@ -23,6 +23,10 @@ func main() {
 	seed := flag.Int64("seed", 42, "workload seed")
 	workers := flag.Int("workers", 0, "worker pool size for cache construction and the greedy search (0 = all CPUs, 1 = serial; results are identical at any setting)")
 	flag.Parse()
+	budgetBytes, err := storage.BudgetBytes(*budget)
+	if err != nil {
+		fatal(fmt.Errorf("-budget %w", err))
+	}
 
 	star, err := workload.StarSchema(1.0)
 	if err != nil {
@@ -33,7 +37,7 @@ func main() {
 		fatal(err)
 	}
 	db := pinum.NewDatabaseWith(star.Catalog, star.Stats)
-	adv := db.NewAdvisor(storage.BytesForGB(*budget))
+	adv := db.NewAdvisor(budgetBytes)
 	adv.MaxIndexes = *maxIdx
 	adv.Parallelism = *workers
 

@@ -51,9 +51,8 @@
 // overrides ({"weights":[{"name":"q01","weight":3}]}); duplicate or
 // unknown query names and non-positive weights are rejected with 400.
 //
-// Observability: requests carrying an X-Pinum-Trace header (or
-// "trace": true in a compute body) get a per-span timing breakdown in
-// the response's "trace" block. -log-format json switches every process
+// Observability: requests carrying an X-Pinum-Trace header get a
+// per-span timing breakdown in the response's "trace" block. -log-format json switches every process
 // and request log line to structured JSON with trace IDs; -slow-request
 // sets the /eventz slow-request threshold; -pprof-addr serves
 // net/http/pprof on a separate listener, isolated from the data plane.

@@ -6,17 +6,23 @@
 // greedy search use "a significantly larger candidate index set" than
 // commercial designers.
 //
-// The greedy search runs on the incremental cost engine of
-// internal/costmatrix: each round prices chosen+candidate as a delta over
-// the shared per-(query, plan, relation) cost matrix instead of re-pricing
-// the whole workload, and a table→queries index skips queries the
-// candidate cannot affect. Results are bit-identical to the full
-// re-pricing search, which the tests keep as the oracle.
+// The tool has two parts. CandidateIndexes is the one candidate rule: it
+// statically analyses the queries into a large syntactic candidate set.
+// Search is the one greedy loop: it runs on the incremental cost engine of
+// internal/costmatrix, where each round prices chosen+candidate as a delta
+// over the shared per-(query, plan, relation) cost matrix instead of
+// re-pricing the whole workload, and a table→queries index skips queries
+// the candidate cannot affect. Results are bit-identical to the full
+// re-pricing search, which the tests keep as the oracle. Advisor binds the
+// two to a workload it builds or is handed; a server that already holds
+// its caches and candidate set calls Search directly.
 package advisor
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -39,8 +45,6 @@ type QueryState struct {
 	// Weight scales the query's cost in the workload objective
 	// (frequency in the workload; 1 by default).
 	Weight float64
-	// BaseCost is the estimated cost with no indexes at all.
-	BaseCost float64
 }
 
 // Result reports the advisor's suggestion.
@@ -52,7 +56,8 @@ type Result struct {
 	TotalBytes int64
 	// BaseCost and FinalCost are workload cost estimates before/after.
 	BaseCost, FinalCost float64
-	// PerQuery maps query name → (base, final) cost estimates.
+	// PerQuery maps query name (Cache.Q.Name) → (base, final) cost
+	// estimates.
 	PerQuery map[string][2]float64
 	// CandidateCount is the number of candidate indexes examined.
 	CandidateCount int
@@ -70,9 +75,12 @@ type Result struct {
 	Engine costmatrix.Stats
 	// GenerationErrors records candidate-generation failures
 	// (GenerateCandidates index creations that were rejected); the
-	// corresponding candidates are absent from the search.
+	// corresponding candidates are absent from the search. Search leaves it
+	// empty; Advisor.Run fills it.
 	GenerationErrors []error
-	Duration         time.Duration
+	// Duration is the search's wall time, cost engine construction
+	// included.
+	Duration time.Duration
 }
 
 // Advisor selects indexes for a workload under a space budget.
@@ -96,7 +104,6 @@ type Advisor struct {
 	seen       map[string]bool // candidate names, the shared dedup set
 	genErrs    []error
 	ws         *whatif.Session
-	calls      int
 }
 
 // New returns an advisor over the catalog and statistics.
@@ -126,23 +133,15 @@ func (ad *Advisor) AddQuery(q *query.Query, weight float64) error {
 }
 
 // AddPrepared registers a workload query whose analysis and plan cache
-// already exist — the serving layer's path, where one immutable cache set
-// is built (or loaded from a snapshot) at startup and every /recommend
-// request prices it through a fresh Advisor. The cache is shared, not
-// copied: pricing only reads it, and the greedy search's own state lives
-// in the per-run cost engine. A weight ≤ 0 counts as 1.
+// already exist (built elsewhere, or loaded from a snapshot). The cache is
+// shared, not copied: pricing only reads it, and the greedy search's own
+// state lives in the per-run cost engine. A weight ≤ 0 counts as 1. An
+// empty cache is refused by Run, when the cost engine is built.
 func (ad *Advisor) AddPrepared(q *query.Query, a *optimizer.Analysis, cache *inum.Cache, weight float64) error {
 	if weight <= 0 {
 		weight = 1
 	}
-	ad.calls += cache.Stats.OptimizerCalls
-	base, _, err := cache.Cost(&query.Config{})
-	if err != nil {
-		return fmt.Errorf("advisor: base cost for %s: %w", q.Name, err)
-	}
-	ad.queries = append(ad.queries, &QueryState{
-		Query: q, A: a, Cache: cache, Weight: weight, BaseCost: base,
-	})
+	ad.queries = append(ad.queries, &QueryState{Query: q, A: a, Cache: cache, Weight: weight})
 	return nil
 }
 
@@ -179,38 +178,48 @@ func (ad *Advisor) AddQueries(queries []*query.Query, weights []float64) error {
 	return nil
 }
 
-// GenerateCandidates derives the syntactic candidate set from the
-// registered queries ("statically analyses the queries to find a large set
-// of candidate indexes"): single-column indexes on every referenced column,
-// two-column order+column indexes, and covering indexes per interesting
-// order and per relation. Index-creation failures are recorded
-// (GenerationErrors, surfaced on the Result) instead of silently dropped.
-func (ad *Advisor) GenerateCandidates() int {
+// CandidateIndexes is the advisor's candidate rule, §V-E's "statically
+// analyses the queries to find a large set of candidate indexes". For every
+// relation of every query it declares on ws, in this order:
+//
+//   - one single-column index per referenced column;
+//   - per interesting order, one two-column index per (order column, other
+//     referenced column) pair, then one covering index (order column first,
+//     then every other referenced column);
+//   - one index on all the relation's referenced columns, in their order.
+//
+// The result lists each distinct descriptor once, in first-declaration
+// order (ws deduplicates by table and columns). Each declaration ws
+// rejects is returned as an error and leaves its candidate out.
+func CandidateIndexes(ws *whatif.Session, analyses []*optimizer.Analysis) ([]*catalog.Index, []error) {
+	var (
+		out  []*catalog.Index
+		errs []error
+		seen = make(map[string]bool)
+	)
 	add := func(table string, cols ...string) {
-		ix, err := ad.ws.CreateIndex(table, cols...)
+		ix, err := ws.CreateIndex(table, cols...)
 		if err != nil {
-			ad.genErrs = append(ad.genErrs,
-				fmt.Errorf("advisor: candidate %s(%s): %w", table, strings.Join(cols, ","), err))
+			errs = append(errs, fmt.Errorf("advisor: candidate %s(%s): %w", table, strings.Join(cols, ","), err))
 			return
 		}
-		ad.addCandidate(ix)
+		if !seen[ix.Name] {
+			seen[ix.Name] = true
+			out = append(out, ix)
+		}
 	}
-	for _, qs := range ad.queries {
-		for i := range qs.A.Rels {
-			ri := &qs.A.Rels[i]
+	for _, a := range analyses {
+		for i := range a.Rels {
+			ri := &a.Rels[i]
 			cols := ri.Needed
 			for _, c := range cols {
 				add(ri.Table.Name, c)
 			}
 			for _, lead := range ri.Interesting {
-				for _, c := range cols {
-					if c != lead {
-						add(ri.Table.Name, lead, c)
-					}
-				}
 				covering := []string{lead}
 				for _, c := range cols {
 					if c != lead {
+						add(ri.Table.Name, lead, c)
 						covering = append(covering, c)
 					}
 				}
@@ -223,6 +232,23 @@ func (ad *Advisor) GenerateCandidates() int {
 			}
 		}
 	}
+	return out, errs
+}
+
+// GenerateCandidates registers CandidateIndexes over the registered
+// queries, on the advisor's what-if session, and returns the number of
+// candidates now registered. Index-creation failures are recorded
+// (GenerationErrors, surfaced on the Result) instead of silently dropped.
+func (ad *Advisor) GenerateCandidates() int {
+	analyses := make([]*optimizer.Analysis, len(ad.queries))
+	for i, qs := range ad.queries {
+		analyses[i] = qs.A
+	}
+	cands, errs := CandidateIndexes(ad.ws, analyses)
+	ad.genErrs = append(ad.genErrs, errs...)
+	for _, ix := range cands {
+		ad.AddCandidate(ix)
+	}
 	return len(ad.candidates)
 }
 
@@ -231,24 +257,15 @@ func (ad *Advisor) GenerateCandidates() int {
 func (ad *Advisor) GenerationErrors() []error { return ad.genErrs }
 
 // Candidates returns the registered candidate indexes in registration
-// order. A long-lived server generates the workload's candidate set once
-// and feeds it to every per-request advisor through AddCandidate instead
-// of regenerating it per request.
+// order.
 func (ad *Advisor) Candidates() []*catalog.Index {
-	return append([]*catalog.Index(nil), ad.candidates...)
+	return slices.Clone(ad.candidates)
 }
 
-// AddCandidate registers an externally supplied candidate index,
-// deduplicating by name against both earlier AddCandidate calls and
-// generated candidates. It reports whether the candidate was new.
+// AddCandidate registers a candidate index unless one of the same name is
+// already registered — the one dedup gate for generated and externally
+// supplied candidates. It reports whether the candidate was new.
 func (ad *Advisor) AddCandidate(ix *catalog.Index) bool {
-	return ad.addCandidate(ix)
-}
-
-// addCandidate appends ix unless a candidate of the same name is already
-// registered — the one dedup gate both GenerateCandidates and AddCandidate
-// go through.
-func (ad *Advisor) addCandidate(ix *catalog.Index) bool {
 	if ad.seen == nil {
 		ad.seen = make(map[string]bool)
 	}
@@ -260,61 +277,66 @@ func (ad *Advisor) addCandidate(ix *catalog.Index) bool {
 	return true
 }
 
-// Run executes the greedy selection loop on the incremental cost engine:
-// in each round, evaluate every remaining candidate alongside the
-// already-chosen set as a delta over the shared cost matrix, keep the one
-// with the highest benefit, and stop when the budget is exhausted or no
-// candidate helps. Candidate evaluations within a round run across the
-// advisor's worker pool (Parallelism); the result is bit-identical to the
-// serial search and to re-pricing the whole workload through Cache.Cost per
-// candidate (the test oracle).
+// Run searches the registered workload (Search, without a deadline) over
+// the registered candidates, generating them first if none are.
 func (ad *Advisor) Run() (*Result, error) {
-	start := time.Now()
-	if len(ad.queries) == 0 {
-		return nil, fmt.Errorf("advisor: no queries registered")
+	if len(ad.candidates) == 0 {
+		ad.GenerateCandidates()
 	}
 	specs := make([]costmatrix.Query, len(ad.queries))
 	for i, qs := range ad.queries {
 		specs[i] = costmatrix.Query{Cache: qs.Cache, Weight: qs.Weight}
 	}
-	eng, err := costmatrix.New(specs)
+	res, err := Search(context.Background(), specs, ad.candidates, ad.BudgetBytes, ad.MaxIndexes, ad.Parallelism)
 	if err != nil {
 		return nil, err
 	}
-	return ad.runGreedy(eng, start), nil
+	res.GenerationErrors = slices.Clone(ad.genErrs)
+	return res, nil
 }
 
-// runGreedy is the selection loop: budget filtering, the per-round fan-out
-// over the engine, and the deterministic reduce.
-func (ad *Advisor) runGreedy(eng *costmatrix.Engine, start time.Time) *Result {
-	if len(ad.candidates) == 0 {
-		ad.GenerateCandidates()
+// Search is the greedy selection loop on the incremental cost engine: in
+// each round, evaluate every remaining candidate that fits budgetBytes
+// alongside the already-chosen set as a delta over the shared cost matrix,
+// keep the one with the highest benefit, and stop when the budget is
+// exhausted, maxIndexes are chosen (0 = no cap) or no candidate helps.
+// Candidate evaluations within a round fan over parallelism workers
+// (core.Fan's resolution: 0 = GOMAXPROCS); the result is bit-identical to
+// the serial search and to re-pricing the whole workload through
+// Cache.Cost per candidate (the test oracle). Search reads queries and
+// candidates and writes neither. It checks ctx before each round and
+// returns ctx's error, wrapped, once ctx is done.
+func Search(ctx context.Context, queries []costmatrix.Query, candidates []*catalog.Index, budgetBytes int64, maxIndexes, parallelism int) (*Result, error) {
+	start := time.Now()
+	if len(queries) == 0 {
+		return nil, fmt.Errorf("advisor: no queries registered")
 	}
-	res := &Result{PerQuery: make(map[string][2]float64), CandidateCount: len(ad.candidates)}
-
+	eng, err := costmatrix.New(queries)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{PerQuery: make(map[string][2]float64), CandidateCount: len(candidates)}
 	res.BaseCost = eng.TotalCost()
 	for i, c := range eng.QueryCosts() {
-		res.PerQuery[ad.queries[i].Query.Name] = [2]float64{c, c}
+		res.PerQuery[queries[i].Cache.Q.Name] = [2]float64{c, c}
+		res.OptimizerCalls += queries[i].Cache.Stats.OptimizerCalls
 	}
 
-	remaining := append([]*catalog.Index(nil), ad.candidates...)
-	var chosen []*catalog.Index
-	var usedBytes int64
+	remaining := slices.Clone(candidates)
 	current := res.BaseCost
-
-	for {
-		if ad.MaxIndexes > 0 && len(chosen) >= ad.MaxIndexes {
-			break
+	for maxIndexes <= 0 || len(res.Chosen) < maxIndexes {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("advisor: search stopped after %d rounds: %w", res.Rounds, err)
 		}
 		// Candidates that still fit the budget this round.
 		eligible := make([]int, 0, len(remaining))
 		for i, cand := range remaining {
-			if usedBytes+storage.IndexBytes(cand) <= ad.BudgetBytes {
+			if res.TotalBytes+storage.IndexBytes(cand) <= budgetBytes {
 				eligible = append(eligible, i)
 			}
 		}
 		costs := make([]float64, len(eligible))
-		core.Fan(len(eligible), ad.Parallelism, func() func(int) {
+		core.Fan(len(eligible), parallelism, func() func(int) {
 			return func(j int) {
 				costs[j] = eng.EvaluateCandidate(remaining[eligible[j]])
 			}
@@ -336,27 +358,22 @@ func (ad *Advisor) runGreedy(eng *costmatrix.Engine, start time.Time) *Result {
 			break
 		}
 		pick := remaining[bestIdx]
-		chosen = append(chosen, pick)
-		usedBytes += storage.IndexBytes(pick)
+		res.Chosen = append(res.Chosen, pick)
+		res.TotalBytes += storage.IndexBytes(pick)
 		current = bestCost
-		remaining = append(remaining[:bestIdx:bestIdx], remaining[bestIdx+1:]...)
+		remaining = slices.Delete(remaining, bestIdx, bestIdx+1)
 		eng.Apply(pick)
 		res.Rounds++
 	}
 
-	res.Chosen = chosen
-	res.TotalBytes = usedBytes
 	res.FinalCost = eng.TotalCost()
-	res.OptimizerCalls = ad.calls
 	for i, c := range eng.QueryCosts() {
-		e := res.PerQuery[ad.queries[i].Query.Name]
-		e[1] = c
-		res.PerQuery[ad.queries[i].Query.Name] = e
+		name := queries[i].Cache.Q.Name
+		res.PerQuery[name] = [2]float64{res.PerQuery[name][0], c}
 	}
 	res.Engine = eng.Stats()
-	res.GenerationErrors = append([]error(nil), ad.genErrs...)
 	res.Duration = time.Since(start)
-	return res
+	return res, nil
 }
 
 // Speedup returns the estimated workload speedup fraction (the paper

@@ -1,15 +1,19 @@
 package advisor
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"testing"
 
 	"github.com/pinumdb/pinum/internal/catalog"
+	"github.com/pinumdb/pinum/internal/costmatrix"
 	"github.com/pinumdb/pinum/internal/optimizer"
 	"github.com/pinumdb/pinum/internal/query"
 	"github.com/pinumdb/pinum/internal/storage"
+	"github.com/pinumdb/pinum/internal/whatif"
 	"github.com/pinumdb/pinum/internal/workload"
 )
 
@@ -111,9 +115,19 @@ func TestZeroBudgetChoosesNothing(t *testing.T) {
 	}
 }
 
+// optimizerCalls sums the optimizer calls the registered caches were
+// built with.
+func optimizerCalls(ad *Advisor) int {
+	n := 0
+	for _, qs := range ad.queries {
+		n += qs.Cache.Stats.OptimizerCalls
+	}
+	return n
+}
+
 func TestNoOptimizerCallsDuringGreedyLoop(t *testing.T) {
 	_, ad, _ := setup(t, 5, 4)
-	callsAfterCaches := ad.calls
+	callsAfterCaches := optimizerCalls(ad)
 	res, err := ad.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -215,16 +229,18 @@ func TestAddQueriesMatchesAddQuery(t *testing.T) {
 		if sq.Query.Name != bq.Query.Name || sq.Weight != bq.Weight {
 			t.Errorf("query %d: (%s, %v) != (%s, %v)", i, sq.Query.Name, sq.Weight, bq.Query.Name, bq.Weight)
 		}
-		if math.Float64bits(sq.BaseCost) != math.Float64bits(bq.BaseCost) {
-			t.Errorf("%s: base cost %v != %v", sq.Query.Name, sq.BaseCost, bq.BaseCost)
+		sBase, _, sErr := sq.Cache.Cost(&query.Config{})
+		bBase, _, bErr := bq.Cache.Cost(&query.Config{})
+		if sErr != nil || bErr != nil || math.Float64bits(sBase) != math.Float64bits(bBase) {
+			t.Errorf("%s: base cost %v (%v) != %v (%v)", sq.Query.Name, sBase, sErr, bBase, bErr)
 		}
 		if sq.Cache.Stats.OptimizerCalls != bq.Cache.Stats.OptimizerCalls ||
 			sq.Cache.Stats.PlansCached != bq.Cache.Stats.PlansCached {
 			t.Errorf("%s: cache stats differ: %+v vs %+v", sq.Query.Name, sq.Cache.Stats, bq.Cache.Stats)
 		}
 	}
-	if batch.calls != serial.calls {
-		t.Errorf("batch spent %d optimizer calls, serial %d", batch.calls, serial.calls)
+	if b, s := optimizerCalls(batch), optimizerCalls(serial); b != s {
+		t.Errorf("batch spent %d optimizer calls, serial %d", b, s)
 	}
 	sres, err := serial.Run()
 	if err != nil {
@@ -315,10 +331,10 @@ func TestAddCandidateDedupesByName(t *testing.T) {
 
 // runReference is the advisor's test oracle: the greedy search with every
 // configuration re-priced from scratch through Cache.Cost, one serial loop.
-// It is independent of the search it checks — it calls neither runGreedy
+// It is independent of the search it checks — it calls neither Search
 // nor anything in costmatrix — and restates the budget filter, the weighted
 // objective Σ wᵢ·cᵢ in query order and the strict-improvement pick, so a
-// divergence in Run's loop or in the engine's arithmetic shows as a
+// divergence in Search's loop or in the engine's arithmetic shows as a
 // different pick or different cost bits.
 func runReference(ad *Advisor) (*Result, error) {
 	if len(ad.candidates) == 0 {
@@ -609,4 +625,56 @@ func TestRunMatchesReferenceSelfJoinMix(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertIdenticalResults(t, "self-join mix", got, ref)
+}
+
+// TestCandidateIndexesIsGenerateCandidates: the rule on a fresh session
+// yields, in order, the keys GenerateCandidates registers on an advisor
+// whose session already holds the caches' covering indexes — one rule,
+// whichever session it declares on — and a large set for a 7-way join.
+func TestCandidateIndexesIsGenerateCandidates(t *testing.T) {
+	s, ad, _ := setup(t, 5, 10)
+	ad.GenerateCandidates()
+	analyses := make([]*optimizer.Analysis, len(ad.queries))
+	for i, qs := range ad.queries {
+		analyses[i] = qs.A
+	}
+	if q10, _ := CandidateIndexes(whatif.NewSession(s.Catalog), analyses[9:]); len(q10) < 20 {
+		t.Errorf("only %d candidates for the 7-way join %s", len(q10), analyses[9].Q.Name)
+	}
+	got, errs := CandidateIndexes(whatif.NewSession(s.Catalog), analyses)
+	if len(errs) != 0 {
+		t.Fatal(errs)
+	}
+	if len(got) != len(ad.candidates) {
+		t.Fatalf("rule yields %d candidates, GenerateCandidates %d", len(got), len(ad.candidates))
+	}
+	for i, ix := range got {
+		if ix.Key() != ad.candidates[i].Key() {
+			t.Errorf("candidate %d: rule %s, GenerateCandidates %s", i, ix.Key(), ad.candidates[i].Key())
+		}
+	}
+}
+
+// TestSearchStopsWhenCancelled: a search whose context is done returns its
+// error, wrapped, before the first round; with a live context it is Run.
+func TestSearchStopsWhenCancelled(t *testing.T) {
+	_, ad, _ := setup(t, 5, 10)
+	want, err := ad.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]costmatrix.Query, len(ad.queries))
+	for i, qs := range ad.queries {
+		specs[i] = costmatrix.Query{Cache: qs.Cache, Weight: qs.Weight}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	got, err := Search(ctx, specs, ad.candidates, ad.BudgetBytes, ad.MaxIndexes, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdenticalResults(t, "live context", got, want)
+	cancel()
+	if res, err := Search(ctx, specs, ad.candidates, ad.BudgetBytes, ad.MaxIndexes, 2); !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("cancelled search: %v, %v; want context.Canceled and no result", res, err)
+	}
 }

@@ -10,6 +10,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -346,11 +347,10 @@ func RunE3(env *Env, queries []*query.Query) (*E3Result, error) {
 		ins[qi] = nil
 
 		// Candidate indexes for the access-cost lookup comparison.
-		ws := whatif.NewSession(env.Star.Catalog)
-		if _, _, err := workload.CandidateIndexes(a, ws); err != nil {
-			return nil, err
+		cands, errs := advisor.CandidateIndexes(whatif.NewSession(env.Star.Catalog), []*optimizer.Analysis{a})
+		if len(errs) != 0 {
+			return nil, errors.Join(errs...)
 		}
-		cands := ws.Indexes()
 		row.Candidates = len(cands)
 
 		naive := inum.CollectAccessCostsNaive(a, cands)

@@ -523,11 +523,26 @@ func TestCostByTableAllocFree(t *testing.T) {
 
 func TestCollectAccessCostsNaiveCallsPerIndex(t *testing.T) {
 	s, a := setup(t, 2)
+	// One index per referenced column and one on all of a relation's
+	// referenced columns, on every relation of the query.
 	ws := whatif.NewSession(s.Catalog)
-	if _, _, err := workload.CandidateIndexes(a, ws); err != nil {
-		t.Fatal(err)
+	var cands []*catalog.Index
+	declare := func(table string, cols ...string) {
+		ix, err := ws.CreateIndex(table, cols...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Contains(cands, ix) {
+			cands = append(cands, ix)
+		}
 	}
-	cands := ws.Indexes()
+	for i := range a.Rels {
+		ri := &a.Rels[i]
+		for _, c := range ri.Needed {
+			declare(ri.Table.Name, c)
+		}
+		declare(ri.Table.Name, ri.Needed...)
+	}
 	tab := CollectAccessCostsNaive(a, cands)
 	if tab.Calls != len(cands) {
 		t.Errorf("naive collection made %d calls for %d candidates", tab.Calls, len(cands))

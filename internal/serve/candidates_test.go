@@ -9,10 +9,7 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/pinumdb/pinum/internal/advisor"
-	"github.com/pinumdb/pinum/internal/core"
 	"github.com/pinumdb/pinum/internal/faultpoint"
-	"github.com/pinumdb/pinum/internal/storage"
 )
 
 // These tests pin the first-use candidate set: what /recommend and
@@ -26,27 +23,7 @@ var recommendProbe = RecommendRequest{BudgetGB: 5, MaxIndexes: 4}
 // by the advisor that then runs the search, over freshly built caches.
 func eagerRecommend(t *testing.T, f *fixture, req RecommendRequest) []byte {
 	t.Helper()
-	caches, err := core.BuildAllSlim(f.analyses, f.star.Catalog, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ad := advisor.New(f.star.Catalog, f.star.Stats, storage.BytesForGB(req.BudgetGB))
-	ad.MaxIndexes = req.MaxIndexes
-	for i, q := range f.queries {
-		if err := ad.AddPrepared(q, f.analyses[i], caches[i], 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ad.GenerateCandidates()
-	res, err := ad.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := EncodeJSON(RecommendResponseFrom(res, f.queries))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return body
+	return advisorReference(t, &Environment{Catalog: f.star.Catalog, Stats: f.star.Stats, Queries: f.queries, Analyses: f.analyses}, req)
 }
 
 func (f *fixture) recommend(t *testing.T, req RecommendRequest) (int, []byte) {

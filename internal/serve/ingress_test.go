@@ -206,10 +206,12 @@ func TestWeightOverrides(t *testing.T) {
 }
 
 // FuzzWhatIfBody feeds arbitrary bytes to a ten-query tenant's /whatif
-// handler. Whatever arrives, the answer is never a 500 and no handler
-// panic is recorded; and every 200 is the reply the in-process WhatIf
-// gives for the request the server decoded, byte for byte (a traced
-// reply field for field: its trace block carries timings).
+// handler, with the X-Pinum-Trace header on the inputs of odd length.
+// Whatever arrives, the answer is never a 500 and no handler panic is
+// recorded; and every 200 is the reply the in-process WhatIf gives for the
+// request the server decoded, byte for byte (a traced reply field for
+// field: its trace block carries timings). A body "trace" field is an
+// unknown field, so its seed is a 400.
 func FuzzWhatIfBody(f *testing.F) {
 	srv, err := New(Config{
 		Tenants:      []TenantConfig{{Name: DefaultTenant, Loader: func() (*Environment, error) { return starEnv(42, nil) }}},
@@ -224,12 +226,19 @@ func FuzzWhatIfBody(f *testing.F) {
 		f.Fatal(err)
 	}
 	h := srv.Handler()
+	const bodyTrace = `{"indexes":[{"table":"dim1_1","columns":["a1"]}],"trace":true}`
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/whatif", strings.NewReader(bodyTrace)))
+	if rec.Code != http.StatusBadRequest {
+		f.Fatalf("body trace field: %d %s, want 400", rec.Code, rec.Body.Bytes())
+	}
 	for _, seed := range []string{
 		`{"indexes":[]}`,
 		`{"indexes":[{"table":"fact","columns":["a1","m1"]}]}`,
 		`{"indexes":[{"table":"fact","columns":["fk_dim1_1","m1"]},{"table":"dim1_1","columns":["a1"]},{"table":"dim1_2","columns":["id","a1"]}]}`,
 		`{"indexes":[{"table":"fact","columns":["a1"]},{"table":"fact","columns":["a1"]}],"weights":[{"name":"Q1","weight":2.5}]}`,
-		`{"indexes":[{"table":"dim1_1","columns":["a1"]}],"trace":true}`,
+		bodyTrace,
+		`{"indexes":[{"table":"dim1_1","columns":["a1"]}]}`, // odd length: traced
 		`{"indexes":[],"weights":[{"name":"Q1","weight":1e308},{"name":"Q2","weight":1e308}]}`,
 		`{"indexes":[{"table":"nope","columns":["a1"]}]}`,
 		`{"indexes":[{"table":"fact","columns":[]}]}`,
@@ -244,8 +253,13 @@ func FuzzWhatIfBody(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
+		traced := len(body)%2 == 1
+		hr := httptest.NewRequest(http.MethodPost, "/whatif", bytes.NewReader(body))
+		if traced {
+			hr.Header.Set(TraceHeader, "fuzz")
+		}
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/whatif", bytes.NewReader(body)))
+		h.ServeHTTP(rec, hr)
 		if rec.Code == http.StatusInternalServerError {
 			t.Fatalf("body %q: 500 %s", body, rec.Body.Bytes())
 		}
@@ -270,7 +284,7 @@ func FuzzWhatIfBody(f *testing.F) {
 			t.Fatal(err)
 		}
 		got := rec.Body.Bytes()
-		if req.Trace {
+		if traced {
 			var traced WhatIfResponse
 			if err := json.Unmarshal(got, &traced); err != nil || traced.Trace == nil {
 				t.Fatalf("body %q: traced reply %q lacks its trace block (%v)", body, got, err)

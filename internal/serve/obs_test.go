@@ -82,18 +82,57 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestTraceOptIn pins the tracing contract: a request with "trace": true
-// gets a span breakdown covering the full pipeline, and the span set
-// accounts for the fan-out (one span per workload query).
+// postTraced posts body to url with the X-Pinum-Trace header set to id and
+// returns the raw status and reply.
+func postTraced(t *testing.T, url string, body any, id string) (int, []byte) {
+	t.Helper()
+	data, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(TraceHeader, id)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	reply, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, reply
+}
+
+// TestTraceOptIn pins the tracing contract: a request carrying the
+// X-Pinum-Trace header gets a span breakdown covering the full pipeline,
+// and the span set accounts for the fan-out (one span per workload query).
+// The header is the one switch: a body "trace" field is refused with a
+// 400 on every compute endpoint.
 func TestTraceOptIn(t *testing.T) {
 	f := newFixture(t)
+	for _, path := range []string{"/whatif", "/recommend", "/explain"} {
+		if code, body := postBytes(t, f.ts.URL+path, []byte(`{"trace":true}`)); code != http.StatusBadRequest ||
+			!bytes.Contains(body, []byte(`unknown field \"trace\"`)) {
+			t.Errorf("%s with a body trace field: %d %s, want a 400 naming the field", path, code, body)
+		}
+	}
+	code, body := postTraced(t, f.ts.URL+"/whatif", WhatIfRequest{}, "opt-in")
+	if code != http.StatusOK {
+		t.Fatalf("traced /whatif: %d %s", code, body)
+	}
 	var got WhatIfResponse
-	f.post(t, "/whatif", WhatIfRequest{Trace: true}, &got)
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
 	if got.Trace == nil {
 		t.Fatal("traced request returned no trace block")
 	}
-	if got.Trace.ID == "" {
-		t.Error("trace block has no ID")
+	if got.Trace.ID != "opt-in" {
+		t.Errorf("trace block ID %q, want the header's", got.Trace.ID)
 	}
 	names := make(map[string]int)
 	for _, sp := range got.Trace.Spans {
@@ -161,9 +200,7 @@ func TestUntracedBytesUnchanged(t *testing.T) {
 	if bytes.Contains(baseline, []byte(`"trace"`)) {
 		t.Fatal("untraced response carries a trace key")
 	}
-	traced := whatIfProbe
-	traced.Trace = true
-	if code, body := rf.do(t, http.MethodPost, "/whatif", traced); code != http.StatusOK {
+	if code, body := postTraced(t, rf.ts.URL+"/whatif", whatIfProbe, "between"); code != http.StatusOK {
 		t.Fatalf("traced probe: %d %s", code, body)
 	} else if !bytes.Contains(body, []byte(`"trace"`)) {
 		t.Fatal("traced response missing trace block")

@@ -173,13 +173,14 @@ func newSnapshotSet(env *Environment, caches []*inum.Cache, source string, fp ui
 	return set, nil
 }
 
-// candidates returns the set's candidate set, generating it through a
-// throwaway advisor on first use so every /recommend request on this set
-// searches the same descriptors. Only a completed generation is ever
-// published: a failure or a panic in here (the serve.candidates
-// faultpoint injects both) leaves the set ungenerated and the next caller
-// tries again — which a sync.Once, done even when its function panics,
-// would turn into an empty candidate set that /recommend answers from.
+// candidates returns the set's candidate set, generating it with the
+// advisor's candidate rule on a fresh what-if session on first use, so
+// every /recommend request on this set searches the same descriptors. Only
+// a completed generation is ever published: a failure or a panic in here
+// (the serve.candidates faultpoint injects both) leaves the set ungenerated
+// and the next caller tries again — which a sync.Once, done even when its
+// function panics, would turn into an empty candidate set that /recommend
+// answers from.
 func (set *snapshotSet) candidates() (*candidateSet, error) {
 	if cs := set.cand.Load(); cs != nil {
 		return cs, nil
@@ -192,14 +193,8 @@ func (set *snapshotSet) candidates() (*candidateSet, error) {
 	if err := faultpoint.Hit("serve.candidates"); err != nil {
 		return nil, fmt.Errorf("generating candidates: %w", err)
 	}
-	gen := advisor.New(set.env.Catalog, set.env.Stats, 0)
-	for i, q := range set.env.Queries {
-		if err := gen.AddPrepared(q, set.env.Analyses[i], set.caches[i], set.weights[i]); err != nil {
-			return nil, err
-		}
-	}
-	gen.GenerateCandidates()
-	cs := &candidateSet{indexes: gen.Candidates(), genErrors: len(gen.GenerationErrors())}
+	indexes, errs := advisor.CandidateIndexes(whatif.NewSession(set.env.Catalog), set.env.Analyses)
+	cs := &candidateSet{indexes: indexes, genErrors: len(errs)}
 	set.cand.Store(cs)
 	return cs, nil
 }

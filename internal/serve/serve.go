@@ -18,13 +18,15 @@
 // core.FanCtxObserved: the handler's goroutine prices queries itself,
 // beside at most Workers − 1 helpers claiming from the same counter, and
 // no query is claimed once the request's deadline passed. Everything a
-// request does mutate is request-local: /recommend builds a fresh Advisor
-// and incremental cost engine per request, /explain runs a fresh
-// optimizer call. The one mutable structure inside a set is the what-if
-// index interner — a mutex-guarded session that resolves each requested
-// (table, columns) spec to a stably named descriptor, capped so a client
-// enumerating index permutations cannot grow it without bound; past the
-// cap a never-seen spec is priced through a request-local descriptor.
+// request does mutate is request-local: /recommend runs advisor.Search over
+// the set's caches and candidate set on a fresh incremental cost engine,
+// stopping between greedy rounds once its deadline passed, and /explain
+// runs a fresh optimizer call. The one mutable structure inside a set is
+// the what-if index interner — a mutex-guarded session that resolves each
+// requested (table, columns) spec to a stably named descriptor, capped so
+// a client enumerating index permutations cannot grow it without bound;
+// past the cap a never-seen spec is priced through a request-local
+// descriptor.
 //
 // Multi-tenancy: one process fronts a roster of workloads (Config.Tenants),
 // each an independent tenant — its own snapshot set, reload/retry state
@@ -68,6 +70,7 @@ import (
 	"github.com/pinumdb/pinum/internal/advisor"
 	"github.com/pinumdb/pinum/internal/catalog"
 	"github.com/pinumdb/pinum/internal/core"
+	"github.com/pinumdb/pinum/internal/costmatrix"
 	"github.com/pinumdb/pinum/internal/inum"
 	"github.com/pinumdb/pinum/internal/obs"
 	"github.com/pinumdb/pinum/internal/optimizer"
@@ -100,9 +103,8 @@ const (
 	DefaultSlowRequest = time.Second
 )
 
-// TraceHeader opts a request into tracing and supplies its trace ID;
-// the request body's `"trace": true` field is the in-band equivalent
-// (with a generated ID). Traced compute responses carry a "trace" block
+// TraceHeader opts a request into tracing and supplies its trace ID; it is
+// the one tracing switch. Traced compute responses carry a "trace" block
 // of span timings; untraced responses are byte-identical to the
 // pre-tracing server.
 const TraceHeader = "X-Pinum-Trace"
@@ -300,9 +302,9 @@ func New(cfg Config) (*Server, error) {
 		s.tenants[DefaultTenant].publish(static)
 	}
 
-	s.mux.HandleFunc("/whatif", s.instrument("/whatif", http.MethodPost, true, s.handleWhatIf))
-	s.mux.HandleFunc("/recommend", s.instrument("/recommend", http.MethodPost, true, s.handleRecommend))
-	s.mux.HandleFunc("/explain", s.instrument("/explain", http.MethodPost, true, s.handleExplain))
+	s.mux.HandleFunc("/whatif", s.instrument("/whatif", http.MethodPost, true, compute(s, s.whatIfOn)))
+	s.mux.HandleFunc("/recommend", s.instrument("/recommend", http.MethodPost, true, compute(s, s.recommendOn)))
+	s.mux.HandleFunc("/explain", s.instrument("/explain", http.MethodPost, true, compute(s, explainOn)))
 	s.mux.HandleFunc("/reload", s.instrument("/reload", http.MethodPost, false, s.handleReload))
 	s.mux.HandleFunc("/healthz", s.instrument("/healthz", http.MethodGet, false, s.handleHealth))
 	s.mux.HandleFunc("/readyz", s.instrument("/readyz", http.MethodGet, false, s.handleReady))
@@ -417,7 +419,7 @@ func badRequest(format string, args ...any) error {
 // instrument wraps a handler with method filtering, panic containment,
 // the per-request deadline, JSON error rendering and the endpoint's
 // latency/throughput counters. compute marks the expensive endpoints
-// that sit behind deadlines and (inside computeOn, once the body names a
+// that sit behind deadlines and (inside compute, once the body names a
 // tenant) per-tenant admission control; health/metrics endpoints stay
 // exempt so a saturated server can still be observed. A request carrying
 // the X-Pinum-Trace header gets a trace attached to its context here, so
@@ -557,6 +559,50 @@ func (s *Server) contain(name string, fn func(*http.Request) (any, error), r *ht
 	return fn(r)
 }
 
+// compute is the one way in for a compute endpoint: decode the body into a
+// Req (the decode span), route to a tenant, count the request, take its
+// admission slot, make it resident, run on against the immutable set —
+// which on uses for its whole lifetime regardless of concurrent swaps or
+// evictions — and attach the trace block when the request is traced.
+func compute[Req interface{ tenantName() string }, Resp interface{ setTrace(*obs.TraceView) }](
+	s *Server, on func(context.Context, *snapshotSet, *Req) (Resp, error)) func(*http.Request) (any, error) {
+	return func(r *http.Request) (any, error) {
+		t0 := time.Now()
+		var req Req
+		if err := s.decodeBody(r, &req); err != nil {
+			return nil, err
+		}
+		tr := obs.TraceFrom(r.Context())
+		tr.Add("decode", t0, time.Since(t0))
+		rt := time.Now()
+		t, err := s.resolveTenant(r, req.tenantName())
+		tr.Add("route", rt, time.Since(rt))
+		if err != nil {
+			return nil, err
+		}
+		t.requests.Inc()
+		if err := t.admit(); err != nil {
+			t.errors.Inc()
+			return nil, err
+		}
+		defer t.release()
+		lt := time.Now()
+		set, err := s.acquireSet(t)
+		tr.Add("load", lt, time.Since(lt))
+		if err != nil {
+			t.errors.Inc()
+			return nil, err
+		}
+		resp, err := on(r.Context(), set, &req)
+		if err != nil {
+			t.errors.Inc()
+			return nil, err
+		}
+		resp.setTrace(s.traceView(tr, resp))
+		return resp, nil
+	}
+}
+
 // handleMetrics serves the Prometheus text exposition. It bypasses
 // instrument's JSON rendering but shares the same per-endpoint handles,
 // so scrapes are themselves visible in the data they return.
@@ -627,10 +673,9 @@ type WhatIfRequest struct {
 	Tenant  string           `json:"tenant,omitempty"`
 	Indexes []IndexSpec      `json:"indexes"`
 	Weights []WeightOverride `json:"weights,omitempty"`
-	// Trace opts this request into span tracing (the X-Pinum-Trace
-	// header is the out-of-band equivalent).
-	Trace bool `json:"trace,omitempty"`
 }
+
+func (r WhatIfRequest) tenantName() string { return r.Tenant }
 
 // QueryCost is one query's answer.
 type QueryCost struct {
@@ -652,6 +697,8 @@ type WhatIfResponse struct {
 	// float.
 	baseDigits *baseDigits
 }
+
+func (r *WhatIfResponse) setTrace(v *obs.TraceView) { r.Trace = v }
 
 // WhatIf prices the workload under the given configuration on the
 // tenant the request names (default tenant when empty): per-query cache
@@ -724,38 +771,6 @@ func (s *Server) whatIfOn(ctx context.Context, set *snapshotSet, req *WhatIfRequ
 	return resp, nil
 }
 
-func (s *Server) handleWhatIf(r *http.Request) (any, error) {
-	t0 := time.Now()
-	var req WhatIfRequest
-	if err := s.decodeBody(r, &req); err != nil {
-		return nil, err
-	}
-	r, tr := s.ensureTrace(r, req.Trace, t0)
-	tr.Add("decode", t0, time.Since(t0))
-	resp, err := s.computeOn(r, req.Tenant, func(set *snapshotSet) (any, error) {
-		return s.whatIfOn(r.Context(), set, &req)
-	})
-	if err != nil {
-		return nil, err
-	}
-	wr := resp.(*WhatIfResponse)
-	wr.Trace = s.traceView(tr, wr)
-	return wr, nil
-}
-
-// ensureTrace returns the request's trace: the header-created one from
-// instrument when present, a fresh one when the body opted in, nil
-// otherwise. A body-created trace starts at entry (the decode start) so
-// span offsets stay non-negative.
-func (s *Server) ensureTrace(r *http.Request, optIn bool, entry time.Time) (*http.Request, *obs.Trace) {
-	tr := obs.TraceFrom(r.Context())
-	if tr == nil && optIn {
-		tr = obs.NewTraceAt(s.nextTraceID(), entry)
-		r = r.WithContext(obs.WithTrace(r.Context(), tr))
-	}
-	return r, tr
-}
-
 // traceView finishes a traced request: it measures one rendering pass
 // as the encode span (instrument's real encode happens after the
 // handler returns) and snapshots the span set. The pass runs before the
@@ -784,9 +799,9 @@ type RecommendRequest struct {
 	BudgetGB   float64          `json:"budget_gb"`
 	MaxIndexes int              `json:"max_indexes"`
 	Weights    []WeightOverride `json:"weights,omitempty"`
-	// Trace opts this request into span tracing; see WhatIfRequest.Trace.
-	Trace bool `json:"trace,omitempty"`
 }
+
+func (r RecommendRequest) tenantName() string { return r.Tenant }
 
 // RecommendResponse reports the advisor's suggestion.
 type RecommendResponse struct {
@@ -802,6 +817,8 @@ type RecommendResponse struct {
 	Trace      *obs.TraceView `json:"trace,omitempty"`
 }
 
+func (r *RecommendResponse) setTrace(v *obs.TraceView) { r.Trace = v }
+
 // EngineStats mirrors the cost engine's work counters in the response.
 type EngineStats struct {
 	CandidateEvals int64 `json:"candidate_evals"`
@@ -809,43 +826,32 @@ type EngineStats struct {
 	QuerySkips     int64 `json:"query_skips"`
 }
 
-// recommendOn runs one greedy advisor search over the set's shared caches
-// with request-local engine state. Results are identical to an in-process
-// advisor.Run over the same workload, weights and budget.
+// recommendOn runs advisor.Search over the set's shared caches, the
+// request's weights and the set's candidate set, on a request-local cost
+// engine that stops between rounds once ctx is done. Results are identical
+// to an in-process advisor.Run over the same workload, weights and budget.
 func (s *Server) recommendOn(ctx context.Context, set *snapshotSet, req *RecommendRequest) (*RecommendResponse, error) {
-	if req.BudgetGB <= 0 {
-		return nil, badRequest("budget_gb must be positive, got %g", req.BudgetGB)
+	budget, err := storage.BudgetBytes(req.BudgetGB)
+	if err != nil {
+		return nil, badRequest("budget_gb %v", err)
 	}
 	weights, err := set.resolveWeights(req.Weights)
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("request abandoned: %w", err)
-	}
-	ad := advisor.New(set.env.Catalog, set.env.Stats, storage.BytesForGB(req.BudgetGB))
-	ad.Parallelism = s.cfg.Workers
-	ad.MaxIndexes = req.MaxIndexes
-	for i, q := range set.env.Queries {
-		if err := ad.AddPrepared(q, set.env.Analyses[i], set.caches[i], weights[i]); err != nil {
-			return nil, err
-		}
-	}
 	cs, err := set.candidates()
 	if err != nil {
 		return nil, err
 	}
-	for _, ix := range cs.indexes {
-		ad.AddCandidate(ix)
+	queries := make([]costmatrix.Query, len(set.caches))
+	for i, c := range set.caches {
+		queries[i] = costmatrix.Query{Cache: c, Weight: weights[i]}
 	}
 	rt := time.Now()
-	res, err := ad.Run()
+	res, err := advisor.Search(ctx, queries, cs.indexes, budget, req.MaxIndexes, s.cfg.Workers)
 	obs.TraceFrom(ctx).Add("advisor", rt, time.Since(rt))
 	if err != nil {
 		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("request abandoned: %w", err)
 	}
 	return RecommendResponseFrom(res, set.env.Queries), nil
 }
@@ -878,25 +884,6 @@ func RecommendResponseFrom(res *advisor.Result, queries []*query.Query) *Recomme
 	return resp
 }
 
-func (s *Server) handleRecommend(r *http.Request) (any, error) {
-	t0 := time.Now()
-	var req RecommendRequest
-	if err := s.decodeBody(r, &req); err != nil {
-		return nil, err
-	}
-	r, tr := s.ensureTrace(r, req.Trace, t0)
-	tr.Add("decode", t0, time.Since(t0))
-	resp, err := s.computeOn(r, req.Tenant, func(set *snapshotSet) (any, error) {
-		return s.recommendOn(r.Context(), set, &req)
-	})
-	if err != nil {
-		return nil, err
-	}
-	rr := resp.(*RecommendResponse)
-	rr.Trace = s.traceView(tr, rr)
-	return rr, nil
-}
-
 // ---------------------------------------------------------- explain ----
 
 // ExplainRequest optimizes one query under a configuration.
@@ -905,9 +892,9 @@ type ExplainRequest struct {
 	Tenant  string      `json:"tenant,omitempty"`
 	SQL     string      `json:"sql"`
 	Indexes []IndexSpec `json:"indexes"`
-	// Trace opts this request into span tracing; see WhatIfRequest.Trace.
-	Trace bool `json:"trace,omitempty"`
 }
+
+func (r ExplainRequest) tenantName() string { return r.Tenant }
 
 // ExplainLeaf is one relation's access requirement in the chosen plan's
 // INUM decomposition.
@@ -928,6 +915,8 @@ type ExplainResponse struct {
 	Leaves   []ExplainLeaf  `json:"leaves"`
 	Trace    *obs.TraceView `json:"trace,omitempty"`
 }
+
+func (r *ExplainResponse) setTrace(v *obs.TraceView) { r.Trace = v }
 
 // explainOn runs one conventional optimizer call for an ad-hoc query — the
 // only endpoint that plans, since arbitrary SQL has no prebuilt cache —
@@ -985,25 +974,6 @@ func explainOn(ctx context.Context, set *snapshotSet, req *ExplainRequest) (*Exp
 		})
 	}
 	return resp, nil
-}
-
-func (s *Server) handleExplain(r *http.Request) (any, error) {
-	t0 := time.Now()
-	var req ExplainRequest
-	if err := s.decodeBody(r, &req); err != nil {
-		return nil, err
-	}
-	r, tr := s.ensureTrace(r, req.Trace, t0)
-	tr.Add("decode", t0, time.Since(t0))
-	resp, err := s.computeOn(r, req.Tenant, func(set *snapshotSet) (any, error) {
-		return explainOn(r.Context(), set, &req)
-	})
-	if err != nil {
-		return nil, err
-	}
-	er := resp.(*ExplainResponse)
-	er.Trace = s.traceView(tr, er)
-	return er, nil
 }
 
 // ------------------------------------------------- health / metrics ----

@@ -272,7 +272,9 @@ func TestConcurrentWhatIf(t *testing.T) {
 }
 
 // TestRequestValidation pins the error contract: wrong method, malformed
-// body, unknown fields, unknown tables and bad budgets are client errors.
+// body, unknown fields, unknown tables and bad budgets are client errors,
+// and a budget whose byte count does not fit an int64 is one naming the
+// limit, not a 200 that picks nothing.
 func TestRequestValidation(t *testing.T) {
 	f := newFixture(t)
 
@@ -288,14 +290,17 @@ func TestRequestValidation(t *testing.T) {
 	bad := []struct {
 		path string
 		body string
+		want string // in the error message, when set
 	}{
-		{"/whatif", `{"indexes":[{"table":"nope","columns":["a1"]}]}`},
-		{"/whatif", `{"indexes":[{"table":"fact","columns":[]}]}`},
-		{"/whatif", `{"bogus":1}`},
-		{"/whatif", `not json`},
-		{"/recommend", `{"budget_gb":-1}`},
-		{"/explain", `{"sql":""}`},
-		{"/explain", `{"sql":"SELECT nope FROM nowhere"}`},
+		{"/whatif", `{"indexes":[{"table":"nope","columns":["a1"]}]}`, ""},
+		{"/whatif", `{"indexes":[{"table":"fact","columns":[]}]}`, ""},
+		{"/whatif", `{"bogus":1}`, ""},
+		{"/whatif", `not json`, ""},
+		{"/recommend", `{"budget_gb":-1}`, ""},
+		{"/recommend", `{"budget_gb":1e10}`, "int64 byte limit"},
+		{"/recommend", `{"budget_gb":1e300}`, "int64 byte limit"},
+		{"/explain", `{"sql":""}`, ""},
+		{"/explain", `{"sql":"SELECT nope FROM nowhere"}`, ""},
 	}
 	for _, tc := range bad {
 		resp, err := http.Post(f.ts.URL+tc.path, "application/json", bytes.NewReader([]byte(tc.body)))
@@ -308,8 +313,8 @@ func TestRequestValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST %s %q: status %d, want 400", tc.path, tc.body, resp.StatusCode)
 		}
-		if payload["error"] == "" {
-			t.Errorf("POST %s %q: no error message in response", tc.path, tc.body)
+		if payload["error"] == "" || !strings.Contains(payload["error"], tc.want) {
+			t.Errorf("POST %s %q: error %q, want a message containing %q", tc.path, tc.body, payload["error"], tc.want)
 		}
 	}
 }

@@ -414,35 +414,3 @@ func (s *Server) evictLocked(t *tenant) {
 	t.evictions.Inc()
 	s.recordEvent("eviction", t.name, "", fmt.Sprintf("LRU, resident cap %d", s.residentCap))
 }
-
-// computeOn is the compute-endpoint spine: route to a tenant, count the
-// request, take its admission slot, make it resident, and run fn against
-// the immutable set — which fn uses for its whole lifetime regardless of
-// concurrent swaps or evictions.
-func (s *Server) computeOn(r *http.Request, bodyTenant string, fn func(*snapshotSet) (any, error)) (any, error) {
-	tr := obs.TraceFrom(r.Context())
-	rt := time.Now()
-	t, err := s.resolveTenant(r, bodyTenant)
-	tr.Add("route", rt, time.Since(rt))
-	if err != nil {
-		return nil, err
-	}
-	t.requests.Inc()
-	if err := t.admit(); err != nil {
-		t.errors.Inc()
-		return nil, err
-	}
-	defer t.release()
-	lt := time.Now()
-	set, err := s.acquireSet(t)
-	tr.Add("load", lt, time.Since(lt))
-	if err != nil {
-		t.errors.Inc()
-		return nil, err
-	}
-	resp, err := fn(set)
-	if err != nil {
-		t.errors.Inc()
-	}
-	return resp, err
-}

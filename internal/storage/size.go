@@ -10,6 +10,7 @@
 package storage
 
 import (
+	"fmt"
 	"math"
 
 	"github.com/pinumdb/pinum/internal/catalog"
@@ -182,8 +183,22 @@ func IndexBytes(ix *catalog.Index) int64 { return ix.TotalPages() * PageSize }
 // database" and "5GBs of space" figures are).
 func GigaBytes(b int64) float64 { return float64(b) / 1e9 }
 
-// BytesForGB converts gigabytes to bytes.
+// BytesForGB converts gigabytes to bytes. Past about 9.22e9 GB the byte
+// count does not fit an int64 and the conversion wraps; BudgetBytes
+// refuses such a budget instead.
 func BytesForGB(gb float64) int64 { return int64(math.Round(gb * 1e9)) }
+
+// BudgetBytes converts a space budget in GB to bytes, refusing one that is
+// not positive or whose byte count does not fit an int64.
+func BudgetBytes(gb float64) (int64, error) {
+	if !(gb > 0) {
+		return 0, fmt.Errorf("must be positive, got %g", gb)
+	}
+	if b := math.Round(gb * 1e9); b < math.MaxInt64 {
+		return int64(b), nil
+	}
+	return 0, fmt.Errorf("must be below %g GB (the int64 byte limit), got %g", math.MaxInt64/1e9, gb)
+}
 
 func ceilDiv(a, b int64) int64 {
 	if b <= 0 {

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -121,5 +123,27 @@ func TestGigaBytesRoundTrip(t *testing.T) {
 	ix := HypotheticalIndex("x", tb, []string{"a"})
 	if IndexBytes(ix) != ix.LeafPages*PageSize {
 		t.Error("IndexBytes wrong")
+	}
+}
+
+// TestBudgetBytes pins the budget guard: past the int64 limit BytesForGB's
+// conversion is undefined (on amd64 it wraps to math.MinInt64), and
+// BudgetBytes refuses those budgets with an error naming the limit, and
+// non-positive or NaN ones too.
+func TestBudgetBytes(t *testing.T) {
+	for _, gb := range []float64{5, 0.5, 9.2e9} {
+		if got, err := BudgetBytes(gb); err != nil || got != BytesForGB(gb) {
+			t.Errorf("BudgetBytes(%g) = %d, %v, want %d", gb, got, err, BytesForGB(gb))
+		}
+	}
+	for _, gb := range []float64{9.3e9, 1e10, 1e300, math.Inf(1)} {
+		if got, err := BudgetBytes(gb); err == nil || !strings.Contains(err.Error(), "int64 byte limit") {
+			t.Errorf("BudgetBytes(%g) = %d, %v, want the int64 limit named", gb, got, err)
+		}
+	}
+	for _, gb := range []float64{0, -1, math.NaN(), math.Inf(-1)} {
+		if got, err := BudgetBytes(gb); err == nil || !strings.Contains(err.Error(), "must be positive") {
+			t.Errorf("BudgetBytes(%g) = %d, %v, want a positivity error", gb, got, err)
+		}
 	}
 }

@@ -7,7 +7,6 @@ package whatif
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"github.com/pinumdb/pinum/internal/catalog"
@@ -18,9 +17,8 @@ import (
 // Session manages hypothetical indexes over a base catalog. It never
 // mutates the base catalog: hypothetical indexes live only in the session.
 type Session struct {
-	base    *catalog.Catalog
-	created []*catalog.Index          // in creation order
-	byKey   map[string]*catalog.Index // by canonical table(cols) key
+	base  *catalog.Catalog
+	byKey map[string]*catalog.Index // by canonical table(cols) key
 }
 
 // NewSession returns an empty what-if session over cat.
@@ -40,8 +38,7 @@ func (s *Session) CreateIndex(table string, columns ...string) (*catalog.Index, 
 	if ix, ok := s.byKey[key]; ok {
 		return ix, nil
 	}
-	ix := storage.HypotheticalIndex(fmt.Sprintf("hypo_%s_%d", table, len(s.created)+1), t, columns)
-	s.created = append(s.created, ix)
+	ix := storage.HypotheticalIndex(fmt.Sprintf("hypo_%s_%d", table, len(s.byKey)+1), t, columns)
 	s.byKey[key] = ix
 	return ix, nil
 }
@@ -56,7 +53,7 @@ func (s *Session) Transient(n int, table string, columns ...string) (*catalog.In
 	if err != nil {
 		return nil, err
 	}
-	return storage.HypotheticalIndex(fmt.Sprintf("hypo_%s_%d", table, len(s.created)+n), t, columns), nil
+	return storage.HypotheticalIndex(fmt.Sprintf("hypo_%s_%d", table, len(s.byKey)+n), t, columns), nil
 }
 
 // checkSpec validates an index spec against the base catalog.
@@ -104,18 +101,13 @@ func indexKey(table string, columns []string) string {
 
 // Count returns the number of hypothetical indexes the session holds.
 // Long-lived servers use it to bound their shared index interner.
-func (s *Session) Count() int { return len(s.created) }
+func (s *Session) Count() int { return len(s.byKey) }
 
 // Lookup returns the already-declared index on table(columns...), or nil
 // — CreateIndex's dedup check without the side effect of declaring.
 func (s *Session) Lookup(table string, columns ...string) *catalog.Index {
 	return s.byKey[indexKey(table, columns)]
 }
-
-// Indexes returns all hypothetical indexes in creation order, which fixes
-// equal-cost index tie-breaks in the planner however many indexes the
-// session holds.
-func (s *Session) Indexes() []*catalog.Index { return slices.Clone(s.created) }
 
 // Config bundles the given indexes (hypothetical or real) into a planning
 // configuration.

@@ -41,71 +41,3 @@ func RandomAtomicConfig(rng *rand.Rand, a *optimizer.Analysis, ws *whatif.Sessio
 	}
 	return cfg, nil
 }
-
-// CandidateIndexes produces the advisor's syntactic candidate set for a
-// query, in the spirit of §V-E's "large set of candidate indexes":
-//
-//   - one single-column index per referenced column;
-//   - one two-column index per (interesting order, other referenced column)
-//     pair;
-//   - one covering index per interesting order (order column first, then
-//     every other referenced column);
-//   - one covering index per relation ordered arbitrarily (for pure
-//     index-only access).
-func CandidateIndexes(a *optimizer.Analysis, ws *whatif.Session) ([]*query.Config, []string, error) {
-	var names []string
-	add := func(table string, cols ...string) error {
-		ix, err := ws.CreateIndex(table, cols...)
-		if err != nil {
-			return err
-		}
-		names = append(names, ix.Name)
-		return nil
-	}
-	seenTable := make(map[string]bool)
-	for i := range a.Rels {
-		ri := &a.Rels[i]
-		if seenTable[ri.Table.Name] {
-			continue
-		}
-		seenTable[ri.Table.Name] = true
-		cols := ri.Needed
-		for _, c := range cols {
-			if err := add(ri.Table.Name, c); err != nil {
-				return nil, nil, err
-			}
-		}
-		for _, lead := range ri.Interesting {
-			for _, c := range cols {
-				if c == lead {
-					continue
-				}
-				if err := add(ri.Table.Name, lead, c); err != nil {
-					return nil, nil, err
-				}
-			}
-			covering := append([]string{lead}, without(cols, lead)...)
-			if len(covering) > 1 {
-				if err := add(ri.Table.Name, covering...); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-		if len(cols) > 1 {
-			if err := add(ri.Table.Name, cols...); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	return nil, names, nil
-}
-
-func without(cols []string, drop string) []string {
-	out := make([]string, 0, len(cols))
-	for _, c := range cols {
-		if c != drop {
-			out = append(out, c)
-		}
-	}
-	return out
-}

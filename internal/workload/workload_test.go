@@ -302,26 +302,3 @@ func TestShapeDensityBounds(t *testing.T) {
 		t.Errorf("density 1: %d joins, want 21 (clique)", len(clique.Joins))
 	}
 }
-
-func TestCandidateIndexes(t *testing.T) {
-	s, err := StarSchema(1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs, err := s.Queries(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := optimizer.NewAnalysis(qs[9], s.Stats, optimizer.DefaultCostParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := whatif.NewSession(s.Catalog)
-	_, names, err := CandidateIndexes(a, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) < 20 {
-		t.Errorf("only %d candidates for a 7-way join", len(names))
-	}
-}
