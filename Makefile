@@ -54,6 +54,7 @@ fuzz:
 	$(GO) test ./internal/serve -run=NONE -fuzz=FuzzWhatIfBody -fuzztime=10s || status=1; \
 	$(GO) test ./internal/plancache -run=NONE -fuzz=FuzzSnapshotDecode -fuzztime=10s -fuzzminimizetime=1s || status=1; \
 	$(GO) test ./internal/sql -run=NONE -fuzz=FuzzSQLParse -fuzztime=10s || status=1; \
+	$(GO) test ./internal/serve -run=NONE -fuzz=FuzzComputeBodyDecode -fuzztime=10s || status=1; \
 	exit $$status
 
 bench:

@@ -56,7 +56,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -559,17 +558,26 @@ func (s *Server) contain(name string, fn func(*http.Request) (any, error), r *ht
 	return fn(r)
 }
 
-// compute is the one way in for a compute endpoint: decode the body into a
-// Req (the decode span), route to a tenant, count the request, take its
-// admission slot, make it resident, run on against the immutable set —
+// compute is the one way in for a compute endpoint: read the body once and
+// decode it into a Req with the request type's own decode method (the
+// decode span, both together), route to a tenant, count the request, take
+// its admission slot, make it resident, run on against the immutable set —
 // which on uses for its whole lifetime regardless of concurrent swaps or
 // evictions — and attach the trace block when the request is traced.
-func compute[Req interface{ tenantName() string }, Resp interface{ setTrace(*obs.TraceView) }](
-	s *Server, on func(context.Context, *snapshotSet, *Req) (Resp, error)) func(*http.Request) (any, error) {
+func compute[Req any, PReq interface {
+	*Req
+	tenantName() string
+	decode(body []byte) error
+}, Resp interface{ setTrace(*obs.TraceView) }](
+	s *Server, on func(context.Context, *snapshotSet, PReq) (Resp, error)) func(*http.Request) (any, error) {
 	return func(r *http.Request) (any, error) {
 		t0 := time.Now()
-		var req Req
-		if err := s.decodeBody(r, &req); err != nil {
+		body, err := s.readBody(r)
+		if err != nil {
+			return nil, err
+		}
+		req := PReq(new(Req))
+		if err := req.decode(body); err != nil {
 			return nil, err
 		}
 		tr := obs.TraceFrom(r.Context())
@@ -593,7 +601,7 @@ func compute[Req interface{ tenantName() string }, Resp interface{ setTrace(*obs
 			t.errors.Inc()
 			return nil, err
 		}
-		resp, err := on(r.Context(), set, &req)
+		resp, err := on(r.Context(), set, req)
 		if err != nil {
 			t.errors.Inc()
 			return nil, err
@@ -1093,48 +1101,4 @@ func EncodeJSON(v any) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// decodeBody reads one JSON value — and nothing else — from a bounded
-// request body. Oversized bodies (past Config.MaxBodyBytes) are a
-// counted 413 instead of an unbounded allocation; unknown fields and any
-// non-whitespace trailing data (a second JSON value, concatenated
-// garbage) are a 400, so a malformed pipelined payload fails loudly
-// instead of being half-read.
-func (s *Server) decodeBody(r *http.Request, v any) error {
-	body := r.Body
-	if s.cfg.MaxBodyBytes > 0 {
-		// nil ResponseWriter: the 413 is rendered by instrument; the
-		// reader only enforces the limit and types the error.
-		body = http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes)
-	}
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		if tooLarge := s.oversizedBody(err); tooLarge != nil {
-			return tooLarge
-		}
-		return badRequest("bad request body: %v", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		if tooLarge := s.oversizedBody(err); tooLarge != nil {
-			return tooLarge
-		}
-		return badRequest("trailing data after JSON value")
-	}
-	return nil
-}
-
-// oversizedBody turns a body read that hit Config.MaxBodyBytes into a
-// counted 413; any other error yields nil.
-func (s *Server) oversizedBody(err error) error {
-	var mbe *http.MaxBytesError
-	if !errors.As(err, &mbe) {
-		return nil
-	}
-	s.oversized.Inc()
-	return &httpError{
-		code: http.StatusRequestEntityTooLarge,
-		err:  fmt.Errorf("request body exceeds %d bytes", mbe.Limit),
-	}
 }

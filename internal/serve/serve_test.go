@@ -301,6 +301,13 @@ func TestRequestValidation(t *testing.T) {
 		{"/recommend", `{"budget_gb":1e300}`, "int64 byte limit"},
 		{"/explain", `{"sql":""}`, ""},
 		{"/explain", `{"sql":"SELECT nope FROM nowhere"}`, ""},
+		// A repeated key is refused at every object level, named as its
+		// second occurrence spells it.
+		{"/whatif", `{"indexes":[{"table":"fact","columns":["a1"]}],"indexes":[{"columns":["m1"]}]}`, `duplicate key "indexes"`},
+		{"/whatif", `{"indexes":[{"table":"fact","TABLE":"dim1_1","columns":["a1"]}]}`, `duplicate key "TABLE"`},
+		{"/whatif", `{"indexes":[],"weights":[{"name":"Q1","name":"Q2","weight":2}]}`, `duplicate key "name"`},
+		{"/recommend", `{"budget_gb":5,"budget_gb":1}`, `duplicate key "budget_gb"`},
+		{"/explain", `{"sql":"SELECT a1 FROM fact","SQL":"SELECT m1 FROM fact"}`, `duplicate key "SQL"`},
 	}
 	for _, tc := range bad {
 		resp, err := http.Post(f.ts.URL+tc.path, "application/json", bytes.NewReader([]byte(tc.body)))
