@@ -572,8 +572,10 @@ func TestMultiTenant(t *testing.T) {
 	if src := d.health(t, "acme")["snapshot_source"]; src != "disk-snapshot" {
 		t.Errorf("acme cold-loaded from %v, want disk-snapshot", src)
 	}
-	if _, metrics := d.get(t, "/metrics"); !bytes.Contains(metrics, []byte(`pinum_tenant_cold_loads_total{tenant="acme"} 1`+"\n")) {
-		t.Error("/metrics does not count acme's one cold load (its first load was the startup warm-up)")
+	// Two cold loads: the startup warm-up published onto a cold tenant
+	// too, and the return after the eviction.
+	if _, metrics := d.get(t, "/metrics"); !bytes.Contains(metrics, []byte(`pinum_tenant_cold_loads_total{tenant="acme"} 2`+"\n")) {
+		t.Error("/metrics does not count acme's two cold loads (the startup warm-up and the return after its eviction)")
 	}
 
 	// acme's overrides file moves acme alone. globex was evicted by

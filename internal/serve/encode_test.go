@@ -238,7 +238,7 @@ func TestWeightOverflowIs400(t *testing.T) {
 // encoding/json refuses is a counted 500 with the JSON error body.
 func TestUnrenderableReplyIs500(t *testing.T) {
 	f := newFixture(t)
-	f.srv.mux.HandleFunc("/inf", f.srv.instrument("/inf", http.MethodGet, false,
+	f.srv.mux.HandleFunc("/inf", f.srv.instrument("/inf", http.MethodGet,
 		func(*http.Request) (any, error) { return &WhatIfResponse{Total: math.Inf(1)}, nil }))
 	resp, err := http.Get(f.ts.URL + "/inf")
 	if err != nil {

@@ -210,9 +210,9 @@ func TestUntracedBytesUnchanged(t *testing.T) {
 	}
 }
 
-// TestEventzRecordsReloads pins the flight recorder: a forced reload
-// lands in /eventz with the swap's fingerprint in the detail, and the
-// ring reports its totals.
+// TestEventzRecordsReloads pins the flight recorder: the initial load is
+// a cold-load event and a forced reload a reload event, each with the
+// swap's fingerprint in the detail, and the ring reports its totals.
 func TestEventzRecordsReloads(t *testing.T) {
 	rf := newReloadFixture(t, nil)
 	rf.load(t)
@@ -238,25 +238,27 @@ func TestEventzRecordsReloads(t *testing.T) {
 	if ez.Total < 2 || int64(len(ez.Events)) != ez.Total {
 		t.Fatalf("total=%d events=%d, want >= 2 (initial load + forced reload)", ez.Total, len(ez.Events))
 	}
-	reloads := 0
+	loads := map[string]int{}
 	for _, e := range ez.Events {
-		if e.Type == "reload" {
-			reloads++
+		if e.Type == "cold-load" || e.Type == "reload" {
+			loads[e.Type]++
 			if e.Tenant != DefaultTenant || !strings.Contains(e.Detail, out.Fingerprint) {
-				t.Errorf("reload event %+v, want tenant %q and fingerprint %s in detail",
-					e, DefaultTenant, out.Fingerprint)
+				t.Errorf("%s event %+v, want tenant %q and fingerprint %s in detail",
+					e.Type, e, DefaultTenant, out.Fingerprint)
 			}
 		}
 		if e.Seq == 0 || e.Time.IsZero() {
 			t.Errorf("event missing seq/time: %+v", e)
 		}
 	}
-	if reloads != 2 {
-		t.Errorf("%d reload events, want 2", reloads)
+	if loads["cold-load"] != 1 || loads["reload"] != 1 {
+		t.Errorf("%d cold-load and %d reload events, want 1 and 1", loads["cold-load"], loads["reload"])
 	}
 	body2 := scrape(t, rf.ts.URL)
-	if !strings.Contains(body2, `pinum_events_total{type="reload"} 2`) {
-		t.Error("pinum_events_total missing the reload count")
+	for _, want := range []string{`pinum_events_total{type="cold-load"} 1`, `pinum_events_total{type="reload"} 1`} {
+		if !strings.Contains(body2, want) {
+			t.Errorf("pinum_events_total missing %s", want)
+		}
 	}
 }
 
@@ -474,7 +476,7 @@ func TestSnapshotSaveFailureIsAnEvent(t *testing.T) {
 	if _, err := os.Stat(snapPath); !os.IsNotExist(err) {
 		t.Fatalf("snapshot file after a failed save: %v, want not-exist", err)
 	}
-	if got, want := eventTypes(t, rf.ts.URL), []string{"snapshot-save-failed", "reload"}; !reflect.DeepEqual(got, want) {
+	if got, want := eventTypes(t, rf.ts.URL), []string{"snapshot-save-failed", "cold-load"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("/eventz types %v, want %v", got, want)
 	}
 	if body := scrape(t, rf.ts.URL); !strings.Contains(body, `pinum_events_total{type="snapshot-save-failed"} 1`) {

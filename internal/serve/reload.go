@@ -331,9 +331,9 @@ type ReloadOutcome struct {
 	QueriesRebuilt int    `json:"queries_rebuilt"`
 }
 
-// ReloadTenant synchronously reloads one tenant by name ("" = the
-// default tenant). Reloading a cold tenant loads it (and counts against
-// the residency cap like any other load).
+// ReloadTenant synchronously loads one tenant by name ("" = the default
+// tenant): on a resident tenant a reload, on a cold one a cold load,
+// counted as one; a failed cold load is only the caller's error.
 func (s *Server) ReloadTenant(name string, force bool) (ReloadOutcome, error) {
 	t, err := s.tenantByName(name)
 	if err != nil {
@@ -342,76 +342,79 @@ func (s *Server) ReloadTenant(name string, force bool) (ReloadOutcome, error) {
 	return t.reloadNow(force)
 }
 
-// reloadNow synchronously builds a fresh snapshot set for this tenant
-// and swaps it in. Reloads are serialized per tenant; requests are never
-// blocked — they keep serving the current set until the swap. On any
-// failure (loader error, rebuild error, panic) the current set stays
-// published, the tenant is marked degraded, and a retry is scheduled
-// with exponential backoff capped at DefaultRetryMax; the first success
-// clears the degradation. A reload whose environment fingerprint and
-// workload match the live set is skipped (force bypasses the skip, the
-// disk snapshot and per-query reuse, re-optimizing everything).
+// reloadNow runs load under reloadMu and reports its outcome.
 func (t *tenant) reloadNow(force bool) (ReloadOutcome, error) {
-	s := t.srv
-	opID := s.nextTraceID()
 	t.reloadMu.Lock()
 	defer t.reloadMu.Unlock()
+	out := ReloadOutcome{Tenant: t.name, Result: "failed"}
+	set, skipped, err := t.load(force)
+	if err != nil {
+		return out, err
+	}
+	out.Result, out.Fingerprint, out.SnapshotSource = "swapped", fmt.Sprintf("%016x", set.fingerprint), set.source
+	if skipped {
+		out.Result = "skipped"
+	} else {
+		out.QueriesReused, out.QueriesRebuilt = set.reused, set.rebuilt
+	}
+	return out, nil
+}
+
+// load is the one function that builds and publishes a tenant's snapshot
+// set; every load runs it under reloadMu. It returns the live set (on a
+// skip, the unchanged one). The tenant's state, not the caller, decides a
+// failure: a serving set stays up and the tenant is marked degraded and
+// retried; a cold tenant only fails its caller. Any success clears the
+// degradation, the last error and the retry. force bypasses the skip, the
+// disk snapshot and per-query reuse, re-optimizing everything.
+func (t *tenant) load(force bool) (*snapshotSet, bool, error) {
+	s := t.srv
+	opID := s.nextTraceID()
 	var lt loadTimes
 	set, skipped, err := t.buildSetContained(force, &lt)
 	if err != nil {
 		t.reloadsFailed.Inc()
-		if !t.degraded.Swap(true) {
+		t.lastReloadErr.Store(err.Error())
+		// Under resMu, so no eviction falls between the check and the
+		// marking: only a resident tenant is degraded or retried.
+		s.resMu.Lock()
+		typ, serving := "cold-load-failed", t.current() != nil
+		newlyDegraded := serving && !t.degraded.Swap(true)
+		if serving {
+			typ = "reload-failed"
+			t.scheduleRetry()
+		}
+		s.resMu.Unlock()
+		if newlyDegraded {
 			s.recordEvent("degraded", t.name, opID, err.Error())
 		}
-		t.lastReloadErr.Store(err.Error())
-		t.scheduleRetry()
-		s.recordEvent("reload-failed", t.name, opID, err.Error())
-		return ReloadOutcome{Tenant: t.name, Result: "failed"}, err
+		s.recordEvent(typ, t.name, opID, err.Error())
+		return nil, false, err
 	}
 	t.degraded.Store(false)
 	t.lastReloadErr.Store("")
 	t.clearRetry()
 	if skipped {
 		t.reloadsSkipped.Inc()
-		cur := t.current()
-		s.recordEvent("reload-skipped", t.name, opID,
-			fmt.Sprintf("fingerprint %016x unchanged", cur.fingerprint))
-		return ReloadOutcome{
-			Tenant:         t.name,
-			Result:         "skipped",
-			Fingerprint:    fmt.Sprintf("%016x", cur.fingerprint),
-			SnapshotSource: cur.source,
-		}, nil
+		s.recordEvent("reload-skipped", t.name, opID, fmt.Sprintf("fingerprint %016x unchanged", set.fingerprint))
+		return set, true, nil
 	}
-	t.publish(set)
-	t.reloadsOK.Inc()
-	t.saveSnapshot(set, opID, &lt)
-	s.recordEvent("reload", t.name, opID,
-		fmt.Sprintf("fingerprint=%016x source=%s reused=%d rebuilt=%d %s",
-			set.fingerprint, set.source, set.reused, set.rebuilt, &lt))
-	return ReloadOutcome{
-		Tenant:         t.name,
-		Result:         "swapped",
-		Fingerprint:    fmt.Sprintf("%016x", set.fingerprint),
-		SnapshotSource: set.source,
-		QueriesReused:  set.reused,
-		QueriesRebuilt: set.rebuilt,
-	}, nil
-}
-
-// saveSnapshot persists a freshly rebuilt set's caches to the tenant's
-// snapshot file so the next cold start (or post-eviction load) skips the
-// optimizer. Best-effort: a failed save degrades the next load, not this
-// server — it is recorded as a snapshot-save-failed event under the
-// reload's operation ID (empty for a cold load).
-func (t *tenant) saveSnapshot(set *snapshotSet, opID string, lt *loadTimes) {
-	if t.snapshotPath == "" || set.source == sourceDisk {
-		return
+	typ := "reload"
+	if t.publish(set) {
+		typ = "cold-load"
 	}
-	defer t.srv.observePhase(lt, phaseSave, time.Now())
-	if serr := plancache.Save(t.snapshotPath, plancache.NewSnapshot(set.fingerprint, set.caches)); serr != nil {
-		t.srv.recordEvent("snapshot-save-failed", t.name, opID, serr.Error())
+	if t.snapshotPath != "" && set.source != sourceDisk {
+		// Persist a rebuilt set so the next cold load skips the optimizer.
+		// Best-effort: a failed save slows that load, not this server.
+		start := time.Now()
+		if err := plancache.Save(t.snapshotPath, plancache.NewSnapshot(set.fingerprint, set.caches)); err != nil {
+			s.recordEvent("snapshot-save-failed", t.name, opID, err.Error())
+		}
+		s.observePhase(&lt, phaseSave, start)
 	}
+	s.recordEvent(typ, t.name, opID, fmt.Sprintf("fingerprint=%016x source=%s reused=%d rebuilt=%d %s",
+		set.fingerprint, set.source, set.reused, set.rebuilt, &lt))
+	return set, false, nil
 }
 
 // TriggerReload requests an asynchronous reload of every resident tenant
@@ -463,14 +466,19 @@ func (t *tenant) buildSetContained(force bool, lt *loadTimes) (set *snapshotSet,
 }
 
 // buildSet derives a fresh environment and builds its snapshot set,
-// cheapest viable path first: skip when nothing changed, load the
-// tenant's disk snapshot when it matches the new fingerprint, reuse the
-// previous set's caches for queries whose tables' statistics didn't
-// move, and re-optimize only the remainder. The environment is walked
-// once — plancache.Fingerprints — whichever path is taken, and each phase
-// that runs is timed into lt and pinum_load_phase_seconds.
+// cheapest tier first: the live set when nothing changed, the Config's
+// prebuilt caches once, the disk snapshot when its fingerprint matches,
+// then the previous set's caches for queries whose tables didn't move and
+// re-optimization of the rest. The environment is walked once and each
+// phase that runs is timed into lt and pinum_load_phase_seconds.
 func (t *tenant) buildSet(force bool, lt *loadTimes) (*snapshotSet, bool, error) {
 	s := t.srv
+	prev := t.current()
+	if prev == nil {
+		if err := faultpoint.Hit("serve.tenant.load"); err != nil {
+			return nil, false, err
+		}
+	}
 	if err := faultpoint.Hit("serve.rebuild"); err != nil {
 		return nil, false, fmt.Errorf("rebuild: %w", err)
 	}
@@ -486,10 +494,14 @@ func (t *tenant) buildSet(force bool, lt *loadTimes) (*snapshotSet, bool, error)
 	start = time.Now()
 	fp, tfps := plancache.Fingerprints(env.Catalog, env.Stats, optimizer.DefaultCostParams())
 	s.observePhase(lt, phaseFingerprint, start)
-	prev := t.current()
 
 	if !force && prev != nil && fp == prev.fingerprint && sameWorkload(prev.env, env) {
-		return nil, true, nil
+		return prev, true, nil
+	}
+	if caches := t.prebuilt; caches != nil {
+		t.prebuilt = nil
+		set, err := t.assemble(env, caches, sourceStartup, fp, tfps, lt)
+		return set, false, err
 	}
 
 	if !force && t.snapshotPath != "" {
@@ -621,10 +633,10 @@ func sameWorkload(a, b *Environment) bool {
 
 // ----------------------------------------------------------- retry -----
 
-// scheduleRetry arms the tenant's backoff timer after a failed reload:
-// DefaultRetryMin doubling per consecutive failure, capped at
-// DefaultRetryMax (Server.retryMin/retryMax). The previous snapshot keeps
-// serving the whole time.
+// scheduleRetry arms the tenant's backoff timer after a failed load of a
+// resident tenant (resMu held): DefaultRetryMin doubling per consecutive
+// failure, capped at DefaultRetryMax (Server.retryMin/retryMax). The
+// previous snapshot keeps serving the whole time.
 func (t *tenant) scheduleRetry() {
 	t.retryMu.Lock()
 	defer t.retryMu.Unlock()
@@ -654,7 +666,12 @@ func (t *tenant) retryFire() {
 	if closed {
 		return
 	}
-	t.reloadNow(false)
+	// A retry that fired on a tenant evicted since loads nothing.
+	t.reloadMu.Lock()
+	defer t.reloadMu.Unlock()
+	if t.current() != nil {
+		t.load(false)
+	}
 }
 
 func (t *tenant) clearRetry() {
@@ -670,12 +687,9 @@ func (t *tenant) clearRetry() {
 // stopRetry permanently disarms the tenant's retry machinery (Close).
 func (t *tenant) stopRetry() {
 	t.retryMu.Lock()
-	defer t.retryMu.Unlock()
 	t.closed = true
-	if t.retryTimer != nil {
-		t.retryTimer.Stop()
-		t.retryTimer = nil
-	}
+	t.retryMu.Unlock()
+	t.clearRetry()
 }
 
 // handleReload serves POST /reload: ?tenant= (or the X-Pinum-Tenant

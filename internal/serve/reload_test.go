@@ -236,8 +236,13 @@ func TestReloadUnderTraffic(t *testing.T) {
 		t.Fatalf("served response diverged from baseline during reloads:\n%s", body)
 	default:
 	}
-	if got := rf.srv.defaultTenant().reloadsOK.Value(); got != reloads+1 {
-		t.Fatalf("completed reloads = %d, want %d", got, reloads+1)
+	// The initial load published onto a cold tenant: a cold load, not a
+	// completed reload.
+	if got := rf.srv.defaultTenant().reloadsOK.Value(); got != reloads {
+		t.Fatalf("completed reloads = %d, want %d", got, reloads)
+	}
+	if got := rf.srv.defaultTenant().coldLoads.Value(); got != 1 {
+		t.Fatalf("cold loads = %d, want 1", got)
 	}
 }
 
@@ -685,7 +690,7 @@ func TestReloadWorkerPanicContained(t *testing.T) {
 func TestHandlerPanicIsContained(t *testing.T) {
 	rf := newReloadFixture(t, nil)
 	rf.load(t)
-	rf.srv.mux.HandleFunc("/boom", rf.srv.instrument("/boom", http.MethodGet, true,
+	rf.srv.mux.HandleFunc("/boom", rf.srv.instrument("/boom", http.MethodGet,
 		func(*http.Request) (any, error) { panic("kaboom") }))
 
 	code, body := rf.do(t, http.MethodGet, "/boom", nil)

@@ -114,12 +114,13 @@ const TraceHeader = "X-Pinum-Trace"
 // and evicted on its own, and routed by name; MaxResident bounds how many
 // hold live sets at once. A Config without Tenants is a roster of one,
 // DefaultTenant, whose loader returns the prebuilt workload in
-// Catalog/Stats/Queries/Analyses/Caches: New publishes its set from those
-// caches synchronously, and a reload can only rebuild that same
-// environment (force-reload still exercises the full optimizer path).
+// Catalog/Stats/Queries/Analyses/Caches: New loads it synchronously, the
+// first load taking those caches instead of planning, and a reload can
+// only rebuild that same environment (force-reload still exercises the
+// full optimizer path).
 //
-// The server has one load path. Startup (ReloadTenant), reload and cold
-// load all decide the same way: a snapshot file carrying the environment's
+// The server has one load path. Startup (New, ReloadTenant), reload and
+// cold load all run it: a snapshot file carrying the environment's
 // fingerprint loads, and a missing, stale or corrupt one is rebuilt and
 // written back. pinum-serve -save-exit is that load of every tenant,
 // followed by exit.
@@ -233,11 +234,10 @@ type endpointObs struct {
 }
 
 // New builds the server. Every roster tenant starts cold; it loads on its
-// first request or explicit reload. A Config without Tenants builds its
-// one tenant's set synchronously from the provided caches instead —
-// construction is the only place optimizer-derived state is created, and
-// every request after it runs on shared immutable data plus request-local
-// scratch.
+// first request or explicit reload. A Config without Tenants loads its one
+// tenant synchronously from the provided caches instead, and counts that
+// load as its cold load. Every request runs on shared immutable data plus
+// request-local scratch.
 func New(cfg Config) (*Server, error) {
 	if cfg.MaxInFlight == 0 {
 		cfg.MaxInFlight = DefaultMaxInFlight
@@ -269,17 +269,8 @@ func New(cfg Config) (*Server, error) {
 	s.registerProcessMetrics()
 
 	roster := cfg.Tenants
-	var static *snapshotSet
 	if len(roster) == 0 {
 		env := &Environment{Catalog: cfg.Catalog, Stats: cfg.Stats, Queries: cfg.Queries, Analyses: cfg.Analyses}
-		if err := env.validate(); err != nil {
-			return nil, err
-		}
-		fp, tfps := plancache.Fingerprints(env.Catalog, env.Stats, optimizer.DefaultCostParams())
-		var err error
-		if static, err = newSnapshotSet(env, cfg.Caches, sourceStartup, fp, tfps); err != nil {
-			return nil, err
-		}
 		roster = []TenantConfig{{Name: DefaultTenant, Loader: func() (*Environment, error) { return env, nil }}}
 	}
 	for _, tc := range roster {
@@ -297,17 +288,23 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.defaultName = roster[0].Name
 	sort.Strings(s.tenantNames)
-	if static != nil {
-		s.tenants[DefaultTenant].publish(static)
+	if len(cfg.Tenants) == 0 {
+		// The Config's caches are the first load's prebuilt tier; the copy
+		// is never nil, so a Config without caches fails as a mismatch.
+		t := s.tenants[DefaultTenant]
+		t.prebuilt = append([]*inum.Cache{}, cfg.Caches...)
+		if _, err := t.reloadNow(false); err != nil {
+			return nil, err
+		}
 	}
 
-	s.mux.HandleFunc("/whatif", s.instrument("/whatif", http.MethodPost, true, compute(s, s.whatIfOn)))
-	s.mux.HandleFunc("/recommend", s.instrument("/recommend", http.MethodPost, true, compute(s, s.recommendOn)))
-	s.mux.HandleFunc("/explain", s.instrument("/explain", http.MethodPost, true, compute(s, explainOn)))
-	s.mux.HandleFunc("/reload", s.instrument("/reload", http.MethodPost, false, s.handleReload))
-	s.mux.HandleFunc("/healthz", s.instrument("/healthz", http.MethodGet, false, s.handleHealth))
-	s.mux.HandleFunc("/readyz", s.instrument("/readyz", http.MethodGet, false, s.handleReady))
-	s.mux.HandleFunc("/eventz", s.instrument("/eventz", http.MethodGet, false, s.handleEventz))
+	s.mux.HandleFunc("/whatif", s.instrument("/whatif", http.MethodPost, compute(s, s.whatIfOn)))
+	s.mux.HandleFunc("/recommend", s.instrument("/recommend", http.MethodPost, compute(s, s.recommendOn)))
+	s.mux.HandleFunc("/explain", s.instrument("/explain", http.MethodPost, compute(s, explainOn)))
+	s.mux.HandleFunc("/reload", s.instrument("/reload", http.MethodPost, s.handleReload))
+	s.mux.HandleFunc("/healthz", s.instrument("/healthz", http.MethodGet, s.handleHealth))
+	s.mux.HandleFunc("/readyz", s.instrument("/readyz", http.MethodGet, s.handleReady))
+	s.mux.HandleFunc("/eventz", s.instrument("/eventz", http.MethodGet, s.handleEventz))
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/", s.handleUnmatched)
 	return s, nil
@@ -416,14 +413,12 @@ func badRequest(format string, args ...any) error {
 }
 
 // instrument wraps a handler with method filtering, panic containment,
-// the per-request deadline, JSON error rendering and the endpoint's
-// latency/throughput counters. compute marks the expensive endpoints
-// that sit behind deadlines and (inside compute, once the body names a
-// tenant) per-tenant admission control; health/metrics endpoints stay
-// exempt so a saturated server can still be observed. A request carrying
-// the X-Pinum-Trace header gets a trace attached to its context here, so
-// every downstream span lands on it.
-func (s *Server) instrument(name, method string, compute bool, fn func(*http.Request) (any, error)) http.HandlerFunc {
+// JSON error rendering and the endpoint's latency/throughput counters.
+// The deadline and per-tenant admission control are compute's, so
+// health/metrics endpoints stay exempt and a saturated server can still be
+// observed. A request carrying the X-Pinum-Trace header gets a trace
+// attached to its context here, so every downstream span lands on it.
+func (s *Server) instrument(name, method string, fn func(*http.Request) (any, error)) http.HandlerFunc {
 	m := s.epFor(name)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -440,11 +435,6 @@ func (s *Server) instrument(name, method string, compute bool, fn func(*http.Req
 		if r.Method != method {
 			err = &httpError{code: http.StatusMethodNotAllowed, err: fmt.Errorf("%s requires %s", name, method)}
 		} else {
-			if compute && s.cfg.RequestTimeout > 0 {
-				ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-				defer cancel()
-				r = r.WithContext(ctx)
-			}
 			resp, err = s.contain(name, fn, r)
 		}
 		// Render before the status goes out: a reply that cannot be
@@ -558,12 +548,13 @@ func (s *Server) contain(name string, fn func(*http.Request) (any, error), r *ht
 	return fn(r)
 }
 
-// compute is the one way in for a compute endpoint: read the body once and
-// decode it into a Req with the request type's own decode method (the
-// decode span, both together), route to a tenant, count the request, take
-// its admission slot, make it resident, run on against the immutable set —
-// which on uses for its whole lifetime regardless of concurrent swaps or
-// evictions — and attach the trace block when the request is traced.
+// compute is the one way in for a compute endpoint: start the request's
+// deadline, read the body once and decode it into a Req with the request
+// type's own decode method (the decode span, both together), route to a
+// tenant, count the request, take its admission slot, make it resident,
+// run on against the immutable set — which on uses for its whole lifetime
+// regardless of concurrent swaps or evictions — and attach the trace
+// block when the request is traced.
 func compute[Req any, PReq interface {
 	*Req
 	tenantName() string
@@ -571,6 +562,12 @@ func compute[Req any, PReq interface {
 }, Resp interface{ setTrace(*obs.TraceView) }](
 	s *Server, on func(context.Context, *snapshotSet, PReq) (Resp, error)) func(*http.Request) (any, error) {
 	return func(r *http.Request) (any, error) {
+		ctx := r.Context()
+		if s.cfg.RequestTimeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
+			defer cancel()
+		}
 		t0 := time.Now()
 		body, err := s.readBody(r)
 		if err != nil {
@@ -580,7 +577,7 @@ func compute[Req any, PReq interface {
 		if err := req.decode(body); err != nil {
 			return nil, err
 		}
-		tr := obs.TraceFrom(r.Context())
+		tr := obs.TraceFrom(ctx)
 		tr.Add("decode", t0, time.Since(t0))
 		rt := time.Now()
 		t, err := s.resolveTenant(r, req.tenantName())
@@ -601,7 +598,7 @@ func compute[Req any, PReq interface {
 			t.errors.Inc()
 			return nil, err
 		}
-		resp, err := on(r.Context(), set, req)
+		resp, err := on(ctx, set, req)
 		if err != nil {
 			t.errors.Inc()
 			return nil, err

@@ -17,12 +17,6 @@ package serve
 // nil store: in-flight requests keep the immutable set they already
 // loaded, so nothing ever blocks on the hot path; the set (and its
 // caches and interner) becomes garbage once the last request drops it.
-//
-// Isolation: each tenant has its own max-in-flight admission semaphore,
-// so one tenant's /recommend storm 429s against its own cap while every
-// other tenant keeps serving, and its own reload/retry state machine, so
-// a tenant stuck degraded retries on its own backoff without touching its
-// neighbors.
 
 import (
 	"fmt"
@@ -32,6 +26,7 @@ import (
 	"time"
 
 	"github.com/pinumdb/pinum/internal/faultpoint"
+	"github.com/pinumdb/pinum/internal/inum"
 	"github.com/pinumdb/pinum/internal/obs"
 	"github.com/pinumdb/pinum/internal/optimizer"
 )
@@ -83,6 +78,9 @@ type tenant struct {
 	// queues here while the first request builds, then reuses its set.
 	reloadMu    sync.Mutex
 	reloadQueue chan struct{}
+	// prebuilt is the caches a Config without Tenants carries: the first
+	// load's cheapest tier, used once and then dropped (reloadMu held).
+	prebuilt []*inum.Cache
 
 	// retryMu guards the failed-reload backoff timer state.
 	retryMu      sync.Mutex
@@ -132,10 +130,10 @@ func (s *Server) registerTenantMetrics(t *tenant) {
 	t.rejected = s.reg.Counter("pinum_tenant_rejected_total",
 		"Requests refused with 429 by the tenant's admission cap.", tl)
 	t.coldLoads = s.reg.Counter("pinum_tenant_cold_loads_total",
-		"Cold snapshot loads (first touch, or after eviction).", tl)
+		"Sets published onto a cold tenant (startup, first touch, after eviction); minus evictions, the resident count.", tl)
 	t.evictions = s.reg.Counter("pinum_tenant_evictions_total",
 		"LRU residency evictions.", tl)
-	const reloadHelp = "Reload outcomes, by result (completed, skipped, failed)."
+	const reloadHelp = "Load outcomes, by result: completed (a set replaced a live one), skipped, failed (any load, cold ones included)."
 	t.reloadsOK = s.reg.Counter("pinum_tenant_reloads_total", reloadHelp, tl, obs.L("result", "completed"))
 	t.reloadsSkipped = s.reg.Counter("pinum_tenant_reloads_total", reloadHelp, tl, obs.L("result", "skipped"))
 	t.reloadsFailed = s.reg.Counter("pinum_tenant_reloads_total", reloadHelp, tl, obs.L("result", "failed"))
@@ -193,19 +191,24 @@ func (s *Server) registerTenantMetrics(t *tenant) {
 // the one read-side accessor for the swapped state.
 func (t *tenant) current() *snapshotSet { return t.cur.Load() }
 
-// swap publishes a freshly built set — or nil, which is how eviction
-// retires one. The single write-side accessor.
-func (t *tenant) swap(set *snapshotSet) { t.cur.Store(set) }
+// swap publishes a set — or nil, which is how eviction retires one — and
+// returns the one it replaced. The single write-side accessor.
+func (t *tenant) swap(set *snapshotSet) *snapshotSet { return t.cur.Swap(set) }
 
-// publish makes a successfully built set live and settles the residency
-// cap: every code path that swaps in a non-nil set goes through here, so
-// the registry can never lose track of a resident tenant.
-func (t *tenant) publish(set *snapshotSet) {
-	t.swap(set)
+// publish makes a built set live and settles the residency cap; load is
+// its one caller. It counts the swap by what it replaced — nil is a cold
+// load, a live set a completed reload — and reports whether it was cold.
+func (t *tenant) publish(set *snapshotSet) (cold bool) {
+	if cold = t.swap(set) == nil; cold {
+		t.coldLoads.Inc()
+	} else {
+		t.reloadsOK.Inc()
+	}
 	t.snapshotGauges(set)
 	t.srv.everLoaded.Store(true)
 	t.srv.touch(t)
 	t.srv.noteResident(t)
+	return cold
 }
 
 // snapshotGauges refreshes the tenant's snapshot-shape metrics from a
@@ -305,14 +308,11 @@ func (s *Server) tenantByName(name string) (*tenant, error) {
 func (s *Server) touch(t *tenant) { t.lastUsed.Store(s.clock.Add(1)) }
 
 // acquireSet returns the tenant's live snapshot set, cold-loading it
-// first when the residency cap evicted it (or it was never requested).
-// The load is singleflight — reloadMu admits one builder; the herd
-// queues behind it and reuses the published set — and cheapest-first:
-// buildSet consults the tenant's snapshot file (fingerprint-checked)
-// before falling back to a full rebuild. A failed cold load is this
-// request's 503, not the tenant's death sentence: nothing is retried in
-// the background, so the next request simply tries again while every
-// other tenant keeps serving untouched.
+// first when it was evicted or never loaded. reloadMu makes the load
+// singleflight: the herd queues behind one load and reuses its set. A
+// failed cold load is this request's 503 and nothing more — no degraded
+// flag, no retry — so the next request tries again while every other
+// tenant keeps serving untouched.
 func (s *Server) acquireSet(t *tenant) (*snapshotSet, error) {
 	if set := t.current(); set != nil {
 		s.touch(t)
@@ -320,37 +320,18 @@ func (s *Server) acquireSet(t *tenant) (*snapshotSet, error) {
 	}
 	t.reloadMu.Lock()
 	defer t.reloadMu.Unlock()
-	if set := t.current(); set != nil {
-		s.touch(t)
-		return set, nil
+	set := t.current()
+	if set == nil {
+		var err error
+		if set, _, err = t.load(false); err != nil {
+			return nil, &httpError{
+				code: http.StatusServiceUnavailable,
+				err:  fmt.Errorf("tenant %q: snapshot load failed: %v", t.name, err),
+			}
+		}
 	}
-	if err := faultpoint.Hit("serve.tenant.load"); err != nil {
-		return nil, s.coldLoadFailed(t, err)
-	}
-	var lt loadTimes
-	set, _, err := t.buildSetContained(false, &lt)
-	if err != nil {
-		return nil, s.coldLoadFailed(t, err)
-	}
-	// Counted only once it publishes, so cold loads − evictions is the
-	// number of resident tenants whatever failed on the way; a failed load
-	// is in pinum_tenant_reloads_total{result="failed"}.
-	t.coldLoads.Inc()
-	t.publish(set)
-	t.saveSnapshot(set, "", &lt)
-	s.recordEvent("cold-load", t.name, "",
-		fmt.Sprintf("fingerprint=%016x source=%s %s", set.fingerprint, set.source, &lt))
+	s.touch(t)
 	return set, nil
-}
-
-func (s *Server) coldLoadFailed(t *tenant, err error) error {
-	t.reloadsFailed.Inc()
-	t.lastReloadErr.Store(err.Error())
-	s.recordEvent("cold-load-failed", t.name, "", err.Error())
-	return &httpError{
-		code: http.StatusServiceUnavailable,
-		err:  fmt.Errorf("tenant %q: snapshot load failed: %v", t.name, err),
-	}
 }
 
 // residentCount reports how many tenants currently hold a live set.
@@ -408,7 +389,9 @@ func (s *Server) noteResident(justLoaded *tenant) {
 // window for tests; error mode is meaningless here and ignored.
 func (s *Server) evictLocked(t *tenant) {
 	_ = faultpoint.Hit("serve.tenant.evict")
-	t.swap(nil)
+	if t.swap(nil) == nil {
+		return
+	}
 	t.clearRetry()
 	t.degraded.Store(false)
 	t.evictions.Inc()
