@@ -93,6 +93,7 @@ func BenchmarkCompactShapes(b *testing.B) {
 			return c
 		}
 		b.Run(s.label, func(b *testing.B) {
+			b.ReportAllocs()
 			var c *inum.Cache
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()

@@ -39,6 +39,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 	"unsafe"
 
@@ -386,92 +387,48 @@ type compactKey struct {
 	bucket, i int32
 }
 
-// compactOrder returns every entry's key in Compact's order. Entries are
-// grouped by bucket and ordered-relation set through two open-addressing
-// tables keyed by hashes (a collision probes the next slot); the groups
-// are sorted, the keys laid out group by group in cache order (a counting
-// sort), and each group sorted by internal cost, coefficient row and
-// ordinal.
+// compactOrder returns every entry's key in Compact's order. A bucket is
+// numbered by one map keyed by the bytes of its projected row, in order of
+// first appearance; one sort then orders the keys.
 func (c *Cache) compactOrder() []compactKey {
 	n, r := len(c.Plans), len(c.Q.Rels)
 	proj := c.slotProjection()
-	type bucketInfo struct {
-		hash  uint64
-		first int
+	// Every entry's projected row, two bytes a slot, in one string: a
+	// bucket's map key is a substring of it and allocates nothing.
+	var rows strings.Builder
+	rows.Grow(2 * n * r)
+	for _, s := range c.leafSlot {
+		rows.WriteByte(byte(proj[s]))
+		rows.WriteByte(byte(proj[s] >> 8))
 	}
-	type groupInfo struct {
-		ordered uint64
-		bucket  int32
-		count   int
-	}
-	var buckets []bucketInfo
-	groups := make([]groupInfo, 0, n/2+1)
-	size := 1 << bits.Len(uint(2*n))
-	tables := make([]int32, 2*size) // ordinal+1; 0 is empty
-	bucketTable, groupTable := tables[:size], tables[size:]
-	mask := uint64(size - 1)
-	groupOf := make([]int32, n)
-	for i := range c.Plans {
+	all := rows.String()
+	bucketOf := make(map[string]int32, n)
+	keys := make([]compactKey, n)
+	for i, cp := range c.Plans {
 		var ordered uint64
-		h := uint64(fnvOffset)
 		for rel, s := range c.leafSlot[i*r : i*r+r] {
-			h = (h ^ uint64(proj[s])) * fnvPrime
 			if proj[s] != s {
 				ordered |= 1 << uint(rel)
 			}
 		}
-		var b int32
-		for t := h & mask; ; t = (t + 1) & mask {
-			if b = bucketTable[t] - 1; b < 0 {
-				b = int32(len(buckets))
-				bucketTable[t] = b + 1
-				buckets = append(buckets, bucketInfo{h, i})
-			} else if buckets[b].hash != h || !sameRow(proj, c.leafSlot[buckets[b].first*r:][:r], c.leafSlot[i*r:][:r]) {
-				continue
+		row := all[2*i*r : 2*(i+1)*r]
+		b, ok := bucketOf[row]
+		if !ok {
+			b = int32(len(bucketOf))
+			bucketOf[row] = b
+		}
+		keys[i] = compactKey{ordered, cp.Internal, b, int32(i)}
+	}
+	slices.SortFunc(keys, func(x, y compactKey) int {
+		if x.bucket != y.bucket {
+			return cmp.Compare(x.bucket, y.bucket)
+		}
+		if x.ordered != y.ordered {
+			if d := bits.OnesCount64(x.ordered) - bits.OnesCount64(y.ordered); d != 0 {
+				return d
 			}
-			break
+			return cmp.Compare(x.ordered, y.ordered)
 		}
-		gh := (uint64(b)*fnvPrime ^ ordered) * fnvPrime
-		for t := gh & mask; ; t = (t + 1) & mask {
-			g := groupTable[t] - 1
-			if g < 0 {
-				g = int32(len(groups))
-				groupTable[t] = g + 1
-				groups = append(groups, groupInfo{ordered, b, 0})
-			} else if groups[g].bucket != b || groups[g].ordered != ordered {
-				continue
-			}
-			groups[g].count++
-			groupOf[i] = g
-			break
-		}
-	}
-
-	order := make([]int32, len(groups))
-	for g := range order {
-		order[g] = int32(g)
-	}
-	slices.SortFunc(order, func(x, y int32) int {
-		gx, gy := &groups[x], &groups[y]
-		if gx.bucket != gy.bucket {
-			return cmp.Compare(gx.bucket, gy.bucket)
-		}
-		if d := bits.OnesCount64(gx.ordered) - bits.OnesCount64(gy.ordered); d != 0 {
-			return d
-		}
-		return cmp.Compare(gx.ordered, gy.ordered)
-	})
-	next := make([]int, len(groups)) // where each group's next key goes
-	pos := 0
-	for _, g := range order {
-		next[g], pos = pos, pos+groups[g].count
-	}
-	sorted := make([]compactKey, n)
-	for i, g := range groupOf {
-		sorted[next[g]] = compactKey{groups[g].ordered, c.Plans[i].Internal, groups[g].bucket, int32(i)}
-		next[g]++
-	}
-	byRank := func(x, y compactKey) int {
 		if x.internal != y.internal {
 			return cmp.Compare(x.internal, y.internal)
 		}
@@ -481,24 +438,9 @@ func (c *Cache) compactOrder() []compactKey {
 				return cmp.Compare(xc, yc[rel])
 			}
 		}
-		return int(x.i - y.i)
-	}
-	for g, end := range next {
-		if count := groups[g].count; count > 1 {
-			slices.SortFunc(sorted[end-count:end], byRank)
-		}
-	}
-	return sorted
-}
-
-// sameRow reports whether two leaf rows project to the same row.
-func sameRow(proj, x, y []uint16) bool {
-	for rel, s := range x {
-		if proj[s] != proj[y[rel]] {
-			return false
-		}
-	}
-	return true
+		return cmp.Compare(x.i, y.i)
+	})
+	return keys
 }
 
 // slotProjection maps every index of the query's leaf-slot table to itself,
@@ -556,12 +498,6 @@ func (c *Cache) dominated(b compactKey, bucket []compactKey, runs []int) bool {
 	}
 	return false
 }
-
-// FNV-1a's 64-bit parameters, for Compact's row hash.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
 
 // MemStats reports the cache's retained memory: the entry structures and
 // the leaf arenas.

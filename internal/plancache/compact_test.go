@@ -64,6 +64,95 @@ func compactReference(t testing.TB, c *inum.Cache) *inum.Cache {
 	return out
 }
 
+// TestCompactMatchesReferenceOnTies holds Compact's grouping to
+// compactReference on seeded synthetic caches over real analyses (every
+// workload.Shapes topology), built through AddSlim with the tie structures
+// no planner export is guaranteed to produce: many entries per projected
+// row (each relation's leaf is drawn as AccessAny or an AccessOrdered
+// identity over a few base rows, nested-loop lookups included), mixed
+// ordered-relation sets, exact duplicates, and internal costs and
+// coefficients drawn from three values each. Compact must keep exactly the
+// reference's entries, in cache order: the two caches encode to the same
+// bytes.
+func TestCompactMatchesReferenceOnTies(t *testing.T) {
+	seen, dropped := 0, 0
+	for seed := int64(1); seed <= 45; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sh := workload.Shapes[int(seed)%len(workload.Shapes)]
+		_, q, err := workload.ShapeQuery(workload.ShapeSpec{Shape: sh, Rels: 3 + rng.Intn(4), Density: 0.5, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := optimizer.NewAnalysis(q, nil, optimizer.DefaultCostParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := len(q.Rels)
+		pack := func(rel int, mode optimizer.AccessMode, col string) uint16 {
+			pk, err := a.PackLeaf(rel, optimizer.LeafReq{Mode: mode, Col: col})
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			return pk
+		}
+		// A base row fixes each relation's projected leaf: AccessAny, whose
+		// entries may read it in any interesting order, or a lookup.
+		bases := make([][]string, 1+rng.Intn(4)) // "" = AccessAny, else the lookup's column
+		for i := range bases {
+			bases[i] = make([]string, r)
+			for rel := range bases[i] {
+				if cols := a.Rels[rel].Interesting; len(cols) > 0 && rng.Intn(4) == 0 {
+					bases[i][rel] = cols[rng.Intn(len(cols))]
+				}
+			}
+		}
+		c, in := inum.NewCache(a), inum.NewCache(a)
+		var internals []float64
+		var rows [][]uint16
+		var coefRows [][]float64
+		for n := 40 + rng.Intn(160); len(rows) < n; {
+			if len(rows) > 0 && rng.Intn(8) == 0 {
+				j := rng.Intn(len(rows))
+				internals, rows, coefRows = append(internals, internals[j]), append(rows, rows[j]), append(coefRows, coefRows[j])
+				continue
+			}
+			base := bases[rng.Intn(len(bases))]
+			row, coefs := make([]uint16, r), make([]float64, r)
+			for rel, col := range base {
+				cols := a.Rels[rel].Interesting
+				switch {
+				case col != "":
+					row[rel] = pack(rel, optimizer.AccessLookup, col)
+				case len(cols) > 0 && rng.Intn(2) == 0:
+					row[rel] = pack(rel, optimizer.AccessOrdered, cols[rng.Intn(len(cols))])
+				default:
+					row[rel] = pack(rel, optimizer.AccessAny, "")
+				}
+				coefs[rel] = float64(rng.Intn(3))
+			}
+			internals, rows, coefRows = append(internals, float64(100*(1+rng.Intn(3)))), append(rows, row), append(coefRows, coefs)
+		}
+		for i, row := range rows {
+			for _, cache := range []*inum.Cache{c, in} {
+				if _, err := cache.AddSlim(internals[i], row, coefRows[i]); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+			}
+		}
+		c.Compact()
+		want := compactReference(t, in)
+		if got, was := encodeToBytes(t, NewSnapshot(1, []*inum.Cache{c})), encodeToBytes(t, NewSnapshot(1, []*inum.Cache{want})); !bytes.Equal(got, was) {
+			t.Fatalf("seed %d (%s, %d relations, %d entries): Compact kept %d entries, the reference %d, or another order",
+				seed, sh, r, len(rows), len(c.Plans), len(want.Plans))
+		}
+		seen, dropped = seen+len(rows), dropped+len(rows)-len(c.Plans)
+	}
+	t.Logf("%d of %d synthetic entries dominated", dropped, seen)
+	if dropped == 0 {
+		t.Fatal("no synthetic entry was dominated: the generator exercises nothing")
+	}
+}
+
 // assertSameCosts requires exact cost bits from got and want under every
 // configuration (both failing alike is agreement).
 func assertSameCosts(t *testing.T, label string, got, want *inum.Cache, cfgs []*query.Config) {

@@ -242,3 +242,27 @@ func TestColdLoadClearsStaleError(t *testing.T) {
 		t.Fatalf("/healthz after the successful cold load: %s, want status ok and no last_reload_error", body)
 	}
 }
+
+// TestEvictionCarriesLoadsOperationID: the eviction a cold load causes is
+// filed under that load's operation ID, so /eventz and the log join the
+// two.
+func TestEvictionCarriesLoadsOperationID(t *testing.T) {
+	f := newMTFixture(t, mtSeeds, mtOrder, 1, nil)
+	probe := []byte(`{"indexes":[]}`)
+	for _, name := range []string{"acme", "globex"} {
+		if code, body := f.do(t, http.MethodPost, "/whatif", name, probe); code != http.StatusOK {
+			t.Fatalf("%s: %d %s", name, code, body)
+		}
+	}
+	ids := make(map[string]string) // "type tenant" → trace ID
+	for _, e := range f.srv.events.Events() {
+		ids[e.Type+" "+e.Tenant] = e.TraceID
+	}
+	evict, cause := ids["eviction acme"], ids["cold-load globex"]
+	if evict == "" || evict != cause {
+		t.Errorf("acme's eviction has trace ID %q, want globex's cold load's %q", evict, cause)
+	}
+	if first := ids["cold-load acme"]; first == cause {
+		t.Errorf("both cold loads share the trace ID %q", first)
+	}
+}

@@ -212,7 +212,7 @@ const maxInternedIndexes = 1 << 17
 // request-local descriptor — same validation, same pricing, garbage when
 // the request ends — so a full interner costs nothing but the dedup.
 func (set *snapshotSet) resolveConfig(specs []IndexSpec) (*query.Config, error) {
-	cfg := &query.Config{}
+	cfg := &query.Config{Indexes: make([]*catalog.Index, 0, len(specs))}
 	set.ixMu.Lock()
 	defer set.ixMu.Unlock()
 	local := 0
@@ -371,7 +371,7 @@ func (t *tenant) load(force bool) (*snapshotSet, bool, error) {
 	s := t.srv
 	opID := s.nextTraceID()
 	var lt loadTimes
-	set, skipped, err := t.buildSetContained(force, &lt)
+	set, skipped, err := t.buildSetContained(force, opID, &lt)
 	if err != nil {
 		t.reloadsFailed.Inc()
 		t.lastReloadErr.Store(err.Error())
@@ -400,7 +400,7 @@ func (t *tenant) load(force bool) (*snapshotSet, bool, error) {
 		return set, true, nil
 	}
 	typ := "reload"
-	if t.publish(set) {
+	if t.publish(set, opID) {
 		typ = "cold-load"
 	}
 	if t.snapshotPath != "" && set.source != sourceDisk {
@@ -453,12 +453,13 @@ func (t *tenant) triggerReload(force bool) bool {
 
 // buildSetContained runs buildSet with panic containment: a panicking
 // loader or rebuild becomes a counted, retried reload failure — the
-// serving process and its current snapshots are never at risk.
-func (t *tenant) buildSetContained(force bool, lt *loadTimes) (set *snapshotSet, skipped bool, err error) {
+// serving process and its current snapshots are never at risk. The panic
+// event carries the load's operation ID opID.
+func (t *tenant) buildSetContained(force bool, opID string, lt *loadTimes) (set *snapshotSet, skipped bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			t.srv.panics.Inc()
-			t.srv.recordEvent("panic", t.name, "", fmt.Sprintf("snapshot rebuild: %v", p))
+			t.srv.recordEvent("panic", t.name, opID, fmt.Sprintf("snapshot rebuild: %v", p))
 			set, skipped, err = nil, false, fmt.Errorf("panic during snapshot rebuild: %v", p)
 		}
 	}()

@@ -456,7 +456,8 @@ func TestFailedReloadRetriesAutomatically(t *testing.T) {
 }
 
 // TestReloadPanicContained pins the worst rebuild failure: a panic in
-// the loader/rebuild path becomes a counted reload error, not a crash.
+// the loader/rebuild path becomes a counted reload error, not a crash,
+// and its panic event carries the failed load's operation ID.
 func TestReloadPanicContained(t *testing.T) {
 	rf := newReloadFixture(t, nil)
 	rf.load(t)
@@ -472,6 +473,13 @@ func TestReloadPanicContained(t *testing.T) {
 	}
 	if got := rf.srv.panics.Value(); got != 1 {
 		t.Fatalf("panic counter = %d, want 1", got)
+	}
+	ids := make(map[string]string) // event type → trace ID
+	for _, e := range rf.srv.events.Events() {
+		ids[e.Type] = e.TraceID
+	}
+	if panicID, failID := ids["panic"], ids["reload-failed"]; panicID == "" || panicID != failID {
+		t.Errorf("panic event trace ID %q, want the reload-failed event's %q", panicID, failID)
 	}
 	code, body := rf.do(t, http.MethodPost, "/whatif", whatIfProbe)
 	if code != http.StatusOK || !bytes.Equal(body, baseline) {
@@ -674,6 +682,13 @@ func TestReloadWorkerPanicContained(t *testing.T) {
 	}
 	if got := rf.srv.panics.Value(); got != 1 {
 		t.Fatalf("panic counter = %d, want 1", got)
+	}
+	ids := make(map[string]string) // event type → trace ID
+	for _, e := range rf.srv.events.Events() {
+		ids[e.Type] = e.TraceID
+	}
+	if panicID, failID := ids["panic"], ids["reload-failed"]; panicID == "" || panicID != failID {
+		t.Errorf("panic event trace ID %q, want the reload-failed event's %q", panicID, failID)
 	}
 	code, body := rf.do(t, http.MethodPost, "/whatif", whatIfProbe)
 	if code != http.StatusOK || !bytes.Equal(body, baseline) {

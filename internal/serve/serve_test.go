@@ -419,6 +419,32 @@ func TestHealthAndStatz(t *testing.T) {
 	}
 }
 
+// TestResolveConfigInternedAllocs pins the request path's spec
+// resolution: four specs the interner already holds cost the configuration
+// and its slice, sized once — the interner is probed with a key built on
+// the stack.
+func TestResolveConfigInternedAllocs(t *testing.T) {
+	set := newFixture(t).srv.defaultTenant().current()
+	specs := []IndexSpec{
+		{Table: "fact", Columns: []string{"a1", "m1"}},
+		{Table: "dim1_1", Columns: []string{"a1"}},
+		{Table: "dim1_2", Columns: []string{"id", "a1"}},
+		{Table: "fact", Columns: []string{"fk_dim1_1", "m1"}},
+	}
+	if _, err := set.resolveConfig(specs); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		cfg, err := set.resolveConfig(specs)
+		if err != nil || len(cfg.Indexes) != len(specs) {
+			t.Fatalf("resolveConfig: %v, %v", cfg, err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("resolveConfig on four interned specs: %.1f allocs, want ≤ 2", allocs)
+	}
+}
+
 // TestFullInternerStillAnswers pins the at-cap contract: once the interner
 // holds its maximum, a never-seen spec is priced through a request-local
 // descriptor — the same bytes an uncapped server answers, the same 400 for

@@ -198,7 +198,8 @@ func (t *tenant) swap(set *snapshotSet) *snapshotSet { return t.cur.Swap(set) }
 // publish makes a built set live and settles the residency cap; load is
 // its one caller. It counts the swap by what it replaced — nil is a cold
 // load, a live set a completed reload — and reports whether it was cold.
-func (t *tenant) publish(set *snapshotSet) (cold bool) {
+// An eviction it causes carries the load's operation ID opID.
+func (t *tenant) publish(set *snapshotSet, opID string) (cold bool) {
 	if cold = t.swap(set) == nil; cold {
 		t.coldLoads.Inc()
 	} else {
@@ -207,7 +208,7 @@ func (t *tenant) publish(set *snapshotSet) (cold bool) {
 	t.snapshotGauges(set)
 	t.srv.everLoaded.Store(true)
 	t.srv.touch(t)
-	t.srv.noteResident(t)
+	t.srv.noteResident(t, opID)
 	return cold
 }
 
@@ -349,8 +350,9 @@ func (s *Server) residentCount() int {
 // resident: while more than MaxResident tenants hold live sets, the
 // least-recently-used one (other than the tenant that just loaded) is
 // evicted. Concurrent cold loads may overshoot the cap transiently; the
-// loop converges because every successful publish lands here.
-func (s *Server) noteResident(justLoaded *tenant) {
+// loop converges because every successful publish lands here. opID is the
+// operation ID of the load, which each eviction's event carries.
+func (s *Server) noteResident(justLoaded *tenant, opID string) {
 	if s.residentCap <= 0 {
 		return
 	}
@@ -375,7 +377,7 @@ func (s *Server) noteResident(justLoaded *tenant) {
 		if resident <= s.residentCap || victim == nil {
 			return
 		}
-		s.evictLocked(victim)
+		s.evictLocked(victim, opID)
 	}
 }
 
@@ -386,8 +388,9 @@ func (s *Server) noteResident(justLoaded *tenant) {
 // degraded flag are cleared: an evicted tenant rebuilds its state on the
 // next request instead of resurrecting itself in the background. The
 // serve.tenant.evict faultpoint (delay mode) widens the evict/load race
-// window for tests; error mode is meaningless here and ignored.
-func (s *Server) evictLocked(t *tenant) {
+// window for tests; error mode is meaningless here and ignored. The event
+// carries opID, the operation ID of the load that caused the eviction.
+func (s *Server) evictLocked(t *tenant, opID string) {
 	_ = faultpoint.Hit("serve.tenant.evict")
 	if t.swap(nil) == nil {
 		return
@@ -395,5 +398,5 @@ func (s *Server) evictLocked(t *tenant) {
 	t.clearRetry()
 	t.degraded.Store(false)
 	t.evictions.Inc()
-	s.recordEvent("eviction", t.name, "", fmt.Sprintf("LRU, resident cap %d", s.residentCap))
+	s.recordEvent("eviction", t.name, opID, fmt.Sprintf("LRU, resident cap %d", s.residentCap))
 }

@@ -7,7 +7,6 @@ package whatif
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/pinumdb/pinum/internal/catalog"
 	"github.com/pinumdb/pinum/internal/query"
@@ -34,12 +33,13 @@ func (s *Session) CreateIndex(table string, columns ...string) (*catalog.Index, 
 	if err != nil {
 		return nil, err
 	}
-	key := indexKey(table, columns)
-	if ix, ok := s.byKey[key]; ok {
+	var buf [256]byte
+	key := appendIndexKey(buf[:0], table, columns)
+	if ix, ok := s.byKey[string(key)]; ok {
 		return ix, nil
 	}
 	ix := storage.HypotheticalIndex(fmt.Sprintf("hypo_%s_%d", table, len(s.byKey)+1), t, columns)
-	s.byKey[key] = ix
+	s.byKey[string(key)] = ix
 	return ix, nil
 }
 
@@ -78,25 +78,19 @@ func (s *Session) checkSpec(table string, columns []string) (*catalog.Table, err
 	return t, nil
 }
 
-// indexKey builds the canonical table(col1,col2,...) dedup key CreateIndex
-// and Lookup share — one format, one place to change it.
-func indexKey(table string, columns []string) string {
-	size := len(table) + 1 + len(columns) // "(", one "," per column, ")"
-	for _, c := range columns {
-		size += len(c)
-	}
-	var kb strings.Builder
-	kb.Grow(size)
-	kb.WriteString(table)
-	kb.WriteByte('(')
+// appendIndexKey appends the canonical table(col1,col2,...) dedup key
+// CreateIndex and Lookup share — one format, one place to change it. Both
+// build it in a 256-byte stack buffer (the wide design shapes' covering
+// indexes run to about 250 bytes), so a probe allocates nothing.
+func appendIndexKey(b []byte, table string, columns []string) []byte {
+	b = append(append(b, table...), '(')
 	for i, c := range columns {
 		if i > 0 {
-			kb.WriteByte(',')
+			b = append(b, ',')
 		}
-		kb.WriteString(c)
+		b = append(b, c...)
 	}
-	kb.WriteByte(')')
-	return kb.String()
+	return append(b, ')')
 }
 
 // Count returns the number of hypothetical indexes the session holds.
@@ -106,7 +100,8 @@ func (s *Session) Count() int { return len(s.byKey) }
 // Lookup returns the already-declared index on table(columns...), or nil
 // — CreateIndex's dedup check without the side effect of declaring.
 func (s *Session) Lookup(table string, columns ...string) *catalog.Index {
-	return s.byKey[indexKey(table, columns)]
+	var buf [256]byte
+	return s.byKey[string(appendIndexKey(buf[:0], table, columns))]
 }
 
 // Config bundles the given indexes (hypothetical or real) into a planning
