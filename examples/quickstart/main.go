@@ -72,6 +72,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-20s cost %12.0f   (winning combo %v)\n", name, cost, plan.Combo())
+		fmt.Printf("%-20s cost %12.0f   (winning combo %v)\n", name, cost, cache.Combo(plan))
 	}
 }

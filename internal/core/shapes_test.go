@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/pinumdb/pinum/internal/inum"
 	"github.com/pinumdb/pinum/internal/optimizer"
@@ -64,12 +66,28 @@ func BenchmarkBuildSlimShapes(b *testing.B) {
 
 // BenchmarkCompactShapes times the compaction a build ends with
 // (inum.Cache.Compact) on each design shape's uncompacted reference cache
-// (Build), copied afresh outside the timer for every run, and reports the
-// entries and entry bytes before and after. Each run starts after a
-// collection, so a cycle the copies' garbage would start is not charged to
-// the pass.
+// (Build). One op is eight passes, one per shape, each one Compact of a
+// fresh copy (inum.FromRows over the reference's rows); ns/op is their sum
+// and <shape>-ns the shape's own pass, timed alone. The copies are made
+// outside the timer in batches of about compactBatchBytes, each batch after
+// one collection, so a cycle the copies' garbage would start is not charged
+// to a pass. One op rather than one sub-benchmark per shape keeps a default
+// run to one benchtime. The first run logs each shape's entries and entry
+// bytes before and after.
 func BenchmarkCompactShapes(b *testing.B) {
-	for _, s := range designShapes {
+	const compactBatchBytes = 8 << 20
+	type shape struct {
+		label    string
+		ref      *inum.Cache
+		internal []float64
+		packed   []uint16
+		coefs    []float64
+		elapsed  time.Duration
+		kept     *inum.Cache
+	}
+	shapes := make([]*shape, len(designShapes))
+	opBytes := int64(1)
+	for k, s := range designShapes {
 		cat, q, err := workload.ShapeQuery(s.spec)
 		if err != nil {
 			b.Fatal(err)
@@ -82,33 +100,53 @@ func BenchmarkCompactShapes(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fresh := func() *inum.Cache {
-			c := inum.NewCache(a)
-			for _, cp := range ref.Plans {
-				pk, coefs := cp.PackedLeaves()
-				if _, err := c.AddSlim(cp.Internal, pk, coefs); err != nil {
-					b.Fatal(err)
-				}
-			}
-			return c
-		}
-		b.Run(s.label, func(b *testing.B) {
-			b.ReportAllocs()
-			var c *inum.Cache
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				c = fresh()
-				runtime.GC()
-				b.StartTimer()
-				c.Compact()
-			}
-			b.ReportMetric(float64(len(ref.Plans)), "entries")
-			b.ReportMetric(float64(len(c.Plans)), "kept")
-			b.ReportMetric(float64(ref.MemStats().EntryBytes), "B-before")
-			b.ReportMetric(float64(c.MemStats().EntryBytes), "B-after")
-		})
+		sh := &shape{label: s.label, ref: ref}
+		sh.internal, sh.packed, sh.coefs = ref.Rows()
+		shapes[k] = sh
+		opBytes += ref.MemStats().EntryBytes
 	}
+	perBatch := max(1, int(compactBatchBytes/opBytes))
+	var batch [][]*inum.Cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(batch) == 0 {
+			b.StopTimer()
+			for len(batch) < min(perBatch, b.N-i) {
+				op := make([]*inum.Cache, len(shapes))
+				for k, sh := range shapes {
+					c, err := inum.FromRows(sh.ref.A, sh.internal, sh.packed, sh.coefs)
+					if err != nil {
+						b.Fatal(err)
+					}
+					op[k] = c
+				}
+				batch = append(batch, op)
+			}
+			runtime.GC()
+			b.StartTimer()
+		}
+		op := batch[len(batch)-1]
+		batch = batch[:len(batch)-1]
+		for k, sh := range shapes {
+			start := time.Now()
+			op[k].Compact()
+			sh.elapsed += time.Since(start)
+			sh.kept = op[k]
+		}
+	}
+	for _, sh := range shapes {
+		b.ReportMetric(float64(sh.elapsed.Nanoseconds())/float64(b.N), sh.label+"-ns")
+	}
+	compactShapesLogged.Do(func() {
+		for _, sh := range shapes {
+			b.Logf("%-11s %4d entries, %4d kept, %6d B before, %6d B after", sh.label,
+				len(sh.ref.Plans), len(sh.kept.Plans), sh.ref.MemStats().EntryBytes, sh.kept.MemStats().EntryBytes)
+		}
+	})
 }
+
+var compactShapesLogged sync.Once
 
 // allocsPer runs f once to warm up, then runs times more, and returns the
 // objects and bytes one run allocated on average (testing.AllocsPerRun's

@@ -132,8 +132,8 @@ func referenceCost(c *inum.Cache, cfg *query.Config) (float64, int) {
 	best, bestIdx := math.Inf(1), -1
 	for i, cp := range c.Plans {
 		cost, ok := cp.Internal, true
-		for rel := 0; rel < cp.NumRels(); rel++ {
-			req := cp.Leaf(rel)
+		for rel := range c.Q.Rels {
+			req := c.Leaf(i, rel)
 			ac, applicable := c.A.AccessCost(rel, req, cfg)
 			if !applicable {
 				ok = false
@@ -153,8 +153,10 @@ func referenceCost(c *inum.Cache, cfg *query.Config) (float64, int) {
 func orderedOnly(t *testing.T, c *inum.Cache) *inum.Cache {
 	t.Helper()
 	out := inum.NewCache(c.A)
-	for _, cp := range c.Plans {
-		pks, coefs := cp.PackedLeaves()
+	n := len(c.Q.Rels)
+	_, packed, coefRows := c.Rows()
+	for i, cp := range c.Plans {
+		pks, coefs := packed[i*n:(i+1)*n], coefRows[i*n:(i+1)*n]
 		needsIndex := false
 		for _, pk := range pks {
 			if pk != 0 {
@@ -162,7 +164,7 @@ func orderedOnly(t *testing.T, c *inum.Cache) *inum.Cache {
 			}
 		}
 		if needsIndex {
-			if _, err := out.AddSlim(cp.Internal, pks, coefs); err != nil {
+			if err := out.AddSlim(cp.Internal, pks, coefs); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -189,7 +191,7 @@ func checkAgainstReference(t *testing.T, label string, c *inum.Cache, cfg *query
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("%s: Cost %v != reference %v under %s", label, got, want, cfg)
 	}
-	if plan != c.Plans[wantIdx] {
+	if plan != wantIdx {
 		t.Fatalf("%s: Cost picked another plan than the reference's ordinal %d under %s", label, wantIdx, cfg)
 	}
 	return got

@@ -49,75 +49,22 @@ import (
 	"github.com/pinumdb/pinum/internal/whatif"
 )
 
-// CachedPlan is one entry of the plan cache: an internal plan plus its leaf
-// access requirements — the plan's INUM decomposition, and nothing else of
-// it. The requirements live in the owning cache's leaf arenas (the two-byte
-// index of the leaf's slot in the query's leaf-slot table plus the float64
-// coefficient per relation) rather than as a []LeafReq per entry; the entry
-// itself holds only the arena ordinal. Leaf reconstructs a LeafReq on demand
-// without allocating.
+// CachedPlan is one entry of the plan cache: an internal plan's cost and
+// whether it joins by nested loop. Its leaf access requirements — the rest
+// of the plan's INUM decomposition — live in the owning cache's leaf arenas
+// at the entry's ordinal (the two-byte index of the leaf's slot in the
+// query's leaf-slot table plus the float64 coefficient per relation), so an
+// entry holds no pointer; Cache.Leaf reconstructs one requirement without
+// allocating.
 type CachedPlan struct {
 	// Internal is the access-method-independent cost (joins, sorts,
 	// aggregation).
 	Internal float64
 
-	// c is the owning cache; idx is this entry's ordinal, striding into
-	// the cache's packed leaf arenas (every entry stores exactly one leaf
-	// per query relation).
-	c   *Cache
-	idx int32
-
 	// NLJ marks plans containing nested-loop joins; INUM tracks them
 	// separately because their cost is only piecewise linear in access
 	// costs.
 	NLJ bool
-}
-
-// NumRels is the number of leaf requirements (one per query relation).
-func (cp *CachedPlan) NumRels() int { return len(cp.c.A.Q.Rels) }
-
-// Leaf reconstructs the plan's requirement on one relation from the
-// arenas. It allocates nothing: the column string is the analysis's
-// interned instance.
-//
-//pinum:hotpath
-func (cp *CachedPlan) Leaf(rel int) optimizer.LeafReq {
-	c := cp.c
-	i := int(cp.idx)*len(c.A.Q.Rels) + rel
-	return c.A.UnpackLeaf(rel, c.A.LeafOfSlot(rel, int(c.leafSlot[i])), c.leafCoef[i])
-}
-
-// Combo derives the interesting order combination the plan requires (one
-// entry per relation, "" for Φ). It allocates; hot paths use Leaf.
-func (cp *CachedPlan) Combo() query.OrderCombo {
-	n := cp.NumRels()
-	combo := make(query.OrderCombo, n)
-	for rel := 0; rel < n; rel++ {
-		if req := cp.Leaf(rel); req.Mode != optimizer.AccessAny {
-			combo[rel] = req.Col
-		}
-	}
-	return combo
-}
-
-// PackedLeaves returns the entry's requirement row in the form the
-// snapshot codec stores: the packed interned identities (optimizer.PackLeaf,
-// converted from the arena's slot indexes into a fresh slice) and a view of
-// the coefficients, one per relation. Callers must not mutate the view.
-func (cp *CachedPlan) PackedLeaves() ([]uint16, []float64) {
-	c := cp.c
-	n := len(c.A.Q.Rels)
-	lo := int(cp.idx) * n
-	packed := make([]uint16, n)
-	for rel := range packed {
-		packed[rel] = c.A.LeafOfSlot(rel, int(c.leafSlot[lo+rel]))
-	}
-	return packed, c.leafCoef[lo : lo+n : lo+n]
-}
-
-// String renders the plan entry compactly.
-func (cp *CachedPlan) String() string {
-	return fmt.Sprintf("%s internal=%.2f nlj=%v", cp.Combo(), cp.Internal, cp.NLJ)
 }
 
 // BuildStats records what cache construction cost.
@@ -155,8 +102,8 @@ type BuildStats struct {
 type MemStats struct {
 	// Entries is the number of cached plans.
 	Entries int
-	// EntryBytes approximates the cache's entries: CachedPlan structs and
-	// the leaf arenas.
+	// EntryBytes approximates the cache's entries: the CachedPlan values
+	// and the leaf arenas.
 	EntryBytes int64
 }
 
@@ -175,7 +122,7 @@ func (m MemStats) String() string {
 type Cache struct {
 	Q     *query.Query
 	A     *optimizer.Analysis
-	Plans []*CachedPlan
+	Plans []CachedPlan
 	Stats BuildStats
 
 	// Leaf arenas: entry idx's requirement on relation rel lives at index
@@ -195,6 +142,71 @@ func NewCache(a *optimizer.Analysis) *Cache {
 	return &Cache{Q: a.Q, A: a}
 }
 
+// FromRows builds a cache over the analysed query from entries in the
+// snapshot codec's form (Rows): per entry, its internal cost, and per entry
+// and relation, entry-major, its packed leaf (optimizer.PackLeaf) and
+// coefficient. The arenas are sized once and every entry passes through
+// AddSlim, so foreign rows are validated as one; entry order, internal-cost
+// bits and leaf requirements are kept exactly, and Cost answers match the
+// cache the rows came from bit for bit.
+func FromRows(a *optimizer.Analysis, internal []float64, packed []uint16, coefs []float64) (*Cache, error) {
+	n, r := len(internal), len(a.Q.Rels)
+	if len(packed) != n*r || len(coefs) != n*r {
+		return nil, fmt.Errorf("inum: %d entries with %d packed leaves and %d coefficients for %d relations",
+			n, len(packed), len(coefs), r)
+	}
+	c := NewCache(a)
+	c.Plans = make([]CachedPlan, 0, n)
+	c.leafSlot, c.leafCoef = make([]uint16, 0, n*r), make([]float64, 0, n*r)
+	for i, cost := range internal {
+		if err := c.AddSlim(cost, packed[i*r:(i+1)*r], coefs[i*r:(i+1)*r]); err != nil {
+			return nil, err
+		}
+	}
+	c.Stats.Mem = c.MemStats()
+	return c, nil
+}
+
+// Rows returns the cache's entries in the snapshot codec's form, entry-major
+// in cache order: the internal costs, the packed leaves (optimizer.PackLeaf,
+// recovered from the arena's slot indexes) and a view of the coefficients,
+// one leaf and one coefficient per relation per entry. FromRows inverts it.
+// Callers must not mutate the view.
+func (c *Cache) Rows() (internal []float64, packed []uint16, coefs []float64) {
+	r := len(c.Q.Rels)
+	internal = make([]float64, len(c.Plans))
+	for i, cp := range c.Plans {
+		internal[i] = cp.Internal
+	}
+	packed = make([]uint16, len(c.leafSlot))
+	for k, s := range c.leafSlot {
+		packed[k] = c.A.LeafOfSlot(k%r, int(s))
+	}
+	return internal, packed, c.leafCoef[:len(c.leafCoef):len(c.leafCoef)]
+}
+
+// Leaf reconstructs entry i's requirement on one relation from the arenas.
+// It allocates nothing: the column string is the analysis's interned
+// instance.
+//
+//pinum:hotpath
+func (c *Cache) Leaf(i, rel int) optimizer.LeafReq {
+	k := i*len(c.Q.Rels) + rel
+	return c.A.UnpackLeaf(rel, c.A.LeafOfSlot(rel, int(c.leafSlot[k])), c.leafCoef[k])
+}
+
+// Combo derives the interesting order combination entry i requires (one
+// entry per relation, "" for Φ). It allocates; hot paths use Leaf.
+func (c *Cache) Combo(i int) query.OrderCombo {
+	combo := make(query.OrderCombo, len(c.Q.Rels))
+	for rel := range combo {
+		if req := c.Leaf(i, rel); req.Mode != optimizer.AccessAny {
+			combo[rel] = req.Col
+		}
+	}
+	return combo
+}
+
 // AddPath appends one entry from an optimizer path tree: its summary
 // (optimizer.Summarize) with each leaf packed (Analysis.PackLeaf) into the
 // arenas' form. The cache keeps nothing of the tree and does not
@@ -202,7 +214,7 @@ func NewCache(a *optimizer.Analysis) *Cache {
 // AddSummary it counts the plan cached, and its caller the plans it saw.
 func (c *Cache) AddPath(p *optimizer.Path) {
 	s := optimizer.Summarize(p, len(c.Q.Rels))
-	c.appendEntry(s.Internal, s.NLJ)
+	c.Plans = append(c.Plans, CachedPlan{Internal: s.Internal, NLJ: s.NLJ})
 	for rel, req := range s.Leaves {
 		pk, err := c.A.PackLeaf(rel, req)
 		if err != nil {
@@ -254,59 +266,52 @@ func (s *PathSet) Add(p *optimizer.Path) bool {
 // later duplicate. Its caller counts the plans it saw (BuildStats.PlansSeen)
 // from the planner.
 func (c *Cache) AddSummary(s *optimizer.Summary) {
-	c.appendEntry(s.Internal, s.NLJ)
+	c.Plans = append(c.Plans, CachedPlan{Internal: s.Internal, NLJ: s.NLJ})
 	c.leafSlot = append(c.leafSlot, s.Slots...)
 	c.leafCoef = append(c.leafCoef, s.Coefs...)
 	c.Stats.PlansCached++
 }
 
-// appendEntry allocates the next entry and its arena row ordinal.
-func (c *Cache) appendEntry(internal float64, nlj bool) *CachedPlan {
-	cp := &CachedPlan{Internal: internal, NLJ: nlj, c: c, idx: int32(len(c.Plans))}
-	c.Plans = append(c.Plans, cp)
-	return cp
-}
-
 // AddSlim appends one entry from its stored packed decomposition — the
-// snapshot decode path (internal/plancache), which re-adds a cache's
-// entries as its construction left them. Each packed leaf is validated
+// path of FromRows, which re-adds a cache's entries as its construction
+// left them. Each packed leaf is validated
 // against the analysis's interning (the snapshot may be foreign bytes); the
 // NLJ flag is re-derived from the packed modes exactly as Summarize derives
 // it from a complete plan's requirements. The internal cost and every
 // coefficient must be finite and non-negative, as pricing and Compact
 // assume.
-func (c *Cache) AddSlim(internal float64, packed []uint16, coefs []float64) (*CachedPlan, error) {
+func (c *Cache) AddSlim(internal float64, packed []uint16, coefs []float64) error {
 	if len(packed) != len(c.Q.Rels) || len(coefs) != len(c.Q.Rels) {
-		return nil, fmt.Errorf("inum: entry with %d packed leaves and %d coefficients for %d relations",
+		return fmt.Errorf("inum: entry with %d packed leaves and %d coefficients for %d relations",
 			len(packed), len(coefs), len(c.Q.Rels))
 	}
 	if !(internal >= 0 && internal <= math.MaxFloat64) {
-		return nil, fmt.Errorf("inum: query %s entry %d: internal cost %v is not finite and non-negative",
+		return fmt.Errorf("inum: query %s entry %d: internal cost %v is not finite and non-negative",
 			c.Q.Name, len(c.Plans), internal)
 	}
 	for rel, k := range coefs {
 		if !(k >= 0 && k <= math.MaxFloat64) {
-			return nil, fmt.Errorf("inum: query %s entry %d: coefficient %v of relation %d is not finite and non-negative",
+			return fmt.Errorf("inum: query %s entry %d: coefficient %v of relation %d is not finite and non-negative",
 				c.Q.Name, len(c.Plans), k, rel)
 		}
 	}
 	nlj := false
 	for rel, pk := range packed {
 		if err := c.A.CheckPackedLeaf(rel, pk); err != nil {
-			return nil, err
+			return err
 		}
 		if optimizer.PackedNLJ(pk) {
 			nlj = true
 		}
 	}
-	cp := c.appendEntry(internal, nlj)
+	c.Plans = append(c.Plans, CachedPlan{Internal: internal, NLJ: nlj})
 	for rel, pk := range packed {
 		c.leafSlot = append(c.leafSlot, uint16(c.A.LeafSlot(rel, pk)))
 	}
 	c.leafCoef = append(c.leafCoef, coefs...)
 	c.Stats.PlansSeen++
 	c.Stats.PlansCached++
-	return cp, nil
+	return nil
 }
 
 // Compact drops every entry that another entry of the cache dominates, and
@@ -361,13 +366,12 @@ func (c *Cache) Compact() {
 		}
 	}
 
-	plans := make([]*CachedPlan, 0, kept)
+	plans := make([]CachedPlan, 0, kept)
 	slots, coefs := make([]uint16, 0, kept*r), make([]float64, 0, kept*r)
 	for i, cp := range c.Plans {
 		if !keep[i] {
 			continue
 		}
-		cp.idx = int32(len(plans))
 		plans = append(plans, cp)
 		slots = append(slots, c.leafSlot[i*r:i*r+r]...)
 		coefs = append(coefs, c.leafCoef[i*r:i*r+r]...)
@@ -499,8 +503,8 @@ func (c *Cache) dominated(b compactKey, bucket []compactKey, runs []int) bool {
 	return false
 }
 
-// MemStats reports the cache's retained memory: the entry structures and
-// the leaf arenas.
+// MemStats reports the cache's retained memory: the entry values and the
+// leaf arenas.
 func (c *Cache) MemStats() MemStats {
 	return MemStats{
 		Entries: len(c.Plans),
@@ -511,7 +515,7 @@ func (c *Cache) MemStats() MemStats {
 
 // Cost estimates the query's optimal cost under the configuration using
 // only cached information — the operation that replaces an optimizer call.
-// It returns the winning plan: the first cheapest in cache order. On a
+// It returns the winning plan's ordinal: the first cheapest in cache order. On a
 // compacted cache (every PINUM build's) that plan can differ from the
 // uncompacted cache's only on an exact tie, and the cost never does. An
 // error is returned only when no cached plan is applicable (an empty
@@ -522,28 +526,28 @@ func (c *Cache) MemStats() MemStats {
 // (optimizer.ConfigByTable).
 //
 //pinum:hotpath
-func (c *Cache) Cost(cfg *query.Config) (float64, *CachedPlan, error) {
+func (c *Cache) Cost(cfg *query.Config) (float64, int, error) {
 	var buf [optimizer.LeafSlotsInline]float64
 	return c.cost(c.A.PriceLeafSlots(buf[:0], cfg), cfg)
 }
 
 // CostByTable is Cost under a configuration grouped once for many
 // queries (optimizer.GroupByTable): the same table, the same cost, the
-// same plan.
+// same plan ordinal.
 //
 //pinum:allocfree prices into a stack table; pinned by TestCostByTableAllocFree
-func (c *Cache) CostByTable(g *optimizer.ConfigByTable) (float64, *CachedPlan, error) {
+func (c *Cache) CostByTable(g *optimizer.ConfigByTable) (float64, int, error) {
 	var buf [optimizer.LeafSlotsInline]float64
 	return c.cost(c.A.PriceLeafSlotsByTable(buf[:0], g), g.Config())
 }
 
 // cost picks the winning plan over a priced table.
-func (c *Cache) cost(slots []float64, cfg *query.Config) (float64, *CachedPlan, error) {
+func (c *Cache) cost(slots []float64, cfg *query.Config) (float64, int, error) {
 	best, i := c.BestPlan(slots)
 	if i < 0 {
-		return 0, nil, fmt.Errorf("inum: no applicable cached plan for configuration %s", cfg)
+		return 0, -1, fmt.Errorf("inum: no applicable cached plan for configuration %s", cfg)
 	}
-	return best, c.Plans[i], nil
+	return best, i, nil
 }
 
 // BestPlan runs the INUM fold over a priced leaf-slot table: per plan,

@@ -81,7 +81,7 @@ func TestCostNeverBelowOptimizer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plan == nil {
+		if plan < 0 {
 			t.Fatal("no winning plan")
 		}
 		res, err := optimizer.Optimize(a, cfg, optimizer.Options{EnableNestLoop: true})
@@ -202,7 +202,7 @@ func TestAddPathLeavesMatchSummary(t *testing.T) {
 					t.Fatalf("%s plan %d: internal %v nlj %v, the path summarises to %v nlj %v", a.Q.Name, i, cp.Internal, cp.NLJ, want.Internal, want.NLJ)
 				}
 				for rel := range want.Leaves {
-					if got := cp.Leaf(rel); got != want.Leaves[rel] {
+					if got := c.Leaf(i, rel); got != want.Leaves[rel] {
 						t.Fatalf("%s plan %d (%s) rel %d: Leaf %+v, the path summarises to %+v", a.Q.Name, i, p.Signature(), rel, got, want.Leaves[rel])
 					}
 				}
@@ -219,10 +219,11 @@ func TestAddPathLeavesMatchSummary(t *testing.T) {
 }
 
 // TestCachedPlanSize pins an entry to its INUM decomposition: the internal
-// cost, the arena row (cache and ordinal) and the NLJ flag, 24 bytes.
+// cost and the NLJ flag, 16 bytes and no pointer (the leaves are in the
+// cache's arenas at the entry's ordinal).
 func TestCachedPlanSize(t *testing.T) {
-	if got := unsafe.Sizeof(CachedPlan{}); got != 24 {
-		t.Errorf("CachedPlan is %d bytes, want 24", got)
+	if got := unsafe.Sizeof(CachedPlan{}); got != 16 {
+		t.Errorf("CachedPlan is %d bytes, want 16", got)
 	}
 }
 
@@ -560,9 +561,8 @@ func TestCollectAccessCostsNaiveCallsPerIndex(t *testing.T) {
 }
 
 // TestSlotArenaRoundTrip looks inside the arena: every stored leaf is the
-// slot LeafSlot gives its packed identity, and the boundary form
-// (PackedLeaves) fed to AddSlim on a fresh cache rebuilds both arenas
-// exactly — star queries, and the self-join whose relations share a table.
+// slot LeafSlot gives its packed identity, and the boundary form (Rows)
+// fed to FromRows rebuilds both arenas exactly — star queries, and the self-join whose relations share a table.
 // (That Leaf is what the path was summarised to is checked, for every cache
 // the plancache equivalence suites build, by their assertLeavesRoundTrip.)
 func TestSlotArenaRoundTrip(t *testing.T) {
@@ -578,18 +578,16 @@ func TestSlotArenaRoundTrip(t *testing.T) {
 		caches = append(caches, build(setup(t, qi)))
 	}
 	for _, c := range caches {
-		fresh := NewCache(c.A)
 		n := len(c.Q.Rels)
-		for i, cp := range c.Plans {
-			pks, coefs := cp.PackedLeaves()
-			for rel, pk := range pks {
-				if got := int(c.leafSlot[i*n+rel]); got != c.A.LeafSlot(rel, pk) {
-					t.Fatalf("%s plan %d rel %d: arena holds slot %d, LeafSlot(%#04x) = %d", c.Q.Name, i, rel, got, pk, c.A.LeafSlot(rel, pk))
-				}
+		internal, pks, coefs := c.Rows()
+		for k, pk := range pks {
+			if got := int(c.leafSlot[k]); got != c.A.LeafSlot(k%n, pk) {
+				t.Fatalf("%s plan %d rel %d: arena holds slot %d, LeafSlot(%#04x) = %d", c.Q.Name, k/n, k%n, got, pk, c.A.LeafSlot(k%n, pk))
 			}
-			if _, err := fresh.AddSlim(cp.Internal, pks, coefs); err != nil {
-				t.Fatal(err)
-			}
+		}
+		fresh, err := FromRows(c.A, internal, pks, coefs)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if !slices.Equal(fresh.leafSlot, c.leafSlot) {
 			t.Errorf("%s: slot arena %v rebuilt as %v", c.Q.Name, c.leafSlot, fresh.leafSlot)
@@ -614,20 +612,21 @@ func TestEmptySlotTableMatchesAccessCost(t *testing.T) {
 	empty := &query.Config{}
 	slots := a.PriceLeafSlots(nil, nil)
 	sawInf := false
-	for _, cp := range c.Plans {
-		pks, _ := cp.PackedLeaves()
-		for rel, pk := range pks {
+	_, pks, _ := c.Rows()
+	n := len(a.Q.Rels)
+	for i := range c.Plans {
+		for rel, pk := range pks[i*n : (i+1)*n] {
 			got := slots[a.LeafSlot(rel, pk)]
-			want, ok := a.AccessCost(rel, cp.Leaf(rel), empty)
+			want, ok := a.AccessCost(rel, c.Leaf(i, rel), empty)
 			if !ok {
 				if !math.IsInf(got, 1) {
-					t.Errorf("plan %s rel %d: unsatisfiable leaf priced as %v", cp, rel, got)
+					t.Errorf("plan %d %s rel %d: unsatisfiable leaf priced as %v", i, c.Combo(i), rel, got)
 				}
 				sawInf = true
 				continue
 			}
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("plan %s rel %d: slot %v != AccessCost %v", cp, rel, got, want)
+				t.Errorf("plan %d %s rel %d: slot %v != AccessCost %v", i, c.Combo(i), rel, got, want)
 			}
 		}
 	}
@@ -651,12 +650,10 @@ func TestPackedEntryBytesHalved(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := NewCache(a)
-		for _, cp := range in.Plans {
-			pk, coefs := cp.PackedLeaves()
-			if _, err := c.AddSlim(cp.Internal, pk, coefs); err != nil {
-				t.Fatal(err)
-			}
+		internal, packed, coefs := in.Rows()
+		c, err := FromRows(a, internal, packed, coefs)
+		if err != nil {
+			t.Fatal(err)
 		}
 		got := c.MemStats().EntryBytes
 		// What the pre-packing MemStats accounting charged for the same
@@ -725,7 +722,7 @@ func TestCompactRules(t *testing.T) {
 	raw, c := NewCache(a), NewCache(a)
 	for _, e := range entries {
 		for _, into := range []*Cache{raw, c} {
-			if _, err := into.AddSlim(e.internal, e.packed, e.coefs); err != nil {
+			if err := into.AddSlim(e.internal, e.packed, e.coefs); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -740,10 +737,11 @@ func TestCompactRules(t *testing.T) {
 	if len(c.Plans) != len(want) || c.Stats.PlansCached != len(want) || c.Stats.PlansDominated != len(entries)-len(want) {
 		t.Fatalf("kept %d entries (%d cached, %d dominated), want entries %v", len(c.Plans), c.Stats.PlansCached, c.Stats.PlansDominated, want)
 	}
+	_, pks, css := c.Rows()
 	for j, i := range want {
-		pk, cs := c.Plans[j].PackedLeaves()
+		pk, cs := pks[j*n:(j+1)*n], css[j*n:(j+1)*n]
 		if c.Plans[j].Internal != entries[i].internal || !slices.Equal(pk, entries[i].packed) || !slices.Equal(cs, entries[i].coefs) {
-			t.Errorf("kept entry %d is %s, want entry %d", j, c.Plans[j], i)
+			t.Errorf("kept entry %d is %s internal=%.2f nlj=%v, want entry %d", j, c.Combo(j), c.Plans[j].Internal, c.Plans[j].NLJ, i)
 		}
 	}
 	if got := c.MemStats().EntryBytes; got != int64(len(want))*int64(unsafe.Sizeof(CachedPlan{})+uintptr(10*n)) {

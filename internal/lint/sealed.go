@@ -21,13 +21,13 @@ var protectedTypes = []struct {
 		pkg:   "internal/inum",
 		names: []string{"Cache", "CachedPlan"},
 		// inum constructs; core's two-call PINUM builders and
-		// plancache's snapshot reconstruction (ToCache, BuildCaches) fill
-		// Stats during construction, before the cache is published.
+		// plancache's snapshot reconstruction (BuildCaches) fill Stats
+		// during construction, before the cache is published.
 		writers: []string{"internal/inum", "internal/core", "internal/plancache"},
 	},
 	{
 		pkg:     "internal/plancache",
-		names:   []string{"Snapshot", "QueryPlans", "Entry"},
+		names:   []string{"Snapshot", "QueryPlans"},
 		writers: []string{"internal/plancache"},
 	},
 }
@@ -47,7 +47,7 @@ var SealedMut = &Analyzer{
 	Name:     "sealedmut",
 	Suppress: DirSealedOK,
 	Doc: "flag writes to shared-immutable cache structures (inum.Cache, inum.CachedPlan, " +
-		"plancache.Snapshot/QueryPlans/Entry) outside their constructor packages; " +
+		"plancache.Snapshot/QueryPlans and their arenas) outside their constructor packages; " +
 		"intentional pre-publication writes need //pinum:sealed-ok <why>",
 	Run: runSealedMut,
 }

@@ -19,9 +19,9 @@ func tweak(c *inum.Cache) {
 	c.Plans[0].Internal = 0 // want "shared immutable"
 }
 
-// drop truncates a loaded snapshot's entries.
-func drop(s *plancache.Snapshot) {
-	s.Queries[0].Entries = nil // want "shared immutable"
+// rewrite zeroes a coefficient in a loaded snapshot's arena in place.
+func rewrite(s *plancache.Snapshot) {
+	s.Queries[0].Coefs[0] = 0 // want "shared immutable"
 }
 
 // bump increments a snapshot fingerprint in place.

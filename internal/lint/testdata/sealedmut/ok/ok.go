@@ -8,9 +8,9 @@ import (
 	"github.com/pinumdb/pinum/internal/plancache"
 )
 
-// zero mutates a value parameter: the caller's snapshot row is untouched.
+// zero mutates a value parameter: the caller's snapshot arenas are untouched.
 func zero(qp plancache.QueryPlans) plancache.QueryPlans {
-	qp.Entries = nil
+	qp.Coefs = nil
 	return qp
 }
 

@@ -37,16 +37,19 @@ func TestSlimExportsMatchTrees(t *testing.T) {
 			if len(slim.Plans) != len(tree.Plans) || len(tree.Plans) == 0 {
 				t.Fatalf("%s: %d slim entries, %d from trees", label, len(slim.Plans), len(tree.Plans))
 			}
+			n := len(in.a.Q.Rels)
+			_, spks, scs := slim.Rows()
+			_, tpks, tcs := tree.Rows()
 			for i, tp := range tree.Plans {
 				sp := slim.Plans[i]
 				if math.Float64bits(sp.Internal) != math.Float64bits(tp.Internal) || sp.NLJ != tp.NLJ {
 					t.Fatalf("%s entry %d: internal %v nlj %v, from the tree %v nlj %v", label, i, sp.Internal, sp.NLJ, tp.Internal, tp.NLJ)
 				}
-				spk, sc := sp.PackedLeaves()
-				tpk, tc := tp.PackedLeaves()
+				spk, sc := spks[i*n:(i+1)*n], scs[i*n:(i+1)*n]
+				tpk, tc := tpks[i*n:(i+1)*n], tcs[i*n:(i+1)*n]
 				for rel := range tpk {
 					if in.a.LeafSlot(rel, spk[rel]) != in.a.LeafSlot(rel, tpk[rel]) || math.Float64bits(sc[rel]) != math.Float64bits(tc[rel]) {
-						t.Fatalf("%s entry %d (%s) relation %d: slot %d coef %v, from the tree slot %d coef %v", label, i, tp, rel,
+						t.Fatalf("%s entry %d (%s) relation %d: slot %d coef %v, from the tree slot %d coef %v", label, i, tree.Combo(i), rel,
 							in.a.LeafSlot(rel, spk[rel]), sc[rel], in.a.LeafSlot(rel, tpk[rel]), tc[rel])
 					}
 				}

@@ -17,7 +17,7 @@ import (
 )
 
 // compactReference is inum.Cache.Compact's definition checked naively, over
-// every ordered pair of entries and their CachedPlan.Leaf requirements, with
+// every ordered pair of entries and their Cache.Leaf requirements, with
 // no shipped compaction code: entry b is dropped when another entry a
 // dominates it — a's internal cost and every coefficient ≤ b's, and on every
 // relation a's leaf identity is b's, or a's is AccessAny where b's is
@@ -26,10 +26,11 @@ import (
 // The root package's facade test carries a twin of it.
 func compactReference(t testing.TB, c *inum.Cache) *inum.Cache {
 	t.Helper()
+	n := len(c.Q.Rels)
 	leaves := make([][]optimizer.LeafReq, len(c.Plans))
-	for i, cp := range c.Plans {
-		for rel := 0; rel < cp.NumRels(); rel++ {
-			leaves[i] = append(leaves[i], cp.Leaf(rel))
+	for i := range c.Plans {
+		for rel := 0; rel < n; rel++ {
+			leaves[i] = append(leaves[i], c.Leaf(i, rel))
 		}
 	}
 	dominates := func(a, b int) bool {
@@ -46,6 +47,7 @@ func compactReference(t testing.TB, c *inum.Cache) *inum.Cache {
 		return true
 	}
 	out := inum.NewCache(c.A)
+	_, packed, coefs := c.Rows()
 	for j, b := range c.Plans {
 		dropped := false
 		for i := range c.Plans {
@@ -55,8 +57,7 @@ func compactReference(t testing.TB, c *inum.Cache) *inum.Cache {
 			}
 		}
 		if !dropped {
-			pk, coefs := b.PackedLeaves()
-			if _, err := out.AddSlim(b.Internal, pk, coefs); err != nil {
+			if err := out.AddSlim(b.Internal, packed[j*n:(j+1)*n], coefs[j*n:(j+1)*n]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -134,7 +135,7 @@ func TestCompactMatchesReferenceOnTies(t *testing.T) {
 		}
 		for i, row := range rows {
 			for _, cache := range []*inum.Cache{c, in} {
-				if _, err := cache.AddSlim(internals[i], row, coefRows[i]); err != nil {
+				if err := cache.AddSlim(internals[i], row, coefRows[i]); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
 			}

@@ -47,11 +47,11 @@ func selfJoinQuery(t *testing.T, s *workload.Star, name, orderCol string) *query
 }
 
 // roundTrip pushes a cache through the full persistence pipeline —
-// FromCache → Encode → Decode → ToCache — and returns the reloaded cache
-// over a fresh analysis of the same query.
+// NewSnapshot → Encode → Decode → inum.FromRows — and returns the reloaded
+// cache over a fresh analysis of the same query.
 func roundTrip(t *testing.T, c *inum.Cache, st *stats.Store) *inum.Cache {
 	t.Helper()
-	snap := &Snapshot{Queries: []QueryPlans{FromCache(c)}}
+	snap := NewSnapshot(0, []*inum.Cache{c})
 	var buf bytes.Buffer
 	if err := Encode(&buf, snap); err != nil {
 		t.Fatal(err)
@@ -64,21 +64,12 @@ func roundTrip(t *testing.T, c *inum.Cache, st *stats.Store) *inum.Cache {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ToCache(a, dec.Queries[0])
+	qp := dec.Queries[0]
+	out, err := inum.FromRows(a, qp.Internal, qp.Packed, qp.Coefs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return out
-}
-
-// planIndex locates a returned plan within its cache.
-func planIndex(c *inum.Cache, cp *inum.CachedPlan) int {
-	for i, p := range c.Plans {
-		if p == cp {
-			return i
-		}
-	}
-	return -1
 }
 
 // assertCacheEquivalent prices the reference construction's cache (tree,
@@ -103,22 +94,24 @@ func assertCacheEquivalent(t *testing.T, label string, tree, other *inum.Cache, 
 			t.Fatalf("%s: empty slot %d bits differ: %v vs %v", label, i, ts[i], os[i])
 		}
 	}
+	n := len(tree.Q.Rels)
+	_, tpks, _ := tree.Rows()
+	_, opks, _ := other.Rows()
 	for i := range tree.Plans {
 		tp, op := tree.Plans[i], other.Plans[i]
 		if math.Float64bits(tp.Internal) != math.Float64bits(op.Internal) {
 			t.Fatalf("%s plan %d: internal bits differ", label, i)
 		}
-		if tp.NLJ != op.NLJ || tp.Combo().Key() != op.Combo().Key() {
+		if tp.NLJ != op.NLJ || tree.Combo(i).Key() != other.Combo(i).Key() {
 			t.Fatalf("%s plan %d: combo/NLJ differ: %v/%v vs %v/%v",
-				label, i, tp.Combo(), tp.NLJ, op.Combo(), op.NLJ)
+				label, i, tree.Combo(i), tp.NLJ, other.Combo(i), op.NLJ)
 		}
-		for rel := 0; rel < tp.NumRels(); rel++ {
-			if tp.Leaf(rel) != op.Leaf(rel) {
-				t.Fatalf("%s plan %d leaf %d: %+v vs %+v", label, i, rel, tp.Leaf(rel), op.Leaf(rel))
+		for rel := 0; rel < n; rel++ {
+			if tree.Leaf(i, rel) != other.Leaf(i, rel) {
+				t.Fatalf("%s plan %d leaf %d: %+v vs %+v", label, i, rel, tree.Leaf(i, rel), other.Leaf(i, rel))
 			}
 		}
-		tpk, _ := tp.PackedLeaves()
-		opk, _ := op.PackedLeaves()
+		tpk, opk := tpks[i*n:(i+1)*n], opks[i*n:(i+1)*n]
 		for rel := range tpk {
 			if tree.A.LeafSlot(rel, tpk[rel]) != other.A.LeafSlot(rel, opk[rel]) {
 				t.Fatalf("%s plan %d leaf %d: slot %d vs %d", label, i, rel,
@@ -138,36 +131,36 @@ func assertCacheEquivalent(t *testing.T, label string, tree, other *inum.Cache, 
 		if math.Float64bits(tc) != math.Float64bits(oc) {
 			t.Fatalf("%s cfg %d: cost bits differ: %v vs %v", label, ci, tc, oc)
 		}
-		if planIndex(tree, tp) != planIndex(other, op) {
-			t.Fatalf("%s cfg %d: winning plan %d vs %d", label, ci,
-				planIndex(tree, tp), planIndex(other, op))
+		if tp != op {
+			t.Fatalf("%s cfg %d: winning plan %d vs %d", label, ci, tp, op)
 		}
 	}
 }
 
 // assertLeavesRoundTrip takes a cache's leaves across the boundary the
-// snapshot codec uses and back: PackedLeaves → AddSlim into a fresh cache
-// over the same analysis must reproduce every leaf (the arena stores slot
+// snapshot codec uses and back: Rows → FromRows into a fresh cache over
+// the same analysis must reproduce every leaf (the arena stores slot
 // indexes, the boundary speaks packed identities). That an entry AddPath
 // made holds the requirements its path summarises to is inum's
 // TestAddPathLeavesMatchSummary.
 func assertLeavesRoundTrip(t *testing.T, label string, c *inum.Cache) {
 	t.Helper()
-	fresh := inum.NewCache(c.A)
+	internal, pks, coefs := c.Rows()
+	fresh, err := inum.FromRows(c.A, internal, pks, coefs)
+	if err != nil {
+		t.Fatalf("%s: re-adding its own packed leaves: %v", label, err)
+	}
+	_, fpks, _ := fresh.Rows()
+	n := len(c.Q.Rels)
 	for i, cp := range c.Plans {
-		pk, coefs := cp.PackedLeaves()
-		fp, err := fresh.AddSlim(cp.Internal, pk, coefs)
-		if err != nil {
-			t.Fatalf("%s plan %d: re-adding its own packed leaves: %v", label, i, err)
-		}
-		if fp.NLJ != cp.NLJ {
+		if fp := fresh.Plans[i]; fp.NLJ != cp.NLJ {
 			t.Fatalf("%s plan %d: NLJ %v re-derived as %v", label, i, cp.NLJ, fp.NLJ)
 		}
-		fpk, _ := fp.PackedLeaves()
-		for rel := range pk {
-			if fpk[rel] != pk[rel] || fp.Leaf(rel) != cp.Leaf(rel) {
+		for rel := 0; rel < n; rel++ {
+			k := i*n + rel
+			if fpks[k] != pks[k] || fresh.Leaf(i, rel) != c.Leaf(i, rel) {
 				t.Fatalf("%s plan %d leaf %d: %#04x %+v came back as %#04x %+v",
-					label, i, rel, pk[rel], cp.Leaf(rel), fpk[rel], fp.Leaf(rel))
+					label, i, rel, pks[k], c.Leaf(i, rel), fpks[k], fresh.Leaf(i, rel))
 			}
 		}
 	}

@@ -19,10 +19,12 @@ import (
 // bytes — whatever is in the tenant's snapshot file. Decode must never
 // panic; what it accepts must re-encode to exactly the bytes it read (the
 // format has one encoding per snapshot, so nothing it accepts is
-// ambiguous); every query of it that a seed's analysis can load prices a
-// finite, non-negative cost under the empty configuration; and changing
-// any one byte of an accepted snapshot must be rejected, or — the checksum
-// aside — hold to the same rules.
+// ambiguous); every query of it that a seed's analysis can load
+// (inum.FromRows, as BuildCaches binds it) prices a finite, non-negative
+// cost under the empty configuration; when every query loads under its own
+// SQL, the loaded caches' rows (Rows → NewSnapshot → Encode) reproduce the
+// input bytes exactly; and changing any one byte of an accepted snapshot
+// must be rejected, or — the checksum aside — hold to the same rules.
 func FuzzSnapshotDecode(f *testing.F) {
 	// Seeds are kept small — two of the star set's ten queries, two small
 	// shapes — because every fuzz worker builds them again, instrumented.
@@ -76,17 +78,27 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if !bytes.Equal(re.Bytes(), data) {
 			t.Fatalf("%s: accepted %d bytes that re-encode to %d different ones", what, len(data), re.Len())
 		}
+		var caches []*inum.Cache
 		for _, qp := range snap.Queries {
 			a := analyses[qp.Name]
-			if a == nil {
+			if a == nil || len(a.Q.Rels) != qp.NRels {
 				continue
 			}
-			c, err := ToCache(a, qp)
+			c, err := inum.FromRows(a, qp.Internal, qp.Packed, qp.Coefs)
 			if err != nil {
 				continue // fails to load
 			}
 			if cost, _, err := c.Cost(nil); err != nil || !(cost >= 0 && cost <= math.MaxFloat64) {
 				t.Fatalf("%s: query %s loads but prices %v under the empty configuration (%v)", what, qp.Name, cost, err)
+			}
+			if qp.SQL == a.Q.SQL {
+				caches = append(caches, c)
+			}
+		}
+		if len(caches) == len(snap.Queries) {
+			re.Reset()
+			if err := Encode(&re, NewSnapshot(snap.Fingerprint, caches)); err != nil || !bytes.Equal(re.Bytes(), data) {
+				t.Fatalf("%s: every query loads, but its caches' rows re-encode to %d different bytes (%v)", what, re.Len(), err)
 			}
 		}
 		return true

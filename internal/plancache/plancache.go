@@ -25,7 +25,6 @@
 package plancache
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -42,32 +41,26 @@ import (
 	"github.com/pinumdb/pinum/internal/stats"
 )
 
-// Entry is one cached plan: its INUM decomposition, leaves in the planner's
-// packed interned form.
-type Entry struct {
-	// Internal is the access-method-independent plan cost.
-	Internal float64
-	// Packed holds one interned leaf identity per query relation
-	// (optimizer.PackLeaf: mode in the top two bits, the relation's
-	// interesting-order id in the low fourteen).
-	Packed []uint16
-	// Coefs holds the matching access-cost coefficients.
-	Coefs []float64
-}
-
-// QueryPlans is the stored plan cache of one query.
+// QueryPlans is the stored plan cache of one query, in the wire's layout:
+// three flat arrays (arenas) in cache order (Cost scans the entries in
+// order with strict improvement, so order is part of bit-identity).
 type QueryPlans struct {
 	// Name identifies the query (matched against the workload at load).
 	Name string
 	// SQL is the query text, kept so a loaded snapshot can be audited and
 	// so load can verify it still matches the workload's query.
 	SQL string
-	// NRels is the query's relation count; every entry's Leaves has
-	// exactly this length.
+	// NRels is the query's relation count: every entry stores exactly
+	// this many leaves.
 	NRels int
-	// Entries holds the cached plans in cache order (Cost scans them in
-	// order with strict improvement, so order is part of bit-identity).
-	Entries []Entry
+	// Internal holds each entry's access-method-independent plan cost.
+	Internal []float64
+	// Packed holds, entry-major, one interned leaf identity per entry and
+	// relation (optimizer.PackLeaf: mode in the top two bits, the
+	// relation's interesting-order id in the low fourteen).
+	Packed []uint16
+	// Coefs holds the matching access-cost coefficients.
+	Coefs []float64
 }
 
 // Snapshot is a persistable set of plan caches plus the fingerprint of
@@ -80,60 +73,23 @@ type Snapshot struct {
 	Queries []QueryPlans
 }
 
-// NewSnapshot assembles a snapshot from built caches, in the given order,
-// under the given environment fingerprint. It is the only supported way to
-// build a Snapshot for Save/Encode: Snapshot and its QueryPlans/Entry rows
-// are shared immutable once handed out, so construction stays inside this
+// NewSnapshot assembles a snapshot from built caches (inum.Cache.Rows), in
+// the given order, under the given environment fingerprint. It is the only
+// supported way to build a Snapshot for Save/Encode: Snapshot and its
+// QueryPlans arenas are shared immutable once handed out (the coefficients
+// are a view of the caches' own), so construction stays inside this
 // package.
 func NewSnapshot(fingerprint uint64, caches []*inum.Cache) *Snapshot {
 	snap := &Snapshot{
 		Fingerprint: fingerprint,
-		Queries:     make([]QueryPlans, 0, len(caches)),
+		Queries:     make([]QueryPlans, len(caches)),
 	}
-	for _, c := range caches {
-		snap.Queries = append(snap.Queries, FromCache(c))
+	for i, c := range caches {
+		qp := &snap.Queries[i]
+		qp.Name, qp.SQL, qp.NRels = c.Q.Name, c.Q.SQL, len(c.Q.Rels)
+		qp.Internal, qp.Packed, qp.Coefs = c.Rows()
 	}
 	return snap
-}
-
-// FromCache extracts a query's stored plan representation from a built
-// cache.
-func FromCache(c *inum.Cache) QueryPlans {
-	qp := QueryPlans{
-		Name:    c.Q.Name,
-		SQL:     c.Q.SQL,
-		NRels:   len(c.Q.Rels),
-		Entries: make([]Entry, len(c.Plans)),
-	}
-	for i, cp := range c.Plans {
-		pk, coefs := cp.PackedLeaves()
-		qp.Entries[i] = Entry{Internal: cp.Internal, Packed: pk, Coefs: coefs}
-	}
-	return qp
-}
-
-// ToCache reconstructs a cache over the analysed query from its
-// stored plans. The analysis must describe the same query the snapshot
-// was built from (same relation count; the caller matches names); entry
-// order, internal-cost bits and leaf requirements are restored exactly,
-// so Cost answers match the original cache bit for bit.
-func ToCache(a *optimizer.Analysis, qp QueryPlans) (*inum.Cache, error) {
-	if len(a.Q.Rels) != qp.NRels {
-		return nil, fmt.Errorf("plancache: query %s has %d relations, snapshot stored %d",
-			a.Q.Name, len(a.Q.Rels), qp.NRels)
-	}
-	c := inum.NewCache(a)
-	for _, e := range qp.Entries {
-		if len(e.Packed) != qp.NRels || len(e.Coefs) != qp.NRels {
-			return nil, fmt.Errorf("plancache: query %s: entry with %d leaves and %d coefficients for %d relations",
-				qp.Name, len(e.Packed), len(e.Coefs), qp.NRels)
-		}
-		if _, err := c.AddSlim(e.Internal, e.Packed, e.Coefs); err != nil {
-			return nil, fmt.Errorf("plancache: query %s: %w", qp.Name, err)
-		}
-	}
-	c.Stats.Mem = c.MemStats()
-	return c, nil
 }
 
 // fpWalk is the one walk over an environment that yields both kinds of
@@ -285,106 +241,81 @@ const (
 	maxStrLen  = 1 << 20
 )
 
-// hashWriter tees every written byte into a running FNV-1a checksum.
-type hashWriter struct {
-	w   io.Writer
-	sum uint64
-	err error
-}
-
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
 )
-
-func (hw *hashWriter) write(p []byte) {
-	if hw.err != nil {
-		return
-	}
-	for _, b := range p {
-		hw.sum = (hw.sum ^ uint64(b)) * fnvPrime
-	}
-	_, hw.err = hw.w.Write(p)
-}
-
-func (hw *hashWriter) u16(v uint16) {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	hw.write(b[:])
-}
-
-func (hw *hashWriter) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	hw.write(b[:])
-}
-
-func (hw *hashWriter) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	hw.write(b[:])
-}
-
-func (hw *hashWriter) str(s string) {
-	hw.u32(uint32(len(s)))
-	hw.write([]byte(s))
-}
 
 // Encode writes the snapshot in the deterministic v2 binary format:
 // little-endian fixed-width integers, float64s as raw IEEE-754 bits, and
 // per-relation leaves as packed interned identities (see optimizer.PackLeaf
 // — no column strings on the wire), closed by an FNV-1a checksum over
 // everything before it. The same snapshot always encodes to the same
-// bytes, so encode→decode→re-encode is byte-identical.
+// bytes, so encode→decode→re-encode is byte-identical. A snapshot that
+// does not encode writes nothing.
 func Encode(w io.Writer, s *Snapshot) error {
-	hw := &hashWriter{w: w, sum: fnvOffset}
-	hw.write(magic[:])
-	hw.u64(s.Fingerprint)
-	hw.u32(uint32(len(s.Queries)))
-	for _, qp := range s.Queries {
-		if err := encodeQuery(hw, &qp); err != nil {
-			return err
-		}
+	buf, err := encode(s)
+	if err != nil {
+		return err
 	}
-	if hw.err != nil {
-		return hw.err
-	}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], hw.sum)
-	_, err := w.Write(b[:])
+	_, err = w.Write(buf)
 	return err
 }
 
-func encodeQuery(hw *hashWriter, qp *QueryPlans) error {
-	if qp.NRels <= 0 || qp.NRels > maxRels {
-		return fmt.Errorf("plancache: query %s: bad relation count %d", qp.Name, qp.NRels)
-	}
-	hw.str(qp.Name)
-	hw.str(qp.SQL)
-	hw.u32(uint32(qp.NRels))
-
-	hw.u32(uint32(len(qp.Entries)))
-	for _, e := range qp.Entries {
-		if len(e.Packed) != qp.NRels || len(e.Coefs) != qp.NRels {
-			return fmt.Errorf("plancache: query %s: entry with %d leaves and %d coefficients for %d relations",
-				qp.Name, len(e.Packed), len(e.Coefs), qp.NRels)
+// encode validates the snapshot and appends it, checksum included, to one
+// buffer of exactly its encoded size.
+func encode(s *Snapshot) ([]byte, error) {
+	size := len(magic) + 8 + 4 + 8 // header, fingerprint, query count, checksum
+	for i := range s.Queries {
+		qp := &s.Queries[i]
+		if qp.NRels <= 0 || qp.NRels > maxRels {
+			return nil, fmt.Errorf("plancache: query %s: bad relation count %d", qp.Name, qp.NRels)
 		}
-		hw.u64(math.Float64bits(e.Internal))
-		for rel, pk := range e.Packed {
+		n := len(qp.Internal)
+		if len(qp.Packed) != n*qp.NRels || len(qp.Coefs) != n*qp.NRels {
+			return nil, fmt.Errorf("plancache: query %s: %d entries with %d leaves and %d coefficients for %d relations",
+				qp.Name, n, len(qp.Packed), len(qp.Coefs), qp.NRels)
+		}
+		for _, pk := range qp.Packed {
 			if err := checkPackedLeaf(pk); err != nil {
-				return fmt.Errorf("plancache: query %s: %w", qp.Name, err)
+				return nil, fmt.Errorf("plancache: query %s: %w", qp.Name, err)
 			}
-			hw.u16(pk)
-			hw.u64(math.Float64bits(e.Coefs[rel]))
+		}
+		size += 4 + len(qp.Name) + 4 + len(qp.SQL) + 4 + 4 + n*(8+10*qp.NRels)
+	}
+	le := binary.LittleEndian
+	buf := make([]byte, 0, size)
+	buf = append(buf, magic[:]...)
+	buf = le.AppendUint64(buf, s.Fingerprint)
+	buf = le.AppendUint32(buf, uint32(len(s.Queries)))
+	for i := range s.Queries {
+		qp := &s.Queries[i]
+		buf = le.AppendUint32(buf, uint32(len(qp.Name)))
+		buf = append(buf, qp.Name...)
+		buf = le.AppendUint32(buf, uint32(len(qp.SQL)))
+		buf = append(buf, qp.SQL...)
+		buf = le.AppendUint32(buf, uint32(qp.NRels))
+		buf = le.AppendUint32(buf, uint32(len(qp.Internal)))
+		for e, internal := range qp.Internal {
+			buf = le.AppendUint64(buf, math.Float64bits(internal))
+			lo := e * qp.NRels
+			for k := lo; k < lo+qp.NRels; k++ {
+				buf = le.AppendUint16(buf, qp.Packed[k])
+				buf = le.AppendUint64(buf, math.Float64bits(qp.Coefs[k]))
+			}
 		}
 	}
-	return hw.err
+	sum := uint64(fnvOffset)
+	for _, b := range buf {
+		sum = (sum ^ uint64(b)) * fnvPrime
+	}
+	return le.AppendUint64(buf, sum), nil
 }
 
 // checkPackedLeaf is the codec's structural validation of one packed leaf:
 // a known access mode, an order id present exactly when the mode requires
-// a column. Id range against the query's interning is ToCache's job (the
-// codec alone has no analysis).
+// a column. Id range against the query's interning is inum.Cache.AddSlim's
+// job (the codec alone has no analysis).
 func checkPackedLeaf(pk uint16) error {
 	mode := optimizer.AccessMode(pk >> 14)
 	id := pk & (1<<14 - 1)
@@ -423,14 +354,6 @@ func (r *reader) take(n int) ([]byte, error) {
 		r.sum = (r.sum ^ uint64(b)) * fnvPrime
 	}
 	return p, nil
-}
-
-func (r *reader) u16() (uint16, error) {
-	p, err := r.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(p), nil
 }
 
 func (r *reader) u32() (uint32, error) {
@@ -541,36 +464,34 @@ func decodeQuery(r *reader, qp *QueryPlans) error {
 	if nEntries > maxEntries || !r.canHold(nEntries, 8+10*qp.NRels) {
 		return fmt.Errorf("plancache: query %s: implausible entry count %d", qp.Name, nEntries)
 	}
-	qp.Entries = make([]Entry, nEntries)
-	for i := range qp.Entries {
-		e := &qp.Entries[i]
-		bits, err := r.u64()
-		if err != nil {
-			return err
+	// canHold has checked that the entries fit, so they are taken (and
+	// checksummed) in one piece and parsed in place.
+	entry := 8 + 10*qp.NRels
+	p, err := r.take(int(nEntries) * entry)
+	if err != nil {
+		return err
+	}
+	qp.Internal = make([]float64, nEntries)
+	qp.Packed = make([]uint16, int(nEntries)*qp.NRels)
+	qp.Coefs = make([]float64, int(nEntries)*qp.NRels)
+	le := binary.LittleEndian
+	for i := range qp.Internal {
+		e := p[i*entry : (i+1)*entry]
+		internal := math.Float64frombits(le.Uint64(e))
+		if !(internal >= 0 && internal <= math.MaxFloat64) {
+			return fmt.Errorf("plancache: query %s entry %d: internal cost %v is not finite and non-negative", qp.Name, i, internal)
 		}
-		e.Internal = math.Float64frombits(bits)
-		if !(e.Internal >= 0 && e.Internal <= math.MaxFloat64) {
-			return fmt.Errorf("plancache: query %s entry %d: internal cost %v is not finite and non-negative", qp.Name, i, e.Internal)
-		}
-		e.Packed = make([]uint16, qp.NRels)
-		e.Coefs = make([]float64, qp.NRels)
-		for rel := range e.Packed {
-			pk, err := r.u16()
-			if err != nil {
-				return err
-			}
+		qp.Internal[i] = internal
+		for rel := 0; rel < qp.NRels; rel++ {
+			leaf := e[8+10*rel:]
+			pk, k := le.Uint16(leaf), math.Float64frombits(le.Uint64(leaf[2:]))
 			if err := checkPackedLeaf(pk); err != nil {
 				return fmt.Errorf("plancache: query %s: %w", qp.Name, err)
 			}
-			coefBits, err := r.u64()
-			if err != nil {
-				return err
-			}
-			e.Packed[rel] = pk
-			e.Coefs[rel] = math.Float64frombits(coefBits)
-			if k := e.Coefs[rel]; !(k >= 0 && k <= math.MaxFloat64) {
+			if !(k >= 0 && k <= math.MaxFloat64) {
 				return fmt.Errorf("plancache: query %s entry %d: coefficient %v of relation %d is not finite and non-negative", qp.Name, i, k, rel)
 			}
+			qp.Packed[i*qp.NRels+rel], qp.Coefs[i*qp.NRels+rel] = pk, k
 		}
 	}
 	return nil
@@ -595,9 +516,12 @@ func BuildCaches(snap *Snapshot, queries []*query.Query, analyses []*optimizer.A
 		if qp.SQL != q.SQL {
 			return nil, fmt.Errorf("plancache: snapshot stored different SQL for query %s: rebuild the snapshot", q.Name)
 		}
-		c, err := ToCache(analyses[i], *qp)
+		if n := len(analyses[i].Q.Rels); n != qp.NRels {
+			return nil, fmt.Errorf("plancache: query %s has %d relations, snapshot stored %d", q.Name, n, qp.NRels)
+		}
+		c, err := inum.FromRows(analyses[i], qp.Internal, qp.Packed, qp.Coefs)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("plancache: query %s: %w", q.Name, err)
 		}
 		caches[i] = c
 	}
@@ -621,8 +545,8 @@ var ErrPartialWrite = errors.New("plancache: partial snapshot write")
 // resurrect unsynced bytes. Failures on the temp-file path are wrapped in
 // ErrPartialWrite; the target is only replaced by fully synced bytes.
 func Save(path string, s *Snapshot) error {
-	var buf bytes.Buffer
-	if err := Encode(&buf, s); err != nil {
+	buf, err := encode(s)
+	if err != nil {
 		return err
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
@@ -633,11 +557,11 @@ func Save(path string, s *Snapshot) error {
 		// Simulate a torn write followed by a crash: half the bytes reach
 		// the temp file and nothing cleans it up. The live snapshot must
 		// survive this — the rename below never runs.
-		tmp.Write(buf.Bytes()[:buf.Len()/2])
+		tmp.Write(buf[:len(buf)/2])
 		tmp.Close()
 		return fmt.Errorf("%w: %w", ErrPartialWrite, ferr)
 	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
+	if _, err := tmp.Write(buf); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("%w: %w", ErrPartialWrite, err)

@@ -83,19 +83,19 @@ func TestRoundTripByteIdentical(t *testing.T) {
 		if qp.Name != orig.Name || qp.SQL != orig.SQL || qp.NRels != orig.NRels {
 			t.Fatalf("query %d header changed: %+v vs %+v", i, qp, orig)
 		}
-		if len(qp.Entries) != len(orig.Entries) {
-			t.Fatalf("query %s entry count changed: %d -> %d", qp.Name, len(orig.Entries), len(qp.Entries))
+		if len(qp.Internal) != len(orig.Internal) || len(qp.Packed) != len(orig.Packed) || len(qp.Coefs) != len(orig.Coefs) {
+			t.Fatalf("query %s entry count changed: %d -> %d", qp.Name, len(orig.Internal), len(qp.Internal))
 		}
-		for j, e := range qp.Entries {
-			oe := orig.Entries[j]
-			if math.Float64bits(e.Internal) != math.Float64bits(oe.Internal) {
+		for j, internal := range qp.Internal {
+			if math.Float64bits(internal) != math.Float64bits(orig.Internal[j]) {
 				t.Fatalf("%s entry %d internal bits changed", qp.Name, j)
 			}
-			for rel := range e.Packed {
-				if e.Packed[rel] != oe.Packed[rel] ||
-					math.Float64bits(e.Coefs[rel]) != math.Float64bits(oe.Coefs[rel]) {
+			for rel := 0; rel < qp.NRels; rel++ {
+				k := j*qp.NRels + rel
+				if qp.Packed[k] != orig.Packed[k] ||
+					math.Float64bits(qp.Coefs[k]) != math.Float64bits(orig.Coefs[k]) {
 					t.Fatalf("%s entry %d leaf %d changed: %#04x/%v vs %#04x/%v",
-						qp.Name, j, rel, e.Packed[rel], e.Coefs[rel], oe.Packed[rel], oe.Coefs[rel])
+						qp.Name, j, rel, qp.Packed[k], qp.Coefs[k], orig.Packed[k], orig.Coefs[k])
 				}
 			}
 		}
@@ -362,7 +362,7 @@ func TestLoadRejectsStaleFingerprint(t *testing.T) {
 // (Compact's dominance argument needs it, and a NaN cost cannot be
 // rendered). A snapshot file carrying NaN, an infinity or a negative value
 // in either place must fail to load, and the same entry handed to the
-// cache directly (ToCache → inum.Cache.AddSlim) must be refused too; both
+// cache directly (inum.FromRows → Cache.AddSlim) must be refused too; both
 // errors name the query and the entry.
 func TestLoadRejectsUnpriceableCosts(t *testing.T) {
 	s, snap := starSnapshot(t, 42)
@@ -377,16 +377,15 @@ func TestLoadRejectsUnpriceableCosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "bad.pcache")
-	e := &qp.Entries[0]
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
-		for _, field := range []*float64{&e.Internal, &e.Coefs[len(e.Coefs)-1]} {
+		for _, field := range []*float64{&qp.Internal[0], &qp.Coefs[qp.NRels-1]} {
 			good := *field
 			*field = bad
 			if err := Save(path, snap); err != nil {
 				t.Fatal(err)
 			}
 			_, lerr := Load(path, snap.Fingerprint)
-			_, cerr := ToCache(a, *qp)
+			_, cerr := inum.FromRows(a, qp.Internal, qp.Packed, qp.Coefs)
 			*field = good
 			for _, err := range []error{lerr, cerr} {
 				if err == nil || !strings.Contains(err.Error(), "query "+qp.Name+" entry 0") {
@@ -395,7 +394,7 @@ func TestLoadRejectsUnpriceableCosts(t *testing.T) {
 			}
 		}
 	}
-	if _, err := ToCache(a, *qp); err != nil {
+	if _, err := inum.FromRows(a, qp.Internal, qp.Packed, qp.Coefs); err != nil {
 		t.Fatalf("the restored entry is refused: %v", err)
 	}
 }
@@ -436,18 +435,20 @@ func TestStarSnapshotBytesFrozen(t *testing.T) {
 	}
 	dropped := map[string]int{}
 	for i, qp := range dec.Queries {
-		want := FromCache(compactReference(t, refs[i]))
-		if len(qp.Entries) != len(want.Entries) {
-			t.Fatalf("%s: %d entries decoded, the frozen ones minus the dominated are %d", qp.Name, len(qp.Entries), len(want.Entries))
+		wantInternal, wantPacked, wantCoefs := compactReference(t, refs[i]).Rows()
+		if len(qp.Internal) != len(wantInternal) {
+			t.Fatalf("%s: %d entries decoded, the frozen ones minus the dominated are %d", qp.Name, len(qp.Internal), len(wantInternal))
 		}
-		for j, e := range qp.Entries {
-			w := want.Entries[j]
-			if math.Float64bits(e.Internal) != math.Float64bits(w.Internal) || !slices.Equal(e.Packed, w.Packed) ||
-				!slices.EqualFunc(e.Coefs, w.Coefs, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
-				t.Fatalf("%s entry %d: decoded %+v, frozen %+v", qp.Name, j, e, w)
+		bitsEqual := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+		for j := range qp.Internal {
+			lo, hi := j*qp.NRels, (j+1)*qp.NRels
+			if !bitsEqual(qp.Internal[j], wantInternal[j]) || !slices.Equal(qp.Packed[lo:hi], wantPacked[lo:hi]) ||
+				!slices.EqualFunc(qp.Coefs[lo:hi], wantCoefs[lo:hi], bitsEqual) {
+				t.Fatalf("%s entry %d: decoded %v %v %v, frozen %v %v %v", qp.Name, j,
+					qp.Internal[j], qp.Packed[lo:hi], qp.Coefs[lo:hi], wantInternal[j], wantPacked[lo:hi], wantCoefs[lo:hi])
 			}
 		}
-		if n := len(refs[i].Plans) - len(qp.Entries); n > 0 {
+		if n := len(refs[i].Plans) - len(qp.Internal); n > 0 {
 			dropped[qp.Name] = n
 		}
 	}

@@ -558,11 +558,11 @@ func (t *tenant) optimize(env *Environment, prev *snapshotSet, tfps map[string]u
 	var rebuild []int
 	for i, q := range env.Queries {
 		if prev != nil && reusable(prev, q, tfps) {
-			// Reconstructing a cache from the previous set's entries
+			// Rebinding the previous set's entries to the new analysis
 			// is deterministic bit-for-bit, so a reused query's costs are
 			// byte-identical before and after the swap.
-			j := prev.queryIdx[q.Name]
-			if c, err := plancache.ToCache(env.Analyses[i], plancache.FromCache(prev.caches[j])); err == nil {
+			internal, packed, coefs := prev.caches[prev.queryIdx[q.Name]].Rows()
+			if c, err := inum.FromRows(env.Analyses[i], internal, packed, coefs); err == nil {
 				caches[i] = c
 				reused++
 				continue

@@ -22,6 +22,7 @@
 //	q, err := db.ParseQuery("SELECT ... FROM ...", "Q1")
 //	cache, err := db.BuildPlanCache(q)       // 2 optimizer calls
 //	cost, plan, err := cache.Cost(cfg)        // no optimizer calls
+//	combo := cache.Combo(plan)                // the winner's interesting orders
 //
 // or, for index selection:
 //
@@ -37,7 +38,8 @@
 //
 // A built cache drops every plan that can never be the unique cheapest
 // because another plan is never dearer under any configuration, which
-// changes no cost, and Cost returns the first cheapest plan in cache order.
+// changes no cost, and Cost returns the ordinal of the first cheapest plan
+// in cache order.
 package pinum
 
 import (

@@ -328,7 +328,7 @@ func TestFacadeMatchesReference(t *testing.T) {
 }
 
 // compactReference is inum.Cache.Compact's definition checked naively, over
-// every ordered pair of entries and their CachedPlan.Leaf requirements, with
+// every ordered pair of entries and their Cache.Leaf requirements, with
 // no shipped compaction code: entry b is dropped when another entry a
 // dominates it — a's internal cost and every coefficient ≤ b's, and on every
 // relation a's leaf identity is b's, or a's is AccessAny where b's is
@@ -337,10 +337,11 @@ func TestFacadeMatchesReference(t *testing.T) {
 // It is the twin of internal/plancache's, which the equivalence suites use.
 func compactReference(t testing.TB, c *PlanCache) *PlanCache {
 	t.Helper()
+	n := len(c.Q.Rels)
 	leaves := make([][]optimizer.LeafReq, len(c.Plans))
-	for i, cp := range c.Plans {
-		for rel := 0; rel < cp.NumRels(); rel++ {
-			leaves[i] = append(leaves[i], cp.Leaf(rel))
+	for i := range c.Plans {
+		for rel := 0; rel < n; rel++ {
+			leaves[i] = append(leaves[i], c.Leaf(i, rel))
 		}
 	}
 	dominates := func(a, b int) bool {
@@ -357,6 +358,7 @@ func compactReference(t testing.TB, c *PlanCache) *PlanCache {
 		return true
 	}
 	out := inum.NewCache(c.A)
+	_, packed, coefs := c.Rows()
 	for j, b := range c.Plans {
 		dropped := false
 		for i := range c.Plans {
@@ -366,8 +368,7 @@ func compactReference(t testing.TB, c *PlanCache) *PlanCache {
 			}
 		}
 		if !dropped {
-			pk, coefs := b.PackedLeaves()
-			if _, err := out.AddSlim(b.Internal, pk, coefs); err != nil {
+			if err := out.AddSlim(b.Internal, packed[j*n:(j+1)*n], coefs[j*n:(j+1)*n]); err != nil {
 				t.Fatal(err)
 			}
 		}
