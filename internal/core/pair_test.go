@@ -149,7 +149,7 @@ func assertSameCache(t *testing.T, label string, got, want *inum.Cache) {
 		gp := got.Plans[i]
 		gpk, gc := gpks[i*n:(i+1)*n], gcs[i*n:(i+1)*n]
 		wpk, wc := wpks[i*n:(i+1)*n], wcs[i*n:(i+1)*n]
-		same := math.Float64bits(gp.Internal) == math.Float64bits(wp.Internal) && gp.NLJ == wp.NLJ && slices.Equal(gpk, wpk) &&
+		same := math.Float64bits(gp) == math.Float64bits(wp) && slices.Equal(gpk, wpk) &&
 			slices.EqualFunc(gc, wc, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 		if !same {
 			t.Fatalf("%s: plan %d is %+v %v %v paired, %+v %v %v serial", label, i, gp, gpk, gc, wp, wpk, wc)

@@ -16,7 +16,7 @@
 //
 // Inside a query the engine re-prices only what moved. Slots only fall
 // (the fold is a strict-< min), and every coefficient is non-negative —
-// the planner emits them so, and inum.Cache.AddSlim, which the snapshot
+// the planner emits them so, and inum.FromRows, which the snapshot
 // decoder feeds, refuses anything else — so an entry's cost, an in-order
 // sum of products of non-negative operands, never rises when a slot it
 // reads falls and keeps every bit when none does. A candidate that lowers
@@ -279,7 +279,7 @@ func (e *Engine) QueryCosts() []float64 {
 // slots ix does not lower keeps its stored cost). Folding no other entry
 // is exact because slots only fall and coefficients are non-negative —
 // the monotonicity argument of the package comment, which on a decoded
-// cache rests on AddSlim's refusal of negative or non-finite operands.
+// cache rests on FromRows' refusal of negative or non-finite operands.
 // The final weighted sum
 // still visits queries in registration order, so the result is
 // bit-identical to re-pricing the whole workload from scratch under the

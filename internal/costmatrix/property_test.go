@@ -130,8 +130,8 @@ func randomSubsets(rng *rand.Rand, from []*query.Config, n int) []*query.Config 
 // nothing with the slot table but the optimizer's per-index cost formulas.
 func referenceCost(c *inum.Cache, cfg *query.Config) (float64, int) {
 	best, bestIdx := math.Inf(1), -1
-	for i, cp := range c.Plans {
-		cost, ok := cp.Internal, true
+	for i, internal := range c.Plans {
+		cost, ok := internal, true
 		for rel := range c.Q.Rels {
 			req := c.Leaf(i, rel)
 			ac, applicable := c.A.AccessCost(rel, req, cfg)
@@ -152,10 +152,11 @@ func referenceCost(c *inum.Cache, cfg *query.Config) (float64, int) {
 // all, so that sparse configurations leave it with no applicable plan.
 func orderedOnly(t *testing.T, c *inum.Cache) *inum.Cache {
 	t.Helper()
-	out := inum.NewCache(c.A)
 	n := len(c.Q.Rels)
 	_, packed, coefRows := c.Rows()
-	for i, cp := range c.Plans {
+	var keptInternal, keptCoefs []float64
+	var keptPacked []uint16
+	for i, internal := range c.Plans {
 		pks, coefs := packed[i*n:(i+1)*n], coefRows[i*n:(i+1)*n]
 		needsIndex := false
 		for _, pk := range pks {
@@ -164,10 +165,13 @@ func orderedOnly(t *testing.T, c *inum.Cache) *inum.Cache {
 			}
 		}
 		if needsIndex {
-			if err := out.AddSlim(cp.Internal, pks, coefs); err != nil {
-				t.Fatal(err)
-			}
+			keptInternal = append(keptInternal, internal)
+			keptPacked, keptCoefs = append(keptPacked, pks...), append(keptCoefs, coefs...)
 		}
+	}
+	out, err := inum.FromRows(c.A, keptInternal, keptPacked, keptCoefs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
 }

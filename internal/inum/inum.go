@@ -20,7 +20,8 @@
 // can apply to it; the fold order that changes is immaterial, since a slot
 // is a minimum and costs are positive. A caller pricing many queries under
 // one configuration groups it once (CostByTable). A cache holds no memo
-// and no lock: once built it is never written.
+// and no lock: once built it is never written, which is what lets a cache
+// bound from snapshot rows (FromRows) keep the caller's arrays as its own.
 //
 // Package core builds the same cache with just one optimizer call per
 // nested-loop mode (the paper's contribution); this package provides the
@@ -41,31 +42,12 @@ import (
 	"sort"
 	"strings"
 	"time"
-	"unsafe"
 
 	"github.com/pinumdb/pinum/internal/catalog"
 	"github.com/pinumdb/pinum/internal/optimizer"
 	"github.com/pinumdb/pinum/internal/query"
 	"github.com/pinumdb/pinum/internal/whatif"
 )
-
-// CachedPlan is one entry of the plan cache: an internal plan's cost and
-// whether it joins by nested loop. Its leaf access requirements — the rest
-// of the plan's INUM decomposition — live in the owning cache's leaf arenas
-// at the entry's ordinal (the two-byte index of the leaf's slot in the
-// query's leaf-slot table plus the float64 coefficient per relation), so an
-// entry holds no pointer; Cache.Leaf reconstructs one requirement without
-// allocating.
-type CachedPlan struct {
-	// Internal is the access-method-independent cost (joins, sorts,
-	// aggregation).
-	Internal float64
-
-	// NLJ marks plans containing nested-loop joins; INUM tracks them
-	// separately because their cost is only piecewise linear in access
-	// costs.
-	NLJ bool
-}
 
 // BuildStats records what cache construction cost.
 type BuildStats struct {
@@ -102,8 +84,8 @@ type BuildStats struct {
 type MemStats struct {
 	// Entries is the number of cached plans.
 	Entries int
-	// EntryBytes approximates the cache's entries: the CachedPlan values
-	// and the leaf arenas.
+	// EntryBytes approximates the cache's entries: the internal costs and
+	// the leaf arenas.
 	EntryBytes int64
 }
 
@@ -114,15 +96,22 @@ func (m MemStats) String() string {
 
 // Cache is an INUM plan cache for one query. Cost and BestPlan only read
 // it, so any number of goroutines may price configurations at once;
-// construction (AddPath, AddSummary, AddSlim, Compact) is single-threaded.
+// construction (AddPath, AddSummary, Compact) is single-threaded.
 // A cache holds its plans' INUM decompositions and no construction state.
 // A PINUM build adds every plan the planner exported and drops duplicates
 // with the dominated entries (Compact); the constructions that feed Path
 // trees deduplicate before they add (PathSet).
 type Cache struct {
-	Q     *query.Query
-	A     *optimizer.Analysis
-	Plans []CachedPlan
+	Q *query.Query
+	A *optimizer.Analysis
+	// Plans holds one entry per cached plan, in cache order: its internal
+	// cost, the access-method-independent part (joins, sorts,
+	// aggregation). The rest of the plan's INUM decomposition, its leaf
+	// requirements, lives in the leaf arenas at the entry's ordinal, so an
+	// entry is 8 bytes and Cache.Leaf reconstructs one requirement without
+	// allocating. A leaf in AccessLookup mode is a nested-loop probe; an
+	// entry carries no other flag.
+	Plans []float64
 	Stats BuildStats
 
 	// Leaf arenas: entry idx's requirement on relation rel lives at index
@@ -145,44 +134,61 @@ func NewCache(a *optimizer.Analysis) *Cache {
 // FromRows builds a cache over the analysed query from entries in the
 // snapshot codec's form (Rows): per entry, its internal cost, and per entry
 // and relation, entry-major, its packed leaf (optimizer.PackLeaf) and
-// coefficient. The arenas are sized once and every entry passes through
-// AddSlim, so foreign rows are validated as one; entry order, internal-cost
-// bits and leaf requirements are kept exactly, and Cost answers match the
-// cache the rows came from bit for bit.
+// coefficient. It is the one validator of entries from outside a build
+// (the snapshot may be foreign bytes): the query must have an entry, the
+// lengths must agree, every internal cost and coefficient must be finite
+// and non-negative, as pricing and Compact assume, and every packed leaf
+// must name an identity of the analysis's interning
+// (Analysis.CheckPackedLeaf). The cache keeps internal and coefs as its
+// arenas, neither copied nor written (a later append reallocates); only the
+// leaf-slot arena is new. Entry order, internal-cost bits and leaf
+// requirements are kept exactly, and Cost answers match the cache the rows
+// came from bit for bit.
 func FromRows(a *optimizer.Analysis, internal []float64, packed []uint16, coefs []float64) (*Cache, error) {
 	n, r := len(internal), len(a.Q.Rels)
+	if n == 0 {
+		return nil, fmt.Errorf("inum: query %s has no entries", a.Q.Name)
+	}
 	if len(packed) != n*r || len(coefs) != n*r {
 		return nil, fmt.Errorf("inum: %d entries with %d packed leaves and %d coefficients for %d relations",
 			n, len(packed), len(coefs), r)
 	}
-	c := NewCache(a)
-	c.Plans = make([]CachedPlan, 0, n)
-	c.leafSlot, c.leafCoef = make([]uint16, 0, n*r), make([]float64, 0, n*r)
+	slots := make([]uint16, n*r)
 	for i, cost := range internal {
-		if err := c.AddSlim(cost, packed[i*r:(i+1)*r], coefs[i*r:(i+1)*r]); err != nil {
-			return nil, err
+		if !(cost >= 0 && cost <= math.MaxFloat64) {
+			return nil, fmt.Errorf("inum: query %s entry %d: internal cost %v is not finite and non-negative",
+				a.Q.Name, i, cost)
+		}
+		for rel := 0; rel < r; rel++ {
+			k := i*r + rel
+			if !(coefs[k] >= 0 && coefs[k] <= math.MaxFloat64) {
+				return nil, fmt.Errorf("inum: query %s entry %d: coefficient %v of relation %d is not finite and non-negative",
+					a.Q.Name, i, coefs[k], rel)
+			}
+			if err := a.CheckPackedLeaf(rel, packed[k]); err != nil {
+				return nil, err
+			}
+			slots[k] = uint16(a.LeafSlot(rel, packed[k]))
 		}
 	}
+	c := &Cache{Q: a.Q, A: a, Plans: internal[:n:n], leafSlot: slots, leafCoef: coefs[: n*r : n*r]}
+	c.Stats.PlansSeen, c.Stats.PlansCached = n, n
 	c.Stats.Mem = c.MemStats()
 	return c, nil
 }
 
 // Rows returns the cache's entries in the snapshot codec's form, entry-major
-// in cache order: the internal costs, the packed leaves (optimizer.PackLeaf,
-// recovered from the arena's slot indexes) and a view of the coefficients,
-// one leaf and one coefficient per relation per entry. FromRows inverts it.
-// Callers must not mutate the view.
+// in cache order: a view of the internal costs, the packed leaves
+// (optimizer.PackLeaf, recovered from the arena's slot indexes) and a view
+// of the coefficients, one leaf and one coefficient per relation per entry.
+// FromRows inverts it. Callers must not mutate the views.
 func (c *Cache) Rows() (internal []float64, packed []uint16, coefs []float64) {
 	r := len(c.Q.Rels)
-	internal = make([]float64, len(c.Plans))
-	for i, cp := range c.Plans {
-		internal[i] = cp.Internal
-	}
 	packed = make([]uint16, len(c.leafSlot))
 	for k, s := range c.leafSlot {
 		packed[k] = c.A.LeafOfSlot(k%r, int(s))
 	}
-	return internal, packed, c.leafCoef[:len(c.leafCoef):len(c.leafCoef)]
+	return c.Plans[:len(c.Plans):len(c.Plans)], packed, c.leafCoef[:len(c.leafCoef):len(c.leafCoef)]
 }
 
 // Leaf reconstructs entry i's requirement on one relation from the arenas.
@@ -214,7 +220,7 @@ func (c *Cache) Combo(i int) query.OrderCombo {
 // AddSummary it counts the plan cached, and its caller the plans it saw.
 func (c *Cache) AddPath(p *optimizer.Path) {
 	s := optimizer.Summarize(p, len(c.Q.Rels))
-	c.Plans = append(c.Plans, CachedPlan{Internal: s.Internal, NLJ: s.NLJ})
+	c.Plans = append(c.Plans, s.Internal)
 	for rel, req := range s.Leaves {
 		pk, err := c.A.PackLeaf(rel, req)
 		if err != nil {
@@ -261,57 +267,15 @@ func (s *PathSet) Add(p *optimizer.Path) bool {
 
 // AddSummary appends one entry from a plan summary the planner exported
 // (optimizer.Workspace.Export), already in the arenas' form: it copies the
-// internal cost, the NLJ flag and the leaf-slot and coefficient rows, and
+// internal cost and the leaf-slot and coefficient rows, and
 // keeps nothing of the summary. It does not deduplicate; Compact drops a
 // later duplicate. Its caller counts the plans it saw (BuildStats.PlansSeen)
 // from the planner.
 func (c *Cache) AddSummary(s *optimizer.Summary) {
-	c.Plans = append(c.Plans, CachedPlan{Internal: s.Internal, NLJ: s.NLJ})
+	c.Plans = append(c.Plans, s.Internal)
 	c.leafSlot = append(c.leafSlot, s.Slots...)
 	c.leafCoef = append(c.leafCoef, s.Coefs...)
 	c.Stats.PlansCached++
-}
-
-// AddSlim appends one entry from its stored packed decomposition — the
-// path of FromRows, which re-adds a cache's entries as its construction
-// left them. Each packed leaf is validated
-// against the analysis's interning (the snapshot may be foreign bytes); the
-// NLJ flag is re-derived from the packed modes exactly as Summarize derives
-// it from a complete plan's requirements. The internal cost and every
-// coefficient must be finite and non-negative, as pricing and Compact
-// assume.
-func (c *Cache) AddSlim(internal float64, packed []uint16, coefs []float64) error {
-	if len(packed) != len(c.Q.Rels) || len(coefs) != len(c.Q.Rels) {
-		return fmt.Errorf("inum: entry with %d packed leaves and %d coefficients for %d relations",
-			len(packed), len(coefs), len(c.Q.Rels))
-	}
-	if !(internal >= 0 && internal <= math.MaxFloat64) {
-		return fmt.Errorf("inum: query %s entry %d: internal cost %v is not finite and non-negative",
-			c.Q.Name, len(c.Plans), internal)
-	}
-	for rel, k := range coefs {
-		if !(k >= 0 && k <= math.MaxFloat64) {
-			return fmt.Errorf("inum: query %s entry %d: coefficient %v of relation %d is not finite and non-negative",
-				c.Q.Name, len(c.Plans), k, rel)
-		}
-	}
-	nlj := false
-	for rel, pk := range packed {
-		if err := c.A.CheckPackedLeaf(rel, pk); err != nil {
-			return err
-		}
-		if optimizer.PackedNLJ(pk) {
-			nlj = true
-		}
-	}
-	c.Plans = append(c.Plans, CachedPlan{Internal: internal, NLJ: nlj})
-	for rel, pk := range packed {
-		c.leafSlot = append(c.leafSlot, uint16(c.A.LeafSlot(rel, pk)))
-	}
-	c.leafCoef = append(c.leafCoef, coefs...)
-	c.Stats.PlansSeen++
-	c.Stats.PlansCached++
-	return nil
 }
 
 // Compact drops every entry that another entry of the cache dominates, and
@@ -329,7 +293,7 @@ func (c *Cache) AddSlim(internal float64, packed []uint16, coefs []float64) erro
 // non-negative operands are monotone in each of them, so a dominating
 // entry is applicable wherever its victim is and never dearer. Only the
 // returned plan can change, and only on an exact tie. Lookup leaves must
-// match exactly, so the NLJ flag follows.
+// match exactly.
 //
 // A dominator shares its victim's row with every AccessOrdered leaf
 // projected to its relation's AccessAny slot, and its ordered relations
@@ -366,13 +330,13 @@ func (c *Cache) Compact() {
 		}
 	}
 
-	plans := make([]CachedPlan, 0, kept)
+	plans := make([]float64, 0, kept)
 	slots, coefs := make([]uint16, 0, kept*r), make([]float64, 0, kept*r)
-	for i, cp := range c.Plans {
+	for i, internal := range c.Plans {
 		if !keep[i] {
 			continue
 		}
-		plans = append(plans, cp)
+		plans = append(plans, internal)
 		slots = append(slots, c.leafSlot[i*r:i*r+r]...)
 		coefs = append(coefs, c.leafCoef[i*r:i*r+r]...)
 	}
@@ -408,7 +372,7 @@ func (c *Cache) compactOrder() []compactKey {
 	all := rows.String()
 	bucketOf := make(map[string]int32, n)
 	keys := make([]compactKey, n)
-	for i, cp := range c.Plans {
+	for i, internal := range c.Plans {
 		var ordered uint64
 		for rel, s := range c.leafSlot[i*r : i*r+r] {
 			if proj[s] != s {
@@ -421,7 +385,7 @@ func (c *Cache) compactOrder() []compactKey {
 			b = int32(len(bucketOf))
 			bucketOf[row] = b
 		}
-		keys[i] = compactKey{ordered, cp.Internal, b, int32(i)}
+		keys[i] = compactKey{ordered, internal, b, int32(i)}
 	}
 	slices.SortFunc(keys, func(x, y compactKey) int {
 		if x.bucket != y.bucket {
@@ -503,13 +467,12 @@ func (c *Cache) dominated(b compactKey, bucket []compactKey, runs []int) bool {
 	return false
 }
 
-// MemStats reports the cache's retained memory: the entry values and the
+// MemStats reports the cache's retained memory: the internal costs and the
 // leaf arenas.
 func (c *Cache) MemStats() MemStats {
 	return MemStats{
-		Entries: len(c.Plans),
-		EntryBytes: int64(len(c.Plans))*int64(unsafe.Sizeof(CachedPlan{})) +
-			int64(cap(c.leafSlot))*2 + int64(cap(c.leafCoef))*8,
+		Entries:    len(c.Plans),
+		EntryBytes: int64(len(c.Plans))*8 + int64(cap(c.leafSlot))*2 + int64(cap(c.leafCoef))*8,
 	}
 }
 
@@ -564,9 +527,9 @@ func (c *Cache) cost(slots []float64, cfg *query.Config) (float64, int, error) {
 func (c *Cache) BestPlan(slots []float64) (float64, int) {
 	best, bestIdx := math.Inf(1), -1
 	n := len(c.Q.Rels)
-	for i, cp := range c.Plans {
+	for i, internal := range c.Plans {
 		lo := i * n
-		cost, ok := optimizer.FoldLeafRow(cp.Internal, c.leafSlot[lo:lo+n], c.leafCoef[lo:lo+n], slots)
+		cost, ok := optimizer.FoldLeafRow(internal, c.leafSlot[lo:lo+n], c.leafCoef[lo:lo+n], slots)
 		if ok && cost < best {
 			best, bestIdx = cost, i
 		}
@@ -582,7 +545,7 @@ func (c *Cache) BestPlan(slots []float64) (float64, int) {
 func (c *Cache) PlanCost(i int, slots []float64) (float64, bool) {
 	n := len(c.Q.Rels)
 	lo := i * n
-	return optimizer.FoldLeafRow(c.Plans[i].Internal, c.leafSlot[lo:lo+n], c.leafCoef[lo:lo+n], slots)
+	return optimizer.FoldLeafRow(c.Plans[i], c.leafSlot[lo:lo+n], c.leafCoef[lo:lo+n], slots)
 }
 
 // PlanSlots returns a view of entry i's leaf row: per relation, the index

@@ -179,8 +179,8 @@ func TestPathSetDeduplicates(t *testing.T) {
 
 // TestAddPathLeavesMatchSummary holds AddPath's row to the tree it came
 // from: every entry's Leaf, reconstructed from the arena's slot, is the
-// requirement optimizer.Summarize gives the path, and its internal cost and
-// NLJ flag are the summary's — over both construction calls' exports of
+// requirement optimizer.Summarize gives the path, and its internal cost is
+// the summary's — over both construction calls' exports of
 // every star query and a self-join.
 func TestAddPathLeavesMatchSummary(t *testing.T) {
 	check := func(s *workload.Star, a *optimizer.Analysis) {
@@ -197,9 +197,9 @@ func TestAddPathLeavesMatchSummary(t *testing.T) {
 			c := NewCache(a)
 			for i, p := range res.Exported {
 				c.AddPath(p)
-				cp, want := c.Plans[i], optimizer.Summarize(p, len(a.Rels))
-				if math.Float64bits(cp.Internal) != math.Float64bits(want.Internal) || cp.NLJ != want.NLJ {
-					t.Fatalf("%s plan %d: internal %v nlj %v, the path summarises to %v nlj %v", a.Q.Name, i, cp.Internal, cp.NLJ, want.Internal, want.NLJ)
+				got, want := c.Plans[i], optimizer.Summarize(p, len(a.Rels))
+				if math.Float64bits(got) != math.Float64bits(want.Internal) {
+					t.Fatalf("%s plan %d: internal %v, the path summarises to %v", a.Q.Name, i, got, want.Internal)
 				}
 				for rel := range want.Leaves {
 					if got := c.Leaf(i, rel); got != want.Leaves[rel] {
@@ -216,15 +216,6 @@ func TestAddPathLeavesMatchSummary(t *testing.T) {
 		check(setup(t, qi))
 	}
 	check(selfJoin(t))
-}
-
-// TestCachedPlanSize pins an entry to its INUM decomposition: the internal
-// cost and the NLJ flag, 16 bytes and no pointer (the leaves are in the
-// cache's arenas at the entry's ordinal).
-func TestCachedPlanSize(t *testing.T) {
-	if got := unsafe.Sizeof(CachedPlan{}); got != 16 {
-		t.Errorf("CachedPlan is %d bytes, want 16", got)
-	}
 }
 
 func TestAllOrdersConfigCoversEverything(t *testing.T) {
@@ -657,7 +648,7 @@ func TestPackedEntryBytesHalved(t *testing.T) {
 		}
 		got := c.MemStats().EntryBytes
 		// What the pre-packing MemStats accounting charged for the same
-		// entries: an 88-byte CachedPlan (combo + leaves slice headers,
+		// entries: an 88-byte plan struct (combo + leaves slice headers,
 		// internal, NLJ, sig header, path pointer) plus a LeafReq and a
 		// combo string header per relation (slim entries carry no Sig).
 		perRel := int64(unsafe.Sizeof(optimizer.LeafReq{})) + 16
@@ -719,13 +710,18 @@ func TestCompactRules(t *testing.T) {
 		{12, row(optimizer.AccessLookup), coefs(1, 1), false}, // entry 2 is the same lookup, cheaper
 		{10, row(optimizer.AccessAny), coefs(1, 2), false},
 	}
-	raw, c := NewCache(a), NewCache(a)
+	var internal, coefRows []float64
+	var packed []uint16
 	for _, e := range entries {
-		for _, into := range []*Cache{raw, c} {
-			if err := into.AddSlim(e.internal, e.packed, e.coefs); err != nil {
-				t.Fatal(err)
-			}
-		}
+		internal, packed, coefRows = append(internal, e.internal), append(packed, e.packed...), append(coefRows, e.coefs...)
+	}
+	raw, err := FromRows(a, internal, packed, coefRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := FromRows(a, internal, packed, coefRows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	c.Compact()
 	var want []int
@@ -740,11 +736,11 @@ func TestCompactRules(t *testing.T) {
 	_, pks, css := c.Rows()
 	for j, i := range want {
 		pk, cs := pks[j*n:(j+1)*n], css[j*n:(j+1)*n]
-		if c.Plans[j].Internal != entries[i].internal || !slices.Equal(pk, entries[i].packed) || !slices.Equal(cs, entries[i].coefs) {
-			t.Errorf("kept entry %d is %s internal=%.2f nlj=%v, want entry %d", j, c.Combo(j), c.Plans[j].Internal, c.Plans[j].NLJ, i)
+		if c.Plans[j] != entries[i].internal || !slices.Equal(pk, entries[i].packed) || !slices.Equal(cs, entries[i].coefs) {
+			t.Errorf("kept entry %d is %s internal=%.2f, want entry %d", j, c.Combo(j), c.Plans[j], i)
 		}
 	}
-	if got := c.MemStats().EntryBytes; got != int64(len(want))*int64(unsafe.Sizeof(CachedPlan{})+uintptr(10*n)) {
+	if got := c.MemStats().EntryBytes; got != int64(len(want)*(8+10*n)) {
 		t.Errorf("compacted entries take %d bytes; the arenas are not exact-size", got)
 	}
 	rng := rand.New(rand.NewSource(3))

@@ -15,8 +15,8 @@
 //     result-affecting packages unless the site is provably order-safe or
 //     carries a justified //pinum:nondeterministic-ok directive;
 //   - sealedmut: no writes to shared-immutable cache structures
-//     (inum.Cache, inum.CachedPlan, plancache.Snapshot/QueryPlans) outside
-//     their constructor packages;
+//     (inum.Cache, plancache.Snapshot/QueryPlans) outside their
+//     constructor packages;
 //   - costarith: no floating-point cost arithmetic outside the optimizer
 //     package, so the planner and the cached cost model cannot drift onto
 //     separate arithmetic through a helper reimplemented elsewhere;

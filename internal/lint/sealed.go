@@ -19,7 +19,7 @@ var protectedTypes = []struct {
 }{
 	{
 		pkg:   "internal/inum",
-		names: []string{"Cache", "CachedPlan"},
+		names: []string{"Cache"},
 		// inum constructs; core's two-call PINUM builders and
 		// plancache's snapshot reconstruction (BuildCaches) fill Stats
 		// during construction, before the cache is published.
@@ -46,8 +46,8 @@ var protectedTypes = []struct {
 var SealedMut = &Analyzer{
 	Name:     "sealedmut",
 	Suppress: DirSealedOK,
-	Doc: "flag writes to shared-immutable cache structures (inum.Cache, inum.CachedPlan, " +
-		"plancache.Snapshot/QueryPlans and their arenas) outside their constructor packages; " +
+	Doc: "flag writes to shared-immutable cache structures (inum.Cache and " +
+		"plancache.Snapshot/QueryPlans, and their arenas) outside their constructor packages; " +
 		"intentional pre-publication writes need //pinum:sealed-ok <why>",
 	Run: runSealedMut,
 }

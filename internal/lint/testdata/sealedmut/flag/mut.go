@@ -16,7 +16,7 @@ func restamp(c *inum.Cache) {
 // tweak rewrites a cached plan's internal cost in place — the seeded
 // post-publication write.
 func tweak(c *inum.Cache) {
-	c.Plans[0].Internal = 0 // want "shared immutable"
+	c.Plans[0] = 0 // want "shared immutable"
 }
 
 // rewrite zeroes a coefficient in a loaded snapshot's arena in place.

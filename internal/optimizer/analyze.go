@@ -556,7 +556,7 @@ func (a *Analysis) NumLeafSlots() int { return len(a.Rels) + 2*a.ordTotal }
 func (a *Analysis) LeafSlot(rel int, pk uint16) int {
 	ob := int(a.ordBase[rel])
 	s := rel + 2*ob + int(pk&packedLeafIDMask)
-	if PackedNLJ(pk) {
+	if packedNLJ(pk) {
 		s += int(a.ordBase[rel+1]) - ob
 	}
 	return s

@@ -269,10 +269,9 @@ func (p *planner) sortPath(child *Path, g int32) *Path {
 type PlanSummary struct {
 	// Internal is the access-method-independent cost.
 	Internal float64
-	// Leaves holds one access requirement per query relation.
+	// Leaves holds one access requirement per query relation; one in
+	// AccessLookup mode is a nested-loop probe.
 	Leaves []LeafReq
-	// NLJ marks plans containing nested-loop joins.
-	NLJ bool
 }
 
 // Summarize extracts the INUM decomposition of a complete plan over nRels
@@ -282,18 +281,8 @@ type PlanSummary struct {
 // its summaries from: TestSlimExportsMatchTrees holds the two equal.
 func Summarize(p *Path, nRels int) PlanSummary {
 	leaves := newLeaves(nRels)
-	nlj := false
-	for rel, req := range p.Leaves {
-		leaves[rel] = req
-		if req.Mode == AccessLookup {
-			nlj = true
-		}
-	}
-	return PlanSummary{
-		Internal: p.Internal,
-		Leaves:   leaves,
-		NLJ:      nlj,
-	}
+	copy(leaves, p.Leaves)
+	return PlanSummary{Internal: p.Internal, Leaves: leaves}
 }
 
 // Packed leaf requirements: the planner's interned byte form of a LeafReq,
@@ -342,31 +331,39 @@ func (a *Analysis) UnpackLeaf(rel int, pk uint16, coef float64) LeafReq {
 	return req
 }
 
-// CheckPackedLeaf validates an externally-supplied packed leaf (a decoded
-// snapshot entry) against this analysis: a known access mode, an id inside
-// the relation's interned order space, present exactly when the mode
-// requires a column.
-func (a *Analysis) CheckPackedLeaf(rel int, pk uint16) error {
+// CheckPackedForm is the structural check of one packed leaf, the one
+// reading of its bit layout outside PackLeaf and UnpackLeaf: a known access
+// mode, and an order id present exactly when the mode requires a column.
+// The snapshot codec runs it on every leaf it encodes or decodes; it needs
+// no analysis.
+func CheckPackedForm(pk uint16) error {
 	mode := AccessMode(pk >> packedLeafModeShift)
 	id := pk & packedLeafIDMask
 	if mode > AccessLookup {
-		return fmt.Errorf("optimizer: invalid access mode %d in packed leaf", mode)
+		return fmt.Errorf("invalid access mode %d in packed leaf", mode)
 	}
-	if mode == AccessAny {
-		if id != 0 {
-			return fmt.Errorf("optimizer: AccessAny packed leaf carries order id %d", id)
-		}
-		return nil
+	if (mode == AccessAny) != (id == 0) {
+		return fmt.Errorf("packed leaf %#04x: mode %v with order id %d", pk, mode, id)
 	}
-	if id == 0 || int(id) > len(a.Rels[rel].Interesting) {
+	return nil
+}
+
+// CheckPackedLeaf validates an externally-supplied packed leaf (a decoded
+// snapshot entry) against this analysis: its form (CheckPackedForm), and an
+// id inside the relation's interned order space.
+func (a *Analysis) CheckPackedLeaf(rel int, pk uint16) error {
+	if err := CheckPackedForm(pk); err != nil {
+		return fmt.Errorf("optimizer: %w", err)
+	}
+	if id := pk & packedLeafIDMask; int(id) > len(a.Rels[rel].Interesting) {
 		return fmt.Errorf("optimizer: packed leaf order id %d outside relation %d's %d interned orders",
 			id, rel, len(a.Rels[rel].Interesting))
 	}
 	return nil
 }
 
-// PackedNLJ reports whether a packed leaf encodes a nested-loop lookup.
-func PackedNLJ(pk uint16) bool {
+// packedNLJ reports whether a packed leaf encodes a nested-loop lookup.
+func packedNLJ(pk uint16) bool {
 	return AccessMode(pk>>packedLeafModeShift) == AccessLookup
 }
 

@@ -17,10 +17,10 @@ import (
 // the Path trees of the exported plans, built from the same records, go
 // through AddPath (Summarize, PackLeaf) and the summaries through
 // AddSummary, neither deduplicated; the two caches must agree entry for
-// entry, in order: internal cost bits, leaf slots, coefficient bits and the
-// NLJ flag. Inputs: every design shape, star Q10 and the 17-relation chain,
-// under core.Build's two calls and under core.BuildPrecise's (random6's
-// precise pair, ~6 s, is skipped in -short mode).
+// entry, in order: internal cost bits, leaf slots and coefficient bits.
+// Inputs: every design shape, star Q10 and the 17-relation chain, under
+// core.Build's two calls and under core.BuildPrecise's (random6's precise
+// pair, ~6 s, is skipped in -short mode).
 func TestSlimExportsMatchTrees(t *testing.T) {
 	wk := optimizer.NewWorkspace()
 	for _, in := range exportInputs(t) {
@@ -42,8 +42,8 @@ func TestSlimExportsMatchTrees(t *testing.T) {
 			_, tpks, tcs := tree.Rows()
 			for i, tp := range tree.Plans {
 				sp := slim.Plans[i]
-				if math.Float64bits(sp.Internal) != math.Float64bits(tp.Internal) || sp.NLJ != tp.NLJ {
-					t.Fatalf("%s entry %d: internal %v nlj %v, from the tree %v nlj %v", label, i, sp.Internal, sp.NLJ, tp.Internal, tp.NLJ)
+				if math.Float64bits(sp) != math.Float64bits(tp) {
+					t.Fatalf("%s entry %d: internal %v, from the tree %v", label, i, sp, tp)
 				}
 				spk, sc := spks[i*n:(i+1)*n], scs[i*n:(i+1)*n]
 				tpk, tc := tpks[i*n:(i+1)*n], tcs[i*n:(i+1)*n]

@@ -57,13 +57,12 @@ func (w *Workspace) Optimize(a *Analysis, cfg *query.Config, opt Options) (*Resu
 // Summary is one exported plan in the form a plan cache stores it
 // (inum.Cache.AddSummary): the internal cost, per query relation the index
 // of the leaf's identity in the leaf-slot table (Analysis.LeafSlot) and its
-// coefficient, and whether the plan holds a nested-loop probe. It is what
-// Summarize and PackLeaf make of the plan's tree, without the tree.
+// coefficient. It is what Summarize and PackLeaf make of the plan's tree,
+// without the tree.
 type Summary struct {
 	Internal float64
 	Slots    []uint16
 	Coefs    []float64
-	NLJ      bool
 }
 
 // Export plans a under cfg once per option set, each an ExportAll call, and
@@ -172,7 +171,7 @@ func (w *Workspace) summaries(p *planner, final joinRel, emit func(*Summary)) {
 	n := len(p.a.Rels)
 	s.Slots, s.Coefs = fit(s.Slots, n), fit(s.Coefs, n)
 	for r := final.lo; r < final.hi; r++ {
-		s.Internal, s.NLJ = p.recs.at(r).internal, false
+		s.Internal = p.recs.at(r).internal
 		for rel := range s.Slots {
 			s.Slots[rel], s.Coefs[rel] = uint16(p.a.LeafSlot(rel, 0)), 1
 		}
@@ -195,7 +194,7 @@ func (p *planner) leaves(s *Summary, r int32) {
 	case c.op == OpNestLoop:
 		p.leaves(s, c.outer)
 		rel := p.ctx.cols[c.aux].Rel
-		s.Slots[rel], s.Coefs[rel], s.NLJ = p.leafSlot(rel, AccessLookup, c.aux), p.recs.at(c.outer).rows, true
+		s.Slots[rel], s.Coefs[rel] = p.leafSlot(rel, AccessLookup, c.aux), p.recs.at(c.outer).rows
 	case c.inner >= 0:
 		p.leaves(s, c.outer)
 		p.leaves(s, c.inner)

@@ -198,7 +198,7 @@ func exportAll(w *optimizer.Workspace, a *optimizer.Analysis, cfg *query.Config,
 
 // cloneSummary copies an emitted summary out of the workspace's buffers.
 func cloneSummary(s *optimizer.Summary) optimizer.Summary {
-	return optimizer.Summary{Internal: s.Internal, Slots: slices.Clone(s.Slots), Coefs: slices.Clone(s.Coefs), NLJ: s.NLJ}
+	return optimizer.Summary{Internal: s.Internal, Slots: slices.Clone(s.Slots), Coefs: slices.Clone(s.Coefs)}
 }
 
 // goRunner is an optimizer.Runner that runs every call on a goroutine of

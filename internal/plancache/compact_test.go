@@ -34,7 +34,7 @@ func compactReference(t testing.TB, c *inum.Cache) *inum.Cache {
 		}
 	}
 	dominates := func(a, b int) bool {
-		if c.Plans[a].Internal > c.Plans[b].Internal {
+		if c.Plans[a] > c.Plans[b] {
 			return false
 		}
 		for rel, la := range leaves[a] {
@@ -46,8 +46,9 @@ func compactReference(t testing.TB, c *inum.Cache) *inum.Cache {
 		}
 		return true
 	}
-	out := inum.NewCache(c.A)
 	_, packed, coefs := c.Rows()
+	var keptInternal, keptCoefs []float64
+	var keptPacked []uint16
 	for j, b := range c.Plans {
 		dropped := false
 		for i := range c.Plans {
@@ -57,17 +58,21 @@ func compactReference(t testing.TB, c *inum.Cache) *inum.Cache {
 			}
 		}
 		if !dropped {
-			if err := out.AddSlim(b.Internal, packed[j*n:(j+1)*n], coefs[j*n:(j+1)*n]); err != nil {
-				t.Fatal(err)
-			}
+			keptInternal = append(keptInternal, b)
+			keptPacked = append(keptPacked, packed[j*n:(j+1)*n]...)
+			keptCoefs = append(keptCoefs, coefs[j*n:(j+1)*n]...)
 		}
+	}
+	out, err := inum.FromRows(c.A, keptInternal, keptPacked, keptCoefs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
 
 // TestCompactMatchesReferenceOnTies holds Compact's grouping to
 // compactReference on seeded synthetic caches over real analyses (every
-// workload.Shapes topology), built through AddSlim with the tie structures
+// workload.Shapes topology), built through FromRows with the tie structures
 // no planner export is guaranteed to produce: many entries per projected
 // row (each relation's leaf is drawn as AccessAny or an AccessOrdered
 // identity over a few base rows, nested-loop lookups included), mixed
@@ -107,46 +112,45 @@ func TestCompactMatchesReferenceOnTies(t *testing.T) {
 				}
 			}
 		}
-		c, in := inum.NewCache(a), inum.NewCache(a)
-		var internals []float64
-		var rows [][]uint16
-		var coefRows [][]float64
-		for n := 40 + rng.Intn(160); len(rows) < n; {
-			if len(rows) > 0 && rng.Intn(8) == 0 {
-				j := rng.Intn(len(rows))
-				internals, rows, coefRows = append(internals, internals[j]), append(rows, rows[j]), append(coefRows, coefRows[j])
+		var internals, coefs []float64
+		var packed []uint16
+		for n := 40 + rng.Intn(160); len(internals) < n; {
+			if len(internals) > 0 && rng.Intn(8) == 0 {
+				j := rng.Intn(len(internals))
+				internals = append(internals, internals[j])
+				packed, coefs = append(packed, packed[j*r:(j+1)*r]...), append(coefs, coefs[j*r:(j+1)*r]...)
 				continue
 			}
 			base := bases[rng.Intn(len(bases))]
-			row, coefs := make([]uint16, r), make([]float64, r)
 			for rel, col := range base {
 				cols := a.Rels[rel].Interesting
 				switch {
 				case col != "":
-					row[rel] = pack(rel, optimizer.AccessLookup, col)
+					packed = append(packed, pack(rel, optimizer.AccessLookup, col))
 				case len(cols) > 0 && rng.Intn(2) == 0:
-					row[rel] = pack(rel, optimizer.AccessOrdered, cols[rng.Intn(len(cols))])
+					packed = append(packed, pack(rel, optimizer.AccessOrdered, cols[rng.Intn(len(cols))]))
 				default:
-					row[rel] = pack(rel, optimizer.AccessAny, "")
+					packed = append(packed, pack(rel, optimizer.AccessAny, ""))
 				}
-				coefs[rel] = float64(rng.Intn(3))
+				coefs = append(coefs, float64(rng.Intn(3)))
 			}
-			internals, rows, coefRows = append(internals, float64(100*(1+rng.Intn(3)))), append(rows, row), append(coefRows, coefs)
+			internals = append(internals, float64(100*(1+rng.Intn(3))))
 		}
-		for i, row := range rows {
-			for _, cache := range []*inum.Cache{c, in} {
-				if err := cache.AddSlim(internals[i], row, coefRows[i]); err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-			}
+		c, err := inum.FromRows(a, internals, packed, coefs)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		in, err := inum.FromRows(a, internals, packed, coefs)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		c.Compact()
 		want := compactReference(t, in)
 		if got, was := encodeToBytes(t, NewSnapshot(1, []*inum.Cache{c})), encodeToBytes(t, NewSnapshot(1, []*inum.Cache{want})); !bytes.Equal(got, was) {
 			t.Fatalf("seed %d (%s, %d relations, %d entries): Compact kept %d entries, the reference %d, or another order",
-				seed, sh, r, len(rows), len(c.Plans), len(want.Plans))
+				seed, sh, r, len(internals), len(c.Plans), len(want.Plans))
 		}
-		seen, dropped = seen+len(rows), dropped+len(rows)-len(c.Plans)
+		seen, dropped = seen+len(internals), dropped+len(internals)-len(c.Plans)
 	}
 	t.Logf("%d of %d synthetic entries dominated", dropped, seen)
 	if dropped == 0 {

@@ -98,13 +98,11 @@ func assertCacheEquivalent(t *testing.T, label string, tree, other *inum.Cache, 
 	_, tpks, _ := tree.Rows()
 	_, opks, _ := other.Rows()
 	for i := range tree.Plans {
-		tp, op := tree.Plans[i], other.Plans[i]
-		if math.Float64bits(tp.Internal) != math.Float64bits(op.Internal) {
+		if math.Float64bits(tree.Plans[i]) != math.Float64bits(other.Plans[i]) {
 			t.Fatalf("%s plan %d: internal bits differ", label, i)
 		}
-		if tp.NLJ != op.NLJ || tree.Combo(i).Key() != other.Combo(i).Key() {
-			t.Fatalf("%s plan %d: combo/NLJ differ: %v/%v vs %v/%v",
-				label, i, tree.Combo(i), tp.NLJ, other.Combo(i), op.NLJ)
+		if tree.Combo(i).Key() != other.Combo(i).Key() {
+			t.Fatalf("%s plan %d: combo differs: %v vs %v", label, i, tree.Combo(i), other.Combo(i))
 		}
 		for rel := 0; rel < n; rel++ {
 			if tree.Leaf(i, rel) != other.Leaf(i, rel) {
@@ -152,10 +150,7 @@ func assertLeavesRoundTrip(t *testing.T, label string, c *inum.Cache) {
 	}
 	_, fpks, _ := fresh.Rows()
 	n := len(c.Q.Rels)
-	for i, cp := range c.Plans {
-		if fp := fresh.Plans[i]; fp.NLJ != cp.NLJ {
-			t.Fatalf("%s plan %d: NLJ %v re-derived as %v", label, i, cp.NLJ, fp.NLJ)
-		}
+	for i := range c.Plans {
 		for rel := 0; rel < n; rel++ {
 			k := i*n + rel
 			if fpks[k] != pks[k] || fresh.Leaf(i, rel) != c.Leaf(i, rel) {

@@ -76,9 +76,9 @@ type Snapshot struct {
 // NewSnapshot assembles a snapshot from built caches (inum.Cache.Rows), in
 // the given order, under the given environment fingerprint. It is the only
 // supported way to build a Snapshot for Save/Encode: Snapshot and its
-// QueryPlans arenas are shared immutable once handed out (the coefficients
-// are a view of the caches' own), so construction stays inside this
-// package.
+// QueryPlans arenas are shared immutable once handed out (the internal
+// costs and coefficients are views of the caches' own), so construction
+// stays inside this package.
 func NewSnapshot(fingerprint uint64, caches []*inum.Cache) *Snapshot {
 	snap := &Snapshot{
 		Fingerprint: fingerprint,
@@ -277,7 +277,7 @@ func encode(s *Snapshot) ([]byte, error) {
 				qp.Name, n, len(qp.Packed), len(qp.Coefs), qp.NRels)
 		}
 		for _, pk := range qp.Packed {
-			if err := checkPackedLeaf(pk); err != nil {
+			if err := optimizer.CheckPackedForm(pk); err != nil {
 				return nil, fmt.Errorf("plancache: query %s: %w", qp.Name, err)
 			}
 		}
@@ -310,22 +310,6 @@ func encode(s *Snapshot) ([]byte, error) {
 		sum = (sum ^ uint64(b)) * fnvPrime
 	}
 	return le.AppendUint64(buf, sum), nil
-}
-
-// checkPackedLeaf is the codec's structural validation of one packed leaf:
-// a known access mode, an order id present exactly when the mode requires
-// a column. Id range against the query's interning is inum.Cache.AddSlim's
-// job (the codec alone has no analysis).
-func checkPackedLeaf(pk uint16) error {
-	mode := optimizer.AccessMode(pk >> 14)
-	id := pk & (1<<14 - 1)
-	if mode > optimizer.AccessLookup {
-		return fmt.Errorf("invalid access mode %d in packed leaf", mode)
-	}
-	if (mode == optimizer.AccessAny) != (id == 0) {
-		return fmt.Errorf("packed leaf %#04x: mode %v with order id %d", pk, mode, id)
-	}
-	return nil
 }
 
 // reader decodes the byte stream with bounds checking and the same
@@ -485,7 +469,7 @@ func decodeQuery(r *reader, qp *QueryPlans) error {
 		for rel := 0; rel < qp.NRels; rel++ {
 			leaf := e[8+10*rel:]
 			pk, k := le.Uint16(leaf), math.Float64frombits(le.Uint64(leaf[2:]))
-			if err := checkPackedLeaf(pk); err != nil {
+			if err := optimizer.CheckPackedForm(pk); err != nil {
 				return fmt.Errorf("plancache: query %s: %w", qp.Name, err)
 			}
 			if !(k >= 0 && k <= math.MaxFloat64) {

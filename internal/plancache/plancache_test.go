@@ -362,7 +362,7 @@ func TestLoadRejectsStaleFingerprint(t *testing.T) {
 // (Compact's dominance argument needs it, and a NaN cost cannot be
 // rendered). A snapshot file carrying NaN, an infinity or a negative value
 // in either place must fail to load, and the same entry handed to the
-// cache directly (inum.FromRows → Cache.AddSlim) must be refused too; both
+// cache directly (inum.FromRows) must be refused too; both
 // errors name the query and the entry.
 func TestLoadRejectsUnpriceableCosts(t *testing.T) {
 	s, snap := starSnapshot(t, 42)

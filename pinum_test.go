@@ -345,7 +345,7 @@ func compactReference(t testing.TB, c *PlanCache) *PlanCache {
 		}
 	}
 	dominates := func(a, b int) bool {
-		if c.Plans[a].Internal > c.Plans[b].Internal {
+		if c.Plans[a] > c.Plans[b] {
 			return false
 		}
 		for rel, la := range leaves[a] {
@@ -357,8 +357,9 @@ func compactReference(t testing.TB, c *PlanCache) *PlanCache {
 		}
 		return true
 	}
-	out := inum.NewCache(c.A)
 	_, packed, coefs := c.Rows()
+	var keptInternal, keptCoefs []float64
+	var keptPacked []uint16
 	for j, b := range c.Plans {
 		dropped := false
 		for i := range c.Plans {
@@ -368,10 +369,14 @@ func compactReference(t testing.TB, c *PlanCache) *PlanCache {
 			}
 		}
 		if !dropped {
-			if err := out.AddSlim(b.Internal, packed[j*n:(j+1)*n], coefs[j*n:(j+1)*n]); err != nil {
-				t.Fatal(err)
-			}
+			keptInternal = append(keptInternal, b)
+			keptPacked = append(keptPacked, packed[j*n:(j+1)*n]...)
+			keptCoefs = append(keptCoefs, coefs[j*n:(j+1)*n]...)
 		}
+	}
+	out, err := inum.FromRows(c.A, keptInternal, keptPacked, keptCoefs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
