@@ -143,16 +143,16 @@ func assertSameCache(t *testing.T, label string, got, want *inum.Cache) {
 		t.Fatalf("%s: %d plans paired, %d serial", label, len(got.Plans), len(want.Plans))
 	}
 	n := len(want.Q.Rels)
-	_, gpks, gcs := got.Rows()
-	_, wpks, wcs := want.Rows()
+	_, gsls, gcs := got.Rows()
+	_, wsls, wcs := want.Rows()
 	for i, wp := range want.Plans {
 		gp := got.Plans[i]
-		gpk, gc := gpks[i*n:(i+1)*n], gcs[i*n:(i+1)*n]
-		wpk, wc := wpks[i*n:(i+1)*n], wcs[i*n:(i+1)*n]
-		same := math.Float64bits(gp) == math.Float64bits(wp) && slices.Equal(gpk, wpk) &&
+		gsl, gc := gsls[i*n:(i+1)*n], gcs[i*n:(i+1)*n]
+		wsl, wc := wsls[i*n:(i+1)*n], wcs[i*n:(i+1)*n]
+		same := math.Float64bits(gp) == math.Float64bits(wp) && slices.Equal(gsl, wsl) &&
 			slices.EqualFunc(gc, wc, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 		if !same {
-			t.Fatalf("%s: plan %d is %+v %v %v paired, %+v %v %v serial", label, i, gp, gpk, gc, wp, wpk, wc)
+			t.Fatalf("%s: plan %d is %+v %v %v paired, %+v %v %v serial", label, i, gp, gsl, gc, wp, wsl, wc)
 		}
 	}
 	gs, ws := got.Stats, want.Stats

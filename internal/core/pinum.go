@@ -127,7 +127,7 @@ func build(a *optimizer.Analysis, ws *whatif.Session, wk *optimizer.Workspace, r
 // batch in either mode): each of the two calls plans on a fresh planner
 // through optimizer.Optimize, one after the other, and the cache is filled
 // from the Path trees they export through Path.Signature (inum.PathSet),
-// Summarize and PackLeaf (AddPath). It never calls Workspace.Export, so the
+// Summarize and LeafSlot (AddPath). It never calls Workspace.Export, so the
 // equivalence suites and the benchmark's golden answers, which hold the
 // library's caches to it bit for bit, share no construction code with what
 // they check past the planner; keep it off Export. It keeps every exported

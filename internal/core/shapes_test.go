@@ -80,7 +80,7 @@ func BenchmarkCompactShapes(b *testing.B) {
 		label    string
 		ref      *inum.Cache
 		internal []float64
-		packed   []uint16
+		slots    []uint16
 		coefs    []float64
 		elapsed  time.Duration
 		kept     *inum.Cache
@@ -101,7 +101,7 @@ func BenchmarkCompactShapes(b *testing.B) {
 			b.Fatal(err)
 		}
 		sh := &shape{label: s.label, ref: ref}
-		sh.internal, sh.packed, sh.coefs = ref.Rows()
+		sh.internal, sh.slots, sh.coefs = ref.Rows()
 		shapes[k] = sh
 		opBytes += ref.MemStats().EntryBytes
 	}
@@ -115,7 +115,7 @@ func BenchmarkCompactShapes(b *testing.B) {
 			for len(batch) < min(perBatch, b.N-i) {
 				op := make([]*inum.Cache, len(shapes))
 				for k, sh := range shapes {
-					c, err := inum.FromRows(sh.ref.A, sh.internal, sh.packed, sh.coefs)
+					c, err := inum.FromRows(sh.ref.A, sh.internal, sh.slots, sh.coefs)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -153,13 +153,8 @@ func New(queries []Query) (*Engine, error) {
 		// Queries and their relations are processed in order, so every
 		// list stays ascending without sorting.
 		for rel, r := range c.Q.Rels {
-			// A relation's block starts at its AccessAny slot (the packed
-			// identity 0), and the blocks lie in relation order.
-			hi := nslots
-			if rel+1 < len(c.Q.Rels) {
-				hi = c.A.LeafSlot(rel+1, 0)
-			}
-			rb := relBlock{rel, c.A.LeafSlot(rel, 0), hi}
+			lo, hi := c.A.LeafBlock(rel)
+			rb := relBlock{rel, lo, hi}
 			uses := e.byTable[r.Table.Name]
 			if n := len(uses); n > 0 && uses[n-1].qi == qi {
 				uses[n-1].rels = append(uses[n-1].rels, rb)

@@ -153,23 +153,23 @@ func referenceCost(c *inum.Cache, cfg *query.Config) (float64, int) {
 func orderedOnly(t *testing.T, c *inum.Cache) *inum.Cache {
 	t.Helper()
 	n := len(c.Q.Rels)
-	_, packed, coefRows := c.Rows()
+	_, slotRows, coefRows := c.Rows()
 	var keptInternal, keptCoefs []float64
-	var keptPacked []uint16
+	var keptSlots []uint16
 	for i, internal := range c.Plans {
-		pks, coefs := packed[i*n:(i+1)*n], coefRows[i*n:(i+1)*n]
+		slots, coefs := slotRows[i*n:(i+1)*n], coefRows[i*n:(i+1)*n]
 		needsIndex := false
-		for _, pk := range pks {
-			if pk != 0 {
+		for rel := range slots {
+			if c.Leaf(i, rel).Mode != optimizer.AccessAny {
 				needsIndex = true
 			}
 		}
 		if needsIndex {
 			keptInternal = append(keptInternal, internal)
-			keptPacked, keptCoefs = append(keptPacked, pks...), append(keptCoefs, coefs...)
+			keptSlots, keptCoefs = append(keptSlots, slots...), append(keptCoefs, coefs...)
 		}
 	}
-	out, err := inum.FromRows(c.A, keptInternal, keptPacked, keptCoefs)
+	out, err := inum.FromRows(c.A, keptInternal, keptSlots, keptCoefs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,12 +116,12 @@ type Cache struct {
 
 	// Leaf arenas: entry idx's requirement on relation rel lives at index
 	// idx×len(Q.Rels)+rel — the leaf's slot in A's leaf-slot table
-	// (A.LeafSlot of its packed identity, computed once at insertion; it
-	// fits two bytes because NewAnalysis admits no query past
-	// optimizer.MaxLeafSlots, and A.LeafOfSlot recovers the identity) and
-	// the float64 coefficient. Storing rows here instead of a []LeafReq per
-	// entry is what keeps entries small (~3x fewer entry bytes); MemStats
-	// measures it.
+	// (A.LeafSlot, computed once at insertion; it fits two bytes because
+	// NewAnalysis admits no query past optimizer.MaxLeafSlots, and
+	// A.LeafOfSlot recovers the requirement) and the float64 coefficient.
+	// The snapshot wire stores the same two arrays. Storing rows here
+	// instead of a []LeafReq per entry is what keeps entries small (~3x
+	// fewer entry bytes); MemStats measures it.
 	leafSlot []uint16
 	leafCoef []float64
 }
@@ -133,27 +133,26 @@ func NewCache(a *optimizer.Analysis) *Cache {
 
 // FromRows builds a cache over the analysed query from entries in the
 // snapshot codec's form (Rows): per entry, its internal cost, and per entry
-// and relation, entry-major, its packed leaf (optimizer.PackLeaf) and
-// coefficient. It is the one validator of entries from outside a build
-// (the snapshot may be foreign bytes): the query must have an entry, the
-// lengths must agree, every internal cost and coefficient must be finite
-// and non-negative, as pricing and Compact assume, and every packed leaf
-// must name an identity of the analysis's interning
-// (Analysis.CheckPackedLeaf). The cache keeps internal and coefs as its
-// arenas, neither copied nor written (a later append reallocates); only the
-// leaf-slot arena is new. Entry order, internal-cost bits and leaf
-// requirements are kept exactly, and Cost answers match the cache the rows
-// came from bit for bit.
-func FromRows(a *optimizer.Analysis, internal []float64, packed []uint16, coefs []float64) (*Cache, error) {
+// and relation, entry-major, its leaf's slot in the query's leaf-slot table
+// (Analysis.LeafSlot) and its coefficient. It is the one validator of
+// entries from outside a build (the snapshot may be foreign bytes): the
+// query must have an entry, the lengths must agree, every internal cost and
+// coefficient must be finite and non-negative, as pricing and Compact
+// assume, and every slot must lie in its relation's block
+// (Analysis.LeafBlock), where each index is an identity of the relation.
+// The cache keeps all three arrays as its arenas, neither copied nor
+// written (a later append reallocates). Entry order, internal-cost bits and
+// leaf requirements are kept exactly, and Cost answers match the cache the
+// rows came from bit for bit.
+func FromRows(a *optimizer.Analysis, internal []float64, slots []uint16, coefs []float64) (*Cache, error) {
 	n, r := len(internal), len(a.Q.Rels)
 	if n == 0 {
 		return nil, fmt.Errorf("inum: query %s has no entries", a.Q.Name)
 	}
-	if len(packed) != n*r || len(coefs) != n*r {
-		return nil, fmt.Errorf("inum: %d entries with %d packed leaves and %d coefficients for %d relations",
-			n, len(packed), len(coefs), r)
+	if len(slots) != n*r || len(coefs) != n*r {
+		return nil, fmt.Errorf("inum: %d entries with %d leaf slots and %d coefficients for %d relations",
+			n, len(slots), len(coefs), r)
 	}
-	slots := make([]uint16, n*r)
 	for i, cost := range internal {
 		if !(cost >= 0 && cost <= math.MaxFloat64) {
 			return nil, fmt.Errorf("inum: query %s entry %d: internal cost %v is not finite and non-negative",
@@ -165,30 +164,24 @@ func FromRows(a *optimizer.Analysis, internal []float64, packed []uint16, coefs 
 				return nil, fmt.Errorf("inum: query %s entry %d: coefficient %v of relation %d is not finite and non-negative",
 					a.Q.Name, i, coefs[k], rel)
 			}
-			if err := a.CheckPackedLeaf(rel, packed[k]); err != nil {
-				return nil, err
+			if lo, hi := a.LeafBlock(rel); int(slots[k]) < lo || int(slots[k]) >= hi {
+				return nil, fmt.Errorf("inum: query %s entry %d: leaf slot %d of relation %d is outside its block [%d, %d)",
+					a.Q.Name, i, slots[k], rel, lo, hi)
 			}
-			slots[k] = uint16(a.LeafSlot(rel, packed[k]))
 		}
 	}
-	c := &Cache{Q: a.Q, A: a, Plans: internal[:n:n], leafSlot: slots, leafCoef: coefs[: n*r : n*r]}
+	c := &Cache{Q: a.Q, A: a, Plans: internal[:n:n], leafSlot: slots[: n*r : n*r], leafCoef: coefs[: n*r : n*r]}
 	c.Stats.PlansSeen, c.Stats.PlansCached = n, n
 	c.Stats.Mem = c.MemStats()
 	return c, nil
 }
 
-// Rows returns the cache's entries in the snapshot codec's form, entry-major
-// in cache order: a view of the internal costs, the packed leaves
-// (optimizer.PackLeaf, recovered from the arena's slot indexes) and a view
-// of the coefficients, one leaf and one coefficient per relation per entry.
+// Rows returns views of the cache's entries in the snapshot codec's form,
+// entry-major in cache order: the internal costs, the leaf slots and the
+// coefficients, one slot and one coefficient per relation per entry.
 // FromRows inverts it. Callers must not mutate the views.
-func (c *Cache) Rows() (internal []float64, packed []uint16, coefs []float64) {
-	r := len(c.Q.Rels)
-	packed = make([]uint16, len(c.leafSlot))
-	for k, s := range c.leafSlot {
-		packed[k] = c.A.LeafOfSlot(k%r, int(s))
-	}
-	return c.Plans[:len(c.Plans):len(c.Plans)], packed, c.leafCoef[:len(c.leafCoef):len(c.leafCoef)]
+func (c *Cache) Rows() (internal []float64, slots []uint16, coefs []float64) {
+	return c.Plans[:len(c.Plans):len(c.Plans)], c.leafSlot[:len(c.leafSlot):len(c.leafSlot)], c.leafCoef[:len(c.leafCoef):len(c.leafCoef)]
 }
 
 // Leaf reconstructs entry i's requirement on one relation from the arenas.
@@ -198,7 +191,7 @@ func (c *Cache) Rows() (internal []float64, packed []uint16, coefs []float64) {
 //pinum:hotpath
 func (c *Cache) Leaf(i, rel int) optimizer.LeafReq {
 	k := i*len(c.Q.Rels) + rel
-	return c.A.UnpackLeaf(rel, c.A.LeafOfSlot(rel, int(c.leafSlot[k])), c.leafCoef[k])
+	return c.A.LeafOfSlot(rel, int(c.leafSlot[k]), c.leafCoef[k])
 }
 
 // Combo derives the interesting order combination entry i requires (one
@@ -214,21 +207,22 @@ func (c *Cache) Combo(i int) query.OrderCombo {
 }
 
 // AddPath appends one entry from an optimizer path tree: its summary
-// (optimizer.Summarize) with each leaf packed (Analysis.PackLeaf) into the
-// arenas' form. The cache keeps nothing of the tree and does not
-// deduplicate; PathSet does, for the constructions that feed trees. Like
-// AddSummary it counts the plan cached, and its caller the plans it saw.
+// (optimizer.Summarize) with each leaf turned into its slot
+// (Analysis.LeafSlot), the arenas' form. The cache keeps nothing of the
+// tree and does not deduplicate; PathSet does, for the constructions that
+// feed trees. Like AddSummary it counts the plan cached, and its caller the
+// plans it saw.
 func (c *Cache) AddPath(p *optimizer.Path) {
 	s := optimizer.Summarize(p, len(c.Q.Rels))
 	c.Plans = append(c.Plans, s.Internal)
 	for rel, req := range s.Leaves {
-		pk, err := c.A.PackLeaf(rel, req)
+		slot, err := c.A.LeafSlot(rel, req)
 		if err != nil {
 			// Planner-produced requirements always intern; anything else is
 			// a programming error, not a recoverable input.
 			panic(err)
 		}
-		c.leafSlot = append(c.leafSlot, uint16(c.A.LeafSlot(rel, pk)))
+		c.leafSlot = append(c.leafSlot, uint16(slot))
 		c.leafCoef = append(c.leafCoef, req.Coef)
 	}
 	c.Stats.PlansCached++
@@ -416,18 +410,13 @@ func (c *Cache) compactOrder() []compactKey {
 // AccessAny slot.
 func (c *Cache) slotProjection() []uint16 {
 	proj := make([]uint16, c.A.NumLeafSlots())
-	for s := range proj {
-		proj[s] = uint16(s)
-	}
 	for rel := range c.Q.Rels {
-		anyPk, _ := c.A.PackLeaf(rel, optimizer.LeafReq{Mode: optimizer.AccessAny})
-		anySlot := uint16(c.A.LeafSlot(rel, anyPk))
-		for _, col := range c.A.Rels[rel].Interesting {
-			pk, err := c.A.PackLeaf(rel, optimizer.LeafReq{Mode: optimizer.AccessOrdered, Col: col})
-			if err != nil {
-				panic(err) // every interesting order is interned
+		lo, hi := c.A.LeafBlock(rel)
+		for s := lo; s < hi; s++ {
+			proj[s] = uint16(s)
+			if c.A.LeafOfSlot(rel, s, 0).Mode == optimizer.AccessOrdered {
+				proj[s] = uint16(lo)
 			}
-			proj[c.A.LeafSlot(rel, pk)] = anySlot
 		}
 	}
 	return proj

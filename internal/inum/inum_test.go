@@ -552,8 +552,9 @@ func TestCollectAccessCostsNaiveCallsPerIndex(t *testing.T) {
 }
 
 // TestSlotArenaRoundTrip looks inside the arena: every stored leaf is the
-// slot LeafSlot gives its packed identity, and the boundary form (Rows)
-// fed to FromRows rebuilds both arenas exactly — star queries, and the self-join whose relations share a table.
+// slot LeafSlot gives the requirement Leaf reads back from it, and the
+// boundary form (Rows) fed to FromRows binds arenas equal to both — star
+// queries, and the self-join whose relations share a table.
 // (That Leaf is what the path was summarised to is checked, for every cache
 // the plancache equivalence suites build, by their assertLeavesRoundTrip.)
 func TestSlotArenaRoundTrip(t *testing.T) {
@@ -570,13 +571,14 @@ func TestSlotArenaRoundTrip(t *testing.T) {
 	}
 	for _, c := range caches {
 		n := len(c.Q.Rels)
-		internal, pks, coefs := c.Rows()
-		for k, pk := range pks {
-			if got := int(c.leafSlot[k]); got != c.A.LeafSlot(k%n, pk) {
-				t.Fatalf("%s plan %d rel %d: arena holds slot %d, LeafSlot(%#04x) = %d", c.Q.Name, k/n, k%n, got, pk, c.A.LeafSlot(k%n, pk))
+		internal, slots, coefs := c.Rows()
+		for k, s := range slots {
+			req := c.Leaf(k/n, k%n)
+			if back, err := c.A.LeafSlot(k%n, req); err != nil || back != int(s) {
+				t.Fatalf("%s plan %d rel %d: arena holds slot %d, read back as %v, LeafSlot = %d (%v)", c.Q.Name, k/n, k%n, s, req, back, err)
 			}
 		}
-		fresh, err := FromRows(c.A, internal, pks, coefs)
+		fresh, err := FromRows(c.A, internal, slots, coefs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -603,11 +605,11 @@ func TestEmptySlotTableMatchesAccessCost(t *testing.T) {
 	empty := &query.Config{}
 	slots := a.PriceLeafSlots(nil, nil)
 	sawInf := false
-	_, pks, _ := c.Rows()
+	_, leafSlots, _ := c.Rows()
 	n := len(a.Q.Rels)
 	for i := range c.Plans {
-		for rel, pk := range pks[i*n : (i+1)*n] {
-			got := slots[a.LeafSlot(rel, pk)]
+		for rel, s := range leafSlots[i*n : (i+1)*n] {
+			got := slots[s]
 			want, ok := a.AccessCost(rel, c.Leaf(i, rel), empty)
 			if !ok {
 				if !math.IsInf(got, 1) {
@@ -627,8 +629,8 @@ func TestEmptySlotTableMatchesAccessCost(t *testing.T) {
 }
 
 // TestPackedEntryBytesHalved pins the packed-entry acceptance criterion:
-// storing leaf requirements in the planner's interned byte form (two
-// identity bytes + float64 coefficient per relation, in cache-level arenas)
+// storing leaf requirements as leaf-slot indexes (two bytes + float64
+// coefficient per relation, in cache-level arenas)
 // must cut a cache's MemStats.EntryBytes at least 2x against the
 // representation it replaced — a []LeafReq (mode word, string header,
 // coefficient) plus a stored OrderCombo per entry.
@@ -641,8 +643,8 @@ func TestPackedEntryBytesHalved(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		internal, packed, coefs := in.Rows()
-		c, err := FromRows(a, internal, packed, coefs)
+		internal, slots, coefs := in.Rows()
+		c, err := FromRows(a, internal, slots, coefs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -676,16 +678,22 @@ func TestCompactRules(t *testing.T) {
 		t.Fatal("no relation of Q10 has an interesting order")
 	}
 	col := a.Rels[k].Interesting[0]
-	row := func(mode optimizer.AccessMode) []uint16 {
-		packed := make([]uint16, n)
-		if mode != optimizer.AccessAny {
-			pk, err := a.PackLeaf(k, optimizer.LeafReq{Mode: mode, Col: col})
-			if err != nil {
-				t.Fatal(err)
-			}
-			packed[k] = pk
+	slot := func(rel int, req optimizer.LeafReq) uint16 {
+		s, err := a.LeafSlot(rel, req)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return packed
+		return uint16(s)
+	}
+	row := func(mode optimizer.AccessMode) []uint16 {
+		slots := make([]uint16, n)
+		for rel := range slots {
+			slots[rel] = slot(rel, optimizer.LeafReq{Mode: optimizer.AccessAny})
+		}
+		if mode != optimizer.AccessAny {
+			slots[k] = slot(k, optimizer.LeafReq{Mode: mode, Col: col})
+		}
+		return slots
 	}
 	coefs := func(onK, others float64) []float64 {
 		cs := make([]float64, n)
@@ -697,7 +705,7 @@ func TestCompactRules(t *testing.T) {
 	}
 	entries := []struct {
 		internal float64
-		packed   []uint16
+		slots    []uint16
 		coefs    []float64
 		kept     bool
 	}{
@@ -711,15 +719,15 @@ func TestCompactRules(t *testing.T) {
 		{10, row(optimizer.AccessAny), coefs(1, 2), false},
 	}
 	var internal, coefRows []float64
-	var packed []uint16
+	var slots []uint16
 	for _, e := range entries {
-		internal, packed, coefRows = append(internal, e.internal), append(packed, e.packed...), append(coefRows, e.coefs...)
+		internal, slots, coefRows = append(internal, e.internal), append(slots, e.slots...), append(coefRows, e.coefs...)
 	}
-	raw, err := FromRows(a, internal, packed, coefRows)
+	raw, err := FromRows(a, internal, slots, coefRows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := FromRows(a, internal, packed, coefRows)
+	c, err := FromRows(a, internal, slots, coefRows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -733,10 +741,10 @@ func TestCompactRules(t *testing.T) {
 	if len(c.Plans) != len(want) || c.Stats.PlansCached != len(want) || c.Stats.PlansDominated != len(entries)-len(want) {
 		t.Fatalf("kept %d entries (%d cached, %d dominated), want entries %v", len(c.Plans), c.Stats.PlansCached, c.Stats.PlansDominated, want)
 	}
-	_, pks, css := c.Rows()
+	_, sls, css := c.Rows()
 	for j, i := range want {
-		pk, cs := pks[j*n:(j+1)*n], css[j*n:(j+1)*n]
-		if c.Plans[j] != entries[i].internal || !slices.Equal(pk, entries[i].packed) || !slices.Equal(cs, entries[i].coefs) {
+		sl, cs := sls[j*n:(j+1)*n], css[j*n:(j+1)*n]
+		if c.Plans[j] != entries[i].internal || !slices.Equal(sl, entries[i].slots) || !slices.Equal(cs, entries[i].coefs) {
 			t.Errorf("kept entry %d is %s internal=%.2f, want entry %d", j, c.Combo(j), c.Plans[j], i)
 		}
 	}

@@ -164,9 +164,8 @@ func (a *Analysis) orderGID(c query.ColRef) uint16 {
 
 // MaxLeafSlots is the longest leaf-slot table an analysis may have
 // (NumLeafSlots: relations + 2 × interesting orders, so roughly 32 K
-// interesting orders per query): plan caches store a leaf as its 16-bit
-// slot index. A relation is further limited to the 16 383 orders a packed
-// leaf identity (PackLeaf, the snapshot wire form) can name.
+// interesting orders per query): plan caches and their snapshots store a
+// leaf as its 16-bit slot index.
 const MaxLeafSlots = math.MaxUint16
 
 // MaxRels is the most relations a query may join: a plan names its
@@ -192,11 +191,7 @@ func NewAnalysis(q *query.Query, st *stats.Store, params CostParams) (*Analysis,
 	needed := q.ColumnsNeeded()
 	ios := q.InterestingOrders()
 	slots := len(q.Rels)
-	for i, cols := range ios {
-		if len(cols) > packedLeafIDMask {
-			return nil, fmt.Errorf("optimizer: query %s has %d interesting orders on relation %d; a packed leaf names at most %d",
-				q.Name, len(cols), i, packedLeafIDMask)
-		}
+	for _, cols := range ios {
 		slots += 2 * len(cols)
 	}
 	if slots > MaxLeafSlots {
@@ -526,13 +521,14 @@ func (a *Analysis) AccessCost(rel int, req LeafReq, cfg *query.Config) (float64,
 // The leaf-slot table: a query's whole configuration-dependent state. The
 // access cost of a leaf depends only on (relation, leaf identity,
 // configuration), and a relation with k interesting orders has just 1 + 2k
-// identities (PackLeaf), so one float64 per identity prices every cached
-// plan of the query. Relation rel owns the block starting at
-// rel + 2×ordBase[rel]: slot 0 is AccessAny, slots 1..k AccessOrdered by
-// interned order id, slots k+1..2k AccessLookup by order id; +Inf marks an
-// identity the configuration cannot satisfy. A plan cache stores each leaf
-// as its index into this table (LeafSlot), which NewAnalysis keeps within
-// 16 bits (MaxLeafSlots).
+// identities, so one float64 per identity prices every cached plan of the
+// query. Relation rel owns the block starting at rel + 2×ordBase[rel]
+// (LeafBlock): slot 0 is AccessAny, slots 1..k AccessOrdered by interned
+// order id, slots k+1..2k AccessLookup by order id; +Inf marks an identity
+// the configuration cannot satisfy. A plan cache and its snapshot store
+// each leaf as its index into this table (LeafSlot, inverted by
+// LeafOfSlot), which NewAnalysis keeps within 16 bits (MaxLeafSlots); the
+// layout is this file's alone.
 //
 // Pricing the table compares no name when it does not have to. The query's
 // side was resolved to column ordinals by NewAnalysis, an index's side by
@@ -551,36 +547,67 @@ const LeafSlotsInline = 64
 // NumLeafSlots is the length of the query's leaf-slot table.
 func (a *Analysis) NumLeafSlots() int { return len(a.Rels) + 2*a.ordTotal }
 
-// LeafSlot returns the table index of packed leaf identity pk on relation
-// rel (PackLeaf's form: mode in the top bits, order id below).
-func (a *Analysis) LeafSlot(rel int, pk uint16) int {
-	ob := int(a.ordBase[rel])
-	s := rel + 2*ob + int(pk&packedLeafIDMask)
-	if packedNLJ(pk) {
-		s += int(a.ordBase[rel+1]) - ob
+// LeafBlock returns the bounds [lo, hi) of relation rel's block of the
+// table. The blocks tile the table in relation order, every index of a
+// block is an identity of its relation, and lo is its AccessAny identity.
+func (a *Analysis) LeafBlock(rel int) (lo, hi int) {
+	return rel + 2*int(a.ordBase[rel]), rel + 1 + 2*int(a.ordBase[rel+1])
+}
+
+// slot is the table index of the identity on rel in mode on the relation's
+// 1-based interned order id (0 for AccessAny).
+func (a *Analysis) slot(rel int, mode AccessMode, id uint16) int {
+	s := rel + 2*int(a.ordBase[rel]) + int(id)
+	if mode == AccessLookup {
+		s += int(a.ordBase[rel+1] - a.ordBase[rel])
 	}
 	return s
 }
 
-// LeafOfSlot is LeafSlot's inverse: the packed identity that table index
-// slot, inside relation rel's block, stands for.
-func (a *Analysis) LeafOfSlot(rel, slot int) uint16 {
-	ob := int(a.ordBase[rel])
-	off := slot - rel - 2*ob
-	k := int(a.ordBase[rel+1]) - ob
+// LeafSlot returns the table index of leaf requirement req on rel, the
+// form a plan cache stores a leaf in. It fails on a mode the table has no
+// identity for, and on a column that is not one of the relation's interned
+// interesting orders or that the mode does not take — planner-produced
+// requirements never do; anything else is a corrupt or foreign input.
+func (a *Analysis) LeafSlot(rel int, req LeafReq) (int, error) {
+	if req.Mode < AccessAny || req.Mode > AccessLookup {
+		return 0, fmt.Errorf("optimizer: invalid access mode %d on relation %d", req.Mode, rel)
+	}
+	var id uint16
+	if req.Col != "" {
+		if id = a.ordIDs[rel][req.Col]; id == 0 {
+			return 0, fmt.Errorf("optimizer: column %s is not an interned interesting order of relation %d", req.Col, rel)
+		}
+	}
+	if (req.Mode == AccessAny) != (id == 0) {
+		return 0, fmt.Errorf("optimizer: %v leaf requirement on relation %d with column %q", req.Mode, rel, req.Col)
+	}
+	return a.slot(rel, req.Mode, id), nil
+}
+
+// LeafOfSlot is LeafSlot's inverse: the requirement that table index slot,
+// inside relation rel's block, stands for, with coefficient coef. The
+// column string is the analysis's interned instance, so it allocates
+// nothing.
+//
+//pinum:hotpath
+func (a *Analysis) LeafOfSlot(rel, slot int, coef float64) LeafReq {
+	lo, _ := a.LeafBlock(rel)
+	off, k := slot-lo, int(a.ordBase[rel+1]-a.ordBase[rel])
 	switch {
 	case off == 0:
-		return uint16(AccessAny) << packedLeafModeShift
+		return LeafReq{Mode: AccessAny, Coef: coef}
 	case off <= k:
-		return uint16(AccessOrdered)<<packedLeafModeShift | uint16(off)
+		return LeafReq{Mode: AccessOrdered, Col: a.Rels[rel].Interesting[off-1], Coef: coef}
 	default:
-		return uint16(AccessLookup)<<packedLeafModeShift | uint16(off-k)
+		return LeafReq{Mode: AccessLookup, Col: a.Rels[rel].Interesting[off-k-1], Coef: coef}
 	}
 }
 
 // leafSlotBlock returns relation rel's block of the table.
 func (a *Analysis) leafSlotBlock(slots []float64, rel int) []float64 {
-	return slots[rel+2*int(a.ordBase[rel]) : rel+1+2*int(a.ordBase[rel+1])]
+	lo, hi := a.LeafBlock(rel)
+	return slots[lo:hi]
 }
 
 // ConfigByTable is a configuration grouped by table for one catalog name

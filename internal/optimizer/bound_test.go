@@ -147,11 +147,11 @@ func checkBoundPricing(t *testing.T, label string, a *optimizer.Analysis, cfg *q
 				optimizer.LeafReq{Mode: optimizer.AccessLookup, Col: col, Coef: 1})
 		}
 		for _, req := range reqs {
-			pk, err := a.PackLeaf(rel, req)
+			s, err := a.LeafSlot(rel, req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := bound[a.LeafSlot(rel, pk)]
+			got := bound[s]
 			want, ok := a.AccessCost(rel, req, cfg)
 			if !ok {
 				want = math.Inf(1)
@@ -239,11 +239,13 @@ func boundCornerCase(t *testing.T) (*catalog.Catalog, *query.Query, *query.Confi
 	return cat, q, cfg
 }
 
-// TestLeafSlotCapacityBoundary: a plan cache stores a leaf as a 16-bit slot
-// index, so NewAnalysis admits a query whose table is exactly MaxLeafSlots
-// long — and addresses its last slot correctly — and refuses one more
-// interesting order with an error naming the limit; likewise the 16 383
-// orders per relation a packed leaf identity can name.
+// TestLeafSlotCapacityBoundary: a plan cache and its snapshot store a leaf
+// as a 16-bit slot index, so NewAnalysis admits a query whose table is
+// exactly MaxLeafSlots long — and addresses its last slot correctly — and
+// refuses one more interesting order with an error naming the limit. No
+// other limit applies to one relation: 16 384 orders on one relation (past
+// the 14-bit order id a leaf identity once carried) are admitted, and its
+// last lookup identity round-trips.
 func TestLeafSlotCapacityBoundary(t *testing.T) {
 	// orderQuery orders by the first perRel[i] columns of relation i.
 	orderQuery := func(perRel ...int) *query.Query {
@@ -260,6 +262,22 @@ func TestLeafSlotCapacityBoundary(t *testing.T) {
 		q.Select = q.OrderBy[:1]
 		return q
 	}
+	// lastLookup checks that relation rel's last interesting order's lookup
+	// identity is the last slot of its block, and that the slot reads back
+	// as that requirement.
+	lastLookup := func(a *optimizer.Analysis, rel, wantSlot int) {
+		t.Helper()
+		cols := a.Rels[rel].Interesting
+		last := optimizer.LeafReq{Mode: optimizer.AccessLookup, Col: cols[len(cols)-1], Coef: 1}
+		s, err := a.LeafSlot(rel, last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, hi := a.LeafBlock(rel); s != wantSlot || hi != wantSlot+1 || a.LeafOfSlot(rel, s, 1) != last {
+			t.Errorf("last identity of relation %d: slot %d (block ends at %d), back to %+v; want slot %d and %+v",
+				rel, s, hi, a.LeafOfSlot(rel, s, 1), wantSlot, last)
+		}
+	}
 
 	// 3 relations + 2 × 32 766 orders = 65 535 slots: the last one admitted.
 	a, err := optimizer.NewAnalysis(orderQuery(10922, 10922, 10922), nil, optimizer.DefaultCostParams())
@@ -269,26 +287,17 @@ func TestLeafSlotCapacityBoundary(t *testing.T) {
 	if a.NumLeafSlots() != optimizer.MaxLeafSlots {
 		t.Fatalf("boundary query has %d slots, want %d", a.NumLeafSlots(), optimizer.MaxLeafSlots)
 	}
-	last := optimizer.LeafReq{Mode: optimizer.AccessLookup, Col: a.Rels[2].Interesting[10921], Coef: 1}
-	pk, err := a.PackLeaf(2, last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := a.LeafSlot(2, pk); s != optimizer.MaxLeafSlots-1 || a.LeafOfSlot(2, s) != pk {
-		t.Errorf("last identity: slot %d, back to %#04x; want slot %d and %#04x", s, a.LeafOfSlot(2, s), optimizer.MaxLeafSlots-1, pk)
-	}
+	lastLookup(a, 2, optimizer.MaxLeafSlots-1)
 
-	for _, tc := range []struct {
-		perRel []int
-		limit  string
-	}{
-		{[]int{10923, 10922, 10922}, fmt.Sprint(optimizer.MaxLeafSlots)},
-		{[]int{16384}, "16383"},
-	} {
-		_, err := optimizer.NewAnalysis(orderQuery(tc.perRel...), nil, optimizer.DefaultCostParams())
-		if err == nil || !strings.Contains(err.Error(), tc.limit) {
-			t.Errorf("orders %v: NewAnalysis returned %v, want an error naming the limit %s", tc.perRel, err, tc.limit)
-		}
+	// 1 relation + 2 × 16 384 orders = 32 769 slots.
+	if a, err = optimizer.NewAnalysis(orderQuery(16384), nil, optimizer.DefaultCostParams()); err != nil {
+		t.Fatalf("16 384 orders on one relation were refused: %v", err)
+	}
+	lastLookup(a, 0, 2*16384)
+
+	_, err = optimizer.NewAnalysis(orderQuery(10923, 10922, 10922), nil, optimizer.DefaultCostParams())
+	if limit := fmt.Sprint(optimizer.MaxLeafSlots); err == nil || !strings.Contains(err.Error(), limit) {
+		t.Errorf("one order past MaxLeafSlots: NewAnalysis returned %v, want an error naming the limit %s", err, limit)
 	}
 }
 

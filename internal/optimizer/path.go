@@ -265,7 +265,7 @@ func (p *planner) sortPath(child *Path, g int32) *Path {
 // a Path (inum.Cache.AddPath in the reference and INUM constructions,
 // /explain). The library's builds never have a tree: Workspace.Export reads
 // the same decomposition off the planner's records, already in a cache's
-// packed form (Summary).
+// leaf-slot form (Summary).
 type PlanSummary struct {
 	// Internal is the access-method-independent cost.
 	Internal float64
@@ -283,88 +283,6 @@ func Summarize(p *Path, nRels int) PlanSummary {
 	leaves := newLeaves(nRels)
 	copy(leaves, p.Leaves)
 	return PlanSummary{Internal: p.Internal, Leaves: leaves}
-}
-
-// Packed leaf requirements: the planner's interned byte form of a LeafReq,
-// used by plan caches and the plancache snapshot codec. One uint16
-// holds the access mode in the top two bits and the column as the
-// relation's 1-based interned interesting-order id in the low fourteen
-// (0 = no column, i.e. AccessAny). The id space is per relation and
-// deterministic — RelInfo.Interesting is sorted, and ids are positions in
-// it — so packed leaves round-trip across processes given the same query.
-// The coefficient stays a separate float64: it is cost-model payload, not
-// identity. Compared to a LeafReq (mode word + string header + coef), one
-// leaf shrinks from 32 to 10 bytes.
-const (
-	packedLeafModeShift = 14
-	packedLeafIDMask    = 1<<packedLeafModeShift - 1
-)
-
-// PackLeaf returns the interned form of one leaf requirement on rel. It
-// fails if the column is not one of the relation's interned interesting
-// orders — planner-produced requirements always are; anything else is a
-// corrupt or foreign input.
-func (a *Analysis) PackLeaf(rel int, req LeafReq) (uint16, error) {
-	var id uint16
-	if req.Col != "" {
-		id = a.ordIDs[rel][req.Col]
-		if id == 0 {
-			return 0, fmt.Errorf("optimizer: column %s is not an interned interesting order of relation %d", req.Col, rel)
-		}
-	}
-	if req.Mode != AccessAny && id == 0 {
-		return 0, fmt.Errorf("optimizer: %v leaf requirement on relation %d names no column", req.Mode, rel)
-	}
-	return uint16(req.Mode)<<packedLeafModeShift | id, nil
-}
-
-// UnpackLeaf reconstructs the LeafReq a packed leaf encodes, attaching the
-// externally-stored coefficient. The column string comes from the
-// analysis's interning table, so unpacking allocates nothing.
-//
-//pinum:hotpath
-func (a *Analysis) UnpackLeaf(rel int, pk uint16, coef float64) LeafReq {
-	req := LeafReq{Mode: AccessMode(pk >> packedLeafModeShift), Coef: coef}
-	if id := pk & packedLeafIDMask; id > 0 {
-		req.Col = a.Rels[rel].Interesting[id-1]
-	}
-	return req
-}
-
-// CheckPackedForm is the structural check of one packed leaf, the one
-// reading of its bit layout outside PackLeaf and UnpackLeaf: a known access
-// mode, and an order id present exactly when the mode requires a column.
-// The snapshot codec runs it on every leaf it encodes or decodes; it needs
-// no analysis.
-func CheckPackedForm(pk uint16) error {
-	mode := AccessMode(pk >> packedLeafModeShift)
-	id := pk & packedLeafIDMask
-	if mode > AccessLookup {
-		return fmt.Errorf("invalid access mode %d in packed leaf", mode)
-	}
-	if (mode == AccessAny) != (id == 0) {
-		return fmt.Errorf("packed leaf %#04x: mode %v with order id %d", pk, mode, id)
-	}
-	return nil
-}
-
-// CheckPackedLeaf validates an externally-supplied packed leaf (a decoded
-// snapshot entry) against this analysis: its form (CheckPackedForm), and an
-// id inside the relation's interned order space.
-func (a *Analysis) CheckPackedLeaf(rel int, pk uint16) error {
-	if err := CheckPackedForm(pk); err != nil {
-		return fmt.Errorf("optimizer: %w", err)
-	}
-	if id := pk & packedLeafIDMask; int(id) > len(a.Rels[rel].Interesting) {
-		return fmt.Errorf("optimizer: packed leaf order id %d outside relation %d's %d interned orders",
-			id, rel, len(a.Rels[rel].Interesting))
-	}
-	return nil
-}
-
-// packedNLJ reports whether a packed leaf encodes a nested-loop lookup.
-func packedNLJ(pk uint16) bool {
-	return AccessMode(pk>>packedLeafModeShift) == AccessLookup
 }
 
 // OrderSatisfies reports whether the order provided by `have` satisfies the

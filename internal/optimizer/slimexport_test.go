@@ -15,7 +15,7 @@ import (
 // TestSlimExportsMatchTrees holds the build's export — summaries read off
 // the planner's records — to the reference construction's rows. Per call,
 // the Path trees of the exported plans, built from the same records, go
-// through AddPath (Summarize, PackLeaf) and the summaries through
+// through AddPath (Summarize, LeafSlot) and the summaries through
 // AddSummary, neither deduplicated; the two caches must agree entry for
 // entry, in order: internal cost bits, leaf slots and coefficient bits.
 // Inputs: every design shape, star Q10 and the 17-relation chain, under
@@ -38,19 +38,19 @@ func TestSlimExportsMatchTrees(t *testing.T) {
 				t.Fatalf("%s: %d slim entries, %d from trees", label, len(slim.Plans), len(tree.Plans))
 			}
 			n := len(in.a.Q.Rels)
-			_, spks, scs := slim.Rows()
-			_, tpks, tcs := tree.Rows()
+			_, sss, scs := slim.Rows()
+			_, tss, tcs := tree.Rows()
 			for i, tp := range tree.Plans {
 				sp := slim.Plans[i]
 				if math.Float64bits(sp) != math.Float64bits(tp) {
 					t.Fatalf("%s entry %d: internal %v, from the tree %v", label, i, sp, tp)
 				}
-				spk, sc := spks[i*n:(i+1)*n], scs[i*n:(i+1)*n]
-				tpk, tc := tpks[i*n:(i+1)*n], tcs[i*n:(i+1)*n]
-				for rel := range tpk {
-					if in.a.LeafSlot(rel, spk[rel]) != in.a.LeafSlot(rel, tpk[rel]) || math.Float64bits(sc[rel]) != math.Float64bits(tc[rel]) {
+				ss, sc := sss[i*n:(i+1)*n], scs[i*n:(i+1)*n]
+				ts, tc := tss[i*n:(i+1)*n], tcs[i*n:(i+1)*n]
+				for rel := range ts {
+					if ss[rel] != ts[rel] || math.Float64bits(sc[rel]) != math.Float64bits(tc[rel]) {
 						t.Fatalf("%s entry %d (%s) relation %d: slot %d coef %v, from the tree slot %d coef %v", label, i, tree.Combo(i), rel,
-							in.a.LeafSlot(rel, spk[rel]), sc[rel], in.a.LeafSlot(rel, tpk[rel]), tc[rel])
+							ss[rel], sc[rel], ts[rel], tc[rel])
 					}
 				}
 			}

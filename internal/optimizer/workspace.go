@@ -57,7 +57,7 @@ func (w *Workspace) Optimize(a *Analysis, cfg *query.Config, opt Options) (*Resu
 // Summary is one exported plan in the form a plan cache stores it
 // (inum.Cache.AddSummary): the internal cost, per query relation the index
 // of the leaf's identity in the leaf-slot table (Analysis.LeafSlot) and its
-// coefficient. It is what Summarize and PackLeaf make of the plan's tree,
+// coefficient. It is what Summarize and LeafSlot make of the plan's tree,
 // without the tree.
 type Summary struct {
 	Internal float64
@@ -173,7 +173,7 @@ func (w *Workspace) summaries(p *planner, final joinRel, emit func(*Summary)) {
 	for r := final.lo; r < final.hi; r++ {
 		s.Internal = p.recs.at(r).internal
 		for rel := range s.Slots {
-			s.Slots[rel], s.Coefs[rel] = uint16(p.a.LeafSlot(rel, 0)), 1
+			s.Slots[rel], s.Coefs[rel] = uint16(p.a.slot(rel, AccessAny, 0)), 1
 		}
 		p.leaves(s, r)
 		emit(s)
@@ -206,7 +206,7 @@ func (p *planner) leaves(s *Summary, r int32) {
 // leafSlot is the leaf-slot table index of a leaf on rel in mode on the
 // interesting column of global id g.
 func (p *planner) leafSlot(rel int, mode AccessMode, g int32) uint16 {
-	return uint16(p.a.LeafSlot(rel, uint16(mode)<<packedLeafModeShift|(uint16(g)-p.a.ordBase[rel])))
+	return uint16(p.a.slot(rel, mode, uint16(g)-p.a.ordBase[rel]))
 }
 
 // reset starts a call. Whatever the last left — records and slots of a

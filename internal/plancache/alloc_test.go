@@ -64,10 +64,10 @@ func (w *wideTenant) firstEntries(tb testing.TB) *wideTenant {
 	out := *w
 	out.caches = make([]*inum.Cache, len(w.caches))
 	for i, c := range w.caches {
-		internal, packed, coefs := c.Rows()
+		internal, slots, coefs := c.Rows()
 		r := len(c.Q.Rels)
 		var err error
-		if out.caches[i], err = inum.FromRows(c.A, internal[:1], packed[:r], coefs[:r]); err != nil {
+		if out.caches[i], err = inum.FromRows(c.A, internal[:1], slots[:r], coefs[:r]); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -104,8 +104,8 @@ func (w *wideTenant) snapshotPaths(tb testing.TB) []snapshotPath {
 		{"build", func() { _, err := BuildCaches(snap, w.queries, w.analyses); check(err) }},
 		{"reuse", func() {
 			for i, c := range w.caches {
-				internal, packed, coefs := c.Rows()
-				_, err := inum.FromRows(w.analyses[i], internal, packed, coefs)
+				internal, slots, coefs := c.Rows()
+				_, err := inum.FromRows(w.analyses[i], internal, slots, coefs)
 				check(err)
 			}
 		}},
@@ -116,11 +116,12 @@ func (w *wideTenant) snapshotPaths(tb testing.TB) []snapshotPath {
 // for the 200-query tenant (3 434 entries): a few per query, none per
 // entry. Each path allocates exactly as much on a copy of the tenant cut to
 // one entry per query, and stays within a fixed budget: a save (NewSnapshot
-// + Encode) 210, a cold load (Decode + BuildCaches) 1 410, the reuse of
-// every query by an incremental reload 610. A cache keeps the internal
-// costs and coefficients it is bound to (inum.FromRows), so a build or a
-// reuse allocates per query only the cache, its slot arena and, for a
-// reuse, Rows' packed leaves.
+// + Encode) 10, a cold load (Decode + BuildCaches) 1 210, the reuse of
+// every query by an incremental reload 210. The snapshot and the cache
+// store a leaf alike, as its slot index, so a save takes views of the
+// caches' arenas (Rows) and a build or a reuse keeps the three arrays it
+// is bound to (inum.FromRows): a save allocates nothing per query, a build
+// or a reuse only the cache.
 func TestSnapshotPathAllocs(t *testing.T) {
 	full := newWideTenant(t)
 	one := full.firstEntries(t).snapshotPaths(t)
@@ -137,9 +138,9 @@ func TestSnapshotPathAllocs(t *testing.T) {
 		count float64
 		limit float64
 	}{
-		{"save (NewSnapshot + Encode)", got["encode"], 210},
-		{"cold load (Decode + BuildCaches)", got["decode"] + got["build"], 1410},
-		{"reuse (FromRows over Rows)", got["reuse"], 610},
+		{"save (NewSnapshot + Encode)", got["encode"], 10},
+		{"cold load (Decode + BuildCaches)", got["decode"] + got["build"], 1210},
+		{"reuse (FromRows over Rows)", got["reuse"], 210},
 	} {
 		if b.count > b.limit {
 			t.Errorf("%s: %.0f allocations for the 200-query tenant, budget %.0f", b.path, b.count, b.limit)
@@ -204,7 +205,7 @@ func TestBuildCachesRefusesEmptyQuery(t *testing.T) {
 	w := newWideTenant(t)
 	snap := NewSnapshot(w.fp, w.caches)
 	qp := &snap.Queries[0]
-	qp.Internal, qp.Packed, qp.Coefs = nil, nil, nil
+	qp.Internal, qp.Slots, qp.Coefs = nil, nil, nil
 	dec, err := Decode(encodeToBytes(t, snap))
 	if err != nil {
 		t.Fatalf("a query with no entries does not decode: %v", err)

@@ -46,9 +46,9 @@ func compactReference(t testing.TB, c *inum.Cache) *inum.Cache {
 		}
 		return true
 	}
-	_, packed, coefs := c.Rows()
+	_, slots, coefs := c.Rows()
 	var keptInternal, keptCoefs []float64
-	var keptPacked []uint16
+	var keptSlots []uint16
 	for j, b := range c.Plans {
 		dropped := false
 		for i := range c.Plans {
@@ -59,11 +59,11 @@ func compactReference(t testing.TB, c *inum.Cache) *inum.Cache {
 		}
 		if !dropped {
 			keptInternal = append(keptInternal, b)
-			keptPacked = append(keptPacked, packed[j*n:(j+1)*n]...)
+			keptSlots = append(keptSlots, slots[j*n:(j+1)*n]...)
 			keptCoefs = append(keptCoefs, coefs[j*n:(j+1)*n]...)
 		}
 	}
-	out, err := inum.FromRows(c.A, keptInternal, keptPacked, keptCoefs)
+	out, err := inum.FromRows(c.A, keptInternal, keptSlots, keptCoefs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +94,12 @@ func TestCompactMatchesReferenceOnTies(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := len(q.Rels)
-		pack := func(rel int, mode optimizer.AccessMode, col string) uint16 {
-			pk, err := a.PackLeaf(rel, optimizer.LeafReq{Mode: mode, Col: col})
+		slot := func(rel int, mode optimizer.AccessMode, col string) uint16 {
+			s, err := a.LeafSlot(rel, optimizer.LeafReq{Mode: mode, Col: col})
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			return pk
+			return uint16(s)
 		}
 		// A base row fixes each relation's projected leaf: AccessAny, whose
 		// entries may read it in any interesting order, or a lookup.
@@ -113,12 +113,12 @@ func TestCompactMatchesReferenceOnTies(t *testing.T) {
 			}
 		}
 		var internals, coefs []float64
-		var packed []uint16
+		var slots []uint16
 		for n := 40 + rng.Intn(160); len(internals) < n; {
 			if len(internals) > 0 && rng.Intn(8) == 0 {
 				j := rng.Intn(len(internals))
 				internals = append(internals, internals[j])
-				packed, coefs = append(packed, packed[j*r:(j+1)*r]...), append(coefs, coefs[j*r:(j+1)*r]...)
+				slots, coefs = append(slots, slots[j*r:(j+1)*r]...), append(coefs, coefs[j*r:(j+1)*r]...)
 				continue
 			}
 			base := bases[rng.Intn(len(bases))]
@@ -126,21 +126,21 @@ func TestCompactMatchesReferenceOnTies(t *testing.T) {
 				cols := a.Rels[rel].Interesting
 				switch {
 				case col != "":
-					packed = append(packed, pack(rel, optimizer.AccessLookup, col))
+					slots = append(slots, slot(rel, optimizer.AccessLookup, col))
 				case len(cols) > 0 && rng.Intn(2) == 0:
-					packed = append(packed, pack(rel, optimizer.AccessOrdered, cols[rng.Intn(len(cols))]))
+					slots = append(slots, slot(rel, optimizer.AccessOrdered, cols[rng.Intn(len(cols))]))
 				default:
-					packed = append(packed, pack(rel, optimizer.AccessAny, ""))
+					slots = append(slots, slot(rel, optimizer.AccessAny, ""))
 				}
 				coefs = append(coefs, float64(rng.Intn(3)))
 			}
 			internals = append(internals, float64(100*(1+rng.Intn(3))))
 		}
-		c, err := inum.FromRows(a, internals, packed, coefs)
+		c, err := inum.FromRows(a, internals, slots, coefs)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		in, err := inum.FromRows(a, internals, packed, coefs)
+		in, err := inum.FromRows(a, internals, slots, coefs)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -65,7 +65,7 @@ func roundTrip(t *testing.T, c *inum.Cache, st *stats.Store) *inum.Cache {
 		t.Fatal(err)
 	}
 	qp := dec.Queries[0]
-	out, err := inum.FromRows(a, qp.Internal, qp.Packed, qp.Coefs)
+	out, err := inum.FromRows(a, qp.Internal, qp.Slots, qp.Coefs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +95,8 @@ func assertCacheEquivalent(t *testing.T, label string, tree, other *inum.Cache, 
 		}
 	}
 	n := len(tree.Q.Rels)
-	_, tpks, _ := tree.Rows()
-	_, opks, _ := other.Rows()
+	_, tsl, _ := tree.Rows()
+	_, osl, _ := other.Rows()
 	for i := range tree.Plans {
 		if math.Float64bits(tree.Plans[i]) != math.Float64bits(other.Plans[i]) {
 			t.Fatalf("%s plan %d: internal bits differ", label, i)
@@ -109,11 +109,9 @@ func assertCacheEquivalent(t *testing.T, label string, tree, other *inum.Cache, 
 				t.Fatalf("%s plan %d leaf %d: %+v vs %+v", label, i, rel, tree.Leaf(i, rel), other.Leaf(i, rel))
 			}
 		}
-		tpk, opk := tpks[i*n:(i+1)*n], opks[i*n:(i+1)*n]
-		for rel := range tpk {
-			if tree.A.LeafSlot(rel, tpk[rel]) != other.A.LeafSlot(rel, opk[rel]) {
-				t.Fatalf("%s plan %d leaf %d: slot %d vs %d", label, i, rel,
-					tree.A.LeafSlot(rel, tpk[rel]), other.A.LeafSlot(rel, opk[rel]))
+		for k := i * n; k < (i+1)*n; k++ {
+			if tsl[k] != osl[k] {
+				t.Fatalf("%s plan %d leaf %d: slot %d vs %d", label, i, k-i*n, tsl[k], osl[k])
 			}
 		}
 	}
@@ -137,25 +135,26 @@ func assertCacheEquivalent(t *testing.T, label string, tree, other *inum.Cache, 
 
 // assertLeavesRoundTrip takes a cache's leaves across the boundary the
 // snapshot codec uses and back: Rows → FromRows into a fresh cache over
-// the same analysis must reproduce every leaf (the arena stores slot
-// indexes, the boundary speaks packed identities). That an entry AddPath
-// made holds the requirements its path summarises to is inum's
-// TestAddPathLeavesMatchSummary.
+// the same analysis must reproduce every leaf, and every slot must be the
+// one Analysis.LeafSlot gives the requirement Leaf reads from it. That an
+// entry AddPath made holds the requirements its path summarises to is
+// inum's TestAddPathLeavesMatchSummary.
 func assertLeavesRoundTrip(t *testing.T, label string, c *inum.Cache) {
 	t.Helper()
-	internal, pks, coefs := c.Rows()
-	fresh, err := inum.FromRows(c.A, internal, pks, coefs)
+	internal, slots, coefs := c.Rows()
+	fresh, err := inum.FromRows(c.A, internal, slots, coefs)
 	if err != nil {
-		t.Fatalf("%s: re-adding its own packed leaves: %v", label, err)
+		t.Fatalf("%s: re-adding its own leaves: %v", label, err)
 	}
-	_, fpks, _ := fresh.Rows()
+	_, fsl, _ := fresh.Rows()
 	n := len(c.Q.Rels)
 	for i := range c.Plans {
 		for rel := 0; rel < n; rel++ {
 			k := i*n + rel
-			if fpks[k] != pks[k] || fresh.Leaf(i, rel) != c.Leaf(i, rel) {
-				t.Fatalf("%s plan %d leaf %d: %#04x %+v came back as %#04x %+v",
-					label, i, rel, pks[k], c.Leaf(i, rel), fpks[k], fresh.Leaf(i, rel))
+			back, err := c.A.LeafSlot(rel, c.Leaf(i, rel))
+			if fsl[k] != slots[k] || fresh.Leaf(i, rel) != c.Leaf(i, rel) || err != nil || back != int(slots[k]) {
+				t.Fatalf("%s plan %d leaf %d: slot %d %+v came back as %d %+v, LeafSlot %d (%v)",
+					label, i, rel, slots[k], c.Leaf(i, rel), fsl[k], fresh.Leaf(i, rel), back, err)
 			}
 		}
 	}

@@ -64,7 +64,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		f.Add(encoded(cat, nil, q), uint32(len(q.SQL)), byte(1))
 	}
-	f.Add([]byte("PINUMPC\x02"), uint32(0), byte(0))
+	f.Add([]byte("PINUMPC\x03"), uint32(0), byte(0))
 
 	reencodes := func(t *testing.T, what string, data []byte) bool {
 		snap, err := Decode(data)
@@ -84,7 +84,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 			if a == nil || len(a.Q.Rels) != qp.NRels {
 				continue
 			}
-			c, err := inum.FromRows(a, qp.Internal, qp.Packed, qp.Coefs)
+			c, err := inum.FromRows(a, qp.Internal, qp.Slots, qp.Coefs)
 			if err != nil {
 				continue // fails to load
 			}

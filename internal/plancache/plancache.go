@@ -4,11 +4,13 @@
 // the optimizer.
 //
 // A snapshot stores, per query, exactly what the cached cost model
-// (inum.Cache.Cost) consumes — each plan's internal cost and per-relation
-// leaf requirements in the planner's packed interned form (two identity
-// bytes plus the float64 coefficient per relation, see optimizer.PackLeaf)
-// — and nothing else: no column strings (order ids resolve through the
-// query's deterministic interning at load). Loading a snapshot therefore
+// (inum.Cache.Cost) consumes, in the cache's own form — each plan's
+// internal cost and, per relation, its leaf as the two-byte index of the
+// leaf's slot in the query's leaf-slot table plus the float64 coefficient
+// — and nothing else: no column strings (a slot resolves through the
+// query's deterministic interning at load, optimizer.Analysis.LeafOfSlot).
+// The codec reads no leaf: a slot is an opaque uint16 here, and
+// inum.FromRows checks it against the query. Loading a snapshot therefore
 // reconstructs a cache whose Cost results are bit-identical to the cache
 // that was saved (float64 payloads round-trip as raw IEEE-754 bits, and
 // entry order is preserved).
@@ -28,6 +30,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc64"
 	"io"
 	"math"
 	"os"
@@ -55,10 +58,9 @@ type QueryPlans struct {
 	NRels int
 	// Internal holds each entry's access-method-independent plan cost.
 	Internal []float64
-	// Packed holds, entry-major, one interned leaf identity per entry and
-	// relation (optimizer.PackLeaf: mode in the top two bits, the
-	// relation's interesting-order id in the low fourteen).
-	Packed []uint16
+	// Slots holds, entry-major, one leaf per entry and relation: the index
+	// of its slot in the query's leaf-slot table (inum.Cache.Rows).
+	Slots []uint16
 	// Coefs holds the matching access-cost coefficients.
 	Coefs []float64
 }
@@ -76,9 +78,8 @@ type Snapshot struct {
 // NewSnapshot assembles a snapshot from built caches (inum.Cache.Rows), in
 // the given order, under the given environment fingerprint. It is the only
 // supported way to build a Snapshot for Save/Encode: Snapshot and its
-// QueryPlans arenas are shared immutable once handed out (the internal
-// costs and coefficients are views of the caches' own), so construction
-// stays inside this package.
+// QueryPlans arenas are shared immutable once handed out (all three are
+// views of the caches' own), so construction stays inside this package.
 func NewSnapshot(fingerprint uint64, caches []*inum.Cache) *Snapshot {
 	snap := &Snapshot{
 		Fingerprint: fingerprint,
@@ -87,7 +88,7 @@ func NewSnapshot(fingerprint uint64, caches []*inum.Cache) *Snapshot {
 	for i, c := range caches {
 		qp := &snap.Queries[i]
 		qp.Name, qp.SQL, qp.NRels = c.Q.Name, c.Q.SQL, len(c.Q.Rels)
-		qp.Internal, qp.Packed, qp.Coefs = c.Rows()
+		qp.Internal, qp.Slots, qp.Coefs = c.Rows()
 	}
 	return snap
 }
@@ -227,10 +228,15 @@ func Fingerprint(cat *catalog.Catalog, st *stats.Store, params optimizer.CostPar
 
 // ------------------------------------------------------------- codec ----
 
-// magic identifies the format; its last byte is the version. Version 2
-// switched entries to packed interned leaves (v1 stored per-leaf column
-// strings through a pool); v1 snapshots are rejected as stale.
-var magic = [8]byte{'P', 'I', 'N', 'U', 'M', 'P', 'C', 2}
+// magic identifies the format; its last byte is the version. Version 3
+// stores each leaf as its slot index and closes the file with a CRC-64
+// (v2 stored a packed mode-and-order-id identity under an FNV-1a sum, v1
+// per-leaf column strings through a pool); older snapshots are rejected
+// by their version byte as stale, never parsed.
+var magic = [8]byte{'P', 'I', 'N', 'U', 'M', 'P', 'C', 3}
+
+// crcTable is the checksum's table: CRC-64 with the ECMA polynomial.
+var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // Decode sanity caps: a snapshot exceeding any of these is rejected as
 // corrupt rather than allocated for.
@@ -246,13 +252,12 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-// Encode writes the snapshot in the deterministic v2 binary format:
+// Encode writes the snapshot in the deterministic v3 binary format:
 // little-endian fixed-width integers, float64s as raw IEEE-754 bits, and
-// per-relation leaves as packed interned identities (see optimizer.PackLeaf
-// — no column strings on the wire), closed by an FNV-1a checksum over
-// everything before it. The same snapshot always encodes to the same
-// bytes, so encode→decode→re-encode is byte-identical. A snapshot that
-// does not encode writes nothing.
+// per-relation leaves as slot indexes (no column strings on the wire),
+// closed by a CRC-64 (ECMA) checksum over everything before it. The same
+// snapshot always encodes to the same bytes, so encode→decode→re-encode
+// is byte-identical. A snapshot that does not encode writes nothing.
 func Encode(w io.Writer, s *Snapshot) error {
 	buf, err := encode(s)
 	if err != nil {
@@ -272,14 +277,9 @@ func encode(s *Snapshot) ([]byte, error) {
 			return nil, fmt.Errorf("plancache: query %s: bad relation count %d", qp.Name, qp.NRels)
 		}
 		n := len(qp.Internal)
-		if len(qp.Packed) != n*qp.NRels || len(qp.Coefs) != n*qp.NRels {
+		if len(qp.Slots) != n*qp.NRels || len(qp.Coefs) != n*qp.NRels {
 			return nil, fmt.Errorf("plancache: query %s: %d entries with %d leaves and %d coefficients for %d relations",
-				qp.Name, n, len(qp.Packed), len(qp.Coefs), qp.NRels)
-		}
-		for _, pk := range qp.Packed {
-			if err := optimizer.CheckPackedForm(pk); err != nil {
-				return nil, fmt.Errorf("plancache: query %s: %w", qp.Name, err)
-			}
+				qp.Name, n, len(qp.Slots), len(qp.Coefs), qp.NRels)
 		}
 		size += 4 + len(qp.Name) + 4 + len(qp.SQL) + 4 + 4 + n*(8+10*qp.NRels)
 	}
@@ -300,24 +300,18 @@ func encode(s *Snapshot) ([]byte, error) {
 			buf = le.AppendUint64(buf, math.Float64bits(internal))
 			lo := e * qp.NRels
 			for k := lo; k < lo+qp.NRels; k++ {
-				buf = le.AppendUint16(buf, qp.Packed[k])
+				buf = le.AppendUint16(buf, qp.Slots[k])
 				buf = le.AppendUint64(buf, math.Float64bits(qp.Coefs[k]))
 			}
 		}
 	}
-	sum := uint64(fnvOffset)
-	for _, b := range buf {
-		sum = (sum ^ uint64(b)) * fnvPrime
-	}
-	return le.AppendUint64(buf, sum), nil
+	return le.AppendUint64(buf, crc64.Checksum(buf, crcTable)), nil
 }
 
-// reader decodes the byte stream with bounds checking and the same
-// running checksum the encoder produced.
+// reader decodes the byte stream with bounds checking.
 type reader struct {
 	buf []byte
 	off int
-	sum uint64
 }
 
 // canHold rejects a count field whose minimally-encoded payload could
@@ -334,9 +328,6 @@ func (r *reader) take(n int) ([]byte, error) {
 	}
 	p := r.buf[r.off : r.off+n]
 	r.off += n
-	for _, b := range p {
-		r.sum = (r.sum ^ uint64(b)) * fnvPrime
-	}
 	return p, nil
 }
 
@@ -371,15 +362,16 @@ func (r *reader) str() (string, error) {
 	return string(p), nil
 }
 
-// Decode reads a v2 snapshot, verifying the magic, version, structural
-// bounds and trailing checksum. It does NOT verify the fingerprint —
+// Decode reads a v3 snapshot, verifying the magic, version, structural
+// bounds and trailing checksum. The checksum is verified after the parse,
+// over every byte before it, so a corrupt file fails either way. It does NOT verify the fingerprint —
 // callers must compare Snapshot.Fingerprint against their environment's
 // (see Fingerprint) before trusting any stored cost.
 func Decode(data []byte) (*Snapshot, error) {
 	if err := faultpoint.Hit("plancache.decode"); err != nil {
 		return nil, fmt.Errorf("plancache: %w", err)
 	}
-	r := &reader{buf: data, sum: fnvOffset}
+	r := &reader{buf: data}
 	head, err := r.take(8)
 	if err != nil {
 		return nil, err
@@ -410,7 +402,7 @@ func Decode(data []byte) (*Snapshot, error) {
 			return nil, err
 		}
 	}
-	want := r.sum
+	want := crc64.Checksum(r.buf[:r.off], crcTable)
 	got, err := r.u64() // the stored checksum is not part of itself
 	if err != nil {
 		return nil, err
@@ -448,15 +440,15 @@ func decodeQuery(r *reader, qp *QueryPlans) error {
 	if nEntries > maxEntries || !r.canHold(nEntries, 8+10*qp.NRels) {
 		return fmt.Errorf("plancache: query %s: implausible entry count %d", qp.Name, nEntries)
 	}
-	// canHold has checked that the entries fit, so they are taken (and
-	// checksummed) in one piece and parsed in place.
+	// canHold has checked that the entries fit, so they are taken in one
+	// piece and parsed in place.
 	entry := 8 + 10*qp.NRels
 	p, err := r.take(int(nEntries) * entry)
 	if err != nil {
 		return err
 	}
 	qp.Internal = make([]float64, nEntries)
-	qp.Packed = make([]uint16, int(nEntries)*qp.NRels)
+	qp.Slots = make([]uint16, int(nEntries)*qp.NRels)
 	qp.Coefs = make([]float64, int(nEntries)*qp.NRels)
 	le := binary.LittleEndian
 	for i := range qp.Internal {
@@ -468,14 +460,11 @@ func decodeQuery(r *reader, qp *QueryPlans) error {
 		qp.Internal[i] = internal
 		for rel := 0; rel < qp.NRels; rel++ {
 			leaf := e[8+10*rel:]
-			pk, k := le.Uint16(leaf), math.Float64frombits(le.Uint64(leaf[2:]))
-			if err := optimizer.CheckPackedForm(pk); err != nil {
-				return fmt.Errorf("plancache: query %s: %w", qp.Name, err)
-			}
+			k := math.Float64frombits(le.Uint64(leaf[2:]))
 			if !(k >= 0 && k <= math.MaxFloat64) {
 				return fmt.Errorf("plancache: query %s entry %d: coefficient %v of relation %d is not finite and non-negative", qp.Name, i, k, rel)
 			}
-			qp.Packed[i*qp.NRels+rel], qp.Coefs[i*qp.NRels+rel] = pk, k
+			qp.Slots[i*qp.NRels+rel], qp.Coefs[i*qp.NRels+rel] = le.Uint16(leaf), k
 		}
 	}
 	return nil
@@ -503,7 +492,7 @@ func BuildCaches(snap *Snapshot, queries []*query.Query, analyses []*optimizer.A
 		if n := len(analyses[i].Q.Rels); n != qp.NRels {
 			return nil, fmt.Errorf("plancache: query %s has %d relations, snapshot stored %d", q.Name, n, qp.NRels)
 		}
-		c, err := inum.FromRows(analyses[i], qp.Internal, qp.Packed, qp.Coefs)
+		c, err := inum.FromRows(analyses[i], qp.Internal, qp.Slots, qp.Coefs)
 		if err != nil {
 			return nil, fmt.Errorf("plancache: query %s: %w", q.Name, err)
 		}

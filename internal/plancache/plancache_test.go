@@ -3,6 +3,7 @@ package plancache
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"os"
@@ -83,7 +84,7 @@ func TestRoundTripByteIdentical(t *testing.T) {
 		if qp.Name != orig.Name || qp.SQL != orig.SQL || qp.NRels != orig.NRels {
 			t.Fatalf("query %d header changed: %+v vs %+v", i, qp, orig)
 		}
-		if len(qp.Internal) != len(orig.Internal) || len(qp.Packed) != len(orig.Packed) || len(qp.Coefs) != len(orig.Coefs) {
+		if len(qp.Internal) != len(orig.Internal) || len(qp.Slots) != len(orig.Slots) || len(qp.Coefs) != len(orig.Coefs) {
 			t.Fatalf("query %s entry count changed: %d -> %d", qp.Name, len(orig.Internal), len(qp.Internal))
 		}
 		for j, internal := range qp.Internal {
@@ -92,10 +93,10 @@ func TestRoundTripByteIdentical(t *testing.T) {
 			}
 			for rel := 0; rel < qp.NRels; rel++ {
 				k := j*qp.NRels + rel
-				if qp.Packed[k] != orig.Packed[k] ||
+				if qp.Slots[k] != orig.Slots[k] ||
 					math.Float64bits(qp.Coefs[k]) != math.Float64bits(orig.Coefs[k]) {
 					t.Fatalf("%s entry %d leaf %d changed: %#04x/%v vs %#04x/%v",
-						qp.Name, j, rel, qp.Packed[k], qp.Coefs[k], orig.Packed[k], orig.Coefs[k])
+						qp.Name, j, rel, qp.Slots[k], qp.Coefs[k], orig.Slots[k], orig.Coefs[k])
 				}
 			}
 		}
@@ -146,22 +147,25 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsPreviousVersion pins the format-staleness contract for
-// the packed-leaf encoding: a v1 snapshot (per-leaf column strings through
-// a pool) presents the old version byte and must be rejected by the
-// version check with the stale-format error, not mis-parsed as v2.
+// TestDecodeRejectsPreviousVersion pins the format-staleness contract: a v2
+// snapshot (each leaf a packed mode-and-order-id identity, an FNV-1a
+// checksum) and a v1 one (per-leaf column strings through a pool) present
+// their old version byte and must be rejected by the version check with
+// the stale-format error, not mis-parsed as v3.
 func TestDecodeRejectsPreviousVersion(t *testing.T) {
 	_, snap := starSnapshot(t, 42)
 	data := encodeToBytes(t, snap)
-	old := append([]byte(nil), data...)
-	old[7] = 1 // the previous format version
-	_, err := Decode(old)
-	if err == nil {
-		t.Fatal("Decode accepted a v1 snapshot")
-	}
-	want := "plancache: unsupported snapshot version 1 (want 2)"
-	if err.Error() != want {
-		t.Fatalf("v1 rejection error = %q, want %q", err, want)
+	for _, v := range []byte{2, 1} {
+		old := append([]byte(nil), data...)
+		old[7] = v // a previous format version
+		_, err := Decode(old)
+		if err == nil {
+			t.Fatalf("Decode accepted a v%d snapshot", v)
+		}
+		want := fmt.Sprintf("plancache: unsupported snapshot version %d (want 3)", v)
+		if err.Error() != want {
+			t.Fatalf("v%d rejection error = %q, want %q", v, err, want)
+		}
 	}
 }
 
@@ -385,7 +389,7 @@ func TestLoadRejectsUnpriceableCosts(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, lerr := Load(path, snap.Fingerprint)
-			_, cerr := inum.FromRows(a, qp.Internal, qp.Packed, qp.Coefs)
+			_, cerr := inum.FromRows(a, qp.Internal, qp.Slots, qp.Coefs)
 			*field = good
 			for _, err := range []error{lerr, cerr} {
 				if err == nil || !strings.Contains(err.Error(), "query "+qp.Name+" entry 0") {
@@ -394,20 +398,71 @@ func TestLoadRejectsUnpriceableCosts(t *testing.T) {
 			}
 		}
 	}
-	if _, err := inum.FromRows(a, qp.Internal, qp.Packed, qp.Coefs); err != nil {
+	if _, err := inum.FromRows(a, qp.Internal, qp.Slots, qp.Coefs); err != nil {
 		t.Fatalf("the restored entry is refused: %v", err)
 	}
 }
 
-// TestStarSnapshotBytesFrozen pins the wire form across the arena's change
-// of representation (packed identities → slot indexes, PR 23): the star
-// workload's snapshot, encoded from the reference construction's caches
-// (core.Build, which does not compact), is byte-equal to what the commit
-// before that change wrote — the first two literals were printed there by
-// this very test body. The library's caches drop dominated entries; their
-// snapshot is pinned by the second pair of literals and decodes to the
-// frozen entries minus exactly the dominated ones (compactReference): one
-// entry of Q6.
+// TestLoadRejectsLeafOutsideItsBlock pins the one check a load makes of a
+// leaf: its slot lies in its relation's block of the query's leaf-slot
+// table (Analysis.LeafBlock), where every index is an identity of that
+// relation. The codec reads no leaf, so a snapshot whose leaf on relation 1
+// names the last slot of relation 0's block, the first of relation 2's, a
+// slot past the table or the largest uint16 still decodes; BuildCaches
+// (every cold load) refuses it, and so does inum.FromRows given the same
+// rows. Both errors name the query, the entry and the relation.
+func TestLoadRejectsLeafOutsideItsBlock(t *testing.T) {
+	s, snap := starSnapshot(t, 42)
+	qs, err := s.Queries(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	analyses := make([]*optimizer.Analysis, len(qs))
+	for i, q := range qs {
+		if analyses[i], err = optimizer.NewAnalysis(q, s.Stats, optimizer.DefaultCostParams()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := slices.IndexFunc(snap.Queries, func(qp QueryPlans) bool { return qp.NRels >= 3 })
+	qp, a := &snap.Queries[i], analyses[slices.IndexFunc(qs, func(q *query.Query) bool { return q.Name == snap.Queries[i].Name })]
+	e := len(qp.Internal) - 1
+	k := e*qp.NRels + 1
+	lo, hi := a.LeafBlock(1)
+	for _, bad := range []uint16{uint16(lo - 1), uint16(hi), uint16(a.NumLeafSlots()), math.MaxUint16} {
+		good := qp.Slots[k]
+		qp.Slots[k] = bad
+		dec, derr := Decode(encodeToBytes(t, snap))
+		_, cerr := inum.FromRows(a, qp.Internal, qp.Slots, qp.Coefs)
+		qp.Slots[k] = good
+		if derr != nil {
+			t.Fatalf("slot %d: the codec read a leaf: %v", bad, derr)
+		}
+		_, lerr := BuildCaches(dec, qs, analyses)
+		for _, err := range []error{lerr, cerr} {
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("query %s entry %d:", qp.Name, e)) || !strings.Contains(err.Error(), "relation 1 ") {
+				t.Errorf("a leaf on relation 1 at slot %d, outside [%d, %d), loaded or was refused without naming query, entry and relation: %v", bad, lo, hi, err)
+			}
+		}
+	}
+	if _, err := BuildCaches(snap, qs, analyses); err != nil {
+		t.Fatalf("the restored snapshot is refused: %v", err)
+	}
+}
+
+// TestStarSnapshotBytesFrozen pins the wire form across changes of
+// representation. First the arena's (packed identities → slot indexes,
+// PR 23): the star workload's snapshot, encoded from the reference
+// construction's caches (core.Build, which does not compact), was
+// byte-equal to what the commit before that change wrote. Then the wire's
+// (format v3: each leaf its slot index, a CRC-64 checksum): the lengths
+// stayed, only the sums moved, and every entry of the star set and of the
+// 200-query tenant, read back through Cache.Leaf from decoded snapshots —
+// internal-cost bits, and per relation mode, column and coefficient bits —
+// dumped the same before and after. The literals were printed by this very
+// test body. The library's caches drop dominated entries; their snapshot
+// is pinned by the second pair of literals and decodes to the frozen
+// entries minus exactly the dominated ones (compactReference): one entry
+// of Q6.
 func TestStarSnapshotBytesFrozen(t *testing.T) {
 	fnvSum := func(data []byte) uint64 {
 		h := fnv.New64a()
@@ -416,7 +471,7 @@ func TestStarSnapshotBytesFrozen(t *testing.T) {
 	}
 	s, refs := starCaches(t, 42, core.Build)
 	frozen := encodeToBytes(t, NewSnapshot(Fingerprint(s.Catalog, s.Stats, optimizer.DefaultCostParams()), refs))
-	const wantLen, wantSum = 21471, uint64(0x30a7a18c97a38398)
+	const wantLen, wantSum = 21471, uint64(0x515cadc6e887e869)
 	if len(frozen) != wantLen || fnvSum(frozen) != wantSum {
 		t.Fatalf("star snapshot encodes to %d bytes, FNV-1a %#x; the frozen form is %d bytes, %#x",
 			len(frozen), fnvSum(frozen), wantLen, wantSum)
@@ -424,7 +479,7 @@ func TestStarSnapshotBytesFrozen(t *testing.T) {
 
 	_, snap := starSnapshot(t, 42)
 	data := encodeToBytes(t, snap)
-	const compactLen, compactSum = 21423, uint64(0x80091f3a7fee4e99)
+	const compactLen, compactSum = 21423, uint64(0x05f27bea47a0e4f3)
 	if len(data) != compactLen || fnvSum(data) != compactSum {
 		t.Errorf("compacted star snapshot encodes to %d bytes, FNV-1a %#x; pinned %d bytes, %#x",
 			len(data), fnvSum(data), compactLen, compactSum)
@@ -435,17 +490,17 @@ func TestStarSnapshotBytesFrozen(t *testing.T) {
 	}
 	dropped := map[string]int{}
 	for i, qp := range dec.Queries {
-		wantInternal, wantPacked, wantCoefs := compactReference(t, refs[i]).Rows()
+		wantInternal, wantSlots, wantCoefs := compactReference(t, refs[i]).Rows()
 		if len(qp.Internal) != len(wantInternal) {
 			t.Fatalf("%s: %d entries decoded, the frozen ones minus the dominated are %d", qp.Name, len(qp.Internal), len(wantInternal))
 		}
 		bitsEqual := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 		for j := range qp.Internal {
 			lo, hi := j*qp.NRels, (j+1)*qp.NRels
-			if !bitsEqual(qp.Internal[j], wantInternal[j]) || !slices.Equal(qp.Packed[lo:hi], wantPacked[lo:hi]) ||
+			if !bitsEqual(qp.Internal[j], wantInternal[j]) || !slices.Equal(qp.Slots[lo:hi], wantSlots[lo:hi]) ||
 				!slices.EqualFunc(qp.Coefs[lo:hi], wantCoefs[lo:hi], bitsEqual) {
 				t.Fatalf("%s entry %d: decoded %v %v %v, frozen %v %v %v", qp.Name, j,
-					qp.Internal[j], qp.Packed[lo:hi], qp.Coefs[lo:hi], wantInternal[j], wantPacked[lo:hi], wantCoefs[lo:hi])
+					qp.Internal[j], qp.Slots[lo:hi], qp.Coefs[lo:hi], wantInternal[j], wantSlots[lo:hi], wantCoefs[lo:hi])
 			}
 		}
 		if n := len(refs[i].Plans) - len(qp.Internal); n > 0 {

@@ -561,8 +561,8 @@ func (t *tenant) optimize(env *Environment, prev *snapshotSet, tfps map[string]u
 			// Rebinding the previous set's entries to the new analysis
 			// is deterministic bit-for-bit, so a reused query's costs are
 			// byte-identical before and after the swap.
-			internal, packed, coefs := prev.caches[prev.queryIdx[q.Name]].Rows()
-			if c, err := inum.FromRows(env.Analyses[i], internal, packed, coefs); err == nil {
+			internal, slots, coefs := prev.caches[prev.queryIdx[q.Name]].Rows()
+			if c, err := inum.FromRows(env.Analyses[i], internal, slots, coefs); err == nil {
 				caches[i] = c
 				reused++
 				continue

@@ -521,7 +521,7 @@ func TestReloadSurvivesCorruptSnapshot(t *testing.T) {
 
 	// Garbage file: corrupt the freshly saved snapshot, drift again, and
 	// the reload must fall back to rebuilding rather than fail.
-	if err := os.WriteFile(snapPath, []byte("PINUMPC\x02 definitely not a snapshot"), 0o644); err != nil {
+	if err := os.WriteFile(snapPath, []byte("PINUMPC\x03 definitely not a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rf.setRows(t, splitTable(t, queries), 888_888)
@@ -550,6 +550,43 @@ func TestReloadSurvivesCorruptSnapshot(t *testing.T) {
 	}
 	if out2.Fingerprint != out.Fingerprint {
 		t.Fatalf("disk snapshot fingerprint %s, want %s", out2.Fingerprint, out.Fingerprint)
+	}
+}
+
+// TestColdLoadRebuildsPreviousFormatSnapshot covers a snapshot file left by
+// an older release: a file with the v2 header (PINUMPC\x02) is refused by
+// its version byte, so a cold load rebuilds from the optimizer and rewrites
+// the file in the current format, which the next server's cold load reads
+// from disk, answering the same bytes.
+func TestColdLoadRebuildsPreviousFormatSnapshot(t *testing.T) {
+	snapPath := filepath.Join(t.TempDir(), "star.pcache")
+	withSnap := func(cfg *Config) { cfg.Tenants[0].SnapshotPath = snapPath }
+	rf := newReloadFixture(t, withSnap)
+	rf.load(t)
+	_, want := rf.do(t, http.MethodPost, "/whatif", whatIfProbe)
+	data, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[7] = 2
+	if err := os.WriteFile(snapPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for k, source := range []string{sourceRebuilt, sourceDisk} {
+		rf := newReloadFixture(t, withSnap)
+		if out := rf.load(t); out.SnapshotSource != source {
+			t.Fatalf("cold load %d over a v%d file: source %q, want %q", k, data[7], out.SnapshotSource, source)
+		}
+		if code, body := rf.do(t, http.MethodPost, "/whatif", whatIfProbe); code != http.StatusOK || !bytes.Equal(body, want) {
+			t.Fatalf("cold load %d: /whatif %d %s, want\n%s", k, code, body, want)
+		}
+		if data, err = os.ReadFile(snapPath); err != nil {
+			t.Fatal(err)
+		}
+		if data[7] != 3 {
+			t.Fatalf("cold load %d left a v%d snapshot file", k, data[7])
+		}
 	}
 }
 

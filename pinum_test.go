@@ -357,9 +357,9 @@ func compactReference(t testing.TB, c *PlanCache) *PlanCache {
 		}
 		return true
 	}
-	_, packed, coefs := c.Rows()
+	_, slots, coefs := c.Rows()
 	var keptInternal, keptCoefs []float64
-	var keptPacked []uint16
+	var keptSlots []uint16
 	for j, b := range c.Plans {
 		dropped := false
 		for i := range c.Plans {
@@ -370,11 +370,11 @@ func compactReference(t testing.TB, c *PlanCache) *PlanCache {
 		}
 		if !dropped {
 			keptInternal = append(keptInternal, b)
-			keptPacked = append(keptPacked, packed[j*n:(j+1)*n]...)
+			keptSlots = append(keptSlots, slots[j*n:(j+1)*n]...)
 			keptCoefs = append(keptCoefs, coefs[j*n:(j+1)*n]...)
 		}
 	}
-	out, err := inum.FromRows(c.A, keptInternal, keptPacked, keptCoefs)
+	out, err := inum.FromRows(c.A, keptInternal, keptSlots, keptCoefs)
 	if err != nil {
 		t.Fatal(err)
 	}
